@@ -1,0 +1,359 @@
+"""Configuration-driven command line front end.
+
+Subcommands: validate, rates, region, transfer, simulate, exact, fme. Every
+command writes report.json (and series.csv where applicable) to the output
+directory and prints the report to stdout. Exit codes: 0 success, 2 usage or
+config error, 3 failed check, 4 resource cap exceeded.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import datetime
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .codebooks import build_codebooks
+from .errors import PreconditionError, ResourceCapError, UsageError
+from .evalharness import (
+    coordination_tv,
+    cr_independence,
+    exact_induced,
+    mc_coordination_tv,
+    piecing_check,
+)
+from .fme import LinearSystem, fme_project
+from .linestruct import AuxSpec, build_aux_joint, make_network, validate_aux
+from .presets import preset_config
+from .rates import (
+    CodebookRates,
+    Mode,
+    RatePoint,
+    deterministic_region_check,
+    functional_region_check,
+    large_cr_region_check,
+    markov_region_check,
+    rate_transfer,
+    resource_map,
+    thm1_check,
+    thm2_check_all,
+    zero_local_region_check,
+)
+from .probability import JointPmf, pmf_from_table
+
+SCHEMA_VERSION = 1
+
+_TOP_KEYS = {"schema_version", "network", "aux", "rates", "mode", "n", "trials", "seed",
+             "codebook_seeds", "margin", "region", "transfer", "fme", "caps"}
+
+
+class ConfigError(UsageError):
+    pass
+
+
+def _reject_unknown(d: dict, allowed: set, where: str):
+    unknown = set(d) - allowed
+    if unknown:
+        raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
+
+
+def _pair_key(s: str) -> tuple[int, int]:
+    try:
+        i, j = s.split(",")
+        return int(i), int(j)
+    except Exception as exc:
+        raise ConfigError(f"bad pair key {s!r}; expected 'i,j'") from exc
+
+
+class Experiment:
+    """Parsed and validated experiment configuration."""
+
+    def __init__(self, cfg: dict):
+        _reject_unknown(cfg, _TOP_KEYS, "config")
+        if cfg.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+        net_cfg = cfg.get("network")
+        if not net_cfg:
+            raise ConfigError("config requires a network section")
+        _reject_unknown(net_cfg, {"h", "target"}, "network")
+        self.network = make_network(int(net_cfg["h"]), np.asarray(net_cfg["target"], dtype=float))
+
+        self.spec: AuxSpec | None = None
+        if "aux" in cfg:
+            defs = {}
+            for label, d in cfg["aux"].items():
+                _reject_unknown(d, {"kind", "source", "given", "weights", "size"}, f"aux.{label}")
+                kind = d.get("kind")
+                if kind == "constant":
+                    defs[label] = ("constant",)
+                elif kind == "copy":
+                    defs[label] = ("copy", d["source"])
+                elif kind == "channel":
+                    defs[label] = ("channel", tuple(d["given"]),
+                                   np.asarray(d["weights"], dtype=float), int(d["size"]))
+                else:
+                    raise ConfigError(f"aux.{label}: unknown kind {kind!r}")
+            joint = build_aux_joint(self.network, defs)
+            self.spec = AuxSpec.from_joint(self.network, joint)
+
+        self.rates: CodebookRates | None = None
+        if "rates" in cfg:
+            r = cfg["rates"]
+            _reject_unknown(r, {"mu_plus", "mu_minus", "kappa_plus", "kappa_minus", "lambda"},
+                            "rates")
+            self.rates = CodebookRates.for_network(
+                self.network.h,
+                mu_plus={_pair_key(k): v for k, v in r.get("mu_plus", {}).items()},
+                mu_minus={_pair_key(k): v for k, v in r.get("mu_minus", {}).items()},
+                kappa_plus={int(k): v for k, v in r.get("kappa_plus", {}).items()},
+                kappa_minus={int(k): v for k, v in r.get("kappa_minus", {}).items()},
+                lam={int(k): v for k, v in r.get("lambda", {}).items()},
+            )
+
+        self.mode = Mode(cfg.get("mode", "functional"))
+        self.n_list = [int(v) for v in cfg.get("n", [1])]
+        self.trials = int(cfg.get("trials", 1000))
+        self.seed = int(cfg.get("seed", 0))
+        cb = cfg.get("codebook_seeds", 10)
+        self.codebook_seeds = list(range(int(cb))) if isinstance(cb, int) else [int(v) for v in cb]
+        self.margin = float(cfg.get("margin", 1e-6))
+        self.region = cfg.get("region", {})
+        self.transfer = cfg.get("transfer", {})
+        self.fme = cfg.get("fme", {})
+
+
+def _load_config(args) -> dict:
+    if args.preset and args.config:
+        raise ConfigError("pass either --preset or --config, not both")
+    if args.preset:
+        cfg = preset_config(args.preset)
+    elif args.config:
+        cfg = json.loads(Path(args.config).read_text())
+    else:
+        raise ConfigError("a --config file or --preset name is required")
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.n:
+        cfg["n"] = [int(v) for v in args.n.split(",")]
+    if args.trials is not None:
+        cfg["trials"] = args.trials
+    if args.mode:
+        cfg["mode"] = args.mode
+    if args.margin is not None:
+        cfg["margin"] = args.margin
+    if args.theorem:
+        cfg.setdefault("region", {})["theorem"] = args.theorem
+    return cfg
+
+
+def _point_from(d: dict) -> RatePoint:
+    _reject_unknown(d, {"Rc", "R", "rho"}, "point")
+    return RatePoint(float(d["Rc"]), tuple(float(v) for v in d["R"]),
+                     tuple(float(v) for v in d["rho"]))
+
+
+def _z_pmf(d: dict) -> JointPmf:
+    _reject_unknown(d, {"labels", "weights"}, "z")
+    return pmf_from_table(list(d["labels"]), np.asarray(d["weights"], dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Subcommand implementations (each returns (payload, ok))
+
+
+def _cmd_validate(exp: Experiment) -> tuple[dict, bool]:
+    if exp.spec is None:
+        raise ConfigError("validate requires an aux section")
+    report = validate_aux(exp.spec)
+    return {"validate": report.to_dict()}, report.ok
+
+
+def _cmd_rates(exp: Experiment) -> tuple[dict, bool]:
+    if exp.spec is None or exp.rates is None:
+        raise ConfigError("rates requires aux and rates sections")
+    t1 = thm1_check(exp.rates, exp.spec, exp.margin)
+    t2 = thm2_check_all(exp.rates, exp.spec, exp.margin)
+    point = resource_map(exp.rates, exp.mode, exp.spec)
+    ok = t1.passed and all(r.passed for r in t2)
+    return {"thm1": t1.to_dict(), "thm2": [r.to_dict() for r in t2],
+            "resource_point": point.to_dict(), "mode": exp.mode.value}, ok
+
+
+def _cmd_region(exp: Experiment) -> tuple[dict, bool]:
+    region = exp.region
+    _reject_unknown(region, {"theorem", "points", "z", "margin"}, "region")
+    theorem = region.get("theorem")
+    pts = [_point_from(p) for p in region.get("points", [])]
+    if not pts:
+        raise ConfigError("region requires at least one point")
+    margin = float(region.get("margin", 0.0))
+    out = []
+    ok = True
+    for pt in pts:
+        if theorem == "deterministic":
+            rep = deterministic_region_check(pt, exp.network)
+        elif theorem == "large-cr":
+            rep = large_cr_region_check(pt, exp.network)
+        elif theorem == "zero-local":
+            rep = zero_local_region_check(pt, exp.network)
+        elif theorem == "functional":
+            rep = functional_region_check(pt, exp.network, _z_pmf(region["z"]), margin)
+        elif theorem == "markov":
+            rep = markov_region_check(pt, exp.network, _z_pmf(region["z"]), margin)
+        else:
+            raise ConfigError(f"unknown region theorem {theorem!r}")
+        ok = ok and rep.passed
+        out.append({"point": pt.to_dict(), "report": rep.to_dict()})
+    return {"region": {"theorem": theorem, "points": out}}, ok
+
+
+def _cmd_transfer(exp: Experiment) -> tuple[dict, bool]:
+    t = exp.transfer
+    _reject_unknown(t, {"lemma", "mode_family", "node", "delta", "point"}, "transfer")
+    pt = _point_from(t["point"])
+    moved = rate_transfer(pt, int(t["lemma"]), t["mode_family"], int(t["node"]),
+                          float(t["delta"]))
+    return {"transfer": {"input": pt.to_dict(), "output": moved.to_dict()}}, True
+
+
+def _cmd_simulate(exp: Experiment, threads: int) -> tuple[dict, bool]:
+    if exp.spec is None or exp.rates is None:
+        raise ConfigError("simulate requires aux and rates sections")
+
+    def one(n: int) -> dict:
+        return mc_coordination_tv(exp.spec, exp.rates, exp.mode, n, exp.trials,
+                                  exp.codebook_seeds, exp.seed).to_dict()
+
+    if threads > 1 and len(exp.n_list) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            series = list(pool.map(one, exp.n_list))
+    else:
+        series = [one(n) for n in exp.n_list]
+    return {"simulate": {"series": series}}, True
+
+
+def _cmd_exact(exp: Experiment) -> tuple[dict, bool]:
+    if exp.spec is None or exp.rates is None:
+        raise ConfigError("exact requires aux and rates sections")
+    series = []
+    for n in exp.n_list:
+        per_seed = []
+        for cb_seed in exp.codebook_seeds:
+            cb = build_codebooks(exp.spec, exp.rates, n, cb_seed)
+            ex = exact_induced(cb, exp.mode)
+            per_seed.append({
+                "codebook_seed": cb_seed,
+                "coordination_tv": coordination_tv(ex, exp.network),
+                "cr_independence": cr_independence(cb),
+                "piecing": piecing_check(cb),
+                "degenerate_paths": ex.degenerate_paths,
+            })
+        tvs = [r["coordination_tv"] for r in per_seed]
+        series.append({"n": n, "per_seed": per_seed,
+                       "tv_mean": float(np.mean(tvs)) if tvs else None})
+    return {"exact": {"series": series}}, True
+
+
+def _cmd_fme(exp: Experiment) -> tuple[dict, bool]:
+    f = exp.fme
+    _reject_unknown(f, {"variables", "rows", "eliminate"}, "fme")
+    rows = [({k: float(v) for k, v in r["coeffs"].items()}, float(r["rhs"]))
+            for r in f["rows"]]
+    system = LinearSystem.build(list(f["variables"]), rows)
+    projected = fme_project(system, list(f.get("eliminate", [])))
+    return {"fme": projected.to_dict()}, True
+
+
+# ---------------------------------------------------------------------------
+
+
+def _emit(payload: dict, ok: bool, out_dir: str, command: str) -> None:
+    payload = dict(payload)
+    payload["command"] = command
+    payload["passed"] = ok
+    payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    (out / "report.json").write_text(text + "\n")
+    series = None
+    if command == "simulate" and "simulate" in payload:
+        series = [(row["n"], row["tv_mean"], row["radius"]) for row in payload["simulate"]["series"]]
+    elif command == "exact" and "exact" in payload:
+        series = [(row["n"], row["tv_mean"], "") for row in payload["exact"]["series"]]
+    if series is not None:
+        with (out / "series.csv").open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["n", "tv_mean", "radius"])
+            for row in series:
+                w.writerow(row)
+    print(text)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="coordline",
+                                     description="strong-coordination line-network toolkit")
+    parser.add_argument("command", choices=["validate", "rates", "region", "transfer",
+                                            "simulate", "exact", "fme"])
+    parser.add_argument("--config", help="path to a JSON experiment config")
+    parser.add_argument("--preset", help="named preset configuration")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--n", help="comma-separated block lengths")
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--mode", choices=[m.value for m in Mode], default=None)
+    parser.add_argument("--margin", type=float, default=None)
+    parser.add_argument("--theorem",
+                        choices=["functional", "large-cr", "markov", "deterministic", "zero-local"],
+                        default=None, help="region subcommand: which region to test")
+    parser.add_argument("--out", default=".", help="output directory for report.json/series.csv")
+    parser.add_argument("--threads", type=int, default=1)
+    return parser
+
+
+def run_command(argv: list[str]) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    try:
+        cfg = _load_config(args)
+        exp = Experiment(cfg)
+        if args.command == "validate":
+            payload, ok = _cmd_validate(exp)
+        elif args.command == "rates":
+            payload, ok = _cmd_rates(exp)
+        elif args.command == "region":
+            payload, ok = _cmd_region(exp)
+        elif args.command == "transfer":
+            payload, ok = _cmd_transfer(exp)
+        elif args.command == "simulate":
+            payload, ok = _cmd_simulate(exp, args.threads)
+        elif args.command == "exact":
+            payload, ok = _cmd_exact(exp)
+        else:
+            payload, ok = _cmd_fme(exp)
+    except PreconditionError as exc:
+        _emit({"error": str(exc), "broken": exc.broken}, False, args.out, args.command)
+        return 3
+    except ResourceCapError as exc:
+        _emit({"error": str(exc)}, False, args.out, args.command)
+        return 4
+    except (ConfigError, UsageError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _emit(payload, ok, args.out, args.command)
+    return 0 if ok else 3
+
+
+def main() -> None:
+    sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,495 @@
+"""Nested random codebooks for the line-network auxiliary system.
+
+Books are materialized eagerly and immutable; construction is deterministic
+under a 64-bit master seed with one child stream per (book identity, codebook
+index), so lookup order never matters. Codeword counts are ceil(2^(n*rate)).
+
+Sampling discipline: codewords are drawn by stratified inverse-CDF decoding
+of their block conditional (a random permutation assigns one quantile
+stratum per codeword, uniform within the stratum). Each codeword is still
+marginally an exact draw from its kernel, but the book as a whole covers the
+conditional's quantile space evenly, which keeps desk-scale blocklengths in
+the regime the asymptotic analysis describes; in particular a uniform
+conditional with a matching codeword count enumerates the blocks exactly, so
+integer-rate local randomness is lossless. Chain codebooks (the nested
+single-chain structure used by the seeded-selection analysis) keep plain
+i.i.d. per-letter draws.
+"""
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .errors import ResourceCapError, UsageError, resolve_cap
+from .linestruct import (
+    AuxSpec,
+    IndexPair,
+    a_label,
+    b_label,
+    c_label,
+    order_pairs,
+    phi,
+    phi_bar,
+    psi,
+    x_label,
+)
+from .probability import JointPmf, condition, is_jointly_typical, marginalize
+from .rates import CodebookRates
+
+
+def codeword_count(n: int, rate: float) -> int:
+    """ceil(2^(n*rate)) with snap-to-integer guard against float fuzz."""
+    if rate < 0:
+        raise UsageError("negative rate")
+    x = n * rate
+    r = round(x)
+    if abs(x - r) < 1e-9:
+        return 1 << int(r)
+    return math.ceil(2.0 ** x)
+
+
+Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i)
+
+
+def m_plus(p: IndexPair) -> Component:
+    return ("m+", p[0], p[1])
+
+
+def m_minus(p: IndexPair) -> Component:
+    return ("m-", p[0], p[1])
+
+
+def k_plus(i: int) -> Component:
+    return ("k+", i)
+
+
+def k_minus(i: int) -> Component:
+    return ("k-", i)
+
+
+def l_of(i: int) -> Component:
+    return ("l", i)
+
+
+class IndexSpace:
+    """Mixed-radix flattener over an ordered list of (component, size)."""
+
+    def __init__(self, components: Sequence[tuple[Component, int]]):
+        self.components = tuple((tuple(c), int(s)) for c, s in components)
+        self.size = 1
+        for _, s in self.components:
+            self.size *= s
+
+    def flatten(self, assignment: Mapping[Component, int]) -> int:
+        idx = 0
+        for comp, size in self.components:
+            try:
+                v = assignment[comp]
+            except KeyError:
+                raise UsageError(f"index bundle is missing component {comp}") from None
+            if not 0 <= v < size:
+                raise UsageError(f"index {comp} = {v} out of range [0, {size})")
+            idx = idx * size + v
+        return idx
+
+    def unflatten(self, idx: int) -> dict[Component, int]:
+        out = {}
+        for comp, size in reversed(self.components):
+            out[comp] = idx % size
+            idx //= size
+        return dict(reversed(list(out.items())))
+
+    def all_assignments(self):
+        for idx in range(self.size):
+            yield self.unflatten(idx)
+
+
+def _stratified_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count: int) -> np.ndarray:
+    """count codewords of length n decoded from stratified quantiles of the
+    product distribution with per-letter rows letter_probs (n, size)."""
+    n, size = letter_probs.shape
+    strata = rng.permutation(count).astype(np.float64)
+    u = (strata + rng.random(count)) / count
+    out = np.empty((count, n), dtype=np.int64)
+    for t in range(n):
+        row = letter_probs[t]
+        cum = np.cumsum(row)
+        cum[-1] = 1.0
+        sym = np.searchsorted(cum, u, side="right")
+        sym = np.clip(sym, 0, size - 1)
+        out[:, t] = sym
+        lo = np.where(sym > 0, cum[sym - 1], 0.0)
+        p = row[sym]
+        u = np.clip((u - lo) / np.where(p > 0, p, 1.0), 0.0, np.nextafter(1.0, 0.0))
+    return out
+
+
+def _iid_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count: int) -> np.ndarray:
+    n, size = letter_probs.shape
+    u = rng.random((count, n))
+    out = np.empty((count, n), dtype=np.int64)
+    for t in range(n):
+        cum = np.cumsum(letter_probs[t])
+        cum[-1] = 1.0
+        out[:, t] = np.clip(np.searchsorted(cum, u[:, t], side="right"), 0, size - 1)
+    return out
+
+
+def _child_rng(seed: int, *key) -> np.random.Generator:
+    flat = [seed & 0xFFFFFFFFFFFFFFFF]
+    for part in key:
+        if isinstance(part, str):
+            flat.extend(ord(ch) for ch in part)
+        else:
+            flat.append(int(part) & 0xFFFFFFFF)
+    return np.random.default_rng(np.random.SeedSequence(flat))
+
+
+@dataclass(frozen=True)
+class Book:
+    """One codebook family: parent space -> slot space -> codeword array."""
+
+    parents: IndexSpace
+    slots: IndexSpace
+    words: np.ndarray  # (parents.size, slots.size, n) symbol indices
+
+    def codeword(self, parent_idx: int, slot_idx: int) -> np.ndarray:
+        return self.words[parent_idx, slot_idx]
+
+
+class Codebook:
+    """Realized nested codebooks for all auxiliary RVs of an AuxSpec."""
+
+    def __init__(self, spec: AuxSpec, rates: CodebookRates, n: int, seed: int,
+                 books_a, books_b, books_c, sizes: dict[Component, int]):
+        self.spec = spec
+        self.rates = rates
+        self.n = int(n)
+        self.seed = int(seed)
+        self.a = books_a
+        self.b = books_b
+        self.c = books_c
+        self.sizes = dict(sizes)
+
+    @property
+    def h(self) -> int:
+        return self.spec.h
+
+    # -- lookups ------------------------------------------------------------
+
+    def a_codeword(self, p: IndexPair, assignment: Mapping[Component, int]) -> np.ndarray:
+        book = self.a[p]
+        parent_idx = book.parents.flatten(assignment)
+        slot_idx = book.slots.flatten(assignment)
+        return book.codeword(parent_idx, slot_idx)
+
+    def b_codeword(self, hop: int, assignment: Mapping[Component, int]) -> np.ndarray:
+        book = self.b[hop]
+        return book.codeword(book.parents.flatten(assignment), book.slots.flatten(assignment))
+
+    def c_codeword(self, node: int, assignment: Mapping[Component, int]) -> np.ndarray:
+        book = self.c[node]
+        return book.codeword(book.parents.flatten(assignment), book.slots.flatten(assignment))
+
+    def lookup(self, rv: tuple, assignment: Mapping[Component, int]) -> np.ndarray:
+        """Generic lookup: rv is ("A", i, j), ("B", i) or ("C", i). The
+        assignment may carry the full index bundle; only the components in the
+        book's own spaces are read."""
+        kind = rv[0]
+        if kind == "A":
+            return self.a_codeword((rv[1], rv[2]), assignment)
+        if kind == "B":
+            return self.b_codeword(rv[1], assignment)
+        if kind == "C":
+            return self.c_codeword(rv[1], assignment)
+        raise UsageError(f"unknown rv {rv!r}")
+
+    # -- serialization --------------------------------------------------------
+
+    def to_text(self) -> str:
+        def dump_book(book: Book):
+            return {
+                "parents": [[list(c), s] for c, s in book.parents.components],
+                "slots": [[list(c), s] for c, s in book.slots.components],
+                "shape": list(book.words.shape),
+                "words": book.words.ravel().tolist(),
+            }
+
+        payload = {
+            "n": self.n,
+            "seed": self.seed,
+            "sizes": [[list(c), s] for c, s in sorted(self.sizes.items())],
+            "a": {f"{p[0]},{p[1]}": dump_book(b) for p, b in self.a.items()},
+            "b": {str(i): dump_book(b) for i, b in self.b.items()},
+            "c": {str(i): dump_book(b) for i, b in self.c.items()},
+        }
+        return json.dumps(payload, sort_keys=True)
+
+    @classmethod
+    def from_text(cls, text: str, spec: AuxSpec, rates: CodebookRates) -> "Codebook":
+        payload = json.loads(text)
+
+        def load_book(d) -> Book:
+            parents = IndexSpace([(tuple(c), s) for c, s in d["parents"]])
+            slots = IndexSpace([(tuple(c), s) for c, s in d["slots"]])
+            words = np.asarray(d["words"], dtype=np.int64).reshape(d["shape"])
+            words.setflags(write=False)
+            return Book(parents, slots, words)
+
+        a = {tuple(int(x) for x in key.split(",")): load_book(d) for key, d in payload["a"].items()}
+        b = {int(k): load_book(d) for k, d in payload["b"].items()}
+        c = {int(k): load_book(d) for k, d in payload["c"].items()}
+        sizes = {tuple(cmp): s for cmp, s in payload["sizes"]}
+        return cls(spec, rates, payload["n"], payload["seed"], a, b, c, sizes)
+
+
+def component_sizes(spec: AuxSpec, rates: CodebookRates, n: int) -> dict[Component, int]:
+    h = spec.h
+    sizes: dict[Component, int] = {}
+    for p in order_pairs(h):
+        sizes[m_plus(p)] = codeword_count(n, rates.mu_plus[p])
+        sizes[m_minus(p)] = codeword_count(n, rates.mu_minus[p])
+    for i in range(1, h):
+        sizes[k_plus(i)] = codeword_count(n, rates.kappa_plus[i])
+        sizes[k_minus(i)] = codeword_count(n, rates.kappa_minus[i])
+    for i in range(2, h + 1):
+        sizes[l_of(i)] = codeword_count(n, rates.lam[i])
+    return sizes
+
+
+def _pair_components(pairs: Sequence[IndexPair], sizes) -> list[tuple[Component, int]]:
+    out = []
+    for q in pairs:
+        out.append((m_plus(q), sizes[m_plus(q)]))
+        out.append((m_minus(q), sizes[m_minus(q)]))
+    return out
+
+
+def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int,
+                    cap: int | None = None) -> Codebook:
+    """Draw all codebooks in construction order, respecting the nesting."""
+    if n < 1:
+        raise UsageError("block length must be >= 1")
+    h = spec.h
+    order = order_pairs(h)
+    sizes = component_sizes(spec, rates, n)
+
+    total = 0
+    for p in order:
+        par = 1
+        for q in phi(h, p):
+            par *= sizes[m_plus(q)] * sizes[m_minus(q)]
+        total += par * sizes[m_plus(p)] * sizes[m_minus(p)] * n
+    for i in range(1, h):
+        par = 1
+        for q in phi_bar(h, (i, i + 1)):
+            par *= sizes[m_plus(q)] * sizes[m_minus(q)]
+        total += par * sizes[k_plus(i)] * sizes[k_minus(i)] * n
+    for i in range(2, h + 1):
+        par = sizes[k_plus(i - 1)] * sizes[k_minus(i - 1)]
+        for q in psi(h, i):
+            par *= sizes[m_plus(q)] * sizes[m_minus(q)]
+        total += par * sizes[l_of(i)] * n
+    if total > resolve_cap(cap):
+        raise ResourceCapError(f"codebooks need {total} stored symbols, above cap")
+
+    books_a: dict[IndexPair, Book] = {}
+    for p in order:
+        parent_pairs = [q for q in order if q in phi(h, p)]
+        parents = IndexSpace(_pair_components(parent_pairs, sizes))
+        slots = IndexSpace(_pair_components([p], sizes))
+        kernel = spec.a_kernels[p]
+        n_out = spec.aux_alphabets[a_label(p)].size
+        words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+        for parent_idx in range(parents.size):
+            assignment = parents.unflatten(parent_idx)
+            given = [_a_letters(books_a, q, assignment) for q in sorted(phi(h, p))]
+            if given:
+                rows = kernel.weights[tuple(np.asarray(g) for g in given)]
+            else:
+                rows = np.tile(kernel.weights, (n, 1))
+            rng = _child_rng(seed, "A", p[0], p[1], parent_idx)
+            words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
+        words.setflags(write=False)
+        books_a[p] = Book(parents, slots, words)
+
+    joint = spec.joint
+    books_b: dict[int, Book] = {}
+    for i in range(1, h):
+        pb = (i, i + 1)
+        parent_pairs = [q for q in order if q in phi_bar(h, pb)]
+        parents = IndexSpace(_pair_components(parent_pairs, sizes))
+        slots = IndexSpace([(k_plus(i), sizes[k_plus(i)]), (k_minus(i), sizes[k_minus(i)])])
+        given_labels = [a_label(q) for q in sorted(phi_bar(h, pb))]
+        marg = marginalize(joint, given_labels + [b_label(i)])
+        kernel = condition(marg, given_labels)
+        n_out = spec.aux_alphabets[b_label(i)].size
+        words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+        for parent_idx in range(parents.size):
+            assignment = parents.unflatten(parent_idx)
+            given = [_a_letters(books_a, q, assignment) for q in sorted(phi_bar(h, pb))]
+            rows = kernel.weights[tuple(np.asarray(g) for g in given)]
+            rng = _child_rng(seed, "B", i, parent_idx)
+            words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
+        words.setflags(write=False)
+        books_b[i] = Book(parents, slots, words)
+
+    books_c: dict[int, Book] = {}
+    for i in range(2, h + 1):
+        parent_pairs = [q for q in order if q in psi(h, i)]
+        comps = _pair_components(parent_pairs, sizes)
+        comps += [(k_plus(i - 1), sizes[k_plus(i - 1)]), (k_minus(i - 1), sizes[k_minus(i - 1)])]
+        parents = IndexSpace(comps)
+        slots = IndexSpace([(l_of(i), sizes[l_of(i)])])
+        kernel = spec.c_kernels[i]
+        n_out = spec.aux_alphabets[c_label(i)].size
+        words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+        for parent_idx in range(parents.size):
+            assignment = parents.unflatten(parent_idx)
+            given = [_a_letters(books_a, q, assignment) for q in sorted(psi(h, i))]
+            given.append(books_b[i - 1].codeword(
+                books_b[i - 1].parents.flatten(assignment),
+                books_b[i - 1].slots.flatten(assignment)))
+            rows = kernel.weights[tuple(np.asarray(g) for g in given)]
+            rng = _child_rng(seed, "C", i, parent_idx)
+            words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
+        words.setflags(write=False)
+        books_c[i] = Book(parents, slots, words)
+
+    return Codebook(spec, rates, n, seed, books_a, books_b, books_c, sizes)
+
+
+def _a_letters(books_a, q, assignment) -> np.ndarray:
+    book = books_a[q]
+    return book.codeword(book.parents.flatten(assignment), book.slots.flatten(assignment))
+
+
+# ---------------------------------------------------------------------------
+# Chain codebooks (nested single-index structure) and typical-list accounting
+
+
+class ChainCodebook:
+    """Nested chain D_1 -> D_2 -> ... -> D_k feeding a channel to Y.
+
+    Level i holds one codeword per index tuple (l_1..l_i), drawn i.i.d. per
+    letter from Q(D_i | D_1..D_{i-1}) at the parent letters.
+    """
+
+    def __init__(self, joint: JointPmf, level_labels: Sequence[str], y_axis: str,
+                 sizes: Sequence[int], books: Sequence[np.ndarray], n: int, seed: int):
+        self.joint = joint
+        self.level_labels = tuple(level_labels)
+        self.y_axis = y_axis
+        self.sizes = tuple(int(s) for s in sizes)
+        self.books = list(books)
+        self.n = int(n)
+        self.seed = int(seed)
+
+    @property
+    def k(self) -> int:
+        return len(self.level_labels)
+
+    def codeword(self, level: int, prefix: tuple[int, ...]) -> np.ndarray:
+        if len(prefix) != level + 1:
+            raise UsageError("prefix length must equal level+1")
+        return self.books[level][prefix]
+
+    def tuple_count(self) -> int:
+        out = 1
+        for s in self.sizes:
+            out *= s
+        return out
+
+
+def build_chain(joint: JointPmf, level_labels: Sequence[str], y_axis: str,
+                rates: Sequence[float], n: int, seed: int, cap: int | None = None) -> ChainCodebook:
+    level_labels = list(level_labels)
+    sizes = [codeword_count(n, r) for r in rates]
+    total = 0
+    acc = 1
+    for s in sizes:
+        acc *= s
+        total += acc * n
+    if total > resolve_cap(cap):
+        raise ResourceCapError(f"chain needs {total} stored symbols, above cap")
+    books = []
+    for lvl, lbl in enumerate(level_labels):
+        given = level_labels[:lvl]
+        marg = marginalize(joint, given + [lbl])
+        kernel = condition(marg, given) if given else None
+        shape = tuple(sizes[: lvl + 1])
+        arr = np.empty(shape + (n,), dtype=np.int64)
+        out_size = joint.alphabet(lbl).size
+        for prefix in np.ndindex(*shape[:-1]) if lvl else [()]:
+            if given:
+                letters = [books[d][prefix[: d + 1]] for d in range(lvl)]
+                rows = kernel.weights[tuple(np.asarray(g) for g in letters)].reshape(n, out_size)
+            else:
+                rows = np.tile(marginalize(joint, [lbl]).weights, (n, 1))
+            rng = _child_rng(seed, "D", lvl, *prefix)
+            arr[prefix] = _iid_blocks(rng, rows, sizes[lvl])
+        arr.setflags(write=False)
+        books.append(arr)
+    return ChainCodebook(joint, level_labels, y_axis, sizes, books, n, seed)
+
+
+def chain_channel_output(chain: ChainCodebook, prefix: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Sample Y^n from the channel driven by the selected codeword tuple."""
+    kernel = condition(chain.joint, list(chain.level_labels))
+    letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
+    rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
+    rows = rows.reshape(chain.n, chain.joint.alphabet(chain.y_axis).size)
+    return _sample_rows(rng, rows)
+
+
+def _sample_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    n, size = rows.shape
+    u = rng.random(n)
+    out = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        cum = np.cumsum(rows[t])
+        cum[-1] = 1.0
+        out[t] = min(np.searchsorted(cum, u[t], side="right"), size - 1)
+    return out
+
+
+def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float,
+                      cap: int | None = None) -> int:
+    """Exact count of index tuples jointly delta-typical with y."""
+    if chain.tuple_count() > resolve_cap(cap):
+        raise ResourceCapError("chain index space above enumeration cap")
+    y = np.asarray(list(y), dtype=np.int64)
+    if len(y) != chain.n:
+        raise UsageError("observation length must equal the block length")
+    count = 0
+    for flat in np.ndindex(*chain.sizes):
+        seqs = [chain.codeword(d, flat[: d + 1]) for d in range(chain.k)]
+        seqs.append(y)
+        if is_jointly_typical(seqs, chain.joint, delta):
+            count += 1
+    return count
+
+
+def chain_from_line_h2(cb: Codebook, y_node: int) -> ChainCodebook:
+    """Degenerate h=2 line view as a three-level chain A -> B -> C with Y = X_{y_node}."""
+    spec = cb.spec
+    if spec.h != 2:
+        raise UsageError("line-to-chain view is defined for h=2")
+    labels = [a_label((1, 2)), b_label(1), c_label(2), x_label(y_node)]
+    joint = marginalize(spec.joint, labels)
+    a_book = cb.a[(1, 2)]
+    b_book = cb.b[1]
+    c_book = cb.c[2]
+    s1 = a_book.slots.size
+    s2 = b_book.slots.size
+    s3 = c_book.slots.size
+    books = [
+        a_book.words.reshape(s1, cb.n),
+        b_book.words.reshape(s1, s2, cb.n),
+        c_book.words.reshape(s1, s2, s3, cb.n),
+    ]
+    return ChainCodebook(joint, labels[:3], labels[3], (s1, s2, s3), books, cb.n, cb.seed)

@@ -1,0 +1,417 @@
+"""Exact and Monte Carlo evaluation of the coordination criterion.
+
+The exact path enumerates every source block, every common-randomness value,
+every uniform index, and the closed-form staircase-selector distributions,
+producing the exact conditional law of the generated actions for one realized
+codebook. The Monte Carlo path histograms scheme runs. KL-style limits are
+monitored through their L1 surrogates, since finite-blocklength KL against a
+random codebook is infinite off support.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import product as iproduct
+
+import numpy as np
+
+from .codebooks import Codebook, build_codebooks, k_minus, k_plus, l_of, m_minus, m_plus
+from .codec import Scheme
+from .errors import ResourceCapError, resolve_cap
+from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
+from .probability import condition, marginalize, product_extend
+from .rates import CodebookRates, Mode
+
+
+def _block_encode(block: np.ndarray, size: int) -> int:
+    out = 0
+    for s in block:
+        out = out * size + int(s)
+    return out
+
+
+def _block_decode(idx: int, size: int, n: int) -> np.ndarray:
+    out = np.empty(n, dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        out[t] = idx % size
+        idx //= size
+    return out
+
+
+def target_block_tensor(network: NetworkSpec, n: int, cap: int | None = None) -> np.ndarray:
+    """Target^(x n) reshaped to one axis of size |X_i|^n per node."""
+    big = product_extend(network.target, n, cap=cap)
+    sizes = tuple(a.size ** n for a in network.alphabets)
+    return big.weights.reshape(sizes)
+
+
+def _block_vector(rows: np.ndarray) -> np.ndarray:
+    """Product-of-rows vector over blocks: rows (n, s) -> length s^n, row-major."""
+    v = rows[0]
+    for t in range(1, rows.shape[0]):
+        v = np.outer(v, rows[t]).ravel()
+    return v
+
+
+def _block_matrix(mats: list[np.ndarray]) -> np.ndarray:
+    """Kronecker chain: per-letter (s, s') matrices -> (s^n, s'^n) block matrix."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+@dataclass
+class ExactInduced:
+    """Exact conditional action law plus the message-layer averaged output
+    (every message index uniform, actions drawn through the full channel)."""
+
+    conditional: np.ndarray  # (S1, S2, ..., Sh); rows over x1 blocks sum to 1
+    allied_joint: np.ndarray  # uniform-index output law over all h block axes
+    x1_marginal: np.ndarray  # target X1^n block probabilities
+    block_sizes: tuple[int, ...]
+    n: int
+    mode: str
+    degenerate_paths: int = 0
+
+    def coordination_joint(self) -> np.ndarray:
+        shape = (len(self.x1_marginal),) + (1,) * (len(self.block_sizes) - 1)
+        return self.x1_marginal.reshape(shape) * self.conditional
+
+
+def _enumeration_cost(cb: Codebook, mode: Mode) -> int:
+    h = cb.h
+    cost = cb.spec.network.alphabets[0].size ** cb.n
+    for p in order_pairs(h):
+        cost *= cb.sizes[m_minus(p)]
+        cost *= cb.sizes[m_plus(p)]
+    for i in range(1, h):
+        cost *= cb.sizes[k_minus(i)]
+        cost *= cb.sizes[k_plus(i)]
+    for i in range(2, h + 1):
+        cost *= cb.sizes[l_of(i)]
+    return cost
+
+
+def exact_induced(cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = None,
+                  cap: int | None = None) -> ExactInduced:
+    """Full enumeration of the scheme's conditional action law for one codebook."""
+    scheme = Scheme(cb, mode, seed_rate_overrides)
+    n = cb.n
+    h = cb.h
+    net = cb.spec.network
+    if _enumeration_cost(cb, scheme.mode) > resolve_cap(cap):
+        raise ResourceCapError("exact enumeration above cap; use the Monte Carlo path")
+
+    sizes = [a.size for a in net.alphabets]
+    block_sizes = tuple(s ** n for s in sizes)
+    cond = np.zeros(block_sizes)
+    degenerate = 0
+
+    m_minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+    k_minus_spaces = [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
+    own_plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1]
+    cr_weight = 1.0
+    for _, s in m_minus_spaces + k_minus_spaces + own_plus_spaces:
+        cr_weight /= s
+
+    x1_size = sizes[0]
+    for x1_flat in range(block_sizes[0]):
+        x1 = _block_decode(x1_flat, x1_size, n)
+        for minus_combo in iproduct(*[range(s) for _, s in m_minus_spaces]):
+            for kminus_combo in iproduct(*[range(s) for _, s in k_minus_spaces]):
+                for own_combo in iproduct(*[range(s) for _, s in own_plus_spaces]):
+                    assignment = {comp: v for (comp, _), v in zip(m_minus_spaces, minus_combo)}
+                    assignment.update({comp: v for (comp, _), v in zip(k_minus_spaces, kminus_combo)})
+                    assignment.update({comp: v for (comp, _), v in zip(own_plus_spaces, own_combo)})
+                    for i in range(1, h):
+                        assignment.setdefault(k_plus(i), 0)
+                    posterior, deg = scheme.node1_posterior(x1, assignment)
+                    _, induced = scheme.selection(posterior, scheme.ell1, 1)
+                    if deg:
+                        degenerate += 1
+                    for m1_flat in np.nonzero(induced)[0]:
+                        p_m1 = induced[m1_flat]
+                        assignment.update(scheme.m1_space.unflatten(int(m1_flat)))
+                        degenerate += _walk(scheme, cb, 1, x1, x1_flat, assignment,
+                                            cr_weight * p_m1, cond, [x1_flat])
+    allied = _allied_joint(cb, block_sizes)
+    x1_marg = marginalize(net.target, [x_label(1)])
+    q1 = _block_vector(np.tile(x1_marg.weights, (n, 1)))
+    return ExactInduced(conditional=cond, allied_joint=allied, x1_marginal=q1,
+                        block_sizes=block_sizes, n=n, mode=scheme.mode.value,
+                        degenerate_paths=degenerate)
+
+
+def _walk(scheme: Scheme, cb: Codebook, node: int, x_prev: np.ndarray, x_prev_flat: int,
+          assignment: dict, prob: float, cond: np.ndarray, prefix: list[int]) -> int:
+    """Recurse down the line from `node` (the hop node->node+1), accumulating
+    conditional probability mass for every reachable action tuple."""
+    h = scheme.h
+    n = scheme.n
+    degenerate = 0
+    if scheme.mode is not Mode.FUNCTIONAL and cb.sizes[k_plus(node)] > 1:
+        posterior, deg = scheme.k_posterior(node, x_prev, assignment)
+        _, induced_k = scheme.selection(posterior, scheme.ell_k[node], 1)
+        if deg:
+            degenerate += 1
+        k_options = [(int(v), induced_k[v]) for v in np.nonzero(induced_k)[0]]
+    else:
+        k_options = [(0, 1.0)]
+    size_l = cb.sizes[l_of(node + 1)]
+    x_size = scheme.spec.network.alphabets[node].size
+    for k_val, k_prob in k_options:
+        assignment[k_plus(node)] = k_val
+        for l_val in range(size_l):
+            assignment[l_of(node + 1)] = l_val
+            action = cb.c_codeword(node + 1, assignment)
+            flat = _block_encode(action, x_size)
+            p = prob * k_prob / size_l
+            if node + 1 == h:
+                cond[tuple(prefix + [flat])] += p
+            else:
+                degenerate += _walk(scheme, cb, node + 1, action, flat, assignment,
+                                    p, cond, prefix + [flat])
+    return degenerate
+
+
+def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
+    """Uniform-index output law: average over all m+- of the block conditional
+    Q(X_1..X_h | A)^(x n) at the realized A codewords."""
+    spec = cb.spec
+    h = cb.h
+    n = cb.n
+    a_axes = [a_label(p) for p in order_pairs(h)]
+    marg = marginalize(spec.joint, a_axes + list(spec.network.x_labels))
+    kernel = condition(marg, a_axes)
+    spaces = []
+    for p in order_pairs(h):
+        spaces.append((m_plus(p), cb.sizes[m_plus(p)]))
+        spaces.append((m_minus(p), cb.sizes[m_minus(p)]))
+    total = 1
+    for _, s in spaces:
+        total *= s
+    out = np.zeros(block_sizes)
+    for combo in iproduct(*[range(s) for _, s in spaces]):
+        assignment = {comp: v for (comp, _), v in zip(spaces, combo)}
+        letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
+        rows = kernel.weights[tuple(letters)]  # (n, s1, ..., sh)
+        block = rows[0]
+        for t in range(1, n):
+            block = np.multiply.outer(block, rows[t])
+        perm = [t * h + a for a in range(h) for t in range(n)]
+        block = np.transpose(block, perm).reshape(block_sizes)
+        out += block / total
+    return out
+
+
+def coordination_tv(exact: ExactInduced, network: NetworkSpec, cap: int | None = None) -> float:
+    """Exact L1 between the induced coordination law and target^(x n)."""
+    target = target_block_tensor(network, exact.n, cap=cap)
+    return float(np.abs(exact.coordination_joint() - target).sum())
+
+
+def allied_tv(exact: ExactInduced, network: NetworkSpec, cap: int | None = None) -> float:
+    target = target_block_tensor(network, exact.n, cap=cap)
+    return float(np.abs(exact.allied_joint - target).sum())
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo estimation
+
+
+@dataclass
+class SimReport:
+    n: int
+    trials: int
+    codebook_seeds: list[int]
+    tv_per_seed: list[float]
+    tv_mean: float
+    radius: float
+    proxy: bool
+    exact_tv: float | None
+    excluded_seeds: list[int]
+    budget_violations: int
+    note: str = ""
+
+    def to_dict(self):
+        return {"n": self.n, "trials": self.trials, "codebook_seeds": self.codebook_seeds,
+                "tv_per_seed": self.tv_per_seed, "tv_mean": self.tv_mean,
+                "radius": self.radius, "proxy": self.proxy, "exact_tv": self.exact_tv,
+                "excluded_seeds": self.excluded_seeds,
+                "budget_violations": self.budget_violations, "note": self.note}
+
+
+def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: int,
+                       codebook_seeds: list[int], seed: int,
+                       with_exact: bool = False, cap: int | None = None,
+                       seed_rate_overrides: dict | None = None) -> SimReport:
+    """Plug-in TV between the empirical block histogram and target^(x n),
+    averaged over codebook seeds. Falls back to a per-letter proxy when the
+    block histogram would not fit the cap; the report is labeled PROXY then.
+    """
+    from .codec import run_scheme
+
+    net = spec.network
+    sizes = [a.size for a in net.alphabets]
+    block_cells = 1
+    for s in sizes:
+        block_cells *= s ** n
+    proxy = block_cells > resolve_cap(cap)
+    if proxy:
+        target = net.target.weights
+    else:
+        target = target_block_tensor(net, n, cap=cap)
+
+    tvs, excluded, violations = [], [], 0
+    exact_val = None
+    for cb_seed in codebook_seeds:
+        # the cap argument gates histogram/exact tensor sizes; codebook
+        # construction uses the globally configured cap
+        cb = build_codebooks(spec, rates, n, cb_seed)
+        run = run_scheme(cb, mode, trials, seed + cb_seed,
+                         seed_rate_overrides=seed_rate_overrides)
+        violations += len(run.budget_violations)
+        if run.degenerate_trials:
+            excluded.append(cb_seed)
+            continue
+        if proxy:
+            hist = np.zeros(tuple(sizes))
+            for tr in run.traces:
+                blocks = [tr.actions[x_label(i)] for i in range(1, net.h + 1)]
+                for t in range(n):
+                    hist[tuple(b[t] for b in blocks)] += 1.0
+            hist /= hist.sum()
+        else:
+            hist = np.zeros(tuple(s ** n for s in sizes))
+            for tr in run.traces:
+                idx = tuple(_block_encode(np.asarray(tr.actions[x_label(i)]), sizes[i - 1])
+                            for i in range(1, net.h + 1))
+                hist[idx] += 1.0
+            hist /= trials
+        tvs.append(float(np.abs(hist - target).sum()))
+    if with_exact and not proxy and codebook_seeds:
+        cb = build_codebooks(spec, rates, n, codebook_seeds[0], cap=cap)
+        exact_val = coordination_tv(exact_induced(cb, mode, seed_rate_overrides, cap=cap), net, cap=cap)
+
+    mean = float(np.mean(tvs)) if tvs else float("nan")
+    # normal-approximation radius pooled over cells, deliberately conservative;
+    # it also covers the plug-in bias scale sum sqrt(q(1-q)/trials)
+    if tvs:
+        flat = target.ravel()
+        per_cell = np.sqrt(np.clip(flat * (1 - flat), 0, None) / trials)
+        radius = float(per_cell.sum()) + (float(np.std(tvs)) / math.sqrt(len(tvs)) if len(tvs) > 1 else 0.0)
+    else:
+        radius = float("nan")
+    return SimReport(n=n, trials=trials, codebook_seeds=list(codebook_seeds),
+                     tv_per_seed=tvs, tv_mean=mean, radius=radius, proxy=proxy,
+                     exact_tv=exact_val, excluded_seeds=excluded,
+                     budget_violations=violations,
+                     note="PROXY: per-letter marginal TV" if proxy else "")
+
+
+# ---------------------------------------------------------------------------
+# Common-randomness independence and the piecing identity
+
+
+def cr_independence(cb: Codebook, cap: int | None = None) -> float:
+    """Average L1 between the uniform-index law of the first action given each
+    shared-index value and its average: sum over m- of (1/|M-|) * || Q(.|m-) - Q(.) ||_1."""
+    spec = cb.spec
+    h = cb.h
+    n = cb.n
+    x1_axis = x_label(1)
+    psi1_pairs = sorted(psi(h, 1))
+    a_psi1 = [a_label(q) for q in psi1_pairs]
+    kernel = condition(marginalize(spec.joint, a_psi1 + [x1_axis]), a_psi1)
+    s1 = spec.network.alphabets[0].size ** n
+
+    minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+    plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h)]
+    n_minus = 1
+    for _, s in minus_spaces:
+        n_minus *= s
+    n_plus = 1
+    for _, s in plus_spaces:
+        n_plus *= s
+    if n_minus * n_plus * s1 > resolve_cap(cap):
+        raise ResourceCapError("cr_independence enumeration above cap")
+
+    conds = np.zeros((n_minus, s1))
+    row = 0
+    for minus_combo in iproduct(*[range(s) for _, s in minus_spaces]):
+        assignment = {comp: v for (comp, _), v in zip(minus_spaces, minus_combo)}
+        acc = np.zeros(s1)
+        for plus_combo in iproduct(*[range(s) for _, s in plus_spaces]):
+            assignment.update({comp: v for (comp, _), v in zip(plus_spaces, plus_combo)})
+            letters = [cb.a_codeword(q, assignment) for q in psi1_pairs]
+            rows = kernel.weights[tuple(letters)]
+            acc += _block_vector(rows)
+        conds[row] = acc / n_plus
+        row += 1
+    avg = conds.mean(axis=0)
+    return float(np.abs(conds - avg).sum(axis=1).mean())
+
+
+def piecing_check(cb: Codebook, cap: int | None = None) -> float:
+    """Exact L1 of the piecing identity: target^(x n) against the average over
+    m+- of Q(x1 | A) times the chained per-hop conditional ratios."""
+    spec = cb.spec
+    h = cb.h
+    n = cb.n
+    net = spec.network
+    sizes = [a.size for a in net.alphabets]
+    block_sizes = [s ** n for s in sizes]
+    cells = 1
+    for s in block_sizes:
+        cells *= s
+    a_axes = [a_label(p) for p in order_pairs(h)]
+
+    spaces = []
+    for p in order_pairs(h):
+        spaces.append((m_plus(p), cb.sizes[m_plus(p)]))
+        spaces.append((m_minus(p), cb.sizes[m_minus(p)]))
+    total_m = 1
+    for _, s in spaces:
+        total_m *= s
+    if total_m * cells > resolve_cap(cap):
+        raise ResourceCapError("piecing enumeration above cap")
+
+    x1_kernel = condition(marginalize(spec.joint, a_axes + [x_label(1)]), a_axes)
+    pair_kernels = {}
+    for j in range(2, h + 1):
+        giv = a_axes + [b_label(j - 1), c_label(j)]
+        pair_kernels[j] = condition(
+            marginalize(spec.joint, giv + [x_label(j - 1), x_label(j)]), giv)
+
+    pieced = np.zeros(tuple(block_sizes))
+    for combo in iproduct(*[range(s) for _, s in spaces]):
+        assignment = {comp: v for (comp, _), v in zip(spaces, combo)}
+        a_letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
+        v1 = _block_vector(x1_kernel.weights[tuple(a_letters)])
+        factors = [v1]
+        for j in range(2, h + 1):
+            kp_n = cb.sizes[k_plus(j - 1)]
+            km_n = cb.sizes[k_minus(j - 1)]
+            l_n = cb.sizes[l_of(j)]
+            w = np.zeros((block_sizes[j - 2], block_sizes[j - 1]))
+            for kp_i in range(kp_n):
+                for km_i in range(km_n):
+                    assignment[k_plus(j - 1)] = kp_i
+                    assignment[k_minus(j - 1)] = km_i
+                    b_letters = cb.b_codeword(j - 1, assignment)
+                    for l_i in range(l_n):
+                        assignment[l_of(j)] = l_i
+                        c_letters = cb.c_codeword(j, assignment)
+                        rows = pair_kernels[j].weights[tuple(a_letters) + (b_letters, c_letters)]
+                        mats = [rows[t] for t in range(n)]
+                        w += _block_matrix(mats)
+            w /= kp_n * km_n * l_n
+            marg = w.sum(axis=1, keepdims=True)
+            ratio = np.divide(w, marg, out=np.zeros_like(w), where=marg > 0)
+            factors.append(ratio)
+        letters = "abcdefgh"
+        sub = ",".join([letters[0]] + [letters[j] + letters[j + 1] for j in range(h - 1)])
+        pieced += np.einsum(f"{sub}->{letters[:h]}", *factors) / total_m
+    target = target_block_tensor(net, n, cap=cap)
+    return float(np.abs(target - pieced).sum())

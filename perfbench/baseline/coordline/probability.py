@@ -1,0 +1,427 @@
+"""Finite-alphabet probability tensors and information measures.
+
+All distributions are dense float64 tensors over labeled product alphabets.
+Logarithms are base 2 throughout; entropies, mutual informations, and KL
+divergences are in bits, with the 0*log(0) = 0 convention.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from .errors import ResourceCapError, UsageError, resolve_cap
+
+MASS_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """A finite alphabet with dense symbol indices 0..size-1."""
+
+    name: str
+    size: int
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise UsageError(f"alphabet {self.name!r} must have size >= 1, got {self.size}")
+
+
+class JointPmf:
+    """A joint pmf over an ordered list of labeled finite axes.
+
+    Weights are nonnegative and sum to 1 within MASS_TOL; inputs outside the
+    tolerance are rejected unless normalize=True is passed explicitly.
+    Instances are immutable after construction.
+    """
+
+    __slots__ = ("axes", "weights")
+
+    def __init__(self, axes: Sequence[tuple[str, Alphabet]], weights: np.ndarray, *, normalize: bool = False):
+        axes = tuple((str(lbl), alph) for lbl, alph in axes)
+        labels = [lbl for lbl, _ in axes]
+        if len(set(labels)) != len(labels):
+            raise UsageError(f"duplicate axis labels: {labels}")
+        w = np.asarray(weights, dtype=np.float64)
+        expected = tuple(alph.size for _, alph in axes)
+        if w.shape != expected:
+            raise UsageError(f"weight shape {w.shape} does not match alphabet sizes {expected}")
+        if np.any(w < -MASS_TOL):
+            raise UsageError("negative probability mass")
+        w = np.clip(w, 0.0, None)
+        total = float(w.sum())
+        if abs(total - 1.0) > MASS_TOL:
+            if not normalize:
+                raise UsageError(f"total mass {total!r} outside tolerance; pass normalize=True to renormalize")
+            if total <= 0.0:
+                raise UsageError("cannot normalize zero-mass tensor")
+            w = w / total
+        w = np.ascontiguousarray(w)
+        w.setflags(write=False)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "weights", w)
+
+    def __setattr__(self, *_):
+        raise AttributeError("JointPmf is immutable")
+
+    # -- axis helpers -------------------------------------------------------
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(lbl for lbl, _ in self.axes)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(alph.size for _, alph in self.axes)
+
+    def axis_pos(self, label: str) -> int:
+        for k, (lbl, _) in enumerate(self.axes):
+            if lbl == label:
+                return k
+        raise UsageError(f"unknown axis label {label!r}; have {self.labels}")
+
+    def alphabet(self, label: str) -> Alphabet:
+        return self.axes[self.axis_pos(label)][1]
+
+    def __repr__(self):
+        return f"JointPmf(axes={self.labels}, sizes={self.sizes})"
+
+
+class ConditionalKernel:
+    """Conditional pmf tensor: given-axes first, then output-axes.
+
+    Every given-slice sums to 1. Slices whose condition had zero probability
+    in the source joint are permitted; they are set to uniform and flagged in
+    the boolean `degenerate` mask (indexed over the given-axes lattice).
+    """
+
+    __slots__ = ("given_axes", "output_axes", "weights", "degenerate")
+
+    def __init__(self, given_axes, output_axes, weights, degenerate):
+        given_axes = tuple(given_axes)
+        output_axes = tuple(output_axes)
+        w = np.asarray(weights, dtype=np.float64)
+        g_shape = tuple(a.size for _, a in given_axes)
+        o_shape = tuple(a.size for _, a in output_axes)
+        if w.shape != g_shape + o_shape:
+            raise UsageError("kernel weight shape mismatch")
+        sums = w.reshape(g_shape + (-1,)).sum(axis=-1) if o_shape else w
+        if not np.allclose(sums, 1.0, atol=1e-7):
+            raise UsageError("conditional slices must each sum to 1")
+        deg = np.asarray(degenerate, dtype=bool)
+        if deg.shape != g_shape:
+            raise UsageError("degenerate mask shape mismatch")
+        w = np.ascontiguousarray(w)
+        w.setflags(write=False)
+        deg.setflags(write=False)
+        object.__setattr__(self, "given_axes", given_axes)
+        object.__setattr__(self, "output_axes", output_axes)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "degenerate", deg)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ConditionalKernel is immutable")
+
+    @property
+    def given_labels(self) -> tuple[str, ...]:
+        return tuple(lbl for lbl, _ in self.given_axes)
+
+    @property
+    def output_labels(self) -> tuple[str, ...]:
+        return tuple(lbl for lbl, _ in self.output_axes)
+
+    def slice(self, given_syms: tuple[int, ...]) -> np.ndarray:
+        """Output pmf tensor for one condition."""
+        return self.weights[tuple(given_syms)]
+
+    def is_degenerate(self, given_syms: tuple[int, ...]) -> bool:
+        return bool(self.degenerate[tuple(given_syms)])
+
+    def __repr__(self):
+        return f"ConditionalKernel({self.output_labels} | {self.given_labels})"
+
+
+# ---------------------------------------------------------------------------
+# Constructors
+
+
+def pmf_from_table(labels: Sequence[str], weights, *, alphabets: Sequence[Alphabet] | None = None,
+                   normalize: bool = False) -> JointPmf:
+    w = np.asarray(weights, dtype=np.float64)
+    if alphabets is None:
+        alphabets = [Alphabet(lbl, s) for lbl, s in zip(labels, w.shape)]
+    return JointPmf(list(zip(labels, alphabets)), w, normalize=normalize)
+
+
+def bernoulli(p: float, label: str = "X") -> JointPmf:
+    return pmf_from_table([label], [1.0 - p, p])
+
+
+def uniform_pmf(labels: Sequence[str], sizes: Sequence[int]) -> JointPmf:
+    shape = tuple(int(s) for s in sizes)
+    w = np.full(shape, 1.0 / float(np.prod(shape)))
+    return pmf_from_table(list(labels), w)
+
+
+# ---------------------------------------------------------------------------
+# Operations
+
+
+def product_extend(p: JointPmf, n: int, cap: int | None = None) -> JointPmf:
+    """n-fold i.i.d. extension of p.
+
+    Axes are grouped per source axis: label L becomes L@0..L@n-1, so that a
+    reshape of the (axis-major) tensor to sizes (|L|^n, ...) yields row-major
+    block indexing. n=1 returns p itself.
+    """
+    if n < 1:
+        raise UsageError("n must be >= 1")
+    if n == 1:
+        return p
+    k = len(p.axes)
+    cells = float(np.prod(p.sizes)) ** n
+    if cells > resolve_cap(cap):
+        raise ResourceCapError(f"product extension needs {cells:.3g} cells, above cap")
+    big = p.weights
+    for _ in range(n - 1):
+        big = np.multiply.outer(big, p.weights)
+    # big axes are time-major: (t0 axes..., t1 axes..., ...); regroup per axis.
+    perm = [t * k + a for a in range(k) for t in range(n)]
+    big = np.transpose(big, perm)
+    axes = []
+    for lbl, alph in p.axes:
+        for t in range(n):
+            axes.append((f"{lbl}@{t}", Alphabet(f"{alph.name}@{t}", alph.size)))
+    return JointPmf(axes, big, normalize=True)
+
+
+def marginalize(p: JointPmf, keep: Sequence[str]) -> JointPmf:
+    """Sum out all axes not in `keep`; result axes follow the order of `keep`."""
+    keep = list(keep)
+    pos = [p.axis_pos(lbl) for lbl in keep]
+    if len(set(pos)) != len(pos):
+        raise UsageError("repeated labels in keep")
+    drop = tuple(i for i in range(len(p.axes)) if i not in pos)
+    w = p.weights.sum(axis=drop) if drop else p.weights
+    # w now has the kept axes in original order; permute to `keep` order.
+    kept_in_order = [i for i in range(len(p.axes)) if i not in drop]
+    perm = [kept_in_order.index(i) for i in pos]
+    w = np.transpose(w, perm)
+    axes = [p.axes[i] for i in pos]
+    return JointPmf(axes, w, normalize=True)
+
+
+def condition(p: JointPmf, given: Sequence[str]) -> ConditionalKernel:
+    """Kernel p(outputs | given). Zero-mass conditions become flagged uniform slices."""
+    given = list(given)
+    g_pos = [p.axis_pos(lbl) for lbl in given]
+    if len(set(g_pos)) != len(g_pos):
+        raise UsageError("repeated labels in given")
+    if len(g_pos) >= len(p.axes):
+        raise UsageError("given must be a strict subset of the axes")
+    o_pos = [i for i in range(len(p.axes)) if i not in g_pos]
+    w = np.transpose(p.weights, g_pos + o_pos)
+    g_shape = w.shape[: len(g_pos)]
+    o_shape = w.shape[len(g_pos):]
+    flat = w.reshape(g_shape + (-1,))
+    mass = flat.sum(axis=-1)
+    degenerate = mass <= 0.0
+    safe = np.where(degenerate, 1.0, mass)
+    out = flat / safe[..., None]
+    if degenerate.any():
+        out = np.where(degenerate[..., None], 1.0 / flat.shape[-1], out)
+    out = out.reshape(g_shape + o_shape)
+    return ConditionalKernel([p.axes[i] for i in g_pos], [p.axes[i] for i in o_pos], out, degenerate)
+
+
+def _entropy_of(p: JointPmf, labels: Sequence[str]) -> float:
+    if not labels:
+        return 0.0
+    w = marginalize(p, labels).weights.ravel()
+    w = w[w > 0.0]
+    return float(-(w * np.log2(w)).sum())
+
+
+def info_measure(p: JointPmf, a: Sequence[str], b: Sequence[str] = (), c: Sequence[str] = ()) -> float:
+    """Shannon measure in bits: I(A;B|C); H(A|C) when B is empty; I(A;B) when C is empty.
+
+    A, B, C must be disjoint axis-label sets. Returns max(value, 0) to absorb
+    float round-off on quantities that are nonnegative by theory.
+    """
+    a, b, c = list(a), list(b), list(c)
+    groups = a + b + c
+    if len(set(groups)) != len(groups):
+        raise UsageError("A, B, C must be disjoint axis sets")
+    for lbl in groups:
+        p.axis_pos(lbl)
+    if not a:
+        raise UsageError("A must be nonempty")
+    if not b:
+        val = _entropy_of(p, a + c) - _entropy_of(p, c)
+    else:
+        val = (_entropy_of(p, a + c) + _entropy_of(p, b + c)
+               - _entropy_of(p, a + b + c) - _entropy_of(p, c))
+    return max(val, 0.0)
+
+
+def divergences(p: JointPmf, q: JointPmf) -> tuple[float, float]:
+    """(KL divergence D(p||q) in bits, L1 distance sum|p-q|).
+
+    KL is +inf when supp(p) is not contained in supp(q). L1 is the full sum
+    of absolute differences, range [0, 2].
+    """
+    if p.labels != q.labels or p.sizes != q.sizes:
+        raise UsageError("divergences requires identical axes")
+    pw = p.weights.ravel()
+    qw = q.weights.ravel()
+    tv = float(np.abs(pw - qw).sum())
+    mask = pw > 0.0
+    if np.any(qw[mask] <= 0.0):
+        return math.inf, tv
+    kl = float((pw[mask] * (np.log2(pw[mask]) - np.log2(qw[mask]))).sum())
+    return max(kl, 0.0), tv
+
+
+def is_typical(x: Sequence[int], p: JointPmf, eps: float) -> bool:
+    """Letter typicality with multiplicative slack: |freq(a) - p(a)| <= eps*p(a) for all a,
+    and freq(a) = 0 whenever p(a) = 0."""
+    if len(p.axes) != 1:
+        raise UsageError("is_typical expects a single-axis pmf")
+    if eps <= 0:
+        raise UsageError("eps must be positive")
+    x = np.asarray(list(x), dtype=np.int64)
+    n = len(x)
+    if n == 0:
+        raise UsageError("empty sequence")
+    size = p.sizes[0]
+    if x.min() < 0 or x.max() >= size:
+        raise UsageError("symbol out of range")
+    freq = np.bincount(x, minlength=size) / float(n)
+    pw = p.weights
+    return bool(np.all(np.abs(freq - pw) <= eps * pw + 1e-15))
+
+
+def is_jointly_typical(seqs: Sequence[Sequence[int]], joint: JointPmf, eps: float) -> bool:
+    """Joint letter typicality of parallel sequences w.r.t. a multi-axis joint pmf."""
+    arrs = [np.asarray(list(s), dtype=np.int64) for s in seqs]
+    if len(arrs) != len(joint.axes):
+        raise UsageError("need one sequence per joint axis")
+    n = len(arrs[0])
+    if any(len(a) != n for a in arrs):
+        raise UsageError("sequences must share a length")
+    sizes = joint.sizes
+    flat = np.zeros(n, dtype=np.int64)
+    for a, s in zip(arrs, sizes):
+        flat = flat * s + a
+    fused = JointPmf([("J", Alphabet("J", int(np.prod(sizes))))],
+                     joint.weights.reshape(-1), normalize=True)
+    return is_typical(flat, fused, eps)
+
+
+# ---------------------------------------------------------------------------
+# Staircase quantization of a pmf by a uniform seed (exact rational arithmetic)
+
+
+@dataclass(frozen=True)
+class StaircaseTable:
+    """Total map f: [1..ell] -> support built from cumulative cut points.
+
+    cuts = (N_0..N_M) with N_i = floor(p_i * ell) over the cumulative masses of
+    `support` in order; seeds in (N_{i-1}, N_i] map to support[i-1], leftover
+    seeds (N_M, ell] map to the last support symbol. `bound` is the certified
+    L1 error 2*epsilon + M/ell (epsilon = mass outside the support set); both
+    it and `realized_l1` are exact rationals.
+    """
+
+    support: tuple[int, ...]
+    cuts: tuple[int, ...]
+    ell: int
+    epsilon: Fraction
+    induced: tuple[Fraction, ...]
+    realized_l1: Fraction
+    bound: Fraction
+    vacuous: bool
+
+    def map_seed(self, s: int) -> int:
+        if not 1 <= s <= self.ell:
+            raise UsageError(f"seed {s} outside [1, {self.ell}]")
+        for i in range(1, len(self.cuts)):
+            if s <= self.cuts[i]:
+                return self.support[i - 1]
+        return self.support[-1]
+
+    @property
+    def bound_float(self) -> float:
+        return float(self.bound)
+
+    @property
+    def realized_l1_float(self) -> float:
+        return float(self.realized_l1)
+
+    def induced_array(self, size: int) -> np.ndarray:
+        out = np.zeros(size)
+        for b, f in zip(self.support, self.induced):
+            out[b] += float(f)
+        return out
+
+
+def staircase_map(q: JointPmf, support_order: Sequence[int], ell: int) -> StaircaseTable:
+    """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
+
+    The support_order must list distinct symbols; its q-mass defines epsilon as
+    the leftover mass. Arithmetic runs in exact rationals on the (normalized)
+    float weights, so realized_l1 <= bound holds exactly, and <= M/ell when the
+    support covers supp(q). ell < M is flagged vacuous (bound >= 1), not fatal.
+    """
+    if len(q.axes) != 1:
+        raise UsageError("staircase_map expects a single-axis pmf")
+    if ell < 1:
+        raise UsageError("ell must be >= 1")
+    support = [int(b) for b in support_order]
+    size = q.sizes[0]
+    if not support:
+        raise UsageError("support_order must be nonempty")
+    if len(set(support)) != len(support):
+        raise UsageError("support_order has repeated symbols")
+    if min(support) < 0 or max(support) >= size:
+        raise UsageError("support symbol out of range")
+
+    # Snap float weights to nearby small rationals so decimal inputs (0.3, 1/3
+    # written as 0.333...) cut where intended; every derived quantity below is
+    # computed from the same rationals, so realized_l1 <= bound stays exact.
+    exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in q.weights]
+    total = sum(exact)
+    if total <= 0:
+        raise UsageError("zero-mass pmf")
+    exact = [w / total for w in exact]
+
+    m = len(support)
+    cuts = [0]
+    cum = Fraction(0)
+    for b in support:
+        cum += exact[b]
+        cuts.append(math.floor(cum * ell))
+    eps = 1 - cum
+
+    induced = []
+    for i in range(1, m + 1):
+        lo = cuts[i - 1]
+        hi = cuts[i] if i < m else ell
+        induced.append(Fraction(max(hi - lo, 0), ell))
+
+    by_symbol = {b: f for b, f in zip(support, induced)}
+    realized = sum(abs(exact[b] - by_symbol.get(b, Fraction(0))) for b in range(size))
+    bound = 2 * eps + Fraction(m, ell)
+    return StaircaseTable(
+        support=tuple(support),
+        cuts=tuple(cuts),
+        ell=int(ell),
+        epsilon=eps,
+        induced=tuple(induced),
+        realized_l1=realized,
+        bound=bound,
+        vacuous=ell < m,
+    )
