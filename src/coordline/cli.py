@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,6 +61,22 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
 
 
+def _parses_config(fn):
+    """Report a malformed config value (non-numeric, wrong shape) as a config
+    error instead of letting the ValueError or TypeError escape."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except UsageError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+
+    return wrapper
+
+
 def _pair_key(s: str) -> tuple[int, int]:
     try:
         i, j = s.split(",")
@@ -71,6 +88,7 @@ def _pair_key(s: str) -> tuple[int, int]:
 class Experiment:
     """Parsed and validated experiment configuration."""
 
+    @_parses_config
     def __init__(self, cfg: dict):
         _reject_unknown(cfg, _TOP_KEYS, "config")
         if cfg.get("schema_version") != SCHEMA_VERSION:
@@ -149,12 +167,14 @@ def _load_config(args) -> dict:
     return cfg
 
 
+@_parses_config
 def _point_from(d: dict) -> RatePoint:
     _reject_unknown(d, {"Rc", "R", "rho"}, "point")
     return RatePoint(float(d["Rc"]), tuple(float(v) for v in d["R"]),
                      tuple(float(v) for v in d["rho"]))
 
 
+@_parses_config
 def _z_pmf(d: dict) -> JointPmf:
     _reject_unknown(d, {"labels", "weights"}, "z")
     return pmf_from_table(list(d["labels"]), np.asarray(d["weights"], dtype=float))
@@ -189,7 +209,7 @@ def _cmd_region(exp: Experiment) -> tuple[dict, bool]:
     pts = [_point_from(p) for p in region.get("points", [])]
     if not pts:
         raise ConfigError("region requires at least one point")
-    margin = float(region.get("margin", 0.0))
+    margin = _parses_config(float)(region.get("margin", 0.0))
     out = []
     ok = True
     for pt in pts:
@@ -214,8 +234,8 @@ def _cmd_transfer(exp: Experiment) -> tuple[dict, bool]:
     t = exp.transfer
     _reject_unknown(t, {"lemma", "mode_family", "node", "delta", "point"}, "transfer")
     pt = _point_from(t["point"])
-    moved = rate_transfer(pt, int(t["lemma"]), t["mode_family"], int(t["node"]),
-                          float(t["delta"]))
+    lemma, node, delta = _transfer_numbers(t)
+    moved = rate_transfer(pt, lemma, t["mode_family"], node, delta)
     return {"transfer": {"input": pt.to_dict(), "output": moved.to_dict()}}, True
 
 
@@ -259,11 +279,21 @@ def _cmd_exact(exp: Experiment) -> tuple[dict, bool]:
     return {"exact": {"series": series}}, True
 
 
+@_parses_config
+def _transfer_numbers(t: dict) -> tuple[int, int, float]:
+    return int(t["lemma"]), int(t["node"]), float(t["delta"])
+
+
+@_parses_config
+def _fme_rows(f: dict) -> list[tuple[dict, float]]:
+    return [({k: float(v) for k, v in r["coeffs"].items()}, float(r["rhs"]))
+            for r in f["rows"]]
+
+
 def _cmd_fme(exp: Experiment) -> tuple[dict, bool]:
     f = exp.fme
     _reject_unknown(f, {"variables", "rows", "eliminate"}, "fme")
-    rows = [({k: float(v) for k, v in r["coeffs"].items()}, float(r["rhs"]))
-            for r in f["rows"]]
+    rows = _fme_rows(f)
     system = LinearSystem.build(list(f["variables"]), rows)
     projected = fme_project(system, list(f.get("eliminate", [])))
     return {"fme": projected.to_dict()}, True
@@ -279,7 +309,7 @@ def _emit(payload: dict, ok: bool, out_dir: str, command: str) -> None:
     payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     (out / "report.json").write_text(text + "\n")
     series = None
     if command == "simulate" and "simulate" in payload:

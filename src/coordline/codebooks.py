@@ -49,7 +49,10 @@ def codeword_count(n: int, rate: float) -> int:
     r = round(x)
     if abs(x - r) < 1e-9:
         return 1 << int(r)
-    return math.ceil(2.0 ** x)
+    try:
+        return math.ceil(2.0 ** x)
+    except OverflowError:
+        raise ResourceCapError(f"a codebook of 2^{x:.6g} codewords is above any cap") from None
 
 
 Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i)
@@ -103,10 +106,6 @@ class IndexSpace:
             idx //= size
         return dict(reversed(list(out.items())))
 
-    def all_assignments(self):
-        for idx in range(self.size):
-            yield self.unflatten(idx)
-
 
 def _stratified_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count: int) -> np.ndarray:
     """count codewords of length n decoded from stratified quantiles of the
@@ -129,14 +128,16 @@ def _stratified_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count
 
 
 def _iid_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count: int) -> np.ndarray:
+    """count i.i.d. blocks drawn letter by letter from the rows of letter_probs
+    (n, size); count=1 samples one block from a product of per-letter rows."""
     n, size = letter_probs.shape
     u = rng.random((count, n))
+    cum = np.cumsum(letter_probs, axis=1)
+    cum[:, -1] = 1.0
     out = np.empty((count, n), dtype=np.int64)
     for t in range(n):
-        cum = np.cumsum(letter_probs[t])
-        cum[-1] = 1.0
-        out[:, t] = np.clip(np.searchsorted(cum, u[:, t], side="right"), 0, size - 1)
-    return out
+        out[:, t] = np.searchsorted(cum[t], u[:, t], side="right")
+    return np.minimum(out, size - 1, out=out)
 
 
 def _child_rng(seed: int, *key) -> np.random.Generator:
@@ -157,8 +158,9 @@ class Book:
     slots: IndexSpace
     words: np.ndarray  # (parents.size, slots.size, n) symbol indices
 
-    def codeword(self, parent_idx: int, slot_idx: int) -> np.ndarray:
-        return self.words[parent_idx, slot_idx]
+    def lookup(self, assignment: Mapping[Component, int]) -> np.ndarray:
+        """The codeword at the book's own components of a (possibly larger) index bundle."""
+        return self.words[self.parents.flatten(assignment), self.slots.flatten(assignment)]
 
 
 class Codebook:
@@ -182,31 +184,13 @@ class Codebook:
     # -- lookups ------------------------------------------------------------
 
     def a_codeword(self, p: IndexPair, assignment: Mapping[Component, int]) -> np.ndarray:
-        book = self.a[p]
-        parent_idx = book.parents.flatten(assignment)
-        slot_idx = book.slots.flatten(assignment)
-        return book.codeword(parent_idx, slot_idx)
+        return self.a[p].lookup(assignment)
 
     def b_codeword(self, hop: int, assignment: Mapping[Component, int]) -> np.ndarray:
-        book = self.b[hop]
-        return book.codeword(book.parents.flatten(assignment), book.slots.flatten(assignment))
+        return self.b[hop].lookup(assignment)
 
     def c_codeword(self, node: int, assignment: Mapping[Component, int]) -> np.ndarray:
-        book = self.c[node]
-        return book.codeword(book.parents.flatten(assignment), book.slots.flatten(assignment))
-
-    def lookup(self, rv: tuple, assignment: Mapping[Component, int]) -> np.ndarray:
-        """Generic lookup: rv is ("A", i, j), ("B", i) or ("C", i). The
-        assignment may carry the full index bundle; only the components in the
-        book's own spaces are read."""
-        kind = rv[0]
-        if kind == "A":
-            return self.a_codeword((rv[1], rv[2]), assignment)
-        if kind == "B":
-            return self.b_codeword(rv[1], assignment)
-        if kind == "C":
-            return self.c_codeword(rv[1], assignment)
-        raise UsageError(f"unknown rv {rv!r}")
+        return self.c[node].lookup(assignment)
 
     # -- serialization --------------------------------------------------------
 
@@ -278,94 +262,69 @@ def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int,
     order = order_pairs(h)
     sizes = component_sizes(spec, rates, n)
 
-    total = 0
-    for p in order:
-        par = 1
-        for q in phi(h, p):
-            par *= sizes[m_plus(q)] * sizes[m_minus(q)]
-        total += par * sizes[m_plus(p)] * sizes[m_minus(p)] * n
-    for i in range(1, h):
-        par = 1
-        for q in phi_bar(h, (i, i + 1)):
-            par *= sizes[m_plus(q)] * sizes[m_minus(q)]
-        total += par * sizes[k_plus(i)] * sizes[k_minus(i)] * n
-    for i in range(2, h + 1):
-        par = sizes[k_plus(i - 1)] * sizes[k_minus(i - 1)]
-        for q in psi(h, i):
-            par *= sizes[m_plus(q)] * sizes[m_minus(q)]
-        total += par * sizes[l_of(i)] * n
+    def pair_space(pairs, extra=()) -> IndexSpace:
+        return IndexSpace(_pair_components([q for q in order if q in pairs], sizes) + list(extra))
+
+    def k_pair(i: int) -> list[tuple[Component, int]]:
+        return [(k_plus(i), sizes[k_plus(i)]), (k_minus(i), sizes[k_minus(i)])]
+
+    # (parents, slots) of every book, so the cap is checked before any draw
+    layout_a = {p: (pair_space(phi(h, p)), IndexSpace(_pair_components([p], sizes)))
+                for p in order}
+    layout_b = {i: (pair_space(phi_bar(h, (i, i + 1))), IndexSpace(k_pair(i)))
+                for i in range(1, h)}
+    layout_c = {i: (pair_space(psi(h, i), k_pair(i - 1)), IndexSpace([(l_of(i), sizes[l_of(i)])]))
+                for i in range(2, h + 1)}
+    total = sum(parents.size * slots.size * n
+                for layout in (layout_a, layout_b, layout_c)
+                for parents, slots in layout.values())
     if total > resolve_cap(cap):
         raise ResourceCapError(f"codebooks need {total} stored symbols, above cap")
 
+    def a_letters(pairs, assignment) -> list[np.ndarray]:
+        return [books_a[q].lookup(assignment) for q in sorted(pairs)]
+
     books_a: dict[IndexPair, Book] = {}
     for p in order:
-        parent_pairs = [q for q in order if q in phi(h, p)]
-        parents = IndexSpace(_pair_components(parent_pairs, sizes))
-        slots = IndexSpace(_pair_components([p], sizes))
-        kernel = spec.a_kernels[p]
-        n_out = spec.aux_alphabets[a_label(p)].size
-        words = np.empty((parents.size, slots.size, n), dtype=np.int64)
-        for parent_idx in range(parents.size):
-            assignment = parents.unflatten(parent_idx)
-            given = [_a_letters(books_a, q, assignment) for q in sorted(phi(h, p))]
-            if given:
-                rows = kernel.weights[tuple(np.asarray(g) for g in given)]
-            else:
-                rows = np.tile(kernel.weights, (n, 1))
-            rng = _child_rng(seed, "A", p[0], p[1], parent_idx)
-            words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
-        words.setflags(write=False)
-        books_a[p] = Book(parents, slots, words)
+        books_a[p] = _draw_book(seed, ("A", p[0], p[1]), *layout_a[p], spec.a_kernels[p], n,
+                                lambda asg, p=p: a_letters(phi(h, p), asg))
 
     joint = spec.joint
     books_b: dict[int, Book] = {}
     for i in range(1, h):
-        pb = (i, i + 1)
-        parent_pairs = [q for q in order if q in phi_bar(h, pb)]
-        parents = IndexSpace(_pair_components(parent_pairs, sizes))
-        slots = IndexSpace([(k_plus(i), sizes[k_plus(i)]), (k_minus(i), sizes[k_minus(i)])])
-        given_labels = [a_label(q) for q in sorted(phi_bar(h, pb))]
-        marg = marginalize(joint, given_labels + [b_label(i)])
-        kernel = condition(marg, given_labels)
-        n_out = spec.aux_alphabets[b_label(i)].size
-        words = np.empty((parents.size, slots.size, n), dtype=np.int64)
-        for parent_idx in range(parents.size):
-            assignment = parents.unflatten(parent_idx)
-            given = [_a_letters(books_a, q, assignment) for q in sorted(phi_bar(h, pb))]
-            rows = kernel.weights[tuple(np.asarray(g) for g in given)]
-            rng = _child_rng(seed, "B", i, parent_idx)
-            words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
-        words.setflags(write=False)
-        books_b[i] = Book(parents, slots, words)
+        given_pairs = phi_bar(h, (i, i + 1))
+        given_labels = [a_label(q) for q in sorted(given_pairs)]
+        kernel = condition(marginalize(joint, given_labels + [b_label(i)]), given_labels)
+        books_b[i] = _draw_book(seed, ("B", i), *layout_b[i], kernel, n,
+                                lambda asg, pairs=given_pairs: a_letters(pairs, asg))
 
     books_c: dict[int, Book] = {}
     for i in range(2, h + 1):
-        parent_pairs = [q for q in order if q in psi(h, i)]
-        comps = _pair_components(parent_pairs, sizes)
-        comps += [(k_plus(i - 1), sizes[k_plus(i - 1)]), (k_minus(i - 1), sizes[k_minus(i - 1)])]
-        parents = IndexSpace(comps)
-        slots = IndexSpace([(l_of(i), sizes[l_of(i)])])
-        kernel = spec.c_kernels[i]
-        n_out = spec.aux_alphabets[c_label(i)].size
-        words = np.empty((parents.size, slots.size, n), dtype=np.int64)
-        for parent_idx in range(parents.size):
-            assignment = parents.unflatten(parent_idx)
-            given = [_a_letters(books_a, q, assignment) for q in sorted(psi(h, i))]
-            given.append(books_b[i - 1].codeword(
-                books_b[i - 1].parents.flatten(assignment),
-                books_b[i - 1].slots.flatten(assignment)))
-            rows = kernel.weights[tuple(np.asarray(g) for g in given)]
-            rng = _child_rng(seed, "C", i, parent_idx)
-            words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
-        words.setflags(write=False)
-        books_c[i] = Book(parents, slots, words)
+        hop = books_b[i - 1]
+        books_c[i] = _draw_book(
+            seed, ("C", i), *layout_c[i], spec.c_kernels[i], n,
+            lambda asg, i=i, hop=hop: a_letters(psi(h, i), asg) + [hop.lookup(asg)])
 
     return Codebook(spec, rates, n, seed, books_a, books_b, books_c, sizes)
 
 
-def _a_letters(books_a, q, assignment) -> np.ndarray:
-    book = books_a[q]
-    return book.codeword(book.parents.flatten(assignment), book.slots.flatten(assignment))
+def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, kernel,
+               n: int, given) -> Book:
+    """One book: for each parent index, slots.size stratified codewords from the
+    kernel at the letters given(parent assignment) returns, drawn on the
+    stream (seed, *key, parent index)."""
+    n_out = kernel.weights.shape[-1]
+    words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+    for parent_idx in range(parents.size):
+        letters = given(parents.unflatten(parent_idx))
+        if letters:
+            rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
+        else:
+            rows = np.tile(kernel.weights, (n, 1))
+        rng = _child_rng(seed, *key, parent_idx)
+        words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
+    words.setflags(write=False)
+    return Book(parents, slots, words)
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +402,7 @@ def chain_channel_output(chain: ChainCodebook, prefix: tuple[int, ...], rng: np.
     letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
     rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
     rows = rows.reshape(chain.n, chain.joint.alphabet(chain.y_axis).size)
-    return _sample_rows(rng, rows)
-
-
-def _sample_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    n, size = rows.shape
-    u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        cum = np.cumsum(rows[t])
-        cum[-1] = 1.0
-        out[t] = min(np.searchsorted(cum, u[t], side="right"), size - 1)
-    return out
+    return _iid_blocks(rng, rows, 1)[0]
 
 
 def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float,

@@ -8,8 +8,8 @@ staircase primitive, so a scheme run that replays the allied run's node-1
 selection reproduces its downstream actions trace-for-trace.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
-selections cost ceil(log2 ell) bits of seed, charged per the mode's
-allocation tables.
+selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
+schedule (rates.ModeSchedule) names.
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ from .codebooks import (
     Codebook,
     Component,
     IndexSpace,
+    _child_rng,
+    _iid_blocks,
     k_minus,
     k_plus,
     l_of,
@@ -53,33 +55,8 @@ from .rates import (
 
 
 def _bits(size: int) -> int:
-    return max(int(math.ceil(math.log2(size))), 0) if size > 1 else 0
-
-
-def _child_rng(seed: int, *key) -> np.random.Generator:
-    flat = [seed & 0xFFFFFFFFFFFFFFFF]
-    for part in key:
-        if isinstance(part, str):
-            flat.extend(ord(ch) for ch in part)
-        else:
-            flat.append(int(part) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(flat))
-
-
-@dataclass(frozen=True)
-class CommonRandomness:
-    """Realized shared indices: all m- components and all k- components."""
-
-    m_minus: dict
-    k_minus: dict
-
-    def as_assignment(self) -> dict[Component, int]:
-        out = {}
-        for p, v in self.m_minus.items():
-            out[m_minus(p)] = v
-        for i, v in self.k_minus.items():
-            out[k_minus(i)] = v
-        return out
+    """ceil(log2(size)) in exact integer arithmetic; 0 for a single value."""
+    return (int(size) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -156,11 +133,18 @@ covers the typicality constants for the alphabets used here. The resource
 audit accounts for it explicitly."""
 
 
+def _seed_range(n: int, rate: float) -> int:
+    """Selector seed range ceil(2^(n*rate)), at least 1."""
+    try:
+        return max(int(math.ceil(2.0 ** (n * max(rate, 0.0)) - 1e-9)), 1)
+    except OverflowError:
+        raise ResourceCapError(f"a selector seed range of 2^{n * rate:.6g} is above any cap") from None
+
+
 class Scheme:
     """Precomputed tables and selector layout for one (codebook, mode) pair."""
 
-    def __init__(self, cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = None,
-                 seed_margin: float = SEED_MARGIN):
+    def __init__(self, cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = None):
         spec = cb.spec
         rates = cb.rates
         mode = Mode(mode)
@@ -170,42 +154,46 @@ class Scheme:
         self.spec = spec
         self.rates = rates
         self.mode = mode
+        schedule = mode.schedule
+        self.schedule = schedule
         self.n = cb.n
         h = spec.h
         self.h = h
         joint = spec.joint
 
         self.order = order_pairs(h)
+        if schedule.ships_crossing_pairs:
+            self.hop_pairs = {i: [p for p in self.order if p[0] <= i < p[1]] for i in range(1, h)}
+        else:
+            self.hop_pairs = {i: [(1, j) for j in range(i + 1, h + 1)] for i in range(1, h)}
         self.x1_kernel = spec.x_kernels[1]
-        self.x1_given = [a_label(q) for q in sorted(psi(h, 1))]
-        self.a_all = [a_label(p) for p in self.order]
+        a_all = [a_label(p) for p in self.order]
         self.k_kernels = {}
         for i in range(1, h):
-            giv = self.a_all + [b_label(i)]
+            giv = a_all + [b_label(i)]
             marg = marginalize(joint, giv + [x_label(i)])
             self.k_kernels[i] = condition(marg, giv)
 
         self.m1_space = IndexSpace([(m_plus((1, j)), cb.sizes[m_plus((1, j))])
                                     for j in range(2, h + 1)])
         overrides = seed_rate_overrides or {}
-        self.seed_margin = float(seed_margin)
-        r1 = overrides.get("node1", node1_selector_rate(spec, rates)) + self.seed_margin
-        self.ell1 = max(int(math.ceil(2.0 ** (self.n * max(r1, 0.0)) - 1e-9)), 1)
+        r1 = overrides.get("node1", node1_selector_rate(spec, rates)) + SEED_MARGIN
+        self.ell1 = _seed_range(self.n, r1)
         self.ell_k = {}
         for i in range(1, h):
-            rk = overrides.get(("hop", i), hop_selector_rate(spec, rates, i)) + self.seed_margin
-            self.ell_k[i] = max(int(math.ceil(2.0 ** (self.n * max(rk, 0.0)) - 1e-9)), 1)
+            rk = overrides.get(("hop", i), hop_selector_rate(spec, rates, i)) + SEED_MARGIN
+            self.ell_k[i] = _seed_range(self.n, rk)
 
-        self.x1_marginal = marginalize(spec.network.target, [x_label(1)]).weights
+        x1_marginal = marginalize(spec.network.target, [x_label(1)]).weights
+        self.x1_rows = np.tile(x1_marginal, (self.n, 1))
         self.budgets = resource_map(rates, mode, spec)
         # declared per-node allowance: the mode's allocation plus the selector
-        # seed slack actually configured at that node
+        # seed slack actually configured at the node paying for each seed
         extra = [0.0] * h
-        extra[0] += self.seed_margin if self.m1_space.size > 1 else 0.0
+        extra[0] += SEED_MARGIN if self.m1_space.size > 1 else 0.0
         for i in range(1, h):
-            if cb.sizes[k_plus(i)] > 1 and mode is not Mode.FUNCTIONAL:
-                node = 0 if mode is Mode.ACTION_DEPENDENT else i - 1
-                extra[node] += self.seed_margin
+            if schedule.selects_k and cb.sizes[k_plus(i)] > 1:
+                extra[schedule.k_seed_payer(i) - 1] += SEED_MARGIN
         self.rho_allowance = tuple(self.budgets.rho[i] + extra[i] for i in range(h))
 
         # posteriors and staircase tables repeat across trials; memoize them
@@ -224,55 +212,49 @@ class Scheme:
 
     def x1_likelihood(self, x1: np.ndarray, assignment) -> float:
         rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
-        return float(np.prod(rows[np.arange(self.n), x1]))
+        return _block_likelihood(rows, x1)
 
     def sample_x1_from_codewords(self, assignment, rng) -> np.ndarray:
         rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
-        return _sample_rows(rng, rows)
+        return _iid_blocks(rng, rows, 1)[0]
 
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
         """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-."""
         key = ("m1", x1.tobytes(), tuple(assignment[c] for c in self._m1_minus_comps))
-        hit = self._post_cache.get(key)
-        if hit is not None:
-            return hit
-        weights = np.empty(self.m1_space.size)
-        probe = dict(assignment)
-        for flat in range(self.m1_space.size):
-            probe.update(self.m1_space.unflatten(flat))
-            weights[flat] = self.x1_likelihood(x1, probe)
-        total = weights.sum()
-        if total <= 0.0:
-            out = (np.full(self.m1_space.size, 1.0 / self.m1_space.size), True)
-        else:
-            out = (weights / total, False)
-        self._post_cache[key] = out
-        return out
+
+        def weights():
+            out = np.empty(self.m1_space.size)
+            probe = dict(assignment)
+            for flat in range(self.m1_space.size):
+                probe.update(self.m1_space.unflatten(flat))
+                out[flat] = self.x1_likelihood(x1, probe)
+            return out
+
+        return self._posterior(key, weights)
 
     def k_posterior(self, i: int, x_block: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
         """Posterior over k_i+ given the node-i action block, all m+-, and k_i-."""
         key = ("k", i, x_block.tobytes(),
                tuple(assignment[c] for c in self._k_comps), assignment[k_minus(i)])
+
+        def weights():
+            out = np.empty(self.cb.sizes[k_plus(i)])
+            a_letters = tuple(self._all_a_letters(assignment))
+            probe = dict(assignment)
+            for v in range(len(out)):
+                probe[k_plus(i)] = v
+                rows = self.k_kernels[i].weights[a_letters + (self.cb.b_codeword(i, probe),)]
+                out[v] = _block_likelihood(rows, x_block)
+            return out
+
+        return self._posterior(key, weights)
+
+    def _posterior(self, key, weights) -> tuple[np.ndarray, bool]:
+        """Memoized _normalized(weights()); weights runs only on a cache miss."""
         hit = self._post_cache.get(key)
-        if hit is not None:
-            return hit
-        size = self.cb.sizes[k_plus(i)]
-        a_letters = self._all_a_letters(assignment)
-        weights = np.empty(size)
-        probe = dict(assignment)
-        kern = self.k_kernels[i]
-        for v in range(size):
-            probe[k_plus(i)] = v
-            b_letters = self.cb.b_codeword(i, probe)
-            rows = kern.weights[tuple(a_letters) + (b_letters,)]
-            weights[v] = float(np.prod(rows[np.arange(self.n), x_block]))
-        total = weights.sum()
-        if total <= 0.0:
-            out = (np.full(size, 1.0 / size), True)
-        else:
-            out = (weights / total, False)
-        self._post_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._post_cache[key] = _normalized(weights())
+        return hit
 
     def selection(self, posterior: np.ndarray, ell: int, seed_value: int | None = None,
                   rng: np.random.Generator | None = None, degenerate: bool = False
@@ -283,26 +265,20 @@ class Scheme:
         if hit is None:
             hit = _selection_table(posterior, ell)
             self._table_cache[key] = hit
-        table, best_m, induced = hit
-        if seed_value is None:
-            seed_value = int(rng.integers(1, ell + 1))
-        outcome = SelectorOutcome(
-            chosen=table.map_seed(seed_value), ell=ell, support_size=best_m,
-            epsilon=float(table.epsilon), bound=float(table.bound),
-            realized_l1=float(table.realized_l1), seed_value=seed_value,
-            bits=_bits(ell), degenerate=degenerate)
-        return outcome, induced
+        return _staircase_select(hit, seed_value, rng, degenerate)
 
 
-def _sample_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    n, size = rows.shape
-    u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        cum = np.cumsum(rows[t])
-        cum[-1] = 1.0
-        out[t] = min(np.searchsorted(cum, u[t], side="right"), size - 1)
-    return out
+def _block_likelihood(rows: np.ndarray, block: np.ndarray) -> float:
+    """Probability of a block under per-letter rows (n, size)."""
+    return float(np.prod(rows[np.arange(len(block)), block]))
+
+
+def _normalized(weights: np.ndarray) -> tuple[np.ndarray, bool]:
+    """weights / sum, or uniform and flagged degenerate when the sum is zero."""
+    total = weights.sum()
+    if total <= 0.0:
+        return np.full(len(weights), 1.0 / len(weights)), True
+    return weights / total, False
 
 
 def _require_c_equals_action(spec: AuxSpec) -> None:
@@ -346,6 +322,21 @@ def _selection_table(posterior: np.ndarray, ell: int):
     return table, best_m, table.induced_array(count)
 
 
+def _staircase_select(selection, seed_value: int | None, rng: np.random.Generator | None,
+                      degenerate: bool) -> tuple[SelectorOutcome, np.ndarray]:
+    """Map a seed through a _selection_table result; None draws it from rng."""
+    table, best_m, induced = selection
+    ell = table.ell
+    if seed_value is None:
+        seed_value = int(rng.integers(1, ell + 1))
+    outcome = SelectorOutcome(
+        chosen=table.map_seed(seed_value), ell=ell, support_size=best_m,
+        epsilon=float(table.epsilon), bound=float(table.bound),
+        realized_l1=float(table.realized_l1), seed_value=seed_value,
+        bits=_bits(ell), degenerate=degenerate)
+    return outcome, induced
+
+
 def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | None,
                           rng: np.random.Generator | None = None,
                           degenerate: bool = False) -> tuple[SelectorOutcome, np.ndarray]:
@@ -355,16 +346,7 @@ def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | Non
     (used by exact enumeration). seed_value of None draws the seed uniformly
     from rng.
     """
-    table, best_m, induced = _selection_table(posterior, ell)
-    if seed_value is None:
-        seed_value = int(rng.integers(1, ell + 1))
-    chosen = table.map_seed(seed_value)
-    outcome = SelectorOutcome(
-        chosen=chosen, ell=ell, support_size=best_m,
-        epsilon=float(table.epsilon), bound=float(table.bound),
-        realized_l1=float(table.realized_l1), seed_value=seed_value,
-        bits=_bits(ell), degenerate=degenerate)
-    return outcome, induced
+    return _staircase_select(_selection_table(posterior, ell), seed_value, rng, degenerate)
 
 
 def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
@@ -389,19 +371,12 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
 
     kernel = condition(chain.joint, list(chain.level_labels))
     weights = np.empty(count)
-    for flat in range(count):
-        rest = flat
-        assign = dict(fixed)
-        for lvl, s in zip(reversed(free), reversed(shape)):
-            assign[lvl] = rest % s
-            rest //= s
+    for flat, combo in enumerate(np.ndindex(*shape)):
+        assign = dict(fixed) | dict(zip(free, combo))
         prefix = tuple(assign[lvl] for lvl in range(chain.k))
         letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
-        rows = kernel.weights[tuple(letters)]
-        weights[flat] = float(np.prod(rows[np.arange(chain.n), y]))
-    total = weights.sum()
-    degenerate = total <= 0.0
-    posterior = (np.full(count, 1.0 / count) if degenerate else weights / total)
+        weights[flat] = _block_likelihood(kernel.weights[tuple(letters)], y)
+    posterior, degenerate = _normalized(weights)
 
     rng = _child_rng(seed, "posterior_select")
     outcome, induced = select_from_posterior(posterior, ell, None, rng, degenerate)
@@ -427,74 +402,63 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
 # Scheme execution
 
 
-def draw_common_randomness(cb: Codebook, rng: np.random.Generator) -> CommonRandomness:
+def draw_common_randomness(cb: Codebook, rng: np.random.Generator) -> dict[Component, int]:
+    """Shared indices: every m- component, then every k- component."""
     h = cb.h
-    mm = {p: int(rng.integers(0, cb.sizes[m_minus(p)])) for p in order_pairs(h)}
-    km = {i: int(rng.integers(0, cb.sizes[k_minus(i)])) for i in range(1, h)}
-    return CommonRandomness(mm, km)
+    out = {m_minus(p): int(rng.integers(0, cb.sizes[m_minus(p)])) for p in order_pairs(h)}
+    out.update({k_minus(i): int(rng.integers(0, cb.sizes[k_minus(i)])) for i in range(1, h)})
+    return out
 
 
-def _mode_bundle(scheme: Scheme, i: int, assignment, pending_seeds) -> HopMessage:
+def _hop_bundle(scheme: Scheme, i: int, assignment, pending_seeds) -> HopMessage:
+    """Hop i's message under the scheme's mode schedule."""
     cb = scheme.cb
-    h = scheme.h
-    entries = []
-    if scheme.mode is Mode.FUNCTIONAL:
-        for j in range(i + 1, h + 1):
-            comp = m_plus((1, j))
-            entries.append((f"m+(1,{j})", assignment[comp], cb.sizes[comp]))
-    elif scheme.mode is Mode.UNRESTRICTED:
-        for p in order_pairs(h):
-            if p[0] <= i < p[1]:
-                comp = m_plus(p)
-                entries.append((f"m+({p[0]},{p[1]})", assignment[comp], cb.sizes[comp]))
+    entries = [(f"m+({p[0]},{p[1]})", assignment[m_plus(p)], cb.sizes[m_plus(p)])
+               for p in scheme.hop_pairs[i]]
+    if scheme.schedule.selects_k:
         entries.append((f"k+({i})", assignment[k_plus(i)], cb.sizes[k_plus(i)]))
-    else:  # action-dependent
-        for j in range(i + 1, h + 1):
-            comp = m_plus((1, j))
-            entries.append((f"m+(1,{j})", assignment[comp], cb.sizes[comp]))
-        entries.append((f"k+({i})", assignment[k_plus(i)], cb.sizes[k_plus(i)]))
-        for ell_node in range(i + 1, h):
-            entries.append((f"seed(k+{ell_node})", pending_seeds.get(ell_node, 0),
-                            scheme.ell_k[ell_node]))
+    if scheme.schedule.node1_pays_k_seeds:
+        entries += [(f"seed(k+{j})", pending_seeds.get(j, 0), scheme.ell_k[j])
+                    for j in range(i + 1, scheme.h)]
     return HopMessage(hop=i, entries=tuple(entries))
 
 
-def encode_source_node(scheme: Scheme, x1: np.ndarray, cr: CommonRandomness,
-                       rng_streams, node1_replay: dict | None = None) -> tuple[dict, Trace, dict]:
-    """Node-1 processing: select m+_{1,.} from the posterior (and K_1+ when the
-    mode calls for it), assemble the hop-1 bundle."""
-    trace = Trace(trial=-1, seed=-1, x1=list(map(int, x1)), actions={"X1": list(map(int, x1))},
-                  indices={}, messages=[], selectors={}, node_bits={})
-    assignment = _init_assignment(scheme, cr, rng_streams, trace)
+def encode_source_node(scheme: Scheme, x1: np.ndarray, rng_streams, trace: Trace,
+                       node1_replay: dict | None = None) -> tuple[dict, dict]:
+    """Node-1 processing: select m+_{1,.} from the posterior, pre-draw the
+    downstream seeds node 1 pays for, then forward over hop 1. Returns the
+    assignment and the pre-drawn seeds."""
+    assignment = _init_assignment(scheme, rng_streams, trace)
     if node1_replay is None:
         _node1_select(scheme, x1, assignment, rng_streams, trace)
     else:
         assignment.update(node1_replay)
-        for comp, v in node1_replay.items():
-            trace.indices[comp] = v
-    if scheme.mode is not Mode.FUNCTIONAL:
-        _k_select(scheme, 1, x1, assignment, rng_streams, trace)
-    pending = _ad_pending_seeds(scheme, rng_streams, trace)
-    msg = _mode_bundle(scheme, 1, assignment, pending)
-    trace.messages.append(msg)
-    return assignment, trace, pending
+        trace.indices.update(node1_replay)
+    pending = _predraw_k_seeds(scheme, rng_streams, trace)
+    _forward(scheme, 1, x1, assignment, pending, rng_streams, trace)
+    return assignment, pending
 
 
-def _init_assignment(scheme: Scheme, cr: CommonRandomness, rng_streams, trace) -> dict:
+def _forward(scheme: Scheme, i: int, x_block, assignment, pending_seeds, rng_streams, trace):
+    """Node i (< h): select K_i+ when the schedule does, then ship hop i's bundle."""
+    if scheme.schedule.selects_k:
+        _k_select(scheme, i, x_block, assignment, rng_streams, trace, pending_seeds.get(i))
+    trace.messages.append(_hop_bundle(scheme, i, assignment, pending_seeds))
+
+
+def _init_assignment(scheme: Scheme, rng_streams, trace) -> dict:
+    """Common randomness, K+ placeholders and the pairs nodes > 1 draw themselves."""
     cb = scheme.cb
-    h = scheme.h
-    assignment: dict[Component, int] = dict(cr.as_assignment())
-    for i in range(1, h):
+    assignment = draw_common_randomness(cb, rng_streams("cr"))
+    for i in range(1, scheme.h):
         assignment.setdefault(k_plus(i), 0)
-    for p in order_pairs(h):
+    for p in scheme.order:
         if p[0] == 1:
             continue
         size = cb.sizes[m_plus(p)]
-        v = int(rng_streams("mplus", p[0], p[1]).integers(0, size))
-        assignment[m_plus(p)] = v
+        assignment[m_plus(p)] = int(rng_streams("mplus", p[0], p[1]).integers(0, size))
         _charge(trace, p[0], _bits(size))
-    for comp, v in assignment.items():
-        trace.indices[comp] = v
+    trace.indices.update(assignment)
     return assignment
 
 
@@ -503,53 +467,62 @@ def _charge(trace, node: int, bits: int):
     trace.node_ops[node] = trace.node_ops.get(node, 0) + 1
 
 
+def _select(scheme: Scheme, key: tuple, posterior, degenerate: bool, ell: int, trace,
+            payer: int | None, rng=None, seed_value: int | None = None) -> int:
+    """Staircase-select from a posterior and record the outcome under `key`.
+    The seed's bits go to `payer`; None means the seed was paid for upstream."""
+    outcome, _ = scheme.selection(posterior, ell, seed_value, rng, degenerate)
+    trace.selectors[key] = outcome
+    if payer is not None:
+        _charge(trace, payer, outcome.bits)
+    if degenerate:
+        trace.degenerate_draws += 1
+    return outcome.chosen
+
+
 def _node1_select(scheme: Scheme, x1, assignment, rng_streams, trace):
     posterior, degenerate = scheme.node1_posterior(x1, assignment)
-    outcome, _ = scheme.selection(posterior, scheme.ell1, None,
-                                  rng_streams("sel_m1"), degenerate)
-    assignment.update(scheme.m1_space.unflatten(outcome.chosen))
-    for comp, v in scheme.m1_space.unflatten(outcome.chosen).items():
-        trace.indices[comp] = v
-    trace.selectors[("m1",)] = outcome
-    _charge(trace, 1, outcome.bits)
-    if degenerate:
-        trace.degenerate_draws += 1
+    chosen = _select(scheme, ("m1",), posterior, degenerate, scheme.ell1, trace,
+                     payer=1, rng=rng_streams("sel_m1"))
+    m1 = scheme.m1_space.unflatten(chosen)
+    assignment.update(m1)
+    trace.indices.update(m1)
 
 
-def _k_select(scheme: Scheme, i: int, x_block, assignment, rng_streams, trace):
-    if scheme.cb.sizes[k_plus(i)] == 1:
-        assignment[k_plus(i)] = 0
-        trace.indices[k_plus(i)] = 0
-        return
-    posterior, degenerate = scheme.k_posterior(i, x_block, assignment)
-    outcome, _ = scheme.selection(posterior, scheme.ell_k[i], None,
-                                  rng_streams("sel_k", i), degenerate)
-    assignment[k_plus(i)] = outcome.chosen
-    trace.indices[k_plus(i)] = outcome.chosen
-    trace.selectors[("k", i)] = outcome
-    node = 1 if scheme.mode is Mode.ACTION_DEPENDENT else i
-    _charge(trace, node, outcome.bits)
-    if degenerate:
-        trace.degenerate_draws += 1
+def _k_select(scheme: Scheme, i: int, x_block, assignment, rng_streams, trace,
+              seed_value: int | None = None):
+    """Select K_i+ at node i; a seed_value was pre-drawn (and charged) by node 1."""
+    comp = k_plus(i)
+    chosen = 0
+    if scheme.cb.sizes[comp] > 1:
+        posterior, degenerate = scheme.k_posterior(i, x_block, assignment)
+        if seed_value is None:
+            payer, rng = scheme.schedule.k_seed_payer(i), rng_streams("sel_k", i)
+        else:
+            payer, rng = None, None
+        chosen = _select(scheme, ("k", i), posterior, degenerate, scheme.ell_k[i], trace,
+                         payer, rng, seed_value)
+    assignment[comp] = chosen
+    trace.indices[comp] = chosen
 
 
-def _ad_pending_seeds(scheme: Scheme, rng_streams, trace) -> dict:
-    """Action-dependent mode: node 1 pre-draws the seed values consumed by the
-    downstream K+ selectors and ships them hop by hop."""
-    if scheme.mode is not Mode.ACTION_DEPENDENT:
+def _predraw_k_seeds(scheme: Scheme, rng_streams, trace) -> dict:
+    """Seeds of the downstream K+ selectors, when the schedule has node 1 pay
+    for them and ship them hop by hop."""
+    if not scheme.schedule.node1_pays_k_seeds:
         return {}
     pending = {}
     for i in range(2, scheme.h):
         if scheme.cb.sizes[k_plus(i)] > 1:
             pending[i] = int(rng_streams("sel_k_seed", i).integers(1, scheme.ell_k[i] + 1))
-            _charge(trace, 1, _bits(scheme.ell_k[i]))
+            _charge(trace, scheme.schedule.k_seed_payer(i), _bits(scheme.ell_k[i]))
     return pending
 
 
 def relay_step(scheme: Scheme, node: int, assignment: dict, pending_seeds: dict,
                rng_streams, trace) -> np.ndarray:
     """Node `node` (2..h): draw local index, emit the action as the C-codeword,
-    then (mode permitting) select K+ and forward."""
+    then forward unless it is the last node."""
     cb = scheme.cb
     size = cb.sizes[l_of(node)]
     l_val = int(rng_streams("ell", node).integers(0, size))
@@ -558,24 +531,9 @@ def relay_step(scheme: Scheme, node: int, assignment: dict, pending_seeds: dict,
     _charge(trace, node, _bits(size))
     action = cb.c_codeword(node, assignment)
     trace.actions[f"X{node}"] = list(map(int, action))
-    if node < scheme.h and scheme.mode is not Mode.FUNCTIONAL:
-        if scheme.mode is Mode.ACTION_DEPENDENT and node in pending_seeds:
-            _k_select_with_seed(scheme, node, action, assignment, pending_seeds[node], trace)
-        else:
-            _k_select(scheme, node, action, assignment, rng_streams, trace)
     if node < scheme.h:
-        trace.messages.append(_mode_bundle(scheme, node, assignment, pending_seeds))
+        _forward(scheme, node, action, assignment, pending_seeds, rng_streams, trace)
     return action
-
-
-def _k_select_with_seed(scheme: Scheme, i: int, x_block, assignment, seed_value: int, trace):
-    posterior, degenerate = scheme.k_posterior(i, x_block, assignment)
-    outcome, _ = scheme.selection(posterior, scheme.ell_k[i], seed_value, None, degenerate)
-    assignment[k_plus(i)] = outcome.chosen
-    trace.indices[k_plus(i)] = outcome.chosen
-    trace.selectors[("k", i)] = outcome
-    if degenerate:
-        trace.degenerate_draws += 1
 
 
 @dataclass
@@ -600,14 +558,10 @@ def _audit(scheme: Scheme, trace: Trace, violations: list):
     n = scheme.n
     budgets = scheme.budgets
     for msg in trace.messages:
-        if scheme.mode is Mode.ACTION_DEPENDENT:
-            # the k+ index crossing its own hop is outside the resource map's
-            # index convention; audit the schedule against itself
-            budget = float(sum(_bits(size) for _, _, size in msg.entries))
-            slack = 0
+        if scheme.schedule.self_audit:
+            budget, slack = float(msg.bit_size), 0
         else:
-            budget = budgets.r[msg.hop - 1] * n
-            slack = len(msg.entries)
+            budget, slack = budgets.r[msg.hop - 1] * n, len(msg.entries)
         if msg.bit_size > budget + slack + 1e-9:
             violations.append({"trial": trace.trial, "hop": msg.hop,
                                "bits": msg.bit_size, "budget": budget})
@@ -618,18 +572,13 @@ def _audit(scheme: Scheme, trace: Trace, violations: list):
                                "bits": bits, "budget": budget})
 
 
-def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
-               x1_override=None, node1_replay: dict | None = None,
-               seed_rate_overrides: dict | None = None,
-               require_checks: bool = False, margin: float = 0.0) -> SchemeRun:
-    """End-to-end coordination runs: sample X1 from the target marginal, draw
-    common randomness, encode at node 1, relay down the line."""
-    scheme = Scheme(cb, mode, seed_rate_overrides)
-    checks = thm1_check(cb.rates, cb.spec, margin).passed and all(
-        r.passed for r in thm2_check_all(cb.rates, cb.spec, margin))
-    if require_checks and not checks:
-        raise UsageError("codebook rates fail the achievability constraints")
-
+def _run_trials(scheme: Scheme, trials: int, seed: int, source, label: str,
+                audit: bool) -> SchemeRun:
+    """The trial loop shared by both entry points. source(streams, trace) runs
+    node 1 and returns (x1, assignment, pre-drawn seeds); nodes 2..h relay."""
+    cb = scheme.cb
+    checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
+        r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
     traces = []
     violations: list = []
     degenerate_trials = 0
@@ -637,62 +586,54 @@ def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
         def streams(*key, _t=t):
             return _child_rng(seed, "trial", _t, *key)
 
-        if x1_override is not None:
-            x1 = np.asarray(x1_override, dtype=np.int64)
-        else:
-            rows = np.tile(scheme.x1_marginal, (scheme.n, 1))
-            x1 = _sample_rows(streams("x1"), rows)
-        cr = draw_common_randomness(cb, streams("cr"))
-        assignment, trace, pending = encode_source_node(scheme, x1, cr, streams, node1_replay)
-        trace.trial = t
-        trace.seed = seed
+        trace = Trace(trial=t, seed=seed, x1=[], actions={}, indices={},
+                      messages=[], selectors={}, node_bits={})
+        x1, assignment, pending = source(streams, trace)
+        trace.x1 = list(map(int, x1))
+        trace.actions["X1"] = list(map(int, x1))
         for node in range(2, scheme.h + 1):
             relay_step(scheme, node, assignment, pending, streams, trace)
-        _audit(scheme, trace, violations)
+        if audit:
+            _audit(scheme, trace, violations)
         if trace.degenerate_draws:
             degenerate_trials += 1
         traces.append(trace)
-    return SchemeRun(traces=traces, mode=scheme.mode.value, n=scheme.n,
+    return SchemeRun(traces=traces, mode=label, n=scheme.n,
                      budgets=scheme.budgets.to_dict(), checks_passed=checks,
                      budget_violations=violations, degenerate_trials=degenerate_trials)
 
 
-def allied_generate(cb: Codebook, trials: int, seed: int,
-                    seed_rate_overrides: dict | None = None,
-                    require_checks: bool = False, margin: float = 0.0) -> SchemeRun:
+def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
+               x1_override=None, node1_replay: dict | None = None,
+               seed_rate_overrides: dict | None = None) -> SchemeRun:
+    """End-to-end coordination runs: sample X1 from the target marginal, draw
+    common randomness, encode at node 1, relay down the line."""
+    scheme = Scheme(cb, mode, seed_rate_overrides)
+
+    def source(streams, trace):
+        if x1_override is not None:
+            x1 = np.asarray(x1_override, dtype=np.int64)
+        else:
+            x1 = _iid_blocks(streams("x1"), scheme.x1_rows, 1)[0]
+        return (x1,) + encode_source_node(scheme, x1, streams, trace, node1_replay)
+
+    return _run_trials(scheme, trials, seed, source, scheme.mode.value, audit=True)
+
+
+def allied_generate(cb: Codebook, trials: int, seed: int) -> SchemeRun:
     """Allied action synthesis: all indices uniform, X1 generated from the
     selected A-codewords, downstream actions via the same selector chain."""
     # allied generation has no mode restriction; use the unrestricted layout
-    scheme = Scheme(cb, Mode.UNRESTRICTED, seed_rate_overrides)
-    checks = thm1_check(cb.rates, cb.spec, margin).passed and all(
-        r.passed for r in thm2_check_all(cb.rates, cb.spec, margin))
-    if require_checks and not checks:
-        raise UsageError("codebook rates fail the achievability constraints")
+    scheme = Scheme(cb, Mode.UNRESTRICTED)
 
-    traces = []
-    degenerate_trials = 0
-    for t in range(trials):
-        def streams(*key, _t=t):
-            return _child_rng(seed, "trial", _t, *key)
-
-        trace = Trace(trial=t, seed=seed, x1=[], actions={}, indices={},
-                      messages=[], selectors={}, node_bits={})
-        cr = draw_common_randomness(cb, streams("cr"))
-        assignment = _init_assignment(scheme, cr, streams, trace)
-        m1 = {m_plus((1, j)): int(streams("m1plus", j).integers(0, cb.sizes[m_plus((1, j))]))
-              for j in range(2, scheme.h + 1)}
-        assignment.update(m1)
-        for comp, v in m1.items():
-            trace.indices[comp] = v
+    def source(streams, trace):
+        assignment = _init_assignment(scheme, streams, trace)
+        for j in range(2, scheme.h + 1):
+            comp = m_plus((1, j))
+            assignment[comp] = int(streams("m1plus", j).integers(0, cb.sizes[comp]))
+            trace.indices[comp] = assignment[comp]
         x1 = scheme.sample_x1_from_codewords(assignment, streams("x1b5"))
-        trace.x1 = list(map(int, x1))
-        trace.actions["X1"] = list(map(int, x1))
         _k_select(scheme, 1, x1, assignment, streams, trace)
-        for node in range(2, scheme.h + 1):
-            relay_step(scheme, node, assignment, {}, streams, trace)
-        if trace.degenerate_draws:
-            degenerate_trials += 1
-        traces.append(trace)
-    return SchemeRun(traces=traces, mode="allied", n=scheme.n,
-                     budgets=scheme.budgets.to_dict(), checks_passed=checks,
-                     budget_violations=[], degenerate_trials=degenerate_trials)
+        return x1, assignment, {}
+
+    return _run_trials(scheme, trials, seed, source, "allied", audit=False)

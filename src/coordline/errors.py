@@ -29,5 +29,8 @@ def resolve_cap(cap: int | None = None) -> int:
         return int(cap)
     env = os.environ.get(_CAP_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_CELL_CAP

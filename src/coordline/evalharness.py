@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codebooks import Codebook, build_codebooks, k_minus, k_plus, l_of, m_minus, m_plus
+from .codebooks import Codebook, Component, build_codebooks, k_minus, k_plus, l_of, m_minus, m_plus
 from .codec import Scheme
-from .errors import ResourceCapError, resolve_cap
+from .errors import ResourceCapError, UsageError, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
 from .rates import CodebookRates, Mode
@@ -79,28 +80,33 @@ class ExactInduced:
         return self.x1_marginal.reshape(shape) * self.conditional
 
 
-def _enumeration_cost(cb: Codebook, mode: Mode) -> int:
-    h = cb.h
-    cost = cb.spec.network.alphabets[0].size ** cb.n
-    for p in order_pairs(h):
-        cost *= cb.sizes[m_minus(p)]
-        cost *= cb.sizes[m_plus(p)]
-    for i in range(1, h):
-        cost *= cb.sizes[k_minus(i)]
-        cost *= cb.sizes[k_plus(i)]
-    for i in range(2, h + 1):
-        cost *= cb.sizes[l_of(i)]
-    return cost
+def _assignments(spaces: Sequence[tuple[Component, int]]) -> Iterator[dict[Component, int]]:
+    """Every index assignment over `spaces` in lexicographic order (last component fastest)."""
+    comps = [comp for comp, _ in spaces]
+    for combo in iproduct(*[range(size) for _, size in spaces]):
+        yield dict(zip(comps, combo))
 
 
-def exact_induced(cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = None,
-                  cap: int | None = None) -> ExactInduced:
+def _space_size(spaces: Sequence[tuple[Component, int]]) -> int:
+    return math.prod(size for _, size in spaces)
+
+
+def _pair_spaces(cb: Codebook) -> list[tuple[Component, int]]:
+    """(m+, m-) of every pair, in construction order."""
+    return [(kind(p), cb.sizes[kind(p)]) for p in order_pairs(cb.h) for kind in (m_plus, m_minus)]
+
+
+def _enumeration_cost(cb: Codebook) -> int:
+    return cb.spec.network.alphabets[0].size ** cb.n * _space_size(list(cb.sizes.items()))
+
+
+def exact_induced(cb: Codebook, mode: Mode, cap: int | None = None) -> ExactInduced:
     """Full enumeration of the scheme's conditional action law for one codebook."""
-    scheme = Scheme(cb, mode, seed_rate_overrides)
+    scheme = Scheme(cb, mode)
     n = cb.n
     h = cb.h
     net = cb.spec.network
-    if _enumeration_cost(cb, scheme.mode) > resolve_cap(cap):
+    if _enumeration_cost(cb) > resolve_cap(cap):
         raise ResourceCapError("exact enumeration above cap; use the Monte Carlo path")
 
     sizes = [a.size for a in net.alphabets]
@@ -108,33 +114,25 @@ def exact_induced(cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = N
     cond = np.zeros(block_sizes)
     degenerate = 0
 
-    m_minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
-    k_minus_spaces = [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
-    own_plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1]
+    # shared indices and the pairs nodes > 1 draw uniformly
+    cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+                 + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
+                 + [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1])
     cr_weight = 1.0
-    for _, s in m_minus_spaces + k_minus_spaces + own_plus_spaces:
+    for _, s in cr_spaces:
         cr_weight /= s
 
     x1_size = sizes[0]
     for x1_flat in range(block_sizes[0]):
         x1 = _block_decode(x1_flat, x1_size, n)
-        for minus_combo in iproduct(*[range(s) for _, s in m_minus_spaces]):
-            for kminus_combo in iproduct(*[range(s) for _, s in k_minus_spaces]):
-                for own_combo in iproduct(*[range(s) for _, s in own_plus_spaces]):
-                    assignment = {comp: v for (comp, _), v in zip(m_minus_spaces, minus_combo)}
-                    assignment.update({comp: v for (comp, _), v in zip(k_minus_spaces, kminus_combo)})
-                    assignment.update({comp: v for (comp, _), v in zip(own_plus_spaces, own_combo)})
-                    for i in range(1, h):
-                        assignment.setdefault(k_plus(i), 0)
-                    posterior, deg = scheme.node1_posterior(x1, assignment)
-                    _, induced = scheme.selection(posterior, scheme.ell1, 1)
-                    if deg:
-                        degenerate += 1
-                    for m1_flat in np.nonzero(induced)[0]:
-                        p_m1 = induced[m1_flat]
-                        assignment.update(scheme.m1_space.unflatten(int(m1_flat)))
-                        degenerate += _walk(scheme, cb, 1, x1, x1_flat, assignment,
-                                            cr_weight * p_m1, cond, [x1_flat])
+        for assignment in _assignments(cr_spaces):
+            for i in range(1, h):
+                assignment.setdefault(k_plus(i), 0)
+            posterior, deg = scheme.node1_posterior(x1, assignment)
+            degenerate += int(deg)
+            for m1_flat, p_m1 in _selector_law(scheme, posterior, scheme.ell1):
+                assignment.update(scheme.m1_space.unflatten(m1_flat))
+                degenerate += _walk(scheme, 1, x1, assignment, cr_weight * p_m1, cond, [x1_flat])
     allied = _allied_joint(cb, block_sizes)
     x1_marg = marginalize(net.target, [x_label(1)])
     q1 = _block_vector(np.tile(x1_marg.weights, (n, 1)))
@@ -143,21 +141,24 @@ def exact_induced(cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = N
                         degenerate_paths=degenerate)
 
 
-def _walk(scheme: Scheme, cb: Codebook, node: int, x_prev: np.ndarray, x_prev_flat: int,
-          assignment: dict, prob: float, cond: np.ndarray, prefix: list[int]) -> int:
+def _selector_law(scheme: Scheme, posterior: np.ndarray, ell: int) -> list[tuple[int, float]]:
+    """(candidate, probability) pairs of the staircase selector's induced law."""
+    _, induced = scheme.selection(posterior, ell, 1)
+    return [(int(v), induced[v]) for v in np.nonzero(induced)[0]]
+
+
+def _walk(scheme: Scheme, node: int, x_prev: np.ndarray, assignment: dict, prob: float,
+          cond: np.ndarray, prefix: list[int]) -> int:
     """Recurse down the line from `node` (the hop node->node+1), accumulating
     conditional probability mass for every reachable action tuple."""
+    cb = scheme.cb
     h = scheme.h
-    n = scheme.n
     degenerate = 0
-    if scheme.mode is not Mode.FUNCTIONAL and cb.sizes[k_plus(node)] > 1:
+    k_options = [(0, 1.0)]
+    if scheme.schedule.selects_k and cb.sizes[k_plus(node)] > 1:
         posterior, deg = scheme.k_posterior(node, x_prev, assignment)
-        _, induced_k = scheme.selection(posterior, scheme.ell_k[node], 1)
-        if deg:
-            degenerate += 1
-        k_options = [(int(v), induced_k[v]) for v in np.nonzero(induced_k)[0]]
-    else:
-        k_options = [(0, 1.0)]
+        degenerate += int(deg)
+        k_options = _selector_law(scheme, posterior, scheme.ell_k[node])
     size_l = cb.sizes[l_of(node + 1)]
     x_size = scheme.spec.network.alphabets[node].size
     for k_val, k_prob in k_options:
@@ -170,8 +171,7 @@ def _walk(scheme: Scheme, cb: Codebook, node: int, x_prev: np.ndarray, x_prev_fl
             if node + 1 == h:
                 cond[tuple(prefix + [flat])] += p
             else:
-                degenerate += _walk(scheme, cb, node + 1, action, flat, assignment,
-                                    p, cond, prefix + [flat])
+                degenerate += _walk(scheme, node + 1, action, assignment, p, cond, prefix + [flat])
     return degenerate
 
 
@@ -184,16 +184,10 @@ def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
     a_axes = [a_label(p) for p in order_pairs(h)]
     marg = marginalize(spec.joint, a_axes + list(spec.network.x_labels))
     kernel = condition(marg, a_axes)
-    spaces = []
-    for p in order_pairs(h):
-        spaces.append((m_plus(p), cb.sizes[m_plus(p)]))
-        spaces.append((m_minus(p), cb.sizes[m_minus(p)]))
-    total = 1
-    for _, s in spaces:
-        total *= s
+    spaces = _pair_spaces(cb)
+    total = _space_size(spaces)
     out = np.zeros(block_sizes)
-    for combo in iproduct(*[range(s) for _, s in spaces]):
-        assignment = {comp: v for (comp, _), v in zip(spaces, combo)}
+    for assignment in _assignments(spaces):
         letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
         rows = kernel.weights[tuple(letters)]  # (n, s1, ..., sh)
         block = rows[0]
@@ -211,11 +205,6 @@ def coordination_tv(exact: ExactInduced, network: NetworkSpec, cap: int | None =
     return float(np.abs(exact.coordination_joint() - target).sum())
 
 
-def allied_tv(exact: ExactInduced, network: NetworkSpec, cap: int | None = None) -> float:
-    target = target_block_tensor(network, exact.n, cap=cap)
-    return float(np.abs(exact.allied_joint - target).sum())
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 
@@ -226,8 +215,8 @@ class SimReport:
     trials: int
     codebook_seeds: list[int]
     tv_per_seed: list[float]
-    tv_mean: float
-    radius: float
+    tv_mean: float | None
+    radius: float | None
     proxy: bool
     exact_tv: float | None
     excluded_seeds: list[int]
@@ -244,14 +233,16 @@ class SimReport:
 
 def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: int,
                        codebook_seeds: list[int], seed: int,
-                       with_exact: bool = False, cap: int | None = None,
-                       seed_rate_overrides: dict | None = None) -> SimReport:
+                       with_exact: bool = False, cap: int | None = None) -> SimReport:
     """Plug-in TV between the empirical block histogram and target^(x n),
     averaged over codebook seeds. Falls back to a per-letter proxy when the
     block histogram would not fit the cap; the report is labeled PROXY then.
+    tv_mean and radius are None when no codebook seed contributes a TV.
     """
     from .codec import run_scheme
 
+    if trials < 1:
+        raise UsageError("Monte Carlo estimation needs trials >= 1")
     net = spec.network
     sizes = [a.size for a in net.alphabets]
     block_cells = 1
@@ -269,8 +260,7 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         # the cap argument gates histogram/exact tensor sizes; codebook
         # construction uses the globally configured cap
         cb = build_codebooks(spec, rates, n, cb_seed)
-        run = run_scheme(cb, mode, trials, seed + cb_seed,
-                         seed_rate_overrides=seed_rate_overrides)
+        run = run_scheme(cb, mode, trials, seed + cb_seed)
         violations += len(run.budget_violations)
         if run.degenerate_trials:
             excluded.append(cb_seed)
@@ -292,17 +282,16 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         tvs.append(float(np.abs(hist - target).sum()))
     if with_exact and not proxy and codebook_seeds:
         cb = build_codebooks(spec, rates, n, codebook_seeds[0], cap=cap)
-        exact_val = coordination_tv(exact_induced(cb, mode, seed_rate_overrides, cap=cap), net, cap=cap)
+        exact_val = coordination_tv(exact_induced(cb, mode, cap=cap), net, cap=cap)
 
-    mean = float(np.mean(tvs)) if tvs else float("nan")
-    # normal-approximation radius pooled over cells, deliberately conservative;
-    # it also covers the plug-in bias scale sum sqrt(q(1-q)/trials)
+    mean = radius = None
     if tvs:
+        mean = float(np.mean(tvs))
+        # normal-approximation radius pooled over cells, deliberately conservative;
+        # it also covers the plug-in bias scale sum sqrt(q(1-q)/trials)
         flat = target.ravel()
         per_cell = np.sqrt(np.clip(flat * (1 - flat), 0, None) / trials)
         radius = float(per_cell.sum()) + (float(np.std(tvs)) / math.sqrt(len(tvs)) if len(tvs) > 1 else 0.0)
-    else:
-        radius = float("nan")
     return SimReport(n=n, trials=trials, codebook_seeds=list(codebook_seeds),
                      tv_per_seed=tvs, tv_mean=mean, radius=radius, proxy=proxy,
                      exact_tv=exact_val, excluded_seeds=excluded,
@@ -328,27 +317,20 @@ def cr_independence(cb: Codebook, cap: int | None = None) -> float:
 
     minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
     plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h)]
-    n_minus = 1
-    for _, s in minus_spaces:
-        n_minus *= s
-    n_plus = 1
-    for _, s in plus_spaces:
-        n_plus *= s
+    n_minus = _space_size(minus_spaces)
+    n_plus = _space_size(plus_spaces)
     if n_minus * n_plus * s1 > resolve_cap(cap):
         raise ResourceCapError("cr_independence enumeration above cap")
 
     conds = np.zeros((n_minus, s1))
-    row = 0
-    for minus_combo in iproduct(*[range(s) for _, s in minus_spaces]):
-        assignment = {comp: v for (comp, _), v in zip(minus_spaces, minus_combo)}
+    for row, assignment in enumerate(_assignments(minus_spaces)):
         acc = np.zeros(s1)
-        for plus_combo in iproduct(*[range(s) for _, s in plus_spaces]):
-            assignment.update({comp: v for (comp, _), v in zip(plus_spaces, plus_combo)})
+        for plus in _assignments(plus_spaces):
+            assignment.update(plus)
             letters = [cb.a_codeword(q, assignment) for q in psi1_pairs]
             rows = kernel.weights[tuple(letters)]
             acc += _block_vector(rows)
         conds[row] = acc / n_plus
-        row += 1
     avg = conds.mean(axis=0)
     return float(np.abs(conds - avg).sum(axis=1).mean())
 
@@ -367,13 +349,8 @@ def piecing_check(cb: Codebook, cap: int | None = None) -> float:
         cells *= s
     a_axes = [a_label(p) for p in order_pairs(h)]
 
-    spaces = []
-    for p in order_pairs(h):
-        spaces.append((m_plus(p), cb.sizes[m_plus(p)]))
-        spaces.append((m_minus(p), cb.sizes[m_minus(p)]))
-    total_m = 1
-    for _, s in spaces:
-        total_m *= s
+    spaces = _pair_spaces(cb)
+    total_m = _space_size(spaces)
     if total_m * cells > resolve_cap(cap):
         raise ResourceCapError("piecing enumeration above cap")
 
@@ -385,8 +362,7 @@ def piecing_check(cb: Codebook, cap: int | None = None) -> float:
             marginalize(spec.joint, giv + [x_label(j - 1), x_label(j)]), giv)
 
     pieced = np.zeros(tuple(block_sizes))
-    for combo in iproduct(*[range(s) for _, s in spaces]):
-        assignment = {comp: v for (comp, _), v in zip(spaces, combo)}
+    for assignment in _assignments(spaces):
         a_letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
         v1 = _block_vector(x1_kernel.weights[tuple(a_letters)])
         factors = [v1]

@@ -178,9 +178,6 @@ class AuxSpec:
     def h(self) -> int:
         return self.network.h
 
-    def aux_size(self, label: str) -> int:
-        return self.aux_alphabets[label].size
-
     @staticmethod
     def axis_order(h: int) -> list[str]:
         order = [a_label(p) for p in order_pairs(h)]
@@ -221,13 +218,6 @@ class AuxSpec:
         declared = marginalize(joint, cls.axis_order(h))
         return cls(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels,
                    joint=assembled, declared=declared)
-
-    @classmethod
-    def from_kernels(cls, network: NetworkSpec, aux_alphabets, a_kernels, b_kernels,
-                     c_kernels, x_kernels, cap: int | None = None) -> "AuxSpec":
-        assembled = _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels, cap)
-        return cls(network, dict(aux_alphabets), dict(a_kernels), dict(b_kernels),
-                   dict(c_kernels), dict(x_kernels), joint=assembled, declared=assembled)
 
     def a_marginal(self) -> JointPmf:
         return marginalize(self.joint, [a_label(p) for p in order_pairs(self.h)])

@@ -353,14 +353,6 @@ class StaircaseTable:
                 return self.support[i - 1]
         return self.support[-1]
 
-    @property
-    def bound_float(self) -> float:
-        return float(self.bound)
-
-    @property
-    def realized_l1_float(self) -> float:
-        return float(self.realized_l1)
-
     def induced_array(self, size: int) -> np.ndarray:
         out = np.zeros(size)
         for b, f in zip(self.support, self.induced):

@@ -37,6 +37,46 @@ class Mode(str, Enum):
     ACTION_DEPENDENT = "action-dependent"
     UNRESTRICTED = "unrestricted"
 
+    @property
+    def schedule(self) -> "ModeSchedule":
+        return SCHEDULES[self]
+
+
+@dataclass(frozen=True)
+class ModeSchedule:
+    """What each hop of a mode ships and which node pays for each selector seed.
+
+    ships_crossing_pairs: hop i ships every m+ pair crossing it (p0 <= i < p1);
+        otherwise only m+(1,j) for j > i.
+    selects_k: node i selects K+_i from its posterior and hop i ships k+(i);
+        otherwise K+ is not selected and every B-codebook is constant.
+    node1_pays_k_seeds: node 1 pre-draws the seed of every downstream K+
+        selector and ships it down the line; otherwise node i draws its own.
+    self_audit: hop bundles are checked against the schedule itself (their own
+        bit count) instead of the resource map's R_i.
+    """
+
+    ships_crossing_pairs: bool
+    selects_k: bool
+    node1_pays_k_seeds: bool
+    self_audit: bool
+
+    def k_seed_payer(self, i: int) -> int:
+        """The node charged for the seed of the K+ selector at node i."""
+        return 1 if self.node1_pays_k_seeds else i
+
+
+SCHEDULES = {
+    Mode.FUNCTIONAL: ModeSchedule(ships_crossing_pairs=False, selects_k=False,
+                                  node1_pays_k_seeds=False, self_audit=False),
+    # the k+ index crossing its own hop is outside the resource map's index
+    # convention, so action-dependent bundles are audited against themselves
+    Mode.ACTION_DEPENDENT: ModeSchedule(ships_crossing_pairs=False, selects_k=True,
+                                        node1_pays_k_seeds=True, self_audit=True),
+    Mode.UNRESTRICTED: ModeSchedule(ships_crossing_pairs=True, selects_k=True,
+                                    node1_pays_k_seeds=False, self_audit=False),
+}
+
 
 @dataclass(frozen=True)
 class CodebookRates:
@@ -262,20 +302,21 @@ def check_mode_restrictions(spec: AuxSpec, rates: CodebookRates, mode: Mode) -> 
     """Raise UsageError naming the first auxiliary violating the mode's restrictions."""
     h = spec.h
     mode = Mode(mode)
-    if mode is Mode.UNRESTRICTED:
-        return
-    for p in all_pairs(h):
-        if p[0] > 1:
-            if not _is_constant(spec, a_label(p)):
-                raise UsageError(f"{mode.value} mode requires constant {a_label(p)}")
-            if rates.mu_plus[p] > 0 or rates.mu_minus[p] > 0:
-                raise UsageError(f"{mode.value} mode requires zero rates on {a_label(p)}")
-    if mode is Mode.FUNCTIONAL:
+    schedule = mode.schedule
+    if not schedule.ships_crossing_pairs:
+        # only node 1 ships pairs, so pairs starting further down carry nothing
+        for p in all_pairs(h):
+            if p[0] > 1:
+                if not _is_constant(spec, a_label(p)):
+                    raise UsageError(f"{mode.value} mode requires constant {a_label(p)}")
+                if rates.mu_plus[p] > 0 or rates.mu_minus[p] > 0:
+                    raise UsageError(f"{mode.value} mode requires zero rates on {a_label(p)}")
+    if not schedule.selects_k:
         for i in range(1, h):
             if not _is_constant(spec, b_label(i)):
-                raise UsageError(f"functional mode requires constant {b_label(i)}")
+                raise UsageError(f"{mode.value} mode requires constant {b_label(i)}")
             if rates.kappa_plus[i] > 0 or rates.kappa_minus[i] > 0:
-                raise UsageError(f"functional mode requires zero kappa rates on hop {i}")
+                raise UsageError(f"{mode.value} mode requires zero kappa rates on hop {i}")
 
 
 def node1_selector_rate(spec: AuxSpec, rates: CodebookRates) -> float:

@@ -1,0 +1,175 @@
+"""Golden fixtures: scheme traces, exact induced laws and CLI reports on the presets.
+
+Run from the repository root with the package importable:
+
+    PYTHONPATH=src python tests/golden/regen.py           # rewrite every fixture
+    PYTHONPATH=src python tests/golden/regen.py --check   # print the first path that differs
+
+A fixture pins behaviour that report.json alone does not show: hop bundle
+order, per-node bit metering, the audit and every selector outcome. Integers,
+strings, bools, list lengths and dict keys (in order) must match exactly;
+floats must match within FLOAT_RTOL relative, since log2 may differ in the
+last ulp between SIMD builds. A change that moves a stream or a numeric on purpose
+regenerates the fixtures and records the rerun in CHANGES.md.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from coordline.cli import Experiment, run_command
+from coordline.codebooks import build_codebooks
+from coordline.codec import Scheme, allied_generate, run_scheme
+from coordline.evalharness import cr_independence, exact_induced, piecing_check
+from coordline.presets import preset_config
+from coordline.rates import Mode
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+FLOAT_RTOL = 1e-12
+
+N = 2
+TRIALS = 50
+CODEBOOK_SEED = 1
+PRESETS = ("dsbs", "dsbs-control", "indep-uniform", "copy3", "markov3")
+SCHEME_CASES = (("dsbs", "functional"), ("copy3", "functional"),
+                ("markov3", "unrestricted"), ("markov3", "action-dependent"))
+ALLIED_PRESETS = ("dsbs", "markov3")
+CLI_COMMANDS = ("validate", "rates", "exact", "simulate")
+# small sweeps keep every CLI case well under a second
+CLI_OVERRIDES = {"n": [1, 2], "trials": 100, "codebook_seeds": 2}
+
+
+def _codebook(preset: str):
+    exp = Experiment(preset_config(preset))
+    return exp, build_codebooks(exp.spec, exp.rates, N, CODEBOOK_SEED)
+
+
+def scheme_run(preset: str, mode: str) -> dict:
+    exp, cb = _codebook(preset)
+    return run_scheme(cb, Mode(mode), TRIALS, exp.seed).to_dict()
+
+
+def scheme_layout(preset: str, mode: str) -> dict:
+    """Seed ranges and per-node allowances; a run shows them only through violations."""
+    _, cb = _codebook(preset)
+    scheme = Scheme(cb, Mode(mode))
+    return {"ell1": scheme.ell1, "ell_k": [scheme.ell_k[i] for i in sorted(scheme.ell_k)],
+            "rho_allowance": list(scheme.rho_allowance)}
+
+
+def allied_run(preset: str) -> dict:
+    exp, cb = _codebook(preset)
+    return allied_generate(cb, TRIALS, exp.seed).to_dict()
+
+
+def exact_law(preset: str, mode: str) -> dict:
+    _, cb = _codebook(preset)
+    ex = exact_induced(cb, Mode(mode))
+    return {"mode": ex.mode, "block_sizes": list(ex.block_sizes),
+            "degenerate_paths": ex.degenerate_paths,
+            "conditional": ex.conditional.ravel().tolist(),
+            "allied_joint": ex.allied_joint.ravel().tolist(),
+            "x1_marginal": ex.x1_marginal.tolist(),
+            "cr_independence": cr_independence(cb), "piecing": piecing_check(cb)}
+
+
+def cli_report(command: str, preset: str, mode: str | None = None) -> dict:
+    cfg = preset_config(preset)
+    cfg.update(CLI_OVERRIDES)
+    if mode is not None:
+        cfg["mode"] = mode
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_command([command, "--config", str(path), "--out", out])
+        report = json.loads((Path(out) / "report.json").read_text())
+    report.pop("generated_at", None)
+    return {"exit_code": code, "report": report}
+
+
+def cases() -> dict:
+    """Fixture name -> zero-argument builder."""
+    out = {}
+    for preset, mode in SCHEME_CASES:
+        out[f"scheme-{preset}-{mode}"] = lambda p=preset, m=mode: scheme_run(p, m)
+        out[f"layout-{preset}-{mode}"] = lambda p=preset, m=mode: scheme_layout(p, m)
+        out[f"exact-{preset}-{mode}"] = lambda p=preset, m=mode: exact_law(p, m)
+    for preset in ALLIED_PRESETS:
+        out[f"allied-{preset}"] = lambda p=preset: allied_run(p)
+    for command in CLI_COMMANDS:
+        for preset in PRESETS:
+            out[f"cli-{command}-{preset}"] = lambda c=command, p=preset: cli_report(c, p)
+    # no preset runs action-dependent mode; markov3 satisfies its restrictions
+    for command in ("exact", "simulate"):
+        out[f"cli-{command}-markov3-action-dependent"] = (
+            lambda c=command: cli_report(c, "markov3", "action-dependent"))
+    return out
+
+
+def fixture_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+def build(name: str):
+    """The builder's output after a JSON round trip, as it would be stored."""
+    return json.loads(json.dumps(cases()[name]()))
+
+
+def load(name: str):
+    return json.loads(fixture_path(name).read_text())
+
+
+def first_difference(want, got, path: str = "$") -> str | None:
+    """Path and values of the first mismatch, or None when got matches want."""
+    if type(want) is not type(got):
+        return f"{path}: type {type(want).__name__} != {type(got).__name__}"
+    if isinstance(want, dict):
+        if list(want) != list(got):
+            return f"{path}: keys {list(want)} != {list(got)}"
+        for key in want:
+            diff = first_difference(want[key], got[key], f"{path}.{key}")
+            if diff:
+                return diff
+        return None
+    if isinstance(want, list):
+        if len(want) != len(got):
+            return f"{path}: length {len(want)} != {len(got)}"
+        for i, (a, b) in enumerate(zip(want, got)):
+            diff = first_difference(a, b, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None
+    if isinstance(want, float):
+        same = (math.isnan(want) and math.isnan(got)) or math.isclose(
+            want, got, rel_tol=FLOAT_RTOL, abs_tol=0.0)
+        return None if same else f"{path}: {want!r} != {got!r}"
+    return None if want == got else f"{path}: {want!r} != {got!r}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the stored fixtures instead of rewriting them")
+    args = parser.parse_args(argv)
+    for name in cases():
+        got = build(name)
+        if args.check:
+            diff = first_difference(load(name), got)
+            if diff:
+                print(f"{name}: {diff}")
+                return 1
+        else:
+            fixture_path(name).write_text(json.dumps(got) + "\n")
+    print("fixtures match" if args.check else f"wrote {len(cases())} fixtures to {GOLDEN_DIR}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -175,3 +175,58 @@ class TestTheoremFlag:
                             "--out", str(tmp_path)])
         assert code == 0
         assert read_report(tmp_path)["region"]["theorem"] == "deterministic"
+
+
+class TestContractExitCodes:
+    """Malformed input exits 2 with an error line, oversized books exit 4, and
+    report.json stays strict JSON; none of these may surface a traceback."""
+
+    def test_non_integer_cap_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COORDLINE_CAP", "abc")
+        code = run_command(["validate", "--preset", "dsbs", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: COORDLINE_CAP" in capsys.readouterr().err
+
+    def test_non_numeric_config_field_exits_2(self, tmp_path, capsys):
+        for field, value in (("h", "two"), ("target", [[0.5], [0.25, 0.25]])):
+            cfg = preset_config("dsbs")
+            cfg["network"][field] = value
+            code = run_command(["validate", "--config", write_config(tmp_path, cfg),
+                                "--out", str(tmp_path)])
+            assert code == 2
+            assert "error: malformed config value" in capsys.readouterr().err
+
+    def test_non_numeric_region_point_exits_2(self, tmp_path, capsys):
+        cfg = preset_config("dsbs")
+        cfg["region"] = {"theorem": "large-cr",
+                         "points": [{"Rc": "lots", "R": [0.2], "rho": [0.0, 0.0]}]}
+        code = run_command(["region", "--config", write_config(tmp_path, cfg),
+                            "--out", str(tmp_path)])
+        assert code == 2
+
+    def test_huge_non_integer_rate_exits_4(self, tmp_path, capsys):
+        cfg = preset_config("dsbs")
+        cfg["rates"]["lambda"] = {"2": 300.3}
+        cfg["codebook_seeds"] = 1
+        for command in ("exact", "simulate"):
+            out = tmp_path / command
+            code = run_command([command, "--config", write_config(tmp_path, cfg),
+                                "--n", "4", "--out", str(out)])
+            assert code == 4
+            assert "above any cap" in read_report(out)["error"]
+
+    def test_zero_trials_exits_2(self, tmp_path, capsys):
+        code = run_command(["simulate", "--preset", "dsbs", "--n", "1", "--trials", "0",
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_no_codebook_seeds_reports_null(self, tmp_path, capsys):
+        cfg = preset_config("dsbs")
+        cfg["codebook_seeds"] = []
+        code = run_command(["simulate", "--config", write_config(tmp_path, cfg),
+                            "--n", "1", "--out", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "report.json").read_text()
+        row = json.loads(text, parse_constant=pytest.fail)["simulate"]["series"][0]
+        assert row["tv_mean"] is None and row["radius"] is None

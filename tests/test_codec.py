@@ -11,12 +11,13 @@ from coordline.codebooks import (
 )
 from coordline.codec import (
     Scheme,
+    _bits,
     allied_generate,
     posterior_select,
     run_scheme,
     select_from_posterior,
 )
-from coordline.errors import UsageError
+from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
 from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
@@ -49,6 +50,20 @@ def markov3_spec_and_rates(p=0.25):
         3, kappa_plus={1: 1.1, 2: 1.1}, kappa_minus={1: 0.0, 2: 0.0},
         lam={2: 0.3, 3: 0.3})
     return spec, rates
+
+
+class TestBits:
+    def test_exact_ceil_log2(self):
+        assert [_bits(s) for s in (1, 2, 3, 4, 5, 2 ** 60)] == [0, 1, 2, 2, 3, 60]
+        # float log2 rounds 2^60 + 1 down to exactly 60
+        assert _bits(2 ** 60 + 1) == 61
+
+
+class TestSelectorSeedRange:
+    def test_unrepresentable_seed_range_is_a_cap_error(self):
+        cb = build_codebooks(dsbs_spec(), h2_rates(), n=4, seed=0)
+        with pytest.raises(ResourceCapError, match="above any cap"):
+            Scheme(cb, Mode.FUNCTIONAL, seed_rate_overrides={"node1": 300.3})
 
 
 class TestSelectFromPosterior:
