@@ -127,27 +127,142 @@ def _stratified_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count
     return out
 
 
-def _iid_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count: int) -> np.ndarray:
-    """count i.i.d. blocks drawn letter by letter from the rows of letter_probs
-    (n, size); count=1 samples one block from a product of per-letter rows."""
-    n, size = letter_probs.shape
-    u = rng.random((count, n))
+def _cum_rows(letter_probs: np.ndarray) -> np.ndarray:
+    """Per-letter cumulative rows of letter_probs (n, size), each ending at exactly 1."""
     cum = np.cumsum(letter_probs, axis=1)
     cum[:, -1] = 1.0
+    return cum
+
+
+def _iid_blocks(rng: np.random.Generator, cum: np.ndarray, count: int) -> np.ndarray:
+    """count i.i.d. blocks drawn letter by letter from per-letter cumulative rows
+    (n, size) as _cum_rows returns them; count=1 samples one block from a
+    product of per-letter rows."""
+    n, size = cum.shape
+    u = rng.random((count, n))
     out = np.empty((count, n), dtype=np.int64)
     for t in range(n):
         out[:, t] = np.searchsorted(cum[t], u[:, t], side="right")
     return np.minimum(out, size - 1, out=out)
 
 
-def _child_rng(seed: int, *key) -> np.random.Generator:
-    flat = [seed & 0xFFFFFFFFFFFFFFFF]
+# ---------------------------------------------------------------------------
+# Seeded streams. The stream (seed, *key) is PCG64 seeded by numpy's
+# SeedSequence over _entropy_words(seed, *key). _StreamFamily derives the same
+# generators for many streams that differ in one int of the key, computing
+# SeedSequence's hashing as uint32 array arithmetic over all rows at once. The
+# constants are numpy's (numpy/random/bit_generator.pyx, pcg64.h), which its
+# stream-compatibility policy keeps fixed.
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+STREAM_BLOCK_ROWS = 512
+"""Rows of seed states a _StreamFamily derives and holds at a time."""
+
+
+def _entropy_words(seed: int, *key) -> np.ndarray:
+    """The uint32 entropy of the stream (seed, *key): the seed's low 64 bits
+    split into 32-bit words (0 gives [0]), then each key int masked to 32 bits
+    and each key string's code points."""
+    s = seed & 0xFFFFFFFFFFFFFFFF
+    words = [s & _M32, s >> 32] if s >> 32 else [s]
     for part in key:
         if isinstance(part, str):
-            flat.extend(ord(ch) for ch in part)
+            words.extend(map(ord, part))
         else:
-            flat.append(int(part) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(flat))
+            words.append(int(part) & _M32)
+    return np.array(words, dtype=np.uint32)
+
+
+def _child_rng(seed: int, *key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(_entropy_words(seed, *key)))
+
+
+def _hash_steps(hc: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The next count (xor, multiply) constant pairs of SeedSequence's running
+    hash constant hc, and the constant after them."""
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(hc)
+        hc = hc * mult & _M32
+        mults.append(hc)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32), hc
+
+
+def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    v = (values ^ xors) * mults
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for every row of a
+    (rows, words) uint32 entropy matrix, as a (rows, 4) uint64 array.
+
+    The hash constant depends only on how many hashes came before, so each
+    step of SeedSequence's loops runs on all rows, and on every pool word
+    the step leaves independent, at once."""
+    rows, width = entropy.shape
+    head = np.zeros((rows, _POOL), dtype=np.uint32)
+    head[:, :min(width, _POOL)] = entropy[:, :_POOL]
+    xors, mults, hc = _hash_steps(_INIT_A, _MULT_A, _POOL)
+    pool = _hashmix(head, xors, mults)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        xors, mults, hc = _hash_steps(hc, _MULT_A, _POOL - 1)
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], xors, mults))
+    for src in range(_POOL, width):
+        xors, mults, hc = _hash_steps(hc, _MULT_A, _POOL)
+        pool = _mix(pool, _hashmix(entropy[:, src, None], xors, mults))
+    xors, mults, _ = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+    words = _hashmix(np.tile(pool, 2), xors, mults)
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> dict:
+    """PCG64's state after seeding from generate_state words (s0, s1, s2, s3):
+    pcg64_set_seed's srandom step in 128-bit arithmetic."""
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+class _StreamFamily:
+    """The streams (seed, *head, row, *tail) for rows 0..rows-1: rng(row) equals
+    _child_rng(seed, *head, row, *tail) draw for draw.
+
+    One Generator serves every row and is re-seeded on each rng call, so a
+    returned generator is valid until the next call; a family belongs to one
+    caller and one thread. Seed states are derived STREAM_BLOCK_ROWS rows at a
+    time, so the memory held does not grow with the row count."""
+
+    def __init__(self, seed: int, head: tuple, tail: tuple, rows: int):
+        self._template = _entropy_words(seed, *head, 0, *tail)
+        self._column = len(_entropy_words(seed, *head))
+        self._rows = rows
+        self._start, self._states = -1, None
+        self._rng = _child_rng(seed, *head, 0, *tail)
+
+    def rng(self, row: int) -> np.random.Generator:
+        start = row - row % STREAM_BLOCK_ROWS
+        if start != self._start:
+            index = np.arange(start, min(start + STREAM_BLOCK_ROWS, self._rows))
+            entropy = np.tile(self._template, (len(index), 1))
+            entropy[:, self._column] = index & _M32
+            self._states = _seed_states(entropy)
+            self._start = start
+        self._rng.bit_generator.state = _pcg64_state(*self._states[row - start].tolist())
+        return self._rng
 
 
 @dataclass(frozen=True)
@@ -315,14 +430,15 @@ def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, ke
     stream (seed, *key, parent index)."""
     n_out = kernel.weights.shape[-1]
     words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+    streams = _StreamFamily(seed, key, (), parents.size)
     for parent_idx in range(parents.size):
         letters = given(parents.unflatten(parent_idx))
         if letters:
             rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
         else:
             rows = np.tile(kernel.weights, (n, 1))
-        rng = _child_rng(seed, *key, parent_idx)
-        words[parent_idx] = _stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
+        words[parent_idx] = _stratified_blocks(streams.rng(parent_idx), rows.reshape(n, n_out),
+                                               slots.size)
     words.setflags(write=False)
     return Book(parents, slots, words)
 
@@ -390,7 +506,7 @@ def build_chain(joint: JointPmf, level_labels: Sequence[str], y_axis: str,
             else:
                 rows = np.tile(marginalize(joint, [lbl]).weights, (n, 1))
             rng = _child_rng(seed, "D", lvl, *prefix)
-            arr[prefix] = _iid_blocks(rng, rows, sizes[lvl])
+            arr[prefix] = _iid_blocks(rng, _cum_rows(rows), sizes[lvl])
         arr.setflags(write=False)
         books.append(arr)
     return ChainCodebook(joint, level_labels, y_axis, sizes, books, n, seed)
@@ -402,7 +518,7 @@ def chain_channel_output(chain: ChainCodebook, prefix: tuple[int, ...], rng: np.
     letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
     rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
     rows = rows.reshape(chain.n, chain.joint.alphabet(chain.y_axis).size)
-    return _iid_blocks(rng, rows, 1)[0]
+    return _iid_blocks(rng, _cum_rows(rows), 1)[0]
 
 
 def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float,

@@ -25,7 +25,9 @@ from .codebooks import (
     Component,
     IndexSpace,
     _child_rng,
+    _cum_rows,
     _iid_blocks,
+    _StreamFamily,
     k_minus,
     k_plus,
     l_of,
@@ -185,7 +187,7 @@ class Scheme:
             self.ell_k[i] = _seed_range(self.n, rk)
 
         x1_marginal = marginalize(spec.network.target, [x_label(1)]).weights
-        self.x1_rows = np.tile(x1_marginal, (self.n, 1))
+        self.x1_cum = _cum_rows(np.tile(x1_marginal, (self.n, 1)))
         self.budgets = resource_map(rates, mode, spec)
         # declared per-node allowance: the mode's allocation plus the selector
         # seed slack actually configured at the node paying for each seed
@@ -216,7 +218,7 @@ class Scheme:
 
     def sample_x1_from_codewords(self, assignment, rng) -> np.ndarray:
         rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
-        return _iid_blocks(rng, rows, 1)[0]
+        return _iid_blocks(rng, _cum_rows(rows), 1)[0]
 
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
         """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-."""
@@ -305,7 +307,9 @@ def _require_c_equals_action(spec: AuxSpec) -> None:
 
 def _selection_table(posterior: np.ndarray, ell: int):
     """Build the staircase table for a posterior: the support is the shortest
-    top-mass prefix minimizing the certificate 2*eps + M/ell."""
+    top-mass prefix minimizing the certificate 2*eps + M/ell. Returns the
+    table, the support size, the induced array and the table's epsilon, bound
+    and realized_l1 as floats, which every selection through it reports."""
     count = len(posterior)
     order = np.lexsort((np.arange(count), -posterior))
     mass = posterior[order]
@@ -319,20 +323,20 @@ def _selection_table(posterior: np.ndarray, ell: int):
     support = [int(order[i]) for i in range(best_m)]
     q = pmf_from_table(["cand"], posterior, normalize=True)
     table = staircase_map(q, support, ell)
-    return table, best_m, table.induced_array(count)
+    return (table, best_m, table.induced_array(count), float(table.epsilon),
+            float(table.bound), float(table.realized_l1))
 
 
 def _staircase_select(selection, seed_value: int | None, rng: np.random.Generator | None,
                       degenerate: bool) -> tuple[SelectorOutcome, np.ndarray]:
     """Map a seed through a _selection_table result; None draws it from rng."""
-    table, best_m, induced = selection
+    table, best_m, induced, epsilon, bound, realized_l1 = selection
     ell = table.ell
     if seed_value is None:
         seed_value = int(rng.integers(1, ell + 1))
     outcome = SelectorOutcome(
-        chosen=table.map_seed(seed_value), ell=ell, support_size=best_m,
-        epsilon=float(table.epsilon), bound=float(table.bound),
-        realized_l1=float(table.realized_l1), seed_value=seed_value,
+        chosen=table.map_seed(seed_value), ell=ell, support_size=best_m, epsilon=epsilon,
+        bound=bound, realized_l1=realized_l1, seed_value=seed_value,
         bits=_bits(ell), degenerate=degenerate)
     return outcome, induced
 
@@ -575,16 +579,23 @@ def _audit(scheme: Scheme, trace: Trace, violations: list):
 def _run_trials(scheme: Scheme, trials: int, seed: int, source, label: str,
                 audit: bool) -> SchemeRun:
     """The trial loop shared by both entry points. source(streams, trace) runs
-    node 1 and returns (x1, assignment, pre-drawn seeds); nodes 2..h relay."""
+    node 1 and returns (x1, assignment, pre-drawn seeds); nodes 2..h relay.
+    In trial t, streams(*key) is the generator of the stream (seed, "trial", t,
+    *key), valid until the next streams call; one _StreamFamily per key serves
+    every trial."""
     cb = scheme.cb
     checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
         r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
     traces = []
     violations: list = []
     degenerate_trials = 0
+    families: dict[tuple, _StreamFamily] = {}
     for t in range(trials):
         def streams(*key, _t=t):
-            return _child_rng(seed, "trial", _t, *key)
+            family = families.get(key)
+            if family is None:
+                family = families[key] = _StreamFamily(seed, ("trial",), key, trials)
+            return family.rng(_t)
 
         trace = Trace(trial=t, seed=seed, x1=[], actions={}, indices={},
                       messages=[], selectors={}, node_bits={})
@@ -614,7 +625,7 @@ def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
         if x1_override is not None:
             x1 = np.asarray(x1_override, dtype=np.int64)
         else:
-            x1 = _iid_blocks(streams("x1"), scheme.x1_rows, 1)[0]
+            x1 = _iid_blocks(streams("x1"), scheme.x1_cum, 1)[0]
         return (x1,) + encode_source_node(scheme, x1, streams, trace, node1_replay)
 
     return _run_trials(scheme, trials, seed, source, scheme.mode.value, audit=True)
