@@ -48,7 +48,7 @@ from .probability import JointPmf, pmf_from_table
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"schema_version", "network", "aux", "rates", "mode", "n", "trials", "seed",
-             "codebook_seeds", "margin", "region", "transfer", "fme", "caps"}
+             "codebook_seeds", "margin", "region", "transfer", "fme"}
 
 
 class ConfigError(UsageError):
@@ -239,21 +239,11 @@ def _cmd_transfer(exp: Experiment) -> tuple[dict, bool]:
     return {"transfer": {"input": pt.to_dict(), "output": moved.to_dict()}}, True
 
 
-def _cmd_simulate(exp: Experiment, threads: int) -> tuple[dict, bool]:
+def _cmd_simulate(exp: Experiment) -> tuple[dict, bool]:
     if exp.spec is None or exp.rates is None:
         raise ConfigError("simulate requires aux and rates sections")
-
-    def one(n: int) -> dict:
-        return mc_coordination_tv(exp.spec, exp.rates, exp.mode, n, exp.trials,
-                                  exp.codebook_seeds, exp.seed).to_dict()
-
-    if threads > 1 and len(exp.n_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            series = list(pool.map(one, exp.n_list))
-    else:
-        series = [one(n) for n in exp.n_list]
+    series = [mc_coordination_tv(exp.spec, exp.rates, exp.mode, n, exp.trials,
+                                 exp.codebook_seeds, exp.seed).to_dict() for n in exp.n_list]
     return {"simulate": {"series": series}}, True
 
 
@@ -341,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["functional", "large-cr", "markov", "deterministic", "zero-local"],
                         default=None, help="region subcommand: which region to test")
     parser.add_argument("--out", default=".", help="output directory for report.json/series.csv")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect (runs are sequential)")
     return parser
 
 
@@ -363,7 +354,7 @@ def run_command(argv: list[str]) -> int:
         elif args.command == "transfer":
             payload, ok = _cmd_transfer(exp)
         elif args.command == "simulate":
-            payload, ok = _cmd_simulate(exp, args.threads)
+            payload, ok = _cmd_simulate(exp)
         elif args.command == "exact":
             payload, ok = _cmd_exact(exp)
         else:

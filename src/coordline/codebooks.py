@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError, resolve_cap
+from .errors import ResourceCapError, UsageError, check_cap
 from .linestruct import (
     AuxSpec,
     IndexPair,
@@ -368,8 +368,7 @@ def _pair_components(pairs: Sequence[IndexPair], sizes) -> list[tuple[Component,
     return out
 
 
-def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int,
-                    cap: int | None = None) -> Codebook:
+def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int) -> Codebook:
     """Draw all codebooks in construction order, respecting the nesting."""
     if n < 1:
         raise UsageError("block length must be >= 1")
@@ -390,11 +389,9 @@ def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int,
                 for i in range(1, h)}
     layout_c = {i: (pair_space(psi(h, i), k_pair(i - 1)), IndexSpace([(l_of(i), sizes[l_of(i)])]))
                 for i in range(2, h + 1)}
-    total = sum(parents.size * slots.size * n
-                for layout in (layout_a, layout_b, layout_c)
-                for parents, slots in layout.values())
-    if total > resolve_cap(cap):
-        raise ResourceCapError(f"codebooks need {total} stored symbols, above cap")
+    check_cap("codebook stored symbols", sum(parents.size * slots.size * n
+                                             for layout in (layout_a, layout_b, layout_c)
+                                             for parents, slots in layout.values()))
 
     def a_letters(pairs, assignment) -> list[np.ndarray]:
         return [books_a[q].lookup(assignment) for q in sorted(pairs)]
@@ -481,7 +478,7 @@ class ChainCodebook:
 
 
 def build_chain(joint: JointPmf, level_labels: Sequence[str], y_axis: str,
-                rates: Sequence[float], n: int, seed: int, cap: int | None = None) -> ChainCodebook:
+                rates: Sequence[float], n: int, seed: int) -> ChainCodebook:
     level_labels = list(level_labels)
     sizes = [codeword_count(n, r) for r in rates]
     total = 0
@@ -489,8 +486,7 @@ def build_chain(joint: JointPmf, level_labels: Sequence[str], y_axis: str,
     for s in sizes:
         acc *= s
         total += acc * n
-    if total > resolve_cap(cap):
-        raise ResourceCapError(f"chain needs {total} stored symbols, above cap")
+    check_cap("chain stored symbols", total)
     books = []
     for lvl, lbl in enumerate(level_labels):
         given = level_labels[:lvl]
@@ -521,11 +517,9 @@ def chain_channel_output(chain: ChainCodebook, prefix: tuple[int, ...], rng: np.
     return _iid_blocks(rng, _cum_rows(rows), 1)[0]
 
 
-def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float,
-                      cap: int | None = None) -> int:
+def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float) -> int:
     """Exact count of index tuples jointly delta-typical with y."""
-    if chain.tuple_count() > resolve_cap(cap):
-        raise ResourceCapError("chain index space above enumeration cap")
+    check_cap("chain index tuples", chain.tuple_count())
     y = np.asarray(list(y), dtype=np.int64)
     if len(y) != chain.n:
         raise UsageError("observation length must equal the block length")

@@ -34,7 +34,7 @@ from .codebooks import (
     m_minus,
     m_plus,
 )
-from .errors import ResourceCapError, UsageError, resolve_cap
+from .errors import ResourceCapError, UsageError, check_cap
 from .linestruct import (
     AuxSpec,
     a_label,
@@ -354,8 +354,7 @@ def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | Non
 
 
 def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
-                     seed: int, rho_budget: float | None = None,
-                     cap: int | None = None) -> dict:
+                     seed: int, rho_budget: float | None = None) -> dict:
     """Seeded index selection against a nested chain codebook.
 
     Computes the exact posterior over the free levels' index tuples given the
@@ -369,9 +368,8 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
         raise UsageError("observation length must match the chain block length")
     free = [lvl for lvl in range(chain.k) if lvl not in fixed]
     shape = [chain.sizes[lvl] for lvl in free]
-    count = int(np.prod(shape)) if shape else 1
-    if count > resolve_cap(cap):
-        raise ResourceCapError("candidate space above cap; use the Monte Carlo path")
+    count = math.prod(shape)
+    check_cap("selector candidates", count)
 
     kernel = condition(chain.joint, list(chain.level_labels))
     weights = np.empty(count)
@@ -560,13 +558,9 @@ class SchemeRun:
 
 def _audit(scheme: Scheme, trace: Trace, violations: list):
     n = scheme.n
-    budgets = scheme.budgets
-    for msg in trace.messages:
-        if scheme.schedule.self_audit:
-            budget, slack = float(msg.bit_size), 0
-        else:
-            budget, slack = budgets.r[msg.hop - 1] * n, len(msg.entries)
-        if msg.bit_size > budget + slack + 1e-9:
+    for msg in trace.messages if scheme.schedule.audits_hops else ():
+        budget = scheme.budgets.r[msg.hop - 1] * n
+        if msg.bit_size > budget + len(msg.entries) + 1e-9:
             violations.append({"trial": trace.trial, "hop": msg.hop,
                                "bits": msg.bit_size, "budget": budget})
     for node, bits in trace.node_bits.items():

@@ -1,4 +1,4 @@
-"""Shared exception types and resource caps."""
+"""Shared exception types and the one resource cap."""
 from __future__ import annotations
 
 import os
@@ -23,10 +23,8 @@ class ResourceCapError(RuntimeError):
     """A dense tensor or enumeration would exceed the configured cap."""
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Effective cell/enumeration cap: explicit arg, else COORDLINE_CAP env, else default."""
-    if cap is not None:
-        return int(cap)
+def resolve_cap() -> int:
+    """Effective cell/enumeration cap: the COORDLINE_CAP env, else the default."""
     env = os.environ.get(_CAP_ENV)
     if env:
         try:
@@ -34,3 +32,11 @@ def resolve_cap(cap: int | None = None) -> int:
         except ValueError:
             raise UsageError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_CELL_CAP
+
+
+def check_cap(what: str, needed: int) -> None:
+    """Raise ResourceCapError when `needed` cells or steps of `what` exceed the cap."""
+    cap = resolve_cap()
+    if needed > cap:
+        raise ResourceCapError(f"{what}: {needed} needed, above the cap of {cap}; "
+                               f"set {_CAP_ENV}={needed} or higher to allow it")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .codebooks import Codebook, Component, build_codebooks, k_minus, k_plus, l_of, m_minus, m_plus
 from .codec import Scheme
-from .errors import ResourceCapError, UsageError, resolve_cap
+from .errors import UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
 from .rates import CodebookRates, Mode
@@ -39,9 +39,9 @@ def _block_decode(idx: int, size: int, n: int) -> np.ndarray:
     return out
 
 
-def target_block_tensor(network: NetworkSpec, n: int, cap: int | None = None) -> np.ndarray:
+def target_block_tensor(network: NetworkSpec, n: int) -> np.ndarray:
     """Target^(x n) reshaped to one axis of size |X_i|^n per node."""
-    big = product_extend(network.target, n, cap=cap)
+    big = product_extend(network.target, n)
     sizes = tuple(a.size ** n for a in network.alphabets)
     return big.weights.reshape(sizes)
 
@@ -100,14 +100,13 @@ def _enumeration_cost(cb: Codebook) -> int:
     return cb.spec.network.alphabets[0].size ** cb.n * _space_size(list(cb.sizes.items()))
 
 
-def exact_induced(cb: Codebook, mode: Mode, cap: int | None = None) -> ExactInduced:
+def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     """Full enumeration of the scheme's conditional action law for one codebook."""
     scheme = Scheme(cb, mode)
     n = cb.n
     h = cb.h
     net = cb.spec.network
-    if _enumeration_cost(cb) > resolve_cap(cap):
-        raise ResourceCapError("exact enumeration above cap; use the Monte Carlo path")
+    check_cap("exact enumeration paths", _enumeration_cost(cb))
 
     sizes = [a.size for a in net.alphabets]
     block_sizes = tuple(s ** n for s in sizes)
@@ -199,9 +198,9 @@ def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def coordination_tv(exact: ExactInduced, network: NetworkSpec, cap: int | None = None) -> float:
+def coordination_tv(exact: ExactInduced, network: NetworkSpec) -> float:
     """Exact L1 between the induced coordination law and target^(x n)."""
-    target = target_block_tensor(network, exact.n, cap=cap)
+    target = target_block_tensor(network, exact.n)
     return float(np.abs(exact.coordination_joint() - target).sum())
 
 
@@ -233,10 +232,11 @@ class SimReport:
 
 def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: int,
                        codebook_seeds: list[int], seed: int,
-                       with_exact: bool = False, cap: int | None = None) -> SimReport:
+                       with_exact: bool = False) -> SimReport:
     """Plug-in TV between the empirical block histogram and target^(x n),
     averaged over codebook seeds. Falls back to a per-letter proxy when the
     block histogram would not fit the cap; the report is labeled PROXY then.
+    Codebook builds and the exact check are held to the same cap.
     tv_mean and radius are None when no codebook seed contributes a TV.
     """
     from .codec import run_scheme
@@ -245,20 +245,15 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         raise UsageError("Monte Carlo estimation needs trials >= 1")
     net = spec.network
     sizes = [a.size for a in net.alphabets]
-    block_cells = 1
-    for s in sizes:
-        block_cells *= s ** n
-    proxy = block_cells > resolve_cap(cap)
+    proxy = math.prod(s ** n for s in sizes) > resolve_cap()
     if proxy:
         target = net.target.weights
     else:
-        target = target_block_tensor(net, n, cap=cap)
+        target = target_block_tensor(net, n)
 
     tvs, excluded, violations = [], [], 0
     exact_val = None
     for cb_seed in codebook_seeds:
-        # the cap argument gates histogram/exact tensor sizes; codebook
-        # construction uses the globally configured cap
         cb = build_codebooks(spec, rates, n, cb_seed)
         run = run_scheme(cb, mode, trials, seed + cb_seed)
         violations += len(run.budget_violations)
@@ -281,8 +276,8 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
             hist /= trials
         tvs.append(float(np.abs(hist - target).sum()))
     if with_exact and not proxy and codebook_seeds:
-        cb = build_codebooks(spec, rates, n, codebook_seeds[0], cap=cap)
-        exact_val = coordination_tv(exact_induced(cb, mode, cap=cap), net, cap=cap)
+        cb = build_codebooks(spec, rates, n, codebook_seeds[0])
+        exact_val = coordination_tv(exact_induced(cb, mode), net)
 
     mean = radius = None
     if tvs:
@@ -303,7 +298,7 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
 # Common-randomness independence and the piecing identity
 
 
-def cr_independence(cb: Codebook, cap: int | None = None) -> float:
+def cr_independence(cb: Codebook) -> float:
     """Average L1 between the uniform-index law of the first action given each
     shared-index value and its average: sum over m- of (1/|M-|) * || Q(.|m-) - Q(.) ||_1."""
     spec = cb.spec
@@ -319,8 +314,7 @@ def cr_independence(cb: Codebook, cap: int | None = None) -> float:
     plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h)]
     n_minus = _space_size(minus_spaces)
     n_plus = _space_size(plus_spaces)
-    if n_minus * n_plus * s1 > resolve_cap(cap):
-        raise ResourceCapError("cr_independence enumeration above cap")
+    check_cap("cr_independence enumeration cells", n_minus * n_plus * s1)
 
     conds = np.zeros((n_minus, s1))
     for row, assignment in enumerate(_assignments(minus_spaces)):
@@ -335,7 +329,7 @@ def cr_independence(cb: Codebook, cap: int | None = None) -> float:
     return float(np.abs(conds - avg).sum(axis=1).mean())
 
 
-def piecing_check(cb: Codebook, cap: int | None = None) -> float:
+def piecing_check(cb: Codebook) -> float:
     """Exact L1 of the piecing identity: target^(x n) against the average over
     m+- of Q(x1 | A) times the chained per-hop conditional ratios."""
     spec = cb.spec
@@ -344,15 +338,11 @@ def piecing_check(cb: Codebook, cap: int | None = None) -> float:
     net = spec.network
     sizes = [a.size for a in net.alphabets]
     block_sizes = [s ** n for s in sizes]
-    cells = 1
-    for s in block_sizes:
-        cells *= s
     a_axes = [a_label(p) for p in order_pairs(h)]
 
     spaces = _pair_spaces(cb)
     total_m = _space_size(spaces)
-    if total_m * cells > resolve_cap(cap):
-        raise ResourceCapError("piecing enumeration above cap")
+    check_cap("piecing enumeration cells", total_m * math.prod(block_sizes))
 
     x1_kernel = condition(marginalize(spec.joint, a_axes + [x_label(1)]), a_axes)
     pair_kernels = {}
@@ -389,5 +379,5 @@ def piecing_check(cb: Codebook, cap: int | None = None) -> float:
         letters = "abcdefgh"
         sub = ",".join([letters[0]] + [letters[j] + letters[j + 1] for j in range(h - 1)])
         pieced += np.einsum(f"{sub}->{letters[:h]}", *factors) / total_m
-    target = target_block_tensor(net, n, cap=cap)
+    target = target_block_tensor(net, n)
     return float(np.abs(target - pieced).sum())

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 from .errors import ResourceCapError, UsageError
 
 DENOMINATOR_CAP = 10 ** 9
-DEFAULT_ROW_CAP = 200_000
+ROW_CAP = 200_000  # rows one elimination step may generate
 
 
 def _rat(x) -> Fraction:
@@ -99,7 +99,7 @@ def _prune(rows):
     return infeasible + out
 
 
-def fme_project(system: LinearSystem, eliminate: Sequence[str], row_cap: int = DEFAULT_ROW_CAP) -> LinearSystem:
+def fme_project(system: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     """Project the solution set onto the variables not listed in `eliminate`.
 
     Sound and complete for the given inequalities; rows redundant under
@@ -122,9 +122,10 @@ def fme_project(system: LinearSystem, eliminate: Sequence[str], row_cap: int = D
                 pos.append((coeffs, rhs))
             else:
                 neg.append((coeffs, rhs))
-        if len(zero) + len(pos) * len(neg) > row_cap:
-            raise ResourceCapError(
-                f"eliminating {var!r} would generate {len(pos) * len(neg)} rows, above cap {row_cap}")
+        needed = len(zero) + len(pos) * len(neg)
+        if needed > ROW_CAP:
+            raise ResourceCapError(f"eliminating {var!r} would generate {needed} rows, "
+                                   f"above the row cap of {ROW_CAP}")
         new_rows = [(_drop(coeffs, k), rhs) for coeffs, rhs in zero]
         for pc, pr in pos:
             for nc, nr in neg:

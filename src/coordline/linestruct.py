@@ -7,12 +7,13 @@ then X1, then per hop: B, C, X) together with the assembled full joint.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError, resolve_cap
+from .errors import ResourceCapError, UsageError, check_cap
 from .probability import (
     Alphabet,
     ConditionalKernel,
@@ -187,7 +188,7 @@ class AuxSpec:
         return order
 
     @classmethod
-    def from_joint(cls, network: NetworkSpec, joint: JointPmf, cap: int | None = None) -> "AuxSpec":
+    def from_joint(cls, network: NetworkSpec, joint: JointPmf) -> "AuxSpec":
         """Derive the factored kernels from a full joint over aux + action axes."""
         h = network.h
         want = set(cls.axis_order(h))
@@ -214,7 +215,7 @@ class AuxSpec:
         for i in range(2, h + 1):
             x_kernels[i] = ker([x_label(i)],
                                [a_label(q) for q in sorted(psi(h, i))] + [b_label(i - 1), c_label(i)])
-        assembled = _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels, cap)
+        assembled = _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels)
         declared = marginalize(joint, cls.axis_order(h))
         return cls(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels,
                    joint=assembled, declared=declared)
@@ -223,16 +224,11 @@ class AuxSpec:
         return marginalize(self.joint, [a_label(p) for p in order_pairs(self.h)])
 
 
-def _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels, cap=None) -> JointPmf:
+def _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels) -> JointPmf:
     """Multiply the kernels in construction order into the full joint."""
     h = network.h
-    cells = 1.0
-    for alph in aux_alphabets.values():
-        cells *= alph.size
-    for alph in network.alphabets:
-        cells *= alph.size
-    if cells > resolve_cap(cap):
-        raise ResourceCapError(f"assembled joint needs {cells:.3g} cells, above cap")
+    check_cap("assembled joint cells",
+              math.prod(a.size for a in [*aux_alphabets.values(), *network.alphabets]))
 
     weights = np.array(1.0)
     labels: list[str] = []
@@ -382,7 +378,7 @@ def channel_of(given: Sequence[str], weights, size: int):
     return ("channel", tuple(given), np.asarray(weights, dtype=np.float64), int(size))
 
 
-def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple], cap: int | None = None) -> JointPmf:
+def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple]) -> JointPmf:
     """Full joint over actions + auxiliaries from per-auxiliary definitions.
 
     Each def is CONSTANT, copy_of(existing axis), or channel_of(given axes,
@@ -427,9 +423,8 @@ def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple], cap: int | 
         else:
             raise UsageError(f"unknown aux definition kind {kind!r}")
         alphabets[lbl] = alph
+        check_cap("aux joint cells", weights.size * alph.size)
         weights, labels = _extend_joint(weights, labels, ker)
-        if weights.size > resolve_cap(cap):
-            raise ResourceCapError("aux joint exceeds cell cap")
 
     axes = [(lbl, alphabets[lbl]) for lbl in labels]
     joint = JointPmf(axes, weights, normalize=True)
@@ -438,8 +433,7 @@ def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple], cap: int | 
 
 def aux_from_tags(network: NetworkSpec, a_tags: Mapping[IndexPair, tuple] | None = None,
                   b_tags: Mapping[int, tuple] | None = None,
-                  c_tags: Mapping[int, tuple] | None = None,
-                  cap: int | None = None) -> AuxSpec:
+                  c_tags: Mapping[int, tuple] | None = None) -> AuxSpec:
     """AuxSpec from per-RV tags; anything unspecified defaults to constant,
     except the C's which default to copies of their node's action."""
     h = network.h
@@ -453,5 +447,4 @@ def aux_from_tags(network: NetworkSpec, a_tags: Mapping[IndexPair, tuple] | None
         defs[b_label(i)] = b_tags.get(i, CONSTANT)
     for i in range(2, h + 1):
         defs[c_label(i)] = c_tags.get(i, copy_of(x_label(i)))
-    joint = build_aux_joint(network, defs, cap=cap)
-    return AuxSpec.from_joint(network, joint, cap=cap)
+    return AuxSpec.from_joint(network, build_aux_joint(network, defs))

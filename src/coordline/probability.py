@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, UsageError, resolve_cap
+from .errors import UsageError, check_cap
 
 MASS_TOL = 1e-9
 
@@ -170,7 +170,7 @@ def uniform_pmf(labels: Sequence[str], sizes: Sequence[int]) -> JointPmf:
 # Operations
 
 
-def product_extend(p: JointPmf, n: int, cap: int | None = None) -> JointPmf:
+def product_extend(p: JointPmf, n: int) -> JointPmf:
     """n-fold i.i.d. extension of p.
 
     Axes are grouped per source axis: label L becomes L@0..L@n-1, so that a
@@ -182,9 +182,7 @@ def product_extend(p: JointPmf, n: int, cap: int | None = None) -> JointPmf:
     if n == 1:
         return p
     k = len(p.axes)
-    cells = float(np.prod(p.sizes)) ** n
-    if cells > resolve_cap(cap):
-        raise ResourceCapError(f"product extension needs {cells:.3g} cells, above cap")
+    check_cap("product extension cells", math.prod(p.sizes) ** n)
     big = p.weights
     for _ in range(n - 1):
         big = np.multiply.outer(big, p.weights)

@@ -52,14 +52,14 @@ class ModeSchedule:
         otherwise K+ is not selected and every B-codebook is constant.
     node1_pays_k_seeds: node 1 pre-draws the seed of every downstream K+
         selector and ships it down the line; otherwise node i draws its own.
-    self_audit: hop bundles are checked against the schedule itself (their own
-        bit count) instead of the resource map's R_i.
+    audits_hops: each hop bundle is checked against the resource map's R_i;
+        otherwise only node bits are audited.
     """
 
     ships_crossing_pairs: bool
     selects_k: bool
     node1_pays_k_seeds: bool
-    self_audit: bool
+    audits_hops: bool
 
     def k_seed_payer(self, i: int) -> int:
         """The node charged for the seed of the K+ selector at node i."""
@@ -68,13 +68,13 @@ class ModeSchedule:
 
 SCHEDULES = {
     Mode.FUNCTIONAL: ModeSchedule(ships_crossing_pairs=False, selects_k=False,
-                                  node1_pays_k_seeds=False, self_audit=False),
+                                  node1_pays_k_seeds=False, audits_hops=True),
     # the k+ index crossing its own hop is outside the resource map's index
-    # convention, so action-dependent bundles are audited against themselves
+    # convention, so action-dependent hop bundles have no R_i to be audited against
     Mode.ACTION_DEPENDENT: ModeSchedule(ships_crossing_pairs=False, selects_k=True,
-                                        node1_pays_k_seeds=True, self_audit=True),
+                                        node1_pays_k_seeds=True, audits_hops=False),
     Mode.UNRESTRICTED: ModeSchedule(ships_crossing_pairs=True, selects_k=True,
-                                    node1_pays_k_seeds=False, self_audit=False),
+                                    node1_pays_k_seeds=False, audits_hops=True),
 }
 
 
@@ -212,6 +212,7 @@ def thm1_check(rates: CodebookRates, spec: AuxSpec, margin: float = DEFAULT_MARG
     pairs = all_pairs(h)
     x_axes = list(spec.network.x_labels)
     subsets = thm1_subsets(h)
+    rest = [p for p in pairs if p != (1, h)]
 
     rhs_joint: dict[tuple, float] = {}
     rhs_x1: dict[tuple, float] = {}
@@ -229,14 +230,12 @@ def thm1_check(rates: CodebookRates, spec: AuxSpec, margin: float = DEFAULT_MARG
         if all(spec.aux_alphabets[a].size == 1 for a in a_axes):
             trivial.add(s)
 
+    # J_S grows with S, so the rhs never increases along supersets: a superset
+    # with an equal rhs exists iff an immediate superset S + {p} has one
     def redundant_in(rhs: dict) -> set:
-        red = set()
-        for s in subsets:
-            for s2 in subsets:
-                if s2 != s and set(s2) > set(s) and abs(rhs[s2] - rhs[s]) <= ZERO_TOL:
-                    red.add(s)
-                    break
-        return red
+        return {s for s in subsets
+                if any(abs(rhs[tuple(sorted(s + (p,)))] - rhs[s]) <= ZERO_TOL
+                       for p in rest if p not in s)}
 
     red_joint = redundant_in(rhs_joint)
     red_x1 = redundant_in(rhs_x1)

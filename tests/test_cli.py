@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from coordline.cli import run_command
+from coordline.cli import Experiment, run_command
+from coordline.codebooks import build_codebooks
 from coordline.presets import preset_config
 
 
@@ -164,6 +165,18 @@ class TestResourceCapExit:
         report = read_report(tmp_path)
         assert "error" in report
 
+    def test_cap_error_names_needed_size_cap_and_env(self, tmp_path, monkeypatch, capsys):
+        exp = Experiment(preset_config("dsbs"))
+        cb = build_codebooks(exp.spec, exp.rates, 4, 0)
+        stored = sum(book.words.size for books in (cb.a, cb.b, cb.c) for book in books.values())
+        monkeypatch.setenv("COORDLINE_CAP", "64")
+        code = run_command(["exact", "--preset", "dsbs", "--n", "4", "--out", str(tmp_path)])
+        assert code == 4
+        error = read_report(tmp_path)["error"]
+        assert f"{stored} needed" in error
+        assert "above the cap of 64" in error
+        assert f"COORDLINE_CAP={stored}" in error
+
 
 class TestTheoremFlag:
     def test_flag_overrides_config(self, tmp_path, capsys):
@@ -214,6 +227,14 @@ class TestContractExitCodes:
                                 "--n", "4", "--out", str(out)])
             assert code == 4
             assert "above any cap" in read_report(out)["error"]
+
+    def test_caps_config_key_exits_2(self, tmp_path, capsys):
+        cfg = preset_config("dsbs")
+        cfg["caps"] = {"cells": 1000}
+        code = run_command(["validate", "--config", write_config(tmp_path, cfg),
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown fields in config: ['caps']" in capsys.readouterr().err
 
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = run_command(["simulate", "--preset", "dsbs", "--n", "1", "--trials", "0",

@@ -111,10 +111,11 @@ class TestBuildAndLookup:
         with pytest.raises(UsageError):
             cb.a_codeword((1, 2), {m_plus((1, 2)): 99, m_minus((1, 2)): 0})
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         spec = dsbs_spec()
+        monkeypatch.setenv("COORDLINE_CAP", "1000")
         with pytest.raises(ResourceCapError):
-            build_codebooks(spec, h2_rates(3.0, 3.0, 3.0), n=10, seed=0, cap=1000)
+            build_codebooks(spec, h2_rates(3.0, 3.0, 3.0), n=10, seed=0)
 
     def test_text_roundtrip(self):
         spec = dsbs_spec()

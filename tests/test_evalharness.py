@@ -59,10 +59,11 @@ class TestExactInduced:
         ex = exact_induced(cb, Mode.FUNCTIONAL)
         assert set(np.round(ex.conditional.ravel(), 12)) <= {0.0, 1.0}
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         cb = build_codebooks(dsbs_spec(), h2_rates(1.0, 1.0, 1.0), n=2, seed=0)
+        monkeypatch.setenv("COORDLINE_CAP", "100")
         with pytest.raises(ResourceCapError):
-            exact_induced(cb, Mode.FUNCTIONAL, cap=100)
+            exact_induced(cb, Mode.FUNCTIONAL)
 
     def test_matches_monte_carlo_histogram(self):
         spec = dsbs_spec()
@@ -109,9 +110,12 @@ class TestMonteCarlo:
         r2 = mc_coordination_tv(spec, rates, Mode.FUNCTIONAL, 1, 500, [3, 4], seed=2)
         assert r1.to_dict() == r2.to_dict()
 
-    def test_proxy_label_when_blocks_too_big(self):
+    def test_proxy_label_when_blocks_too_big(self, monkeypatch):
+        # the codebooks (10,206 stored symbols at n=7) fit the cap, the block
+        # histogram (2^7 * 2^7 = 16,384 cells) does not
+        monkeypatch.setenv("COORDLINE_CAP", "12000")
         spec = dsbs_spec()
-        rep = mc_coordination_tv(spec, h2_rates(), Mode.FUNCTIONAL, 2, 50, [1], seed=0, cap=8)
+        rep = mc_coordination_tv(spec, h2_rates(), Mode.FUNCTIONAL, 7, 50, [1], seed=0)
         assert rep.proxy
         assert "PROXY" in rep.note
 

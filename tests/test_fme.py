@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from coordline.errors import ResourceCapError, UsageError
+from coordline import fme
 from coordline.fme import LinearSystem, fme_project
 from coordline.linestruct import make_network
 from coordline.probability import pmf_from_table
@@ -53,13 +54,14 @@ class TestFmeBasics:
         out = fme_project(sys, ["y"])
         assert not out.contains({"x": 0.0})
 
-    def test_row_cap(self):
+    def test_row_cap(self, monkeypatch):
         rng = np.random.default_rng(0)
         rows = [({"x": float(rng.uniform(-1, 1)), "y": 1.0}, 0.0) for _ in range(40)]
         rows += [({"x": float(rng.uniform(-1, 1)), "y": -1.0}, 0.0) for _ in range(40)]
         sys = LinearSystem.build(["x", "y"], rows)
-        with pytest.raises(ResourceCapError):
-            fme_project(sys, ["y"], row_cap=10)
+        monkeypatch.setattr(fme, "ROW_CAP", 10)
+        with pytest.raises(ResourceCapError, match="1600 rows, above the row cap of 10"):
+            fme_project(sys, ["y"])
 
     def test_domination_pruning(self):
         sys = LinearSystem.build(

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from coordline.errors import UsageError
+from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import (
     CONSTANT,
     AuxSpec,
@@ -157,6 +159,22 @@ class TestAuxAssembly:
         _, tv = divergences(spec2.joint, spec1.joint)
         assert tv <= 1e-9
         assert validate_aux(spec2).ok
+
+    def test_cap_checked_before_the_joint_is_allocated(self, monkeypatch):
+        net = indep_bits_network(2)
+        size = 200_000
+        defs = {"A1_2": channel_of(["X1"], np.full((2, size), 1.0 / size), size),
+                "B1_2": CONSTANT, "C2": copy_of("X2")}
+        monkeypatch.setenv("COORDLINE_CAP", "1000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="aux joint cells: 800000 needed"):
+                build_aux_joint(net, defs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the refused 800,000-cell joint would take 6.4 MB
+        assert peak < 1_000_000
 
     def test_pairwise_chain_on_incomparable_pairs(self):
         # random kernels, h=4: validated specs satisfy the pairwise chains

@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import coordline
 from coordline.cli import run_command
 from coordline.codebooks import build_codebooks
 from coordline.codec import run_scheme
@@ -81,9 +85,26 @@ class TestEnvCap:
         with pytest.raises(ResourceCapError):
             build_codebooks(spec, self_rates(), n=2, seed=0)
 
-    def test_explicit_cap_beats_env(self, monkeypatch):
-        monkeypatch.setenv("COORDLINE_CAP", "123")
-        assert resolve_cap(10_000_000) == 10_000_000
+    def test_no_public_callable_takes_a_cap(self):
+        # COORDLINE_CAP is the one size limit; no function may take its own
+        offenders = []
+        for info in pkgutil.iter_modules(coordline.__path__):
+            module = importlib.import_module(f"coordline.{info.name}")
+            for name, obj in vars(module).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                members = [(name, obj)]
+                if inspect.isclass(obj):
+                    members += [(f"{name}.{m}", f) for m, f in inspect.getmembers(obj, callable)
+                                if not m.startswith("_")]
+                for qual, fn in members:
+                    try:
+                        params = inspect.signature(fn).parameters
+                    except (TypeError, ValueError):
+                        continue
+                    offenders += [f"{info.name}.{qual}({p})" for p in ("cap", "row_cap")
+                                  if p in params]
+        assert offenders == []
 
 
 def self_rates():

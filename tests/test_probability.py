@@ -66,10 +66,11 @@ class TestProductExtend:
         q = product_extend(pmf_from_table(["X"], [0.75, 0.25]), 2)
         assert np.allclose(q.weights, [[0.5625, 0.1875], [0.1875, 0.0625]])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         p = uniform_pmf(["X"], [16])
+        monkeypatch.setenv("COORDLINE_CAP", str(2 ** 20))
         with pytest.raises(ResourceCapError):
-            product_extend(p, 12, cap=2 ** 20)
+            product_extend(p, 12)
 
     def test_block_axes_grouped_per_source_axis(self):
         q = product_extend(dsbs(), 2)
