@@ -87,50 +87,58 @@ class IndexSpace:
         for _, s in self.components:
             self.size *= s
 
-    def flatten(self, assignment: Mapping[Component, int]) -> int:
+    def flatten(self, assignment: Mapping[Component, int | np.ndarray]) -> int | np.ndarray:
+        """The flat index of an assignment. Integer arrays as values give the
+        flat indices of their broadcast grid, so one lookup serves many."""
         idx = 0
         for comp, size in self.components:
             try:
                 v = assignment[comp]
             except KeyError:
                 raise UsageError(f"index bundle is missing component {comp}") from None
-            if not 0 <= v < size:
+            if not (0 <= v < size if isinstance(v, int) else 0 <= v.min() and v.max() < size):
+                v = np.ravel(v)[np.argmax((np.ravel(v) < 0) | (np.ravel(v) >= size))]
                 raise UsageError(f"index {comp} = {v} out of range [0, {size})")
             idx = idx * size + v
         return idx
 
-    def unflatten(self, idx: int) -> dict[Component, int]:
+    def unflatten(self, idx: int | np.ndarray) -> dict[Component, int | np.ndarray]:
         out = {}
         for comp, size in reversed(self.components):
             out[comp] = idx % size
-            idx //= size
+            idx = idx // size
         return dict(reversed(list(out.items())))
 
 
-def _stratified_blocks(rng: np.random.Generator, letter_probs: np.ndarray, count: int) -> np.ndarray:
-    """count codewords of length n decoded from stratified quantiles of the
-    product distribution with per-letter rows letter_probs (n, size)."""
-    n, size = letter_probs.shape
-    strata = rng.permutation(count).astype(np.float64)
-    u = (strata + rng.random(count)) / count
-    out = np.empty((count, n), dtype=np.int64)
+def _stratified_blocks(u: np.ndarray, letter_probs: np.ndarray) -> np.ndarray:
+    """Codewords (B, count, n) decoded from stratified quantiles u (B, count):
+    row b of u decodes, letter by letter, through the product distribution
+    with per-letter rows letter_probs[b] (n, size)."""
+    batch, n, size = letter_probs.shape
+    cum = _cum_rows(letter_probs)
+    out = np.empty((batch, u.shape[1], n), dtype=np.int64)
     for t in range(n):
-        row = letter_probs[t]
-        cum = np.cumsum(row)
-        cum[-1] = 1.0
-        sym = np.searchsorted(cum, u, side="right")
-        sym = np.clip(sym, 0, size - 1)
-        out[:, t] = sym
-        lo = np.where(sym > 0, cum[sym - 1], 0.0)
-        p = row[sym]
+        sym = np.minimum(_search_right(cum[:, t], u), size - 1)
+        out[:, :, t] = sym
+        lo = np.where(sym > 0, np.take_along_axis(cum[:, t], sym - 1, axis=1), 0.0)
+        p = np.take_along_axis(letter_probs[:, t], sym, axis=1)
         u = np.clip((u - lo) / np.where(p > 0, p, 1.0), 0.0, np.nextafter(1.0, 0.0))
     return out
 
 
+def _search_right(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cum[b], u[b], side="right") for every row b: the count of entries
+    <= u on a sorted row. A row unsorted by forcing its end to 1 is searched as such."""
+    sym = (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
+    for b in np.flatnonzero((np.diff(cum, axis=1) < 0).any(axis=1)):
+        sym[b] = np.searchsorted(cum[b], u[b], side="right")
+    return sym
+
+
 def _cum_rows(letter_probs: np.ndarray) -> np.ndarray:
-    """Per-letter cumulative rows of letter_probs (n, size), each ending at exactly 1."""
-    cum = np.cumsum(letter_probs, axis=1)
-    cum[:, -1] = 1.0
+    """Per-letter cumulative rows of letter_probs (..., n, size), each ending at exactly 1."""
+    cum = np.cumsum(letter_probs, axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 
@@ -274,7 +282,8 @@ class Book:
     words: np.ndarray  # (parents.size, slots.size, n) symbol indices
 
     def lookup(self, assignment: Mapping[Component, int]) -> np.ndarray:
-        """The codeword at the book's own components of a (possibly larger) index bundle."""
+        """The codeword at the book's own components of a (possibly larger) index
+        bundle; integer-array indices give the codewords of their grid, stacked."""
         return self.words[self.parents.flatten(assignment), self.slots.flatten(assignment)]
 
 
@@ -424,18 +433,20 @@ def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, ke
                n: int, given) -> Book:
     """One book: for each parent index, slots.size stratified codewords from the
     kernel at the letters given(parent assignment) returns, drawn on the
-    stream (seed, *key, parent index)."""
+    stream (seed, *key, parent index). given runs on integer-array assignments
+    of STREAM_BLOCK_ROWS parents at a time, and so does the decode."""
     n_out = kernel.weights.shape[-1]
-    words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+    count = slots.size
+    words = np.empty((parents.size, count, n), dtype=np.int64)
     streams = _StreamFamily(seed, key, (), parents.size)
-    for parent_idx in range(parents.size):
-        letters = given(parents.unflatten(parent_idx))
-        if letters:
-            rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
-        else:
-            rows = np.tile(kernel.weights, (n, 1))
-        words[parent_idx] = _stratified_blocks(streams.rng(parent_idx), rows.reshape(n, n_out),
-                                               slots.size)
+    for start in range(0, parents.size, STREAM_BLOCK_ROWS):
+        block = np.arange(start, min(start + STREAM_BLOCK_ROWS, parents.size))
+        letters = given(parents.unflatten(block))
+        rows = kernel.weights[tuple(letters)] if letters else np.tile(kernel.weights, (n, 1))
+        u = np.array([(rng.permutation(count) + rng.random(count)) / count
+                      for rng in map(streams.rng, block.tolist())])
+        words[block] = _stratified_blocks(
+            u, np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
     words.setflags(write=False)
     return Book(parents, slots, words)
 

@@ -200,6 +200,7 @@ class Scheme:
 
         # posteriors and staircase tables repeat across trials; memoize them
         self._m1_minus_comps = [m_minus((1, j)) for j in range(2, h + 1)]
+        self._m1_grid = self.m1_space.unflatten(np.arange(self.m1_space.size))
         self._k_comps = ([m_plus(p) for p in self.order] + [m_minus(p) for p in self.order])
         self._post_cache: dict = {}
         self._table_cache: dict = {}
@@ -209,10 +210,8 @@ class Scheme:
     def _psi1_letters(self, assignment) -> list[np.ndarray]:
         return [self.cb.a_codeword(q, assignment) for q in sorted(psi(self.h, 1))]
 
-    def _all_a_letters(self, assignment) -> list[np.ndarray]:
-        return [self.cb.a_codeword(p, assignment) for p in self.order]
-
-    def x1_likelihood(self, x1: np.ndarray, assignment) -> float:
+    def x1_likelihood(self, x1: np.ndarray, assignment) -> float | np.ndarray:
+        """Likelihood of x1 at the assignment's psi(1) codewords, per grid point for arrays."""
         rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
         return _block_likelihood(rows, x1)
 
@@ -223,16 +222,7 @@ class Scheme:
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
         """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-."""
         key = ("m1", x1.tobytes(), tuple(assignment[c] for c in self._m1_minus_comps))
-
-        def weights():
-            out = np.empty(self.m1_space.size)
-            probe = dict(assignment)
-            for flat in range(self.m1_space.size):
-                probe.update(self.m1_space.unflatten(flat))
-                out[flat] = self.x1_likelihood(x1, probe)
-            return out
-
-        return self._posterior(key, weights)
+        return self._posterior(key, lambda: self.x1_likelihood(x1, assignment | self._m1_grid))
 
     def k_posterior(self, i: int, x_block: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
         """Posterior over k_i+ given the node-i action block, all m+-, and k_i-."""
@@ -240,14 +230,10 @@ class Scheme:
                tuple(assignment[c] for c in self._k_comps), assignment[k_minus(i)])
 
         def weights():
-            out = np.empty(self.cb.sizes[k_plus(i)])
-            a_letters = tuple(self._all_a_letters(assignment))
-            probe = dict(assignment)
-            for v in range(len(out)):
-                probe[k_plus(i)] = v
-                rows = self.k_kernels[i].weights[a_letters + (self.cb.b_codeword(i, probe),)]
-                out[v] = _block_likelihood(rows, x_block)
-            return out
+            candidates = assignment | {k_plus(i): np.arange(self.cb.sizes[k_plus(i)])}
+            letters = [self.cb.a_codeword(p, assignment) for p in self.order]
+            rows = self.k_kernels[i].weights[tuple(letters) + (self.cb.b_codeword(i, candidates),)]
+            return _block_likelihood(rows, x_block)
 
         return self._posterior(key, weights)
 
@@ -270,9 +256,9 @@ class Scheme:
         return _staircase_select(hit, seed_value, rng, degenerate)
 
 
-def _block_likelihood(rows: np.ndarray, block: np.ndarray) -> float:
-    """Probability of a block under per-letter rows (n, size)."""
-    return float(np.prod(rows[np.arange(len(block)), block]))
+def _block_likelihood(rows: np.ndarray, block: np.ndarray) -> float | np.ndarray:
+    """Probability of a block under per-letter rows (..., n, size), one per leading index."""
+    return np.prod(rows[..., np.arange(len(block)), block], axis=-1)
 
 
 def _normalized(weights: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -372,13 +358,11 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
     check_cap("selector candidates", count)
 
     kernel = condition(chain.joint, list(chain.level_labels))
-    weights = np.empty(count)
-    for flat, combo in enumerate(np.ndindex(*shape)):
-        assign = dict(fixed) | dict(zip(free, combo))
-        prefix = tuple(assign[lvl] for lvl in range(chain.k))
-        letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
-        weights[flat] = _block_likelihood(kernel.weights[tuple(letters)], y)
-    posterior, degenerate = _normalized(weights)
+    grid = dict(fixed) | dict(zip(free, np.indices(shape).reshape(len(free), count)))
+    prefix = tuple(grid[lvl] for lvl in range(chain.k))
+    letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
+    weights = _block_likelihood(kernel.weights[tuple(letters)], y)
+    posterior, degenerate = _normalized(np.broadcast_to(weights, (count,)))
 
     rng = _child_rng(seed, "posterior_select")
     outcome, induced = select_from_posterior(posterior, ell, None, rng, degenerate)

@@ -9,6 +9,7 @@ random codebook is infinite off support.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -16,7 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codebooks import Codebook, Component, build_codebooks, k_minus, k_plus, l_of, m_minus, m_plus
+from .codebooks import (Codebook, Component, IndexSpace, build_codebooks, k_minus, k_plus, l_of,
+                        m_minus, m_plus)
 from .codec import Scheme
 from .errors import UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
@@ -46,20 +48,25 @@ def target_block_tensor(network: NetworkSpec, n: int) -> np.ndarray:
     return big.weights.reshape(sizes)
 
 
-def _block_vector(rows: np.ndarray) -> np.ndarray:
-    """Product-of-rows vector over blocks: rows (n, s) -> length s^n, row-major."""
-    v = rows[0]
-    for t in range(1, rows.shape[0]):
-        v = np.outer(v, rows[t]).ravel()
-    return v
+def _block_product(rows: np.ndarray) -> np.ndarray:
+    """Per-letter tensors rows (B, n, d_1..d_k) -> block tensors (B, d_1^n, ..., d_k^n).
+    Entry [b, x_1..x_k] multiplies rows[b, t, x_1[t], ..., x_k[t]] over the
+    letters t in order; each block index is row-major over the letters."""
+    batch, n, *dims = rows.shape
+    letters = rows.reshape(batch, n, -1)
+    out = letters[:, 0]
+    for t in range(1, n):
+        out = (letters[:, t, :, None] * out[:, None, :]).reshape(batch, -1)  # newest letter slowest
+    return np.take(out, _block_order(n, tuple(dims)), axis=1).reshape(batch, *[d ** n for d in dims])
 
 
-def _block_matrix(mats: list[np.ndarray]) -> np.ndarray:
-    """Kronecker chain: per-letter (s, s') matrices -> (s^n, s'^n) block matrix."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+@functools.lru_cache(maxsize=16)
+def _block_order(n: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Where each block entry, axis by axis, sits in _block_product's running
+    product, which puts the last letter's joint symbol first."""
+    source = np.arange(math.prod(dims) ** n).reshape(dims * n)
+    perm = [(n - 1 - t) * len(dims) + a for a in range(len(dims)) for t in range(n)]
+    return source.transpose(perm).ravel()
 
 
 @dataclass
@@ -85,6 +92,20 @@ def _assignments(spaces: Sequence[tuple[Component, int]]) -> Iterator[dict[Compo
     comps = [comp for comp, _ in spaces]
     for combo in iproduct(*[range(size) for _, size in spaces]):
         yield dict(zip(comps, combo))
+
+
+GRID_CELLS = 1 << 14
+"""Cells one chunk of an index grid may span: its assignments times the block
+cells each assignment needs. A chunk holds at least one assignment."""
+
+
+def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
+    """The assignments of _assignments(spaces), in the same order, as integer-array
+    assignments of at most GRID_CELLS // cells grid points each."""
+    grid = IndexSpace(spaces)
+    step = max(1, GRID_CELLS // cells)
+    for start in range(0, grid.size, step):
+        yield grid.unflatten(np.arange(start, min(start + step, grid.size)))
 
 
 def _space_size(spaces: Sequence[tuple[Component, int]]) -> int:
@@ -134,7 +155,7 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
                 degenerate += _walk(scheme, 1, x1, assignment, cr_weight * p_m1, cond, [x1_flat])
     allied = _allied_joint(cb, block_sizes)
     x1_marg = marginalize(net.target, [x_label(1)])
-    q1 = _block_vector(np.tile(x1_marg.weights, (n, 1)))
+    q1 = _block_product(np.tile(x1_marg.weights, (1, n, 1)))[0]
     return ExactInduced(conditional=cond, allied_joint=allied, x1_marginal=q1,
                         block_sizes=block_sizes, n=n, mode=scheme.mode.value,
                         degenerate_paths=degenerate)
@@ -179,22 +200,16 @@ def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
     Q(X_1..X_h | A)^(x n) at the realized A codewords."""
     spec = cb.spec
     h = cb.h
-    n = cb.n
     a_axes = [a_label(p) for p in order_pairs(h)]
     marg = marginalize(spec.joint, a_axes + list(spec.network.x_labels))
     kernel = condition(marg, a_axes)
     spaces = _pair_spaces(cb)
     total = _space_size(spaces)
     out = np.zeros(block_sizes)
-    for assignment in _assignments(spaces):
-        letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
-        rows = kernel.weights[tuple(letters)]  # (n, s1, ..., sh)
-        block = rows[0]
-        for t in range(1, n):
-            block = np.multiply.outer(block, rows[t])
-        perm = [t * h + a for a in range(h) for t in range(n)]
-        block = np.transpose(block, perm).reshape(block_sizes)
-        out += block / total
+    for grid in _grid_chunks(spaces, math.prod(block_sizes)):
+        letters = [cb.a_codeword(p, grid) for p in order_pairs(h)]
+        for block in _block_product(kernel.weights[tuple(letters)]) / total:
+            out += block
     return out
 
 
@@ -317,14 +332,13 @@ def cr_independence(cb: Codebook) -> float:
     check_cap("cr_independence enumeration cells", n_minus * n_plus * s1)
 
     conds = np.zeros((n_minus, s1))
-    for row, assignment in enumerate(_assignments(minus_spaces)):
-        acc = np.zeros(s1)
-        for plus in _assignments(plus_spaces):
-            assignment.update(plus)
-            letters = [cb.a_codeword(q, assignment) for q in psi1_pairs]
-            rows = kernel.weights[tuple(letters)]
-            acc += _block_vector(rows)
-        conds[row] = acc / n_plus
+    row = 0
+    for grid in _grid_chunks(minus_spaces + plus_spaces, s1):
+        letters = [cb.a_codeword(q, grid) for q in psi1_pairs]
+        for vector in _block_product(kernel.weights[tuple(letters)]):
+            conds[row // n_plus] += vector
+            row += 1
+    conds /= n_plus
     avg = conds.mean(axis=0)
     return float(np.abs(conds - avg).sum(axis=1).mean())
 
@@ -351,33 +365,27 @@ def piecing_check(cb: Codebook) -> float:
         pair_kernels[j] = condition(
             marginalize(spec.joint, giv + [x_label(j - 1), x_label(j)]), giv)
 
+    # per hop j, every (k+, k-, l) the ratio averages over, flat and in order
+    hops = {j: IndexSpace([(c, cb.sizes[c]) for c in (k_plus(j - 1), k_minus(j - 1), l_of(j))])
+            for j in range(2, h + 1)}
+    cells = block_sizes[0] + sum(hop.size * block_sizes[j - 2] * block_sizes[j - 1]
+                                 for j, hop in hops.items())
+    letters = "abcdefgh"
+    sub = ",".join([letters[0]] + [letters[j] + letters[j + 1] for j in range(h - 1)])
     pieced = np.zeros(tuple(block_sizes))
-    for assignment in _assignments(spaces):
-        a_letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
-        v1 = _block_vector(x1_kernel.weights[tuple(a_letters)])
-        factors = [v1]
-        for j in range(2, h + 1):
-            kp_n = cb.sizes[k_plus(j - 1)]
-            km_n = cb.sizes[k_minus(j - 1)]
-            l_n = cb.sizes[l_of(j)]
-            w = np.zeros((block_sizes[j - 2], block_sizes[j - 1]))
-            for kp_i in range(kp_n):
-                for km_i in range(km_n):
-                    assignment[k_plus(j - 1)] = kp_i
-                    assignment[k_minus(j - 1)] = km_i
-                    b_letters = cb.b_codeword(j - 1, assignment)
-                    for l_i in range(l_n):
-                        assignment[l_of(j)] = l_i
-                        c_letters = cb.c_codeword(j, assignment)
-                        rows = pair_kernels[j].weights[tuple(a_letters) + (b_letters, c_letters)]
-                        mats = [rows[t] for t in range(n)]
-                        w += _block_matrix(mats)
-            w /= kp_n * km_n * l_n
-            marg = w.sum(axis=1, keepdims=True)
-            ratio = np.divide(w, marg, out=np.zeros_like(w), where=marg > 0)
-            factors.append(ratio)
-        letters = "abcdefgh"
-        sub = ",".join([letters[0]] + [letters[j] + letters[j + 1] for j in range(h - 1)])
-        pieced += np.einsum(f"{sub}->{letters[:h]}", *factors) / total_m
+    for grid in _grid_chunks(spaces, cells):
+        a_letters = tuple(cb.a_codeword(p, grid) for p in order_pairs(h))
+        factors = [_block_product(x1_kernel.weights[a_letters])]
+        for j, hop in hops.items():
+            probe = grid | hop.unflatten(np.arange(hop.size)[:, None])  # (k, chunk) grid
+            rows = pair_kernels[j].weights[a_letters + (cb.b_codeword(j - 1, probe),
+                                                         cb.c_codeword(j, probe))]
+            mats = _block_product(rows.reshape(-1, *rows.shape[2:])).reshape(
+                rows.shape[:2] + (block_sizes[j - 2], block_sizes[j - 1]))
+            w = sum(mats) / hop.size  # k by k, in order
+            marg = w.sum(axis=2, keepdims=True)
+            factors.append(np.divide(w, marg, out=np.zeros_like(w), where=marg > 0))
+        for assignment_factors in zip(*factors):
+            pieced += np.einsum(f"{sub}->{letters[:h]}", *assignment_factors) / total_m
     target = target_block_tensor(net, n)
     return float(np.abs(target - pieced).sum())

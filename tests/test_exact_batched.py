@@ -1,0 +1,430 @@
+"""The batched exact paths against per-assignment reference loops.
+
+Codebook draws, node-1 and K+ posteriors, the allied joint, the CR
+independence score and the piecing check evaluate whole index grids at once.
+Each must equal, bit for bit, the loop that visits one index assignment at a
+time; the loops below are that reference. Equality is asserted with
+np.array_equal or ==, never a tolerance.
+"""
+import math
+import tracemalloc
+from itertools import product as iproduct
+
+import numpy as np
+import pytest
+
+from coordline import codebooks, codec, evalharness
+from coordline.cli import Experiment
+from coordline.codebooks import (
+    STREAM_BLOCK_ROWS,
+    Book,
+    IndexSpace,
+    build_codebooks,
+    k_minus,
+    k_plus,
+    l_of,
+    m_minus,
+    m_plus,
+)
+from coordline.codec import Scheme, _normalized
+from coordline.errors import UsageError
+from coordline.evalharness import _allied_joint, cr_independence, exact_induced, piecing_check
+from coordline.linestruct import a_label, b_label, c_label, order_pairs, psi, x_label
+from coordline.presets import preset_config
+from coordline.probability import condition, marginalize
+from coordline.rates import Mode
+
+SEED = 3
+CASES = ([(preset, None, n) for preset in ("dsbs", "dsbs-control", "indep-uniform", "copy3", "markov3")
+          for n in (1, 2, 3)]
+         + [("markov3", "action-dependent", n) for n in (1, 2, 3)]
+         + [("copy3", None, 4), ("dsbs", None, 6)])
+
+
+def _ids(case):
+    preset, mode, n = case
+    return f"{preset}-{mode or 'preset'}-n{n}"
+
+
+def _setup(preset, mode, n):
+    exp = Experiment(preset_config(preset))
+    return exp, Mode(mode) if mode else exp.mode, build_codebooks(exp.spec, exp.rates, n, SEED)
+
+
+def _assignments(spaces):
+    comps = [comp for comp, _ in spaces]
+    for combo in iproduct(*[range(size) for _, size in spaces]):
+        yield dict(zip(comps, combo))
+
+
+def _pair_spaces(cb):
+    return [(kind(p), cb.sizes[kind(p)]) for p in order_pairs(cb.h) for kind in (m_plus, m_minus)]
+
+
+def _blocks(size, n):
+    return [np.array(x, dtype=np.int64) for x in iproduct(range(size), repeat=n)]
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: one index assignment at a time
+
+
+def ref_stratified_blocks(rng, letter_probs, count):
+    n, size = letter_probs.shape
+    strata = rng.permutation(count).astype(np.float64)
+    u = (strata + rng.random(count)) / count
+    out = np.empty((count, n), dtype=np.int64)
+    for t in range(n):
+        row = letter_probs[t]
+        cum = np.cumsum(row)
+        cum[-1] = 1.0
+        sym = np.searchsorted(cum, u, side="right")
+        sym = np.clip(sym, 0, size - 1)
+        out[:, t] = sym
+        lo = np.where(sym > 0, cum[sym - 1], 0.0)
+        p = row[sym]
+        u = np.clip((u - lo) / np.where(p > 0, p, 1.0), 0.0, np.nextafter(1.0, 0.0))
+    return out
+
+
+def ref_draw_book(seed, key, parents, slots, kernel, n, given):
+    n_out = kernel.weights.shape[-1]
+    words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+    for parent_idx in range(parents.size):
+        letters = given(parents.unflatten(parent_idx))
+        if letters:
+            rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
+        else:
+            rows = np.tile(kernel.weights, (n, 1))
+        rng = codebooks._child_rng(seed, *key, parent_idx)
+        words[parent_idx] = ref_stratified_blocks(rng, rows.reshape(n, n_out), slots.size)
+    words.setflags(write=False)
+    return Book(parents, slots, words)
+
+
+def ref_block_likelihood(rows, block):
+    return float(np.prod(rows[np.arange(len(block)), block]))
+
+
+def ref_node1_posterior(scheme, x1, assignment):
+    out = np.empty(scheme.m1_space.size)
+    probe = dict(assignment)
+    for flat in range(scheme.m1_space.size):
+        probe.update(scheme.m1_space.unflatten(flat))
+        letters = [scheme.cb.a_codeword(q, probe) for q in sorted(psi(scheme.h, 1))]
+        out[flat] = ref_block_likelihood(scheme.x1_kernel.weights[tuple(letters)], x1)
+    return _normalized(out)
+
+
+def ref_k_posterior(scheme, i, x_block, assignment):
+    out = np.empty(scheme.cb.sizes[k_plus(i)])
+    a_letters = tuple(scheme.cb.a_codeword(p, assignment) for p in scheme.order)
+    probe = dict(assignment)
+    for v in range(len(out)):
+        probe[k_plus(i)] = v
+        rows = scheme.k_kernels[i].weights[a_letters + (scheme.cb.b_codeword(i, probe),)]
+        out[v] = ref_block_likelihood(rows, x_block)
+    return _normalized(out)
+
+
+def ref_block_vector(rows):
+    v = rows[0]
+    for t in range(1, rows.shape[0]):
+        v = np.outer(v, rows[t]).ravel()
+    return v
+
+
+def ref_allied_joint(cb, block_sizes):
+    spec, h, n = cb.spec, cb.h, cb.n
+    a_axes = [a_label(p) for p in order_pairs(h)]
+    kernel = condition(marginalize(spec.joint, a_axes + list(spec.network.x_labels)), a_axes)
+    spaces = _pair_spaces(cb)
+    total = math.prod(size for _, size in spaces)
+    out = np.zeros(block_sizes)
+    for assignment in _assignments(spaces):
+        rows = kernel.weights[tuple(cb.a_codeword(p, assignment) for p in order_pairs(h))]
+        block = rows[0]
+        for t in range(1, n):
+            block = np.multiply.outer(block, rows[t])
+        perm = [t * h + a for a in range(h) for t in range(n)]
+        out += np.transpose(block, perm).reshape(block_sizes) / total
+    return out
+
+
+def ref_cr_independence(cb):
+    spec, h, n = cb.spec, cb.h, cb.n
+    psi1_pairs = sorted(psi(h, 1))
+    a_psi1 = [a_label(q) for q in psi1_pairs]
+    kernel = condition(marginalize(spec.joint, a_psi1 + [x_label(1)]), a_psi1)
+    s1 = spec.network.alphabets[0].size ** n
+    minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+    plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h)]
+    n_plus = math.prod(size for _, size in plus_spaces)
+    conds = []
+    for assignment in _assignments(minus_spaces):
+        acc = np.zeros(s1)
+        for plus in _assignments(plus_spaces):
+            assignment.update(plus)
+            rows = kernel.weights[tuple(cb.a_codeword(q, assignment) for q in psi1_pairs)]
+            acc += ref_block_vector(rows)
+        conds.append(acc / n_plus)
+    conds = np.array(conds)
+    avg = conds.mean(axis=0)
+    return float(np.abs(conds - avg).sum(axis=1).mean())
+
+
+def ref_piecing_check(cb):
+    spec, h, n = cb.spec, cb.h, cb.n
+    net = spec.network
+    block_sizes = [a.size ** n for a in net.alphabets]
+    a_axes = [a_label(p) for p in order_pairs(h)]
+    spaces = _pair_spaces(cb)
+    total_m = math.prod(size for _, size in spaces)
+    x1_kernel = condition(marginalize(spec.joint, a_axes + [x_label(1)]), a_axes)
+    pair_kernels = {}
+    for j in range(2, h + 1):
+        giv = a_axes + [b_label(j - 1), c_label(j)]
+        pair_kernels[j] = condition(marginalize(spec.joint, giv + [x_label(j - 1), x_label(j)]), giv)
+    pieced = np.zeros(tuple(block_sizes))
+    for assignment in _assignments(spaces):
+        a_letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]
+        factors = [ref_block_vector(x1_kernel.weights[tuple(a_letters)])]
+        for j in range(2, h + 1):
+            kp_n, km_n, l_n = cb.sizes[k_plus(j - 1)], cb.sizes[k_minus(j - 1)], cb.sizes[l_of(j)]
+            w = np.zeros((block_sizes[j - 2], block_sizes[j - 1]))
+            for kp_i in range(kp_n):
+                for km_i in range(km_n):
+                    assignment[k_plus(j - 1)] = kp_i
+                    assignment[k_minus(j - 1)] = km_i
+                    b_letters = cb.b_codeword(j - 1, assignment)
+                    for l_i in range(l_n):
+                        assignment[l_of(j)] = l_i
+                        c_letters = cb.c_codeword(j, assignment)
+                        rows = pair_kernels[j].weights[tuple(a_letters) + (b_letters, c_letters)]
+                        mat = rows[0]
+                        for t in range(1, n):
+                            mat = np.kron(mat, rows[t])
+                        w += mat
+            w /= kp_n * km_n * l_n
+            marg = w.sum(axis=1, keepdims=True)
+            factors.append(np.divide(w, marg, out=np.zeros_like(w), where=marg > 0))
+        letters = "abcdefgh"
+        sub = ",".join([letters[0]] + [letters[j] + letters[j + 1] for j in range(h - 1)])
+        pieced += np.einsum(f"{sub}->{letters[:h]}", *factors) / total_m
+    target = evalharness.target_block_tensor(net, n)
+    return float(np.abs(target - pieced).sum())
+
+
+def _block_sizes(cb):
+    return tuple(a.size ** cb.n for a in cb.spec.network.alphabets)
+
+
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+class TestBitIdentity:
+    def test_codebooks(self, case, monkeypatch):
+        exp, _, cb = _setup(*case)
+        monkeypatch.setattr(codebooks, "_draw_book", ref_draw_book)
+        ref = build_codebooks(exp.spec, exp.rates, cb.n, SEED)
+        assert cb.to_text() == ref.to_text()
+
+    def test_node1_posterior(self, case):
+        _, mode, cb = _setup(*case)
+        scheme = Scheme(cb, mode)
+        h = cb.h
+        cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+                     + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
+                     + [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1])
+        for x1 in _blocks(cb.spec.network.alphabets[0].size, cb.n):
+            for assignment in _assignments(cr_spaces):
+                assignment.update({k_plus(i): 0 for i in range(1, h)})
+                got, got_deg = scheme.node1_posterior(x1, assignment)
+                want, want_deg = ref_node1_posterior(scheme, x1, assignment)
+                assert np.array_equal(got, want) and got_deg == want_deg
+
+    def test_k_posterior(self, case):
+        _, mode, cb = _setup(*case)
+        scheme = Scheme(cb, mode)
+        h = cb.h
+        for i in range(1, h):
+            spaces = _pair_spaces(cb) + [(k_minus(i), cb.sizes[k_minus(i)])]
+            for x_block in _blocks(cb.spec.network.alphabets[i - 1].size, cb.n):
+                for assignment in _assignments(spaces):
+                    got, got_deg = scheme.k_posterior(i, x_block, assignment)
+                    want, want_deg = ref_k_posterior(scheme, i, x_block, assignment)
+                    assert np.array_equal(got, want) and got_deg == want_deg
+
+    def test_evaluators(self, case):
+        _, _, cb = _setup(*case)
+        sizes = _block_sizes(cb)
+        assert np.array_equal(_allied_joint(cb, sizes), ref_allied_joint(cb, sizes))
+        assert cr_independence(cb) == ref_cr_independence(cb)
+        assert piecing_check(cb) == ref_piecing_check(cb)
+
+
+@pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 3)],
+                         ids=_ids)
+def test_exact_induced_matches_reference_posteriors(case, monkeypatch):
+    _, mode, cb = _setup(*case)
+    got = exact_induced(cb, mode)
+    monkeypatch.setattr(Scheme, "node1_posterior", ref_node1_posterior)
+    monkeypatch.setattr(Scheme, "k_posterior", ref_k_posterior)
+    want = exact_induced(cb, mode)
+    assert np.array_equal(got.conditional, want.conditional)
+    assert np.array_equal(got.allied_joint, want.allied_joint)
+    assert np.array_equal(got.x1_marginal, want.x1_marginal)
+    assert got.degenerate_paths == want.degenerate_paths
+
+
+def ref_posterior_select(chain, y, fixed):
+    free = [lvl for lvl in range(chain.k) if lvl not in fixed]
+    shape = [chain.sizes[lvl] for lvl in free]
+    kernel = condition(chain.joint, list(chain.level_labels))
+    weights = np.empty(math.prod(shape))
+    for flat, combo in enumerate(np.ndindex(*shape)):
+        assign = dict(fixed) | dict(zip(free, combo))
+        prefix = tuple(assign[lvl] for lvl in range(chain.k))
+        letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
+        weights[flat] = ref_block_likelihood(kernel.weights[tuple(letters)], y)
+    return _normalized(weights)
+
+
+@pytest.mark.parametrize("fixed", [{}, {0: 1}, {0: 1, 2: 0}, {0: 0, 1: 0, 2: 1}])
+def test_posterior_select_matches_reference(fixed, monkeypatch):
+    chain = codebooks.chain_from_line_h2(_setup("dsbs", None, 3)[2], 2)
+    seen = []
+    original = codec.select_from_posterior
+
+    def spy(posterior, ell, seed_value, rng=None, degenerate=False):
+        seen.append((posterior, degenerate))
+        return original(posterior, ell, seed_value, rng, degenerate)
+
+    monkeypatch.setattr(codec, "select_from_posterior", spy)
+    for y in _blocks(2, 3):
+        codec.posterior_select(chain, y, fixed, ell=4, seed=1)
+        want, want_deg = ref_posterior_select(chain, y, fixed)
+        got, got_deg = seen.pop()
+        assert np.array_equal(got, want) and got_deg == want_deg
+
+
+class TestChunkBoundaries:
+    """Chunks of 1 and 3 assignments, with a partial last chunk, give the same values."""
+
+    @pytest.fixture
+    def chunk_log(self, monkeypatch):
+        log = []
+        original = evalharness._grid_chunks
+
+        def spy(spaces, cells):
+            log.append((cells, [len(next(iter(c.values()))) for c in original(spaces, cells)]))
+            return original(spaces, cells)
+
+        monkeypatch.setattr(evalharness, "_grid_chunks", spy)
+        return log
+
+    @pytest.mark.parametrize("evaluator", ["allied", "cr", "piecing"])
+    # 1, 80 and 18 pair assignments: copy3 ends on a partial chunk of 2
+    @pytest.mark.parametrize("case", [("markov3", None, 2), ("copy3", None, 2), ("dsbs", None, 3)],
+                             ids=_ids)
+    def test_chunk_sizes(self, case, evaluator, chunk_log, monkeypatch):
+        _, _, cb = _setup(*case)
+        sizes = _block_sizes(cb)
+        run, ref = {"allied": (lambda: _allied_joint(cb, sizes), lambda: ref_allied_joint(cb, sizes)),
+                    "cr": (lambda: cr_independence(cb), lambda: ref_cr_independence(cb)),
+                    "piecing": (lambda: piecing_check(cb), lambda: ref_piecing_check(cb))}[evaluator]
+        want = ref()
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 1)
+        assert np.array_equal(run(), want)
+        (cells, chunks), = chunk_log
+        assert set(chunks) == {1}
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
+        assert np.array_equal(run(), want)
+        total = math.prod(size for _, size in _pair_spaces(cb))
+        assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
+
+
+class TestMemory:
+    """Chunked grids keep the working set near the cell budget: an unchunked
+    piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
+    take about 46 MB. Measured peaks: piecing_check 4.6 and exact_induced 7.3
+    budgets, the latter with about 2.4 for the walk's posterior and table
+    caches, which do not depend on chunking."""
+
+    BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
+
+    @pytest.fixture(scope="class")
+    def copy3(self):
+        return _setup("copy3", None, 4)
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_piecing_check(self, copy3):
+        _, _, cb = copy3
+        assert self._peak(lambda: piecing_check(cb)) < self.BOUND * evalharness.GRID_CELLS * 8
+
+    def test_exact_induced(self, copy3):
+        _, mode, cb = copy3
+        assert self._peak(lambda: exact_induced(cb, mode)) < self.BOUND * evalharness.GRID_CELLS * 8
+
+    def test_draw_book_decodes_one_stream_block_at_a_time(self, monkeypatch):
+        exp = Experiment(preset_config("copy3"))
+        seen = []
+        original = codebooks._stratified_blocks
+
+        def spy(u, letter_probs):
+            seen.append(len(u))
+            return original(u, letter_probs)
+
+        monkeypatch.setattr(codebooks, "_stratified_blocks", spy)
+        cb = build_codebooks(exp.spec, exp.rates, 4, SEED)
+        assert max(seen) <= STREAM_BLOCK_ROWS
+        assert sum(seen) == sum(book.parents.size for family in (cb.a, cb.b, cb.c)
+                                for book in family.values())
+        assert max(seen) == STREAM_BLOCK_ROWS  # copy3 at n=4 has books of more parents
+
+
+class TestSearchRight:
+    def test_matches_searchsorted_on_ties_and_unsorted_rows(self):
+        rng = np.random.default_rng(0)
+        cum = codebooks._cum_rows(rng.dirichlet(np.ones(4), size=6))
+        cum[1] = [0.25, 0.5, 0.5, 1.0]
+        # a running sum that rounded above 1 before the last entry was forced to 1
+        cum[2] = [0.3, 0.6, 1.0000000000000002, 1.0]
+        u = rng.random((6, 9))
+        u[:, :4] = cum[:, :4]  # keys equal to entries
+        u[:, 4] = 1.0  # the largest first-letter quantile
+        want = np.array([np.searchsorted(c, x, side="right") for c, x in zip(cum, u)])
+        assert np.array_equal(codebooks._search_right(cum, u), want)
+
+
+class TestArrayIndices:
+    SPACE = IndexSpace([(m_plus((1, 2)), 3), (m_minus((1, 2)), 4)])
+
+    def test_array_flatten_matches_int_flatten(self):
+        grid = self.SPACE.unflatten(np.arange(self.SPACE.size))
+        flat = self.SPACE.flatten(grid)
+        assert flat.tolist() == [self.SPACE.flatten(self.SPACE.unflatten(i))
+                                 for i in range(self.SPACE.size)]
+
+    def test_unflatten_leaves_its_argument_alone(self):
+        idx = np.arange(self.SPACE.size)
+        self.SPACE.unflatten(idx)
+        assert idx.tolist() == list(range(self.SPACE.size))
+
+    @pytest.mark.parametrize("value", [7, -1, np.array([0, 2, 7, 1]), np.array([[0], [-1]])])
+    def test_out_of_range_raises_usage_error(self, value):
+        bad = np.ravel(value)[(np.ravel(value) < 0) | (np.ravel(value) >= 4)][0]
+        with pytest.raises(UsageError, match=rf"index \('m-', 1, 2\) = {bad} out of range \[0, 4\)"):
+            self.SPACE.flatten({m_plus((1, 2)): 0, m_minus((1, 2)): value})
+
+    def test_in_range_array_after_bad_int_component(self):
+        with pytest.raises(UsageError, match=r"= 3 out of range \[0, 3\)"):
+            self.SPACE.flatten({m_plus((1, 2)): 3, m_minus((1, 2)): np.arange(4)})
