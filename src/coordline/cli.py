@@ -20,6 +20,7 @@ import numpy as np
 from .codebooks import build_codebooks
 from .errors import PreconditionError, ResourceCapError, UsageError
 from .evalharness import (
+    check_exact_sizes,
     coordination_tv,
     cr_independence,
     exact_induced,
@@ -255,6 +256,7 @@ def _cmd_exact(exp: Experiment) -> tuple[dict, bool]:
         per_seed = []
         for cb_seed in exp.codebook_seeds:
             cb = build_codebooks(exp.spec, exp.rates, n, cb_seed)
+            check_exact_sizes(cb)
             ex = exact_induced(cb, exp.mode)
             per_seed.append({
                 "codebook_seed": cb_seed,

@@ -44,7 +44,7 @@ from .linestruct import (
     psi,
     x_label,
 )
-from .probability import condition, info_measure, marginalize, pmf_from_table, staircase_map
+from .probability import StaircaseTable, condition, info_measure, marginalize, pmf_from_table, staircase_map
 from .rates import (
     Mode,
     check_mode_restrictions,
@@ -63,17 +63,19 @@ def _bits(size: int) -> int:
 
 @dataclass(frozen=True)
 class SelectorOutcome:
-    """Result of one staircase posterior selection."""
+    """Result of one staircase posterior selection; the certificate is read from the table."""
 
     chosen: int
     ell: int
     support_size: int
-    epsilon: float
-    bound: float
-    realized_l1: float
     seed_value: int
     bits: int
     degenerate: bool
+    table: StaircaseTable = field(repr=False)
+
+    epsilon = property(lambda self: float(self.table.epsilon))
+    bound = property(lambda self: float(self.table.bound))
+    realized_l1 = property(lambda self: float(self.table.realized_l1))
 
     def to_dict(self):
         return {"chosen": self.chosen, "ell": self.ell, "support_size": self.support_size,
@@ -294,36 +296,32 @@ def _require_c_equals_action(spec: AuxSpec) -> None:
 def _selection_table(posterior: np.ndarray, ell: int):
     """Build the staircase table for a posterior: the support is the shortest
     top-mass prefix minimizing the certificate 2*eps + M/ell. Returns the
-    table, the support size, the induced array and the table's epsilon, bound
-    and realized_l1 as floats, which every selection through it reports."""
+    table, the support size and the induced array."""
     count = len(posterior)
     order = np.lexsort((np.arange(count), -posterior))
     mass = posterior[order]
-    cum = np.cumsum(mass)
+    cum = np.cumsum(mass).tolist()
     positive = int((mass > 0).sum())
     best_m, best_cert = 1, float("inf")
     for m in range(1, max(positive, 1) + 1):
         cert = 2.0 * (1.0 - cum[m - 1]) + m / ell
         if cert < best_cert - 1e-15:
             best_cert, best_m = cert, m
-    support = [int(order[i]) for i in range(best_m)]
     q = pmf_from_table(["cand"], posterior, normalize=True)
-    table = staircase_map(q, support, ell)
-    return (table, best_m, table.induced_array(count), float(table.epsilon),
-            float(table.bound), float(table.realized_l1))
+    table = staircase_map(q, order[:best_m].tolist(), ell)
+    return table, best_m, table.induced_array(count)
 
 
 def _staircase_select(selection, seed_value: int | None, rng: np.random.Generator | None,
                       degenerate: bool) -> tuple[SelectorOutcome, np.ndarray]:
     """Map a seed through a _selection_table result; None draws it from rng."""
-    table, best_m, induced, epsilon, bound, realized_l1 = selection
+    table, best_m, induced = selection
     ell = table.ell
     if seed_value is None:
         seed_value = int(rng.integers(1, ell + 1))
     outcome = SelectorOutcome(
-        chosen=table.map_seed(seed_value), ell=ell, support_size=best_m, epsilon=epsilon,
-        bound=bound, realized_l1=realized_l1, seed_value=seed_value,
-        bits=_bits(ell), degenerate=degenerate)
+        chosen=table.map_seed(seed_value), ell=ell, support_size=best_m, seed_value=seed_value,
+        bits=_bits(ell), degenerate=degenerate, table=table)
     return outcome, induced
 
 

@@ -6,8 +6,9 @@ divergences are in bits, with the 0*log(0) = 0 convention.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -320,7 +321,7 @@ def is_jointly_typical(seqs: Sequence[Sequence[int]], joint: JointPmf, eps: floa
 
 
 # ---------------------------------------------------------------------------
-# Staircase quantization of a pmf by a uniform seed (exact rational arithmetic)
+# Staircase quantization of a pmf by a uniform seed (exact rational certificate)
 
 
 @dataclass(frozen=True)
@@ -329,19 +330,19 @@ class StaircaseTable:
 
     cuts = (N_0..N_M) with N_i = floor(p_i * ell) over the cumulative masses of
     `support` in order; seeds in (N_{i-1}, N_i] map to support[i-1], leftover
-    seeds (N_M, ell] map to the last support symbol. `bound` is the certified
-    L1 error 2*epsilon + M/ell (epsilon = mass outside the support set); both
-    it and `realized_l1` are exact rationals.
+    seeds (N_M, ell] map to the last support symbol. `induced` (exact
+    rationals) and `induced_array` follow from the integer cuts alone. The
+    certificate is computed on first read from the snapped rationals of
+    `weights` and cached: `bound` is the certified L1 error 2*epsilon + M/ell
+    (epsilon = mass outside the support set), and `epsilon`, `bound` and
+    `realized_l1` are exact rationals.
     """
 
     support: tuple[int, ...]
     cuts: tuple[int, ...]
     ell: int
-    epsilon: Fraction
-    induced: tuple[Fraction, ...]
-    realized_l1: Fraction
-    bound: Fraction
     vacuous: bool
+    weights: np.ndarray = field(repr=False, compare=False)
 
     def map_seed(self, s: int) -> int:
         if not 1 <= s <= self.ell:
@@ -351,20 +352,57 @@ class StaircaseTable:
                 return self.support[i - 1]
         return self.support[-1]
 
-    def induced_array(self, size: int) -> np.ndarray:
-        out = np.zeros(size)
-        for b, f in zip(self.support, self.induced):
-            out[b] += float(f)
-        return out
+    def _widths(self) -> list[int]:
+        edges = self.cuts[:-1] + (self.ell,)
+        return [max(hi - lo, 0) for lo, hi in zip(edges, edges[1:])]
+
+    induced = functools.cached_property(lambda self: tuple(Fraction(k, self.ell) for k in self._widths()))
+
+    def induced_array(self, size: int) -> np.ndarray:  # k / ell rounds as float(Fraction(k, ell))
+        return np.bincount(self.support, [k / self.ell for k in self._widths()], size)
+
+    _exact = functools.cached_property(lambda self: _snapped(self.weights))
+    epsilon = functools.cached_property(lambda self: 1 - sum(self._exact[b] for b in self.support))
+    bound = functools.cached_property(lambda self: 2 * self.epsilon + Fraction(len(self.support), self.ell))
+
+    @functools.cached_property
+    def realized_l1(self) -> Fraction:
+        by_symbol = dict(zip(self.support, self.induced))
+        return sum(abs(w - by_symbol.get(b, 0)) for b, w in enumerate(self._exact))
+
+
+def _snapped(weights: np.ndarray) -> list[Fraction]:
+    """Float weights snapped to nearby small rationals, so decimal inputs (0.3,
+    1/3 written as 0.333...) cut where intended, then normalized; every exact
+    staircase quantity derives from these, so realized_l1 <= bound is exact."""
+    exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in weights]
+    total = sum(exact)
+    if total <= 0:
+        raise UsageError("zero-mass pmf")
+    return [w / total for w in exact]
+
+
+def _fraction_cuts(exact: Sequence[Fraction], support: Sequence[int], ell: int) -> list[int]:
+    """The cuts in exact rationals, for a table with a cut too close to call in float."""
+    cuts, cum = [0], Fraction(0)
+    for b in support:
+        cum += exact[b]
+        cuts.append(math.floor(cum * ell))
+    return cuts
 
 
 def staircase_map(q: JointPmf, support_order: Sequence[int], ell: int) -> StaircaseTable:
     """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
 
     The support_order must list distinct symbols; its q-mass defines epsilon as
-    the leftover mass. Arithmetic runs in exact rationals on the (normalized)
-    float weights, so realized_l1 <= bound holds exactly, and <= M/ell when the
-    support covers supp(q). ell < M is flagged vacuous (bound >= 1), not fatal.
+    the leftover mass. The cuts are those of exact rational arithmetic on the
+    snapped weights (see _snapped), so realized_l1 <= bound holds exactly, and
+    <= M/ell when the support covers supp(q). They are computed float-first:
+    floor(cumsum * ell / total) in float64, with the last cut ell, decided in
+    integers, when the support holds every positive weight. A table with any
+    other scaled cumulative within ell * size * 2e-12 of an integer takes the
+    exact Fraction loop instead. ell < M is flagged vacuous (bound >= 1), not
+    fatal.
     """
     if len(q.axes) != 1:
         raise UsageError("staircase_map expects a single-axis pmf")
@@ -378,40 +416,22 @@ def staircase_map(q: JointPmf, support_order: Sequence[int], ell: int) -> Stairc
         raise UsageError("support_order has repeated symbols")
     if min(support) < 0 or max(support) >= size:
         raise UsageError("support symbol out of range")
+    ell = int(ell)
 
-    # Snap float weights to nearby small rationals so decimal inputs (0.3, 1/3
-    # written as 0.333...) cut where intended; every derived quantity below is
-    # computed from the same rationals, so realized_l1 <= bound stays exact.
-    exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in q.weights]
-    total = sum(exact)
-    if total <= 0:
-        raise UsageError("zero-mass pmf")
-    exact = [w / total for w in exact]
-
-    m = len(support)
-    cuts = [0]
-    cum = Fraction(0)
-    for b in support:
-        cum += exact[b]
-        cuts.append(math.floor(cum * ell))
-    eps = 1 - cum
-
-    induced = []
-    for i in range(1, m + 1):
-        lo = cuts[i - 1]
-        hi = cuts[i] if i < m else ell
-        induced.append(Fraction(max(hi - lo, 0), ell))
-
-    by_symbol = {b: f for b, f in zip(support, induced)}
-    realized = sum(abs(exact[b] - by_symbol.get(b, Fraction(0))) for b in range(size))
-    bound = 2 * eps + Fraction(m, ell)
-    return StaircaseTable(
-        support=tuple(support),
-        cuts=tuple(cuts),
-        ell=int(ell),
-        epsilon=eps,
-        induced=tuple(induced),
-        realized_l1=realized,
-        bound=bound,
-        vacuous=ell < m,
-    )
+    # Tolerance: limit_denominator(10**12) returns the closest rational with
+    # denominator <= 10**12, so it moves each weight by at most 1/(2*10**12) =
+    # 5e-13. The exact scaled cumulative ell * S_k / T (S_k the first k snapped
+    # support weights, T all of them) is then within ell * (k + size) * 5e-13
+    # <= ell * size * 1e-12 of the real-valued float one (the weights sum to 1
+    # within MASS_TOL); the float64 sums, product and quotient add under
+    # ell * (2 * size + 2) * 2**-53. Outside ell * size * 2e-12 of an integer,
+    # the float floor is the exact floor.
+    w = q.weights
+    scaled = np.cumsum(w[support]) * ell / w.sum()
+    near = np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12
+    if np.count_nonzero(w[support]) == np.count_nonzero(w):  # all mass in the support: S_M = T
+        scaled[-1], near[-1] = ell, False
+    cuts = (_fraction_cuts(_snapped(w), support, ell) if near.any()
+            else [0] + np.floor(scaled).astype(np.int64).tolist())
+    return StaircaseTable(support=tuple(support), cuts=tuple(cuts), ell=ell,
+                          vacuous=ell < len(support), weights=w)

@@ -165,14 +165,6 @@ class RegionReport:
     def passed(self) -> bool:
         return self.applicable and all(c.passed for c in self.constraints)
 
-    @property
-    def binding(self) -> list[Constraint]:
-        act = [c for c in self.constraints if not c.redundant]
-        if not act:
-            return []
-        m = min(c.slack for c in act)
-        return [c for c in act if c.slack <= m + ZERO_TOL]
-
     def to_dict(self):
         return {"kind": self.kind, "applicable": self.applicable, "passed": self.passed,
                 "note": self.note, "constraints": [c.to_dict() for c in self.constraints]}

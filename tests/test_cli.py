@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import coordline.cli as cli
 from coordline.cli import Experiment, run_command
 from coordline.codebooks import build_codebooks
 from coordline.presets import preset_config
@@ -176,6 +177,18 @@ class TestResourceCapExit:
         assert f"{stored} needed" in error
         assert "above the cap of 64" in error
         assert f"COORDLINE_CAP={stored}" in error
+
+    def test_exact_sizes_checked_before_any_evaluator(self, tmp_path, monkeypatch, capsys):
+        """copy3 at n=5 passes the exact-path and cr_independence caps but not
+        piecing's; exact refuses it before exact_induced runs."""
+        def refuse(*args):
+            raise AssertionError("exact_induced ran before the piecing cap refused the codebook")
+
+        monkeypatch.setattr(cli, "exact_induced", refuse)
+        code = run_command(["exact", "--preset", "copy3", "--n", "5", "--out", str(tmp_path)])
+        assert code == 4
+        error = read_report(tmp_path)["error"]
+        assert error.startswith("piecing enumeration cells: 192937984 needed")
 
 
 class TestTheoremFlag:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import coordline.codec as codec
+import coordline.probability as probability
+from coordline.cli import Experiment
 from coordline.codebooks import build_codebooks
 from coordline.errors import ResourceCapError
 from coordline.evalharness import (
@@ -11,6 +14,7 @@ from coordline.evalharness import (
     piecing_check,
 )
 from coordline.linestruct import aux_from_tags, copy_of, make_network
+from coordline.presets import preset_config
 from coordline.rates import CodebookRates, Mode
 
 
@@ -75,6 +79,30 @@ class TestExactInduced:
         rep = mc_coordination_tv(spec, rates, Mode.FUNCTIONAL, n=1, trials=100_000,
                                  codebook_seeds=[7], seed=1)
         assert abs(rep.tv_per_seed[0] - exact_tv) <= 3 * rep.radius
+
+    def test_walk_reads_no_certificate_and_rarely_needs_fractions(self, monkeypatch):
+        """The exact walk needs only the integer cuts: no table's certificate is
+        read, and at most 5% of the tables (67 of 1,641 here) take the Fraction
+        cut loop."""
+        counts = {"tables": 0, "fraction_cuts": 0, "certificates": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(codec, "staircase_map", counted("tables", codec.staircase_map))
+        monkeypatch.setattr(probability, "_fraction_cuts",
+                            counted("fraction_cuts", probability._fraction_cuts))
+        for name in ("epsilon", "bound", "realized_l1"):
+            monkeypatch.setattr(probability.StaircaseTable, name,
+                                property(counted("certificates", lambda table: 0)))
+        exp = Experiment(preset_config("dsbs"))
+        exact_induced(build_codebooks(exp.spec, exp.rates, 6, 3), exp.mode)
+        assert counts["certificates"] == 0
+        assert counts["tables"] > 1000
+        assert counts["fraction_cuts"] <= 0.05 * counts["tables"]
 
 
 class TestCoordinationTv:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coordline.errors import ResourceCapError, UsageError
 from coordline.probability import (
@@ -300,3 +302,70 @@ class TestStaircase:
         for s in range(1, ell + 1):
             counts[t.map_seed(s)] += 1
         assert np.allclose(counts / ell, t.induced_array(5))
+
+
+def fraction_staircase(q, support, ell):
+    """The all-Fraction staircase the float-first table must reproduce exactly:
+    snap, normalize, cut, induce and certify in rationals."""
+    exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in q.weights]
+    total = sum(exact)
+    exact = [w / total for w in exact]
+    cuts, cum = [0], Fraction(0)
+    for b in support:
+        cum += exact[b]
+        cuts.append(math.floor(cum * ell))
+    m = len(support)
+    edges = cuts[:-1] + [ell]
+    induced = tuple(Fraction(max(hi - lo, 0), ell) for lo, hi in zip(edges, edges[1:]))
+    by_symbol = dict(zip(support, induced))
+    epsilon = 1 - cum
+    return {"cuts": tuple(cuts), "induced": induced, "epsilon": epsilon,
+            "bound": 2 * epsilon + Fraction(m, ell),
+            "realized_l1": sum(abs(exact[b] - by_symbol.get(b, 0)) for b in range(len(exact))),
+            "vacuous": ell < m}
+
+
+@st.composite
+def staircase_cases(draw):
+    """(weights, support, ell): random pmfs, dyadic weights under a power-of-two
+    ell (cuts land exactly on integers), weights that snap to 0, truncated and
+    full supports, and ell below the support size."""
+    kind = draw(st.sampled_from(["random", "dyadic", "tiny"]))
+    size = draw(st.integers(1, 24))
+    if kind == "dyadic":
+        k = draw(st.integers(0, 10))
+        marks = sorted(draw(st.lists(st.integers(0, 2 ** k), min_size=size - 1, max_size=size - 1)))
+        weights = [(hi - lo) / 2 ** k for lo, hi in zip([0] + marks, marks + [2 ** k])]
+        ell = 2 ** draw(st.integers(0, 16))
+    else:
+        letter = st.floats(0.0, 1.0)
+        if kind == "tiny":
+            letter = st.one_of(st.sampled_from([0.0, 1e-16, 1e-14, 4.9e-13, 5.1e-13, 1e-12]), letter)
+        weights = draw(st.lists(letter, min_size=size, max_size=size))
+        ell = draw(st.one_of(st.integers(1, 8), st.integers(1, 5000)))
+    if sum(weights) <= 0.0:
+        weights[0] = 1.0
+    order = draw(st.permutations(range(size)))
+    if draw(st.booleans()):
+        support = [b for b in order if weights[b] > 0.0]  # every positive weight
+    else:
+        support = order[:draw(st.integers(1, size))]
+    return weights, support, ell
+
+
+class TestStaircaseAgainstFractions:
+    @settings(max_examples=400, deadline=None)
+    @given(case=staircase_cases())
+    @example(case=([0.25, 0.25, 0.5], [2, 0, 1], 8))
+    @example(case=([0.5, 0.25, 0.125, 0.125], [0, 1, 2], 1024))
+    @example(case=([1e-14, 1.0, 3e-13], [1], 7))
+    @example(case=([0.1] * 10, list(range(10)), 3))
+    def test_equals_fraction_reference(self, case):
+        weights, support, ell = case
+        q = pmf_from_table(["X"], weights, normalize=True)
+        t = staircase_map(q, support, ell)
+        ref = fraction_staircase(q, support, ell)
+        assert {key: getattr(t, key) for key in ref} == ref
+        expected = np.zeros(len(weights))
+        expected[support] = [float(f) for f in ref["induced"]]
+        assert np.array_equal(t.induced_array(len(weights)), expected)
