@@ -11,9 +11,13 @@ marginally an exact draw from its kernel, but the book as a whole covers the
 conditional's quantile space evenly, which keeps desk-scale blocklengths in
 the regime the asymptotic analysis describes; in particular a uniform
 conditional with a matching codeword count enumerates the blocks exactly, so
-integer-rate local randomness is lossless. Chain codebooks (the nested
-single-chain structure used by the seeded-selection analysis) keep plain
-i.i.d. per-letter draws.
+integer-rate local randomness is lossless.
+
+Chain codebooks (the nested single-chain structure used by the seeded-selection
+analysis) store each level as a Book whose slots are that level's index and
+whose parents are the indices of the levels before it, so chain lookups run on
+integer-array index grids and range-check every index. Their draws stay plain
+i.i.d. per letter, level i on the streams (seed, "D", i, *parent indices).
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ def codeword_count(n: int, rate: float) -> int:
         raise ResourceCapError(f"a codebook of 2^{x:.6g} codewords is above any cap") from None
 
 
-Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i)
+Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i) | chain ("d", level)
 
 
 def m_plus(p: IndexPair) -> Component:
@@ -127,11 +131,12 @@ def _stratified_blocks(u: np.ndarray, letter_probs: np.ndarray) -> np.ndarray:
 
 
 def _search_right(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cum[b], u[b], side="right") for every row b: the count of entries
-    <= u on a sorted row. A row unsorted by forcing its end to 1 is searched as such."""
-    sym = (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
-    for b in np.flatnonzero((np.diff(cum, axis=1) < 0).any(axis=1)):
-        sym[b] = np.searchsorted(cum[b], u[b], side="right")
+    """np.searchsorted(cum[i], u[i], side="right") for every row i of cum (..., size) and
+    keys u (..., count): the count of entries <= u on a sorted row. A row unsorted by
+    forcing its end to 1 is searched as such."""
+    sym = (cum[..., None, :] <= u[..., None]).sum(axis=-1)
+    for i in zip(*(cum[..., 1:] < cum[..., :-1]).any(axis=-1).nonzero()):
+        sym[i] = np.searchsorted(cum[i], u[i], side="right")
     return sym
 
 
@@ -142,16 +147,11 @@ def _cum_rows(letter_probs: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _iid_blocks(rng: np.random.Generator, cum: np.ndarray, count: int) -> np.ndarray:
-    """count i.i.d. blocks drawn letter by letter from per-letter cumulative rows
-    (n, size) as _cum_rows returns them; count=1 samples one block from a
-    product of per-letter rows."""
-    n, size = cum.shape
-    u = rng.random((count, n))
-    out = np.empty((count, n), dtype=np.int64)
-    for t in range(n):
-        out[:, t] = np.searchsorted(cum[t], u[:, t], side="right")
-    return np.minimum(out, size - 1, out=out)
+def _iid_blocks(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Blocks (..., count, n) decoded from independent uniforms u (..., count, n): letter t
+    is _search_right of its uniform in row t of cum (..., n, size), as _cum_rows makes it."""
+    sym = _search_right(cum, u.swapaxes(-1, -2))
+    return np.minimum(sym.swapaxes(-1, -2), cum.shape[-1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +246,31 @@ def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> dict:
 
 
 class _StreamFamily:
-    """The streams (seed, *head, row, *tail) for rows 0..rows-1: rng(row) equals
-    _child_rng(seed, *head, row, *tail) draw for draw.
+    """The streams (seed, *head, *index, *tail) for every multi-index of shape:
+    rng(row) equals _child_rng(seed, *head, *np.unravel_index(row, shape), *tail)
+    draw for draw, rows numbering the multi-indices in C order.
 
     One Generator serves every row and is re-seeded on each rng call, so a
     returned generator is valid until the next call; a family belongs to one
     caller and one thread. Seed states are derived STREAM_BLOCK_ROWS rows at a
     time, so the memory held does not grow with the row count."""
 
-    def __init__(self, seed: int, head: tuple, tail: tuple, rows: int):
-        self._template = _entropy_words(seed, *head, 0, *tail)
-        self._column = len(_entropy_words(seed, *head))
-        self._rows = rows
+    def __init__(self, seed: int, head: tuple, tail: tuple, shape: tuple[int, ...]):
+        zeros = (0,) * len(shape)
+        self._template = _entropy_words(seed, *head, *zeros, *tail)
+        first = len(_entropy_words(seed, *head))
+        self._digits = tuple(zip(range(first, first + len(shape)), shape))[::-1]
+        self._rows = math.prod(shape)
         self._start, self._states = -1, None
-        self._rng = _child_rng(seed, *head, 0, *tail)
+        self._rng = _child_rng(seed, *head, *zeros, *tail)
 
     def rng(self, row: int) -> np.random.Generator:
         start = row - row % STREAM_BLOCK_ROWS
         if start != self._start:
             index = np.arange(start, min(start + STREAM_BLOCK_ROWS, self._rows))
             entropy = np.tile(self._template, (len(index), 1))
-            entropy[:, self._column] = index & _M32
+            for column, size in self._digits:
+                index, entropy[:, column] = divmod(index, size)
             self._states = _seed_states(entropy)
             self._start = start
         self._rng.bit_generator.state = _pcg64_state(*self._states[row - start].tolist())
@@ -429,46 +433,61 @@ def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int) -> C
     return Codebook(spec, rates, n, seed, books_a, books_b, books_c, sizes)
 
 
+def _stratified_words(rngs, count: int, letter_probs: np.ndarray) -> np.ndarray:
+    u = np.array([(rng.permutation(count) + rng.random(count)) / count for rng in rngs])
+    return _stratified_blocks(u, letter_probs)
+
+
 def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, kernel,
-               n: int, given) -> Book:
-    """One book: for each parent index, slots.size stratified codewords from the
-    kernel at the letters given(parent assignment) returns, drawn on the
-    stream (seed, *key, parent index). given runs on integer-array assignments
-    of STREAM_BLOCK_ROWS parents at a time, and so does the decode."""
+               n: int, given, shape: tuple[int, ...] | None = None,
+               draw=_stratified_words) -> Book:
+    """One book: for each parent index p, the slots.size codewords draw(rngs, count, letter
+    rows) returns from the kernel at the letters given(assignment of p) returns, on the stream
+    (seed, *key, *np.unravel_index(p, shape)), shape defaulting to (parents.size,). given
+    and draw run on integer-array assignments of STREAM_BLOCK_ROWS parents at a time."""
     n_out = kernel.weights.shape[-1]
-    count = slots.size
-    words = np.empty((parents.size, count, n), dtype=np.int64)
-    streams = _StreamFamily(seed, key, (), parents.size)
+    words = np.empty((parents.size, slots.size, n), dtype=np.int64)
+    streams = _StreamFamily(seed, key, (), (parents.size,) if shape is None else shape)
     for start in range(0, parents.size, STREAM_BLOCK_ROWS):
         block = np.arange(start, min(start + STREAM_BLOCK_ROWS, parents.size))
         letters = given(parents.unflatten(block))
         rows = kernel.weights[tuple(letters)] if letters else np.tile(kernel.weights, (n, 1))
-        u = np.array([(rng.permutation(count) + rng.random(count)) / count
-                      for rng in map(streams.rng, block.tolist())])
-        words[block] = _stratified_blocks(
-            u, np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
+        words[block] = draw(map(streams.rng, block.tolist()), slots.size,
+                            np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
     words.setflags(write=False)
     return Book(parents, slots, words)
+
+
+def _iid_words(rngs, count: int, letter_probs: np.ndarray) -> np.ndarray:
+    u = np.array([rng.random((count, letter_probs.shape[1])) for rng in rngs])
+    return _iid_blocks(u, _cum_rows(letter_probs))
 
 
 # ---------------------------------------------------------------------------
 # Chain codebooks (nested single-index structure) and typical-list accounting
 
 
+def _chain_spaces(sizes: Sequence[int], level: int) -> tuple[IndexSpace, IndexSpace]:
+    """(parents, slots) of a chain level's Book: the earlier levels' indices, and its own."""
+    return (IndexSpace([(("d", d), sizes[d]) for d in range(level)]),
+            IndexSpace([(("d", level), sizes[level])]))
+
+
 class ChainCodebook:
     """Nested chain D_1 -> D_2 -> ... -> D_k feeding a channel to Y.
 
-    Level i holds one codeword per index tuple (l_1..l_i), drawn i.i.d. per
-    letter from Q(D_i | D_1..D_{i-1}) at the parent letters.
+    Level i is a Book holding one codeword per index tuple (l_1..l_i), drawn
+    i.i.d. per letter from Q(D_i | D_1..D_{i-1}) at the parent letters; its
+    slots are l_i and its parents (l_1..l_{i-1}). Lookups range-check every index.
     """
 
     def __init__(self, joint: JointPmf, level_labels: Sequence[str], y_axis: str,
-                 sizes: Sequence[int], books: Sequence[np.ndarray], n: int, seed: int):
+                 levels: Sequence[Book], n: int, seed: int):
         self.joint = joint
         self.level_labels = tuple(level_labels)
         self.y_axis = y_axis
-        self.sizes = tuple(int(s) for s in sizes)
-        self.books = list(books)
+        self.levels = tuple(levels)
+        self.sizes = tuple(book.slots.size for book in self.levels)
         self.n = int(n)
         self.seed = int(seed)
 
@@ -476,89 +495,72 @@ class ChainCodebook:
     def k(self) -> int:
         return len(self.level_labels)
 
+    def tuple_count(self) -> int:
+        return math.prod(self.sizes)
+
     def codeword(self, level: int, prefix: tuple[int, ...]) -> np.ndarray:
         if len(prefix) != level + 1:
             raise UsageError("prefix length must equal level+1")
-        return self.books[level][prefix]
+        return self.levels[level].lookup({("d", d): v for d, v in enumerate(prefix)})
 
-    def tuple_count(self) -> int:
-        out = 1
-        for s in self.sizes:
-            out *= s
-        return out
+    def letters(self, indices: Mapping[int, int | np.ndarray]) -> list[np.ndarray]:
+        """Every level's codewords at level -> index, one index per level 0..k-1
+        (integer arrays give a grid)."""
+        if set(indices) != set(range(self.k)):
+            raise UsageError(f"need an index for each level 0..{self.k - 1}, got {list(indices)}")
+        assignment = {("d", d): v for d, v in indices.items()}
+        return [book.lookup(assignment) for book in self.levels]
+
+    def observation(self, y: Sequence[int]) -> np.ndarray:
+        """y as a Y^n block, after checking its length and symbols."""
+        y = np.asarray(list(y), dtype=np.int64)
+        size = self.joint.alphabet(self.y_axis).size
+        if len(y) != self.n or not np.all((0 <= y) & (y < size)):
+            raise UsageError(f"an observation is {self.n} symbols in [0, {size}), got {y.tolist()}")
+        return y
 
 
 def build_chain(joint: JointPmf, level_labels: Sequence[str], y_axis: str,
                 rates: Sequence[float], n: int, seed: int) -> ChainCodebook:
+    """Level i is drawn per parent index tuple on the stream (seed, "D", i, *tuple)."""
     level_labels = list(level_labels)
     sizes = [codeword_count(n, r) for r in rates]
-    total = 0
-    acc = 1
-    for s in sizes:
-        acc *= s
-        total += acc * n
-    check_cap("chain stored symbols", total)
-    books = []
+    check_cap("chain stored symbols", n * sum(math.prod(sizes[:lvl + 1]) for lvl in range(len(sizes))))
+    levels: list[Book] = []
     for lvl, lbl in enumerate(level_labels):
         given = level_labels[:lvl]
         marg = marginalize(joint, given + [lbl])
-        kernel = condition(marg, given) if given else None
-        shape = tuple(sizes[: lvl + 1])
-        arr = np.empty(shape + (n,), dtype=np.int64)
-        out_size = joint.alphabet(lbl).size
-        for prefix in np.ndindex(*shape[:-1]) if lvl else [()]:
-            if given:
-                letters = [books[d][prefix[: d + 1]] for d in range(lvl)]
-                rows = kernel.weights[tuple(np.asarray(g) for g in letters)].reshape(n, out_size)
-            else:
-                rows = np.tile(marginalize(joint, [lbl]).weights, (n, 1))
-            rng = _child_rng(seed, "D", lvl, *prefix)
-            arr[prefix] = _iid_blocks(rng, _cum_rows(rows), sizes[lvl])
-        arr.setflags(write=False)
-        books.append(arr)
-    return ChainCodebook(joint, level_labels, y_axis, sizes, books, n, seed)
+        levels.append(_draw_book(seed, ("D", lvl), *_chain_spaces(sizes, lvl),
+                                 condition(marg, given) if given else marg, n,
+                                 lambda asg: [level.lookup(asg) for level in levels],
+                                 tuple(sizes[:lvl]), _iid_words))
+    return ChainCodebook(joint, level_labels, y_axis, levels, n, seed)
 
 
 def chain_channel_output(chain: ChainCodebook, prefix: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Sample Y^n from the channel driven by the selected codeword tuple."""
     kernel = condition(chain.joint, list(chain.level_labels))
-    letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
-    rows = kernel.weights[tuple(np.asarray(g) for g in letters)]
-    rows = rows.reshape(chain.n, chain.joint.alphabet(chain.y_axis).size)
-    return _iid_blocks(rng, _cum_rows(rows), 1)[0]
+    rows = kernel.weights[tuple(chain.letters(dict(enumerate(prefix))))]
+    return _iid_blocks(rng.random((1, chain.n)), _cum_rows(rows))[0]
 
 
 def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float) -> int:
-    """Exact count of index tuples jointly delta-typical with y."""
+    """Exact count of index tuples jointly delta-typical with y, tested on the whole
+    tuple grid at once: its letters take (k + 1) times the last level's stored symbols."""
     check_cap("chain index tuples", chain.tuple_count())
-    y = np.asarray(list(y), dtype=np.int64)
-    if len(y) != chain.n:
-        raise UsageError("observation length must equal the block length")
-    count = 0
-    for flat in np.ndindex(*chain.sizes):
-        seqs = [chain.codeword(d, flat[: d + 1]) for d in range(chain.k)]
-        seqs.append(y)
-        if is_jointly_typical(seqs, chain.joint, delta):
-            count += 1
-    return count
+    y = chain.observation(y)
+    grid = np.indices(chain.sizes).reshape(chain.k, -1)
+    return int(is_jointly_typical(chain.letters(dict(enumerate(grid))) + [y], chain.joint, delta).sum())
 
 
 def chain_from_line_h2(cb: Codebook, y_node: int) -> ChainCodebook:
-    """Degenerate h=2 line view as a three-level chain A -> B -> C with Y = X_{y_node}."""
+    """Degenerate h=2 line view as a three-level chain A -> B -> C with Y = X_{y_node}. Each
+    book's parents are the slots of the books before it, so its words serve as they are."""
     spec = cb.spec
     if spec.h != 2:
         raise UsageError("line-to-chain view is defined for h=2")
     labels = [a_label((1, 2)), b_label(1), c_label(2), x_label(y_node)]
-    joint = marginalize(spec.joint, labels)
-    a_book = cb.a[(1, 2)]
-    b_book = cb.b[1]
-    c_book = cb.c[2]
-    s1 = a_book.slots.size
-    s2 = b_book.slots.size
-    s3 = c_book.slots.size
-    books = [
-        a_book.words.reshape(s1, cb.n),
-        b_book.words.reshape(s1, s2, cb.n),
-        c_book.words.reshape(s1, s2, s3, cb.n),
-    ]
-    return ChainCodebook(joint, labels[:3], labels[3], (s1, s2, s3), books, cb.n, cb.seed)
+    books = (cb.a[(1, 2)], cb.b[1], cb.c[2])
+    sizes = [book.slots.size for book in books]
+    levels = [Book(*_chain_spaces(sizes, lvl), book.words) for lvl, book in enumerate(books)]
+    return ChainCodebook(marginalize(spec.joint, labels), labels[:3], labels[3], levels, cb.n, cb.seed)

@@ -219,7 +219,7 @@ class Scheme:
 
     def sample_x1_from_codewords(self, assignment, rng) -> np.ndarray:
         rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
-        return _iid_blocks(rng, _cum_rows(rows), 1)[0]
+        return _iid_blocks(rng.random((1, self.n)), _cum_rows(rows))[0]
 
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
         """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-."""
@@ -347,9 +347,7 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
     rate actually consumed, and the analytic seed-rate requirement
     sum(nu_free) - I(Y; D_free | D_fixed).
     """
-    y = np.asarray(list(y), dtype=np.int64)
-    if len(y) != chain.n:
-        raise UsageError("observation length must match the chain block length")
+    y = chain.observation(y)
     free = [lvl for lvl in range(chain.k) if lvl not in fixed]
     shape = [chain.sizes[lvl] for lvl in free]
     count = math.prod(shape)
@@ -357,9 +355,7 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
 
     kernel = condition(chain.joint, list(chain.level_labels))
     grid = dict(fixed) | dict(zip(free, np.indices(shape).reshape(len(free), count)))
-    prefix = tuple(grid[lvl] for lvl in range(chain.k))
-    letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
-    weights = _block_likelihood(kernel.weights[tuple(letters)], y)
+    weights = _block_likelihood(kernel.weights[tuple(chain.letters(grid))], y)
     posterior, degenerate = _normalized(np.broadcast_to(weights, (count,)))
 
     rng = _child_rng(seed, "posterior_select")
@@ -570,7 +566,7 @@ def _run_trials(scheme: Scheme, trials: int, seed: int, source, label: str,
         def streams(*key, _t=t):
             family = families.get(key)
             if family is None:
-                family = families[key] = _StreamFamily(seed, ("trial",), key, trials)
+                family = families[key] = _StreamFamily(seed, ("trial",), key, (trials,))
             return family.rng(_t)
 
         trace = Trace(trial=t, seed=seed, x1=[], actions={}, indices={},
@@ -601,7 +597,7 @@ def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
         if x1_override is not None:
             x1 = np.asarray(x1_override, dtype=np.int64)
         else:
-            x1 = _iid_blocks(streams("x1"), scheme.x1_cum, 1)[0]
+            x1 = _iid_blocks(streams("x1").random((1, scheme.n)), scheme.x1_cum)[0]
         return (x1,) + encode_source_node(scheme, x1, streams, trace, node1_replay)
 
     return _run_trials(scheme, trials, seed, source, scheme.mode.value, audit=True)

@@ -284,40 +284,39 @@ def divergences(p: JointPmf, q: JointPmf) -> tuple[float, float]:
     return max(kl, 0.0), tv
 
 
-def is_typical(x: Sequence[int], p: JointPmf, eps: float) -> bool:
+def is_typical(x: Sequence[int], p: JointPmf, eps: float) -> bool | np.ndarray:
     """Letter typicality with multiplicative slack: |freq(a) - p(a)| <= eps*p(a) for all a,
-    and freq(a) = 0 whenever p(a) = 0."""
+    and freq(a) = 0 whenever p(a) = 0. Leading axes of x (..., n) are a batch of
+    sequences, answered with a bool array of their shape."""
     if len(p.axes) != 1:
         raise UsageError("is_typical expects a single-axis pmf")
+    return is_jointly_typical([x], p, eps)
+
+
+def is_jointly_typical(seqs: Sequence[Sequence[int]], joint: JointPmf, eps: float) -> bool | np.ndarray:
+    """Joint letter typicality of parallel sequences w.r.t. a multi-axis joint pmf:
+    is_typical of their letter tuples. Sequences with leading batch axes (..., n)
+    broadcast against each other."""
     if eps <= 0:
         raise UsageError("eps must be positive")
-    x = np.asarray(list(x), dtype=np.int64)
-    n = len(x)
-    if n == 0:
-        raise UsageError("empty sequence")
-    size = p.sizes[0]
-    if x.min() < 0 or x.max() >= size:
-        raise UsageError("symbol out of range")
-    freq = np.bincount(x, minlength=size) / float(n)
-    pw = p.weights
-    return bool(np.all(np.abs(freq - pw) <= eps * pw + 1e-15))
-
-
-def is_jointly_typical(seqs: Sequence[Sequence[int]], joint: JointPmf, eps: float) -> bool:
-    """Joint letter typicality of parallel sequences w.r.t. a multi-axis joint pmf."""
-    arrs = [np.asarray(list(s), dtype=np.int64) for s in seqs]
+    arrs = [np.asarray(s, dtype=np.int64) for s in seqs]
     if len(arrs) != len(joint.axes):
         raise UsageError("need one sequence per joint axis")
-    n = len(arrs[0])
-    if any(len(a) != n for a in arrs):
+    lengths = {a.shape[-1] if a.ndim else 0 for a in arrs}
+    if len(lengths) != 1:
         raise UsageError("sequences must share a length")
-    sizes = joint.sizes
-    flat = np.zeros(n, dtype=np.int64)
-    for a, s in zip(arrs, sizes):
-        flat = flat * s + a
-    fused = JointPmf([("J", Alphabet("J", int(np.prod(sizes))))],
-                     joint.weights.reshape(-1), normalize=True)
-    return is_typical(flat, fused, eps)
+    n = lengths.pop()
+    if n == 0:
+        raise UsageError("empty sequence")
+    flat = 0
+    for a, size in zip(arrs, joint.sizes):
+        if a.min() < 0 or a.max() >= size:
+            raise UsageError("symbol out of range")
+        flat = flat * size + a
+    w = joint.weights.reshape(-1)
+    freq = (flat[..., None] == np.arange(len(w))).sum(axis=-2) / float(n)
+    ok = np.all(np.abs(freq - w) <= eps * w + 1e-15, axis=-1)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 # ---------------------------------------------------------------------------

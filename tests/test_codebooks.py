@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from coordline.codebooks import (
+    ChainCodebook,
     Codebook,
     build_chain,
     build_codebooks,
@@ -20,7 +21,8 @@ from coordline.codebooks import (
 )
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
-from coordline.probability import info_measure, pmf_from_table
+from coordline.codec import posterior_select
+from coordline.probability import info_measure, is_jointly_typical, is_typical, pmf_from_table
 from coordline.rates import CodebookRates
 
 
@@ -206,3 +208,90 @@ class TestChain:
         # level-0 codewords coincide with the A-book
         w = chain.codeword(0, (1,))
         assert np.array_equal(w, cb.a_codeword((1, 2), {m_plus((1, 2)): 0, m_minus((1, 2)): 1}))
+
+
+def _small_chain() -> ChainCodebook:
+    """D1 -> D2 -> Y at n=4, with 3 and 2 codewords per level."""
+    flip = np.array([[0.8, 0.2], [0.2, 0.8]])
+    joint = pmf_from_table(["D1", "D2", "Y"], np.einsum("a,ab,bc->abc", [0.5, 0.5], flip, flip))
+    return build_chain(joint, ["D1", "D2"], "Y", (0.39, 0.25), n=4, seed=1)
+
+
+class TestChainIndices:
+    """Every chain index and observation symbol is range-checked."""
+
+    @pytest.mark.parametrize("call", [
+        lambda c: c.codeword(0, (-1,)),
+        lambda c: c.codeword(0, (3,)),
+        lambda c: c.codeword(1, (0, -1)),
+        lambda c: c.codeword(1, (3, 0)),
+        lambda c: chain_channel_output(c, (-1, 0), np.random.default_rng(0)),
+        lambda c: chain_channel_output(c, (0, 2), np.random.default_rng(0)),
+        lambda c: chain_channel_output(c, (0,), np.random.default_rng(0)),
+        lambda c: chain_channel_output(c, (0, 0, 5), np.random.default_rng(0)),
+        lambda c: posterior_select(c, [0, 1, 0, 0], {0: -1}, ell=4, seed=0),
+        lambda c: posterior_select(c, [0, 1, 0, 0], {0: 3}, ell=4, seed=0),
+        lambda c: posterior_select(c, [0, 1, 0, 0], {5: 0}, ell=4, seed=0),
+        lambda c: posterior_select(c, [0, 1, 0, 0], {-1: 0}, ell=4, seed=0),
+    ], ids=["codeword-neg", "codeword-end", "codeword-neg-1", "codeword-parent-end",
+            "channel-neg", "channel-end", "channel-short", "channel-long", "fixed-neg", "fixed-end",
+            "fixed-level-5", "fixed-level-neg"])
+    def test_out_of_range_index_is_a_usage_error(self, call):
+        chain = _small_chain()
+        assert chain.sizes == (3, 2)
+        with pytest.raises(UsageError):
+            call(chain)
+
+    @pytest.mark.parametrize("y", [[0, -1, 0, 0], [0, 7, 0, 0], [0, 2, 0, 0], [0, 1, 0], [0, 1, 0, 0, 1]])
+    @pytest.mark.parametrize("count", [
+        lambda c, y: posterior_select(c, y, {}, ell=4, seed=0),
+        lambda c, y: posterior_select(c, y, {0: 1}, ell=4, seed=0),
+        lambda c, y: typical_list_size(c, y, 0.5),
+    ], ids=["select", "select-fixed", "typical"])
+    def test_bad_observation_is_a_usage_error(self, y, count):
+        with pytest.raises(UsageError):
+            count(_small_chain(), y)
+
+    def test_in_range_indices_still_work(self):
+        chain = _small_chain()
+        assert chain.codeword(1, (2, 1)).shape == (4,)
+        assert chain_channel_output(chain, (2, 1), np.random.default_rng(0)).shape == (4,)
+        assert 0 <= posterior_select(chain, [0, 1, 0, 0], {0: 2}, ell=4, seed=0)["selected"] < 2
+
+
+class TestBatchedTypicality:
+    def test_batch_matches_one_sequence_at_a_time(self):
+        rng = np.random.default_rng(4)
+        p = pmf_from_table(["X"], [0.5, 0.3, 0.2, 0.0])
+        x = rng.choice(4, size=(5, 7, 12), p=[0.45, 0.3, 0.2, 0.05])
+        got = is_typical(x, p, 0.6)
+        assert got.shape == (5, 7) and got.any() and not got.all()
+        want = [[is_typical(row, p, 0.6) for row in block] for block in x]
+        assert got.tolist() == want
+
+    def test_joint_batch_broadcasts_a_shared_sequence(self):
+        rng = np.random.default_rng(5)
+        joint = pmf_from_table(["A", "B", "Y"], rng.dirichlet(np.full(12, 20.0)).reshape(2, 3, 2))
+        a = rng.integers(0, 2, size=(40, 10))
+        b = rng.integers(0, 3, size=(40, 10))
+        y = rng.integers(0, 2, size=10)
+        got = is_jointly_typical([a, b, y], joint, 2.0)
+        assert got.dtype == bool and got.any() and not got.all()
+        assert got.tolist() == [is_jointly_typical([ai, bi, y], joint, 2.0) for ai, bi in zip(a, b)]
+
+    def test_joint_symbol_out_of_its_axis_is_rejected(self):
+        joint = pmf_from_table(["A", "B"], np.full((2, 3), 1 / 6))
+        # A = -1, B = 5 fuses to the in-range joint symbol 2
+        with pytest.raises(UsageError):
+            is_jointly_typical([[-1, 0], [5, 0]], joint, 0.5)
+
+    def test_typical_list_size_matches_per_tuple_loop(self):
+        flip = np.array([[0.7, 0.3], [0.2, 0.8]])
+        joint = pmf_from_table(["D1", "D2", "Y"], np.einsum("a,ab,bc->abc", [0.4, 0.6], flip, flip))
+        chain = build_chain(joint, ["D1", "D2"], "Y", (1.0, 0.7), n=6, seed=8)
+        assert chain.sizes == (64, 19)
+        for y, delta in [([0, 1, 1, 0, 1, 1], 1.5), ([1, 1, 1, 0, 1, 1], 0.9), ([0] * 6, 4.0)]:
+            want = sum(is_jointly_typical([chain.codeword(0, (l1,)), chain.codeword(1, (l1, l2)), y],
+                                          joint, delta)
+                       for l1 in range(chain.sizes[0]) for l2 in range(chain.sizes[1]))
+            assert typical_list_size(chain, y, delta) == want
