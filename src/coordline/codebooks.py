@@ -100,6 +100,10 @@ class IndexSpace:
                 v = assignment[comp]
             except KeyError:
                 raise UsageError(f"index bundle is missing component {comp}") from None
+            if not isinstance(v, int):
+                v = np.asarray(v)
+                if v.dtype.kind not in "iu":
+                    raise UsageError(f"index {comp} = {v} is not an integer")
             if not (0 <= v < size if isinstance(v, int) else 0 <= v.min() and v.max() < size):
                 v = np.ravel(v)[np.argmax((np.ravel(v) < 0) | (np.ravel(v) >= size))]
                 raise UsageError(f"index {comp} = {v} out of range [0, {size})")

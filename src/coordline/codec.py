@@ -148,7 +148,7 @@ def _seed_range(n: int, rate: float) -> int:
 class Scheme:
     """Precomputed tables and selector layout for one (codebook, mode) pair."""
 
-    def __init__(self, cb: Codebook, mode: Mode, seed_rate_overrides: dict | None = None):
+    def __init__(self, cb: Codebook, mode: Mode):
         spec = cb.spec
         rates = cb.rates
         mode = Mode(mode)
@@ -180,13 +180,9 @@ class Scheme:
 
         self.m1_space = IndexSpace([(m_plus((1, j)), cb.sizes[m_plus((1, j))])
                                     for j in range(2, h + 1)])
-        overrides = seed_rate_overrides or {}
-        r1 = overrides.get("node1", node1_selector_rate(spec, rates)) + SEED_MARGIN
-        self.ell1 = _seed_range(self.n, r1)
-        self.ell_k = {}
-        for i in range(1, h):
-            rk = overrides.get(("hop", i), hop_selector_rate(spec, rates, i)) + SEED_MARGIN
-            self.ell_k[i] = _seed_range(self.n, rk)
+        self.ell1 = _seed_range(self.n, node1_selector_rate(spec, rates) + SEED_MARGIN)
+        self.ell_k = {i: _seed_range(self.n, hop_selector_rate(spec, rates, i) + SEED_MARGIN)
+                      for i in range(1, h)}
 
         x1_marginal = marginalize(spec.network.target, [x_label(1)]).weights
         self.x1_cum = _cum_rows(np.tile(x1_marginal, (self.n, 1)))
@@ -587,11 +583,10 @@ def _run_trials(scheme: Scheme, trials: int, seed: int, source, label: str,
 
 
 def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
-               x1_override=None, node1_replay: dict | None = None,
-               seed_rate_overrides: dict | None = None) -> SchemeRun:
+               x1_override=None, node1_replay: dict | None = None) -> SchemeRun:
     """End-to-end coordination runs: sample X1 from the target marginal, draw
     common randomness, encode at node 1, relay down the line."""
-    scheme = Scheme(cb, mode, seed_rate_overrides)
+    scheme = Scheme(cb, mode)
 
     def source(streams, trace):
         if x1_override is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,21 +23,6 @@ from .errors import UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
 from .rates import CodebookRates, Mode
-
-
-def _block_encode(block: np.ndarray, size: int) -> int:
-    out = 0
-    for s in block:
-        out = out * size + int(s)
-    return out
-
-
-def _block_decode(idx: int, size: int, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        out[t] = idx % size
-        idx //= size
-    return out
 
 
 def target_block_tensor(network: NetworkSpec, n: int) -> np.ndarray:
@@ -87,21 +71,14 @@ class ExactInduced:
         return self.x1_marginal.reshape(shape) * self.conditional
 
 
-def _assignments(spaces: Sequence[tuple[Component, int]]) -> Iterator[dict[Component, int]]:
-    """Every index assignment over `spaces` in lexicographic order (last component fastest)."""
-    comps = [comp for comp, _ in spaces]
-    for combo in iproduct(*[range(size) for _, size in spaces]):
-        yield dict(zip(comps, combo))
-
-
 GRID_CELLS = 1 << 14
 """Cells one chunk of an index grid may span: its assignments times the block
 cells each assignment needs. A chunk holds at least one assignment."""
 
 
 def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
-    """The assignments of _assignments(spaces), in the same order, as integer-array
-    assignments of at most GRID_CELLS // cells grid points each."""
+    """Every assignment over spaces in lexicographic order (last component fastest),
+    as integer-array assignments of at most GRID_CELLS // cells grid points each."""
     grid = IndexSpace(spaces)
     step = max(1, GRID_CELLS // cells)
     for start in range(0, grid.size, step):
@@ -130,7 +107,12 @@ def check_exact_sizes(cb: Codebook, *names: str) -> None:
 
 
 def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
-    """Full enumeration of the scheme's conditional action law for one codebook."""
+    """Full enumeration of the scheme's conditional action law for one codebook.
+
+    Breadth-first over integer-array paths: each chunk of (x1 block, shared
+    indices) rows branches every path on node 1's m1, then per hop on k+ and l.
+    Branching repeats each path in place, so paths keep the order of a
+    depth-first walk, and np.add.at sums their mass into the law in that order."""
     scheme = Scheme(cb, mode)
     n = cb.n
     h = cb.h
@@ -150,17 +132,36 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     for _, s in cr_spaces:
         cr_weight /= s
 
-    x1_size = sizes[0]
-    for x1_flat in range(block_sizes[0]):
-        x1 = _block_decode(x1_flat, x1_size, n)
-        for assignment in _assignments(cr_spaces):
-            for i in range(1, h):
-                assignment.setdefault(k_plus(i), 0)
-            posterior, deg = scheme.node1_posterior(x1, assignment)
-            degenerate += int(deg)
-            for m1_flat, p_m1 in _selector_law(scheme, posterior, scheme.ell1):
-                assignment.update(scheme.m1_space.unflatten(m1_flat))
-                degenerate += _walk(scheme, 1, x1, assignment, cr_weight * p_m1, cond, [x1_flat])
+    selects = {i: scheme.schedule.selects_k and cb.sizes[k_plus(i)] > 1 for i in range(1, h)}
+    fan_out = scheme.m1_space.size * math.prod(
+        cb.sizes[l_of(i + 1)] * (cb.sizes[k_plus(i)] if selects[i] else 1) for i in range(1, h))
+    cr_comps = [comp for comp, _ in cr_spaces]
+    pair_comps = [comp for comp, _ in _pair_spaces(cb)]
+    blocks = [("x", i) for i in range(1, h + 1)]  # flat action block of each node
+    for paths in _grid_chunks([(blocks[0], block_sizes[0])] + cr_spaces,
+                              fan_out * (len(cb.sizes) + n + h)):
+        paths["x"] = np.stack(np.unravel_index(paths[blocks[0]], (sizes[0],) * n), axis=-1)
+        paths["p"] = np.full(len(paths["x"]), cr_weight)
+        paths, deg = _branch(scheme, paths, scheme.ell1, scheme.m1_space,
+                             map(scheme.node1_posterior, paths["x"], _rows(paths, cr_comps)))
+        degenerate += deg
+        for node in range(1, h):
+            if selects[node]:
+                paths, deg = _branch(
+                    scheme, paths, scheme.ell_k[node],
+                    IndexSpace([(k_plus(node), cb.sizes[k_plus(node)])]),
+                    map(functools.partial(scheme.k_posterior, node), paths["x"],
+                        _rows(paths, pair_comps + [k_minus(node)])))
+                degenerate += deg
+            else:
+                paths[k_plus(node)] = np.zeros(len(paths["p"]), dtype=np.int64)
+            size_l = cb.sizes[l_of(node + 1)]
+            l_vals = np.tile(np.arange(size_l), len(paths["p"]))
+            paths = _repeat(paths, size_l) | {l_of(node + 1): l_vals}
+            paths["p"] = paths["p"] / size_l
+            paths["x"] = cb.c_codeword(node + 1, paths)
+            paths[blocks[node]] = np.ravel_multi_index(tuple(paths["x"].T), (sizes[node],) * n)
+        np.add.at(cond, tuple(paths[b] for b in blocks), paths["p"])
     allied = _allied_joint(cb, block_sizes)
     x1_marg = marginalize(net.target, [x_label(1)])
     q1 = _block_product(np.tile(x1_marg.weights, (1, n, 1)))[0]
@@ -169,38 +170,34 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
                         degenerate_paths=degenerate)
 
 
-def _selector_law(scheme: Scheme, posterior: np.ndarray, ell: int) -> list[tuple[int, float]]:
-    """(candidate, probability) pairs of the staircase selector's induced law."""
-    _, induced = scheme.selection(posterior, ell, 1)
-    return [(int(v), induced[v]) for v in np.nonzero(induced)[0]]
+def _rows(paths: dict, comps: Sequence[Component]) -> Iterator[dict[Component, int]]:
+    """The int assignment of comps at each path, in order."""
+    for values in zip(*[paths[c].tolist() for c in comps]):
+        yield dict(zip(comps, values))
 
 
-def _walk(scheme: Scheme, node: int, x_prev: np.ndarray, assignment: dict, prob: float,
-          cond: np.ndarray, prefix: list[int]) -> int:
-    """Recurse down the line from `node` (the hop node->node+1), accumulating
-    conditional probability mass for every reachable action tuple."""
-    cb = scheme.cb
-    h = scheme.h
-    degenerate = 0
-    k_options = [(0, 1.0)]
-    if scheme.schedule.selects_k and cb.sizes[k_plus(node)] > 1:
-        posterior, deg = scheme.k_posterior(node, x_prev, assignment)
+def _repeat(paths: dict, counts) -> dict:
+    """Each path repeated counts times (per path, or one int for all), its copies adjacent."""
+    return {key: np.repeat(v, counts, axis=0) for key, v in paths.items()}
+
+
+def _branch(scheme: Scheme, paths: dict, ell: int, space: IndexSpace,
+            posteriors) -> tuple[dict, int]:
+    """Each path branched on the candidates (flat in space) its staircase selector
+    gives mass, ascending, with that mass multiplied into its probability "p";
+    posteriors yields each path's (posterior, degenerate). Returns the paths and
+    the number of degenerate posteriors."""
+    values, mass, counts, degenerate = [], [], [], 0
+    for posterior, deg in posteriors:
+        _, induced = scheme.selection(posterior, ell, 1)
+        support = np.flatnonzero(induced)
+        values.append(support)
+        mass.append(induced[support])
+        counts.append(len(support))
         degenerate += int(deg)
-        k_options = _selector_law(scheme, posterior, scheme.ell_k[node])
-    size_l = cb.sizes[l_of(node + 1)]
-    x_size = scheme.spec.network.alphabets[node].size
-    for k_val, k_prob in k_options:
-        assignment[k_plus(node)] = k_val
-        for l_val in range(size_l):
-            assignment[l_of(node + 1)] = l_val
-            action = cb.c_codeword(node + 1, assignment)
-            flat = _block_encode(action, x_size)
-            p = prob * k_prob / size_l
-            if node + 1 == h:
-                cond[tuple(prefix + [flat])] += p
-            else:
-                degenerate += _walk(scheme, node + 1, action, assignment, p, cond, prefix + [flat])
-    return degenerate
+    out = _repeat(paths, np.array(counts)) | space.unflatten(np.concatenate(values))
+    out["p"] = out["p"] * np.concatenate(mass)
+    return out, degenerate
 
 
 def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
@@ -283,20 +280,13 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         if run.degenerate_trials:
             excluded.append(cb_seed)
             continue
-        if proxy:
-            hist = np.zeros(tuple(sizes))
-            for tr in run.traces:
-                blocks = [tr.actions[x_label(i)] for i in range(1, net.h + 1)]
-                for t in range(n):
-                    hist[tuple(b[t] for b in blocks)] += 1.0
-            hist /= hist.sum()
-        else:
-            hist = np.zeros(tuple(s ** n for s in sizes))
-            for tr in run.traces:
-                idx = tuple(_block_encode(np.asarray(tr.actions[x_label(i)]), sizes[i - 1])
-                            for i in range(1, net.h + 1))
-                hist[idx] += 1.0
-            hist /= trials
+        acts = np.array([[tr.actions[x] for x in net.x_labels] for tr in run.traces])
+        if proxy:  # one count per letter, its digits the h actions
+            digits, radix = acts.transpose(0, 2, 1).reshape(-1, net.h), sizes
+        else:  # one count per trial, its digits every letter of every block
+            digits, radix = acts.reshape(trials, -1), np.repeat(sizes, n)
+        counts = np.bincount(np.ravel_multi_index(tuple(digits.T), radix), minlength=target.size)
+        hist = counts.reshape(target.shape) / counts.sum()
         tvs.append(float(np.abs(hist - target).sum()))
     if with_exact and not proxy and codebook_seeds:
         cb = build_codebooks(spec, rates, n, codebook_seeds[0])

@@ -252,6 +252,19 @@ class TestChainIndices:
         with pytest.raises(UsageError):
             count(_small_chain(), y)
 
+    @pytest.mark.parametrize("call", [
+        lambda c: c.codeword(0, (1.0,)),
+        lambda c: c.codeword(1, (1, np.float64(1.0))),
+        lambda c: c.letters({0: np.array([0.0, 1.0]), 1: np.array([0, 1])}),
+        lambda c: chain_channel_output(c, (1.0, 0), np.random.default_rng(0)),
+        lambda c: posterior_select(c, [0, 1, 0, 0], {0: 1.0}, ell=4, seed=0),
+        lambda c: posterior_select(c, [0, 1, 0, 0], {0: np.float64(1.0)}, ell=4, seed=0),
+    ], ids=["codeword-float", "codeword-float64", "letters-float-array", "channel-float",
+            "fixed-float", "fixed-float64"])
+    def test_float_index_is_a_usage_error(self, call):
+        with pytest.raises(UsageError, match="is not an integer"):
+            call(_small_chain())
+
     def test_in_range_indices_still_work(self):
         chain = _small_chain()
         assert chain.codeword(1, (2, 1)).shape == (4,)

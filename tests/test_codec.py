@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coordline import codec
 from coordline.codebooks import (
     build_chain,
     build_codebooks,
@@ -60,10 +61,11 @@ class TestBits:
 
 
 class TestSelectorSeedRange:
-    def test_unrepresentable_seed_range_is_a_cap_error(self):
+    def test_unrepresentable_seed_range_is_a_cap_error(self, monkeypatch):
         cb = build_codebooks(dsbs_spec(), h2_rates(), n=4, seed=0)
+        monkeypatch.setattr(codec, "node1_selector_rate", lambda spec, rates: 300.3)
         with pytest.raises(ResourceCapError, match="above any cap"):
-            Scheme(cb, Mode.FUNCTIONAL, seed_rate_overrides={"node1": 300.3})
+            Scheme(cb, Mode.FUNCTIONAL)
 
 
 class TestSelectFromPosterior:

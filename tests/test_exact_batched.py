@@ -1,7 +1,8 @@
 """The batched exact paths against per-assignment reference loops.
 
-Codebook draws, node-1 and K+ posteriors, the allied joint, the CR
-independence score and the piecing check evaluate whole index grids at once.
+Codebook draws, node-1 and K+ posteriors, the exact walk through the
+selectors, the allied joint, the CR independence score, the piecing check and
+the Monte Carlo histograms evaluate whole index grids at once.
 Each must equal, bit for bit, the loop that visits one index assignment at a
 time; the loops below are that reference. Equality is asserted with
 np.array_equal or ==, never a tolerance.
@@ -215,6 +216,85 @@ def ref_piecing_check(cb):
     return float(np.abs(target - pieced).sum())
 
 
+def ref_block_encode(block, size):
+    out = 0
+    for sym in block:
+        out = out * size + int(sym)
+    return out
+
+
+def ref_block_decode(idx, size, n):
+    out = np.empty(n, dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        out[t] = idx % size
+        idx //= size
+    return out
+
+
+def ref_selector_law(scheme, posterior, ell):
+    _, induced = scheme.selection(posterior, ell, 1)
+    return [(int(v), induced[v]) for v in np.nonzero(induced)[0]]
+
+
+def ref_walk(scheme, node, x_prev, assignment, prob, cond, prefix):
+    """Recurse down the line from `node` (the hop node->node+1), adding the mass of
+    every reachable action tuple to cond; returns the degenerate posteriors met."""
+    cb, h = scheme.cb, scheme.h
+    degenerate = 0
+    k_options = [(0, 1.0)]
+    if scheme.schedule.selects_k and cb.sizes[k_plus(node)] > 1:
+        posterior, deg = scheme.k_posterior(node, x_prev, assignment)
+        degenerate += int(deg)
+        k_options = ref_selector_law(scheme, posterior, scheme.ell_k[node])
+    size_l = cb.sizes[l_of(node + 1)]
+    x_size = scheme.spec.network.alphabets[node].size
+    for k_val, k_prob in k_options:
+        assignment[k_plus(node)] = k_val
+        for l_val in range(size_l):
+            assignment[l_of(node + 1)] = l_val
+            action = cb.c_codeword(node + 1, assignment)
+            flat = ref_block_encode(action, x_size)
+            p = prob * k_prob / size_l
+            if node + 1 == h:
+                cond[tuple(prefix + [flat])] += p
+            else:
+                degenerate += ref_walk(scheme, node + 1, action, assignment, p, cond, prefix + [flat])
+    return degenerate
+
+
+def ref_exact_conditional(cb, mode):
+    """exact_induced's (conditional, degenerate_paths) by the depth-first walk over
+    one dict assignment at a time."""
+    scheme = Scheme(cb, mode)
+    h, n = cb.h, cb.n
+    sizes = [a.size for a in cb.spec.network.alphabets]
+    cond = np.zeros(tuple(s ** n for s in sizes))
+    degenerate = 0
+    cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+                 + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
+                 + [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1])
+    cr_weight = 1.0
+    for _, size in cr_spaces:
+        cr_weight /= size
+    for x1_flat in range(sizes[0] ** n):
+        x1 = ref_block_decode(x1_flat, sizes[0], n)
+        for assignment in _assignments(cr_spaces):
+            for i in range(1, h):
+                assignment.setdefault(k_plus(i), 0)
+            posterior, deg = scheme.node1_posterior(x1, assignment)
+            degenerate += int(deg)
+            for m1_flat, p_m1 in ref_selector_law(scheme, posterior, scheme.ell1):
+                assignment.update(scheme.m1_space.unflatten(m1_flat))
+                degenerate += ref_walk(scheme, 1, x1, assignment, cr_weight * p_m1, cond, [x1_flat])
+    return cond, degenerate
+
+
+def _assert_exact_matches(got, want):
+    cond, degenerate = want
+    assert np.array_equal(got.conditional, cond)
+    assert got.degenerate_paths == degenerate
+
+
 def _block_sizes(cb):
     return tuple(a.size ** cb.n for a in cb.spec.network.alphabets)
 
@@ -255,6 +335,10 @@ class TestBitIdentity:
                     got, got_deg = scheme.k_posterior(i, x_block, assignment)
                     want, want_deg = ref_k_posterior(scheme, i, x_block, assignment)
                     assert np.array_equal(got, want) and got_deg == want_deg
+
+    def test_exact_walk(self, case):
+        _, mode, cb = _setup(*case)
+        _assert_exact_matches(exact_induced(cb, mode), ref_exact_conditional(cb, mode))
 
     def test_evaluators(self, case):
         _, _, cb = _setup(*case)
@@ -345,6 +429,22 @@ class TestChunkBoundaries:
         assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
 
 
+    # 4, 32 and 48 (x1 block, shared index) rows: markov3 and copy3 end on a partial chunk
+    @pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 2),
+                                      ("dsbs", None, 3)], ids=_ids)
+    def test_exact_walk_chunk_sizes(self, case, chunk_log, monkeypatch):
+        _, mode, cb = _setup(*case)
+        want = ref_exact_conditional(cb, mode)
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 1)
+        _assert_exact_matches(exact_induced(cb, mode), want)
+        (cells, chunks), _allied = chunk_log
+        assert set(chunks) == {1}
+        total = len(chunks)
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
+        _assert_exact_matches(exact_induced(cb, mode), want)
+        assert chunk_log[-2][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
+
+
 class TestMemory:
     """Chunked grids keep the working set near the cell budget: an unchunked
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
@@ -425,6 +525,62 @@ class TestArrayIndices:
         with pytest.raises(UsageError, match=rf"index \('m-', 1, 2\) = {bad} out of range \[0, 4\)"):
             self.SPACE.flatten({m_plus((1, 2)): 0, m_minus((1, 2)): value})
 
+    @pytest.mark.parametrize("value", [1.0, np.float64(1.0), np.array([0.0, 2.0]), "1",
+                                       np.array([True, False])])
+    def test_non_integer_raises_usage_error(self, value):
+        with pytest.raises(UsageError, match=r"index \('m-', 1, 2\) = .* is not an integer"):
+            self.SPACE.flatten({m_plus((1, 2)): 0, m_minus((1, 2)): value})
+
+    @pytest.mark.parametrize("value,want", [(np.int64(3), 7), (np.int32(3), 7),
+                                            (np.array([3, 0], dtype=np.uint8), [7, 4])])
+    def test_numpy_integers_are_indices(self, value, want):
+        assert np.array(self.SPACE.flatten({m_plus((1, 2)): 1, m_minus((1, 2)): value})).tolist() == want
+
     def test_in_range_array_after_bad_int_component(self):
         with pytest.raises(UsageError, match=r"= 3 out of range \[0, 3\)"):
             self.SPACE.flatten({m_plus((1, 2)): 3, m_minus((1, 2)): np.arange(4)})
+
+
+class TestHistograms:
+    """mc_coordination_tv's block and per-letter (PROXY) histograms against a loop
+    that counts one trace at a time."""
+
+    @staticmethod
+    def ref_tvs(exp, n, trials, cb_seeds, seed, proxy):
+        net = exp.spec.network
+        sizes = [a.size for a in net.alphabets]
+        tvs = []
+        for cb_seed in cb_seeds:
+            cb = build_codebooks(exp.spec, exp.rates, n, cb_seed)
+            run = codec.run_scheme(cb, exp.mode, trials, seed + cb_seed)
+            if run.degenerate_trials:
+                continue
+            if proxy:
+                hist = np.zeros(tuple(sizes))
+                for tr in run.traces:
+                    blocks = [tr.actions[x] for x in net.x_labels]
+                    for t in range(n):
+                        hist[tuple(b[t] for b in blocks)] += 1.0
+                hist /= hist.sum()
+                target = net.target.weights
+            else:
+                hist = np.zeros(tuple(s ** n for s in sizes))
+                for tr in run.traces:
+                    hist[tuple(ref_block_encode(tr.actions[x], s)
+                               for x, s in zip(net.x_labels, sizes))] += 1.0
+                hist /= trials
+                target = evalharness.target_block_tensor(net, n)
+            tvs.append(float(np.abs(hist - target).sum()))
+        return tvs
+
+    # under the caps, the codebooks fit and the block histogram does not
+    @pytest.mark.parametrize("preset,n,cap", [("dsbs", 3, None), ("copy3", 2, None),
+                                              ("dsbs-control", 4, "200"), ("markov3", 3, "300")])
+    def test_matches_per_trace_loop(self, preset, n, cap, monkeypatch):
+        if cap:
+            monkeypatch.setenv("COORDLINE_CAP", cap)
+        exp = Experiment(preset_config(preset))
+        rep = evalharness.mc_coordination_tv(exp.spec, exp.rates, exp.mode, n, 300, [1, 2], seed=5)
+        assert rep.proxy == bool(cap)
+        assert rep.tv_per_seed
+        assert rep.tv_per_seed == self.ref_tvs(exp, n, 300, [1, 2], 5, rep.proxy)

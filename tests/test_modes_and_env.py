@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coordline
+from coordline import codec
 from coordline.cli import run_command
 from coordline.codebooks import build_codebooks
 from coordline.codec import run_scheme
@@ -195,15 +196,15 @@ class TestH3FunctionalExactVsMc:
 
 
 class TestBudgetAuditFlags:
-    def test_oversized_selector_seed_is_reported(self):
+    def test_oversized_selector_seed_is_reported(self, monkeypatch):
         from coordline.presets import dsbs_network
 
         spec = aux_from_tags(dsbs_network(), a_tags={(1, 2): copy_of("X2")})
         rates = CodebookRates.for_network(2, mu_plus={(1, 2): 0.44},
                                           mu_minus={(1, 2): 0.82}, lam={2: 0.25})
         cb = build_codebooks(spec, rates, n=2, seed=1)
-        run = run_scheme(cb, Mode.FUNCTIONAL, trials=2, seed=3,
-                         seed_rate_overrides={"node1": 5.0})
+        monkeypatch.setattr(codec, "node1_selector_rate", lambda spec, rates: 5.0)
+        run = run_scheme(cb, Mode.FUNCTIONAL, trials=2, seed=3)
         assert any("node" in v and v["node"] == 1 for v in run.budget_violations)
 
 
