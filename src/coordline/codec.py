@@ -44,7 +44,7 @@ from .linestruct import (
     psi,
     x_label,
 )
-from .probability import StaircaseTable, condition, info_measure, marginalize, pmf_from_table, staircase_map
+from .probability import StaircaseTable, condition, info_measure, marginalize, pmf_weights, staircase_map
 from .rates import (
     Mode,
     check_mode_restrictions,
@@ -303,8 +303,7 @@ def _selection_table(posterior: np.ndarray, ell: int):
         cert = 2.0 * (1.0 - cum[m - 1]) + m / ell
         if cert < best_cert - 1e-15:
             best_cert, best_m = cert, m
-    q = pmf_from_table(["cand"], posterior, normalize=True)
-    table = staircase_map(q, order[:best_m].tolist(), ell)
+    table = staircase_map(pmf_weights(posterior, normalize=True), order[:best_m].tolist(), ell)
     return table, best_m, table.induced_array(count)
 
 

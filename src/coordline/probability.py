@@ -36,10 +36,11 @@ class JointPmf:
 
     Weights are nonnegative and sum to 1 within MASS_TOL; inputs outside the
     tolerance are rejected unless normalize=True is passed explicitly.
-    Instances are immutable after construction.
+    Instances are immutable after construction, so each keeps a private memo
+    of the entropies computed from it, keyed by ordered label tuple.
     """
 
-    __slots__ = ("axes", "weights")
+    __slots__ = ("axes", "weights", "_entropies")
 
     def __init__(self, axes: Sequence[tuple[str, Alphabet]], weights: np.ndarray, *, normalize: bool = False):
         axes = tuple((str(lbl), alph) for lbl, alph in axes)
@@ -50,20 +51,10 @@ class JointPmf:
         expected = tuple(alph.size for _, alph in axes)
         if w.shape != expected:
             raise UsageError(f"weight shape {w.shape} does not match alphabet sizes {expected}")
-        if np.any(w < -MASS_TOL):
-            raise UsageError("negative probability mass")
-        w = np.clip(w, 0.0, None)
-        total = float(w.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            if not normalize:
-                raise UsageError(f"total mass {total!r} outside tolerance; pass normalize=True to renormalize")
-            if total <= 0.0:
-                raise UsageError("cannot normalize zero-mass tensor")
-            w = w / total
-        w = np.ascontiguousarray(w)
-        w.setflags(write=False)
+        w = pmf_weights(w, normalize=normalize)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_entropies", {})
 
     def __setattr__(self, *_):
         raise AttributeError("JointPmf is immutable")
@@ -89,6 +80,26 @@ class JointPmf:
 
     def __repr__(self):
         return f"JointPmf(axes={self.labels}, sizes={self.sizes})"
+
+
+def pmf_weights(weights, *, normalize: bool = False) -> np.ndarray:
+    """Weights as a JointPmf holds them: float64, read-only, clipped at 0 after
+    rejecting mass below -MASS_TOL, and summing to 1 within MASS_TOL; with
+    normalize=True a total outside the tolerance is divided out."""
+    w = np.asarray(weights, dtype=np.float64)
+    if np.any(w < -MASS_TOL):
+        raise UsageError("negative probability mass")
+    w = np.clip(w, 0.0, None)
+    total = float(w.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        if not normalize:
+            raise UsageError(f"total mass {total!r} outside tolerance; pass normalize=True to renormalize")
+        if total <= 0.0:
+            raise UsageError("cannot normalize zero-mass tensor")
+        w = w / total
+    w = np.ascontiguousarray(w)
+    w.setflags(write=False)
+    return w
 
 
 class ConditionalKernel:
@@ -239,9 +250,13 @@ def condition(p: JointPmf, given: Sequence[str]) -> ConditionalKernel:
 def _entropy_of(p: JointPmf, labels: Sequence[str]) -> float:
     if not labels:
         return 0.0
-    w = marginalize(p, labels).weights.ravel()
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum())
+    key = tuple(labels)
+    memo = p._entropies
+    if key not in memo:
+        w = marginalize(p, key).weights.ravel()
+        w = w[w > 0.0]
+        memo[key] = float(-(w * np.log2(w)).sum())
+    return memo[key]
 
 
 def info_measure(p: JointPmf, a: Sequence[str], b: Sequence[str] = (), c: Sequence[str] = ()) -> float:
@@ -390,8 +405,10 @@ def _fraction_cuts(exact: Sequence[Fraction], support: Sequence[int], ell: int) 
     return cuts
 
 
-def staircase_map(q: JointPmf, support_order: Sequence[int], ell: int) -> StaircaseTable:
+def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int], ell: int) -> StaircaseTable:
     """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
+
+    q is the pmf, or its weights as a 1-D pmf_weights array.
 
     The support_order must list distinct symbols; its q-mass defines epsilon as
     the leftover mass. The cuts are those of exact rational arithmetic on the
@@ -403,12 +420,13 @@ def staircase_map(q: JointPmf, support_order: Sequence[int], ell: int) -> Stairc
     exact Fraction loop instead. ell < M is flagged vacuous (bound >= 1), not
     fatal.
     """
-    if len(q.axes) != 1:
+    w = q.weights if isinstance(q, JointPmf) else q
+    if w.ndim != 1:
         raise UsageError("staircase_map expects a single-axis pmf")
     if ell < 1:
         raise UsageError("ell must be >= 1")
     support = [int(b) for b in support_order]
-    size = q.sizes[0]
+    size = len(w)
     if not support:
         raise UsageError("support_order must be nonempty")
     if len(set(support)) != len(support):
@@ -425,7 +443,6 @@ def staircase_map(q: JointPmf, support_order: Sequence[int], ell: int) -> Stairc
     # within MASS_TOL); the float64 sums, product and quotient add under
     # ell * (2 * size + 2) * 2**-53. Outside ell * size * 2e-12 of an integer,
     # the float floor is the exact floor.
-    w = q.weights
     scaled = np.cumsum(w[support]) * ell / w.sum()
     near = np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12
     if np.count_nonzero(w[support]) == np.count_nonzero(w):  # all mass in the support: S_M = T

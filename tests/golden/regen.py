@@ -31,9 +31,10 @@ from coordline.codebooks import (build_chain, build_codebooks, chain_channel_out
                                  chain_from_line_h2, typical_list_size)
 from coordline.codec import Scheme, allied_generate, posterior_select, run_scheme
 from coordline.evalharness import cr_independence, exact_induced, piecing_check
+from coordline.linestruct import make_network
 from coordline.presets import preset_config
 from coordline.probability import pmf_from_table
-from coordline.rates import Mode
+from coordline.rates import Mode, functional_lifted_system
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 FLOAT_RTOL = 1e-12
@@ -89,6 +90,10 @@ def cli_report(command: str, preset: str, mode: str | None = None) -> dict:
     cfg.update(CLI_OVERRIDES)
     if mode is not None:
         cfg["mode"] = mode
+    return _run_cli(command, cfg)
+
+
+def _run_cli(command: str, cfg: dict) -> dict:
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -97,6 +102,63 @@ def cli_report(command: str, preset: str, mode: str | None = None) -> dict:
         report = json.loads((Path(out) / "report.json").read_text())
     report.pop("generated_at", None)
     return {"exit_code": code, "report": report}
+
+
+# h=5 binary chains: a uniform X1 and one crossover per hop, A constant, B and
+# C copying the actions, as in the benchmark's analytic requests
+BSC_CROSSOVERS = (0.11, 0.23, 0.31, 0.17)
+BSC_POINTS = [{"Rc": 1.9, "R": [0.9, 0.4, 1.1, 0.2], "rho": [1.2, 0.0, 0.0, 0.0, 0.0]},
+              {"Rc": 3.1, "R": [0.6, 1.0, 0.7, 0.95], "rho": [0.3, 0.0, 0.0, 0.0, 0.0]},
+              {"Rc": 0.8, "R": [1.2, 1.2, 1.2, 1.2], "rho": [2.0, 0.0, 0.0, 0.0, 0.0]},
+              {"Rc": 2.4, "R": [0.6, 0.8, 0.9, 0.7], "rho": [0.9, 0.0, 0.0, 0.0, 0.0]}]
+REGION_THEOREMS = ("large-cr", "zero-local")
+# h=3 functional lifted systems (Z_i copies X_i) of two-hop chains, eliminating
+# the lifted variables in reverse declaration order
+FME_CROSSOVERS = {"a": (0.11, 0.23), "b": (0.31, 0.07), "c": (0.45, 0.45)}
+# 2y >= 3 and -3y >= -1 combine to 0 >= 7 at the input scale; x + 2u + 3z >= 1,
+# -x >= 0 and -2u - 3z >= 1 to 0 >= 4/9, the rows scaled to a z coefficient of +-1
+FME_INFEASIBLE = {"variables": ["x", "y", "z", "u"],
+                  "rows": [{"coeffs": {"y": 2}, "rhs": 3}, {"coeffs": {"y": -3}, "rhs": -1},
+                           {"coeffs": {"x": 1, "u": 2, "z": 3}, "rhs": 1},
+                           {"coeffs": {"x": -1}, "rhs": 0}, {"coeffs": {"u": -2, "z": -3}, "rhs": 1}],
+                  "eliminate": ["y", "x", "u"]}
+
+
+def _chain_target(crossovers) -> np.ndarray:
+    w = np.full(2, 0.5)
+    for p in crossovers:
+        w = np.einsum("...i,ij->...ij", w, np.array([[1 - p, p], [p, 1 - p]]))
+    return w
+
+
+def bsc_config(region: str | None = None) -> dict:
+    h = len(BSC_CROSSOVERS) + 1
+    aux = {f"A{i}_{j}": {"kind": "constant"} for i in range(1, h) for j in range(i + 1, h + 1)}
+    aux.update({f"B{i}_{i + 1}": {"kind": "copy", "source": f"X{i}"} for i in range(1, h)})
+    aux.update({f"C{i}": {"kind": "copy", "source": f"X{i}"} for i in range(2, h + 1)})
+    cfg = {"schema_version": 1, "network": {"h": h, "target": _chain_target(BSC_CROSSOVERS).tolist()},
+           "aux": aux,
+           "rates": {"mu_plus": {}, "mu_minus": {}, "kappa_minus": {},
+                     "kappa_plus": {str(i): 1.1 for i in range(1, h)},
+                     "lambda": {str(i): 1.0 for i in range(2, h + 1)}},
+           "mode": "unrestricted"}
+    if region is not None:
+        cfg["region"] = {"theorem": region, "points": BSC_POINTS}
+    return cfg
+
+
+def lifted_fme_config(crossovers) -> dict:
+    """The fme config of an h=3 functional lifted system, coefficients and
+    right-hand sides rounded to 12 significant digits."""
+    target = _chain_target(crossovers)
+    net = make_network(3, target)
+    zw = np.einsum("abc,bd,ce->abcde", target, np.eye(2), np.eye(2))
+    system = functional_lifted_system(net, pmf_from_table(["X1", "X2", "X3", "Z2", "Z3"], zw))
+    rows = [{"coeffs": {v: float(f"{float(c):.12g}") for v, c in zip(system.variables, coeffs) if c != 0},
+             "rhs": float(f"{float(rhs):.12g}")} for coeffs, rhs in system.rows]
+    lifted = [v for v in system.variables if v[0] in "med"]
+    return {"schema_version": 1, "network": {"h": 3, "target": target.tolist()},
+            "fme": {"variables": list(system.variables), "rows": rows, "eliminate": lifted[::-1]}}
 
 
 CHAIN_N = 5
@@ -181,6 +243,14 @@ def cases() -> dict:
     for command in ("exact", "simulate"):
         out[f"cli-{command}-markov3-action-dependent"] = (
             lambda c=command: cli_report(c, "markov3", "action-dependent"))
+    out["cli-rates-bsc5"] = lambda: _run_cli("rates", bsc_config())
+    for theorem in REGION_THEOREMS:
+        out[f"cli-region-{theorem}"] = lambda t=theorem: _run_cli("region", bsc_config(t))
+    for tag, crossovers in FME_CROSSOVERS.items():
+        out[f"cli-fme-lifted-{tag}"] = lambda c=crossovers: _run_cli("fme", lifted_fme_config(c))
+    out["cli-fme-infeasible"] = lambda: _run_cli(
+        "fme", {"schema_version": 1, "network": {"h": 2, "target": [[0.5, 0.0], [0.0, 0.5]]},
+                "fme": FME_INFEASIBLE})
     for levels in CHAIN_RATES:
         out[f"chain-books-{levels}"] = lambda k=levels: chain_books(k)
         out[f"chain-typical-{levels}"] = lambda k=levels: chain_typical(k)

@@ -134,6 +134,16 @@ class TestFme:
         report = read_report(tmp_path)
         assert report["fme"]["variables"] == ["x"]
 
+    def test_variable_eliminated_twice_is_usage_error(self, tmp_path, capsys):
+        cfg = {"schema_version": 1,
+               "network": {"h": 2, "target": [[0.25, 0.25], [0.25, 0.25]]},
+               "fme": {"variables": ["x", "y"], "rows": [{"coeffs": {"x": 1}, "rhs": 0}],
+                       "eliminate": ["y", "y"]}}
+        code = run_command(["fme", "--config", write_config(tmp_path, cfg),
+                            "--out", str(tmp_path)])
+        assert code == 2
+        assert "eliminated twice" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path, capsys):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from coordline.errors import ResourceCapError, UsageError
@@ -114,3 +118,155 @@ class TestFunctionalLiftedSystem:
             via_lp = lp_feasible(sys, pt, lifted)
             assert via_fme == via_lp, pt
             assert via_fme == via_region, pt
+
+
+# -- the rational elimination the integer rows must reproduce ---------------
+
+
+def ref_normalize(coeffs, rhs):
+    scale = None
+    for c in coeffs:
+        if c != 0:
+            scale = abs(c)
+            break
+    if scale is None:
+        return coeffs, rhs
+    return tuple(c / scale for c in coeffs), rhs / scale
+
+
+def ref_prune(rows):
+    best = {}
+    infeasible = []
+    for coeffs, rhs in rows:
+        coeffs, rhs = ref_normalize(coeffs, rhs)
+        if all(c == 0 for c in coeffs):
+            if rhs > 0:
+                infeasible.append((coeffs, rhs))
+            continue
+        if coeffs not in best or rhs > best[coeffs]:
+            best[coeffs] = rhs
+    out = [(c, b) for c, b in best.items()]
+    out.sort()
+    return infeasible + out
+
+
+def ref_fme_project(system, eliminate):
+    """Fourier-Motzkin on Fraction rows, normalized and pruned after every step."""
+    eliminate = list(eliminate)
+    for v in eliminate:
+        if v not in system.variables:
+            raise UsageError(f"unknown variable {v!r}")
+    variables = list(system.variables)
+    rows = [(tuple(c), r) for c, r in system.rows]
+    for var in eliminate:
+        k = variables.index(var)
+        zero, pos, neg = [], [], []
+        for coeffs, rhs in rows:
+            c = coeffs[k]
+            if c == 0:
+                zero.append((coeffs, rhs))
+            elif c > 0:
+                pos.append((coeffs, rhs))
+            else:
+                neg.append((coeffs, rhs))
+        needed = len(zero) + len(pos) * len(neg)
+        if needed > fme.ROW_CAP:
+            raise ResourceCapError(f"eliminating {var!r} would generate {needed} rows, "
+                                   f"above the row cap of {fme.ROW_CAP}")
+        new_rows = [(coeffs[:k] + coeffs[k + 1:], rhs) for coeffs, rhs in zero]
+        for pc, pr in pos:
+            for nc, nr in neg:
+                a, b = pc[k], -nc[k]
+                combo = tuple(b * x + a * y for x, y in zip(pc, nc))
+                new_rows.append((combo[:k] + combo[k + 1:], b * pr + a * nr))
+        variables.pop(k)
+        rows = ref_prune(new_rows)
+    return LinearSystem(tuple(variables), tuple(rows))
+
+
+def outcome(project, system, eliminate):
+    """The projection, or the type and message of the error it raises."""
+    try:
+        return project(system, eliminate)
+    except (ResourceCapError, UsageError) as exc:
+        return type(exc), str(exc)
+
+
+COEFFS = [-3, -2, -1, 0, 0, 0, 1, 2, 3, 0.5, -1.5, 0.3, -0.7, 1 / 3, 2.25]
+
+
+@st.composite
+def fme_cases(draw):
+    """(system, eliminate): small random systems with zero rows, positive
+    multiples of earlier rows (repeated directions), rows that cancel into
+    0 >= b (infeasible systems), float coefficients and any elimination order,
+    empty included."""
+    nv = draw(st.integers(1, 5))
+    variables = [f"v{i}" for i in range(nv)]
+    rhs = st.one_of(st.integers(-3, 3), st.sampled_from([0.25, -0.5, 0.1, 1.7]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "repeat", "opposite", "zero"]))
+        if kind in ("repeat", "opposite") and rows:
+            coeffs, _ = draw(st.sampled_from(rows))
+            factor = draw(st.sampled_from([1, 2, 3, 0.5, 1.5]))
+            sign = 1 if kind == "repeat" else -1
+            rows.append(([sign * factor * c for c in coeffs], draw(rhs)))
+        elif kind == "zero":
+            rows.append(([0] * nv, draw(rhs)))
+        else:
+            rows.append(([draw(st.sampled_from(COEFFS)) for _ in variables], draw(rhs)))
+    order = draw(st.permutations(variables))
+    eliminate = order[:draw(st.integers(0, min(nv, 4)))]
+    return LinearSystem.build(variables, rows), eliminate
+
+
+def lifted_system(crossovers):
+    """The h=3 functional lifted system of a two-hop binary chain, Z_i copying X_i."""
+    w = np.full(2, 0.5)
+    for p in crossovers:
+        w = np.einsum("...i,ij->...ij", w, np.array([[1 - p, p], [p, 1 - p]]))
+    net = make_network(3, w)
+    zw = np.einsum("abc,bd,ce->abcde", w, np.eye(2), np.eye(2))
+    system = functional_lifted_system(net, pmf_from_table(["X1", "X2", "X3", "Z2", "Z3"], zw))
+    return system, [v for v in system.variables if v[0] in "med"]
+
+
+class TestIntegerRowsMatchRationalRows:
+    @settings(max_examples=500, deadline=None)
+    @given(case=fme_cases())
+    @example(case=(LinearSystem.build(["x", "y"], [({"y": 2}, 3), ({"y": -3}, -1)]), ["y"]))
+    @example(case=(LinearSystem.build(["x", "y"], [({"x": 0.5, "y": 1}, 1), ({"x": 1.5, "y": 3}, 1),
+                                                   ({"y": -2}, 0.25)]), ["y", "x"]))
+    @example(case=(LinearSystem.build(["x", "y", "z", "u"], [
+        ({"y": 2}, 3), ({"y": -3}, -1), ({"x": 1, "u": 2, "z": 3}, 1), ({"x": -1}, 0),
+        ({"u": -2, "z": -3}, 1)]), ["y", "x", "u"]))
+    @example(case=(LinearSystem.build(["x"], [({"x": 0}, 1), ({"x": 0}, -1)]), []))
+    @example(case=(LinearSystem.build(["x", "y"], [({"x": 1}, 2)]), ["y", "y"]))
+    def test_equals_fraction_reference(self, case):
+        system, eliminate = case
+        got = outcome(fme_project, system, eliminate)
+        if len(set(eliminate)) < len(eliminate):
+            assert got[0] is UsageError and "eliminated twice" in got[1]
+            return
+        assert got == outcome(ref_fme_project, system, eliminate)
+
+    def test_empty_elimination_returns_input_rows(self):
+        system = LinearSystem.build(["x", "y"], [({"x": 2, "y": -4}, 3), ({}, 1), ({"y": 0.5}, 0)])
+        out = fme_project(system, [])
+        assert out == system and out.rows == system.rows
+
+    def test_row_cap_count_and_message(self, monkeypatch):
+        system, lifted = lifted_system((0.11, 0.23))
+        monkeypatch.setattr(fme, "ROW_CAP", 40)
+        want = outcome(ref_fme_project, system, lifted[::-1])
+        assert want[0] is ResourceCapError
+        assert outcome(fme_project, system, lifted[::-1]) == want
+
+    @pytest.mark.parametrize("crossovers", [(0.11, 0.23), (0.31, 0.07), (0.45, 0.45),
+                                            (0.05, 0.4), (0.2, 0.2)])
+    def test_h3_functional_lifted_system(self, crossovers):
+        system, lifted = lifted_system(crossovers)
+        got = fme_project(system, lifted[::-1])
+        assert got == ref_fme_project(system, lifted[::-1])
+        assert all(isinstance(c, Fraction) for row, rhs in got.rows for c in row + (rhs,))

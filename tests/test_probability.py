@@ -16,6 +16,7 @@ from coordline.probability import (
     is_typical,
     marginalize,
     pmf_from_table,
+    pmf_weights,
     product_extend,
     staircase_map,
     uniform_pmf,
@@ -369,3 +370,12 @@ class TestStaircaseAgainstFractions:
         expected = np.zeros(len(weights))
         expected[support] = [float(f) for f in ref["induced"]]
         assert np.array_equal(t.induced_array(len(weights)), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=staircase_cases())
+    def test_weights_array_equals_pmf(self, case):
+        weights, support, ell = case
+        q = pmf_from_table(["X"], weights, normalize=True)
+        w = pmf_weights(weights, normalize=True)
+        assert np.array_equal(w, q.weights) and not w.flags.writeable
+        assert staircase_map(w, support, ell) == staircase_map(q, support, ell)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from coordline import probability
 from coordline.errors import PreconditionError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network, order_pairs
-from coordline.probability import info_measure, pmf_from_table
+from coordline.probability import JointPmf, info_measure, pmf_from_table
 from coordline.rates import (
     CodebookRates,
     Mode,
@@ -97,6 +98,55 @@ class TestThm1:
             spec = aux_from_tags(net, a_tags=a_tags)
             rep = thm1_check(CodebookRates.for_network(h), spec, margin=0.0)
             _assert_redundancy_bruteforce(rep, spec, h)
+
+
+class TestEntropyMemo:
+    """A joint memoizes its entropies by ordered label tuple; thm1_check at h=5
+    asks for 3,072 marginal entropies over 125 distinct label tuples."""
+
+    @staticmethod
+    def spec():
+        net = bsc_chain_network(5, 0.17)
+        return aux_from_tags(net, a_tags={(1, 2): copy_of("X2"), (2, 4): copy_of("X4"),
+                                          (1, 5): copy_of("X5")})
+
+    def test_thm1_marginalizes_each_label_tuple_once(self, monkeypatch):
+        spec = self.spec()
+        calls = []
+        marginalize = probability.marginalize
+
+        def counted(p, keep):
+            calls.append(tuple(keep))
+            return marginalize(p, keep)
+
+        monkeypatch.setattr(probability, "marginalize", counted)
+        thm1_check(CodebookRates.for_network(5), spec)
+        assert 0 < len(calls) <= 126
+        assert len(set(calls)) == len(calls)
+        calls.clear()
+        thm1_check(CodebookRates.for_network(5), spec)
+        assert calls == []
+
+    def test_report_equals_unmemoized(self, monkeypatch):
+        rates = CodebookRates.for_network(5, mu_plus={(1, 2): 0.4}, mu_minus={(2, 4): 0.7})
+        memoized = thm1_check(rates, self.spec()).to_dict()
+        entropy_of = probability._entropy_of
+
+        def fresh(p, labels):  # every entropy on a fresh copy of the joint, with an empty memo
+            return entropy_of(JointPmf(p.axes, p.weights), labels)
+
+        monkeypatch.setattr(probability, "_entropy_of", fresh)
+        assert thm1_check(rates, self.spec()).to_dict() == memoized
+        assert any(c["rhs"] > 0.1 for c in memoized["constraints"])
+
+    def test_joint_stays_immutable(self):
+        joint = self.spec().joint
+        info_measure(joint, ["X1"], ["X2"])
+        for name in ("axes", "weights", "_entropies", "other"):
+            with pytest.raises(AttributeError):
+                setattr(joint, name, None)
+        with pytest.raises(ValueError):
+            joint.weights[(0,) * joint.weights.ndim] = 0.5
 
 
 def _sname(s):
