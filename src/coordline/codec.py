@@ -200,8 +200,8 @@ class Scheme:
         self._m1_minus_comps = [m_minus((1, j)) for j in range(2, h + 1)]
         self._m1_grid = self.m1_space.unflatten(np.arange(self.m1_space.size))
         self._k_comps = ([m_plus(p) for p in self.order] + [m_minus(p) for p in self.order])
-        self._post_cache: dict = {}
-        self._table_cache: dict = {}
+        self._post_cache = _Memo()
+        self._table_cache = _Memo()
 
     # -- letter-level likelihoods ------------------------------------------
 
@@ -210,61 +210,81 @@ class Scheme:
 
     def x1_likelihood(self, x1: np.ndarray, assignment) -> float | np.ndarray:
         """Likelihood of x1 at the assignment's psi(1) codewords, per grid point for arrays."""
-        rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
-        return _block_likelihood(rows, x1)
+        return _block_likelihood(self.x1_kernel.weights, self._psi1_letters(assignment), x1)
 
     def sample_x1_from_codewords(self, assignment, rng) -> np.ndarray:
         rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
         return _iid_blocks(rng.random((1, self.n)), _cum_rows(rows))[0]
 
-    def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
-        """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-."""
+    def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
+        """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-; blocks x1
+        (R, n) with integer-array assignments (R,) give (R, M) posteriors and R degenerate flags."""
         key = ("m1", x1.tobytes(), tuple(assignment[c] for c in self._m1_minus_comps))
-        return self._posterior(key, lambda: self.x1_likelihood(x1, assignment | self._m1_grid))
+        return self._posterior(x1, key, lambda: self.x1_likelihood(
+            x1[..., None, :], _per_candidate(assignment) | self._m1_grid))
 
-    def k_posterior(self, i: int, x_block: np.ndarray, assignment) -> tuple[np.ndarray, bool]:
-        """Posterior over k_i+ given the node-i action block, all m+-, and k_i-."""
-        key = ("k", i, x_block.tobytes(),
-               tuple(assignment[c] for c in self._k_comps), assignment[k_minus(i)])
-
+    def k_posterior(self, i: int, x_block: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
+        """Posterior over k_i+ given the node-i action block, all m+-, and k_i-; stacks as node1's."""
         def weights():
-            candidates = assignment | {k_plus(i): np.arange(self.cb.sizes[k_plus(i)])}
-            letters = [self.cb.a_codeword(p, assignment) for p in self.order]
-            rows = self.k_kernels[i].weights[tuple(letters) + (self.cb.b_codeword(i, candidates),)]
-            return _block_likelihood(rows, x_block)
+            grid = _per_candidate(assignment)
+            letters = [self.cb.a_codeword(p, grid) for p in self.order]
+            letters.append(self.cb.b_codeword(i, grid | {k_plus(i): np.arange(self.cb.sizes[k_plus(i)])}))
+            return _block_likelihood(self.k_kernels[i].weights, letters, x_block[..., None, :])
 
-        return self._posterior(key, weights)
+        key = ("k", i, x_block.tobytes(), tuple(assignment[c] for c in self._k_comps), assignment[k_minus(i)])
+        return self._posterior(x_block, key, weights)
 
-    def _posterior(self, key, weights) -> tuple[np.ndarray, bool]:
-        """Memoized _normalized(weights()); weights runs only on a cache miss."""
+    def _posterior(self, block, key, weights) -> tuple[np.ndarray, bool | np.ndarray]:
+        """_normalized(weights()), memoized under key for a single block."""
+        if block.ndim > 1:
+            return _normalized(weights())
         hit = self._post_cache.get(key)
         if hit is None:
             hit = self._post_cache[key] = _normalized(weights())
         return hit
 
     def selection(self, posterior: np.ndarray, ell: int, seed_value: int | None = None,
-                  rng: np.random.Generator | None = None, degenerate: bool = False
-                  ) -> tuple[SelectorOutcome, np.ndarray]:
-        """Cached staircase selection (see select_from_posterior)."""
+                  rng: np.random.Generator | None = None, degenerate: bool = False):
+        """Cached staircase selection (see select_from_posterior); a stack (R, M) gives its induced laws."""
+        if posterior.ndim > 1:
+            return _induced_laws(posterior, ell)
         key = (posterior.tobytes(), ell)
         hit = self._table_cache.get(key)
         if hit is None:
-            hit = _selection_table(posterior, ell)
-            self._table_cache[key] = hit
+            hit = self._table_cache[key] = _selection_table(posterior, ell)
         return _staircase_select(hit, seed_value, rng, degenerate)
 
 
-def _block_likelihood(rows: np.ndarray, block: np.ndarray) -> float | np.ndarray:
-    """Probability of a block under per-letter rows (..., n, size), one per leading index."""
-    return np.prod(rows[..., np.arange(len(block)), block], axis=-1)
+CACHE_ENTRIES = 4096
+"""Entries each Scheme memo keeps, oldest dropped first; a few thousand MC trials fit."""
 
 
-def _normalized(weights: np.ndarray) -> tuple[np.ndarray, bool]:
-    """weights / sum, or uniform and flagged degenerate when the sum is zero."""
-    total = weights.sum()
-    if total <= 0.0:
-        return np.full(len(weights), 1.0 / len(weights)), True
-    return weights / total, False
+class _Memo(dict):
+    """A dict of at most CACHE_ENTRIES entries: storing past it drops the oldest."""
+
+    def __setitem__(self, key, value):
+        if len(self) >= CACHE_ENTRIES:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
+
+def _per_candidate(assignment) -> dict:
+    """The assignment's arrays with a trailing axis, so candidate arrays broadcast against them."""
+    return {c: v[..., None] if isinstance(v, np.ndarray) else v for c, v in assignment.items()}
+
+
+def _block_likelihood(kernel: np.ndarray, letters, block: np.ndarray) -> float | np.ndarray:
+    """Block probability: kernel[letters, block] multiplied over n, all (..., n) and broadcast."""
+    return np.prod(kernel[tuple(letters) + (block,)], axis=-1)
+
+
+def _normalized(weights: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Each row of weights over its sum, or uniform and flagged degenerate where the
+    sum is zero; one flag per row of a stack, a bool for a single row."""
+    total = weights.sum(axis=-1, keepdims=True)
+    zero = total <= 0.0
+    posterior = np.where(zero, 1.0 / weights.shape[-1], weights / np.where(zero, 1.0, total))
+    return posterior, zero[..., 0] if zero.ndim > 1 else bool(zero[0])
 
 
 def _require_c_equals_action(spec: AuxSpec) -> None:
@@ -289,22 +309,40 @@ def _require_c_equals_action(spec: AuxSpec) -> None:
 # Posterior + staircase selection
 
 
+def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's candidates by descending mass (ties by index) and support size: the shortest top-mass
+    prefix minimizing 2*eps + m/ell, where a longer one must beat the best so far by 1e-15."""
+    count = posteriors.shape[-1]
+    order = np.argsort(-posteriors, axis=-1, kind="stable")
+    mass = posteriors[np.arange(len(posteriors))[:, None], order]
+    certs = 2.0 * (1.0 - np.cumsum(mass, axis=-1)) + np.array([m / ell for m in range(1, count + 1)])
+    certs[np.arange(1, count + 1) > (mass > 0).sum(axis=-1, keepdims=True)] = np.inf  # past positive mass
+    best_m, best = np.ones(len(posteriors), dtype=np.int64), certs[:, 0]
+    for m, cert in enumerate(certs.T[1:], 2):
+        better = cert < best - 1e-15
+        best, best_m[better] = np.where(better, cert, best), m
+    return order, best_m
+
+
+def _induced_laws(posteriors: np.ndarray, ell: int) -> np.ndarray:
+    """The staircase selectors' induced laws of a stack (R, M) of normalized
+    posteriors; rows of one support size share one staircase_map call."""
+    order, best_m = _support_sizes(posteriors, ell)
+    induced = np.zeros(posteriors.shape)
+    for m in np.flatnonzero(np.bincount(best_m)).tolist():
+        rows = np.flatnonzero(best_m == m)
+        induced[rows] = staircase_map(posteriors[rows], order[rows, :m], ell).induced_array(
+            posteriors.shape[-1])
+    return induced
+
+
 def _selection_table(posterior: np.ndarray, ell: int):
-    """Build the staircase table for a posterior: the support is the shortest
-    top-mass prefix minimizing the certificate 2*eps + M/ell. Returns the
-    table, the support size and the induced array."""
-    count = len(posterior)
-    order = np.lexsort((np.arange(count), -posterior))
-    mass = posterior[order]
-    cum = np.cumsum(mass).tolist()
-    positive = int((mass > 0).sum())
-    best_m, best_cert = 1, float("inf")
-    for m in range(1, max(positive, 1) + 1):
-        cert = 2.0 * (1.0 - cum[m - 1]) + m / ell
-        if cert < best_cert - 1e-15:
-            best_cert, best_m = cert, m
-    table = staircase_map(pmf_weights(posterior, normalize=True), order[:best_m].tolist(), ell)
-    return table, best_m, table.induced_array(count)
+    """The staircase table of one normalized posterior, its support sized as a stack
+    of one. Returns the table, the support size and the induced array."""
+    order, best_m = _support_sizes(posterior[None], ell)
+    m = int(best_m[0])
+    table = staircase_map(posterior, order[0, :m], ell)
+    return table, m, table.induced_array(len(posterior))
 
 
 def _staircase_select(selection, seed_value: int | None, rng: np.random.Generator | None,
@@ -329,7 +367,8 @@ def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | Non
     (used by exact enumeration). seed_value of None draws the seed uniformly
     from rng.
     """
-    return _staircase_select(_selection_table(posterior, ell), seed_value, rng, degenerate)
+    return _staircase_select(_selection_table(pmf_weights(posterior, normalize=True), ell),
+                             seed_value, rng, degenerate)
 
 
 def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
@@ -350,7 +389,7 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
 
     kernel = condition(chain.joint, list(chain.level_labels))
     grid = dict(fixed) | dict(zip(free, np.indices(shape).reshape(len(free), count)))
-    weights = _block_likelihood(kernel.weights[tuple(chain.letters(grid))], y)
+    weights = _block_likelihood(kernel.weights, chain.letters(grid), y)
     posterior, degenerate = _normalized(np.broadcast_to(weights, (count,)))
 
     rng = _child_rng(seed, "posterior_select")

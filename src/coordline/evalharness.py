@@ -142,16 +142,16 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
                               fan_out * (len(cb.sizes) + n + h)):
         paths["x"] = np.stack(np.unravel_index(paths[blocks[0]], (sizes[0],) * n), axis=-1)
         paths["p"] = np.full(len(paths["x"]), cr_weight)
-        paths, deg = _branch(scheme, paths, scheme.ell1, scheme.m1_space,
-                             map(scheme.node1_posterior, paths["x"], _rows(paths, cr_comps)))
+        paths, deg = _branch(scheme, paths, scheme.ell1, scheme.m1_space, scheme.node1_posterior(
+            paths["x"], {c: paths[c] for c in cr_comps}))
         degenerate += deg
         for node in range(1, h):
             if selects[node]:
                 paths, deg = _branch(
                     scheme, paths, scheme.ell_k[node],
                     IndexSpace([(k_plus(node), cb.sizes[k_plus(node)])]),
-                    map(functools.partial(scheme.k_posterior, node), paths["x"],
-                        _rows(paths, pair_comps + [k_minus(node)])))
+                    scheme.k_posterior(node, paths["x"],
+                                       {c: paths[c] for c in pair_comps + [k_minus(node)]}))
                 degenerate += deg
             else:
                 paths[k_plus(node)] = np.zeros(len(paths["p"]), dtype=np.int64)
@@ -170,34 +170,23 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
                         degenerate_paths=degenerate)
 
 
-def _rows(paths: dict, comps: Sequence[Component]) -> Iterator[dict[Component, int]]:
-    """The int assignment of comps at each path, in order."""
-    for values in zip(*[paths[c].tolist() for c in comps]):
-        yield dict(zip(comps, values))
-
-
 def _repeat(paths: dict, counts) -> dict:
     """Each path repeated counts times (per path, or one int for all), its copies adjacent."""
     return {key: np.repeat(v, counts, axis=0) for key, v in paths.items()}
 
 
 def _branch(scheme: Scheme, paths: dict, ell: int, space: IndexSpace,
-            posteriors) -> tuple[dict, int]:
+            posteriors: tuple[np.ndarray, np.ndarray]) -> tuple[dict, int]:
     """Each path branched on the candidates (flat in space) its staircase selector
     gives mass, ascending, with that mass multiplied into its probability "p";
-    posteriors yields each path's (posterior, degenerate). Returns the paths and
-    the number of degenerate posteriors."""
-    values, mass, counts, degenerate = [], [], [], 0
-    for posterior, deg in posteriors:
-        _, induced = scheme.selection(posterior, ell, 1)
-        support = np.flatnonzero(induced)
-        values.append(support)
-        mass.append(induced[support])
-        counts.append(len(support))
-        degenerate += int(deg)
-    out = _repeat(paths, np.array(counts)) | space.unflatten(np.concatenate(values))
-    out["p"] = out["p"] * np.concatenate(mass)
-    return out, degenerate
+    posteriors are the paths' stacked posteriors (R, M) and degenerate flags (R,).
+    Returns the paths and the number of degenerate posteriors."""
+    stack, degenerate = posteriors
+    induced = scheme.selection(stack, ell)
+    rows, values = np.nonzero(induced)
+    out = _repeat(paths, np.count_nonzero(induced, axis=1)) | space.unflatten(values)
+    out["p"] = out["p"] * induced[rows, values]
+    return out, int(np.count_nonzero(degenerate))
 
 
 def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:

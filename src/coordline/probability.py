@@ -350,10 +350,13 @@ class StaircaseTable:
     `weights` and cached: `bound` is the certified L1 error 2*epsilon + M/ell
     (epsilon = mass outside the support set), and `epsilon`, `bound` and
     `realized_l1` are exact rationals.
+
+    A stack of tables (staircase_map on weight rows) holds support, cuts and weights
+    as arrays with the rows' leading axes; read only `vacuous` and `induced_array`.
     """
 
-    support: tuple[int, ...]
-    cuts: tuple[int, ...]
+    support: tuple[int, ...] | np.ndarray
+    cuts: tuple[int, ...] | np.ndarray
     ell: int
     vacuous: bool
     weights: np.ndarray = field(repr=False, compare=False)
@@ -366,14 +369,21 @@ class StaircaseTable:
                 return self.support[i - 1]
         return self.support[-1]
 
-    def _widths(self) -> list[int]:
-        edges = self.cuts[:-1] + (self.ell,)
-        return [max(hi - lo, 0) for lo, hi in zip(edges, edges[1:])]
+    def _widths(self) -> np.ndarray:
+        """Seeds per support symbol: the gaps of (N_0..N_{M-1}, ell), at least 0."""
+        cuts = np.asarray(self.cuts, dtype=object if self.ell >= 2 ** 63 else None)
+        edges = cuts[..., 1:].copy()
+        edges[..., -1] = self.ell
+        return np.maximum(edges - cuts[..., :-1], 0)
 
-    induced = functools.cached_property(lambda self: tuple(Fraction(k, self.ell) for k in self._widths()))
+    induced = functools.cached_property(
+        lambda self: tuple(Fraction(k, self.ell) for k in self._widths().tolist()))
 
-    def induced_array(self, size: int) -> np.ndarray:  # k / ell rounds as float(Fraction(k, ell))
-        return np.bincount(self.support, [k / self.ell for k in self._widths()], size)
+    def induced_array(self, size: int) -> np.ndarray:
+        """The induced law over symbols 0..size-1 (a row per table of a stack); k / ell in float64."""
+        out = np.zeros(np.shape(self.support)[:-1] + (size,))
+        np.put_along_axis(out, np.asarray(self.support), self._widths() / self.ell, axis=-1)
+        return out
 
     _exact = functools.cached_property(lambda self: _snapped(self.weights))
     epsilon = functools.cached_property(lambda self: 1 - sum(self._exact[b] for b in self.support))
@@ -405,10 +415,12 @@ def _fraction_cuts(exact: Sequence[Fraction], support: Sequence[int], ell: int) 
     return cuts
 
 
-def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int], ell: int) -> StaircaseTable:
+def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.ndarray,
+                  ell: int) -> StaircaseTable:
     """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
 
-    q is the pmf, or its weights as a 1-D pmf_weights array.
+    q is the pmf, or its weights as a 1-D pmf_weights array. Weight rows (..., size), each summing
+    to 1 within MASS_TOL, and support orders (..., M) give a stack of tables in one pass.
 
     The support_order must list distinct symbols; its q-mass defines epsilon as
     the leftover mass. The cuts are those of exact rational arithmetic on the
@@ -421,17 +433,18 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int], ell: i
     fatal.
     """
     w = q.weights if isinstance(q, JointPmf) else q
-    if w.ndim != 1:
+    support = np.asarray(support_order, dtype=np.int64)
+    if w.ndim != support.ndim or w.shape[:-1] != support.shape[:-1]:
         raise UsageError("staircase_map expects a single-axis pmf")
     if ell < 1:
         raise UsageError("ell must be >= 1")
-    support = [int(b) for b in support_order]
-    size = len(w)
-    if not support:
+    size, m = w.shape[-1], support.shape[-1]
+    if m == 0:
         raise UsageError("support_order must be nonempty")
-    if len(set(support)) != len(support):
+    ordered = np.sort(support, axis=-1)
+    if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise UsageError("support_order has repeated symbols")
-    if min(support) < 0 or max(support) >= size:
+    if support.size and (support.min() < 0 or support.max() >= size):
         raise UsageError("support symbol out of range")
     ell = int(ell)
 
@@ -443,11 +456,18 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int], ell: i
     # within MASS_TOL); the float64 sums, product and quotient add under
     # ell * (2 * size + 2) * 2**-53. Outside ell * size * 2e-12 of an integer,
     # the float floor is the exact floor.
-    scaled = np.cumsum(w[support]) * ell / w.sum()
+    rows, picks = w.reshape(-1, size), support.reshape(-1, m)
+    picked = rows[np.arange(len(rows))[:, None], picks]
+    scaled = np.cumsum(picked, axis=-1) * ell / rows.sum(axis=-1, keepdims=True)
     near = np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12
-    if np.count_nonzero(w[support]) == np.count_nonzero(w):  # all mass in the support: S_M = T
-        scaled[-1], near[-1] = ell, False
-    cuts = (_fraction_cuts(_snapped(w), support, ell) if near.any()
-            else [0] + np.floor(scaled).astype(np.int64).tolist())
-    return StaircaseTable(support=tuple(support), cuts=tuple(cuts), ell=ell,
-                          vacuous=ell < len(support), weights=w)
+    full = (picked != 0).sum(axis=-1) == (rows != 0).sum(axis=-1)  # S_M = T
+    scaled[full, -1], near[full, -1] = ell, False
+    near = near.any(axis=-1)
+    cuts = np.zeros((len(rows), m + 1), dtype=object if ell >= 2 ** 63 else np.int64)
+    cuts[:, 1:] = np.floor(np.where(near[:, None], 0.0, scaled))
+    for r in np.flatnonzero(near):
+        cuts[r] = _fraction_cuts(_snapped(rows[r]), picks[r].tolist(), ell)
+    cuts = cuts.reshape(support.shape[:-1] + (m + 1,))
+    if w.ndim == 1:
+        support, cuts = tuple(support.tolist()), tuple(cuts.tolist())
+    return StaircaseTable(support=support, cuts=cuts, ell=ell, vacuous=ell < m, weights=w)

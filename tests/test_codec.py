@@ -1,5 +1,11 @@
+import functools
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coordline import codec
 from coordline.codebooks import (
@@ -18,8 +24,10 @@ from coordline.codec import (
     run_scheme,
     select_from_posterior,
 )
+from coordline.cli import run_command
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
+from coordline.presets import preset_config
 from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
 
@@ -289,3 +297,111 @@ class TestChainPosteriorFixedPrefix:
         want = np.log2(chain.sizes[1]) / 4 - info_measure(joint, ["Y"], ["D2"], ["D1"])
         assert rep["required_seed_rate"] == pytest.approx(want, abs=1e-9)
         assert 0 <= rep["selected"] < chain.sizes[1]
+
+
+@functools.cache
+def _dsbs_scheme():
+    return Scheme(build_codebooks(dsbs_spec(), h2_rates(), n=2, seed=0), Mode.FUNCTIONAL)
+
+
+@st.composite
+def posterior_stacks(draw):
+    """(posteriors (R, M), ell): _normalized rows of random, dyadic, point-mass and
+    all-zero (degenerate, so uniform) weights, so under a power-of-two ell only some
+    rows have a cut on an integer; ell may fall below the support size."""
+    size = draw(st.integers(1, 10))
+    ell = draw(st.one_of(st.integers(1, size), st.integers(1, 300),
+                         st.integers(0, 10).map(lambda k: 2 ** k)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "dyadic", "point", "zero"]))
+        if kind == "random":
+            rows.append(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        elif kind == "dyadic":
+            rows.append(draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)))
+        else:
+            rows.append([0.0] * size)
+            if kind == "point":
+                rows[-1][draw(st.integers(0, size - 1))] = 0.5
+    posteriors, _ = codec._normalized(np.array(rows, dtype=np.float64).reshape(-1, size))
+    return posteriors, ell
+
+
+class TestStackedSelection:
+    """Scheme.selection on a stack of posteriors equals one call per row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=posterior_stacks())
+    @example(case=(np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]), 8))
+    @example(case=(np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1]]), 2))
+    def test_equals_row_by_row(self, case):
+        posteriors, ell = case
+        scheme = _dsbs_scheme()
+        induced = scheme.selection(posteriors, ell)
+        _, sizes = codec._support_sizes(posteriors, ell)
+        assert induced.shape == posteriors.shape
+        for r, posterior in enumerate(posteriors):
+            outcome, want = scheme.selection(posterior.copy(), ell, 1)
+            assert np.array_equal(induced[r], want)
+            assert sizes[r] == outcome.support_size
+            single, single_law = select_from_posterior(posterior, ell, 1)
+            assert single.to_dict() == outcome.to_dict() and np.array_equal(single_law, want)
+
+
+class TestSupportSizeTieRule:
+    """The support-size rule is sequential: a longer prefix must beat the best
+    certificate so far by 1e-15. Certificates 1, 1 - 0.67e-15, 1 - 1.33e-15, 1 select
+    m=3; the first certificate within 1e-15 of the minimum would be m=2."""
+
+    POSTERIOR = np.array([0.625, 0.125 + 3e-16, 0.125 + 3e-16, 0.125 - 6e-16])
+    ELL = 4
+
+    def test_certificates(self):
+        cum = np.cumsum(self.POSTERIOR).tolist()
+        certs = [2.0 * (1.0 - cum[m - 1]) + m / self.ELL for m in range(1, 5)]
+        assert certs[0] == certs[3] == 1.0
+        assert certs[1] >= certs[0] - 1e-15 and certs[2] < certs[0] - 1e-15
+        assert certs[2] >= certs[1] - 1e-15
+
+    def test_single_posterior(self):
+        outcome, _ = select_from_posterior(self.POSTERIOR, self.ELL, 1)
+        assert outcome.support_size == 3
+        assert _dsbs_scheme().selection(self.POSTERIOR, self.ELL, 1)[0].support_size == 3
+
+    def test_inside_a_stack(self):
+        stack = np.stack([np.full(4, 0.25), self.POSTERIOR, np.array([1.0, 0.0, 0.0, 0.0])])
+        _, sizes = codec._support_sizes(stack, self.ELL)
+        assert sizes.tolist() == [select_from_posterior(p, self.ELL, 1)[0].support_size for p in stack]
+        assert sizes[1] == 3
+        induced = _dsbs_scheme().selection(stack, self.ELL)
+        assert np.array_equal(induced[1], select_from_posterior(self.POSTERIOR, self.ELL, 1)[1])
+
+
+class TestMemoBound:
+    def test_mc_run_keeps_memos_at_the_bound(self, tmp_path, monkeypatch, capsys):
+        """A run over more distinct posteriors and tables than CACHE_ENTRIES keeps
+        both memos at the bound and writes the same report."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(preset_config("dsbs") | {"n": [3], "trials": 300,
+                                                            "codebook_seeds": 1}))
+        schemes = []
+        init = Scheme.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            schemes.append(self)
+
+        monkeypatch.setattr(Scheme, "__init__", spy)
+
+        def report(out):
+            assert run_command(["simulate", "--config", str(path), "--seed", "5",
+                                "--out", str(out)]) == 0
+            text = (out / "report.json").read_text()
+            return re.sub(r'\n *"generated_at": "[^"]*",', "", text)
+
+        want = report(tmp_path / "unbounded")
+        free, = schemes
+        assert min(len(free._post_cache), len(free._table_cache)) > 4
+        monkeypatch.setattr(codec, "CACHE_ENTRIES", 4)
+        assert report(tmp_path / "bounded") == want
+        assert len(schemes[1]._post_cache) == len(schemes[1]._table_cache) == 4

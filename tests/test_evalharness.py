@@ -82,17 +82,18 @@ class TestExactInduced:
 
     def test_walk_reads_no_certificate_and_rarely_needs_fractions(self, monkeypatch):
         """The exact walk needs only the integer cuts: no table's certificate is
-        read, and at most 5% of the tables (67 of 1,641 here) take the Fraction
-        cut loop."""
+        read, and at most 5% of the tables (91 of 1,920 here) take the Fraction
+        cut loop. A stacked staircase_map call counts one table per support row."""
         counts = {"tables": 0, "fraction_cuts": 0, "certificates": 0}
 
-        def counted(key, fn):
+        def counted(key, fn, tables=lambda *args: 1):
             def wrapper(*args):
-                counts[key] += 1
+                counts[key] += tables(*args)
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(codec, "staircase_map", counted("tables", codec.staircase_map))
+        monkeypatch.setattr(codec, "staircase_map", counted(
+            "tables", codec.staircase_map, lambda q, support, ell: np.asarray(support)[..., 0].size))
         monkeypatch.setattr(probability, "_fraction_cuts",
                             counted("fraction_cuts", probability._fraction_cuts))
         for name in ("epsilon", "bound", "realized_l1"):

@@ -1,14 +1,16 @@
 """The batched exact paths against per-assignment reference loops.
 
-Codebook draws, node-1 and K+ posteriors, the exact walk through the
-selectors, the allied joint, the CR independence score, the piecing check and
-the Monte Carlo histograms evaluate whole index grids at once.
+Codebook draws, node-1 and K+ posteriors, the staircase selections of the
+exact walk, the walk itself, the allied joint, the CR independence score, the
+piecing check and the Monte Carlo histograms evaluate whole index grids at once.
 Each must equal, bit for bit, the loop that visits one index assignment at a
 time; the loops below are that reference. Equality is asserted with
 np.array_equal or ==, never a tolerance.
 """
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
@@ -32,7 +34,7 @@ from coordline.errors import UsageError
 from coordline.evalharness import _allied_joint, cr_independence, exact_induced, piecing_check
 from coordline.linestruct import a_label, b_label, c_label, order_pairs, psi, x_label
 from coordline.presets import preset_config
-from coordline.probability import condition, marginalize
+from coordline.probability import condition, marginalize, pmf_weights
 from coordline.rates import Mode
 
 SEED = 3
@@ -231,8 +233,50 @@ def ref_block_decode(idx, size, n):
     return out
 
 
-def ref_selector_law(scheme, posterior, ell):
-    _, induced = scheme.selection(posterior, ell, 1)
+def ref_staircase_cuts(weights, support, ell):
+    """One table's cuts: floor(cumsum * ell / total) in float64, the last cut ell when
+    the support holds every positive weight, and the rational cuts of the snapped
+    weights when any other scaled cumulative is within ell * size * 2e-12 of an integer."""
+    scaled = np.cumsum(weights[support]) * ell / weights.sum()
+    near = np.abs(scaled - np.rint(scaled)) <= ell * len(weights) * 2e-12
+    if np.count_nonzero(weights[support]) == np.count_nonzero(weights):
+        scaled[-1], near[-1] = ell, False
+    if not near.any():
+        return [0] + np.floor(scaled).astype(np.int64).tolist()
+    snapped = [Fraction(float(w)).limit_denominator(10 ** 12) for w in weights]
+    total = sum(snapped)
+    cuts, cum = [0], Fraction(0)
+    for b in support:
+        cum += snapped[b] / total
+        cuts.append(math.floor(cum * ell))
+    return cuts
+
+
+def ref_selection_table(posterior, ell):
+    """One posterior's staircase selection, one support size at a time: the support
+    size (the first prefix whose certificate beats every shorter one by 1e-15) and
+    the induced array."""
+    count = len(posterior)
+    order = np.lexsort((np.arange(count), -posterior))
+    mass = posterior[order]
+    cum = np.cumsum(mass).tolist()
+    positive = int((mass > 0).sum())
+    best_m, best_cert = 1, float("inf")
+    for m in range(1, max(positive, 1) + 1):
+        cert = 2.0 * (1.0 - cum[m - 1]) + m / ell
+        if cert < best_cert - 1e-15:
+            best_cert, best_m = cert, m
+    support = order[:best_m].tolist()
+    cuts = ref_staircase_cuts(pmf_weights(posterior, normalize=True), support, ell)
+    edges = cuts[:-1] + [ell]
+    induced = np.zeros(count)
+    for b, lo, hi in zip(support, edges, edges[1:]):
+        induced[b] = max(hi - lo, 0) / ell
+    return best_m, induced
+
+
+def ref_selector_law(posterior, ell):
+    _, induced = ref_selection_table(posterior, ell)
     return [(int(v), induced[v]) for v in np.nonzero(induced)[0]]
 
 
@@ -245,7 +289,7 @@ def ref_walk(scheme, node, x_prev, assignment, prob, cond, prefix):
     if scheme.schedule.selects_k and cb.sizes[k_plus(node)] > 1:
         posterior, deg = scheme.k_posterior(node, x_prev, assignment)
         degenerate += int(deg)
-        k_options = ref_selector_law(scheme, posterior, scheme.ell_k[node])
+        k_options = ref_selector_law(posterior, scheme.ell_k[node])
     size_l = cb.sizes[l_of(node + 1)]
     x_size = scheme.spec.network.alphabets[node].size
     for k_val, k_prob in k_options:
@@ -264,7 +308,7 @@ def ref_walk(scheme, node, x_prev, assignment, prob, cond, prefix):
 
 def ref_exact_conditional(cb, mode):
     """exact_induced's (conditional, degenerate_paths) by the depth-first walk over
-    one dict assignment at a time."""
+    one dict assignment at a time, selecting through ref_selection_table."""
     scheme = Scheme(cb, mode)
     h, n = cb.h, cb.n
     sizes = [a.size for a in cb.spec.network.alphabets]
@@ -283,7 +327,7 @@ def ref_exact_conditional(cb, mode):
                 assignment.setdefault(k_plus(i), 0)
             posterior, deg = scheme.node1_posterior(x1, assignment)
             degenerate += int(deg)
-            for m1_flat, p_m1 in ref_selector_law(scheme, posterior, scheme.ell1):
+            for m1_flat, p_m1 in ref_selector_law(posterior, scheme.ell1):
                 assignment.update(scheme.m1_space.unflatten(m1_flat))
                 degenerate += ref_walk(scheme, 1, x1, assignment, cr_weight * p_m1, cond, [x1_flat])
     return cond, degenerate
@@ -293,6 +337,31 @@ def _assert_exact_matches(got, want):
     cond, degenerate = want
     assert np.array_equal(got.conditional, cond)
     assert got.degenerate_paths == degenerate
+
+
+def _stack(rows):
+    """(blocks (R, n), integer-array assignment (R,)) of per-row (block, assignment)."""
+    return (np.stack([block for block, *_ in rows]),
+            {c: np.array([a[c] for _, a, *_ in rows]) for c in rows[0][1]})
+
+
+def _assert_stack_matches(posterior, rows):
+    """One stacked posterior call equals the per-row references (block, assignment, want, deg)."""
+    got, got_deg = posterior(*_stack(rows))
+    assert np.array_equal(got, np.array([want for *_, want, _ in rows]))
+    assert got_deg.tolist() == [deg for *_, deg in rows]
+
+
+def per_row(ref):
+    """A per-block reference posterior applied row by row to a stack of blocks."""
+    def posterior(scheme, *args):
+        *head, blocks, assignment = args
+        if blocks.ndim == 1:
+            return ref(scheme, *args)
+        out = [ref(scheme, *head, block, {c: int(v[r]) for c, v in assignment.items()})
+               for r, block in enumerate(blocks)]
+        return np.array([p for p, _ in out]), np.array([deg for _, deg in out])
+    return posterior
 
 
 def _block_sizes(cb):
@@ -317,12 +386,15 @@ class TestBitIdentity:
         cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
                      + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
                      + [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1])
+        rows = []
         for x1 in _blocks(cb.spec.network.alphabets[0].size, cb.n):
             for assignment in _assignments(cr_spaces):
                 assignment.update({k_plus(i): 0 for i in range(1, h)})
                 got, got_deg = scheme.node1_posterior(x1, assignment)
                 want, want_deg = ref_node1_posterior(scheme, x1, assignment)
                 assert np.array_equal(got, want) and got_deg == want_deg
+                rows.append((x1, assignment, want, want_deg))
+        _assert_stack_matches(scheme.node1_posterior, rows)
 
     def test_k_posterior(self, case):
         _, mode, cb = _setup(*case)
@@ -330,11 +402,14 @@ class TestBitIdentity:
         h = cb.h
         for i in range(1, h):
             spaces = _pair_spaces(cb) + [(k_minus(i), cb.sizes[k_minus(i)])]
+            rows = []
             for x_block in _blocks(cb.spec.network.alphabets[i - 1].size, cb.n):
                 for assignment in _assignments(spaces):
                     got, got_deg = scheme.k_posterior(i, x_block, assignment)
                     want, want_deg = ref_k_posterior(scheme, i, x_block, assignment)
                     assert np.array_equal(got, want) and got_deg == want_deg
+                    rows.append((x_block, assignment, want, want_deg))
+            _assert_stack_matches(functools.partial(scheme.k_posterior, i), rows)
 
     def test_exact_walk(self, case):
         _, mode, cb = _setup(*case)
@@ -353,8 +428,8 @@ class TestBitIdentity:
 def test_exact_induced_matches_reference_posteriors(case, monkeypatch):
     _, mode, cb = _setup(*case)
     got = exact_induced(cb, mode)
-    monkeypatch.setattr(Scheme, "node1_posterior", ref_node1_posterior)
-    monkeypatch.setattr(Scheme, "k_posterior", ref_k_posterior)
+    monkeypatch.setattr(Scheme, "node1_posterior", per_row(ref_node1_posterior))
+    monkeypatch.setattr(Scheme, "k_posterior", per_row(ref_k_posterior))
     want = exact_induced(cb, mode)
     assert np.array_equal(got.conditional, want.conditional)
     assert np.array_equal(got.allied_joint, want.allied_joint)
@@ -448,9 +523,8 @@ class TestChunkBoundaries:
 class TestMemory:
     """Chunked grids keep the working set near the cell budget: an unchunked
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
-    take about 46 MB. Measured peaks: piecing_check 4.6 and exact_induced 7.3
-    budgets, the latter with about 2.4 for the walk's posterior and table
-    caches, which do not depend on chunking."""
+    take about 46 MB. Measured peaks: piecing_check 4.5 and exact_induced 4.2
+    budgets; the walk's stacked posteriors and selections fill no cache."""
 
     BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
 

@@ -379,3 +379,75 @@ class TestStaircaseAgainstFractions:
         w = pmf_weights(weights, normalize=True)
         assert np.array_equal(w, q.weights) and not w.flags.writeable
         assert staircase_map(w, support, ell) == staircase_map(q, support, ell)
+
+
+@st.composite
+def staircase_stacks(draw):
+    """(weight rows, support rows, ell) sharing size, support length and ell: rows of
+    random, dyadic, near-zero and point-mass weights, so under a power-of-two ell only
+    some rows have a cut on an integer and take the Fraction loop; ell may fall below
+    the support length, and a stack may be empty."""
+    size = draw(st.integers(1, 12))
+    m = draw(st.integers(1, size))
+    ell = draw(st.one_of(st.integers(1, m), st.integers(1, 5000),
+                         st.integers(0, 12).map(lambda k: 2 ** k)))
+    rows, supports = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "dyadic", "tiny", "point"]))
+        if kind == "dyadic":
+            marks = sorted(draw(st.lists(st.integers(0, 64), min_size=size - 1, max_size=size - 1)))
+            weights = [(hi - lo) / 64 for lo, hi in zip([0] + marks, marks + [64])]
+        elif kind == "point":
+            weights = [0.0] * size
+            weights[draw(st.integers(0, size - 1))] = 1.0
+        else:
+            letter = st.floats(0.0, 1.0)
+            if kind == "tiny":
+                letter = st.one_of(st.sampled_from([0.0, 1e-16, 4.9e-13, 5.1e-13]), letter)
+            weights = draw(st.lists(letter, min_size=size, max_size=size))
+        if sum(weights) <= 0.0:
+            weights[0] = 1.0
+        rows.append(pmf_weights(weights, normalize=True))
+        supports.append(draw(st.permutations(range(size)))[:m])
+    return np.array(rows).reshape(-1, size), np.array(supports, dtype=np.int64).reshape(-1, m), ell
+
+
+class TestStackedStaircase:
+    """staircase_map on weight rows equals one call per row, in every field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=staircase_stacks())
+    @example(case=(np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4]]), np.array([[0, 1], [0, 1]]), 8))
+    @example(case=(np.array([[0.0, 1.0, 0.0], [0.25, 0.25, 0.5]]), np.array([[1, 0, 2], [2, 0, 1]]), 2))
+    def test_equals_row_by_row(self, case):
+        weights, supports, ell = case
+        stack = staircase_map(weights, supports, ell)
+        size = weights.shape[-1]
+        assert stack.cuts.shape == supports.shape[:-1] + (supports.shape[-1] + 1,)
+        assert stack.induced_array(size).shape == weights.shape
+        for r, (row, support) in enumerate(zip(weights, supports)):
+            one = staircase_map(row, support.tolist(), ell)
+            assert tuple(stack.support[r].tolist()) == one.support
+            assert tuple(stack.cuts[r].tolist()) == one.cuts
+            assert (stack.ell, stack.vacuous) == (one.ell, one.vacuous)
+            assert np.array_equal(stack.weights[r], one.weights)
+            assert np.array_equal(stack.induced_array(size)[r], one.induced_array(size))
+
+    def test_only_rows_near_an_integer_take_fractions(self, monkeypatch):
+        import coordline.probability as probability
+
+        seen = []
+        original = probability._fraction_cuts
+        monkeypatch.setattr(probability, "_fraction_cuts",
+                            lambda exact, support, ell: seen.append(support) or original(exact, support, ell))
+        # ell 8: the dyadic row's cuts 4 and 6 are integers, the other row's 2.4 and 4.8 are not
+        weights = np.array([[0.3, 0.3, 0.4], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]])
+        stack = staircase_map(weights, np.array([[0, 1], [0, 1], [1, 0]]), 8)
+        assert seen == [[0, 1]]
+        assert stack.cuts.tolist() == [[0, 2, 4], [0, 4, 6], [0, 2, 4]]
+
+    def test_mismatched_stack_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="single-axis"):
+            staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1]]), 4)
+        with pytest.raises(UsageError, match="repeated"):
+            staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1], [2, 2]]), 4)
