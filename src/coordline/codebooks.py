@@ -122,11 +122,12 @@ def _stratified_blocks(u: np.ndarray, letter_probs: np.ndarray) -> np.ndarray:
     """Codewords (B, count, n) decoded from stratified quantiles u (B, count):
     row b of u decodes, letter by letter, through the product distribution
     with per-letter rows letter_probs[b] (n, size)."""
-    batch, n, size = letter_probs.shape
+    batch, n, _ = letter_probs.shape
     cum = _cum_rows(letter_probs)
     out = np.empty((batch, u.shape[1], n), dtype=np.int64)
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
     for t in range(n):
-        sym = np.minimum(_search_right(cum[:, t], u), size - 1)
+        sym = _search_right(cum[:, t], u)
         out[:, :, t] = sym
         lo = np.where(sym > 0, np.take_along_axis(cum[:, t], sym - 1, axis=1), 0.0)
         p = np.take_along_axis(letter_probs[:, t], sym, axis=1)
@@ -135,27 +136,25 @@ def _stratified_blocks(u: np.ndarray, letter_probs: np.ndarray) -> np.ndarray:
 
 
 def _search_right(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cum[i], u[i], side="right") for every row i of cum (..., size) and
-    keys u (..., count): the count of entries <= u on a sorted row. A row unsorted by
-    forcing its end to 1 is searched as such."""
-    sym = (cum[..., None, :] <= u[..., None]).sum(axis=-1)
-    for i in zip(*(cum[..., 1:] < cum[..., :-1]).any(axis=-1).nonzero()):
-        sym[i] = np.searchsorted(cum[i], u[i], side="right")
-    return sym
+    """np.searchsorted(cum[i], u[i], side="right") for every sorted row i of cum (..., size)
+    and keys u (..., count): the count of entries <= u. On a _cum_rows row, a key below 1
+    gives a symbol of positive mass."""
+    return (cum[..., None, :] <= u[..., None]).sum(axis=-1)
 
 
 def _cum_rows(letter_probs: np.ndarray) -> np.ndarray:
-    """Per-letter cumulative rows of letter_probs (..., n, size), each ending at exactly 1."""
-    cum = np.cumsum(letter_probs, axis=-1)
+    """Per-letter cumulative rows of letter_probs (..., n, size), sorted and ending at
+    exactly 1: each running sum is capped at 1 before the last entry is set to 1."""
+    cum = np.minimum(np.cumsum(letter_probs, axis=-1), 1.0)
     cum[..., -1] = 1.0
     return cum
 
 
 def _iid_blocks(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Blocks (..., count, n) decoded from independent uniforms u (..., count, n): letter t
-    is _search_right of its uniform in row t of cum (..., n, size), as _cum_rows makes it."""
-    sym = _search_right(cum, u.swapaxes(-1, -2))
-    return np.minimum(sym.swapaxes(-1, -2), cum.shape[-1] - 1)
+    """Blocks (..., count, n) decoded from independent uniforms u (..., count, n) in [0, 1):
+    letter t is _search_right of its uniform in row t of cum (..., n, size), as _cum_rows
+    makes it."""
+    return _search_right(cum, u.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

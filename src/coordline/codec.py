@@ -1,11 +1,15 @@
 """The action-generation and strong-coordination schemes over a realized codebook.
 
-Two entry points: allied_generate synthesizes all h actions from uniform
-indices; run_scheme starts from a given first-node action block, inverts the
-node-1 operation via a seeded posterior selector, and relays hop by hop.
-Both route every index selection through the same exact-posterior +
-staircase primitive, so a scheme run that replays the allied run's node-1
-selection reproduces its downstream actions trace-for-trace.
+One walk (walk) runs the scheme on a stack of rows: node 1 selects m1 from its
+posterior given its action block, then each hop i selects K_i+ when the mode's
+schedule does, draws node i+1's local index l and reads node i+1's action as
+its C-codeword. Every selection goes through the same exact posterior
+(Scheme.node1_posterior, Scheme.k_posterior) and stacked staircase table
+(Scheme.selection). Exact evaluation (evalharness.exact_induced) branches
+each row on every outcome with mass; Monte Carlo (run_scheme,
+allied_generate) runs trials as rows and draws one outcome per row. So a
+scheme run that replays the allied run's X1 and node-1 indices reproduces
+its downstream actions trace for trace.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
 selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
@@ -13,6 +17,7 @@ schedule (rates.ModeSchedule) names.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebooks import (
+    STREAM_BLOCK_ROWS,
     ChainCodebook,
     Codebook,
-    Component,
     IndexSpace,
     _child_rng,
     _cum_rows,
@@ -54,6 +59,10 @@ from .rates import (
     thm1_check,
     thm2_check_all,
 )
+
+STREAM_VERSION = 2
+"""Layout of the Monte Carlo streams: trials are drawn in blocks of STREAM_BLOCK_ROWS,
+one draw call per block and key on the stream (seed, "mc", block, *key)."""
 
 
 def _bits(size: int) -> int:
@@ -109,7 +118,6 @@ class Trace:
     messages: list
     selectors: dict
     node_bits: dict
-    node_ops: dict = field(default_factory=dict)
     degenerate_draws: int = 0
 
     def to_dict(self):
@@ -146,7 +154,7 @@ def _seed_range(n: int, rate: float) -> int:
 
 
 class Scheme:
-    """Precomputed tables and selector layout for one (codebook, mode) pair."""
+    """Precomputed tables, selector layout and metering for one (codebook, mode) pair."""
 
     def __init__(self, cb: Codebook, mode: Mode):
         spec = cb.spec
@@ -166,10 +174,6 @@ class Scheme:
         joint = spec.joint
 
         self.order = order_pairs(h)
-        if schedule.ships_crossing_pairs:
-            self.hop_pairs = {i: [p for p in self.order if p[0] <= i < p[1]] for i in range(1, h)}
-        else:
-            self.hop_pairs = {i: [(1, j) for j in range(i + 1, h + 1)] for i in range(1, h)}
         self.x1_kernel = spec.x_kernels[1]
         a_all = [a_label(p) for p in self.order]
         self.k_kernels = {}
@@ -180,6 +184,13 @@ class Scheme:
 
         self.m1_space = IndexSpace([(m_plus((1, j)), cb.sizes[m_plus((1, j))])
                                     for j in range(2, h + 1)])
+        # the hops whose K+ is selected, each with its candidate space
+        self.k_spaces = {i: IndexSpace([(k_plus(i), cb.sizes[k_plus(i)])]) for i in range(1, h)
+                         if schedule.selects_k and cb.sizes[k_plus(i)] > 1}
+        # the shared indices and the pairs nodes > 1 draw uniformly
+        self.cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in self.order]
+                          + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
+                          + [(m_plus(p), cb.sizes[m_plus(p)]) for p in self.order if p[0] != 1])
         self.ell1 = _seed_range(self.n, node1_selector_rate(spec, rates) + SEED_MARGIN)
         self.ell_k = {i: _seed_range(self.n, hop_selector_rate(spec, rates, i) + SEED_MARGIN)
                       for i in range(1, h)}
@@ -191,17 +202,30 @@ class Scheme:
         # seed slack actually configured at the node paying for each seed
         extra = [0.0] * h
         extra[0] += SEED_MARGIN if self.m1_space.size > 1 else 0.0
-        for i in range(1, h):
-            if schedule.selects_k and cb.sizes[k_plus(i)] > 1:
-                extra[schedule.k_seed_payer(i) - 1] += SEED_MARGIN
+        for i in self.k_spaces:
+            extra[schedule.k_seed_payer(i) - 1] += SEED_MARGIN
         self.rho_allowance = tuple(self.budgets.rho[i] + extra[i] for i in range(h))
 
-        # posteriors and staircase tables repeat across trials; memoize them
-        self._m1_minus_comps = [m_minus((1, j)) for j in range(2, h + 1)]
-        self._m1_grid = self.m1_space.unflatten(np.arange(self.m1_space.size))
-        self._k_comps = ([m_plus(p) for p in self.order] + [m_minus(p) for p in self.order])
-        self._post_cache = _Memo()
-        self._table_cache = _Memo()
+        # hop i's bundle as (name, index component or selector key, range): the
+        # mode's m+ pairs, k+_i, and the downstream K+ seeds node 1 pays for
+        self.hop_entries = {}
+        for i in range(1, h):
+            pairs = ([p for p in self.order if p[0] <= i < p[1]] if schedule.ships_crossing_pairs
+                     else [(1, j) for j in range(i + 1, h + 1)])
+            entries = [(f"m+({p[0]},{p[1]})", m_plus(p), cb.sizes[m_plus(p)]) for p in pairs]
+            if schedule.selects_k:
+                entries.append((f"k+({i})", k_plus(i), cb.sizes[k_plus(i)]))
+            if schedule.node1_pays_k_seeds:
+                entries += [(f"seed(k+{j})", ("k", j), self.ell_k[j]) for j in range(i + 1, h)]
+            self.hop_entries[i] = entries
+        # each metered draw of a trial as (paying node, bits): uniform indices are
+        # paid by the node drawing them, selector seeds (keyed ("m1",), ("k", i)) by
+        # the node the schedule names
+        self.charges = {m_plus(p): (p[0], _bits(cb.sizes[m_plus(p)])) for p in self.order if p[0] != 1}
+        self.charges[("m1",)] = (1, _bits(self.ell1))
+        self.charges.update({("k", i): (schedule.k_seed_payer(i), _bits(self.ell_k[i]))
+                             for i in self.k_spaces})
+        self.charges.update({l_of(i): (i, _bits(cb.sizes[l_of(i)])) for i in range(2, h + 1)})
 
     # -- letter-level likelihoods ------------------------------------------
 
@@ -212,60 +236,34 @@ class Scheme:
         """Likelihood of x1 at the assignment's psi(1) codewords, per grid point for arrays."""
         return _block_likelihood(self.x1_kernel.weights, self._psi1_letters(assignment), x1)
 
-    def sample_x1_from_codewords(self, assignment, rng) -> np.ndarray:
-        rows = self.x1_kernel.weights[tuple(self._psi1_letters(assignment))]
-        return _iid_blocks(rng.random((1, self.n)), _cum_rows(rows))[0]
-
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
         """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-; blocks x1
         (R, n) with integer-array assignments (R,) give (R, M) posteriors and R degenerate flags."""
-        key = ("m1", x1.tobytes(), tuple(assignment[c] for c in self._m1_minus_comps))
-        return self._posterior(x1, key, lambda: self.x1_likelihood(
-            x1[..., None, :], _per_candidate(assignment) | self._m1_grid))
+        return _normalized(self.x1_likelihood(
+            x1[..., None, :], _per_candidate(assignment) | self.m1_space.unflatten(
+                np.arange(self.m1_space.size))))
 
     def k_posterior(self, i: int, x_block: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
         """Posterior over k_i+ given the node-i action block, all m+-, and k_i-; stacks as node1's."""
-        def weights():
-            grid = _per_candidate(assignment)
-            letters = [self.cb.a_codeword(p, grid) for p in self.order]
-            letters.append(self.cb.b_codeword(i, grid | {k_plus(i): np.arange(self.cb.sizes[k_plus(i)])}))
-            return _block_likelihood(self.k_kernels[i].weights, letters, x_block[..., None, :])
+        grid = _per_candidate(assignment)
+        letters = [self.cb.a_codeword(p, grid) for p in self.order]
+        letters.append(self.cb.b_codeword(i, grid | {k_plus(i): np.arange(self.cb.sizes[k_plus(i)])}))
+        return _normalized(_block_likelihood(self.k_kernels[i].weights, letters, x_block[..., None, :]))
 
-        key = ("k", i, x_block.tobytes(), tuple(assignment[c] for c in self._k_comps), assignment[k_minus(i)])
-        return self._posterior(x_block, key, weights)
-
-    def _posterior(self, block, key, weights) -> tuple[np.ndarray, bool | np.ndarray]:
-        """_normalized(weights()), memoized under key for a single block."""
-        if block.ndim > 1:
-            return _normalized(weights())
-        hit = self._post_cache.get(key)
-        if hit is None:
-            hit = self._post_cache[key] = _normalized(weights())
-        return hit
-
-    def selection(self, posterior: np.ndarray, ell: int, seed_value: int | None = None,
-                  rng: np.random.Generator | None = None, degenerate: bool = False):
-        """Cached staircase selection (see select_from_posterior); a stack (R, M) gives its induced laws."""
-        if posterior.ndim > 1:
-            return _induced_laws(posterior, ell)
-        key = (posterior.tobytes(), ell)
-        hit = self._table_cache.get(key)
-        if hit is None:
-            hit = self._table_cache[key] = _selection_table(posterior, ell)
-        return _staircase_select(hit, seed_value, rng, degenerate)
-
-
-CACHE_ENTRIES = 4096
-"""Entries each Scheme memo keeps, oldest dropped first; a few thousand MC trials fit."""
-
-
-class _Memo(dict):
-    """A dict of at most CACHE_ENTRIES entries: storing past it drops the oldest."""
-
-    def __setitem__(self, key, value):
-        if len(self) >= CACHE_ENTRIES:
-            del self[next(iter(self))]
-        super().__setitem__(key, value)
+    def selection(self, posteriors: np.ndarray, ell: int) -> StaircaseTable:
+        """The staircase tables of a stack (R, M) of normalized posteriors as one stacked
+        table. Row r's support is all M candidates by descending mass, and its cuts are
+        N_0..N_{m-1} of its support size m (see _support_sizes), then ell: the induced
+        laws and seed maps of the size-m tables, whose last symbol takes every seed
+        above N_{m-1}. Rows of one support size share one staircase_map call."""
+        order, best_m = _support_sizes(posteriors, ell)
+        cuts = np.full((len(posteriors), posteriors.shape[-1] + 1), ell,
+                       dtype=object if ell >= 2 ** 63 else np.int64)
+        for m in np.flatnonzero(np.bincount(best_m)).tolist():
+            rows = np.flatnonzero(best_m == m)
+            cuts[rows, :m] = staircase_map(posteriors[rows], order[rows, :m], ell).cuts[:, :m]
+        return StaircaseTable(support=order, cuts=cuts, ell=ell, vacuous=best_m > ell,
+                              weights=posteriors)
 
 
 def _per_candidate(assignment) -> dict:
@@ -324,18 +322,6 @@ def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.nda
     return order, best_m
 
 
-def _induced_laws(posteriors: np.ndarray, ell: int) -> np.ndarray:
-    """The staircase selectors' induced laws of a stack (R, M) of normalized
-    posteriors; rows of one support size share one staircase_map call."""
-    order, best_m = _support_sizes(posteriors, ell)
-    induced = np.zeros(posteriors.shape)
-    for m in np.flatnonzero(np.bincount(best_m)).tolist():
-        rows = np.flatnonzero(best_m == m)
-        induced[rows] = staircase_map(posteriors[rows], order[rows, :m], ell).induced_array(
-            posteriors.shape[-1])
-    return induced
-
-
 def _selection_table(posterior: np.ndarray, ell: int):
     """The staircase table of one normalized posterior, its support sized as a stack
     of one. Returns the table, the support size and the induced array."""
@@ -345,17 +331,12 @@ def _selection_table(posterior: np.ndarray, ell: int):
     return table, m, table.induced_array(len(posterior))
 
 
-def _staircase_select(selection, seed_value: int | None, rng: np.random.Generator | None,
-                      degenerate: bool) -> tuple[SelectorOutcome, np.ndarray]:
-    """Map a seed through a _selection_table result; None draws it from rng."""
-    table, best_m, induced = selection
-    ell = table.ell
-    if seed_value is None:
-        seed_value = int(rng.integers(1, ell + 1))
-    outcome = SelectorOutcome(
-        chosen=table.map_seed(seed_value), ell=ell, support_size=best_m, seed_value=seed_value,
-        bits=_bits(ell), degenerate=degenerate, table=table)
-    return outcome, induced
+def _outcome(selection, seed_value: int, degenerate: bool) -> SelectorOutcome:
+    """The outcome of mapping seed_value through a _selection_table result."""
+    table, m, _ = selection
+    return SelectorOutcome(chosen=table.map_seed(seed_value), ell=table.ell, support_size=m,
+                           seed_value=seed_value, bits=_bits(table.ell), degenerate=degenerate,
+                           table=table)
 
 
 def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | None,
@@ -367,8 +348,10 @@ def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | Non
     (used by exact enumeration). seed_value of None draws the seed uniformly
     from rng.
     """
-    return _staircase_select(_selection_table(pmf_weights(posterior, normalize=True), ell),
-                             seed_value, rng, degenerate)
+    selection = _selection_table(pmf_weights(posterior, normalize=True), ell)
+    if seed_value is None:
+        seed_value = int(rng.integers(1, ell + 1))
+    return _outcome(selection, seed_value, degenerate), selection[2]
 
 
 def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
@@ -416,149 +399,131 @@ def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
 # Scheme execution
 
 
-def draw_common_randomness(cb: Codebook, rng: np.random.Generator) -> dict[Component, int]:
-    """Shared indices: every m- component, then every k- component."""
-    h = cb.h
-    out = {m_minus(p): int(rng.integers(0, cb.sizes[m_minus(p)])) for p in order_pairs(h)}
-    out.update({k_minus(i): int(rng.integers(0, cb.sizes[k_minus(i)])) for i in range(1, h)})
-    return out
-
-
-def _hop_bundle(scheme: Scheme, i: int, assignment, pending_seeds) -> HopMessage:
-    """Hop i's message under the scheme's mode schedule."""
+def walk(scheme: Scheme, paths: dict, select, uniform, node1: bool = True) -> dict:
+    """The scheme on a stack of rows. paths maps "X1" to node 1's action blocks (R, n)
+    and each index component in scheme.cr_spaces (and node 1's m+, when not node1) to
+    an integer array (R,); keys that are not tuples are not indices. Node 1 selects m1
+    when node1; then per hop i, node i selects K_i+ when the schedule does, l_{i+1} is
+    drawn, and node i+1's action "X{i+1}" is its C-codeword. select(paths, key, ell,
+    space, (posteriors, degenerate flags)), with key ("m1",) or ("k", i), and
+    uniform(paths, component, size) each take one step and return the paths after it."""
     cb = scheme.cb
-    entries = [(f"m+({p[0]},{p[1]})", assignment[m_plus(p)], cb.sizes[m_plus(p)])
-               for p in scheme.hop_pairs[i]]
-    if scheme.schedule.selects_k:
-        entries.append((f"k+({i})", assignment[k_plus(i)], cb.sizes[k_plus(i)]))
-    if scheme.schedule.node1_pays_k_seeds:
-        entries += [(f"seed(k+{j})", pending_seeds.get(j, 0), scheme.ell_k[j])
-                    for j in range(i + 1, scheme.h)]
-    return HopMessage(hop=i, entries=tuple(entries))
-
-
-def encode_source_node(scheme: Scheme, x1: np.ndarray, rng_streams, trace: Trace,
-                       node1_replay: dict | None = None) -> tuple[dict, dict]:
-    """Node-1 processing: select m+_{1,.} from the posterior, pre-draw the
-    downstream seeds node 1 pays for, then forward over hop 1. Returns the
-    assignment and the pre-drawn seeds."""
-    assignment = _init_assignment(scheme, rng_streams, trace)
-    if node1_replay is None:
-        _node1_select(scheme, x1, assignment, rng_streams, trace)
-    else:
-        assignment.update(node1_replay)
-        trace.indices.update(node1_replay)
-    pending = _predraw_k_seeds(scheme, rng_streams, trace)
-    _forward(scheme, 1, x1, assignment, pending, rng_streams, trace)
-    return assignment, pending
-
-
-def _forward(scheme: Scheme, i: int, x_block, assignment, pending_seeds, rng_streams, trace):
-    """Node i (< h): select K_i+ when the schedule does, then ship hop i's bundle."""
-    if scheme.schedule.selects_k:
-        _k_select(scheme, i, x_block, assignment, rng_streams, trace, pending_seeds.get(i))
-    trace.messages.append(_hop_bundle(scheme, i, assignment, pending_seeds))
-
-
-def _init_assignment(scheme: Scheme, rng_streams, trace) -> dict:
-    """Common randomness, K+ placeholders and the pairs nodes > 1 draw themselves."""
-    cb = scheme.cb
-    assignment = draw_common_randomness(cb, rng_streams("cr"))
-    for i in range(1, scheme.h):
-        assignment.setdefault(k_plus(i), 0)
-    for p in scheme.order:
-        if p[0] == 1:
-            continue
-        size = cb.sizes[m_plus(p)]
-        assignment[m_plus(p)] = int(rng_streams("mplus", p[0], p[1]).integers(0, size))
-        _charge(trace, p[0], _bits(size))
-    trace.indices.update(assignment)
-    return assignment
-
-
-def _charge(trace, node: int, bits: int):
-    trace.node_bits[node] = trace.node_bits.get(node, 0) + bits
-    trace.node_ops[node] = trace.node_ops.get(node, 0) + 1
-
-
-def _select(scheme: Scheme, key: tuple, posterior, degenerate: bool, ell: int, trace,
-            payer: int | None, rng=None, seed_value: int | None = None) -> int:
-    """Staircase-select from a posterior and record the outcome under `key`.
-    The seed's bits go to `payer`; None means the seed was paid for upstream."""
-    outcome, _ = scheme.selection(posterior, ell, seed_value, rng, degenerate)
-    trace.selectors[key] = outcome
-    if payer is not None:
-        _charge(trace, payer, outcome.bits)
-    if degenerate:
-        trace.degenerate_draws += 1
-    return outcome.chosen
-
-
-def _node1_select(scheme: Scheme, x1, assignment, rng_streams, trace):
-    posterior, degenerate = scheme.node1_posterior(x1, assignment)
-    chosen = _select(scheme, ("m1",), posterior, degenerate, scheme.ell1, trace,
-                     payer=1, rng=rng_streams("sel_m1"))
-    m1 = scheme.m1_space.unflatten(chosen)
-    assignment.update(m1)
-    trace.indices.update(m1)
-
-
-def _k_select(scheme: Scheme, i: int, x_block, assignment, rng_streams, trace,
-              seed_value: int | None = None):
-    """Select K_i+ at node i; a seed_value was pre-drawn (and charged) by node 1."""
-    comp = k_plus(i)
-    chosen = 0
-    if scheme.cb.sizes[comp] > 1:
-        posterior, degenerate = scheme.k_posterior(i, x_block, assignment)
-        if seed_value is None:
-            payer, rng = scheme.schedule.k_seed_payer(i), rng_streams("sel_k", i)
+    if node1:
+        paths = select(paths, ("m1",), scheme.ell1, scheme.m1_space,
+                       scheme.node1_posterior(paths["X1"], _indices(paths)))
+    for node in range(1, scheme.h):
+        x_block = paths[x_label(node)]
+        if node in scheme.k_spaces:
+            paths = select(paths, ("k", node), scheme.ell_k[node], scheme.k_spaces[node],
+                           scheme.k_posterior(node, x_block, _indices(paths)))
         else:
-            payer, rng = None, None
-        chosen = _select(scheme, ("k", i), posterior, degenerate, scheme.ell_k[i], trace,
-                         payer, rng, seed_value)
-    assignment[comp] = chosen
-    trace.indices[comp] = chosen
+            paths[k_plus(node)] = np.zeros(len(x_block), dtype=np.int64)
+        paths = uniform(paths, l_of(node + 1), cb.sizes[l_of(node + 1)])
+        paths[x_label(node + 1)] = cb.c_codeword(node + 1, paths)
+    return paths
 
 
-def _predraw_k_seeds(scheme: Scheme, rng_streams, trace) -> dict:
-    """Seeds of the downstream K+ selectors, when the schedule has node 1 pay
-    for them and ship them hop by hop."""
-    if not scheme.schedule.node1_pays_k_seeds:
-        return {}
-    pending = {}
-    for i in range(2, scheme.h):
-        if scheme.cb.sizes[k_plus(i)] > 1:
-            pending[i] = int(rng_streams("sel_k_seed", i).integers(1, scheme.ell_k[i] + 1))
-            _charge(trace, scheme.schedule.k_seed_payer(i), _bits(scheme.ell_k[i]))
-    return pending
+def _indices(paths: dict) -> dict:
+    """The index components of paths."""
+    return {c: v for c, v in paths.items() if isinstance(c, tuple)}
 
 
-def relay_step(scheme: Scheme, node: int, assignment: dict, pending_seeds: dict,
-               rng_streams, trace) -> np.ndarray:
-    """Node `node` (2..h): draw local index, emit the action as the C-codeword,
-    then forward unless it is the last node."""
-    cb = scheme.cb
-    size = cb.sizes[l_of(node)]
-    l_val = int(rng_streams("ell", node).integers(0, size))
-    assignment[l_of(node)] = l_val
-    trace.indices[l_of(node)] = l_val
-    _charge(trace, node, _bits(size))
-    action = cb.c_codeword(node, assignment)
-    trace.actions[f"X{node}"] = list(map(int, action))
-    if node < scheme.h:
-        _forward(scheme, node, action, assignment, pending_seeds, rng_streams, trace)
-    return action
+class _Sampler:
+    """The Monte Carlo steps of the walk on one block of trials. A selector draws one
+    seed per row and maps it through the row's staircase cuts; a uniform index is drawn
+    as an array. draw(*key) is the generator of the block's stream for key."""
+
+    def __init__(self, scheme: Scheme, draw, rows: int):
+        self.scheme, self.draw, self.rows = scheme, draw, rows
+        self.selected = {}  # selector key -> (seeds, chosen candidates, degenerate flags)
+
+    def select(self, paths, key, ell, space, posteriors):
+        stack, degenerate = posteriors
+        seeds = self.draw("seed", *key).integers(1, ell + 1, size=self.rows)
+        chosen = self.scheme.selection(stack, ell).map_seed(seeds)
+        self.selected[key] = (seeds, chosen, degenerate)
+        return paths | space.unflatten(chosen)
+
+    def uniform(self, paths, comp, size):
+        return paths | _uniform(self.draw, self.rows, [(comp, size)])
+
+
+def _audit(scheme: Scheme, node1: bool) -> tuple[dict, dict, list]:
+    """Each trial's bits per hop and per node, and the hop and node budgets they exceed.
+    Bit sizes depend only on index ranges and ell, so every trial of a run has this
+    audit. Node 1's selector seed is charged when node 1 selects."""
+    n = scheme.n
+    hop_bits = {hop: sum(_bits(size) for *_, size in entries)
+                for hop, entries in scheme.hop_entries.items()}
+    node_bits, ops = {}, {}
+    for key, (node, bits) in scheme.charges.items():
+        if node1 or key != ("m1",):
+            node_bits[node] = node_bits.get(node, 0) + bits
+            ops[node] = ops.get(node, 0) + 1
+    node_bits = dict(sorted(node_bits.items()))
+    over = []
+    for hop, bits in hop_bits.items() if scheme.schedule.audits_hops else ():
+        budget = scheme.budgets.r[hop - 1] * n
+        if bits > budget + len(scheme.hop_entries[hop]) + 1e-9:
+            over.append({"hop": hop, "bits": bits, "budget": budget})
+    for node, bits in node_bits.items():
+        budget = scheme.rho_allowance[node - 1] * n + ops[node]
+        if bits > budget + 1e-9:
+            over.append({"node": node, "bits": bits, "budget": budget})
+    return hop_bits, node_bits, over
 
 
 @dataclass
 class SchemeRun:
-    traces: list[Trace]
+    """A Monte Carlo run as arrays over its trials: actions (trials, h, n), each index
+    component's values, and per selector key its seeds, chosen candidates and
+    degenerate flags. traces builds one Trace per trial on first read."""
+
     mode: str
     n: int
     budgets: dict
     checks_passed: bool
     budget_violations: list
     degenerate_trials: int
+    seed: int
+    node_bits: dict
+    actions: np.ndarray = field(repr=False)
+    indices: dict = field(repr=False)
+    selected: dict = field(repr=False)
+    scheme: Scheme = field(repr=False)
+
+    @functools.cached_property
+    def traces(self) -> list[Trace]:
+        """One Trace per trial; each selector outcome carries the single-row staircase
+        table of its recomputed posterior, for the certificate fields."""
+        scheme = self.scheme
+        outcomes = {}
+        for key, (seeds, chosen, degenerate) in self.selected.items():
+            if key == ("m1",):
+                ell, (posteriors, _) = scheme.ell1, scheme.node1_posterior(self.actions[:, 0], self.indices)
+            else:
+                ell, (posteriors, _) = scheme.ell_k[key[1]], scheme.k_posterior(
+                    key[1], self.actions[:, key[1] - 1], self.indices)
+            tables = {}  # trials with equal posteriors share one table
+            for p in posteriors:
+                tables.setdefault(p.tobytes(), p)
+            tables = {k: _selection_table(p, ell) for k, p in tables.items()}
+            outcomes[key] = [_outcome(tables[p.tobytes()], int(s), bool(d))
+                             for p, s, d in zip(posteriors, seeds, degenerate)]
+        traces = []
+        for t, actions in enumerate(self.actions.tolist()):
+            values = {c: int(v[t]) for c, v in self.indices.items()}
+            shipped = values | {key: int(s[t]) for key, (s, _, _) in self.selected.items()}
+            selectors = {key: outcome[t] for key, outcome in outcomes.items()}
+            traces.append(Trace(
+                trial=t, seed=self.seed, x1=actions[0],
+                actions={f"X{i}": block for i, block in enumerate(actions, 1)}, indices=values,
+                messages=[HopMessage(hop, tuple((name, shipped.get(key, 0), size)
+                                                for name, key, size in entries))
+                          for hop, entries in scheme.hop_entries.items()],
+                selectors=selectors, node_bits=dict(self.node_bits),
+                degenerate_draws=sum(o.degenerate for o in selectors.values())))
+        return traces
 
     def to_dict(self):
         return {"mode": self.mode, "n": self.n, "budgets": self.budgets,
@@ -568,72 +533,74 @@ class SchemeRun:
                 "traces": [t.to_dict() for t in self.traces]}
 
 
-def _audit(scheme: Scheme, trace: Trace, violations: list):
-    n = scheme.n
-    for msg in trace.messages if scheme.schedule.audits_hops else ():
-        budget = scheme.budgets.r[msg.hop - 1] * n
-        if msg.bit_size > budget + len(msg.entries) + 1e-9:
-            violations.append({"trial": trace.trial, "hop": msg.hop,
-                               "bits": msg.bit_size, "budget": budget})
-    for node, bits in trace.node_bits.items():
-        budget = scheme.rho_allowance[node - 1] * n + trace.node_ops.get(node, 0)
-        if bits > budget + 1e-9:
-            violations.append({"trial": trace.trial, "node": node,
-                               "bits": bits, "budget": budget})
-
-
-def _run_trials(scheme: Scheme, trials: int, seed: int, source, label: str,
-                audit: bool) -> SchemeRun:
-    """The trial loop shared by both entry points. source(streams, trace) runs
-    node 1 and returns (x1, assignment, pre-drawn seeds); nodes 2..h relay.
-    In trial t, streams(*key) is the generator of the stream (seed, "trial", t,
-    *key), valid until the next streams call; one _StreamFamily per key serves
-    every trial."""
+def _mc_run(scheme: Scheme, trials: int, seed: int, label: str, source, node1: bool,
+            audit: bool) -> SchemeRun:
+    """Trials as the rows of the walk, STREAM_BLOCK_ROWS at a time. In block b, draw(*key)
+    is the generator of the stream (seed, "mc", b, *key), one draw call per key;
+    source(draw, rows) returns the walk's starting paths for the trials numbered rows."""
     cb = scheme.cb
     checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
         r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
-    traces = []
-    violations: list = []
-    degenerate_trials = 0
+    blocks = -(-trials // STREAM_BLOCK_ROWS)
     families: dict[tuple, _StreamFamily] = {}
-    for t in range(trials):
-        def streams(*key, _t=t):
-            family = families.get(key)
-            if family is None:
-                family = families[key] = _StreamFamily(seed, ("trial",), key, (trials,))
-            return family.rng(_t)
+    parts, selected = [], []
+    for block in range(blocks):
+        def draw(*key, _block=block):
+            if key not in families:
+                families[key] = _StreamFamily(seed, ("mc",), key, (blocks,))
+            return families[key].rng(_block)
 
-        trace = Trace(trial=t, seed=seed, x1=[], actions={}, indices={},
-                      messages=[], selectors={}, node_bits={})
-        x1, assignment, pending = source(streams, trace)
-        trace.x1 = list(map(int, x1))
-        trace.actions["X1"] = list(map(int, x1))
-        for node in range(2, scheme.h + 1):
-            relay_step(scheme, node, assignment, pending, streams, trace)
-        if audit:
-            _audit(scheme, trace, violations)
-        if trace.degenerate_draws:
-            degenerate_trials += 1
-        traces.append(trace)
-    return SchemeRun(traces=traces, mode=label, n=scheme.n,
-                     budgets=scheme.budgets.to_dict(), checks_passed=checks,
-                     budget_violations=violations, degenerate_trials=degenerate_trials)
+        rows = np.arange(block * STREAM_BLOCK_ROWS, min((block + 1) * STREAM_BLOCK_ROWS, trials))
+        sampler = _Sampler(scheme, draw, len(rows))
+        parts.append(walk(scheme, source(draw, rows), sampler.select, sampler.uniform, node1))
+        selected.append(sampler.selected)
+    paths = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]} if parts else {}
+    selected = {key: tuple(np.concatenate(arrays) for arrays in zip(*(s[key] for s in selected)))
+                for key in (selected[0] if selected else ())}
+    actions = (np.stack([paths[x_label(i)] for i in range(1, scheme.h + 1)], axis=1) if parts
+               else np.zeros((0, scheme.h, scheme.n), dtype=np.int64))
+    degenerate = np.any([flags for *_, flags in selected.values()], axis=0)
+    _, node_bits, over = _audit(scheme, node1)
+    return SchemeRun(mode=label, n=scheme.n, budgets=scheme.budgets.to_dict(), checks_passed=checks,
+                     budget_violations=[{"trial": t} | v for t in range(trials) for v in over] if audit else [],
+                     degenerate_trials=int(np.sum(degenerate)), seed=seed, node_bits=node_bits,
+                     actions=actions, indices=_indices(paths), selected=selected, scheme=scheme)
+
+
+def _uniform(draw, count: int, spaces) -> dict:
+    """count uniform draws of each (component, size), on the component's stream."""
+    return {comp: draw(*comp).integers(0, size, size=count) for comp, size in spaces}
+
+
+def _per_trial(value, trials: int, shape: tuple) -> np.ndarray:
+    """value as one integer array of shape shape per trial: given per trial, or once for all."""
+    return np.broadcast_to(np.asarray(value, dtype=np.int64), (trials,) + shape)
 
 
 def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
                x1_override=None, node1_replay: dict | None = None) -> SchemeRun:
-    """End-to-end coordination runs: sample X1 from the target marginal, draw
-    common randomness, encode at node 1, relay down the line."""
+    """End-to-end coordination runs: sample X1 from the target marginal, draw the
+    shared and node-drawn indices, select node 1's m+ and relay down the line.
+    x1_override (a block (n,), or one per trial (trials, n)) replaces the sampled X1;
+    node1_replay (m+_{1,j} -> a value, or one per trial) replaces node 1's selection."""
     scheme = Scheme(cb, mode)
+    if x1_override is not None:
+        x1_override = _per_trial(x1_override, trials, (scheme.n,))
+        size = scheme.x1_cum.shape[-1]
+        if x1_override.size and not (0 <= x1_override.min() and x1_override.max() < size):
+            raise UsageError(f"x1_override symbols must lie in [0, {size})")
 
-    def source(streams, trace):
-        if x1_override is not None:
-            x1 = np.asarray(x1_override, dtype=np.int64)
+    def source(draw, rows):
+        paths = _uniform(draw, len(rows), scheme.cr_spaces)
+        if x1_override is None:
+            paths["X1"] = _iid_blocks(draw("x1").random((len(rows), scheme.n)), scheme.x1_cum)
         else:
-            x1 = _iid_blocks(streams("x1").random((1, scheme.n)), scheme.x1_cum)[0]
-        return (x1,) + encode_source_node(scheme, x1, streams, trace, node1_replay)
+            paths["X1"] = x1_override[rows]
+        for comp, value in (node1_replay or {}).items():
+            paths[comp] = _per_trial(value, trials, ())[rows]
+        return paths
 
-    return _run_trials(scheme, trials, seed, source, scheme.mode.value, audit=True)
+    return _mc_run(scheme, trials, seed, scheme.mode.value, source, node1_replay is None, audit=True)
 
 
 def allied_generate(cb: Codebook, trials: int, seed: int) -> SchemeRun:
@@ -642,14 +609,10 @@ def allied_generate(cb: Codebook, trials: int, seed: int) -> SchemeRun:
     # allied generation has no mode restriction; use the unrestricted layout
     scheme = Scheme(cb, Mode.UNRESTRICTED)
 
-    def source(streams, trace):
-        assignment = _init_assignment(scheme, streams, trace)
-        for j in range(2, scheme.h + 1):
-            comp = m_plus((1, j))
-            assignment[comp] = int(streams("m1plus", j).integers(0, cb.sizes[comp]))
-            trace.indices[comp] = assignment[comp]
-        x1 = scheme.sample_x1_from_codewords(assignment, streams("x1b5"))
-        _k_select(scheme, 1, x1, assignment, streams, trace)
-        return x1, assignment, {}
+    def source(draw, rows):
+        paths = _uniform(draw, len(rows), scheme.cr_spaces + list(scheme.m1_space.components))
+        cum = _cum_rows(scheme.x1_kernel.weights[tuple(scheme._psi1_letters(paths))])
+        paths["X1"] = _iid_blocks(draw("x1").random((len(rows), 1, scheme.n)), cum)[:, 0]
+        return paths
 
-    return _run_trials(scheme, trials, seed, source, "allied", audit=False)
+    return _mc_run(scheme, trials, seed, "allied", source, node1=False, audit=False)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .codebooks import (Codebook, Component, IndexSpace, build_codebooks, k_minus, k_plus, l_of,
                         m_minus, m_plus)
-from .codec import Scheme
+from .codec import STREAM_VERSION, Scheme, walk
 from .errors import UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
@@ -55,11 +55,9 @@ def _block_order(n: int, dims: tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class ExactInduced:
-    """Exact conditional action law plus the message-layer averaged output
-    (every message index uniform, actions drawn through the full channel)."""
+    """Exact conditional action law of one realized codebook under a mode."""
 
     conditional: np.ndarray  # (S1, S2, ..., Sh); rows over x1 blocks sum to 1
-    allied_joint: np.ndarray  # uniform-index output law over all h block axes
     x1_marginal: np.ndarray  # target X1^n block probabilities
     block_sizes: tuple[int, ...]
     n: int
@@ -109,10 +107,11 @@ def check_exact_sizes(cb: Codebook, *names: str) -> None:
 def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     """Full enumeration of the scheme's conditional action law for one codebook.
 
-    Breadth-first over integer-array paths: each chunk of (x1 block, shared
-    indices) rows branches every path on node 1's m1, then per hop on k+ and l.
-    Branching repeats each path in place, so paths keep the order of a
-    depth-first walk, and np.add.at sums their mass into the law in that order."""
+    Breadth-first over integer-array paths: codec.walk runs each chunk of (x1
+    block, shared indices) rows, branching every path on node 1's m1, then per
+    hop on k+ and l. Branching repeats each path in place, so paths keep the
+    order of a depth-first walk, and np.add.at sums their mass into the law in
+    that order."""
     scheme = Scheme(cb, mode)
     n = cb.n
     h = cb.h
@@ -123,51 +122,35 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     block_sizes = tuple(s ** n for s in sizes)
     cond = np.zeros(block_sizes)
     degenerate = 0
-
-    # shared indices and the pairs nodes > 1 draw uniformly
-    cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
-                 + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
-                 + [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1])
     cr_weight = 1.0
-    for _, s in cr_spaces:
+    for _, s in scheme.cr_spaces:
         cr_weight /= s
 
-    selects = {i: scheme.schedule.selects_k and cb.sizes[k_plus(i)] > 1 for i in range(1, h)}
-    fan_out = scheme.m1_space.size * math.prod(
-        cb.sizes[l_of(i + 1)] * (cb.sizes[k_plus(i)] if selects[i] else 1) for i in range(1, h))
-    cr_comps = [comp for comp, _ in cr_spaces]
-    pair_comps = [comp for comp, _ in _pair_spaces(cb)]
-    blocks = [("x", i) for i in range(1, h + 1)]  # flat action block of each node
-    for paths in _grid_chunks([(blocks[0], block_sizes[0])] + cr_spaces,
-                              fan_out * (len(cb.sizes) + n + h)):
-        paths["x"] = np.stack(np.unravel_index(paths[blocks[0]], (sizes[0],) * n), axis=-1)
-        paths["p"] = np.full(len(paths["x"]), cr_weight)
-        paths, deg = _branch(scheme, paths, scheme.ell1, scheme.m1_space, scheme.node1_posterior(
-            paths["x"], {c: paths[c] for c in cr_comps}))
+    def select(paths, key, ell, space, posteriors):
+        nonlocal degenerate
+        paths, deg = _branch(scheme, paths, ell, space, posteriors)
         degenerate += deg
-        for node in range(1, h):
-            if selects[node]:
-                paths, deg = _branch(
-                    scheme, paths, scheme.ell_k[node],
-                    IndexSpace([(k_plus(node), cb.sizes[k_plus(node)])]),
-                    scheme.k_posterior(node, paths["x"],
-                                       {c: paths[c] for c in pair_comps + [k_minus(node)]}))
-                degenerate += deg
-            else:
-                paths[k_plus(node)] = np.zeros(len(paths["p"]), dtype=np.int64)
-            size_l = cb.sizes[l_of(node + 1)]
-            l_vals = np.tile(np.arange(size_l), len(paths["p"]))
-            paths = _repeat(paths, size_l) | {l_of(node + 1): l_vals}
-            paths["p"] = paths["p"] / size_l
-            paths["x"] = cb.c_codeword(node + 1, paths)
-            paths[blocks[node]] = np.ravel_multi_index(tuple(paths["x"].T), (sizes[node],) * n)
-        np.add.at(cond, tuple(paths[b] for b in blocks), paths["p"])
-    allied = _allied_joint(cb, block_sizes)
+        return paths
+
+    def uniform(paths, comp, size):
+        values = np.tile(np.arange(size), len(paths["p"]))
+        paths = _repeat(paths, size) | {comp: values}
+        paths["p"] = paths["p"] / size
+        return paths
+
+    fan_out = scheme.m1_space.size * math.prod(
+        cb.sizes[l_of(i + 1)] * (cb.sizes[k_plus(i)] if i in scheme.k_spaces else 1) for i in range(1, h))
+    for paths in _grid_chunks([(("x1",), block_sizes[0])] + scheme.cr_spaces,
+                              fan_out * (len(cb.sizes) + n + h)):
+        paths["X1"] = np.stack(np.unravel_index(paths.pop(("x1",)), (sizes[0],) * n), axis=-1)
+        paths["p"] = np.full(len(paths["X1"]), cr_weight)
+        paths = walk(scheme, paths, select, uniform)
+        np.add.at(cond, tuple(np.ravel_multi_index(tuple(paths[x].T), (s,) * n)
+                              for x, s in zip(net.x_labels, sizes)), paths["p"])
     x1_marg = marginalize(net.target, [x_label(1)])
     q1 = _block_product(np.tile(x1_marg.weights, (1, n, 1)))[0]
-    return ExactInduced(conditional=cond, allied_joint=allied, x1_marginal=q1,
-                        block_sizes=block_sizes, n=n, mode=scheme.mode.value,
-                        degenerate_paths=degenerate)
+    return ExactInduced(conditional=cond, x1_marginal=q1, block_sizes=block_sizes, n=n,
+                        mode=scheme.mode.value, degenerate_paths=degenerate)
 
 
 def _repeat(paths: dict, counts) -> dict:
@@ -182,7 +165,7 @@ def _branch(scheme: Scheme, paths: dict, ell: int, space: IndexSpace,
     posteriors are the paths' stacked posteriors (R, M) and degenerate flags (R,).
     Returns the paths and the number of degenerate posteriors."""
     stack, degenerate = posteriors
-    induced = scheme.selection(stack, ell)
+    induced = scheme.selection(stack, ell).induced_array(stack.shape[-1])
     rows, values = np.nonzero(induced)
     out = _repeat(paths, np.count_nonzero(induced, axis=1)) | space.unflatten(values)
     out["p"] = out["p"] * induced[rows, values]
@@ -236,7 +219,8 @@ class SimReport:
                 "tv_per_seed": self.tv_per_seed, "tv_mean": self.tv_mean,
                 "radius": self.radius, "proxy": self.proxy, "exact_tv": self.exact_tv,
                 "excluded_seeds": self.excluded_seeds,
-                "budget_violations": self.budget_violations, "note": self.note}
+                "budget_violations": self.budget_violations, "note": self.note,
+                "stream_version": STREAM_VERSION}
 
 
 def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: int,
@@ -269,7 +253,7 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         if run.degenerate_trials:
             excluded.append(cb_seed)
             continue
-        acts = np.array([[tr.actions[x] for x in net.x_labels] for tr in run.traces])
+        acts = run.actions
         if proxy:  # one count per letter, its digits the h actions
             digits, radix = acts.transpose(0, 2, 1).reshape(-1, net.h), sizes
         else:  # one count per trial, its digits every letter of every block

@@ -352,7 +352,8 @@ class StaircaseTable:
     `realized_l1` are exact rationals.
 
     A stack of tables (staircase_map on weight rows) holds support, cuts and weights
-    as arrays with the rows' leading axes; read only `vacuous` and `induced_array`.
+    as arrays with the rows' leading axes; read only `vacuous`, `induced_array` and
+    `map_seed`.
     """
 
     support: tuple[int, ...] | np.ndarray
@@ -361,13 +362,18 @@ class StaircaseTable:
     vacuous: bool
     weights: np.ndarray = field(repr=False, compare=False)
 
-    def map_seed(self, s: int) -> int:
-        if not 1 <= s <= self.ell:
-            raise UsageError(f"seed {s} outside [1, {self.ell}]")
-        for i in range(1, len(self.cuts)):
-            if s <= self.cuts[i]:
-                return self.support[i - 1]
-        return self.support[-1]
+    def map_seed(self, s: int | np.ndarray) -> int | np.ndarray:
+        """The symbol of seed s: support[i], i the count of cuts N_1..N_M below s, at
+        most M - 1. An array of seeds broadcasts against the tables of a stack."""
+        seeds = np.asarray(s)
+        bad = (seeds < 1) | (seeds > self.ell)
+        if bad.any():
+            raise UsageError(f"seed {seeds[bad].ravel()[0]} outside [1, {self.ell}]")
+        cuts, support = np.asarray(self.cuts), np.asarray(self.support)
+        pos = np.minimum((cuts[..., 1:] < seeds[..., None]).sum(axis=-1), cuts.shape[-1] - 2)
+        support = np.broadcast_to(support, pos.shape + support.shape[-1:])
+        chosen = np.take_along_axis(support, pos[..., None], axis=-1)[..., 0]
+        return int(chosen) if chosen.ndim == 0 else chosen
 
     def _widths(self) -> np.ndarray:
         """Seeds per support symbol: the gaps of (N_0..N_{M-1}, ell), at least 0."""
@@ -465,8 +471,12 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     near = near.any(axis=-1)
     cuts = np.zeros((len(rows), m + 1), dtype=object if ell >= 2 ** 63 else np.int64)
     cuts[:, 1:] = np.floor(np.where(near[:, None], 0.0, scaled))
-    for r in np.flatnonzero(near):
-        cuts[r] = _fraction_cuts(_snapped(rows[r]), picks[r].tolist(), ell)
+    exact = {}  # equal rows of the stack share one Fraction loop
+    for r in np.flatnonzero(near).tolist():
+        key = (rows[r].tobytes(), picks[r].tobytes())
+        if key not in exact:
+            exact[key] = _fraction_cuts(_snapped(rows[r]), picks[r].tolist(), ell)
+        cuts[r] = exact[key]
     cuts = cuts.reshape(support.shape[:-1] + (m + 1,))
     if w.ndim == 1:
         support, cuts = tuple(support.tolist()), tuple(cuts.tolist())

@@ -30,7 +30,7 @@ from coordline.cli import Experiment, run_command
 from coordline.codebooks import (build_chain, build_codebooks, chain_channel_output,
                                  chain_from_line_h2, typical_list_size)
 from coordline.codec import Scheme, allied_generate, posterior_select, run_scheme
-from coordline.evalharness import cr_independence, exact_induced, piecing_check
+from coordline.evalharness import _allied_joint, cr_independence, exact_induced, piecing_check
 from coordline.linestruct import make_network
 from coordline.presets import preset_config
 from coordline.probability import pmf_from_table
@@ -80,7 +80,7 @@ def exact_law(preset: str, mode: str) -> dict:
     return {"mode": ex.mode, "block_sizes": list(ex.block_sizes),
             "degenerate_paths": ex.degenerate_paths,
             "conditional": ex.conditional.ravel().tolist(),
-            "allied_joint": ex.allied_joint.ravel().tolist(),
+            "allied_joint": _allied_joint(cb, ex.block_sizes).ravel().tolist(),
             "x1_marginal": ex.x1_marginal.tolist(),
             "cr_independence": cr_independence(cb), "piecing": piecing_check(cb)}
 

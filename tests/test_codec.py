@@ -1,6 +1,4 @@
 import functools
-import json
-import re
 
 import numpy as np
 import pytest
@@ -12,8 +10,6 @@ from coordline.codebooks import (
     build_chain,
     build_codebooks,
     k_plus,
-    l_of,
-    m_minus,
     m_plus,
 )
 from coordline.codec import (
@@ -24,10 +20,8 @@ from coordline.codec import (
     run_scheme,
     select_from_posterior,
 )
-from coordline.cli import run_command
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
-from coordline.presets import preset_config
 from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
 
@@ -245,6 +239,12 @@ class TestRunScheme:
             hits += list(map(int, word)) == tr.x1
         assert hits / 40 > 0.6
 
+    @pytest.mark.parametrize("x1", [[-1, 0, 1], [0, 2, 1]])
+    def test_x1_override_out_of_range_is_usage_error(self, x1):
+        cb = build_codebooks(dsbs_spec(), h2_rates(0.6, 0.9, 0.4), n=3, seed=5)
+        with pytest.raises(UsageError, match=r"x1_override symbols must lie in \[0, 2\)"):
+            run_scheme(cb, Mode.FUNCTIONAL, trials=2, seed=1, x1_override=x1)
+
     def test_requires_c_equals_action(self):
         net = dsbs_network()
         # C2 constant instead of a copy of X2: scheme cannot emit actions
@@ -256,32 +256,45 @@ class TestRunScheme:
 
 
 class TestInversionConsistency:
+    """A scheme run given the allied run's X1 blocks and node-1 indices, one per
+    trial, replays its downstream indices and actions trace for trace."""
+
+    def _replayed(self, cb, trials, seed):
+        allied = allied_generate(cb, trials=trials, seed=seed)
+        replay = {m_plus((1, j)): allied.indices[m_plus((1, j))] for j in range(2, cb.h + 1)}
+        rerun = run_scheme(cb, Mode.UNRESTRICTED, trials=trials, seed=seed,
+                           x1_override=allied.actions[:, 0], node1_replay=replay)
+        return allied, rerun
+
     def test_allied_and_replayed_scheme_agree(self):
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(0.7, 0.9, 0.6), n=3, seed=21)
-        for t_seed in (1, 2, 3):
-            allied = allied_generate(cb, trials=1, seed=t_seed)
-            tr = allied.traces[0]
-            replay = {m_plus((1, 2)): tr.indices[m_plus((1, 2))]}
-            rerun = run_scheme(cb, Mode.UNRESTRICTED, trials=1, seed=t_seed,
-                               x1_override=tr.x1, node1_replay=replay)
-            tr2 = rerun.traces[0]
-            assert tr2.actions["X2"] == tr.actions["X2"]
-            assert tr2.indices[l_of(2)] == tr.indices[l_of(2)]
-            assert tr2.indices[m_minus((1, 2))] == tr.indices[m_minus((1, 2))]
+        allied, rerun = self._replayed(cb, 300, 2)
+        assert np.array_equal(rerun.actions, allied.actions)
+        for tr, tr2 in zip(allied.traces, rerun.traces):
+            assert tr2.actions == tr.actions
+            assert tr2.indices == tr.indices
+            assert tr2.selectors.keys() == tr.selectors.keys()
 
     def test_allied_and_replayed_scheme_agree_h3(self):
         spec, rates = markov3_spec_and_rates()
         cb = build_codebooks(spec, rates, n=2, seed=30)
-        allied = allied_generate(cb, trials=1, seed=7)
-        tr = allied.traces[0]
-        replay = {m_plus((1, 2)): tr.indices[m_plus((1, 2))],
-                  m_plus((1, 3)): tr.indices[m_plus((1, 3))]}
-        rerun = run_scheme(cb, Mode.UNRESTRICTED, trials=1, seed=7,
-                           x1_override=tr.x1, node1_replay=replay)
-        tr2 = rerun.traces[0]
-        assert tr2.actions["X2"] == tr.actions["X2"]
-        assert tr2.actions["X3"] == tr.actions["X3"]
+        allied, rerun = self._replayed(cb, 300, 7)
+        assert len(set(allied.indices[k_plus(2)].tolist())) > 1
+        for tr, tr2 in zip(allied.traces, rerun.traces):
+            assert tr2.actions == tr.actions
+            assert tr2.indices == tr.indices
+            assert [s.to_dict() for s in tr2.selectors.values()] == [
+                s.to_dict() for s in tr.selectors.values()]
+
+    def test_one_replay_value_broadcasts_to_every_trial(self):
+        spec = dsbs_spec()
+        cb = build_codebooks(spec, h2_rates(0.7, 0.9, 0.6), n=3, seed=21)
+        run = run_scheme(cb, Mode.UNRESTRICTED, trials=20, seed=4, x1_override=[1, 0, 1],
+                         node1_replay={m_plus((1, 2)): 1})
+        assert run.actions[:, 0].tolist() == [[1, 0, 1]] * 20
+        assert run.indices[m_plus((1, 2))].tolist() == [1] * 20
+        assert ("m1",) not in run.traces[0].selectors
 
 
 class TestChainPosteriorFixedPrefix:
@@ -328,24 +341,28 @@ def posterior_stacks(draw):
 
 
 class TestStackedSelection:
-    """Scheme.selection on a stack of posteriors equals one call per row."""
+    """Scheme.selection's stacked table equals one table per row: its induced laws and
+    its seed map, for every seed."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=posterior_stacks())
     @example(case=(np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]), 8))
     @example(case=(np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1]]), 2))
+    # equal rows share one table
+    @example(case=(np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]]), 5))
     def test_equals_row_by_row(self, case):
         posteriors, ell = case
-        scheme = _dsbs_scheme()
-        induced = scheme.selection(posteriors, ell)
+        table = _dsbs_scheme().selection(posteriors, ell)
+        induced = table.induced_array(posteriors.shape[-1])
+        seeds = np.arange(1, ell + 1)
+        chosen = table.map_seed(np.broadcast_to(seeds[:, None], (ell, len(posteriors))))
         _, sizes = codec._support_sizes(posteriors, ell)
         assert induced.shape == posteriors.shape
         for r, posterior in enumerate(posteriors):
-            outcome, want = scheme.selection(posterior.copy(), ell, 1)
+            single, want = select_from_posterior(posterior, ell, 1)
             assert np.array_equal(induced[r], want)
-            assert sizes[r] == outcome.support_size
-            single, single_law = select_from_posterior(posterior, ell, 1)
-            assert single.to_dict() == outcome.to_dict() and np.array_equal(single_law, want)
+            assert sizes[r] == single.support_size
+            assert chosen[:, r].tolist() == single.table.map_seed(seeds).tolist()
 
 
 class TestSupportSizeTieRule:
@@ -364,44 +381,15 @@ class TestSupportSizeTieRule:
         assert certs[2] >= certs[1] - 1e-15
 
     def test_single_posterior(self):
-        outcome, _ = select_from_posterior(self.POSTERIOR, self.ELL, 1)
+        outcome, induced = select_from_posterior(self.POSTERIOR, self.ELL, 1)
         assert outcome.support_size == 3
-        assert _dsbs_scheme().selection(self.POSTERIOR, self.ELL, 1)[0].support_size == 3
+        table = _dsbs_scheme().selection(self.POSTERIOR[None], self.ELL)
+        assert np.array_equal(table.induced_array(4)[0], induced)
 
     def test_inside_a_stack(self):
         stack = np.stack([np.full(4, 0.25), self.POSTERIOR, np.array([1.0, 0.0, 0.0, 0.0])])
         _, sizes = codec._support_sizes(stack, self.ELL)
         assert sizes.tolist() == [select_from_posterior(p, self.ELL, 1)[0].support_size for p in stack]
         assert sizes[1] == 3
-        induced = _dsbs_scheme().selection(stack, self.ELL)
+        induced = _dsbs_scheme().selection(stack, self.ELL).induced_array(4)
         assert np.array_equal(induced[1], select_from_posterior(self.POSTERIOR, self.ELL, 1)[1])
-
-
-class TestMemoBound:
-    def test_mc_run_keeps_memos_at_the_bound(self, tmp_path, monkeypatch, capsys):
-        """A run over more distinct posteriors and tables than CACHE_ENTRIES keeps
-        both memos at the bound and writes the same report."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(preset_config("dsbs") | {"n": [3], "trials": 300,
-                                                            "codebook_seeds": 1}))
-        schemes = []
-        init = Scheme.__init__
-
-        def spy(self, *args):
-            init(self, *args)
-            schemes.append(self)
-
-        monkeypatch.setattr(Scheme, "__init__", spy)
-
-        def report(out):
-            assert run_command(["simulate", "--config", str(path), "--seed", "5",
-                                "--out", str(out)]) == 0
-            text = (out / "report.json").read_text()
-            return re.sub(r'\n *"generated_at": "[^"]*",', "", text)
-
-        want = report(tmp_path / "unbounded")
-        free, = schemes
-        assert min(len(free._post_cache), len(free._table_cache)) > 4
-        monkeypatch.setattr(codec, "CACHE_ENTRIES", 4)
-        assert report(tmp_path / "bounded") == want
-        assert len(schemes[1]._post_cache) == len(schemes[1]._table_cache) == 4

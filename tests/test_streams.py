@@ -4,8 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import coordline.codebooks as codebooks
-import coordline.codec as codec
 from coordline.cli import Experiment
 from coordline.codebooks import (
     STREAM_BLOCK_ROWS,
@@ -111,49 +109,31 @@ class TestStreamFamily:
             assert family._states.dtype == np.uint64
 
 
-class _PerRowStreams:
-    """Reference for _StreamFamily: one _child_rng per request."""
-
-    def __init__(self, seed, head, tail, rows):
-        self.seed, self.head, self.tail = seed, head, tail
-
-    def rng(self, row):
-        return _child_rng(self.seed, *self.head, row, *self.tail)
-
-
 def _dsbs(n: int, seed: int = 1):
     exp = Experiment(preset_config("dsbs"))
     return exp, build_codebooks(exp.spec, exp.rates, n, seed)
 
 
 class TestTrialLoop:
-    """The batched trial loop replays the per-trial generators draw for draw,
-    across the block boundary."""
+    """Trials run in blocks of STREAM_BLOCK_ROWS, each block drawing once per key from
+    the stream (seed, "mc", block, *key): a run's traces are the first traces of a
+    longer run, across the block boundary."""
 
-    TRIALS = STREAM_BLOCK_ROWS + 40
+    TRIALS = STREAM_BLOCK_ROWS + 10
 
-    def _both(self, monkeypatch, run):
-        batched = run()
-        monkeypatch.setattr(codec, "_StreamFamily", _PerRowStreams)
-        monkeypatch.setattr(codebooks, "_StreamFamily", _PerRowStreams)
-        return batched, run()
+    def _assert_prefix(self, run):
+        short = [t.to_dict() for t in run(self.TRIALS).traces]
+        longer = [t.to_dict() for t in run(self.TRIALS + STREAM_BLOCK_ROWS + 40).traces]
+        assert short == longer[:self.TRIALS]
 
-    def test_run_scheme(self, monkeypatch):
-        def run():
-            exp, cb = _dsbs(1)
-            return cb.to_text(), run_scheme(cb, exp.mode, self.TRIALS, exp.seed).to_dict()
+    def test_run_scheme(self):
+        exp, cb = _dsbs(1)
+        self._assert_prefix(lambda trials: run_scheme(cb, exp.mode, trials, exp.seed))
 
-        batched, reference = self._both(monkeypatch, run)
-        assert batched == reference
-
-    def test_allied_and_copy3_books(self, monkeypatch):
-        def run():
-            exp = Experiment(preset_config("copy3"))
-            cb = build_codebooks(exp.spec, exp.rates, 2, 5)
-            return cb.to_text(), allied_generate(cb, self.TRIALS, exp.seed).to_dict()
-
-        batched, reference = self._both(monkeypatch, run)
-        assert batched == reference
+    def test_allied_and_copy3_books(self):
+        exp = Experiment(preset_config("copy3"))
+        cb = build_codebooks(exp.spec, exp.rates, 2, 5)
+        self._assert_prefix(lambda trials: allied_generate(cb, trials, exp.seed))
 
     def test_seed_sequences_do_not_scale_with_trials(self, monkeypatch):
         exp, cb = _dsbs(2)
