@@ -12,6 +12,7 @@ import csv
 import datetime
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .evalharness import (
     piecing_check,
 )
 from .fme import LinearSystem, fme_project
-from .linestruct import AuxSpec, build_aux_joint, make_network, validate_aux
+from .linestruct import CONSTANT, AuxSpec, build_aux_joint, channel_of, copy_of, make_network, validate_aux
 from .presets import preset_config
 from .rates import (
     CodebookRates,
@@ -107,12 +108,11 @@ class Experiment:
                 _reject_unknown(d, {"kind", "source", "given", "weights", "size"}, f"aux.{label}")
                 kind = d.get("kind")
                 if kind == "constant":
-                    defs[label] = ("constant",)
+                    defs[label] = CONSTANT
                 elif kind == "copy":
-                    defs[label] = ("copy", d["source"])
+                    defs[label] = copy_of(d["source"])
                 elif kind == "channel":
-                    defs[label] = ("channel", tuple(d["given"]),
-                                   np.asarray(d["weights"], dtype=float), int(d["size"]))
+                    defs[label] = channel_of(d["given"], d["weights"], d["size"])
                 else:
                     raise ConfigError(f"aux.{label}: unknown kind {kind!r}")
             joint = build_aux_joint(self.network, defs)
@@ -138,7 +138,7 @@ class Experiment:
         self.seed = int(cfg.get("seed", 0))
         cb = cfg.get("codebook_seeds", 10)
         self.codebook_seeds = list(range(int(cb))) if isinstance(cb, int) else [int(v) for v in cb]
-        self.margin = float(cfg.get("margin", 1e-6))
+        self.margin = _finite_margin(cfg.get("margin", 1e-6), "margin")
         self.region = cfg.get("region", {})
         self.transfer = cfg.get("transfer", {})
         self.fme = cfg.get("fme", {})
@@ -166,6 +166,14 @@ def _load_config(args) -> dict:
     if args.theorem:
         cfg.setdefault("region", {})["theorem"] = args.theorem
     return cfg
+
+
+@_parses_config
+def _finite_margin(value, where: str) -> float:
+    margin = float(value)
+    if not math.isfinite(margin):
+        raise ConfigError(f"{where} must be finite, got {margin}")
+    return margin
 
 
 @_parses_config
@@ -210,25 +218,20 @@ def _cmd_region(exp: Experiment) -> tuple[dict, bool]:
     pts = [_point_from(p) for p in region.get("points", [])]
     if not pts:
         raise ConfigError("region requires at least one point")
-    margin = _parses_config(float)(region.get("margin", 0.0))
-    out = []
-    ok = True
-    for pt in pts:
-        if theorem == "deterministic":
-            rep = deterministic_region_check(pt, exp.network)
-        elif theorem == "large-cr":
-            rep = large_cr_region_check(pt, exp.network)
-        elif theorem == "zero-local":
-            rep = zero_local_region_check(pt, exp.network)
-        elif theorem == "functional":
-            rep = functional_region_check(pt, exp.network, _z_pmf(region["z"]), margin)
-        elif theorem == "markov":
-            rep = markov_region_check(pt, exp.network, _z_pmf(region["z"]), margin)
-        else:
-            raise ConfigError(f"unknown region theorem {theorem!r}")
-        ok = ok and rep.passed
-        out.append({"point": pt.to_dict(), "report": rep.to_dict()})
-    return {"region": {"theorem": theorem, "points": out}}, ok
+    margin = _finite_margin(region.get("margin", 0.0), "region.margin")
+    checks = {
+        "deterministic": lambda pt: deterministic_region_check(pt, exp.network),
+        "large-cr": lambda pt: large_cr_region_check(pt, exp.network),
+        "zero-local": lambda pt: zero_local_region_check(pt, exp.network),
+        "functional": lambda pt: functional_region_check(pt, exp.network, _z_pmf(region["z"]), margin),
+        "markov": lambda pt: markov_region_check(pt, exp.network, _z_pmf(region["z"]), margin),
+    }
+    check = checks.get(theorem) if isinstance(theorem, str) else None
+    if check is None:
+        raise ConfigError(f"unknown region theorem {theorem!r}")
+    reports = [check(pt) for pt in pts]
+    out = [{"point": pt.to_dict(), "report": rep.to_dict()} for pt, rep in zip(pts, reports)]
+    return {"region": {"theorem": theorem, "points": out}}, all(rep.passed for rep in reports)
 
 
 def _cmd_transfer(exp: Experiment) -> tuple[dict, bool]:
@@ -291,6 +294,10 @@ def _cmd_fme(exp: Experiment) -> tuple[dict, bool]:
     return {"fme": projected.to_dict()}, True
 
 
+COMMANDS = {"validate": _cmd_validate, "rates": _cmd_rates, "region": _cmd_region,
+            "transfer": _cmd_transfer, "simulate": _cmd_simulate, "exact": _cmd_exact, "fme": _cmd_fme}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -320,8 +327,7 @@ def _emit(payload: dict, ok: bool, out_dir: str, command: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coordline",
                                      description="strong-coordination line-network toolkit")
-    parser.add_argument("command", choices=["validate", "rates", "region", "transfer",
-                                            "simulate", "exact", "fme"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--preset", help="named preset configuration")
     parser.add_argument("--seed", type=int, default=None)
@@ -346,21 +352,7 @@ def run_command(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         cfg = _load_config(args)
-        exp = Experiment(cfg)
-        if args.command == "validate":
-            payload, ok = _cmd_validate(exp)
-        elif args.command == "rates":
-            payload, ok = _cmd_rates(exp)
-        elif args.command == "region":
-            payload, ok = _cmd_region(exp)
-        elif args.command == "transfer":
-            payload, ok = _cmd_transfer(exp)
-        elif args.command == "simulate":
-            payload, ok = _cmd_simulate(exp)
-        elif args.command == "exact":
-            payload, ok = _cmd_exact(exp)
-        else:
-            payload, ok = _cmd_fme(exp)
+        payload, ok = COMMANDS[args.command](Experiment(cfg))
     except PreconditionError as exc:
         _emit({"error": str(exc), "broken": exc.broken}, False, args.out, args.command)
         return 3

@@ -46,17 +46,16 @@ from .rates import CodebookRates
 
 
 def codeword_count(n: int, rate: float) -> int:
-    """ceil(2^(n*rate)) with snap-to-integer guard against float fuzz."""
-    if rate < 0:
-        raise UsageError("negative rate")
+    """ceil(2^(n*rate)) with snap-to-integer guard against float fuzz. Every codebook
+    size and selector seed range is one, and each is an int64: a count of 2^63 or
+    more raises ResourceCapError."""
+    if not (math.isfinite(rate) and rate >= 0):
+        raise UsageError(f"rate must be finite and nonnegative, got {rate}")
     x = n * rate
+    if x > 63 - 1e-9:
+        raise ResourceCapError(f"a range of 2^{x:.6g} values is above any cap: ranges stay below 2^63")
     r = round(x)
-    if abs(x - r) < 1e-9:
-        return 1 << int(r)
-    try:
-        return math.ceil(2.0 ** x)
-    except OverflowError:
-        raise ResourceCapError(f"a codebook of 2^{x:.6g} codewords is above any cap") from None
+    return 1 << r if abs(x - r) < 1e-9 else math.ceil(2.0 ** x)
 
 
 Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i) | chain ("d", level)

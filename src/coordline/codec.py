@@ -33,13 +33,14 @@ from .codebooks import (
     _cum_rows,
     _iid_blocks,
     _StreamFamily,
+    codeword_count,
     k_minus,
     k_plus,
     l_of,
     m_minus,
     m_plus,
 )
-from .errors import ResourceCapError, UsageError, check_cap
+from .errors import UsageError, check_cap
 from .linestruct import (
     AuxSpec,
     a_label,
@@ -145,14 +146,6 @@ covers the typicality constants for the alphabets used here. The resource
 audit accounts for it explicitly."""
 
 
-def _seed_range(n: int, rate: float) -> int:
-    """Selector seed range ceil(2^(n*rate)), at least 1."""
-    try:
-        return max(int(math.ceil(2.0 ** (n * max(rate, 0.0)) - 1e-9)), 1)
-    except OverflowError:
-        raise ResourceCapError(f"a selector seed range of 2^{n * rate:.6g} is above any cap") from None
-
-
 class Scheme:
     """Precomputed tables, selector layout and metering for one (codebook, mode) pair."""
 
@@ -191,8 +184,8 @@ class Scheme:
         self.cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in self.order]
                           + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
                           + [(m_plus(p), cb.sizes[m_plus(p)]) for p in self.order if p[0] != 1])
-        self.ell1 = _seed_range(self.n, node1_selector_rate(spec, rates) + SEED_MARGIN)
-        self.ell_k = {i: _seed_range(self.n, hop_selector_rate(spec, rates, i) + SEED_MARGIN)
+        self.ell1 = codeword_count(self.n, max(node1_selector_rate(spec, rates) + SEED_MARGIN, 0.0))
+        self.ell_k = {i: codeword_count(self.n, max(hop_selector_rate(spec, rates, i) + SEED_MARGIN, 0.0))
                       for i in range(1, h)}
 
         x1_marginal = marginalize(spec.network.target, [x_label(1)]).weights
@@ -257,8 +250,7 @@ class Scheme:
         laws and seed maps of the size-m tables, whose last symbol takes every seed
         above N_{m-1}. Rows of one support size share one staircase_map call."""
         order, best_m = _support_sizes(posteriors, ell)
-        cuts = np.full((len(posteriors), posteriors.shape[-1] + 1), ell,
-                       dtype=object if ell >= 2 ** 63 else np.int64)
+        cuts = np.full((len(posteriors), posteriors.shape[-1] + 1), ell, dtype=np.int64)
         for m in np.flatnonzero(np.bincount(best_m)).tolist():
             rows = np.flatnonzero(best_m == m)
             cuts[rows, :m] = staircase_map(posteriors[rows], order[rows, :m], ell).cuts[:, :m]

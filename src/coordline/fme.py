@@ -24,7 +24,10 @@ def _rat(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(float(x)).limit_denominator(DENOMINATOR_CAP)
+    x = float(x)
+    if not math.isfinite(x):
+        raise UsageError(f"coefficients and right-hand sides must be finite, got {x}")
+    return Fraction(x).limit_denominator(DENOMINATOR_CAP)
 
 
 @dataclass(frozen=True)

@@ -125,34 +125,40 @@ class NetworkSpec:
         return tuple(x_label(i) for i in range(1, self.h + 1))
 
 
-def make_network(h: int, target_weights, names: Sequence[str] | None = None) -> NetworkSpec:
+def make_network(h: int, target_weights) -> NetworkSpec:
     w = np.asarray(target_weights, dtype=np.float64)
     if w.ndim != h:
         raise UsageError(f"target tensor must have {h} axes")
-    alphabets = tuple(Alphabet(names[i] if names else f"X{i + 1}", w.shape[i]) for i in range(h))
+    alphabets = tuple(Alphabet(x_label(i + 1), w.shape[i]) for i in range(h))
     target = JointPmf([(x_label(i + 1), alphabets[i]) for i in range(h)], w)
     return NetworkSpec(h, alphabets, target)
 
 
-def _extend_joint(weights: np.ndarray, labels: list[str], kernel: ConditionalKernel) -> tuple[np.ndarray, list[str]]:
+EINSUM_AXES = 52
+"""np.einsum numbers at most 52 axes, so a dense joint has at most this many."""
+
+
+def _joint_axes(h: int) -> list[str]:
+    """The canonical axis order of the dense joint over aux and action axes, which
+    joint assembly multiplies kernels into; more than EINSUM_AXES is a cap error."""
+    order = AuxSpec.axis_order(h)
+    if len(order) > EINSUM_AXES:
+        raise ResourceCapError(f"joint assembly: {len(order)} axes needed, above numpy's "
+                               f"einsum limit of {EINSUM_AXES}")
+    return order
+
+
+def _extend_joint(weights: np.ndarray, axes: list[tuple[str, Alphabet]],
+                  kernel: ConditionalKernel) -> tuple[np.ndarray, list[tuple[str, Alphabet]]]:
     """Multiply a kernel into a joint over a superset of its given axes."""
+    pos = {lbl: k for k, (lbl, _) in enumerate(axes)}
     for lbl in kernel.given_labels:
-        if lbl not in labels:
+        if lbl not in pos:
             raise UsageError(f"kernel conditions on absent axis {lbl!r}")
-    letters = {lbl: chr(ord("a") + k) for k, lbl in enumerate(labels)}
-    nxt = len(labels)
-    out_letters = []
-    for lbl, _ in kernel.output_axes:
-        letters[lbl] = chr(ord("a") + nxt)
-        out_letters.append(letters[lbl])
-        nxt += 1
-        if nxt > 26:
-            raise ResourceCapError("too many axes for joint assembly")
-    lhs = "".join(letters[l] for l in labels)
-    ker = "".join(letters[l] for l in kernel.given_labels) + "".join(out_letters)
-    res = lhs + "".join(out_letters)
-    new = np.einsum(f"{lhs},{ker}->{res}", weights, kernel.weights)
-    return new, labels + list(kernel.output_labels)
+    own = list(range(len(axes)))
+    out = list(range(len(axes), len(axes) + len(kernel.output_axes)))
+    new = np.einsum(weights, own, kernel.weights, [pos[lbl] for lbl in kernel.given_labels] + out, own + out)
+    return new, axes + list(kernel.output_axes)
 
 
 @dataclass(frozen=True)
@@ -227,28 +233,17 @@ class AuxSpec:
 def _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels) -> JointPmf:
     """Multiply the kernels in construction order into the full joint."""
     h = network.h
+    order = _joint_axes(h)
     check_cap("assembled joint cells",
               math.prod(a.size for a in [*aux_alphabets.values(), *network.alphabets]))
 
-    weights = np.array(1.0)
-    labels: list[str] = []
-    for p in order_pairs(h):
-        weights, labels = _extend_joint(weights, labels, a_kernels[p])
-    weights, labels = _extend_joint(weights, labels, x_kernels[1])
+    kernels = [a_kernels[p] for p in order_pairs(h)] + [x_kernels[1]]
     for hop in range(1, h):
-        weights, labels = _extend_joint(weights, labels, b_kernels[hop])
-        weights, labels = _extend_joint(weights, labels, c_kernels[hop + 1])
-        weights, labels = _extend_joint(weights, labels, x_kernels[hop + 1])
-
-    axes = []
-    for lbl in labels:
-        if lbl.startswith("X"):
-            axes.append((lbl, network.alphabets[int(lbl[1:]) - 1]))
-        else:
-            axes.append((lbl, aux_alphabets[lbl]))
-    joint = JointPmf(axes, weights, normalize=True)
-    # canonical axis order
-    return marginalize(joint, AuxSpec.axis_order(h))
+        kernels += [b_kernels[hop], c_kernels[hop + 1], x_kernels[hop + 1]]
+    weights, axes = np.array(1.0), []
+    for ker in kernels:
+        weights, axes = _extend_joint(weights, axes, ker)
+    return marginalize(JointPmf(axes, weights, normalize=True), order)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +279,7 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [e.to_dict() for e in self.entries]}
 
 
-def _distributed_generation_entries(spec_joint: JointPmf, h: int, tag: str, tol: float) -> list[CheckEntry]:
+def _distributed_generation_entries(spec_joint: JointPmf, h: int, tag: str) -> list[CheckEntry]:
     """Per-node chains: X_i independent of all other actions, A's, and B's given
     (A_psi(i), B_{i-1,i}, B_{i,i+1})."""
     entries = []
@@ -302,12 +297,12 @@ def _distributed_generation_entries(spec_joint: JointPmf, h: int, tag: str, tol:
         value = info_measure(spec_joint, [x_label(i)], rest, cond)
         entries.append(CheckEntry(
             name=f"{tag}:X{i}-given-neighborhood",
-            value=value, threshold=tol, passed=value <= tol,
+            value=value, threshold=CHAIN_TOL, passed=value <= CHAIN_TOL,
             detail=f"I(X{i}; rest | {','.join(cond)})"))
     return entries
 
 
-def validate_aux(spec: AuxSpec, tol: float = CHAIN_TOL) -> ValidationReport:
+def validate_aux(spec: AuxSpec) -> ValidationReport:
     """Structural validation of an AuxSpec.
 
     Checks (a) the ordered Markov property of the A-variables (each A_ij is
@@ -336,7 +331,7 @@ def validate_aux(spec: AuxSpec, tol: float = CHAIN_TOL) -> ValidationReport:
                 value = 0.0
             out.append(CheckEntry(
                 name=f"{tag}:A{p[0]},{p[1]}-markov",
-                value=value, threshold=tol, passed=value <= tol,
+                value=value, threshold=CHAIN_TOL, passed=value <= CHAIN_TOL,
                 detail=f"I(A{p}; earlier non-parents | A_phi{p})"))
             seen.append(p)
         return out
@@ -345,20 +340,20 @@ def validate_aux(spec: AuxSpec, tol: float = CHAIN_TOL) -> ValidationReport:
 
     kl, tv = divergences(spec.declared, spec.joint)
     entries.append(CheckEntry(
-        name="factorization-reassembly", value=tv, threshold=tol, passed=tv <= tol,
+        name="factorization-reassembly", value=tv, threshold=CHAIN_TOL, passed=tv <= CHAIN_TOL,
         detail="L1 between declared joint and kernel reassembly"))
 
     action_marg = marginalize(spec.joint, list(spec.network.x_labels))
     _, tv_m = divergences(action_marg, spec.network.target)
     entries.append(CheckEntry(
-        name="target-marginal", value=tv_m, threshold=tol, passed=tv_m <= tol,
+        name="target-marginal", value=tv_m, threshold=CHAIN_TOL, passed=tv_m <= CHAIN_TOL,
         detail="L1 between assembled action marginal and target"))
 
-    entries += _distributed_generation_entries(spec.joint, h, "distributed-gen", tol)
+    entries += _distributed_generation_entries(spec.joint, h, "distributed-gen")
 
-    if tv > tol:
+    if tv > CHAIN_TOL:
         entries += a_chain_entries(spec.declared, "declared-aux-chain")
-        entries += _distributed_generation_entries(spec.declared, h, "declared-distributed-gen", tol)
+        entries += _distributed_generation_entries(spec.declared, h, "declared-distributed-gen")
 
     return ValidationReport(tuple(entries))
 
@@ -386,12 +381,12 @@ def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple]) -> JointPmf
     in AuxSpec axis order after the target, so a def may reference the actions
     and any earlier-defined auxiliary.
     """
-    h = network.h
+    order = _joint_axes(network.h)
     weights = network.target.weights
-    labels = list(network.x_labels)
-    alphabets = {lbl: network.alphabets[k] for k, lbl in enumerate(labels)}
+    axes = list(network.target.axes)
+    alphabets = dict(axes)
 
-    aux_order = [l for l in AuxSpec.axis_order(h) if not l.startswith("X")]
+    aux_order = [l for l in order if l not in alphabets]
     missing = [l for l in aux_order if l not in defs]
     if missing:
         raise UsageError(f"missing definitions for {missing}")
@@ -404,7 +399,7 @@ def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple]) -> JointPmf
             ker = ConditionalKernel([], [(lbl, alph)], np.ones(1), np.zeros((), dtype=bool))
         elif kind == "copy":
             src = spec[1]
-            if src not in labels:
+            if src not in alphabets:
                 raise UsageError(f"{lbl}: copy source {src!r} not yet defined")
             size = alphabets[src].size
             alph = Alphabet(lbl, size)
@@ -414,7 +409,7 @@ def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple]) -> JointPmf
         elif kind == "channel":
             _, given, kweights, size = spec
             for g in given:
-                if g not in labels:
+                if g not in alphabets:
                     raise UsageError(f"{lbl}: channel input {g!r} not yet defined")
             alph = Alphabet(lbl, size)
             g_axes = [(g, alphabets[g]) for g in given]
@@ -424,11 +419,8 @@ def build_aux_joint(network: NetworkSpec, defs: Mapping[str, tuple]) -> JointPmf
             raise UsageError(f"unknown aux definition kind {kind!r}")
         alphabets[lbl] = alph
         check_cap("aux joint cells", weights.size * alph.size)
-        weights, labels = _extend_joint(weights, labels, ker)
-
-    axes = [(lbl, alphabets[lbl]) for lbl in labels]
-    joint = JointPmf(axes, weights, normalize=True)
-    return marginalize(joint, AuxSpec.axis_order(h))
+        weights, axes = _extend_joint(weights, axes, ker)
+    return marginalize(JointPmf(axes, weights, normalize=True), order)
 
 
 def aux_from_tags(network: NetworkSpec, a_tags: Mapping[IndexPair, tuple] | None = None,

@@ -14,9 +14,8 @@ def dsbs_network(p: float = 0.25) -> NetworkSpec:
     return make_network(2, w)
 
 
-def independent_uniform_network(h: int = 2, size: int = 2) -> NetworkSpec:
-    w = np.full((size,) * h, 1.0 / size ** h)
-    return make_network(h, w)
+def independent_uniform_network(h: int = 2) -> NetworkSpec:
+    return make_network(h, np.full((2,) * h, 1.0 / 2 ** h))
 
 
 def copy_chain_network(h: int = 3) -> NetworkSpec:

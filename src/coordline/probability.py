@@ -91,6 +91,8 @@ def pmf_weights(weights, *, normalize: bool = False) -> np.ndarray:
         raise UsageError("negative probability mass")
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
+    if not math.isfinite(total):
+        raise UsageError("probability mass must be finite")
     if abs(total - 1.0) > MASS_TOL:
         if not normalize:
             raise UsageError(f"total mass {total!r} outside tolerance; pass normalize=True to renormalize")
@@ -160,16 +162,13 @@ class ConditionalKernel:
 # Constructors
 
 
-def pmf_from_table(labels: Sequence[str], weights, *, alphabets: Sequence[Alphabet] | None = None,
-                   normalize: bool = False) -> JointPmf:
+def pmf_from_table(labels: Sequence[str], weights, *, normalize: bool = False) -> JointPmf:
     w = np.asarray(weights, dtype=np.float64)
-    if alphabets is None:
-        alphabets = [Alphabet(lbl, s) for lbl, s in zip(labels, w.shape)]
-    return JointPmf(list(zip(labels, alphabets)), w, normalize=normalize)
+    return JointPmf([(lbl, Alphabet(lbl, s)) for lbl, s in zip(labels, w.shape)], w, normalize=normalize)
 
 
-def bernoulli(p: float, label: str = "X") -> JointPmf:
-    return pmf_from_table([label], [1.0 - p, p])
+def bernoulli(p: float) -> JointPmf:
+    return pmf_from_table(["X"], [1.0 - p, p])
 
 
 def uniform_pmf(labels: Sequence[str], sizes: Sequence[int]) -> JointPmf:
@@ -377,7 +376,7 @@ class StaircaseTable:
 
     def _widths(self) -> np.ndarray:
         """Seeds per support symbol: the gaps of (N_0..N_{M-1}, ell), at least 0."""
-        cuts = np.asarray(self.cuts, dtype=object if self.ell >= 2 ** 63 else None)
+        cuts = np.asarray(self.cuts)
         edges = cuts[..., 1:].copy()
         edges[..., -1] = self.ell
         return np.maximum(edges - cuts[..., :-1], 0)
@@ -442,8 +441,8 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     support = np.asarray(support_order, dtype=np.int64)
     if w.ndim != support.ndim or w.shape[:-1] != support.shape[:-1]:
         raise UsageError("staircase_map expects a single-axis pmf")
-    if ell < 1:
-        raise UsageError("ell must be >= 1")
+    if not 1 <= ell < 2 ** 63:
+        raise UsageError(f"ell must lie in [1, 2^63), got {ell}")
     size, m = w.shape[-1], support.shape[-1]
     if m == 0:
         raise UsageError("support_order must be nonempty")
@@ -467,10 +466,11 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     scaled = np.cumsum(picked, axis=-1) * ell / rows.sum(axis=-1, keepdims=True)
     near = np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12
     full = (picked != 0).sum(axis=-1) == (rows != 0).sum(axis=-1)  # S_M = T
-    scaled[full, -1], near[full, -1] = ell, False
+    scaled[full, -1], near[full, -1] = 0.0, False
     near = near.any(axis=-1)
-    cuts = np.zeros((len(rows), m + 1), dtype=object if ell >= 2 ** 63 else np.int64)
+    cuts = np.zeros((len(rows), m + 1), dtype=np.int64)
     cuts[:, 1:] = np.floor(np.where(near[:, None], 0.0, scaled))
+    cuts[full, -1] = ell  # in integers: float64 holds ell exactly only up to 2^53
     exact = {}  # equal rows of the stack share one Fraction loop
     for r in np.flatnonzero(near).tolist():
         key = (rows[r].tobytes(), picks[r].tobytes())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PreconditionError, UsageError
+from .errors import PreconditionError, UsageError, check_cap
 from .linestruct import (
     AuxSpec,
     IndexPair,
@@ -184,8 +184,11 @@ def _set_name(s: Iterable[IndexPair]) -> str:
 
 
 def thm1_subsets(h: int) -> list[tuple[IndexPair, ...]]:
-    """All S subsets of the pair set that exclude (1, h)."""
-    rest = [p for p in all_pairs(h) if p != (1, h)]
+    """All S subsets of the pair set that exclude (1, h): 2^(P-1) subsets of up to P
+    pairs, sized as 2^(P-1) * P cells against the cap before any is built."""
+    pairs = all_pairs(h)
+    check_cap("thm1 subset-pair cells", 2 ** (len(pairs) - 1) * len(pairs))
+    rest = [p for p in pairs if p != (1, h)]
     out = []
     for r in range(len(rest) + 1):
         out.extend(tuple(sorted(c)) for c in itertools.combinations(rest, r))

@@ -1,12 +1,25 @@
+import contextlib
+import importlib.util
+import io
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coordline.cli as cli
 from coordline.cli import Experiment, run_command
 from coordline.codebooks import build_codebooks
 from coordline.presets import preset_config
+from coordline.rates import Mode
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", Path(__file__).parent / "golden" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 def read_report(out_dir):
@@ -23,6 +36,14 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which strict JSON has no spelling for."""
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestValidate:
@@ -274,3 +295,133 @@ class TestContractExitCodes:
         text = (tmp_path / "report.json").read_text()
         row = json.loads(text, parse_constant=pytest.fail)["simulate"]["series"][0]
         assert row["tv_mean"] is None and row["radius"] is None
+
+
+class TestNonFiniteNumbers:
+    """A NaN or infinite number from the config or a flag is a usage error (exit 2):
+    never a traceback, a report with a non-JSON float, or an answer computed from it."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_margin_flag(self, tmp_path, capsys, value):
+        code = run_command(["rates", "--preset", "dsbs", f"--margin={value}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: margin must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_margin_in_config(self, tmp_path, capsys):
+        cfg = preset_config("dsbs")
+        cfg["margin"] = float("nan")
+        code = run_command(["rates", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: margin must be finite" in capsys.readouterr().err
+
+    @staticmethod
+    def _functional_region(margin=0.0, z_cell=0.375):
+        cfg = preset_config("dsbs")
+        z = [[[z_cell, 0.0], [0.125, 0.0]], [[0.0, 0.125], [0.0, 0.375]]]
+        cfg["region"] = {"theorem": "functional", "margin": margin,
+                         "points": [{"Rc": 1.0, "R": [1.0], "rho": [0.0, 0.0]}],
+                         "z": {"labels": ["X1", "X2", "Z2"], "weights": z}}
+        return cfg
+
+    def test_region_margin(self, tmp_path, capsys):
+        cfg = self._functional_region(margin=float("nan"))
+        code = run_command(["region", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: region.margin must be finite" in capsys.readouterr().err
+
+    def test_region_z_weight(self, tmp_path, capsys):
+        cfg = self._functional_region(z_cell=float("nan"))
+        code = run_command(["region", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: probability mass must be finite" in capsys.readouterr().err
+
+    def test_fme_coefficient(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "network": {"h": 2, "target": [[0.5, 0.0], [0.0, 0.5]]},
+               "fme": {"variables": ["x", "y"], "eliminate": ["y"],
+                       "rows": [{"coeffs": {"x": float("nan"), "y": 1.0}, "rhs": 0.0}]}}
+        code = run_command(["fme", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be finite, got nan" in capsys.readouterr().err
+
+
+class TestRangesAboveInt64:
+    def test_simulate_with_a_seed_range_of_2_to_the_65_exits_4(self, tmp_path, capsys):
+        """indep-uniform's node-1 seed range is 2^(n/2); at n=130 it is 2^65, which
+        no int64 draw can cover."""
+        cfg = preset_config("indep-uniform")
+        cfg["rates"]["lambda"] = {"2": 0.1}
+        cfg["codebook_seeds"] = 1
+        code = run_command(["simulate", "--config", write_config(tmp_path, cfg), "--n", "130",
+                            "--out", str(tmp_path)])
+        assert code == 4
+        assert "2^65 values is above any cap" in read_report(tmp_path)["error"]
+
+
+class TestLongLines:
+    """BSC chains from the golden h=5 chain config with one crossover per hop: A
+    constant, B and C copying the actions."""
+
+    CROSSOVERS = (0.25, 0.2, 0.3, 0.15, 0.1)
+
+    def _config(self, monkeypatch, crossovers):
+        monkeypatch.setattr(regen, "BSC_CROSSOVERS", crossovers)
+        cfg = regen.bsc_config()
+        cfg["codebook_seeds"] = 1
+        return cfg
+
+    def test_h6_validate_rates_and_exact(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, self._config(monkeypatch, self.CROSSOVERS))
+        assert run_command(["validate", "--config", path, "--out", str(tmp_path / "v")]) == 0
+        start = time.perf_counter()
+        assert run_command(["rates", "--config", path, "--out", str(tmp_path / "r")]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert len(read_report(tmp_path / "r")["thm1"]["constraints"]) == 2 * 2 ** 14
+        assert run_command(["exact", "--config", path, "--n", "1", "--out", str(tmp_path / "e")]) == 0
+
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    def test_h7_thm1_subsets_exit_4(self, tmp_path, monkeypatch, capsys, command):
+        """21 pairs: 2^20 subsets of up to 21 pairs, 22,020,096 cells, above 2^24."""
+        path = write_config(tmp_path, self._config(monkeypatch, self.CROSSOVERS + (0.2,)))
+        code = run_command([command, "--config", path, "--n", "1", "--trials", "10",
+                            "--out", str(tmp_path)])
+        assert code == 4
+        error = read_report(tmp_path)["error"]
+        assert error.startswith("thm1 subset-pair cells: 22020096 needed, above the cap of 16777216")
+
+    def test_h9_validate_exits_4_naming_the_axes(self, tmp_path, monkeypatch, capsys):
+        """9 actions, 36 A, 8 B and 8 C: 61 axes, more than np.einsum numbers."""
+        path = write_config(tmp_path, self._config(monkeypatch, (0.25,) * 8))
+        assert run_command(["validate", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "61 axes needed" in read_report(tmp_path)["error"]
+
+
+class TestCliFuzz:
+    """Every preset command, under any values of its flags, exits 0, 2, 3 or 4 without
+    raising, and every report.json it writes is strict JSON."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(command=st.sampled_from(["validate", "rates", "simulate", "exact"]),
+           preset=st.sampled_from(["dsbs", "dsbs-control", "indep-uniform", "copy3", "markov3"]),
+           n=st.lists(st.integers(-1, 8), min_size=1, max_size=2),
+           trials=st.none() | st.integers(-2, 40),
+           seed=st.none() | st.integers(-2 ** 65, 2 ** 65),
+           margin=st.none() | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+           mode=st.none() | st.sampled_from([m.value for m in Mode]))
+    def test_exit_codes_and_strict_reports(self, command, preset, n, trials, seed, margin, mode):
+        cfg = preset_config(preset)
+        cfg["codebook_seeds"] = 1
+        with tempfile.TemporaryDirectory() as out:
+            argv = [command, "--config", write_config(Path(out), cfg), "--out", out,
+                    f"--n={','.join(map(str, n))}"]
+            for flag, value in (("--trials", trials), ("--seed", seed), ("--margin", margin),
+                                ("--mode", mode)):
+                if value is not None:
+                    argv += [f"{flag}={value}"]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(argv)
+            assert code in (0, 2, 3, 4)
+            report = Path(out) / "report.json"
+            assert report.exists() == (code != 2)
+            if code != 2:
+                assert strict_json(report.read_text())["command"] == command

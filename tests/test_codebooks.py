@@ -58,6 +58,18 @@ class TestSizes:
         # n*rate arithmetic that lands a hair above an integer must not bump up
         assert codeword_count(3, 0.2 + 0.2 + 0.2 + 0.2 + 0.2) == 8
 
+    def test_counts_stay_below_2_to_the_63(self):
+        assert codeword_count(62, 1.0) == 2 ** 62
+        assert codeword_count(2, 31.49) == math.ceil(2 ** 62.98)
+        for n, rate in ((63, 1.0), (2, 31.5), (1, 62.9999999999), (130, 0.5)):
+            with pytest.raises(ResourceCapError, match="above any cap"):
+                codeword_count(n, rate)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_rate_is_usage_error(self, rate):
+        with pytest.raises(UsageError, match="finite and nonnegative"):
+            codeword_count(4, rate)
+
 
 class TestBuildAndLookup:
     def test_constant_alphabet_single_codeword(self):

@@ -69,6 +69,13 @@ class TestSelectorSeedRange:
         with pytest.raises(ResourceCapError, match="above any cap"):
             Scheme(cb, Mode.FUNCTIONAL)
 
+    def test_seed_range_of_2_to_the_65_is_a_cap_error(self, monkeypatch):
+        """A range Scheme could hold as a Python int, but no int64 seed draw covers."""
+        cb = build_codebooks(dsbs_spec(), h2_rates(), n=4, seed=0)
+        monkeypatch.setattr(codec, "node1_selector_rate", lambda spec, rates: 65 / 4 - codec.SEED_MARGIN)
+        with pytest.raises(ResourceCapError, match="2\\^65 values is above any cap"):
+            Scheme(cb, Mode.FUNCTIONAL)
+
 
 class TestSelectFromPosterior:
     def test_single_candidate(self):

@@ -53,6 +53,12 @@ class TestFmeBasics:
         with pytest.raises(UsageError):
             fme_project(sys, ["z"])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_input_is_usage_error(self, bad):
+        for coeffs, rhs in (({"x": bad}, 0.0), ({"x": 1.0}, bad)):
+            with pytest.raises(UsageError, match="must be finite"):
+                LinearSystem.build(["x"], [(coeffs, rhs)])
+
     def test_infeasible_marker_kept(self):
         sys = LinearSystem.build(["x", "y"], [({"y": 1}, 1), ({"y": -1}, 0)])
         out = fme_project(sys, ["y"])

@@ -48,6 +48,14 @@ class TestJointPmf:
         with pytest.raises(UsageError):
             pmf_from_table(["X", "X"], [[0.25] * 2] * 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        """A NaN cell passes the mass check (comparisons with NaN are false) unless
+        the total is checked for finiteness first."""
+        for normalize in (False, True):
+            with pytest.raises(UsageError, match="must be finite"):
+                pmf_weights([0.5, 0.5, bad], normalize=normalize)
+
     def test_immutable(self):
         p = bernoulli(0.5)
         with pytest.raises((ValueError, AttributeError)):
@@ -271,6 +279,20 @@ class TestStaircase:
         # cuts: floor(0.26*4)=1, floor(1*4)=4
         assert t.map_seed(1) == 0
         assert all(t.map_seed(s) == 1 for s in (2, 3, 4))
+
+    def test_ell_outside_int64_is_usage_error(self):
+        q = pmf_from_table(["X"], [0.5, 0.5])
+        assert staircase_map(q, [0, 1], 2 ** 63 - 1).cuts[-1] == 2 ** 63 - 1
+        for ell in (0, 2 ** 63):
+            with pytest.raises(UsageError, match="ell must lie in"):
+                staircase_map(q, [0, 1], ell)
+
+    @pytest.mark.parametrize("ell", [2 ** 53 + 1, 2 ** 60 + 1, 2 ** 63 - 1])
+    def test_full_support_last_cut_is_ell_above_float_precision(self, ell):
+        """A full support's last cut is ell exactly, which float64 cannot hold above 2^53."""
+        table = staircase_map(np.array([1.0]), [0], ell)
+        assert table.cuts == (0, ell)
+        assert table.induced == (Fraction(1),)
 
     def test_vacuous_flag(self):
         q = pmf_from_table(["X"], [0.25] * 4)
