@@ -4,8 +4,8 @@ Construction, simulation, and verification of layered channel-resolvability
 coordination schemes, plus analytic rate-region membership checks.
 """
 
-from .codebooks import Codebook, ChainCodebook, build_chain, build_codebooks, typical_list_size
-from .codec import allied_generate, posterior_select, run_scheme
+from .codebooks import Codebook, build_codebooks
+from .codec import allied_generate, run_scheme
 from .errors import PreconditionError, ResourceCapError, UsageError
 from .evalharness import (
     coordination_tv,
@@ -33,7 +33,6 @@ from .probability import (
     condition,
     divergences,
     info_measure,
-    is_typical,
     marginalize,
     pmf_from_table,
     product_extend,

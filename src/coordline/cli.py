@@ -57,8 +57,15 @@ class ConfigError(UsageError):
     pass
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _section(d, where: str) -> dict:
+    """d, after checking that the config gives it as a JSON object."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _reject_unknown(d, allowed: set, where: str):
+    unknown = set(_section(d, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
 
@@ -104,7 +111,7 @@ class Experiment:
         self.spec: AuxSpec | None = None
         if "aux" in cfg:
             defs = {}
-            for label, d in cfg["aux"].items():
+            for label, d in _section(cfg["aux"], "aux").items():
                 _reject_unknown(d, {"kind", "source", "given", "weights", "size"}, f"aux.{label}")
                 kind = d.get("kind")
                 if kind == "constant":
@@ -123,13 +130,17 @@ class Experiment:
             r = cfg["rates"]
             _reject_unknown(r, {"mu_plus", "mu_minus", "kappa_plus", "kappa_minus", "lambda"},
                             "rates")
+
+            def table(key, index):
+                return {index(k): v for k, v in _section(r.get(key, {}), f"rates.{key}").items()}
+
             self.rates = CodebookRates.for_network(
                 self.network.h,
-                mu_plus={_pair_key(k): v for k, v in r.get("mu_plus", {}).items()},
-                mu_minus={_pair_key(k): v for k, v in r.get("mu_minus", {}).items()},
-                kappa_plus={int(k): v for k, v in r.get("kappa_plus", {}).items()},
-                kappa_minus={int(k): v for k, v in r.get("kappa_minus", {}).items()},
-                lam={int(k): v for k, v in r.get("lambda", {}).items()},
+                mu_plus=table("mu_plus", _pair_key),
+                mu_minus=table("mu_minus", _pair_key),
+                kappa_plus=table("kappa_plus", int),
+                kappa_minus=table("kappa_minus", int),
+                lam=table("lambda", int),
             )
 
         self.mode = Mode(cfg.get("mode", "functional"))
@@ -164,7 +175,7 @@ def _load_config(args) -> dict:
     if args.margin is not None:
         cfg["margin"] = args.margin
     if args.theorem:
-        cfg.setdefault("region", {})["theorem"] = args.theorem
+        _section(cfg.setdefault("region", {}), "region")["theorem"] = args.theorem
     return cfg
 
 
@@ -181,6 +192,11 @@ def _point_from(d: dict) -> RatePoint:
     _reject_unknown(d, {"Rc", "R", "rho"}, "point")
     return RatePoint(float(d["Rc"]), tuple(float(v) for v in d["R"]),
                      tuple(float(v) for v in d["rho"]))
+
+
+@_parses_config
+def _points(region: dict) -> list[RatePoint]:
+    return [_point_from(p) for p in region.get("points", [])]
 
 
 @_parses_config
@@ -215,7 +231,7 @@ def _cmd_region(exp: Experiment) -> tuple[dict, bool]:
     region = exp.region
     _reject_unknown(region, {"theorem", "points", "z", "margin"}, "region")
     theorem = region.get("theorem")
-    pts = [_point_from(p) for p in region.get("points", [])]
+    pts = _points(region)
     if not pts:
         raise ConfigError("region requires at least one point")
     margin = _finite_margin(region.get("margin", 0.0), "region.margin")
@@ -280,17 +296,18 @@ def _transfer_numbers(t: dict) -> tuple[int, int, float]:
 
 
 @_parses_config
-def _fme_rows(f: dict) -> list[tuple[dict, float]]:
-    return [({k: float(v) for k, v in r["coeffs"].items()}, float(r["rhs"]))
+def _fme_lists(f: dict) -> tuple[list, list[tuple[dict, float]], list]:
+    """(variables, rows, eliminate) of the fme section."""
+    rows = [({k: float(v) for k, v in _section(r["coeffs"], "fme row coeffs").items()}, float(r["rhs"]))
             for r in f["rows"]]
+    return list(f["variables"]), rows, list(f.get("eliminate", []))
 
 
 def _cmd_fme(exp: Experiment) -> tuple[dict, bool]:
     f = exp.fme
     _reject_unknown(f, {"variables", "rows", "eliminate"}, "fme")
-    rows = _fme_rows(f)
-    system = LinearSystem.build(list(f["variables"]), rows)
-    projected = fme_project(system, list(f.get("eliminate", [])))
+    variables, rows, eliminate = _fme_lists(f)
+    projected = fme_project(LinearSystem.build(variables, rows), eliminate)
     return {"fme": projected.to_dict()}, True
 
 

@@ -12,12 +12,6 @@ conditional's quantile space evenly, which keeps desk-scale blocklengths in
 the regime the asymptotic analysis describes; in particular a uniform
 conditional with a matching codeword count enumerates the blocks exactly, so
 integer-rate local randomness is lossless.
-
-Chain codebooks (the nested single-chain structure used by the seeded-selection
-analysis) store each level as a Book whose slots are that level's index and
-whose parents are the indices of the levels before it, so chain lookups run on
-integer-array index grids and range-check every index. Their draws stay plain
-i.i.d. per letter, level i on the streams (seed, "D", i, *parent indices).
 """
 from __future__ import annotations
 
@@ -34,14 +28,12 @@ from .linestruct import (
     IndexPair,
     a_label,
     b_label,
-    c_label,
     order_pairs,
     phi,
     phi_bar,
     psi,
-    x_label,
 )
-from .probability import JointPmf, condition, is_jointly_typical, marginalize
+from .probability import condition, marginalize
 from .rates import CodebookRates
 
 
@@ -58,7 +50,7 @@ def codeword_count(n: int, rate: float) -> int:
     return 1 << r if abs(x - r) < 1e-9 else math.ceil(2.0 ** x)
 
 
-Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i) | chain ("d", level)
+Component = tuple  # ("m+", i, j) | ("m-", i, j) | ("k+", i) | ("k-", i) | ("l", i)
 
 
 def m_plus(p: IndexPair) -> Component:
@@ -248,31 +240,26 @@ def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> dict:
 
 
 class _StreamFamily:
-    """The streams (seed, *head, *index, *tail) for every multi-index of shape:
-    rng(row) equals _child_rng(seed, *head, *np.unravel_index(row, shape), *tail)
-    draw for draw, rows numbering the multi-indices in C order.
+    """The streams (seed, *head, row, *tail) for rows 0..rows-1: rng(row) equals
+    _child_rng(seed, *head, row, *tail) draw for draw.
 
     One Generator serves every row and is re-seeded on each rng call, so a
     returned generator is valid until the next call; a family belongs to one
     caller and one thread. Seed states are derived STREAM_BLOCK_ROWS rows at a
     time, so the memory held does not grow with the row count."""
 
-    def __init__(self, seed: int, head: tuple, tail: tuple, shape: tuple[int, ...]):
-        zeros = (0,) * len(shape)
-        self._template = _entropy_words(seed, *head, *zeros, *tail)
-        first = len(_entropy_words(seed, *head))
-        self._digits = tuple(zip(range(first, first + len(shape)), shape))[::-1]
-        self._rows = math.prod(shape)
+    def __init__(self, seed: int, head: tuple, tail: tuple, rows: int):
+        self._template = _entropy_words(seed, *head, 0, *tail)
+        self._column = len(_entropy_words(seed, *head))
+        self._rows = rows
         self._start, self._states = -1, None
-        self._rng = _child_rng(seed, *head, *zeros, *tail)
+        self._rng = _child_rng(seed, *head, 0, *tail)
 
     def rng(self, row: int) -> np.random.Generator:
         start = row - row % STREAM_BLOCK_ROWS
         if start != self._start:
-            index = np.arange(start, min(start + STREAM_BLOCK_ROWS, self._rows))
-            entropy = np.tile(self._template, (len(index), 1))
-            for column, size in self._digits:
-                index, entropy[:, column] = divmod(index, size)
+            entropy = np.tile(self._template, (min(STREAM_BLOCK_ROWS, self._rows - start), 1))
+            entropy[:, self._column] = np.arange(start, start + len(entropy))
             self._states = _seed_states(entropy)
             self._start = start
         self._rng.bit_generator.state = _pcg64_state(*self._states[row - start].tolist())
@@ -435,134 +422,22 @@ def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int) -> C
     return Codebook(spec, rates, n, seed, books_a, books_b, books_c, sizes)
 
 
-def _stratified_words(rngs, count: int, letter_probs: np.ndarray) -> np.ndarray:
-    u = np.array([(rng.permutation(count) + rng.random(count)) / count for rng in rngs])
-    return _stratified_blocks(u, letter_probs)
-
-
 def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, kernel,
-               n: int, given, shape: tuple[int, ...] | None = None,
-               draw=_stratified_words) -> Book:
-    """One book: for each parent index p, the slots.size codewords draw(rngs, count, letter
-    rows) returns from the kernel at the letters given(assignment of p) returns, on the stream
-    (seed, *key, *np.unravel_index(p, shape)), shape defaulting to (parents.size,). given
-    and draw run on integer-array assignments of STREAM_BLOCK_ROWS parents at a time."""
+               n: int, given) -> Book:
+    """One book: for each parent index p, slots.size codewords stratified-drawn from the
+    kernel at the letters given(assignment of p) returns, on the stream (seed, *key, p).
+    given runs on integer-array assignments of STREAM_BLOCK_ROWS parents at a time."""
     n_out = kernel.weights.shape[-1]
-    words = np.empty((parents.size, slots.size, n), dtype=np.int64)
-    streams = _StreamFamily(seed, key, (), (parents.size,) if shape is None else shape)
+    count = slots.size
+    words = np.empty((parents.size, count, n), dtype=np.int64)
+    streams = _StreamFamily(seed, key, (), parents.size)
     for start in range(0, parents.size, STREAM_BLOCK_ROWS):
         block = np.arange(start, min(start + STREAM_BLOCK_ROWS, parents.size))
         letters = given(parents.unflatten(block))
         rows = kernel.weights[tuple(letters)] if letters else np.tile(kernel.weights, (n, 1))
-        words[block] = draw(map(streams.rng, block.tolist()), slots.size,
-                            np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
+        u = np.array([(rng.permutation(count) + rng.random(count)) / count
+                      for rng in map(streams.rng, block.tolist())])
+        words[block] = _stratified_blocks(
+            u, np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
     words.setflags(write=False)
     return Book(parents, slots, words)
-
-
-def _iid_words(rngs, count: int, letter_probs: np.ndarray) -> np.ndarray:
-    u = np.array([rng.random((count, letter_probs.shape[1])) for rng in rngs])
-    return _iid_blocks(u, _cum_rows(letter_probs))
-
-
-# ---------------------------------------------------------------------------
-# Chain codebooks (nested single-index structure) and typical-list accounting
-
-
-def _chain_spaces(sizes: Sequence[int], level: int) -> tuple[IndexSpace, IndexSpace]:
-    """(parents, slots) of a chain level's Book: the earlier levels' indices, and its own."""
-    return (IndexSpace([(("d", d), sizes[d]) for d in range(level)]),
-            IndexSpace([(("d", level), sizes[level])]))
-
-
-class ChainCodebook:
-    """Nested chain D_1 -> D_2 -> ... -> D_k feeding a channel to Y.
-
-    Level i is a Book holding one codeword per index tuple (l_1..l_i), drawn
-    i.i.d. per letter from Q(D_i | D_1..D_{i-1}) at the parent letters; its
-    slots are l_i and its parents (l_1..l_{i-1}). Lookups range-check every index.
-    """
-
-    def __init__(self, joint: JointPmf, level_labels: Sequence[str], y_axis: str,
-                 levels: Sequence[Book], n: int, seed: int):
-        self.joint = joint
-        self.level_labels = tuple(level_labels)
-        self.y_axis = y_axis
-        self.levels = tuple(levels)
-        self.sizes = tuple(book.slots.size for book in self.levels)
-        self.n = int(n)
-        self.seed = int(seed)
-
-    @property
-    def k(self) -> int:
-        return len(self.level_labels)
-
-    def tuple_count(self) -> int:
-        return math.prod(self.sizes)
-
-    def codeword(self, level: int, prefix: tuple[int, ...]) -> np.ndarray:
-        if len(prefix) != level + 1:
-            raise UsageError("prefix length must equal level+1")
-        return self.levels[level].lookup({("d", d): v for d, v in enumerate(prefix)})
-
-    def letters(self, indices: Mapping[int, int | np.ndarray]) -> list[np.ndarray]:
-        """Every level's codewords at level -> index, one index per level 0..k-1
-        (integer arrays give a grid)."""
-        if set(indices) != set(range(self.k)):
-            raise UsageError(f"need an index for each level 0..{self.k - 1}, got {list(indices)}")
-        assignment = {("d", d): v for d, v in indices.items()}
-        return [book.lookup(assignment) for book in self.levels]
-
-    def observation(self, y: Sequence[int]) -> np.ndarray:
-        """y as a Y^n block, after checking its length and symbols."""
-        y = np.asarray(list(y), dtype=np.int64)
-        size = self.joint.alphabet(self.y_axis).size
-        if len(y) != self.n or not np.all((0 <= y) & (y < size)):
-            raise UsageError(f"an observation is {self.n} symbols in [0, {size}), got {y.tolist()}")
-        return y
-
-
-def build_chain(joint: JointPmf, level_labels: Sequence[str], y_axis: str,
-                rates: Sequence[float], n: int, seed: int) -> ChainCodebook:
-    """Level i is drawn per parent index tuple on the stream (seed, "D", i, *tuple)."""
-    level_labels = list(level_labels)
-    sizes = [codeword_count(n, r) for r in rates]
-    check_cap("chain stored symbols", n * sum(math.prod(sizes[:lvl + 1]) for lvl in range(len(sizes))))
-    levels: list[Book] = []
-    for lvl, lbl in enumerate(level_labels):
-        given = level_labels[:lvl]
-        marg = marginalize(joint, given + [lbl])
-        levels.append(_draw_book(seed, ("D", lvl), *_chain_spaces(sizes, lvl),
-                                 condition(marg, given) if given else marg, n,
-                                 lambda asg: [level.lookup(asg) for level in levels],
-                                 tuple(sizes[:lvl]), _iid_words))
-    return ChainCodebook(joint, level_labels, y_axis, levels, n, seed)
-
-
-def chain_channel_output(chain: ChainCodebook, prefix: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Sample Y^n from the channel driven by the selected codeword tuple."""
-    kernel = condition(chain.joint, list(chain.level_labels))
-    rows = kernel.weights[tuple(chain.letters(dict(enumerate(prefix))))]
-    return _iid_blocks(rng.random((1, chain.n)), _cum_rows(rows))[0]
-
-
-def typical_list_size(chain: ChainCodebook, y: Sequence[int], delta: float) -> int:
-    """Exact count of index tuples jointly delta-typical with y, tested on the whole
-    tuple grid at once: its letters take (k + 1) times the last level's stored symbols."""
-    check_cap("chain index tuples", chain.tuple_count())
-    y = chain.observation(y)
-    grid = np.indices(chain.sizes).reshape(chain.k, -1)
-    return int(is_jointly_typical(chain.letters(dict(enumerate(grid))) + [y], chain.joint, delta).sum())
-
-
-def chain_from_line_h2(cb: Codebook, y_node: int) -> ChainCodebook:
-    """Degenerate h=2 line view as a three-level chain A -> B -> C with Y = X_{y_node}. Each
-    book's parents are the slots of the books before it, so its words serve as they are."""
-    spec = cb.spec
-    if spec.h != 2:
-        raise UsageError("line-to-chain view is defined for h=2")
-    labels = [a_label((1, 2)), b_label(1), c_label(2), x_label(y_node)]
-    books = (cb.a[(1, 2)], cb.b[1], cb.c[2])
-    sizes = [book.slots.size for book in books]
-    levels = [Book(*_chain_spaces(sizes, lvl), book.words) for lvl, book in enumerate(books)]
-    return ChainCodebook(marginalize(spec.joint, labels), labels[:3], labels[3], levels, cb.n, cb.seed)

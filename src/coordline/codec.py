@@ -19,17 +19,14 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codebooks import (
     STREAM_BLOCK_ROWS,
-    ChainCodebook,
     Codebook,
     IndexSpace,
-    _child_rng,
     _cum_rows,
     _iid_blocks,
     _StreamFamily,
@@ -40,7 +37,7 @@ from .codebooks import (
     m_minus,
     m_plus,
 )
-from .errors import UsageError, check_cap
+from .errors import UsageError
 from .linestruct import (
     AuxSpec,
     a_label,
@@ -50,7 +47,7 @@ from .linestruct import (
     psi,
     x_label,
 )
-from .probability import StaircaseTable, condition, info_measure, marginalize, pmf_weights, staircase_map
+from .probability import StaircaseTable, condition, marginalize, pmf_weights, staircase_map
 from .rates import (
     Mode,
     check_mode_restrictions,
@@ -346,47 +343,6 @@ def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | Non
     return _outcome(selection, seed_value, degenerate), selection[2]
 
 
-def posterior_select(chain: ChainCodebook, y, fixed: dict[int, int], ell: int,
-                     seed: int, rho_budget: float | None = None) -> dict:
-    """Seeded index selection against a nested chain codebook.
-
-    Computes the exact posterior over the free levels' index tuples given the
-    observation y and the fixed prefix indices, then staircase-selects with a
-    uniform seed on [1..ell]. The report carries the certificate, the seed
-    rate actually consumed, and the analytic seed-rate requirement
-    sum(nu_free) - I(Y; D_free | D_fixed).
-    """
-    y = chain.observation(y)
-    free = [lvl for lvl in range(chain.k) if lvl not in fixed]
-    shape = [chain.sizes[lvl] for lvl in free]
-    count = math.prod(shape)
-    check_cap("selector candidates", count)
-
-    kernel = condition(chain.joint, list(chain.level_labels))
-    grid = dict(fixed) | dict(zip(free, np.indices(shape).reshape(len(free), count)))
-    weights = _block_likelihood(kernel.weights, chain.letters(grid), y)
-    posterior, degenerate = _normalized(np.broadcast_to(weights, (count,)))
-
-    rng = _child_rng(seed, "posterior_select")
-    outcome, induced = select_from_posterior(posterior, ell, None, rng, degenerate)
-
-    fixed_labels = [chain.level_labels[lvl] for lvl in sorted(fixed)]
-    free_labels = [chain.level_labels[lvl] for lvl in free]
-    nu_free = sum(math.log2(chain.sizes[lvl]) / chain.n for lvl in free)
-    mi = info_measure(chain.joint, [chain.y_axis], free_labels, fixed_labels) if free_labels else 0.0
-    required = nu_free - mi
-    report = {
-        "selected": outcome.chosen,
-        "outcome": outcome.to_dict(),
-        "required_seed_rate": required,
-        "seed_rate": _bits(ell) / chain.n,
-    }
-    if rho_budget is not None:
-        report["rho_budget"] = rho_budget
-        report["rho_covers_seed"] = bool(rho_budget + 1e-12 >= _bits(ell) / chain.n)
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Scheme execution
 
@@ -539,7 +495,7 @@ def _mc_run(scheme: Scheme, trials: int, seed: int, label: str, source, node1: b
     for block in range(blocks):
         def draw(*key, _block=block):
             if key not in families:
-                families[key] = _StreamFamily(seed, ("mc",), key, (blocks,))
+                families[key] = _StreamFamily(seed, ("mc",), key, blocks)
             return families[key].rng(_block)
 
         rows = np.arange(block * STREAM_BLOCK_ROWS, min((block + 1) * STREAM_BLOCK_ROWS, trials))

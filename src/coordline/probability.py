@@ -40,7 +40,7 @@ class JointPmf:
     of the entropies computed from it, keyed by ordered label tuple.
     """
 
-    __slots__ = ("axes", "weights", "_entropies")
+    __slots__ = ("axes", "weights", "_entropies", "_positions")
 
     def __init__(self, axes: Sequence[tuple[str, Alphabet]], weights: np.ndarray, *, normalize: bool = False):
         axes = tuple((str(lbl), alph) for lbl, alph in axes)
@@ -55,6 +55,7 @@ class JointPmf:
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_entropies", {})
+        object.__setattr__(self, "_positions", {lbl: k for k, lbl in enumerate(labels)})
 
     def __setattr__(self, *_):
         raise AttributeError("JointPmf is immutable")
@@ -70,10 +71,10 @@ class JointPmf:
         return tuple(alph.size for _, alph in self.axes)
 
     def axis_pos(self, label: str) -> int:
-        for k, (lbl, _) in enumerate(self.axes):
-            if lbl == label:
-                return k
-        raise UsageError(f"unknown axis label {label!r}; have {self.labels}")
+        try:
+            return self._positions[label]
+        except (KeyError, TypeError):
+            raise UsageError(f"unknown axis label {label!r}; have {self.labels}") from None
 
     def alphabet(self, label: str) -> Alphabet:
         return self.axes[self.axis_pos(label)][1]
@@ -296,41 +297,6 @@ def divergences(p: JointPmf, q: JointPmf) -> tuple[float, float]:
         return math.inf, tv
     kl = float((pw[mask] * (np.log2(pw[mask]) - np.log2(qw[mask]))).sum())
     return max(kl, 0.0), tv
-
-
-def is_typical(x: Sequence[int], p: JointPmf, eps: float) -> bool | np.ndarray:
-    """Letter typicality with multiplicative slack: |freq(a) - p(a)| <= eps*p(a) for all a,
-    and freq(a) = 0 whenever p(a) = 0. Leading axes of x (..., n) are a batch of
-    sequences, answered with a bool array of their shape."""
-    if len(p.axes) != 1:
-        raise UsageError("is_typical expects a single-axis pmf")
-    return is_jointly_typical([x], p, eps)
-
-
-def is_jointly_typical(seqs: Sequence[Sequence[int]], joint: JointPmf, eps: float) -> bool | np.ndarray:
-    """Joint letter typicality of parallel sequences w.r.t. a multi-axis joint pmf:
-    is_typical of their letter tuples. Sequences with leading batch axes (..., n)
-    broadcast against each other."""
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    arrs = [np.asarray(s, dtype=np.int64) for s in seqs]
-    if len(arrs) != len(joint.axes):
-        raise UsageError("need one sequence per joint axis")
-    lengths = {a.shape[-1] if a.ndim else 0 for a in arrs}
-    if len(lengths) != 1:
-        raise UsageError("sequences must share a length")
-    n = lengths.pop()
-    if n == 0:
-        raise UsageError("empty sequence")
-    flat = 0
-    for a, size in zip(arrs, joint.sizes):
-        if a.min() < 0 or a.max() >= size:
-            raise UsageError("symbol out of range")
-        flat = flat * size + a
-    w = joint.weights.reshape(-1)
-    freq = (flat[..., None] == np.arange(len(w))).sum(axis=-2) / float(n)
-    ok = np.all(np.abs(freq - w) <= eps * w + 1e-15, axis=-1)
-    return bool(ok) if ok.ndim == 0 else ok
 
 
 # ---------------------------------------------------------------------------

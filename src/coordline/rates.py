@@ -22,8 +22,8 @@ from .linestruct import (
     all_pairs,
     b_label,
     c_label,
-    j_set,
     order_pairs,
+    phi_bar,
     x_label,
 )
 from .probability import JointPmf, divergences, info_measure, marginalize
@@ -209,20 +209,23 @@ def thm1_check(rates: CodebookRates, spec: AuxSpec, margin: float = DEFAULT_MARG
     subsets = thm1_subsets(h)
     rest = [p for p in pairs if p != (1, h)]
 
+    # the complement of J_S: the pairs whose phi_bar misses S; many S share one
+    covers = [(p, phi_bar(h, p)) for p in pairs]
+    by_comp: dict[tuple, tuple[float, float, bool]] = {}
     rhs_joint: dict[tuple, float] = {}
     rhs_x1: dict[tuple, float] = {}
     trivial: set[tuple] = set()
     for s in subsets:
-        comp = sorted(set(pairs) - j_set(h, s))
-        a_axes = [a_label(p) for p in comp]
-        if a_axes:
-            rhs_joint[s] = info_measure(spec.joint, x_axes, a_axes)
-            rhs_x1[s] = info_measure(spec.joint, [x_label(1)], a_axes)
-        else:
-            rhs_joint[s] = 0.0
-            rhs_x1[s] = 0.0
-        # constant auxiliaries need no covering: the margin does not apply
-        if all(spec.aux_alphabets[a].size == 1 for a in a_axes):
+        comp = tuple(p for p, cover in covers if cover.isdisjoint(s))
+        if comp not in by_comp:
+            a_axes = [a_label(p) for p in comp]
+            by_comp[comp] = (
+                info_measure(spec.joint, x_axes, a_axes) if a_axes else 0.0,
+                info_measure(spec.joint, [x_label(1)], a_axes) if a_axes else 0.0,
+                # constant auxiliaries need no covering: the margin does not apply
+                all(spec.aux_alphabets[a].size == 1 for a in a_axes))
+        rhs_joint[s], rhs_x1[s], is_trivial = by_comp[comp]
+        if is_trivial:
             trivial.add(s)
 
     # J_S grows with S, so the rhs never increases along supersets: a superset

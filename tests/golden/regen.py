@@ -1,4 +1,4 @@
-"""Golden fixtures: scheme traces, exact induced laws, CLI reports and chain codebooks.
+"""Golden fixtures: scheme traces, exact induced laws and CLI reports.
 
 Run from the repository root with the package importable:
 
@@ -21,15 +21,13 @@ import json
 import math
 import sys
 import tempfile
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from coordline.cli import Experiment, run_command
-from coordline.codebooks import (build_chain, build_codebooks, chain_channel_output,
-                                 chain_from_line_h2, typical_list_size)
-from coordline.codec import Scheme, allied_generate, posterior_select, run_scheme
+from coordline.codebooks import build_codebooks
+from coordline.codec import Scheme, allied_generate, run_scheme
 from coordline.evalharness import _allied_joint, cr_independence, exact_induced, piecing_check
 from coordline.linestruct import make_network
 from coordline.presets import preset_config
@@ -161,72 +159,6 @@ def lifted_fme_config(crossovers) -> dict:
             "fme": {"variables": list(system.variables), "rows": rows, "eliminate": lifted[::-1]}}
 
 
-CHAIN_N = 5
-CHAIN_SEED = 4
-CHAIN_RATES = {2: (0.5, 0.4), 3: (0.4, 0.3, 0.5)}
-CHAIN_DELTAS = (0.35, 1.0, 1.5, 2.5, 4.0)
-CHAIN_FIXED = ({}, {0: 1})
-
-
-def _flip(e: float, size: int = 2) -> np.ndarray:
-    return np.full((size, size), e / (size - 1)) + (1 - e - e / (size - 1)) * np.eye(size)
-
-
-def _chain(levels: int):
-    """D1 -> ... -> Dk -> Y, each letter a noisy copy of the one before; the
-    3-level chain has a ternary D2, so its decode also sees three-symbol rows."""
-    if levels == 2:
-        w = np.einsum("a,ab,bc->abc", [0.5, 0.5], _flip(0.2), _flip(0.2))
-        labels = ["D1", "D2", "Y"]
-    else:
-        up = np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])
-        down = np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]])
-        w = np.einsum("a,ab,bc,cd->abcd", [0.3, 0.7], up, down, _flip(0.1))
-        labels = ["D1", "D2", "D3", "Y"]
-    joint = pmf_from_table(labels, w)
-    return build_chain(joint, labels[:-1], "Y", CHAIN_RATES[levels], n=CHAIN_N, seed=CHAIN_SEED)
-
-
-def _chain_words(chain) -> dict:
-    """Every codeword of every level, prefixes in lexicographic order."""
-    return {"sizes": list(chain.sizes),
-            "levels": [[chain.codeword(lvl, prefix).tolist()
-                        for prefix in product(*map(range, chain.sizes[:lvl + 1]))]
-                       for lvl in range(chain.k)]}
-
-
-def _chain_observations(chain) -> list[list[int]]:
-    """The all-zero block, then channel outputs of the first and last index tuples."""
-    rng = np.random.default_rng(CHAIN_SEED)
-    last = tuple(s - 1 for s in chain.sizes)
-    return [[0] * chain.n] + [chain_channel_output(chain, prefix, rng).tolist()
-                              for prefix in ((0,) * chain.k, last)]
-
-
-def chain_books(levels: int) -> dict:
-    return _chain_words(_chain(levels))
-
-
-def chain_typical(levels: int) -> dict:
-    chain = _chain(levels)
-    ys = _chain_observations(chain)
-    return {"observations": ys,
-            "counts": [[typical_list_size(chain, y, delta) for delta in CHAIN_DELTAS] for y in ys]}
-
-
-def chain_posterior(levels: int) -> dict:
-    chain = _chain(levels)
-    return {"reports": [[posterior_select(chain, y, fixed, ell=8, seed=CHAIN_SEED, rho_budget=1.0)
-                         for fixed in CHAIN_FIXED] for y in _chain_observations(chain)]}
-
-
-def chain_line_view() -> dict:
-    """The h=2 line codebook of dsbs read as the chain A -> B -> C with Y = X2."""
-    _, cb = _codebook("dsbs")
-    chain = chain_from_line_h2(cb, 2)
-    return {"labels": list(chain.level_labels), "y_axis": chain.y_axis, **_chain_words(chain)}
-
-
 def cases() -> dict:
     """Fixture name -> zero-argument builder."""
     out = {}
@@ -251,11 +183,6 @@ def cases() -> dict:
     out["cli-fme-infeasible"] = lambda: _run_cli(
         "fme", {"schema_version": 1, "network": {"h": 2, "target": [[0.5, 0.0], [0.0, 0.5]]},
                 "fme": FME_INFEASIBLE})
-    for levels in CHAIN_RATES:
-        out[f"chain-books-{levels}"] = lambda k=levels: chain_books(k)
-        out[f"chain-typical-{levels}"] = lambda k=levels: chain_typical(k)
-        out[f"chain-posterior-{levels}"] = lambda k=levels: chain_posterior(k)
-    out["chain-line-dsbs"] = chain_line_view
     return out
 
 

@@ -297,6 +297,31 @@ class TestContractExitCodes:
         assert row["tv_mean"] is None and row["radius"] is None
 
 
+FME_ROWS = [{"coeffs": {"x": 1, "y": 1}, "rhs": 2}]
+
+
+class TestMalformedSections:
+    """A config section or list field of the wrong JSON type is a config error
+    (exit 2), caught where the section is read."""
+
+    @pytest.mark.parametrize("command, section, value", [
+        ("region", "region", 5),
+        ("region", "region", {"theorem": "large-cr", "points": 5}),
+        ("transfer", "transfer", 5),
+        ("validate", "aux", 5),
+        ("fme", "fme", {"variables": 5, "rows": FME_ROWS, "eliminate": ["y"]}),
+        ("fme", "fme", {"variables": ["x", "y"], "rows": FME_ROWS, "eliminate": 5}),
+    ], ids=["region", "region-points", "transfer", "aux", "fme-variables", "fme-eliminate"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, command, section, value):
+        cfg = preset_config("dsbs")
+        cfg[section] = value
+        code = run_command([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestNonFiniteNumbers:
     """A NaN or infinite number from the config or a flag is a usage error (exit 2):
     never a traceback, a report with a non-JSON float, or an answer computed from it."""

@@ -5,24 +5,20 @@ import pytest
 from scipy import stats
 
 from coordline.codebooks import (
-    ChainCodebook,
     Codebook,
-    build_chain,
     build_codebooks,
-    chain_channel_output,
-    chain_from_line_h2,
     codeword_count,
     k_minus,
     k_plus,
     l_of,
     m_minus,
     m_plus,
-    typical_list_size,
 )
+from coordline.cli import Experiment
+from coordline.codec import run_scheme
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
-from coordline.codec import posterior_select
-from coordline.probability import info_measure, is_jointly_typical, is_typical, pmf_from_table
+from coordline.presets import preset_config
 from coordline.rates import CodebookRates
 
 
@@ -167,156 +163,59 @@ class TestBuildAndLookup:
         assert words == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-class TestChain:
-    def make_chain(self, seed=0, n=6, nu=(0.5, 0.5)):
-        # D1 - D2 - Y: D1 fair bit, D2 = D1 xor noise(0.2), Y = D2 xor noise(0.2)
-        flip = lambda eps: np.array([[1 - eps, eps], [eps, 1 - eps]])
-        w = np.einsum("a,ab,bc->abc", [0.5, 0.5], flip(0.2), flip(0.2))
-        joint = pmf_from_table(["D1", "D2", "Y"], w)
-        return joint, build_chain(joint, ["D1", "D2"], "Y", nu, n=n, seed=seed)
-
-    def test_atypical_observation_counts_zero(self):
-        joint, chain = self.make_chain()
-        # impossible under a 0.05-ball: constant sequence is never 0.05-typical
-        assert typical_list_size(chain, [0] * 6, 0.05) == 0
-
-    def test_generating_tuple_usually_counted(self):
-        hits = 0
-        trials = 60
-        for s in range(trials):
-            joint, chain = self.make_chain(seed=s, n=8)
-            rng = np.random.default_rng(1000 + s)
-            y = chain_channel_output(chain, (0, 0), rng)
-            # letter typicality with delta < 1 forces every positive-probability
-            # joint symbol to appear, hopeless at n=8; use a coarse ball
-            count = typical_list_size(chain, y, 1.5)
-            hits += count >= 1
-        assert hits / trials > 0.5
-
-    def test_ensemble_mean_respects_list_size_bound(self):
-        delta = 0.35
-        n = 8
-        total = 0.0
-        seeds = 220
-        for s in range(seeds):
-            joint, chain = self.make_chain(seed=s, n=n, nu=(0.4, 0.4))
-            rng = np.random.default_rng(5000 + s)
-            flat = rng.integers(0, chain.tuple_count())
-            l1, l2 = divmod(int(flat), chain.sizes[1])
-            y = chain_channel_output(chain, (l1, l2), rng)
-            total += typical_list_size(chain, y, delta)
-        mean = total / seeds
-        joint, _ = self.make_chain()
-        mi = info_measure(joint, ["D1", "D2"], ["Y"])
-        k_const = 2 * 2 * 2
-        bound = (2 + 1) * 2 ** (n * (0.8 - mi + 2 * delta * math.log2(k_const)))
-        assert mean <= bound
-
-    def test_line_h2_view(self):
-        spec = dsbs_spec()
-        cb = build_codebooks(spec, h2_rates(0.5, 0.5, 0.5), n=3, seed=2)
-        chain = chain_from_line_h2(cb, y_node=2)
-        assert chain.k == 3
-        # level-0 codewords coincide with the A-book
-        w = chain.codeword(0, (1,))
-        assert np.array_equal(w, cb.a_codeword((1, 2), {m_plus((1, 2)): 0, m_minus((1, 2)): 1}))
+def _dsbs_books(n: int = 4):
+    exp = Experiment(preset_config("dsbs"))
+    cb = build_codebooks(exp.spec, exp.rates, n, 1)
+    assert cb.sizes[m_plus((1, 2))] == 4 and cb.sizes[l_of(2)] == 2
+    return exp, cb
 
 
-def _small_chain() -> ChainCodebook:
-    """D1 -> D2 -> Y at n=4, with 3 and 2 codewords per level."""
-    flip = np.array([[0.8, 0.2], [0.2, 0.8]])
-    joint = pmf_from_table(["D1", "D2", "Y"], np.einsum("a,ab,bc->abc", [0.5, 0.5], flip, flip))
-    return build_chain(joint, ["D1", "D2"], "Y", (0.39, 0.25), n=4, seed=1)
+def _probe(**values) -> dict:
+    """An index bundle for the dsbs line books, with the given components replaced."""
+    probe = {m_plus((1, 2)): 1, m_minus((1, 2)): 0, k_plus(1): 0, k_minus(1): 0, l_of(2): 1}
+    names = {"m_plus": m_plus((1, 2)), "m_minus": m_minus((1, 2)), "l": l_of(2)}
+    probe.update({names[k]: v for k, v in values.items()})
+    return probe
 
 
 class TestChainIndices:
-    """Every chain index and observation symbol is range-checked."""
+    """Every index into the line's nested books, and every observed X1 symbol, is
+    range-checked."""
 
     @pytest.mark.parametrize("call", [
-        lambda c: c.codeword(0, (-1,)),
-        lambda c: c.codeword(0, (3,)),
-        lambda c: c.codeword(1, (0, -1)),
-        lambda c: c.codeword(1, (3, 0)),
-        lambda c: chain_channel_output(c, (-1, 0), np.random.default_rng(0)),
-        lambda c: chain_channel_output(c, (0, 2), np.random.default_rng(0)),
-        lambda c: chain_channel_output(c, (0,), np.random.default_rng(0)),
-        lambda c: chain_channel_output(c, (0, 0, 5), np.random.default_rng(0)),
-        lambda c: posterior_select(c, [0, 1, 0, 0], {0: -1}, ell=4, seed=0),
-        lambda c: posterior_select(c, [0, 1, 0, 0], {0: 3}, ell=4, seed=0),
-        lambda c: posterior_select(c, [0, 1, 0, 0], {5: 0}, ell=4, seed=0),
-        lambda c: posterior_select(c, [0, 1, 0, 0], {-1: 0}, ell=4, seed=0),
-    ], ids=["codeword-neg", "codeword-end", "codeword-neg-1", "codeword-parent-end",
-            "channel-neg", "channel-end", "channel-short", "channel-long", "fixed-neg", "fixed-end",
-            "fixed-level-5", "fixed-level-neg"])
+        lambda c: c.a_codeword((1, 2), _probe(m_plus=-1)),
+        lambda c: c.a_codeword((1, 2), _probe(m_plus=4)),
+        lambda c: c.c_codeword(2, _probe(l=-1)),
+        lambda c: c.c_codeword(2, _probe(m_plus=4)),
+    ], ids=["codeword-neg", "codeword-end", "codeword-neg-1", "codeword-parent-end"])
     def test_out_of_range_index_is_a_usage_error(self, call):
-        chain = _small_chain()
-        assert chain.sizes == (3, 2)
-        with pytest.raises(UsageError):
-            call(chain)
+        with pytest.raises(UsageError, match="out of range"):
+            call(_dsbs_books()[1])
 
-    @pytest.mark.parametrize("y", [[0, -1, 0, 0], [0, 7, 0, 0], [0, 2, 0, 0], [0, 1, 0], [0, 1, 0, 0, 1]])
+    @pytest.mark.parametrize("y", [[0, -1, 0, 0], [0, 7, 0, 0], [0, 2, 0, 0]])
     @pytest.mark.parametrize("count", [
-        lambda c, y: posterior_select(c, y, {}, ell=4, seed=0),
-        lambda c, y: posterior_select(c, y, {0: 1}, ell=4, seed=0),
-        lambda c, y: typical_list_size(c, y, 0.5),
-    ], ids=["select", "select-fixed", "typical"])
+        lambda exp, c, y: run_scheme(c, exp.mode, 2, 0, x1_override=y),
+        lambda exp, c, y: run_scheme(c, exp.mode, 2, 0, x1_override=y,
+                                     node1_replay={m_plus((1, 2)): 1}),
+    ], ids=["select", "select-fixed"])
     def test_bad_observation_is_a_usage_error(self, y, count):
         with pytest.raises(UsageError):
-            count(_small_chain(), y)
+            count(*_dsbs_books(), y)
 
     @pytest.mark.parametrize("call", [
-        lambda c: c.codeword(0, (1.0,)),
-        lambda c: c.codeword(1, (1, np.float64(1.0))),
-        lambda c: c.letters({0: np.array([0.0, 1.0]), 1: np.array([0, 1])}),
-        lambda c: chain_channel_output(c, (1.0, 0), np.random.default_rng(0)),
-        lambda c: posterior_select(c, [0, 1, 0, 0], {0: 1.0}, ell=4, seed=0),
-        lambda c: posterior_select(c, [0, 1, 0, 0], {0: np.float64(1.0)}, ell=4, seed=0),
-    ], ids=["codeword-float", "codeword-float64", "letters-float-array", "channel-float",
-            "fixed-float", "fixed-float64"])
+        lambda c: c.a_codeword((1, 2), _probe(m_plus=1.0)),
+        lambda c: c.c_codeword(2, _probe(l=np.float64(1.0))),
+        lambda c: c.c_codeword(2, _probe(m_plus=np.array([0.0, 1.0]), m_minus=np.array([0, 1]))),
+    ], ids=["codeword-float", "codeword-float64", "letters-float-array"])
     def test_float_index_is_a_usage_error(self, call):
         with pytest.raises(UsageError, match="is not an integer"):
-            call(_small_chain())
+            call(_dsbs_books()[1])
 
     def test_in_range_indices_still_work(self):
-        chain = _small_chain()
-        assert chain.codeword(1, (2, 1)).shape == (4,)
-        assert chain_channel_output(chain, (2, 1), np.random.default_rng(0)).shape == (4,)
-        assert 0 <= posterior_select(chain, [0, 1, 0, 0], {0: 2}, ell=4, seed=0)["selected"] < 2
+        exp, cb = _dsbs_books()
+        assert cb.c_codeword(2, _probe(m_plus=3, m_minus=9, l=1)).shape == (4,)
+        stacked = cb.c_codeword(2, _probe(m_plus=np.array([0, 3]), m_minus=np.array([0, 9])))
+        assert stacked.shape == (2, 4)
+        run = run_scheme(cb, exp.mode, 2, 0, x1_override=[0, 1, 1, 0], node1_replay={m_plus((1, 2)): 2})
+        assert [t.indices[m_plus((1, 2))] for t in run.traces] == [2, 2]
 
-
-class TestBatchedTypicality:
-    def test_batch_matches_one_sequence_at_a_time(self):
-        rng = np.random.default_rng(4)
-        p = pmf_from_table(["X"], [0.5, 0.3, 0.2, 0.0])
-        x = rng.choice(4, size=(5, 7, 12), p=[0.45, 0.3, 0.2, 0.05])
-        got = is_typical(x, p, 0.6)
-        assert got.shape == (5, 7) and got.any() and not got.all()
-        want = [[is_typical(row, p, 0.6) for row in block] for block in x]
-        assert got.tolist() == want
-
-    def test_joint_batch_broadcasts_a_shared_sequence(self):
-        rng = np.random.default_rng(5)
-        joint = pmf_from_table(["A", "B", "Y"], rng.dirichlet(np.full(12, 20.0)).reshape(2, 3, 2))
-        a = rng.integers(0, 2, size=(40, 10))
-        b = rng.integers(0, 3, size=(40, 10))
-        y = rng.integers(0, 2, size=10)
-        got = is_jointly_typical([a, b, y], joint, 2.0)
-        assert got.dtype == bool and got.any() and not got.all()
-        assert got.tolist() == [is_jointly_typical([ai, bi, y], joint, 2.0) for ai, bi in zip(a, b)]
-
-    def test_joint_symbol_out_of_its_axis_is_rejected(self):
-        joint = pmf_from_table(["A", "B"], np.full((2, 3), 1 / 6))
-        # A = -1, B = 5 fuses to the in-range joint symbol 2
-        with pytest.raises(UsageError):
-            is_jointly_typical([[-1, 0], [5, 0]], joint, 0.5)
-
-    def test_typical_list_size_matches_per_tuple_loop(self):
-        flip = np.array([[0.7, 0.3], [0.2, 0.8]])
-        joint = pmf_from_table(["D1", "D2", "Y"], np.einsum("a,ab,bc->abc", [0.4, 0.6], flip, flip))
-        chain = build_chain(joint, ["D1", "D2"], "Y", (1.0, 0.7), n=6, seed=8)
-        assert chain.sizes == (64, 19)
-        for y, delta in [([0, 1, 1, 0, 1, 1], 1.5), ([1, 1, 1, 0, 1, 1], 0.9), ([0] * 6, 4.0)]:
-            want = sum(is_jointly_typical([chain.codeword(0, (l1,)), chain.codeword(1, (l1, l2)), y],
-                                          joint, delta)
-                       for l1 in range(chain.sizes[0]) for l2 in range(chain.sizes[1]))
-            assert typical_list_size(chain, y, delta) == want

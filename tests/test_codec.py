@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from coordline import codec
 from coordline.codebooks import (
-    build_chain,
     build_codebooks,
     k_plus,
     m_plus,
@@ -16,13 +15,11 @@ from coordline.codec import (
     Scheme,
     _bits,
     allied_generate,
-    posterior_select,
     run_scheme,
     select_from_posterior,
 )
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
-from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
 
 
@@ -106,38 +103,6 @@ class TestSelectFromPosterior:
         # with ell=4 the best certificate keeps the top-2 prefix or all three;
         # either way the chosen index must be a positive-mass candidate
         assert induced[outcome.chosen] > 0
-
-
-class TestChainPosteriorSelect:
-    def make_chain(self, seed=0):
-        flip = lambda e: np.array([[1 - e, e], [e, 1 - e]])
-        w = np.einsum("a,ab->ab", [0.5, 0.5], flip(0.2))
-        joint = pmf_from_table(["D1", "Y"], w)
-        return build_chain(joint, ["D1"], "Y", [0.8], n=4, seed=seed)
-
-    def test_report_fields(self):
-        chain = self.make_chain()
-        rep = posterior_select(chain, [0, 1, 0, 0], {}, ell=8, seed=5, rho_budget=1.0)
-        assert 0 <= rep["selected"] < chain.sizes[0]
-        assert rep["outcome"]["realized_l1"] <= rep["outcome"]["bound"] + 1e-12
-        assert rep["seed_rate"] == pytest.approx(3 / 4)
-        assert rep["rho_covers_seed"]
-        # required rate: nu - I(Y; D1)
-        assert rep["required_seed_rate"] == pytest.approx(
-            np.log2(chain.sizes[0]) / 4 - _mi_d1_y(), abs=1e-9)
-
-    def test_deterministic_under_seed(self):
-        chain = self.make_chain()
-        r1 = posterior_select(chain, [0, 1, 0, 0], {}, ell=8, seed=5)
-        r2 = posterior_select(chain, [0, 1, 0, 0], {}, ell=8, seed=5)
-        assert r1 == r2
-
-
-def _mi_d1_y():
-    from coordline.probability import info_measure
-    flip = np.array([[0.8, 0.2], [0.2, 0.8]])
-    w = np.einsum("a,ab->ab", [0.5, 0.5], flip)
-    return info_measure(pmf_from_table(["D1", "Y"], w), ["D1"], ["Y"])
 
 
 class TestAlliedGenerate:
@@ -302,21 +267,6 @@ class TestInversionConsistency:
         assert run.actions[:, 0].tolist() == [[1, 0, 1]] * 20
         assert run.indices[m_plus((1, 2))].tolist() == [1] * 20
         assert ("m1",) not in run.traces[0].selectors
-
-
-class TestChainPosteriorFixedPrefix:
-    def test_fixed_level_rate_accounting(self):
-        flip = lambda e: np.array([[1 - e, e], [e, 1 - e]])
-        w = np.einsum("a,ab,bc->abc", [0.5, 0.5], flip(0.2), flip(0.2))
-        joint = pmf_from_table(["D1", "D2", "Y"], w)
-        chain = build_chain(joint, ["D1", "D2"], "Y", [0.5, 0.7], n=4, seed=2)
-        rep = posterior_select(chain, [0, 1, 0, 0], {0: 1}, ell=8, seed=3)
-        # required rate: nu_2 - I(Y; D2 | D1)
-        from coordline.probability import info_measure
-
-        want = np.log2(chain.sizes[1]) / 4 - info_measure(joint, ["Y"], ["D2"], ["D1"])
-        assert rep["required_seed_rate"] == pytest.approx(want, abs=1e-9)
-        assert 0 <= rep["selected"] < chain.sizes[1]
 
 
 @functools.cache

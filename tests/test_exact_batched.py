@@ -436,37 +436,6 @@ def test_exact_induced_matches_reference_posteriors(case, monkeypatch):
     assert got.degenerate_paths == want.degenerate_paths
 
 
-def ref_posterior_select(chain, y, fixed):
-    free = [lvl for lvl in range(chain.k) if lvl not in fixed]
-    shape = [chain.sizes[lvl] for lvl in free]
-    kernel = condition(chain.joint, list(chain.level_labels))
-    weights = np.empty(math.prod(shape))
-    for flat, combo in enumerate(np.ndindex(*shape)):
-        assign = dict(fixed) | dict(zip(free, combo))
-        prefix = tuple(assign[lvl] for lvl in range(chain.k))
-        letters = [chain.codeword(d, prefix[: d + 1]) for d in range(chain.k)]
-        weights[flat] = ref_block_likelihood(kernel.weights[tuple(letters)], y)
-    return _normalized(weights)
-
-
-@pytest.mark.parametrize("fixed", [{}, {0: 1}, {0: 1, 2: 0}, {0: 0, 1: 0, 2: 1}])
-def test_posterior_select_matches_reference(fixed, monkeypatch):
-    chain = codebooks.chain_from_line_h2(_setup("dsbs", None, 3)[2], 2)
-    seen = []
-    original = codec.select_from_posterior
-
-    def spy(posterior, ell, seed_value, rng=None, degenerate=False):
-        seen.append((posterior, degenerate))
-        return original(posterior, ell, seed_value, rng, degenerate)
-
-    monkeypatch.setattr(codec, "select_from_posterior", spy)
-    for y in _blocks(2, 3):
-        codec.posterior_select(chain, y, fixed, ell=4, seed=1)
-        want, want_deg = ref_posterior_select(chain, y, fixed)
-        got, got_deg = seen.pop()
-        assert np.array_equal(got, want) and got_deg == want_deg
-
-
 class TestChunkBoundaries:
     """Chunks of 1 and 3 assignments, with a partial last chunk, give the same values."""
 

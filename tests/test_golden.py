@@ -23,6 +23,11 @@ def test_fixture_matches(name):
     assert regen.first_difference(regen.load(name), regen.build(name)) is None
 
 
+def test_every_fixture_file_has_a_case():
+    stored = {path.stem for path in regen.GOLDEN_DIR.glob("*.json")}
+    assert stored == set(regen.cases())
+
+
 class TestFirstDifference:
     def test_float_within_tolerance(self):
         assert regen.first_difference({"a": [1.0]}, {"a": [1.0 + 1e-14]}) is None

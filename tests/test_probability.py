@@ -12,8 +12,6 @@ from coordline.probability import (
     condition,
     divergences,
     info_measure,
-    is_jointly_typical,
-    is_typical,
     marginalize,
     pmf_from_table,
     pmf_weights,
@@ -208,47 +206,6 @@ class TestDivergences:
             kl, tv = divergences(p, q)
             if math.isfinite(kl):
                 assert tv <= math.sqrt(2.0 * math.log(2.0) * kl) + 1e-9
-
-
-class TestTypicality:
-    def test_exact_frequencies(self):
-        assert is_typical([0, 1, 0, 1], bernoulli(0.5), 0.1)
-
-    def test_all_zeros_fails(self):
-        assert not is_typical([0, 0, 0, 0], bernoulli(0.5), 0.1)
-
-    def test_biased_counts(self):
-        p = pmf_from_table(["X"], [0.75, 0.25])
-        assert is_typical([0, 0, 0, 1, 0, 0, 1, 0], p, 0.1)
-
-    def test_zero_prob_symbol_must_be_absent(self):
-        p = pmf_from_table(["X"], [1.0, 0.0])
-        assert is_typical([0, 0, 0], p, 0.5)
-        assert not is_typical([0, 1, 0], p, 0.5)
-
-    def test_iid_sample_typical_with_high_frequency(self):
-        # loose one-sided check of the 2K exp(-n eps^2 eta) regime
-        rng = np.random.default_rng(5)
-        p = pmf_from_table(["X"], [0.5, 0.3, 0.2])
-        n, eps, trials = 2000, 0.2, 300
-        hits = 0
-        for _ in range(trials):
-            x = rng.choice(3, size=n, p=p.weights)
-            hits += is_typical(x, p, eps)
-        eta = 0.2
-        k = 3
-        lower = 1.0 - 2 * k * math.exp(-n * eps * eps * eta)
-        assert hits / trials >= max(lower, 0.9)
-
-    def test_joint_typicality_wrapper(self):
-        joint = dsbs()
-        xs = [0, 1, 0, 1]
-        ys = [0, 1, 0, 1]
-        # empirical joint = (0.5 on (0,0), 0.5 on (1,1)) vs dsbs: not typical at 0.1
-        assert not is_jointly_typical([xs, ys], joint, 0.1)
-        xs = [0, 0, 0, 0, 1, 1, 1, 1]
-        ys = [0, 0, 0, 1, 1, 1, 1, 0]
-        assert is_jointly_typical([xs, ys], joint, 0.5)
 
 
 class TestStaircase:

@@ -4,19 +4,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordline import codebooks
 from coordline.cli import Experiment
 from coordline.codebooks import (
     STREAM_BLOCK_ROWS,
+    IndexSpace,
     _child_rng,
     _entropy_words,
     _seed_states,
     _StreamFamily,
-    build_chain,
     build_codebooks,
+    m_minus,
+    m_plus,
 )
 from coordline.codec import allied_generate, run_scheme
+from coordline.linestruct import aux_from_tags, make_network
 from coordline.presets import preset_config
-from coordline.probability import condition, marginalize, pmf_from_table
+from coordline.rates import CodebookRates
 
 SEEDS = st.one_of(
     st.sampled_from([0, 1, -1, -(2 ** 40), 2 ** 32, 2 ** 32 + 5, 2 ** 64, 2 ** 64 + 17, 2 ** 70 + 3]),
@@ -82,7 +86,18 @@ class TestStreamFamily:
         rows = data.draw(st.integers(1, 3 * STREAM_BLOCK_ROWS + 7), label="rows")
         boundary = [r for r in (0, STREAM_BLOCK_ROWS - 1, STREAM_BLOCK_ROWS, rows - 1) if r < rows]
         picked = data.draw(st.lists(st.integers(0, rows - 1), max_size=6), label="picked")
-        family = _StreamFamily(seed, head, tail, (rows,))
+        family = _StreamFamily(seed, head, tail, rows)
+        for row in boundary + picked + boundary[::-1]:
+            _same_stream(family.rng(row), _child_rng(seed, *head, row, *tail))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS, head=KEYS, tail=KEYS,
+           rows=st.sampled_from([STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS + 1, 529, 600, 2 * STREAM_BLOCK_ROWS])
+           | st.integers(STREAM_BLOCK_ROWS + 1, 4 * STREAM_BLOCK_ROWS), data=st.data())
+    def test_block_crossing_row_counts_match_child_rng(self, seed, head, tail, rows, data):
+        boundary = [0, STREAM_BLOCK_ROWS - 1, *range(STREAM_BLOCK_ROWS, rows, STREAM_BLOCK_ROWS), rows - 1]
+        picked = data.draw(st.lists(st.integers(0, rows - 1), max_size=6), label="picked")
+        family = _StreamFamily(seed, head, tail, rows)
         for row in boundary + picked + boundary[::-1]:
             _same_stream(family.rng(row), _child_rng(seed, *head, row, *tail))
 
@@ -90,19 +105,26 @@ class TestStreamFamily:
     @given(seed=SEEDS, head=KEYS, tail=KEYS, shape=st.sampled_from([(3, 200), (23, 23), (2, 5, 60)])
            | st.lists(st.integers(1, 40), min_size=2, max_size=2).map(tuple), data=st.data())
     def test_multi_index_matches_child_rng(self, seed, head, tail, shape, data):
-        rows = int(np.prod(shape))
+        # a book's parent space flattens a multi-index to the row of its stream
+        parents = IndexSpace([(("m", axis), size) for axis, size in enumerate(shape)])
+        rows = parents.size
         boundary = [r for r in (0, STREAM_BLOCK_ROWS - 1, STREAM_BLOCK_ROWS, rows - 1) if r < rows]
         picked = data.draw(st.lists(st.integers(0, rows - 1), max_size=6), label="picked")
-        family = _StreamFamily(seed, head, tail, shape)
+        family = _StreamFamily(seed, head, tail, rows)
         for row in boundary + picked + boundary[::-1]:
             index = map(int, np.unravel_index(row, shape))
-            _same_stream(family.rng(row), _child_rng(seed, *head, *index, *tail))
+            flat = parents.flatten({("m", axis): v for axis, v in enumerate(index)})
+            assert flat == row
+            _same_stream(family.rng(flat), _child_rng(seed, *head, row, *tail))
 
     def test_empty_shape_is_one_stream(self):
-        _same_stream(_StreamFamily(9, ("D", 0), (), ()).rng(0), _child_rng(9, "D", 0))
+        # a book with no parent components is drawn from one stream, at row 0
+        parents = IndexSpace([])
+        assert parents.size == 1 and parents.flatten({}) == 0
+        _same_stream(_StreamFamily(9, ("B",), (), parents.size).rng(0), _child_rng(9, "B", 0))
 
     def test_held_states_do_not_grow_with_rows(self):
-        family = _StreamFamily(3, ("trial",), ("cr",), (10 * STREAM_BLOCK_ROWS,))
+        family = _StreamFamily(3, ("trial",), ("cr",), 10 * STREAM_BLOCK_ROWS)
         for row in range(0, 10 * STREAM_BLOCK_ROWS, 97):
             family.rng(row)
             assert family._states.shape == (STREAM_BLOCK_ROWS, 4)
@@ -153,51 +175,41 @@ class TestTrialLoop:
         assert counts[0] == counts[1] > 0
 
 
-
-def _bit_chain(levels: int) -> list:
-    """D1 -> ... -> Dk -> Y with skewed noisy copies, so per-letter rows differ."""
-    flip = np.array([[0.7, 0.3], [0.1, 0.9]])
-    w = np.array([0.4, 0.6])
-    for _ in range(levels):
-        w = w[..., None] * flip
-    return pmf_from_table([f"D{d + 1}" for d in range(levels)] + ["Y"], w)
-
-
-def _ref_chain_levels(joint, labels, sizes, n, seed) -> list:
-    """Chain codewords by level, one _child_rng(seed, "D", level, *prefix) per
-    parent prefix, as arrays of shape sizes[:level + 1] + (n,)."""
-    books = []
-    for lvl, lbl in enumerate(labels):
-        given = labels[:lvl]
-        kernel = condition(marginalize(joint, given + [lbl]), given) if given else None
-        arr = np.empty(tuple(sizes[:lvl + 1]) + (n,), dtype=np.int64)
-        for prefix in np.ndindex(*sizes[:lvl]):
-            if given:
-                letters = [books[d][prefix[:d + 1]] for d in range(lvl)]
-                rows = kernel.weights[tuple(letters)]
-            else:
-                rows = np.tile(marginalize(joint, [lbl]).weights, (n, 1))
-            u = _child_rng(seed, "D", lvl, *prefix).random((sizes[lvl], n))
-            cum = np.cumsum(rows, axis=-1)
-            cum[:, -1] = 1.0
-            sym = np.stack([np.searchsorted(cum[t], u[:, t], side="right") for t in range(n)], axis=1)
-            arr[prefix] = np.minimum(sym, cum.shape[1] - 1)
-        books.append(arr)
-    return books
-
-
 class TestChainStreams:
-    def test_levels_match_per_prefix_streams(self):
-        # level 2 has 24 * 24 = 576 parents, so its draw crosses a stream block
-        joint = _bit_chain(3)
-        chain = build_chain(joint, ["D1", "D2", "D3"], "Y", (1.0, 1.0, 0.2), n=5, seed=11)
-        assert chain.sizes[0] * chain.sizes[1] > STREAM_BLOCK_ROWS
-        ref = _ref_chain_levels(joint, ["D1", "D2", "D3"], chain.sizes, 5, 11)
-        for lvl, book in enumerate(chain.levels):
-            assert np.array_equal(book.words.reshape(ref[lvl].shape), ref[lvl])
+    """The line's nested books, level by level: each parent row of a book draws its
+    codewords from the stream (seed, *key, row), however many parents the book has."""
+
+    @staticmethod
+    def _wide_books(rate: float, n: int = 5, seed: int = 11):
+        # A constant and C2 = X2 uniform, so C2's codewords are random under every parent
+        spec = aux_from_tags(make_network(2, np.full((2, 2), 0.25)))
+        rates = CodebookRates.for_network(2, mu_plus={(1, 2): rate}, mu_minus={(1, 2): rate},
+                                          lam={2: 0.4})
+        return build_codebooks(spec, rates, n, seed)
+
+    def test_levels_match_per_prefix_streams(self, monkeypatch):
+        # C2's parents are every (m+, m-) pair: 32 * 32 = 1024, so its draw crosses a block
+        cb = self._wide_books(1.0)
+        assert cb.sizes[m_plus((1, 2))] * cb.sizes[m_minus((1, 2))] > STREAM_BLOCK_ROWS
+        assert cb.c[2].parents.size > STREAM_BLOCK_ROWS
+        words = cb.c[2].words
+        assert not np.array_equal(words[:STREAM_BLOCK_ROWS], words[STREAM_BLOCK_ROWS:])
+
+        class PerPrefix:
+            def __init__(self, seed, head, tail, rows):
+                self.key = (seed, head, tail)
+
+            def rng(self, row):
+                seed, head, tail = self.key
+                return _child_rng(seed, *head, row, *tail)
+
+        monkeypatch.setattr(codebooks, "_StreamFamily", PerPrefix)
+        ref = build_codebooks(cb.spec, cb.rates, cb.n, cb.seed)
+        for level in ("a", "b", "c"):
+            for key, book in getattr(cb, level).items():
+                assert np.array_equal(book.words, getattr(ref, level)[key].words)
 
     def test_seed_sequences_do_not_scale_with_sizes(self, monkeypatch):
-        joint = _bit_chain(2)
         real = np.random.SeedSequence
         built = []
 
@@ -207,9 +219,9 @@ class TestChainStreams:
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
         counts = []
-        for rate in (0.5, 1.0):
+        for rate in (0.4, 1.0):
             built.clear()
-            chain = build_chain(joint, ["D1", "D2"], "Y", (rate, rate), n=4, seed=3)
-            counts.append((chain.sizes, len(built)))
-        assert [sizes for sizes, _ in counts] == [(4, 4), (16, 16)]
+            cb = self._wide_books(rate)
+            counts.append((cb.c[2].parents.size, len(built)))
+        assert [parents for parents, _ in counts] == [16, 1024]
         assert counts[0][1] == counts[1][1] > 0
