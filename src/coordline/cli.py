@@ -64,6 +64,13 @@ def _section(d, where: str) -> dict:
     return d
 
 
+def _list(value, where: str) -> list:
+    """value, after checking that the config gives it as a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _reject_unknown(d, allowed: set, where: str):
     unknown = set(_section(d, where)) - allowed
     if unknown:
@@ -144,11 +151,12 @@ class Experiment:
             )
 
         self.mode = Mode(cfg.get("mode", "functional"))
-        self.n_list = [int(v) for v in cfg.get("n", [1])]
+        self.n_list = [int(v) for v in _list(cfg.get("n", [1]), "n")]
         self.trials = int(cfg.get("trials", 1000))
         self.seed = int(cfg.get("seed", 0))
         cb = cfg.get("codebook_seeds", 10)
-        self.codebook_seeds = list(range(int(cb))) if isinstance(cb, int) else [int(v) for v in cb]
+        self.codebook_seeds = (list(range(cb)) if isinstance(cb, int)
+                               else [int(v) for v in _list(cb, "codebook_seeds")])
         self.margin = _finite_margin(cfg.get("margin", 1e-6), "margin")
         self.region = cfg.get("region", {})
         self.transfer = cfg.get("transfer", {})
@@ -300,7 +308,7 @@ def _fme_lists(f: dict) -> tuple[list, list[tuple[dict, float]], list]:
     """(variables, rows, eliminate) of the fme section."""
     rows = [({k: float(v) for k, v in _section(r["coeffs"], "fme row coeffs").items()}, float(r["rhs"]))
             for r in f["rows"]]
-    return list(f["variables"]), rows, list(f.get("eliminate", []))
+    return _list(f["variables"], "fme.variables"), rows, _list(f.get("eliminate", []), "fme.eliminate")
 
 
 def _cmd_fme(exp: Experiment) -> tuple[dict, bool]:

@@ -69,9 +69,10 @@ class ExactInduced:
         return self.x1_marginal.reshape(shape) * self.conditional
 
 
-GRID_CELLS = 1 << 14
+GRID_CELLS = 1 << 15
 """Cells one chunk of an index grid may span: its assignments times the block
-cells each assignment needs. A chunk holds at least one assignment."""
+cells each assignment needs. A chunk holds at least one assignment. At 2^15
+(256 KB), exact on copy3 n=4 and dsbs n=6 runs a third faster than at 2^14."""
 
 
 def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
@@ -296,27 +297,23 @@ def cr_independence(cb: Codebook) -> float:
     kernel = condition(marginalize(spec.joint, a_psi1 + [x1_axis]), a_psi1)
     s1 = spec.network.alphabets[0].size ** n
 
-    minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
+    minus = IndexSpace([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)])
     plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h)]
-    n_minus = _space_size(minus_spaces)
-    n_plus = _space_size(plus_spaces)
     check_exact_sizes(cb, "cr_independence enumeration cells")
 
-    conds = np.zeros((n_minus, s1))
-    row = 0
-    for grid in _grid_chunks(minus_spaces + plus_spaces, s1):
-        letters = [cb.a_codeword(q, grid) for q in psi1_pairs]
-        for vector in _block_product(kernel.weights[tuple(letters)]):
-            conds[row // n_plus] += vector
-            row += 1
-    conds /= n_plus
+    conds = np.zeros((minus.size, s1))
+    for grid in _grid_chunks(list(minus.components) + plus_spaces, s1):
+        vectors = _block_product(kernel.weights[tuple(cb.a_codeword(q, grid) for q in psi1_pairs)])
+        np.add.at(conds, minus.flatten(grid), vectors)  # row by row, in order
+    conds /= _space_size(plus_spaces)
     avg = conds.mean(axis=0)
     return float(np.abs(conds - avg).sum(axis=1).mean())
 
 
 def piecing_check(cb: Codebook) -> float:
     """Exact L1 of the piecing identity: target^(x n) against the average over
-    m+- of Q(x1 | A) times the chained per-hop conditional ratios."""
+    m+- of Q(x1 | A) times the chained per-hop conditional ratios. One einsum sums
+    a chunk's assignments: within 1e-12 of a one-at-a-time loop, not bit-identical."""
     spec = cb.spec
     h = cb.h
     n = cb.n
@@ -342,7 +339,7 @@ def piecing_check(cb: Codebook) -> float:
     cells = block_sizes[0] + sum(hop.size * block_sizes[j - 2] * block_sizes[j - 1]
                                  for j, hop in hops.items())
     letters = "abcdefgh"
-    sub = ",".join([letters[0]] + [letters[j] + letters[j + 1] for j in range(h - 1)])
+    sub = ",".join(["z" + letters[0]] + ["z" + letters[j:j + 2] for j in range(h - 1)])
     pieced = np.zeros(tuple(block_sizes))
     for grid in _grid_chunks(spaces, cells):
         a_letters = tuple(cb.a_codeword(p, grid) for p in order_pairs(h))
@@ -351,12 +348,12 @@ def piecing_check(cb: Codebook) -> float:
             probe = grid | hop.unflatten(np.arange(hop.size)[:, None])  # (k, chunk) grid
             rows = pair_kernels[j].weights[a_letters + (cb.b_codeword(j - 1, probe),
                                                          cb.c_codeword(j, probe))]
-            mats = _block_product(rows.reshape(-1, *rows.shape[2:])).reshape(
-                rows.shape[:2] + (block_sizes[j - 2], block_sizes[j - 1]))
-            w = sum(mats) / hop.size  # k by k, in order
+            w = _block_product(rows.reshape(-1, *rows.shape[2:])).reshape(
+                rows.shape[:2] + (block_sizes[j - 2], block_sizes[j - 1])).sum(axis=0)
+            w /= hop.size  # the mean over k, in order
             marg = w.sum(axis=2, keepdims=True)
-            factors.append(np.divide(w, marg, out=np.zeros_like(w), where=marg > 0))
-        for assignment_factors in zip(*factors):
-            pieced += np.einsum(f"{sub}->{letters[:h]}", *assignment_factors) / total_m
+            factors.append(np.divide(w, marg, out=w, where=marg > 0))  # a zero row stays zero
+        pieced += np.einsum(f"{sub}->{letters[:h]}", *factors, optimize=h > 2)
+    pieced /= total_m
     target = target_block_tensor(net, n)
     return float(np.abs(target - pieced).sum())

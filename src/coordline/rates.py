@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import PreconditionError, UsageError, check_cap
 from .linestruct import (
@@ -170,15 +170,6 @@ class RegionReport:
                 "note": self.note, "constraints": [c.to_dict() for c in self.constraints]}
 
 
-def _pair_name(p: IndexPair) -> str:
-    return f"({p[0]},{p[1]})"
-
-
-def _set_name(s: Iterable[IndexPair]) -> str:
-    s = sorted(s)
-    return "{" + ",".join(_pair_name(p) for p in s) + "}"
-
-
 # ---------------------------------------------------------------------------
 # Codebook-rate checkers
 
@@ -238,18 +229,20 @@ def thm1_check(rates: CodebookRates, spec: AuxSpec, margin: float = DEFAULT_MARG
     red_joint = redundant_in(rhs_joint)
     red_x1 = redundant_in(rhs_x1)
 
+    pair_names = {p: f"({p[0]},{p[1]})" for p in pairs}
     constraints = []
-    for s in subsets:
+    for s in subsets:  # each a sorted tuple, so its name lists the pairs in order
         outside = [p for p in pairs if p not in s]
         lhs_sum = sum(rates.mu_plus[p] + rates.mu_minus[p] for p in outside)
         lhs_plus = sum(rates.mu_plus[p] for p in outside)
         eff_margin = 0.0 if s in trivial else margin
+        set_name = "{" + ",".join(pair_names[p] for p in s) + "}"
         constraints.append(Constraint(
-            name=f"sum-rate S={_set_name(s)}", lhs=lhs_sum,
+            name=f"sum-rate S={set_name}", lhs=lhs_sum,
             rhs=rhs_joint[s] + eff_margin, redundant=s in red_joint,
             vacuous=s in trivial))
         constraints.append(Constraint(
-            name=f"plus-rate S={_set_name(s)}", lhs=lhs_plus,
+            name=f"plus-rate S={set_name}", lhs=lhs_plus,
             rhs=rhs_x1[s] + eff_margin, redundant=s in red_x1,
             vacuous=s in trivial))
     return RegionReport("thm1", True, tuple(constraints))

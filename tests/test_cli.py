@@ -321,6 +321,25 @@ class TestMalformedSections:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("exact", "n", "12"),
+        ("exact", "n", {"1": 0}),
+        ("exact", "codebook_seeds", "01"),
+        ("exact", "codebook_seeds", {"0": 1}),
+        ("fme", "fme", {"variables": "xy", "rows": FME_ROWS, "eliminate": ["y"]}),
+        ("fme", "fme", {"variables": ["x", "y"], "rows": FME_ROWS, "eliminate": "y"}),
+    ], ids=["n-string", "n-object", "seeds-string", "seeds-object", "fme-variables-string",
+            "fme-eliminate-string"])
+    def test_list_field_of_another_type_exits_2(self, tmp_path, capsys, command, key, value):
+        """Iterating a string or an object would read its characters or keys as the list."""
+        cfg = preset_config("dsbs")
+        cfg[key] = value
+        code = run_command([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "must be a JSON list" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestNonFiniteNumbers:
     """A NaN or infinite number from the config or a flag is a usage error (exit 2):

@@ -5,9 +5,14 @@ exact walk, the walk itself, the allied joint, the CR independence score, the
 piecing check and the Monte Carlo histograms evaluate whole index grids at once.
 Each must equal, bit for bit, the loop that visits one index assignment at a
 time; the loops below are that reference. Equality is asserted with
-np.array_equal or ==, never a tolerance.
+np.array_equal or ==, never a tolerance, except for the piecing check: it sums
+each chunk's assignments in one einsum, in another float order than the loop,
+and must match it within PIECING_ATOL.
 """
+import contextlib
 import functools
+import io
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,7 +22,7 @@ import numpy as np
 import pytest
 
 from coordline import codebooks, codec, evalharness
-from coordline.cli import Experiment
+from coordline.cli import Experiment, run_command
 from coordline.codebooks import (
     STREAM_BLOCK_ROWS,
     Book,
@@ -38,6 +43,7 @@ from coordline.probability import condition, marginalize, pmf_weights
 from coordline.rates import Mode
 
 SEED = 3
+PIECING_ATOL = 1e-12  # absolute; the largest difference seen on CASES is 6.9e-16
 CASES = ([(preset, None, n) for preset in ("dsbs", "dsbs-control", "indep-uniform", "copy3", "markov3")
           for n in (1, 2, 3)]
          + [("markov3", "action-dependent", n) for n in (1, 2, 3)]
@@ -420,7 +426,7 @@ class TestBitIdentity:
         sizes = _block_sizes(cb)
         assert np.array_equal(_allied_joint(cb, sizes), ref_allied_joint(cb, sizes))
         assert cr_independence(cb) == ref_cr_independence(cb)
-        assert piecing_check(cb) == ref_piecing_check(cb)
+        assert abs(piecing_check(cb) - ref_piecing_check(cb)) <= PIECING_ATOL
 
 
 @pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 3)],
@@ -462,14 +468,37 @@ class TestChunkBoundaries:
                     "cr": (lambda: cr_independence(cb), lambda: ref_cr_independence(cb)),
                     "piecing": (lambda: piecing_check(cb), lambda: ref_piecing_check(cb))}[evaluator]
         want = ref()
+
+        def matches(got):  # piecing sums a chunk in another float order than its reference
+            if evaluator == "piecing":
+                return abs(got - want) <= PIECING_ATOL
+            return np.array_equal(got, want)
+
         monkeypatch.setattr(evalharness, "GRID_CELLS", 1)
-        assert np.array_equal(run(), want)
+        assert matches(run())
         (cells, chunks), = chunk_log
         assert set(chunks) == {1}
         monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
-        assert np.array_equal(run(), want)
+        assert matches(run())
         total = math.prod(size for _, size in _pair_spaces(cb))
         assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
+
+    @pytest.mark.parametrize("chunk", ["one", "three", "default"])
+    @pytest.mark.parametrize("case", CASES, ids=_ids)
+    def test_piecing_within_tolerance(self, case, chunk, chunk_log, monkeypatch):
+        """piecing_check contracts a chunk's assignments in one einsum; at chunks of 1
+        and 3 assignments and at the default budget it stays within PIECING_ATOL of the
+        per-assignment loop."""
+        _, _, cb = _setup(*case)
+        want = ref_piecing_check(cb)
+        assert abs(piecing_check(cb) - want) <= PIECING_ATOL
+        if chunk != "default":
+            (cells, _), = chunk_log
+            size = {"one": 1, "three": 3}[chunk]
+            monkeypatch.setattr(evalharness, "GRID_CELLS", 1 if size == 1 else size * cells)
+            assert abs(piecing_check(cb) - want) <= PIECING_ATOL
+            total = math.prod(n for _, n in _pair_spaces(cb))
+            assert chunk_log[-1][1] == [size] * (total // size) + [total % size] * (total % size > 0)
 
 
     # 4, 32 and 48 (x1 block, shared index) rows: markov3 and copy3 end on a partial chunk
@@ -491,10 +520,15 @@ class TestChunkBoundaries:
 class TestMemory:
     """Chunked grids keep the working set near the cell budget: an unchunked
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
-    take about 46 MB. Measured peaks: piecing_check 4.5 and exact_induced 4.2
-    budgets; the walk's stacked posteriors and selections fill no cache."""
+    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 2.0 and
+    exact_induced 1.05 budgets; the walk's stacked posteriors and selections
+    fill no cache. A budget grows with GRID_CELLS, so REQUEST_BYTES bounds a
+    whole exact request in bytes: its measured peaks are 0.77 MiB on copy3 at
+    n=4 and 0.60 MiB on dsbs at n=6, 24% and 40% below the bound; at GRID_CELLS
+    2^16 they are 1.11 and 1.26 MiB, above it."""
 
     BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
+    REQUEST_BYTES = 1 << 20  # 1 MiB
 
     @pytest.fixture(scope="class")
     def copy3(self):
@@ -515,6 +549,18 @@ class TestMemory:
     def test_exact_induced(self, copy3):
         _, mode, cb = copy3
         assert self._peak(lambda: exact_induced(cb, mode)) < self.BOUND * evalharness.GRID_CELLS * 8
+
+    @pytest.mark.parametrize("preset, n", [("copy3", 4), ("dsbs", 6)])
+    def test_exact_request(self, tmp_path, preset, n):
+        """One exact request: codebook build, walk, CR independence and piecing."""
+        cfg = preset_config(preset)
+        cfg.update(n=[n], codebook_seeds=[SEED])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["exact", "--config", str(path), "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(argv) == 0  # first-call set-up is not the request's working set
+            assert self._peak(lambda: run_command(argv)) < self.REQUEST_BYTES
 
     def test_draw_book_decodes_one_stream_block_at_a_time(self, monkeypatch):
         exp = Experiment(preset_config("copy3"))
