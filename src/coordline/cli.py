@@ -71,6 +71,18 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _integer(value, where: str) -> int:
+    """value as an int: an integer, an integral float or an integer literal (a --n entry).
+    A boolean, a fraction or any other value is a config error, never truncated."""
+    try:
+        number = int(value) if isinstance(value, str) else value
+        if not isinstance(value, bool) and number == int(number):
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"malformed config value: {where} must be an integer, got {value!r}")
+
+
 def _reject_unknown(d, allowed: set, where: str):
     unknown = set(_section(d, where)) - allowed
     if unknown:
@@ -113,7 +125,8 @@ class Experiment:
         if not net_cfg:
             raise ConfigError("config requires a network section")
         _reject_unknown(net_cfg, {"h", "target"}, "network")
-        self.network = make_network(int(net_cfg["h"]), np.asarray(net_cfg["target"], dtype=float))
+        self.network = make_network(_integer(net_cfg["h"], "network.h"),
+                                    np.asarray(net_cfg["target"], dtype=float))
 
         self.spec: AuxSpec | None = None
         if "aux" in cfg:
@@ -151,12 +164,12 @@ class Experiment:
             )
 
         self.mode = Mode(cfg.get("mode", "functional"))
-        self.n_list = [int(v) for v in _list(cfg.get("n", [1]), "n")]
-        self.trials = int(cfg.get("trials", 1000))
-        self.seed = int(cfg.get("seed", 0))
+        self.n_list = [_integer(v, "n") for v in _list(cfg.get("n", [1]), "n")]
+        self.trials = _integer(cfg.get("trials", 1000), "trials")
+        self.seed = _integer(cfg.get("seed", 0), "seed")
         cb = cfg.get("codebook_seeds", 10)
-        self.codebook_seeds = (list(range(cb)) if isinstance(cb, int)
-                               else [int(v) for v in _list(cb, "codebook_seeds")])
+        self.codebook_seeds = (list(range(_integer(cb, "codebook_seeds"))) if isinstance(cb, (int, float))
+                               else [_integer(v, "codebook_seeds") for v in _list(cb, "codebook_seeds")])
         self.margin = _finite_margin(cfg.get("margin", 1e-6), "margin")
         self.region = cfg.get("region", {})
         self.transfer = cfg.get("transfer", {})
@@ -175,7 +188,7 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.n:
-        cfg["n"] = [int(v) for v in args.n.split(",")]
+        cfg["n"] = args.n.split(",")
     if args.trials is not None:
         cfg["trials"] = args.trials
     if args.mode:

@@ -18,7 +18,6 @@ schedule (rates.ModeSchedule) names.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,7 @@ from .linestruct import (
     psi,
     x_label,
 )
-from .probability import StaircaseTable, condition, marginalize, pmf_weights, staircase_map
+from .probability import StaircaseTable, condition, marginalize, staircase_map
 from .rates import (
     Mode,
     check_mode_restrictions,
@@ -70,16 +69,17 @@ def _bits(size: int) -> int:
 
 @dataclass(frozen=True)
 class SelectorOutcome:
-    """Result of one staircase posterior selection; the certificate is read from the table."""
+    """Result of one staircase posterior selection; ell, support size and certificate
+    are read from its table, a row of Scheme.selection."""
 
     chosen: int
-    ell: int
-    support_size: int
     seed_value: int
-    bits: int
     degenerate: bool
     table: StaircaseTable = field(repr=False)
 
+    ell = property(lambda self: self.table.ell)
+    support_size = property(lambda self: self.table.support_size)
+    bits = property(lambda self: _bits(self.table.ell))
     epsilon = property(lambda self: float(self.table.epsilon))
     bound = property(lambda self: float(self.table.bound))
     realized_l1 = property(lambda self: float(self.table.realized_l1))
@@ -130,9 +130,6 @@ class Trace:
             "node_bits": self.node_bits,
             "degenerate_draws": self.degenerate_draws,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 SEED_MARGIN = 0.5
@@ -251,8 +248,7 @@ class Scheme:
         for m in np.flatnonzero(np.bincount(best_m)).tolist():
             rows = np.flatnonzero(best_m == m)
             cuts[rows, :m] = staircase_map(posteriors[rows], order[rows, :m], ell).cuts[:, :m]
-        return StaircaseTable(support=order, cuts=cuts, ell=ell, vacuous=best_m > ell,
-                              weights=posteriors)
+        return StaircaseTable(support=order, cuts=cuts, ell=ell, support_size=best_m, weights=posteriors)
 
 
 def _per_candidate(assignment) -> dict:
@@ -309,38 +305,6 @@ def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.nda
         better = cert < best - 1e-15
         best, best_m[better] = np.where(better, cert, best), m
     return order, best_m
-
-
-def _selection_table(posterior: np.ndarray, ell: int):
-    """The staircase table of one normalized posterior, its support sized as a stack
-    of one. Returns the table, the support size and the induced array."""
-    order, best_m = _support_sizes(posterior[None], ell)
-    m = int(best_m[0])
-    table = staircase_map(posterior, order[0, :m], ell)
-    return table, m, table.induced_array(len(posterior))
-
-
-def _outcome(selection, seed_value: int, degenerate: bool) -> SelectorOutcome:
-    """The outcome of mapping seed_value through a _selection_table result."""
-    table, m, _ = selection
-    return SelectorOutcome(chosen=table.map_seed(seed_value), ell=table.ell, support_size=m,
-                           seed_value=seed_value, bits=_bits(table.ell), degenerate=degenerate,
-                           table=table)
-
-
-def select_from_posterior(posterior: np.ndarray, ell: int, seed_value: int | None,
-                          rng: np.random.Generator | None = None,
-                          degenerate: bool = False) -> tuple[SelectorOutcome, np.ndarray]:
-    """Staircase-select an index from a posterior vector.
-
-    Returns the outcome and the full induced distribution over candidates
-    (used by exact enumeration). seed_value of None draws the seed uniformly
-    from rng.
-    """
-    selection = _selection_table(pmf_weights(posterior, normalize=True), ell)
-    if seed_value is None:
-        seed_value = int(rng.integers(1, ell + 1))
-    return _outcome(selection, seed_value, degenerate), selection[2]
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +406,8 @@ class SchemeRun:
 
     @functools.cached_property
     def traces(self) -> list[Trace]:
-        """One Trace per trial; each selector outcome carries the single-row staircase
-        table of its recomputed posterior, for the certificate fields."""
+        """One Trace per trial; each selector outcome carries its trial's row of the
+        Scheme.selection table of the recomputed posteriors, for the certificate fields."""
         scheme = self.scheme
         outcomes = {}
         for key, (seeds, chosen, degenerate) in self.selected.items():
@@ -452,12 +416,11 @@ class SchemeRun:
             else:
                 ell, (posteriors, _) = scheme.ell_k[key[1]], scheme.k_posterior(
                     key[1], self.actions[:, key[1] - 1], self.indices)
-            tables = {}  # trials with equal posteriors share one table
-            for p in posteriors:
-                tables.setdefault(p.tobytes(), p)
-            tables = {k: _selection_table(p, ell) for k, p in tables.items()}
-            outcomes[key] = [_outcome(tables[p.tobytes()], int(s), bool(d))
-                             for p, s, d in zip(posteriors, seeds, degenerate)]
+            # trials with equal posteriors share one row, so its certificate is computed once
+            unique, inverse = np.unique(posteriors, axis=0, return_inverse=True)
+            rows = list(map(scheme.selection(unique, ell).row, range(len(unique))))
+            outcomes[key] = [SelectorOutcome(c, s, d, rows[u]) for c, s, d, u in zip(
+                chosen.tolist(), seeds.tolist(), degenerate.tolist(), inverse.ravel().tolist())]
         traces = []
         for t, actions in enumerate(self.actions.tolist()):
             values = {c: int(v[t]) for c, v in self.indices.items()}

@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codebooks import (Codebook, Component, IndexSpace, build_codebooks, k_minus, k_plus, l_of,
-                        m_minus, m_plus)
+from .codebooks import (Codebook, Component, IndexSpace, _pair_components, build_codebooks, k_minus,
+                        k_plus, l_of, m_minus, m_plus)
 from .codec import STREAM_VERSION, Scheme, walk
 from .errors import UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
@@ -84,21 +84,12 @@ def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterato
         yield grid.unflatten(np.arange(start, min(start + step, grid.size)))
 
 
-def _space_size(spaces: Sequence[tuple[Component, int]]) -> int:
-    return math.prod(size for _, size in spaces)
-
-
-def _pair_spaces(cb: Codebook) -> list[tuple[Component, int]]:
-    """(m+, m-) of every pair, in construction order."""
-    return [(kind(p), cb.sizes[kind(p)]) for p in order_pairs(cb.h) for kind in (m_plus, m_minus)]
-
-
 def check_exact_sizes(cb: Codebook, *names: str) -> None:
     """Check what exact_induced, cr_independence and piecing_check enumerate
     against the cap, by cap name; all three, in that order, when none is named."""
     blocks = [a.size ** cb.n for a in cb.spec.network.alphabets]
-    m_cells = _space_size(_pair_spaces(cb))
-    sizes = {"exact enumeration paths": blocks[0] * _space_size(list(cb.sizes.items())),
+    m_cells = math.prod(size for _, size in _pair_components(order_pairs(cb.h), cb.sizes))
+    sizes = {"exact enumeration paths": blocks[0] * math.prod(cb.sizes.values()),
              "cr_independence enumeration cells": m_cells * blocks[0],
              "piecing enumeration cells": m_cells * math.prod(blocks)}
     for what in names or sizes:
@@ -181,8 +172,8 @@ def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
     a_axes = [a_label(p) for p in order_pairs(h)]
     marg = marginalize(spec.joint, a_axes + list(spec.network.x_labels))
     kernel = condition(marg, a_axes)
-    spaces = _pair_spaces(cb)
-    total = _space_size(spaces)
+    spaces = _pair_components(order_pairs(h), cb.sizes)
+    total = math.prod(size for _, size in spaces)
     out = np.zeros(block_sizes)
     for grid in _grid_chunks(spaces, math.prod(block_sizes)):
         letters = [cb.a_codeword(p, grid) for p in order_pairs(h)]
@@ -305,7 +296,7 @@ def cr_independence(cb: Codebook) -> float:
     for grid in _grid_chunks(list(minus.components) + plus_spaces, s1):
         vectors = _block_product(kernel.weights[tuple(cb.a_codeword(q, grid) for q in psi1_pairs)])
         np.add.at(conds, minus.flatten(grid), vectors)  # row by row, in order
-    conds /= _space_size(plus_spaces)
+    conds /= math.prod(size for _, size in plus_spaces)
     avg = conds.mean(axis=0)
     return float(np.abs(conds - avg).sum(axis=1).mean())
 
@@ -322,8 +313,8 @@ def piecing_check(cb: Codebook) -> float:
     block_sizes = [s ** n for s in sizes]
     a_axes = [a_label(p) for p in order_pairs(h)]
 
-    spaces = _pair_spaces(cb)
-    total_m = _space_size(spaces)
+    spaces = _pair_components(order_pairs(h), cb.sizes)
+    total_m = math.prod(size for _, size in spaces)
     check_exact_sizes(cb, "piecing enumeration cells")
 
     x1_kernel = condition(marginalize(spec.joint, a_axes + [x_label(1)]), a_axes)

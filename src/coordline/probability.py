@@ -148,13 +148,6 @@ class ConditionalKernel:
     def output_labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.output_axes)
 
-    def slice(self, given_syms: tuple[int, ...]) -> np.ndarray:
-        """Output pmf tensor for one condition."""
-        return self.weights[tuple(given_syms)]
-
-    def is_degenerate(self, given_syms: tuple[int, ...]) -> bool:
-        return bool(self.degenerate[tuple(given_syms)])
-
     def __repr__(self):
         return f"ConditionalKernel({self.output_labels} | {self.given_labels})"
 
@@ -303,29 +296,35 @@ def divergences(p: JointPmf, q: JointPmf) -> tuple[float, float]:
 # Staircase quantization of a pmf by a uniform seed (exact rational certificate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaircaseTable:
-    """Total map f: [1..ell] -> support built from cumulative cut points.
+    """Total maps f: [1..ell] -> support from cumulative cut points, one per table of a
+    stack; a single table is a table with no leading axes.
 
-    cuts = (N_0..N_M) with N_i = floor(p_i * ell) over the cumulative masses of
-    `support` in order; seeds in (N_{i-1}, N_i] map to support[i-1], leftover
-    seeds (N_M, ell] map to the last support symbol. `induced` (exact
-    rationals) and `induced_array` follow from the integer cuts alone. The
-    certificate is computed on first read from the snapped rationals of
-    `weights` and cached: `bound` is the certified L1 error 2*epsilon + M/ell
-    (epsilon = mass outside the support set), and `epsilon`, `bound` and
-    `realized_l1` are exact rationals.
-
-    A stack of tables (staircase_map on weight rows) holds support, cuts and weights
-    as arrays with the rows' leading axes; read only `vacuous`, `induced_array` and
-    `map_seed`.
+    support (..., M) and cuts (..., M + 1) are integer arrays. cuts = (N_0..N_M), N_i =
+    floor(p_i * ell) over the cumulative masses of `support` in order; seeds in
+    (N_{i-1}, N_i] map to support[i-1], leftover seeds (N_M, ell] to the last symbol.
+    `support_size` is each table's M (an int, or an array over the leading axes); a
+    table is vacuous (bound >= 1) where it exceeds ell. `map_seed` and `induced_array`
+    broadcast over a stack. The certificate is read on a single table (see `row`),
+    computed on first read from the snapped rationals of `weights` and cached: `bound`
+    is the certified L1 error 2*epsilon + M/ell (epsilon = mass outside the support),
+    and `induced`, `epsilon`, `bound` and `realized_l1` are exact rationals.
     """
 
-    support: tuple[int, ...] | np.ndarray
-    cuts: tuple[int, ...] | np.ndarray
+    support: np.ndarray
+    cuts: np.ndarray
     ell: int
-    vacuous: bool
-    weights: np.ndarray = field(repr=False, compare=False)
+    support_size: int | np.ndarray
+    weights: np.ndarray = field(repr=False)
+
+    vacuous = property(lambda self: self.support_size > self.ell)
+
+    def row(self, r) -> StaircaseTable:
+        """Table r of the stack, cut to its support size: a table with no leading axes."""
+        m = int(np.broadcast_to(self.support_size, self.support.shape[:-1])[r])
+        return StaircaseTable(support=self.support[r][:m], cuts=self.cuts[r][:m + 1], ell=self.ell,
+                              support_size=m, weights=self.weights[r])
 
     def map_seed(self, s: int | np.ndarray) -> int | np.ndarray:
         """The symbol of seed s: support[i], i the count of cuts N_1..N_M below s, at
@@ -334,35 +333,33 @@ class StaircaseTable:
         bad = (seeds < 1) | (seeds > self.ell)
         if bad.any():
             raise UsageError(f"seed {seeds[bad].ravel()[0]} outside [1, {self.ell}]")
-        cuts, support = np.asarray(self.cuts), np.asarray(self.support)
-        pos = np.minimum((cuts[..., 1:] < seeds[..., None]).sum(axis=-1), cuts.shape[-1] - 2)
-        support = np.broadcast_to(support, pos.shape + support.shape[-1:])
+        pos = np.minimum((self.cuts[..., 1:] < seeds[..., None]).sum(axis=-1), self.cuts.shape[-1] - 2)
+        support = np.broadcast_to(self.support, pos.shape + self.support.shape[-1:])
         chosen = np.take_along_axis(support, pos[..., None], axis=-1)[..., 0]
         return int(chosen) if chosen.ndim == 0 else chosen
 
     def _widths(self) -> np.ndarray:
         """Seeds per support symbol: the gaps of (N_0..N_{M-1}, ell), at least 0."""
-        cuts = np.asarray(self.cuts)
-        edges = cuts[..., 1:].copy()
+        edges = self.cuts[..., 1:].copy()
         edges[..., -1] = self.ell
-        return np.maximum(edges - cuts[..., :-1], 0)
+        return np.maximum(edges - self.cuts[..., :-1], 0)
 
     induced = functools.cached_property(
         lambda self: tuple(Fraction(k, self.ell) for k in self._widths().tolist()))
 
     def induced_array(self, size: int) -> np.ndarray:
         """The induced law over symbols 0..size-1 (a row per table of a stack); k / ell in float64."""
-        out = np.zeros(np.shape(self.support)[:-1] + (size,))
-        np.put_along_axis(out, np.asarray(self.support), self._widths() / self.ell, axis=-1)
+        out = np.zeros(self.support.shape[:-1] + (size,))
+        np.put_along_axis(out, self.support, self._widths() / self.ell, axis=-1)
         return out
 
     _exact = functools.cached_property(lambda self: _snapped(self.weights))
-    epsilon = functools.cached_property(lambda self: 1 - sum(self._exact[b] for b in self.support))
-    bound = functools.cached_property(lambda self: 2 * self.epsilon + Fraction(len(self.support), self.ell))
+    epsilon = functools.cached_property(lambda self: 1 - sum(self._exact[b] for b in self.support.tolist()))
+    bound = functools.cached_property(lambda self: 2 * self.epsilon + Fraction(self.support_size, self.ell))
 
     @functools.cached_property
     def realized_l1(self) -> Fraction:
-        by_symbol = dict(zip(self.support, self.induced))
+        by_symbol = dict(zip(self.support.tolist(), self.induced))
         return sum(abs(w - by_symbol.get(b, 0)) for b, w in enumerate(self._exact))
 
 
@@ -390,8 +387,9 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
                   ell: int) -> StaircaseTable:
     """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
 
-    q is the pmf, or its weights as a 1-D pmf_weights array. Weight rows (..., size), each summing
-    to 1 within MASS_TOL, and support orders (..., M) give a stack of tables in one pass.
+    q is the pmf, or its weights as a 1-D pmf_weights array: one table, with no leading axes.
+    Weight rows (..., size), each summing to 1 within MASS_TOL, and support orders (..., M)
+    give a stack of tables in one pass.
 
     The support_order must list distinct symbols; its q-mass defines epsilon as
     the leftover mass. The cuts are those of exact rational arithmetic on the
@@ -444,6 +442,4 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
             exact[key] = _fraction_cuts(_snapped(rows[r]), picks[r].tolist(), ell)
         cuts[r] = exact[key]
     cuts = cuts.reshape(support.shape[:-1] + (m + 1,))
-    if w.ndim == 1:
-        support, cuts = tuple(support.tolist()), tuple(cuts.tolist())
-    return StaircaseTable(support=support, cuts=cuts, ell=ell, vacuous=ell < m, weights=w)
+    return StaircaseTable(support=support, cuts=cuts, ell=ell, support_size=m, weights=w)

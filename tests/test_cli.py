@@ -280,6 +280,14 @@ class TestContractExitCodes:
         assert code == 2
         assert "unknown fields in config: ['caps']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["2.5", "x", "1,,2", "1e3", "true"])
+    def test_non_integer_n_flag_exits_2(self, tmp_path, capsys, value):
+        code = run_command(["exact", "--preset", "dsbs", "--n", value, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "n must be an integer" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = run_command(["simulate", "--preset", "dsbs", "--n", "1", "--trials", "0",
                             "--out", str(tmp_path)])
@@ -311,7 +319,21 @@ class TestMalformedSections:
         ("validate", "aux", 5),
         ("fme", "fme", {"variables": 5, "rows": FME_ROWS, "eliminate": ["y"]}),
         ("fme", "fme", {"variables": ["x", "y"], "rows": FME_ROWS, "eliminate": 5}),
-    ], ids=["region", "region-points", "transfer", "aux", "fme-variables", "fme-eliminate"])
+        # an integer field given a boolean or a fraction, which int() would truncate
+        ("validate", "network", {"h": True, "target": preset_config("dsbs")["network"]["target"]}),
+        ("validate", "network", {"h": 2.5, "target": preset_config("dsbs")["network"]["target"]}),
+        ("exact", "n", [1.7]),
+        ("exact", "n", [True]),
+        ("simulate", "trials", True),
+        ("simulate", "trials", 10.5),
+        ("exact", "seed", 1.5),
+        ("exact", "seed", False),
+        ("exact", "codebook_seeds", True),
+        ("exact", "codebook_seeds", 1.5),
+        ("exact", "codebook_seeds", [0.5]),
+    ], ids=["region", "region-points", "transfer", "aux", "fme-variables", "fme-eliminate",
+            "h-bool", "h-fraction", "n-fraction", "n-bool", "trials-bool", "trials-fraction",
+            "seed-fraction", "seed-bool", "seeds-bool", "seeds-fraction", "seeds-list-fraction"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, command, section, value):
         cfg = preset_config("dsbs")
         cfg[section] = value
@@ -447,7 +469,8 @@ class TestCliFuzz:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(command=st.sampled_from(["validate", "rates", "simulate", "exact"]),
            preset=st.sampled_from(["dsbs", "dsbs-control", "indep-uniform", "copy3", "markov3"]),
-           n=st.lists(st.integers(-1, 8), min_size=1, max_size=2),
+           n=st.lists(st.sampled_from([str(v) for v in range(-1, 9)] + ["2.5", "x", ""]),
+                      min_size=1, max_size=2),
            trials=st.none() | st.integers(-2, 40),
            seed=st.none() | st.integers(-2 ** 65, 2 ** 65),
            margin=st.none() | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf")]),

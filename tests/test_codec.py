@@ -16,11 +16,13 @@ from coordline.codec import (
     _bits,
     allied_generate,
     run_scheme,
-    select_from_posterior,
 )
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, copy_of, make_network
+from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
+from test_exact_batched import ref_selection_table
+from test_probability import fraction_staircase
 
 
 def dsbs_network(p=0.25):
@@ -74,18 +76,32 @@ class TestSelectorSeedRange:
             Scheme(cb, Mode.FUNCTIONAL)
 
 
+def select_one(posterior, ell):
+    """The table of one posterior, as Scheme.selection gives it: row 0 of a stack of one."""
+    return _dsbs_scheme().selection(np.asarray(posterior, dtype=np.float64)[None], ell).row(0)
+
+
+def ref_seed_map(posterior, ell):
+    """The symbol of each seed 1..ell under the reference selection: the seeds run
+    through its support in order, each symbol taking its induced count of them."""
+    support, induced = ref_selection_table(posterior, ell)
+    return np.repeat(support, np.rint(induced[support] * ell).astype(np.int64)).tolist()
+
+
 class TestSelectFromPosterior:
+    """One posterior selected through Scheme.selection, as a stack of one."""
+
     def test_single_candidate(self):
+        table = select_one([1.0], 5)
         for seed in range(1, 6):
-            outcome, induced = select_from_posterior(np.array([1.0]), 5, seed)
-            assert outcome.chosen == 0
-            assert induced[0] == pytest.approx(1.0)
+            assert table.map_seed(seed) == 0
+            assert table.induced_array(1)[0] == pytest.approx(1.0)
 
     def test_two_equiprobable_ell2(self):
-        outcome, induced = select_from_posterior(np.array([0.5, 0.5]), 2, 1)
-        assert outcome.realized_l1 == pytest.approx(0.0)
-        assert outcome.bound == pytest.approx(1.0)
-        assert np.allclose(induced, [0.5, 0.5])
+        table = select_one([0.5, 0.5], 2)
+        assert table.realized_l1 == pytest.approx(0.0)
+        assert table.bound == pytest.approx(1.0)
+        assert np.allclose(table.induced_array(2), [0.5, 0.5])
 
     def test_certificate_never_understates_realized(self):
         rng = np.random.default_rng(3)
@@ -93,16 +109,18 @@ class TestSelectFromPosterior:
             size = int(rng.integers(1, 12))
             post = rng.dirichlet(np.ones(size))
             ell = int(rng.integers(1, 64))
-            outcome, induced = select_from_posterior(post, ell, None, rng)
-            assert outcome.realized_l1 <= outcome.bound + 1e-12
-            assert np.abs(induced - post).sum() == pytest.approx(outcome.realized_l1, abs=1e-12)
+            table = select_one(post, ell)
+            induced = table.induced_array(size)
+            assert induced[table.map_seed(int(rng.integers(1, ell + 1)))] > 0
+            assert table.realized_l1 <= table.bound + 1e-12
+            assert np.abs(induced - post).sum() == pytest.approx(float(table.realized_l1), abs=1e-12)
 
     def test_support_prefix_is_top_mass(self):
         post = np.array([0.05, 0.7, 0.25])
-        outcome, induced = select_from_posterior(post, 4, 1)
+        table = select_one(post, 4)
         # with ell=4 the best certificate keeps the top-2 prefix or all three;
         # either way the chosen index must be a positive-mass candidate
-        assert induced[outcome.chosen] > 0
+        assert table.induced_array(3)[table.map_seed(1)] > 0
 
 
 class TestAlliedGenerate:
@@ -147,7 +165,7 @@ class TestRunScheme:
         cb = build_codebooks(spec, h2_rates(0.6, 0.9, 0.4), n=3, seed=5)
         r1 = run_scheme(cb, Mode.FUNCTIONAL, trials=6, seed=11)
         r2 = run_scheme(cb, Mode.FUNCTIONAL, trials=6, seed=11)
-        assert [t.to_json() for t in r1.traces] == [t.to_json() for t in r2.traces]
+        assert [t.to_dict() for t in r1.traces] == [t.to_dict() for t in r2.traces]
 
     def test_functional_bundle_contents(self):
         spec = dsbs_spec()
@@ -298,8 +316,8 @@ def posterior_stacks(draw):
 
 
 class TestStackedSelection:
-    """Scheme.selection's stacked table equals one table per row: its induced laws and
-    its seed map, for every seed."""
+    """Scheme.selection's stacked table equals the one-posterior reference row by row:
+    its support sizes, its induced laws and its seed map, for every seed."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=posterior_stacks())
@@ -316,10 +334,27 @@ class TestStackedSelection:
         _, sizes = codec._support_sizes(posteriors, ell)
         assert induced.shape == posteriors.shape
         for r, posterior in enumerate(posteriors):
-            single, want = select_from_posterior(posterior, ell, 1)
+            support, want = ref_selection_table(posterior, ell)
             assert np.array_equal(induced[r], want)
-            assert sizes[r] == single.support_size
-            assert chosen[:, r].tolist() == single.table.map_seed(seeds).tolist()
+            assert sizes[r] == len(support)
+            assert chosen[:, r].tolist() == ref_seed_map(posterior, ell)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=posterior_stacks())
+    @example(case=(np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]), 8))
+    @example(case=(np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1]]), 2))
+    def test_rows_certify_as_fractions(self, case):
+        """Each row of the table has the reference's support size and the certificate
+        of the all-Fraction staircase on that support."""
+        posteriors, ell = case
+        table = _dsbs_scheme().selection(posteriors, ell)
+        for r, posterior in enumerate(posteriors):
+            row = table.row(r)
+            support, _ = ref_selection_table(posterior, ell)
+            ref = fraction_staircase(pmf_from_table(["X"], posterior), support, ell)
+            assert row.support_size == len(support) and row.support.tolist() == support
+            assert (row.epsilon, row.bound, row.realized_l1) == (ref["epsilon"], ref["bound"], ref["realized_l1"])
+            assert row.vacuous == ref["vacuous"]
 
 
 class TestSupportSizeTieRule:
@@ -338,15 +373,16 @@ class TestSupportSizeTieRule:
         assert certs[2] >= certs[1] - 1e-15
 
     def test_single_posterior(self):
-        outcome, induced = select_from_posterior(self.POSTERIOR, self.ELL, 1)
-        assert outcome.support_size == 3
+        support, induced = ref_selection_table(self.POSTERIOR, self.ELL)
+        assert len(support) == 3
         table = _dsbs_scheme().selection(self.POSTERIOR[None], self.ELL)
+        assert table.row(0).support_size == 3
         assert np.array_equal(table.induced_array(4)[0], induced)
 
     def test_inside_a_stack(self):
         stack = np.stack([np.full(4, 0.25), self.POSTERIOR, np.array([1.0, 0.0, 0.0, 0.0])])
         _, sizes = codec._support_sizes(stack, self.ELL)
-        assert sizes.tolist() == [select_from_posterior(p, self.ELL, 1)[0].support_size for p in stack]
+        assert sizes.tolist() == [len(ref_selection_table(p, self.ELL)[0]) for p in stack]
         assert sizes[1] == 3
         induced = _dsbs_scheme().selection(stack, self.ELL).induced_array(4)
-        assert np.array_equal(induced[1], select_from_posterior(self.POSTERIOR, self.ELL, 1)[1])
+        assert np.array_equal(induced[1], ref_selection_table(self.POSTERIOR, self.ELL)[1])

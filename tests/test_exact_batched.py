@@ -260,8 +260,8 @@ def ref_staircase_cuts(weights, support, ell):
 
 def ref_selection_table(posterior, ell):
     """One posterior's staircase selection, one support size at a time: the support
-    size (the first prefix whose certificate beats every shorter one by 1e-15) and
-    the induced array."""
+    (the candidates by descending mass, ties by index, cut to the first prefix whose
+    certificate beats every shorter one by 1e-15) and the induced array."""
     count = len(posterior)
     order = np.lexsort((np.arange(count), -posterior))
     mass = posterior[order]
@@ -278,7 +278,7 @@ def ref_selection_table(posterior, ell):
     induced = np.zeros(count)
     for b, lo, hi in zip(support, edges, edges[1:]):
         induced[b] = max(hi - lo, 0) / ell
-    return best_m, induced
+    return support, induced
 
 
 def ref_selector_law(posterior, ell):
