@@ -165,6 +165,8 @@ class Experiment:
 
         self.mode = Mode(cfg.get("mode", "functional"))
         self.n_list = [_integer(v, "n") for v in _list(cfg.get("n", [1]), "n")]
+        if not self.n_list:
+            raise ConfigError("n must list at least one block length")
         self.trials = _integer(cfg.get("trials", 1000), "trials")
         self.seed = _integer(cfg.get("seed", 0), "seed")
         cb = cfg.get("codebook_seeds", 10)
@@ -187,7 +189,7 @@ def _load_config(args) -> dict:
         raise ConfigError("a --config file or --preset name is required")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.n:
+    if args.n is not None:
         cfg["n"] = args.n.split(",")
     if args.trials is not None:
         cfg["trials"] = args.trials

@@ -15,7 +15,6 @@ integer-rate local randomness is lossless.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -308,44 +307,6 @@ class Codebook:
 
     def c_codeword(self, node: int, assignment: Mapping[Component, int]) -> np.ndarray:
         return self.c[node].lookup(assignment)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_text(self) -> str:
-        def dump_book(book: Book):
-            return {
-                "parents": [[list(c), s] for c, s in book.parents.components],
-                "slots": [[list(c), s] for c, s in book.slots.components],
-                "shape": list(book.words.shape),
-                "words": book.words.ravel().tolist(),
-            }
-
-        payload = {
-            "n": self.n,
-            "seed": self.seed,
-            "sizes": [[list(c), s] for c, s in sorted(self.sizes.items())],
-            "a": {f"{p[0]},{p[1]}": dump_book(b) for p, b in self.a.items()},
-            "b": {str(i): dump_book(b) for i, b in self.b.items()},
-            "c": {str(i): dump_book(b) for i, b in self.c.items()},
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_text(cls, text: str, spec: AuxSpec, rates: CodebookRates) -> "Codebook":
-        payload = json.loads(text)
-
-        def load_book(d) -> Book:
-            parents = IndexSpace([(tuple(c), s) for c, s in d["parents"]])
-            slots = IndexSpace([(tuple(c), s) for c, s in d["slots"]])
-            words = np.asarray(d["words"], dtype=np.int64).reshape(d["shape"])
-            words.setflags(write=False)
-            return Book(parents, slots, words)
-
-        a = {tuple(int(x) for x in key.split(",")): load_book(d) for key, d in payload["a"].items()}
-        b = {int(k): load_book(d) for k, d in payload["b"].items()}
-        c = {int(k): load_book(d) for k, d in payload["c"].items()}
-        sizes = {tuple(cmp): s for cmp, s in payload["sizes"]}
-        return cls(spec, rates, payload["n"], payload["seed"], a, b, c, sizes)
 
 
 def component_sizes(spec: AuxSpec, rates: CodebookRates, n: int) -> dict[Component, int]:

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codebooks import (Codebook, Component, IndexSpace, _pair_components, build_codebooks, k_minus,
+from .codebooks import (Book, Codebook, Component, IndexSpace, _pair_components, build_codebooks, k_minus,
                         k_plus, l_of, m_minus, m_plus)
 from .codec import STREAM_VERSION, Scheme, walk
 from .errors import UsageError, check_cap, resolve_cap
@@ -70,9 +70,9 @@ class ExactInduced:
 
 
 GRID_CELLS = 1 << 15
-"""Cells one chunk of an index grid may span: its assignments times the block
-cells each assignment needs. A chunk holds at least one assignment. At 2^15
-(256 KB), exact on copy3 n=4 and dsbs n=6 runs a third faster than at 2^14."""
+"""Cells one chunk of an index grid may span: its assignments, at least one, times
+the cells each needs (block cells, or piecing's key ids). At 2^15 (256 KB), exact
+on copy3 n=4 and dsbs n=6 runs a third faster than at 2^14."""
 
 
 def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
@@ -301,16 +301,38 @@ def cr_independence(cb: Codebook) -> float:
     return float(np.abs(conds - avg).sum(axis=1).mean())
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer matrix in lexicographic order, and each row's
+    index among them: np.unique(rows, axis=0, return_inverse=True) by one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
+def _word_ids(book: Book) -> tuple[np.ndarray, Book]:
+    """A book's distinct codewords (D, n), and the book of their dense ids in its words' places."""
+    words, ids = _distinct_rows(book.words.reshape(-1, book.words.shape[-1]))
+    return words, Book(book.parents, book.slots, ids.reshape(book.words.shape[:2]))
+
+
 def piecing_check(cb: Codebook) -> float:
     """Exact L1 of the piecing identity: target^(x n) against the average over
-    m+- of Q(x1 | A) times the chained per-hop conditional ratios. One einsum sums
-    a chunk's assignments: within 1e-12 of a one-at-a-time loop, not bit-identical."""
+    m+- of Q(x1 | A) times the chained per-hop conditional ratios.
+
+    An assignment's summand reads only its codewords, so it is keyed by the dense
+    ids of its A-words, then per hop j of its B_{j-1} and C_j words at every
+    (k+, k-, l). Each window of assignments sums its distinct keys once, weighted
+    by their counts, in one einsum per sub-chunk: within 1e-12 of a one-at-a-time
+    loop, not bit-identical."""
     spec = cb.spec
     h = cb.h
     n = cb.n
     net = spec.network
-    sizes = [a.size for a in net.alphabets]
-    block_sizes = [s ** n for s in sizes]
+    block_sizes = [a.size ** n for a in net.alphabets]
     a_axes = [a_label(p) for p in order_pairs(h)]
 
     spaces = _pair_components(order_pairs(h), cb.sizes)
@@ -327,24 +349,37 @@ def piecing_check(cb: Codebook) -> float:
     # per hop j, every (k+, k-, l) the ratio averages over, flat and in order
     hops = {j: IndexSpace([(c, cb.sizes[c]) for c in (k_plus(j - 1), k_minus(j - 1), l_of(j))])
             for j in range(2, h + 1)}
+    a_books = [_word_ids(cb.a[p]) for p in order_pairs(h)]
+    hop_books = {j: (_word_ids(cb.b[j - 1]), _word_ids(cb.c[j])) for j in hops}
+    spans = [1] * len(a_books) + [hop.size for hop in hops.values() for _ in range(2)]
     cells = block_sizes[0] + sum(hop.size * block_sizes[j - 2] * block_sizes[j - 1]
                                  for j, hop in hops.items())
+    step = max(1, GRID_CELLS // cells)
     letters = "abcdefgh"
     sub = ",".join(["z" + letters[0]] + ["z" + letters[j:j + 2] for j in range(h - 1)])
     pieced = np.zeros(tuple(block_sizes))
-    for grid in _grid_chunks(spaces, cells):
-        a_letters = tuple(cb.a_codeword(p, grid) for p in order_pairs(h))
-        factors = [_block_product(x1_kernel.weights[a_letters])]
+    for grid in _grid_chunks(spaces, sum(spans)):
+        columns = [ids.lookup(grid)[:, None] for _, ids in a_books]
         for j, hop in hops.items():
-            probe = grid | hop.unflatten(np.arange(hop.size)[:, None])  # (k, chunk) grid
-            rows = pair_kernels[j].weights[a_letters + (cb.b_codeword(j - 1, probe),
-                                                         cb.c_codeword(j, probe))]
-            w = _block_product(rows.reshape(-1, *rows.shape[2:])).reshape(
-                rows.shape[:2] + (block_sizes[j - 2], block_sizes[j - 1])).sum(axis=0)
-            w /= hop.size  # the mean over k, in order
-            marg = w.sum(axis=2, keepdims=True)
-            factors.append(np.divide(w, marg, out=w, where=marg > 0))  # a zero row stays zero
-        pieced += np.einsum(f"{sub}->{letters[:h]}", *factors, optimize=h > 2)
+            probe = grid | hop.unflatten(np.arange(hop.size)[:, None])  # (k, window) grid
+            columns += [np.broadcast_to(ids.lookup(probe), (hop.size, len(columns[0]))).T
+                        for _, ids in hop_books[j]]
+        keys, inverse = _distinct_rows(np.hstack(columns))
+        counts = np.bincount(inverse)
+        for start in range(0, len(keys), step):
+            # each book's ids (span, sub-chunk), in key order
+            ids = iter(np.split(keys[start:start + step].T, np.cumsum(spans)[:-1]))
+            a_letters = tuple(words[next(ids)[0]] for words, _ in a_books)
+            factors = [_block_product(x1_kernel.weights[a_letters]) * counts[start:start + step, None]]
+            for j, hop in hops.items():
+                b_c = tuple(words[next(ids)] for words, _ in hop_books[j])  # each (k, sub-chunk, n)
+                rows = pair_kernels[j].weights[a_letters + b_c]
+                w = _block_product(rows.reshape(-1, *rows.shape[2:])).reshape(
+                    rows.shape[:2] + (block_sizes[j - 2], block_sizes[j - 1])).sum(axis=0)
+                w /= hop.size  # the mean over k, in order
+                marg = w.sum(axis=2, keepdims=True)
+                factors.append(np.divide(w, marg, out=w, where=marg > 0))  # a zero row stays zero
+            pieced += np.einsum(f"{sub}->{letters[:h]}", *factors, optimize=h > 2)
     pieced /= total_m
     target = target_block_tensor(net, n)
     return float(np.abs(target - pieced).sum())

@@ -288,6 +288,22 @@ class TestContractExitCodes:
         assert err.startswith("error: ") and "n must be an integer" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_empty_n_flag_exits_2(self, tmp_path, capsys):
+        code = run_command(["exact", "--preset", "dsbs", "--n=", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "n must be an integer, got ''" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_empty_n_list_exits_2(self, tmp_path, capsys):
+        cfg = preset_config("dsbs")
+        cfg["n"] = []
+        code = run_command(["exact", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "n must list at least one block length" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = run_command(["simulate", "--preset", "dsbs", "--n", "1", "--trials", "0",
                             "--out", str(tmp_path)])

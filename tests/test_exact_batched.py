@@ -41,6 +41,7 @@ from coordline.linestruct import a_label, b_label, c_label, order_pairs, psi, x_
 from coordline.presets import preset_config
 from coordline.probability import condition, marginalize, pmf_weights
 from coordline.rates import Mode
+from test_codebooks import same_books
 
 SEED = 3
 PIECING_ATOL = 1e-12  # absolute; the largest difference seen on CASES is 6.9e-16
@@ -374,6 +375,14 @@ def _block_sizes(cb):
     return tuple(a.size ** cb.n for a in cb.spec.network.alphabets)
 
 
+def _piecing_cells(cb):
+    """The block cells piecing_check needs per distinct codeword tuple: its x1 row and,
+    per hop j, one |X_{j-1}|^n x |X_j|^n matrix for every (k+, k-, l)."""
+    sizes = _block_sizes(cb)
+    return sizes[0] + sum(cb.sizes[k_plus(j - 1)] * cb.sizes[k_minus(j - 1)] * cb.sizes[l_of(j)]
+                          * sizes[j - 2] * sizes[j - 1] for j in range(2, cb.h + 1))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -383,7 +392,7 @@ class TestBitIdentity:
         exp, _, cb = _setup(*case)
         monkeypatch.setattr(codebooks, "_draw_book", ref_draw_book)
         ref = build_codebooks(exp.spec, exp.rates, cb.n, SEED)
-        assert cb.to_text() == ref.to_text()
+        assert same_books(cb, ref)
 
     def test_node1_posterior(self, case):
         _, mode, cb = _setup(*case)
@@ -483,23 +492,92 @@ class TestChunkBoundaries:
         total = math.prod(size for _, size in _pair_spaces(cb))
         assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
 
-    @pytest.mark.parametrize("chunk", ["one", "three", "default"])
+    @pytest.fixture
+    def x1_rows(self, monkeypatch):
+        """The batch sizes of piecing's x1 factors, one per sub-chunk of distinct tuples."""
+        log = []
+        original = evalharness._block_product
+
+        def spy(rows):
+            if rows.ndim == 3:  # (batch, n, |X1|): hop factors carry two symbol axes
+                log.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(evalharness, "_block_product", spy)
+        return log
+
+    # 1, 5 and 8 distinct tuples in one window: dsbs-control and dsbs end on a partial sub-chunk
+    @pytest.mark.parametrize("case, distinct", [(("markov3", None, 2), 1), (("dsbs-control", None, 3), 5),
+                                                (("dsbs", None, 3), 8)],
+                             ids=["markov3-n2", "dsbs-control-n3", "dsbs-n3"])
+    def test_piecing_sub_chunks(self, case, distinct, chunk_log, x1_rows, monkeypatch):
+        """Sub-chunks of 3 distinct tuples, with a partial last one, give the same value."""
+        _, _, cb = _setup(*case)
+        want = ref_piecing_check(cb)
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * _piecing_cells(cb))
+        assert abs(piecing_check(cb) - want) <= PIECING_ATOL
+        (_, windows), = chunk_log
+        assert len(windows) == 1  # one window holds every assignment
+        assert x1_rows == [3] * (distinct // 3) + [distinct % 3] * (distinct % 3 > 0)
+
+    @pytest.mark.parametrize("chunk", ["one", "three", "sub-three", "default"])
     @pytest.mark.parametrize("case", CASES, ids=_ids)
-    def test_piecing_within_tolerance(self, case, chunk, chunk_log, monkeypatch):
-        """piecing_check contracts a chunk's assignments in one einsum; at chunks of 1
-        and 3 assignments and at the default budget it stays within PIECING_ATOL of the
-        per-assignment loop."""
+    def test_piecing_within_tolerance(self, case, chunk, chunk_log, x1_rows, monkeypatch):
+        """piecing_check sums a window's distinct codeword tuples, weighted by their
+        counts, in one einsum per sub-chunk; at windows of 1 and 3 assignments, at
+        sub-chunks of 3 distinct tuples and at the default budget it stays within
+        PIECING_ATOL of the per-assignment loop."""
         _, _, cb = _setup(*case)
         want = ref_piecing_check(cb)
         assert abs(piecing_check(cb) - want) <= PIECING_ATOL
-        if chunk != "default":
-            (cells, _), = chunk_log
+        total = math.prod(n for _, n in _pair_spaces(cb))
+        if chunk in ("one", "three"):
+            (width, _), = chunk_log
             size = {"one": 1, "three": 3}[chunk]
-            monkeypatch.setattr(evalharness, "GRID_CELLS", 1 if size == 1 else size * cells)
+            monkeypatch.setattr(evalharness, "GRID_CELLS", 1 if size == 1 else size * width)
             assert abs(piecing_check(cb) - want) <= PIECING_ATOL
-            total = math.prod(n for _, n in _pair_spaces(cb))
             assert chunk_log[-1][1] == [size] * (total // size) + [total % size] * (total % size > 0)
+        elif chunk == "sub-three":
+            x1_rows.clear()
+            monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * _piecing_cells(cb))
+            assert abs(piecing_check(cb) - want) <= PIECING_ATOL
+            assert 0 < max(x1_rows) <= 3
+            # each window ends on its one sub-chunk that may be partial
+            assert sum(rows < 3 for rows in x1_rows) <= len(chunk_log[-1][1])
 
+    @pytest.mark.parametrize("case, distinct, total", [(("dsbs", None, 6), 64, 210),
+                                                       (("copy3", None, 4), 16, 1408)],
+                             ids=["dsbs-n6", "copy3-n4"])
+    def test_piecing_sums_each_distinct_tuple_once(self, case, distinct, total, x1_rows):
+        """An assignment's summand reads only its codewords: piecing builds x1 rows
+        for the distinct codeword tuples, not for every assignment."""
+        _, _, cb = _setup(*case)
+        assert math.prod(n for _, n in _pair_spaces(cb)) == total
+        piecing_check(cb)
+        assert sum(x1_rows) == distinct
+
+    def test_tuples_differing_in_one_c_word_stay_apart(self, x1_rows):
+        """Hand-built dsbs books at n=1 whose four assignments read the same A and B
+        words: only (m+, m-) = (0, 0) reads C-word 1 at l=1. Its tuple must not merge
+        with the other three, whose value the piecing identity would then take."""
+        _, _, cb = _setup("dsbs", None, 1)
+
+        def flat(book):
+            return Book(book.parents, book.slots, np.zeros_like(book.words))
+
+        def with_c_word(value):
+            words = np.zeros_like(cb.c[2].words)
+            words[0, 1] = value  # parent (m+, m-, k+, k-) = 0, slot l = 1
+            return codebooks.Codebook(cb.spec, cb.rates, cb.n, cb.seed,
+                                      {p: flat(book) for p, book in cb.a.items()},
+                                      {i: flat(book) for i, book in cb.b.items()},
+                                      {2: Book(cb.c[2].parents, cb.c[2].slots, words)}, cb.sizes)
+
+        apart, merged = with_c_word(1), with_c_word(0)
+        got = piecing_check(apart)
+        assert x1_rows == [2]
+        assert abs(got - ref_piecing_check(apart)) <= PIECING_ATOL
+        assert abs(got - ref_piecing_check(merged)) > 0.1
 
     # 4, 32 and 48 (x1 block, shared index) rows: markov3 and copy3 end on a partial chunk
     @pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 2),
@@ -520,12 +598,13 @@ class TestChunkBoundaries:
 class TestMemory:
     """Chunked grids keep the working set near the cell budget: an unchunked
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
-    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 2.0 and
-    exact_induced 1.05 budgets; the walk's stacked posteriors and selections
-    fill no cache. A budget grows with GRID_CELLS, so REQUEST_BYTES bounds a
-    whole exact request in bytes: its measured peaks are 0.77 MiB on copy3 at
-    n=4 and 0.60 MiB on dsbs at n=6, 24% and 40% below the bound; at GRID_CELLS
-    2^16 they are 1.11 and 1.26 MiB, above it."""
+    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 1.37
+    budgets (its window of 1,408 keys and 16 distinct tuples) and exact_induced
+    1.08; the walk's stacked posteriors and selections fill no cache. A budget
+    grows with GRID_CELLS, so REQUEST_BYTES bounds a whole exact request in
+    bytes: its measured peaks are 0.77 MiB on copy3 at n=4 and 0.63 MiB on dsbs
+    at n=6, 23% and 37% below the bound; at GRID_CELLS 2^16 they are 0.77 and
+    1.28 MiB, the second above it."""
 
     BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
     REQUEST_BYTES = 1 << 20  # 1 MiB
