@@ -15,6 +15,8 @@ integer-rate local randomness is lossless.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -148,12 +150,11 @@ def _iid_blocks(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Seeded streams. The stream (seed, *key) is PCG64 seeded by numpy's
-# SeedSequence over _entropy_words(seed, *key). _StreamFamily derives the same
-# generators for many streams that differ in one int of the key, computing
-# SeedSequence's hashing as uint32 array arithmetic over all rows at once. The
-# constants are numpy's (numpy/random/bit_generator.pyx, pcg64.h), which its
-# stream-compatibility policy keeps fixed.
+# Seeded streams. The stream (seed, *key) is PCG64 seeded by numpy's SeedSequence over
+# _entropy_words(seed, *key). A book's rows each draw from their own stream, computed
+# for a block of rows at once as array arithmetic on numpy's constants (bit_generator.pyx,
+# pcg64.h, distributions.c), with no Generator. NEP 19 fixes bit generators' streams but
+# not Generator methods' algorithms, so tests/test_streams.py checks against numpy.
 
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
@@ -163,7 +164,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 STREAM_BLOCK_ROWS = 512
-"""Rows of seed states a _StreamFamily derives and holds at a time."""
+"""Parent rows of a book whose streams are drawn at a time, and trials per Monte Carlo block."""
 
 
 def _entropy_words(seed: int, *key) -> np.ndarray:
@@ -184,15 +185,13 @@ def _child_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_entropy_words(seed, *key)))
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_steps(hc: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The next count (xor, multiply) constant pairs of SeedSequence's running
-    hash constant hc, and the constant after them."""
-    xors, mults = [], []
-    for _ in range(count):
-        xors.append(hc)
-        hc = hc * mult & _M32
-        mults.append(hc)
-    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32), hc
+    hash constant hc, as read-only arrays, and the constant after them."""
+    out = np.array([(hc, hc := hc * mult & _M32) for _ in range(count)], dtype=np.uint32).T
+    out.setflags(write=False)
+    return out[0], out[1], hc
 
 
 def _hashmix(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
@@ -229,40 +228,80 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> dict:
-    """PCG64's state after seeding from generate_state words (s0, s1, s2, s3):
-    pcg64_set_seed's srandom step in 128-bit arithmetic."""
-    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
-    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+@functools.lru_cache(maxsize=32)
+def _jump_constants(stop: int) -> np.ndarray:
+    """(2, 2, stop) uint64: the hi, then the lo words of A_m = MULT^(m+2) and C_m = MULT^0
+    + ... + MULT^(m+2) mod 2^128 for m < stop. Seeding steps the LCG twice and each output
+    once before it is read, so PCG64 seeded with (s, inc) reads output m from A_m s + C_m inc."""
+    powers = list(itertools.accumulate([_PCG_MULT] * (stop + 1), lambda a, m: a * m & _M128))[1:]
+    sums = list(itertools.accumulate(powers, lambda c, a: c + a & _M128, initial=1 + _PCG_MULT))[1:]
+    words = np.array([divmod(x, 1 << 64) for x in powers + sums], dtype=np.uint64)
+    out = words.T.reshape(2, 2, stop)
+    out.setflags(write=False)
+    return out
 
 
-class _StreamFamily:
-    """The streams (seed, *head, row, *tail) for rows 0..rows-1: rng(row) equals
-    _child_rng(seed, *head, row, *tail) draw for draw.
+def _pcg64_outputs(states: np.ndarray, stop: int) -> np.ndarray:
+    """random_raw(stop) (rows, stop) of the PCG64 each row of generate_state words states
+    (rows, 4) seeds with s = s0:s1 and inc = s2:s3:1: both products of each state in hi and
+    lo uint64 words, lo times lo from 32-bit limbs, then XSL-RR."""
+    k_hi, k_lo = _jump_constants(stop)
+    s0, s1, s2, s3 = states.T[:, :, None, None]
+    x_hi = np.concatenate([s0, s2 << 1 | s3 >> 63], axis=1)
+    x_lo = np.concatenate([s1, s3 << 1 | 1], axis=1)
+    a0, a1, b0, b1 = x_lo & _M32, x_lo >> 32, k_lo & _M32, k_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    lo_terms = x_lo * k_lo
+    hi_terms = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + x_hi * k_lo + x_lo * k_hi
+    lo = lo_terms.sum(axis=1)
+    hi = hi_terms.sum(axis=1) + (lo < lo_terms[:, 0])
+    rot, x = hi >> 58, hi ^ lo
+    return x >> rot | x << (64 - rot & 63)
 
-    One Generator serves every row and is re-seeded on each rng call, so a
-    returned generator is valid until the next call; a family belongs to one
-    caller and one thread. Seed states are derived STREAM_BLOCK_ROWS rows at a
-    time, so the memory held does not grow with the row count."""
 
-    def __init__(self, seed: int, head: tuple, tail: tuple, rows: int):
-        self._template = _entropy_words(seed, *head, 0, *tail)
-        self._column = len(_entropy_words(seed, *head))
-        self._rows = rows
-        self._start, self._states = -1, None
-        self._rng = _child_rng(seed, *head, 0, *tail)
+def _halves(outputs: np.ndarray) -> list:
+    """The uint32 draws of outputs (..., k) as lists: each output's low half, then its high."""
+    return np.stack([outputs & _M32, outputs >> 32], axis=-1).reshape(*outputs.shape[:-1], -1).tolist()
 
-    def rng(self, row: int) -> np.random.Generator:
-        start = row - row % STREAM_BLOCK_ROWS
-        if start != self._start:
-            entropy = np.tile(self._template, (min(STREAM_BLOCK_ROWS, self._rows - start), 1))
-            entropy[:, self._column] = np.arange(start, start + len(entropy))
-            self._states = _seed_states(entropy)
-            self._start = start
-        self._rng.bit_generator.state = _pcg64_state(*self._states[row - start].tolist())
-        return self._rng
+
+def _shuffle(count: int, draws: list[int]) -> tuple[list[int], int] | None:
+    """Generator.permutation(count) from a stream's uint32 draws and the outputs it read,
+    or None if the draws run out. numpy's Fisher-Yates swaps i with random_interval(i)
+    for i from count - 1 down: a draw masked to i's bit length, drawn again while above
+    i. Every storable count is below 2^32, where random_interval draws 64 bits."""
+    perm, drawn = list(range(count)), 0
+    try:
+        for i in range(count - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = draws[drawn] & mask
+            drawn += 1
+            while j > i:
+                j = draws[drawn] & mask
+                drawn += 1
+            perm[i], perm[j] = perm[j], perm[i]
+    except IndexError:
+        return None
+    return perm, (drawn + 1) // 2
+
+
+def _stratified_quantiles(states: np.ndarray, count: int) -> np.ndarray:
+    """(permutation(count) + random(count)) / count (rows, count) of the Generator each row
+    of states (rows, 4) seeds. random reads (output >> 11) * 2^-53 from the outputs after
+    the shuffle's, which may read all but the last count of them: room for (count - 1) / 2
+    redraws, doubled for a row that needs more."""
+    raw = _pcg64_outputs(states, 2 * count - 1)
+    perm, doubles = np.zeros((len(states), count), dtype=np.int64), raw[:, :count]
+    if count > 1:
+        doubles = np.empty_like(doubles)
+        for r, draws in enumerate(_halves(raw[:, :count - 1])):
+            outputs, walk = raw[r], _shuffle(count, draws)
+            while walk is None:
+                outputs = _pcg64_outputs(states[r:r + 1], 2 * len(outputs))[0]
+                walk = _shuffle(count, _halves(outputs[:-count]))
+            perm[r], used = walk
+            doubles[r] = outputs[used:used + count]
+    return (perm + (doubles >> 11) * 2.0 ** -53) / count
 
 
 @dataclass(frozen=True)
@@ -387,18 +426,18 @@ def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, ke
                n: int, given) -> Book:
     """One book: for each parent index p, slots.size codewords stratified-drawn from the
     kernel at the letters given(assignment of p) returns, on the stream (seed, *key, p).
-    given runs on integer-array assignments of STREAM_BLOCK_ROWS parents at a time."""
+    The streams and given run on STREAM_BLOCK_ROWS parents at a time."""
     n_out = kernel.weights.shape[-1]
     count = slots.size
     words = np.empty((parents.size, count, n), dtype=np.int64)
-    streams = _StreamFamily(seed, key, (), parents.size)
     for start in range(0, parents.size, STREAM_BLOCK_ROWS):
         block = np.arange(start, min(start + STREAM_BLOCK_ROWS, parents.size))
+        entropy = np.tile(_entropy_words(seed, *key, 0), (len(block), 1))
+        entropy[:, -1] = block  # the parent row is the stream key's last word
         letters = given(parents.unflatten(block))
         rows = kernel.weights[tuple(letters)] if letters else np.tile(kernel.weights, (n, 1))
-        u = np.array([(rng.permutation(count) + rng.random(count)) / count
-                      for rng in map(streams.rng, block.tolist())])
         words[block] = _stratified_blocks(
-            u, np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
+            _stratified_quantiles(_seed_states(entropy), count),
+            np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
     words.setflags(write=False)
     return Book(parents, slots, words)

@@ -26,9 +26,9 @@ from .codebooks import (
     STREAM_BLOCK_ROWS,
     Codebook,
     IndexSpace,
+    _child_rng,
     _cum_rows,
     _iid_blocks,
-    _StreamFamily,
     codeword_count,
     k_minus,
     k_plus,
@@ -453,14 +453,9 @@ def _mc_run(scheme: Scheme, trials: int, seed: int, label: str, source, node1: b
     checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
         r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
     blocks = -(-trials // STREAM_BLOCK_ROWS)
-    families: dict[tuple, _StreamFamily] = {}
     parts, selected = [], []
     for block in range(blocks):
-        def draw(*key, _block=block):
-            if key not in families:
-                families[key] = _StreamFamily(seed, ("mc",), key, blocks)
-            return families[key].rng(_block)
-
+        draw = functools.partial(_child_rng, seed, "mc", block)
         rows = np.arange(block * STREAM_BLOCK_ROWS, min((block + 1) * STREAM_BLOCK_ROWS, trials))
         sampler = _Sampler(scheme, draw, len(rows))
         parts.append(walk(scheme, source(draw, rows), sampler.select, sampler.uniform, node1))

@@ -47,6 +47,8 @@ class LinearSystem:
     @classmethod
     def build(cls, variables: Sequence[str], rows: Sequence[tuple[Mapping[str, float] | Sequence[float], float]]) -> "LinearSystem":
         variables = tuple(variables)
+        if not all(isinstance(v, str) for v in variables):
+            raise UsageError(f"variable names must be strings, got {list(variables)}")
         out = []
         for coeffs, rhs in rows:
             if isinstance(coeffs, Mapping):

@@ -226,9 +226,6 @@ class AuxSpec:
         return cls(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels,
                    joint=assembled, declared=declared)
 
-    def a_marginal(self) -> JointPmf:
-        return marginalize(self.joint, [a_label(p) for p in order_pairs(self.h)])
-
 
 def _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels) -> JointPmf:
     """Multiply the kernels in construction order into the full joint."""

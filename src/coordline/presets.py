@@ -33,18 +33,6 @@ def bsc_chain_network(h: int = 3, p: float = 0.25) -> NetworkSpec:
     return make_network(h, w)
 
 
-def vee_network(p: float = 0.25) -> NetworkSpec:
-    """X1 = V1, X2 = (V1, V2), X3 = V2 for a DSBS(p) pair (V1, V2).
-
-    X2's alphabet is 4-ary with symbol 2*v1 + v2."""
-    pair = np.array([[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
-    w = np.zeros((2, 4, 2))
-    for v1 in range(2):
-        for v2 in range(2):
-            w[v1, 2 * v1 + v2, v2] = pair[v1, v2]
-    return make_network(3, w)
-
-
 def _weights(net: NetworkSpec):
     return net.target.weights.tolist()
 

@@ -161,16 +161,6 @@ def pmf_from_table(labels: Sequence[str], weights, *, normalize: bool = False) -
     return JointPmf([(lbl, Alphabet(lbl, s)) for lbl, s in zip(labels, w.shape)], w, normalize=normalize)
 
 
-def bernoulli(p: float) -> JointPmf:
-    return pmf_from_table(["X"], [1.0 - p, p])
-
-
-def uniform_pmf(labels: Sequence[str], sizes: Sequence[int]) -> JointPmf:
-    shape = tuple(int(s) for s in sizes)
-    w = np.full(shape, 1.0 / float(np.prod(shape)))
-    return pmf_from_table(list(labels), w)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 

@@ -140,6 +140,10 @@ class Constraint:
     redundant: bool = False
     vacuous: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.slack):
+            raise UsageError(f"{self.name}: {self.lhs} - {self.rhs} overflows; a rate or margin is too large")
+
     @property
     def slack(self) -> float:
         return self.lhs - self.rhs

@@ -20,6 +20,7 @@ from coordline.linestruct import (
     aux_from_tags,
     copy_of,
     j_set,
+    make_network,
     order_pairs,
 )
 from coordline.presets import (
@@ -28,7 +29,6 @@ from coordline.presets import (
     dsbs_network,
     independent_uniform_network,
     preset_config,
-    vee_network,
 )
 from coordline.probability import info_measure, pmf_from_table, staircase_map
 from coordline.rates import (
@@ -295,7 +295,11 @@ class TestCriterion8MarkovRegion:
         }
         rhs_ok = all(abs(rows[k].rhs - v) < 1e-9 for k, v in expect.items())
 
-        vnet = vee_network(0.25)
+        # X1 = V1, X2 = (V1, V2) as symbol 2 * v1 + v2, X3 = V2 for a DSBS(0.25) pair
+        vee = np.zeros((2, 4, 2))
+        for v1, v2 in np.ndindex(2, 2):
+            vee[v1, 2 * v1 + v2, v2] = 0.375 if v1 == v2 else 0.125
+        vnet = make_network(3, vee)
         vz = _vee_z_joint(vnet)
         h_pair = info_measure(vnet.target, ["X2"])
         corner = RatePoint(0.0, (1.0, 1.0), (h_pair, h_pair, h_pair))

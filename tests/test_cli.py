@@ -6,6 +6,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,6 +323,8 @@ class TestContractExitCodes:
 
 
 FME_ROWS = [{"coeffs": {"x": 1, "y": 1}, "rhs": 2}]
+DSBS_Z = {"labels": ["X1", "X2", "Z2"],  # Z2 = X2
+          "weights": [[[0.375, 0.0], [0.125, 0.0]], [[0.0, 0.125], [0.0, 0.375]]]}
 
 
 class TestMalformedSections:
@@ -347,9 +350,22 @@ class TestMalformedSections:
         ("exact", "codebook_seeds", True),
         ("exact", "codebook_seeds", 1.5),
         ("exact", "codebook_seeds", [0.5]),
+        # variable names that cannot be hashed
+        ("fme", "fme", {"variables": [["x"], "y"], "rows": [], "eliminate": []}),
+        ("fme", "fme", {"variables": [{"x": 1}, "y"], "rows": [{"coeffs": {"y": 1}, "rhs": 2}],
+                        "eliminate": ["y"]}),
+        # finite rates and margins whose constraint sums overflow to inf
+        ("region", "region", {"theorem": "functional", "z": DSBS_Z,
+                              "points": [{"Rc": 1e308, "R": [0.0], "rho": [1e308, 1e308]}]}),
+        ("region", "region", {"theorem": "functional", "z": DSBS_Z, "margin": -1.7e308,
+                              "points": [{"Rc": 1.7e308, "R": [0.0], "rho": [0.0, 0.0]}]}),
+        ("rates", "rates", {"mu_plus": {"1,2": 1.7e308}, "mu_minus": {"1,2": 1.7e308},
+                            "lambda": {"2": 0.25}}),
     ], ids=["region", "region-points", "transfer", "aux", "fme-variables", "fme-eliminate",
             "h-bool", "h-fraction", "n-fraction", "n-bool", "trials-bool", "trials-fraction",
-            "seed-fraction", "seed-bool", "seeds-bool", "seeds-fraction", "seeds-list-fraction"])
+            "seed-fraction", "seed-bool", "seeds-bool", "seeds-fraction", "seeds-list-fraction",
+            "fme-variable-list", "fme-variable-object", "region-lhs-overflow", "region-slack-overflow",
+            "rates-lhs-overflow"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, command, section, value):
         cfg = preset_config("dsbs")
         cfg[section] = value
@@ -508,3 +524,95 @@ class TestCliFuzz:
             assert report.exists() == (code != 2)
             if code != 2:
                 assert strict_json(report.read_text())["command"] == command
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(command=st.sampled_from(["region", "transfer", "fme"]),
+           preset=st.sampled_from(["dsbs", "copy3"]), data=st.data())
+    def test_section_commands(self, command, preset, data):
+        """region, transfer and fme on fuzzed sections: most fields valid, some of a
+        wrong type or length, out of range, non-finite or missing."""
+        cfg = preset_config(preset)
+        cfg[command] = data.draw(_mostly({"region": _region_section, "transfer": _transfer_section,
+                                          "fme": _fme_section}[command](cfg["network"]["target"])))
+        with tempfile.TemporaryDirectory() as out:
+            argv = [command, "--config", write_config(Path(out), cfg), "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(argv)
+            assert code in (0, 2, 3, 4)
+            report = Path(out) / "report.json"
+            assert report.exists() == (code != 2)
+            if code != 2:
+                assert strict_json(report.read_text())["command"] == command
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 3),
+                  st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.integers(0, 2), max_size=1))
+_RATE = st.floats(0, 3) | st.sampled_from([-1.0, 1e308, -1e308, float("nan"), float("inf")])
+_THEOREMS = ["deterministic", "large-cr", "zero-local", "functional", "markov"]
+_FAMILIES = ["unrestricted", "functional", "action-dependent", "functional-AD"]
+
+
+def _mostly(valid, other=_JUNK):
+    """valid, or other in one draw of ten."""
+    return st.integers(0, 9).flatmap(lambda r: other if r == 3 else valid)
+
+
+def _drop_one(fields: dict):
+    """The section with all its fields, or, in one draw of ten, without one of them."""
+    return st.fixed_dictionaries(fields).flatmap(lambda d: _mostly(st.just(d), st.sampled_from(sorted(d)).map(
+        lambda key: {k: v for k, v in d.items() if k != key})))
+
+
+def _point(h):
+    number = _mostly(st.floats(0, 3), _RATE)
+    valid = st.fixed_dictionaries({"Rc": number, "R": st.lists(number, min_size=h - 1, max_size=h - 1),
+                                   "rho": st.lists(number, min_size=h, max_size=h)})
+    misshapen = st.fixed_dictionaries({"Rc": _RATE, "R": st.lists(_RATE, max_size=3),
+                                       "rho": st.lists(_RATE, max_size=3)})
+    return _mostly(valid, _JUNK | misshapen)
+
+
+def _z_section(target, theorem):
+    """A z joint the theorem accepts, Z_i = X_i for i >= 2 (functional) or i < h (markov),
+    as given or reshaped, relabeled or with out-of-range weights."""
+    h = target.ndim
+    copied = range(2, h + 1) if theorem == "functional" else range(1, h)
+    xs, zs = "abcde"[:h], "pqrst"[:len(copied)]
+    subscripts = ",".join([xs] + [xs[i - 1] + z for i, z in zip(copied, zs)]) + "->" + xs + zs
+    weights = np.einsum(subscripts, target, *[np.eye(2)] * len(copied))
+    labels = [f"X{i}" for i in range(1, h + 1)] + [f"Z{i}" for i in copied]
+    out_of_range = st.lists(_RATE, min_size=weights.size, max_size=weights.size)
+    wrong_weights = st.just(weights.ravel().tolist()) | out_of_range.map(
+        lambda v: np.reshape(v, weights.shape).tolist())
+    return st.fixed_dictionaries({
+        "labels": _mostly(st.just(labels), st.lists(st.sampled_from(labels + ["Q"]), max_size=h + 2)),
+        "weights": _mostly(st.just(weights.tolist()), wrong_weights)})
+
+
+def _region_section(target):
+    target = np.asarray(target)
+    return st.sampled_from(_THEOREMS).flatmap(lambda theorem: st.fixed_dictionaries(
+        {"theorem": _mostly(st.just(theorem)),
+         "points": _mostly(st.lists(_point(target.ndim), min_size=1, max_size=2))},
+        optional={"z": _mostly(_z_section(target, "markov" if theorem == "markov" else "functional")),
+                  "margin": _mostly(st.floats(-1, 1), _RATE)}))
+
+
+def _transfer_section(target):
+    h = np.asarray(target).ndim
+    return _drop_one({"lemma": _mostly(st.sampled_from([1, 2])),
+                      "mode_family": _mostly(st.sampled_from(_FAMILIES)),
+                      "node": _mostly(st.integers(1, h), st.integers(-1, h + 1)),
+                      "delta": _mostly(st.floats(0, 0.5), _RATE), "point": _point(h)})
+
+
+def _fme_section(target):
+    names = st.sampled_from(["x", "y", "z"])
+    coeffs = st.dictionaries(_mostly(names, st.text(max_size=1)), _mostly(st.integers(-3, 3), _RATE),
+                             max_size=3)
+    row = st.fixed_dictionaries({"coeffs": _mostly(coeffs), "rhs": _mostly(st.integers(-3, 3), _RATE)})
+    return _drop_one({"variables": _mostly(st.just(["x", "y", "z"]), st.lists(_mostly(names), max_size=3)),
+                      "rows": _mostly(st.lists(_mostly(row), max_size=5)),
+                      "eliminate": _mostly(st.lists(names, max_size=2, unique=True),
+                                           st.lists(names, max_size=3))})

@@ -188,7 +188,7 @@ class TestAuxAssembly:
             a_tags[p] = _aux_channel(given, k)
         spec = aux_from_tags(net, a_tags=a_tags)
         assert validate_aux(spec).ok
-        amarg = spec.a_marginal()
+        amarg = marginalize(spec.joint, [a_label(p) for p in order_pairs(4)])
         for p in all_pairs(4):
             for q in all_pairs(4):
                 if p >= q:

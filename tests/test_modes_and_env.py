@@ -213,9 +213,13 @@ class TestVeeConstruction:
     hop messages are the B-auxiliaries carrying each half of the pair."""
 
     def make(self):
-        from coordline.presets import vee_network
+        from coordline.linestruct import make_network
 
-        net = vee_network(0.25)
+        # X1 = V1, X2 = (V1, V2) as symbol 2 * v1 + v2, X3 = V2 for a DSBS(0.25) pair
+        vee = np.zeros((2, 4, 2))
+        for v1, v2 in np.ndindex(2, 2):
+            vee[v1, 2 * v1 + v2, v2] = 0.375 if v1 == v2 else 0.125
+        net = make_network(3, vee)
         v2_of_x2 = np.zeros((4, 2))
         for sym in range(4):
             v2_of_x2[sym, sym % 2] = 1.0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from coordline.errors import ResourceCapError, UsageError
 from coordline.probability import (
-    bernoulli,
     condition,
     divergences,
     info_measure,
@@ -17,7 +16,6 @@ from coordline.probability import (
     pmf_weights,
     product_extend,
     staircase_map,
-    uniform_pmf,
 )
 
 H2_QUARTER = 0.8112781244591328  # binary entropy of 0.25
@@ -55,19 +53,19 @@ class TestJointPmf:
                 pmf_weights([0.5, 0.5, bad], normalize=normalize)
 
     def test_immutable(self):
-        p = bernoulli(0.5)
+        p = pmf_from_table(["X"], [0.5, 0.5])
         with pytest.raises((ValueError, AttributeError)):
             p.weights[0] = 0.9
 
 
 class TestProductExtend:
     def test_fair_bit_n2_uniform(self):
-        q = product_extend(bernoulli(0.5), 2)
+        q = product_extend(pmf_from_table(["X"], [0.5, 0.5]), 2)
         assert q.sizes == (2, 2)
         assert np.allclose(q.weights, 0.25)
 
     def test_identity_n1(self):
-        p = bernoulli(0.3)
+        p = pmf_from_table(["X"], [0.7, 0.3])
         assert product_extend(p, 1) is p
 
     def test_biased_n2_products(self):
@@ -76,7 +74,7 @@ class TestProductExtend:
         assert np.allclose(q.weights, [[0.5625, 0.1875], [0.1875, 0.0625]])
 
     def test_cap(self, monkeypatch):
-        p = uniform_pmf(["X"], [16])
+        p = pmf_from_table(["X"], np.full(16, 1 / 16))
         monkeypatch.setenv("COORDLINE_CAP", str(2 ** 20))
         with pytest.raises(ResourceCapError):
             product_extend(p, 12)
@@ -88,7 +86,7 @@ class TestProductExtend:
 
 class TestMarginalize:
     def test_uniform_pair_first(self):
-        p = uniform_pmf(["X", "Y"], [2, 2])
+        p = pmf_from_table(["X", "Y"], np.full((2, 2), 0.25))
         m = marginalize(p, ["X"])
         assert np.allclose(m.weights, [0.5, 0.5])
 
@@ -145,7 +143,7 @@ class TestCondition:
 
 class TestInfoMeasure:
     def test_independent_zero(self):
-        p = uniform_pmf(["X", "Y"], [2, 2])
+        p = pmf_from_table(["X", "Y"], np.full((2, 2), 0.25))
         assert info_measure(p, ["X"], ["Y"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_copy_one_bit(self):
@@ -185,18 +183,18 @@ class TestDivergences:
         assert kl == 0.0 and tv == 0.0
 
     def test_point_mass_vs_uniform(self):
-        kl, tv = divergences(pmf_from_table(["X"], [1.0, 0.0]), bernoulli(0.5))
+        kl, tv = divergences(pmf_from_table(["X"], [1.0, 0.0]), pmf_from_table(["X"], [0.5, 0.5]))
         assert kl == pytest.approx(1.0)
         assert tv == pytest.approx(1.0)
 
     def test_support_violation_infinite(self):
-        kl, tv = divergences(bernoulli(0.5), pmf_from_table(["X"], [1.0, 0.0]))
+        kl, tv = divergences(pmf_from_table(["X"], [0.5, 0.5]), pmf_from_table(["X"], [1.0, 0.0]))
         assert math.isinf(kl)
         assert tv == pytest.approx(1.0)
 
     def test_axis_mismatch(self):
         with pytest.raises(UsageError):
-            divergences(bernoulli(0.5), uniform_pmf(["Y"], [2]))
+            divergences(pmf_from_table(["X"], [0.5, 0.5]), pmf_from_table(["Y"], [0.5, 0.5]))
 
     def test_pinsker_on_random_pairs(self):
         rng = np.random.default_rng(3)

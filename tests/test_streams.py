@@ -1,6 +1,13 @@
-"""Seeded streams: the batched derivation in _StreamFamily against numpy's
-SeedSequence and against _child_rng, stream by stream and end to end."""
+"""Seeded streams: the array derivation of a book's per-row streams (SeedSequence's
+hashing, PCG64's outputs and Generator.permutation's and random's algorithms) against
+numpy itself, row by row and through build_codebooks, and Monte Carlo's stream blocks."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,11 +15,13 @@ from coordline import codebooks
 from coordline.cli import Experiment
 from coordline.codebooks import (
     STREAM_BLOCK_ROWS,
-    IndexSpace,
     _child_rng,
     _entropy_words,
+    _halves,
+    _pcg64_outputs,
     _seed_states,
-    _StreamFamily,
+    _shuffle,
+    _stratified_quantiles,
     build_codebooks,
     m_minus,
     m_plus,
@@ -21,6 +30,8 @@ from coordline.codec import allied_generate, run_scheme
 from coordline.linestruct import aux_from_tags, make_network
 from coordline.presets import preset_config
 from coordline.rates import CodebookRates
+from test_codebooks import same_books
+from test_exact_batched import ref_draw_book
 
 SEEDS = st.one_of(
     st.sampled_from([0, 1, -1, -(2 ** 40), 2 ** 32, 2 ** 32 + 5, 2 ** 64, 2 ** 64 + 17, 2 ** 70 + 3]),
@@ -46,11 +57,14 @@ def _list_entropy(seed, *key) -> list:
     return flat
 
 
-def _same_stream(a: np.random.Generator, b: np.random.Generator) -> None:
-    assert a.bit_generator.state == b.bit_generator.state
-    assert a.random() == b.random()
-    assert a.integers(0, 2 ** 40) == b.integers(0, 2 ** 40)
-    assert a.integers(1, 7) == b.integers(1, 7)
+def _row_states(seed, key, rows) -> np.ndarray:
+    """The generate_state words of the streams (seed, *key, row) for rows 0..rows-1."""
+    return _seed_states(np.stack([_entropy_words(seed, *key, row) for row in range(rows)]))
+
+
+def _generator_quantiles(seed, key, row, count) -> np.ndarray:
+    rng = _child_rng(seed, *key, row)
+    return (rng.permutation(count) + rng.random(count)) / count
 
 
 class TestSeedStates:
@@ -79,56 +93,75 @@ class TestSeedStates:
         assert _entropy_words(2 ** 64 + 3, "ab", 2 ** 32 + 9).tolist() == [3, 97, 98, 9]
 
 
-class TestStreamFamily:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=SEEDS, head=KEYS, tail=KEYS, data=st.data())
-    def test_matches_child_rng(self, seed, head, tail, data):
-        rows = data.draw(st.integers(1, 3 * STREAM_BLOCK_ROWS + 7), label="rows")
-        boundary = [r for r in (0, STREAM_BLOCK_ROWS - 1, STREAM_BLOCK_ROWS, rows - 1) if r < rows]
-        picked = data.draw(st.lists(st.integers(0, rows - 1), max_size=6), label="picked")
-        family = _StreamFamily(seed, head, tail, rows)
-        for row in boundary + picked + boundary[::-1]:
-            _same_stream(family.rng(row), _child_rng(seed, *head, row, *tail))
+class TestPcg64Outputs:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, key=KEYS, k=st.integers(1, 70))
+    def test_matches_random_raw(self, seed, key, k):
+        words = _entropy_words(seed, *key)
+        expected = np.random.PCG64(np.random.SeedSequence(words)).random_raw(k)
+        got = _pcg64_outputs(_seed_states(words[None, :]), k)
+        assert got.shape == (1, k) and got.dtype == np.uint64
+        assert np.array_equal(got[0], expected)
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, head=KEYS, tail=KEYS,
-           rows=st.sampled_from([STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS + 1, 529, 600, 2 * STREAM_BLOCK_ROWS])
-           | st.integers(STREAM_BLOCK_ROWS + 1, 4 * STREAM_BLOCK_ROWS), data=st.data())
-    def test_block_crossing_row_counts_match_child_rng(self, seed, head, tail, rows, data):
-        boundary = [0, STREAM_BLOCK_ROWS - 1, *range(STREAM_BLOCK_ROWS, rows, STREAM_BLOCK_ROWS), rows - 1]
-        picked = data.draw(st.lists(st.integers(0, rows - 1), max_size=6), label="picked")
-        family = _StreamFamily(seed, head, tail, rows)
-        for row in boundary + picked + boundary[::-1]:
-            _same_stream(family.rng(row), _child_rng(seed, *head, row, *tail))
+    def test_rows_are_independent(self):
+        states = _row_states(7, ("trial", "x1"), 40)
+        got = _pcg64_outputs(states, 9)
+        for row in range(40):
+            words = _entropy_words(7, "trial", "x1", row)
+            assert np.array_equal(got[row], np.random.PCG64(np.random.SeedSequence(words)).random_raw(9))
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, head=KEYS, tail=KEYS, shape=st.sampled_from([(3, 200), (23, 23), (2, 5, 60)])
-           | st.lists(st.integers(1, 40), min_size=2, max_size=2).map(tuple), data=st.data())
-    def test_multi_index_matches_child_rng(self, seed, head, tail, shape, data):
-        # a book's parent space flattens a multi-index to the row of its stream
-        parents = IndexSpace([(("m", axis), size) for axis, size in enumerate(shape)])
-        rows = parents.size
-        boundary = [r for r in (0, STREAM_BLOCK_ROWS - 1, STREAM_BLOCK_ROWS, rows - 1) if r < rows]
-        picked = data.draw(st.lists(st.integers(0, rows - 1), max_size=6), label="picked")
-        family = _StreamFamily(seed, head, tail, rows)
-        for row in boundary + picked + boundary[::-1]:
-            index = map(int, np.unravel_index(row, shape))
-            flat = parents.flatten({("m", axis): v for axis, v in enumerate(index)})
-            assert flat == row
-            _same_stream(family.rng(flat), _child_rng(seed, *head, row, *tail))
+    def test_halves_are_low_then_high(self):
+        outputs = np.array([[0x0123456789ABCDEF, 0xFEDCBA9876543210]], dtype=np.uint64)
+        assert _halves(outputs) == [[0x89ABCDEF, 0x01234567, 0x76543210, 0xFEDCBA98]]
 
-    def test_empty_shape_is_one_stream(self):
-        # a book with no parent components is drawn from one stream, at row 0
-        parents = IndexSpace([])
-        assert parents.size == 1 and parents.flatten({}) == 0
-        _same_stream(_StreamFamily(9, ("B",), (), parents.size).rng(0), _child_rng(9, "B", 0))
+    def test_no_jump_constants_at_import(self):
+        # set-up time is measured from the imports, so the constants wait for a first draw
+        code = ("import coordline.cli, coordline.codebooks as c; "
+                "assert c._jump_constants.cache_info().currsize == 0")
+        env = dict(os.environ, PYTHONPATH=str(Path(codebooks.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
-    def test_held_states_do_not_grow_with_rows(self):
-        family = _StreamFamily(3, ("trial",), ("cr",), 10 * STREAM_BLOCK_ROWS)
-        for row in range(0, 10 * STREAM_BLOCK_ROWS, 97):
-            family.rng(row)
-            assert family._states.shape == (STREAM_BLOCK_ROWS, 4)
-            assert family._states.dtype == np.uint64
+
+class TestStratifiedQuantiles:
+    """Each row's (permutation(count) + random(count)) / count, as the Generator of its
+    stream draws it."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 22, 33, 210, 1000])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=SEEDS, key=KEYS)
+    def test_matches_generator(self, count, seed, key):
+        rows = 24 if count < 100 else 3
+        got = _stratified_quantiles(_row_states(seed, key, rows), count)
+        for row in range(rows):
+            assert np.array_equal(got[row], _generator_quantiles(seed, key, row, count))
+
+    @pytest.mark.parametrize("count, row", [(3, 13), (5, 10)])
+    def test_row_outrunning_the_first_outputs(self, count, row, monkeypatch):
+        # these rows redraw so often that their shuffle reads past the 2 * count - 1
+        # outputs drawn for every row, so they take 4 * count - 2
+        states = _row_states(5, ("ext",), row + 2)
+        first = _pcg64_outputs(states, 2 * count - 1)
+        assert _shuffle(count, _halves(first[row, :count - 1])) is None
+        assert all(_shuffle(count, _halves(first[r, :count - 1])) is not None
+                   for r in range(row + 2) if r != row)
+        calls = []
+        original = codebooks._pcg64_outputs
+
+        def spy(states, stop):
+            calls.append((len(states), stop))
+            return original(states, stop)
+
+        monkeypatch.setattr(codebooks, "_pcg64_outputs", spy)
+        got = _stratified_quantiles(states, count)
+        assert calls == [(row + 2, 2 * count - 1), (1, 4 * count - 2)]
+        for r in range(row + 2):
+            assert np.array_equal(got[r], _generator_quantiles(5, ("ext",), r, count))
+
+    def test_shuffle_reports_outputs_read(self):
+        # count 2 takes one draw, the low half of output 0; random then starts at output 1
+        perm, used = _shuffle(2, [0, 1])
+        assert perm == [1, 0] and used == 1
+        assert _shuffle(3, [3, 3]) is None  # 3 & 3 > 2 twice: the draws run out
 
 
 def _dsbs(n: int, seed: int = 1):
@@ -191,37 +224,38 @@ class TestChainStreams:
         # C2's parents are every (m+, m-) pair: 32 * 32 = 1024, so its draw crosses a block
         cb = self._wide_books(1.0)
         assert cb.sizes[m_plus((1, 2))] * cb.sizes[m_minus((1, 2))] > STREAM_BLOCK_ROWS
-        assert cb.c[2].parents.size > STREAM_BLOCK_ROWS
+        assert cb.c[2].parents.size > STREAM_BLOCK_ROWS and cb.c[2].slots.size > 1
         words = cb.c[2].words
         assert not np.array_equal(words[:STREAM_BLOCK_ROWS], words[STREAM_BLOCK_ROWS:])
-
-        class PerPrefix:
-            def __init__(self, seed, head, tail, rows):
-                self.key = (seed, head, tail)
-
-            def rng(self, row):
-                seed, head, tail = self.key
-                return _child_rng(seed, *head, row, *tail)
-
-        monkeypatch.setattr(codebooks, "_StreamFamily", PerPrefix)
-        ref = build_codebooks(cb.spec, cb.rates, cb.n, cb.seed)
-        for level in ("a", "b", "c"):
-            for key, book in getattr(cb, level).items():
-                assert np.array_equal(book.words, getattr(ref, level)[key].words)
+        monkeypatch.setattr(codebooks, "_draw_book", ref_draw_book)
+        assert same_books(cb, build_codebooks(cb.spec, cb.rates, cb.n, cb.seed))
 
     def test_seed_sequences_do_not_scale_with_sizes(self, monkeypatch):
-        real = np.random.SeedSequence
+        # no SeedSequence or Generator at any size: one _seed_states pass per block of a book
         built = []
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
+        def forbidden(name):
+            def build(*args, **kwargs):
+                built.append(name)
+                raise AssertionError(f"build_codebooks built a {name}")
+            return build
 
-        monkeypatch.setattr(np.random, "SeedSequence", counting)
-        counts = []
+        for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, forbidden(name))
+        passes = []
+        original = codebooks._seed_states
+
+        def spy(entropy):
+            passes.append(len(entropy))
+            return original(entropy)
+
+        monkeypatch.setattr(codebooks, "_seed_states", spy)
         for rate in (0.4, 1.0):
-            built.clear()
+            passes.clear()
             cb = self._wide_books(rate)
-            counts.append((cb.c[2].parents.size, len(built)))
-        assert [parents for parents, _ in counts] == [16, 1024]
-        assert counts[0][1] == counts[1][1] > 0
+            books = [book for level in (cb.a, cb.b, cb.c) for book in level.values()]
+            assert sorted(passes) == sorted(
+                min(STREAM_BLOCK_ROWS, book.parents.size - start) for book in books
+                for start in range(0, book.parents.size, STREAM_BLOCK_ROWS))
+        assert cb.c[2].parents.size == 1024 and max(passes) == STREAM_BLOCK_ROWS
+        assert built == []
