@@ -5,7 +5,7 @@ coordination schemes, plus analytic rate-region membership checks.
 """
 
 from .codebooks import Codebook, build_codebooks
-from .codec import allied_generate, run_scheme
+from .codec import run_scheme
 from .errors import PreconditionError, ResourceCapError, UsageError
 from .evalharness import (
     coordination_tv,

@@ -64,6 +64,14 @@ def _section(d, where: str) -> dict:
     return d
 
 
+def _required(d, key: str, where: str):
+    """d[key], after checking that the config gives section where as a JSON object
+    holding key."""
+    if key not in _section(d, where):
+        raise ConfigError(f"{where}: missing required field {key!r}")
+    return d[key]
+
+
 def _list(value, where: str) -> list:
     """value, after checking that the config gives it as a JSON list."""
     if not isinstance(value, list):
@@ -125,23 +133,25 @@ class Experiment:
         if not net_cfg:
             raise ConfigError("config requires a network section")
         _reject_unknown(net_cfg, {"h", "target"}, "network")
-        self.network = make_network(_integer(net_cfg["h"], "network.h"),
-                                    np.asarray(net_cfg["target"], dtype=float))
+        self.network = make_network(_integer(_required(net_cfg, "h", "network"), "network.h"),
+                                    np.asarray(_required(net_cfg, "target", "network"), dtype=float))
 
         self.spec: AuxSpec | None = None
         if "aux" in cfg:
             defs = {}
             for label, d in _section(cfg["aux"], "aux").items():
-                _reject_unknown(d, {"kind", "source", "given", "weights", "size"}, f"aux.{label}")
+                where = f"aux.{label}"
+                _reject_unknown(d, {"kind", "source", "given", "weights", "size"}, where)
                 kind = d.get("kind")
                 if kind == "constant":
                     defs[label] = CONSTANT
                 elif kind == "copy":
-                    defs[label] = copy_of(d["source"])
+                    defs[label] = copy_of(_required(d, "source", where))
                 elif kind == "channel":
-                    defs[label] = channel_of(d["given"], d["weights"], d["size"])
+                    defs[label] = channel_of(*(_required(d, key, where)
+                                               for key in ("given", "weights", "size")))
                 else:
-                    raise ConfigError(f"aux.{label}: unknown kind {kind!r}")
+                    raise ConfigError(f"{where}: unknown kind {kind!r}")
             joint = build_aux_joint(self.network, defs)
             self.spec = AuxSpec.from_joint(self.network, joint)
 
@@ -213,8 +223,8 @@ def _finite_margin(value, where: str) -> float:
 @_parses_config
 def _point_from(d: dict) -> RatePoint:
     _reject_unknown(d, {"Rc", "R", "rho"}, "point")
-    return RatePoint(float(d["Rc"]), tuple(float(v) for v in d["R"]),
-                     tuple(float(v) for v in d["rho"]))
+    rc, r, rho = (_required(d, key, "point") for key in ("Rc", "R", "rho"))
+    return RatePoint(float(rc), tuple(float(v) for v in r), tuple(float(v) for v in rho))
 
 
 @_parses_config
@@ -223,9 +233,12 @@ def _points(region: dict) -> list[RatePoint]:
 
 
 @_parses_config
-def _z_pmf(d: dict) -> JointPmf:
-    _reject_unknown(d, {"labels", "weights"}, "z")
-    return pmf_from_table(list(d["labels"]), np.asarray(d["weights"], dtype=float))
+def _z_pmf(region: dict) -> JointPmf:
+    """The region section's z joint."""
+    d = _required(region, "z", "region")
+    _reject_unknown(d, {"labels", "weights"}, "region.z")
+    return pmf_from_table(list(_required(d, "labels", "region.z")),
+                          np.asarray(_required(d, "weights", "region.z"), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +275,8 @@ def _cmd_region(exp: Experiment) -> tuple[dict, bool]:
         "deterministic": lambda pt: deterministic_region_check(pt, exp.network),
         "large-cr": lambda pt: large_cr_region_check(pt, exp.network),
         "zero-local": lambda pt: zero_local_region_check(pt, exp.network),
-        "functional": lambda pt: functional_region_check(pt, exp.network, _z_pmf(region["z"]), margin),
-        "markov": lambda pt: markov_region_check(pt, exp.network, _z_pmf(region["z"]), margin),
+        "functional": lambda pt: functional_region_check(pt, exp.network, _z_pmf(region), margin),
+        "markov": lambda pt: markov_region_check(pt, exp.network, _z_pmf(region), margin),
     }
     check = checks.get(theorem) if isinstance(theorem, str) else None
     if check is None:
@@ -276,9 +289,9 @@ def _cmd_region(exp: Experiment) -> tuple[dict, bool]:
 def _cmd_transfer(exp: Experiment) -> tuple[dict, bool]:
     t = exp.transfer
     _reject_unknown(t, {"lemma", "mode_family", "node", "delta", "point"}, "transfer")
-    pt = _point_from(t["point"])
+    pt = _point_from(_required(t, "point", "transfer"))
     lemma, node, delta = _transfer_numbers(t)
-    moved = rate_transfer(pt, lemma, t["mode_family"], node, delta)
+    moved = rate_transfer(pt, lemma, _required(t, "mode_family", "transfer"), node, delta)
     return {"transfer": {"input": pt.to_dict(), "output": moved.to_dict()}}, True
 
 
@@ -315,15 +328,18 @@ def _cmd_exact(exp: Experiment) -> tuple[dict, bool]:
 
 @_parses_config
 def _transfer_numbers(t: dict) -> tuple[int, int, float]:
-    return int(t["lemma"]), int(t["node"]), float(t["delta"])
+    lemma, node, delta = (_required(t, key, "transfer") for key in ("lemma", "node", "delta"))
+    return int(lemma), int(node), float(delta)
 
 
 @_parses_config
 def _fme_lists(f: dict) -> tuple[list, list[tuple[dict, float]], list]:
     """(variables, rows, eliminate) of the fme section."""
-    rows = [({k: float(v) for k, v in _section(r["coeffs"], "fme row coeffs").items()}, float(r["rhs"]))
-            for r in f["rows"]]
-    return _list(f["variables"], "fme.variables"), rows, _list(f.get("eliminate", []), "fme.eliminate")
+    rows = [({k: float(v) for k, v in _section(_required(r, "coeffs", "fme row"), "fme row coeffs").items()},
+             float(_required(r, "rhs", "fme row")))
+            for r in _required(f, "rows", "fme")]
+    return (_list(_required(f, "variables", "fme"), "fme.variables"), rows,
+            _list(f.get("eliminate", []), "fme.eliminate"))
 
 
 def _cmd_fme(exp: Experiment) -> tuple[dict, bool]:

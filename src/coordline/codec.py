@@ -6,10 +6,8 @@ schedule does, draws node i+1's local index l and reads node i+1's action as
 its C-codeword. Every selection goes through the same exact posterior
 (Scheme.node1_posterior, Scheme.k_posterior) and stacked staircase table
 (Scheme.selection). Exact evaluation (evalharness.exact_induced) branches
-each row on every outcome with mass; Monte Carlo (run_scheme,
-allied_generate) runs trials as rows and draws one outcome per row. So a
-scheme run that replays the allied run's X1 and node-1 indices reproduces
-its downstream actions trace for trace.
+each row on every outcome with mass; Monte Carlo (run_scheme) runs trials as
+rows and draws one outcome per row.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
 selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
@@ -216,12 +214,10 @@ class Scheme:
 
     # -- letter-level likelihoods ------------------------------------------
 
-    def _psi1_letters(self, assignment) -> list[np.ndarray]:
-        return [self.cb.a_codeword(q, assignment) for q in sorted(psi(self.h, 1))]
-
     def x1_likelihood(self, x1: np.ndarray, assignment) -> float | np.ndarray:
         """Likelihood of x1 at the assignment's psi(1) codewords, per grid point for arrays."""
-        return _block_likelihood(self.x1_kernel.weights, self._psi1_letters(assignment), x1)
+        letters = [self.cb.a_codeword(q, assignment) for q in sorted(psi(self.h, 1))]
+        return _block_likelihood(self.x1_kernel.weights, letters, x1)
 
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
         """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-; blocks x1
@@ -276,16 +272,10 @@ def _require_c_equals_action(spec: AuxSpec) -> None:
         if spec.aux_alphabets[c_label(i)].size != spec.network.alphabets[i - 1].size:
             raise UsageError(f"scheme requires C{i} alphabet to match X{i}")
         kern = spec.x_kernels[i]
-        w = kern.weights
-        deg = kern.degenerate
-        size = w.shape[-1]
-        eye = np.eye(size)
-        for idx in np.ndindex(*w.shape[:-1]):
-            if deg[idx]:
-                continue
-            c_sym = idx[-1]
-            if not np.allclose(w[idx], eye[c_sym], atol=1e-9):
-                raise UsageError(f"scheme requires X{i} = C{i}; found a non-copy kernel slice")
+        # each slice given C{i} = c must be the point mass at c, unless it is degenerate
+        if not (np.isclose(kern.weights, np.eye(kern.weights.shape[-1]), atol=1e-9).all(-1)
+                | kern.degenerate).all():
+            raise UsageError(f"scheme requires X{i} = C{i}; found a non-copy kernel slice")
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +301,17 @@ def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.nda
 # Scheme execution
 
 
-def walk(scheme: Scheme, paths: dict, select, uniform, node1: bool = True) -> dict:
+def walk(scheme: Scheme, paths: dict, select, uniform) -> dict:
     """The scheme on a stack of rows. paths maps "X1" to node 1's action blocks (R, n)
-    and each index component in scheme.cr_spaces (and node 1's m+, when not node1) to
-    an integer array (R,); keys that are not tuples are not indices. Node 1 selects m1
-    when node1; then per hop i, node i selects K_i+ when the schedule does, l_{i+1} is
-    drawn, and node i+1's action "X{i+1}" is its C-codeword. select(paths, key, ell,
-    space, (posteriors, degenerate flags)), with key ("m1",) or ("k", i), and
-    uniform(paths, component, size) each take one step and return the paths after it."""
+    and each index component in scheme.cr_spaces to an integer array (R,); keys that
+    are not tuples are not indices. Node 1 selects m1; then per hop i, node i selects
+    K_i+ when the schedule does, l_{i+1} is drawn, and node i+1's action "X{i+1}" is
+    its C-codeword. select(paths, key, ell, space, (posteriors, degenerate flags)),
+    with key ("m1",) or ("k", i), and uniform(paths, component, size) each take one
+    step and return the paths after it."""
     cb = scheme.cb
-    if node1:
-        paths = select(paths, ("m1",), scheme.ell1, scheme.m1_space,
-                       scheme.node1_posterior(paths["X1"], _indices(paths)))
+    paths = select(paths, ("m1",), scheme.ell1, scheme.m1_space,
+                   scheme.node1_posterior(paths["X1"], _indices(paths)))
     for node in range(1, scheme.h):
         x_block = paths[x_label(node)]
         if node in scheme.k_spaces:
@@ -360,18 +349,17 @@ class _Sampler:
         return paths | _uniform(self.draw, self.rows, [(comp, size)])
 
 
-def _audit(scheme: Scheme, node1: bool) -> tuple[dict, dict, list]:
+def _audit(scheme: Scheme) -> tuple[dict, dict, list]:
     """Each trial's bits per hop and per node, and the hop and node budgets they exceed.
     Bit sizes depend only on index ranges and ell, so every trial of a run has this
-    audit. Node 1's selector seed is charged when node 1 selects."""
+    audit."""
     n = scheme.n
     hop_bits = {hop: sum(_bits(size) for *_, size in entries)
                 for hop, entries in scheme.hop_entries.items()}
     node_bits, ops = {}, {}
-    for key, (node, bits) in scheme.charges.items():
-        if node1 or key != ("m1",):
-            node_bits[node] = node_bits.get(node, 0) + bits
-            ops[node] = ops.get(node, 0) + 1
+    for node, bits in scheme.charges.values():
+        node_bits[node] = node_bits.get(node, 0) + bits
+        ops[node] = ops.get(node, 0) + 1
     node_bits = dict(sorted(node_bits.items()))
     over = []
     for hop, bits in hop_bits.items() if scheme.schedule.audits_hops else ():
@@ -444,21 +432,22 @@ class SchemeRun:
                 "traces": [t.to_dict() for t in self.traces]}
 
 
-def _mc_run(scheme: Scheme, trials: int, seed: int, label: str, source, node1: bool,
-            audit: bool) -> SchemeRun:
-    """Trials as the rows of the walk, STREAM_BLOCK_ROWS at a time. In block b, draw(*key)
-    is the generator of the stream (seed, "mc", b, *key), one draw call per key;
-    source(draw, rows) returns the walk's starting paths for the trials numbered rows."""
-    cb = scheme.cb
+def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int) -> SchemeRun:
+    """End-to-end coordination runs: sample X1 from the target marginal, draw the
+    shared and node-drawn indices, select node 1's m+ and relay down the line. Trials
+    are the rows of the walk, STREAM_BLOCK_ROWS at a time; in block b, draw(*key) is
+    the generator of the stream (seed, "mc", b, *key), one draw call per key."""
+    scheme = Scheme(cb, mode)
     checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
         r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
-    blocks = -(-trials // STREAM_BLOCK_ROWS)
     parts, selected = [], []
-    for block in range(blocks):
+    for block in range(-(-trials // STREAM_BLOCK_ROWS)):
         draw = functools.partial(_child_rng, seed, "mc", block)
-        rows = np.arange(block * STREAM_BLOCK_ROWS, min((block + 1) * STREAM_BLOCK_ROWS, trials))
-        sampler = _Sampler(scheme, draw, len(rows))
-        parts.append(walk(scheme, source(draw, rows), sampler.select, sampler.uniform, node1))
+        rows = min(STREAM_BLOCK_ROWS, trials - block * STREAM_BLOCK_ROWS)
+        paths = _uniform(draw, rows, scheme.cr_spaces)
+        paths["X1"] = _iid_blocks(draw("x1").random((rows, scheme.n)), scheme.x1_cum)
+        sampler = _Sampler(scheme, draw, rows)
+        parts.append(walk(scheme, paths, sampler.select, sampler.uniform))
         selected.append(sampler.selected)
     paths = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]} if parts else {}
     selected = {key: tuple(np.concatenate(arrays) for arrays in zip(*(s[key] for s in selected)))
@@ -466,9 +455,10 @@ def _mc_run(scheme: Scheme, trials: int, seed: int, label: str, source, node1: b
     actions = (np.stack([paths[x_label(i)] for i in range(1, scheme.h + 1)], axis=1) if parts
                else np.zeros((0, scheme.h, scheme.n), dtype=np.int64))
     degenerate = np.any([flags for *_, flags in selected.values()], axis=0)
-    _, node_bits, over = _audit(scheme, node1)
-    return SchemeRun(mode=label, n=scheme.n, budgets=scheme.budgets.to_dict(), checks_passed=checks,
-                     budget_violations=[{"trial": t} | v for t in range(trials) for v in over] if audit else [],
+    _, node_bits, over = _audit(scheme)
+    return SchemeRun(mode=scheme.mode.value, n=scheme.n, budgets=scheme.budgets.to_dict(),
+                     checks_passed=checks,
+                     budget_violations=[{"trial": t} | v for t in range(trials) for v in over],
                      degenerate_trials=int(np.sum(degenerate)), seed=seed, node_bits=node_bits,
                      actions=actions, indices=_indices(paths), selected=selected, scheme=scheme)
 
@@ -476,49 +466,3 @@ def _mc_run(scheme: Scheme, trials: int, seed: int, label: str, source, node1: b
 def _uniform(draw, count: int, spaces) -> dict:
     """count uniform draws of each (component, size), on the component's stream."""
     return {comp: draw(*comp).integers(0, size, size=count) for comp, size in spaces}
-
-
-def _per_trial(value, trials: int, shape: tuple) -> np.ndarray:
-    """value as one integer array of shape shape per trial: given per trial, or once for all."""
-    return np.broadcast_to(np.asarray(value, dtype=np.int64), (trials,) + shape)
-
-
-def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int,
-               x1_override=None, node1_replay: dict | None = None) -> SchemeRun:
-    """End-to-end coordination runs: sample X1 from the target marginal, draw the
-    shared and node-drawn indices, select node 1's m+ and relay down the line.
-    x1_override (a block (n,), or one per trial (trials, n)) replaces the sampled X1;
-    node1_replay (m+_{1,j} -> a value, or one per trial) replaces node 1's selection."""
-    scheme = Scheme(cb, mode)
-    if x1_override is not None:
-        x1_override = _per_trial(x1_override, trials, (scheme.n,))
-        size = scheme.x1_cum.shape[-1]
-        if x1_override.size and not (0 <= x1_override.min() and x1_override.max() < size):
-            raise UsageError(f"x1_override symbols must lie in [0, {size})")
-
-    def source(draw, rows):
-        paths = _uniform(draw, len(rows), scheme.cr_spaces)
-        if x1_override is None:
-            paths["X1"] = _iid_blocks(draw("x1").random((len(rows), scheme.n)), scheme.x1_cum)
-        else:
-            paths["X1"] = x1_override[rows]
-        for comp, value in (node1_replay or {}).items():
-            paths[comp] = _per_trial(value, trials, ())[rows]
-        return paths
-
-    return _mc_run(scheme, trials, seed, scheme.mode.value, source, node1_replay is None, audit=True)
-
-
-def allied_generate(cb: Codebook, trials: int, seed: int) -> SchemeRun:
-    """Allied action synthesis: all indices uniform, X1 generated from the
-    selected A-codewords, downstream actions via the same selector chain."""
-    # allied generation has no mode restriction; use the unrestricted layout
-    scheme = Scheme(cb, Mode.UNRESTRICTED)
-
-    def source(draw, rows):
-        paths = _uniform(draw, len(rows), scheme.cr_spaces + list(scheme.m1_space.components))
-        cum = _cum_rows(scheme.x1_kernel.weights[tuple(scheme._psi1_letters(paths))])
-        paths["X1"] = _iid_blocks(draw("x1").random((len(rows), 1, scheme.n)), cum)[:, 0]
-        return paths
-
-    return _mc_run(scheme, trials, seed, "allied", source, node1=False, audit=False)

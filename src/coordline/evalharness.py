@@ -164,24 +164,6 @@ def _branch(scheme: Scheme, paths: dict, ell: int, space: IndexSpace,
     return out, int(np.count_nonzero(degenerate))
 
 
-def _allied_joint(cb: Codebook, block_sizes: tuple[int, ...]) -> np.ndarray:
-    """Uniform-index output law: average over all m+- of the block conditional
-    Q(X_1..X_h | A)^(x n) at the realized A codewords."""
-    spec = cb.spec
-    h = cb.h
-    a_axes = [a_label(p) for p in order_pairs(h)]
-    marg = marginalize(spec.joint, a_axes + list(spec.network.x_labels))
-    kernel = condition(marg, a_axes)
-    spaces = _pair_components(order_pairs(h), cb.sizes)
-    total = math.prod(size for _, size in spaces)
-    out = np.zeros(block_sizes)
-    for grid in _grid_chunks(spaces, math.prod(block_sizes)):
-        letters = [cb.a_codeword(p, grid) for p in order_pairs(h)]
-        for block in _block_product(kernel.weights[tuple(letters)]) / total:
-            out += block
-    return out
-
-
 def coordination_tv(exact: ExactInduced, network: NetworkSpec) -> float:
     """Exact L1 between the induced coordination law and target^(x n)."""
     target = target_block_tensor(network, exact.n)

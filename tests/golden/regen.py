@@ -27,8 +27,8 @@ import numpy as np
 
 from coordline.cli import Experiment, run_command
 from coordline.codebooks import build_codebooks
-from coordline.codec import Scheme, allied_generate, run_scheme
-from coordline.evalharness import _allied_joint, cr_independence, exact_induced, piecing_check
+from coordline.codec import Scheme, run_scheme
+from coordline.evalharness import cr_independence, exact_induced, piecing_check
 from coordline.linestruct import make_network
 from coordline.presets import preset_config
 from coordline.probability import pmf_from_table
@@ -43,7 +43,6 @@ CODEBOOK_SEED = 1
 PRESETS = ("dsbs", "dsbs-control", "indep-uniform", "copy3", "markov3")
 SCHEME_CASES = (("dsbs", "functional"), ("copy3", "functional"),
                 ("markov3", "unrestricted"), ("markov3", "action-dependent"))
-ALLIED_PRESETS = ("dsbs", "markov3")
 CLI_COMMANDS = ("validate", "rates", "exact", "simulate")
 # small sweeps keep every CLI case well under a second
 CLI_OVERRIDES = {"n": [1, 2], "trials": 100, "codebook_seeds": 2}
@@ -67,18 +66,12 @@ def scheme_layout(preset: str, mode: str) -> dict:
             "rho_allowance": list(scheme.rho_allowance)}
 
 
-def allied_run(preset: str) -> dict:
-    exp, cb = _codebook(preset)
-    return allied_generate(cb, TRIALS, exp.seed).to_dict()
-
-
 def exact_law(preset: str, mode: str) -> dict:
     _, cb = _codebook(preset)
     ex = exact_induced(cb, Mode(mode))
     return {"mode": ex.mode, "block_sizes": list(ex.block_sizes),
             "degenerate_paths": ex.degenerate_paths,
             "conditional": ex.conditional.ravel().tolist(),
-            "allied_joint": _allied_joint(cb, ex.block_sizes).ravel().tolist(),
             "x1_marginal": ex.x1_marginal.tolist(),
             "cr_independence": cr_independence(cb), "piecing": piecing_check(cb)}
 
@@ -166,8 +159,6 @@ def cases() -> dict:
         out[f"scheme-{preset}-{mode}"] = lambda p=preset, m=mode: scheme_run(p, m)
         out[f"layout-{preset}-{mode}"] = lambda p=preset, m=mode: scheme_layout(p, m)
         out[f"exact-{preset}-{mode}"] = lambda p=preset, m=mode: exact_law(p, m)
-    for preset in ALLIED_PRESETS:
-        out[f"allied-{preset}"] = lambda p=preset: allied_run(p)
     for command in CLI_COMMANDS:
         for preset in PRESETS:
             out[f"cli-{command}-{preset}"] = lambda c=command, p=preset: cli_report(c, p)

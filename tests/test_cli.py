@@ -394,6 +394,31 @@ class TestMalformedSections:
         assert err.startswith("error: ") and "must be a JSON list" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command, section, value, missing", [
+        ("transfer", "transfer", {"lemma": 1, "mode_family": "functional-AD", "node": 2, "delta": 0.1},
+         "transfer: missing required field 'point'"),
+        ("fme", "fme", {"variables": ["x", "y"], "eliminate": ["y"]}, "fme: missing required field 'rows'"),
+        ("fme", "fme", {"variables": ["x", "y"], "rows": [{"coeffs": {"x": 1}}], "eliminate": ["y"]},
+         "fme row: missing required field 'rhs'"),
+        ("region", "region", {"theorem": "functional", "points": [{"Rc": 1.0, "R": [1.0], "rho": [0.0, 0.0]}]},
+         "region: missing required field 'z'"),
+        ("region", "region", {"theorem": "large-cr", "points": [{"Rc": 1.0, "R": [1.0]}]},
+         "point: missing required field 'rho'"),
+        ("validate", "aux", {"A1_2": {"kind": "copy"}, "B1_2": {"kind": "constant"},
+                             "C2": {"kind": "copy", "source": "X2"}},
+         "aux.A1_2: missing required field 'source'"),
+        ("validate", "network", {"target": preset_config("dsbs")["network"]["target"]},
+         "network: missing required field 'h'"),
+    ], ids=["transfer-point", "fme-rows", "fme-row-rhs", "region-z", "point-rho", "aux-copy-source",
+            "network-h"])
+    def test_missing_field_names_its_section(self, tmp_path, capsys, command, section, value, missing):
+        cfg = preset_config("dsbs")
+        cfg[section] = value
+        code = run_command([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {missing}\n"
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestNonFiniteNumbers:
     """A NaN or infinite number from the config or a flag is a usage error (exit 2):
@@ -525,6 +550,28 @@ class TestCliFuzz:
             if code != 2:
                 assert strict_json(report.read_text())["command"] == command
 
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(command=st.sampled_from(["validate", "rates", "exact"]),
+           preset=st.sampled_from(["dsbs", "copy3", "markov3"]), data=st.data())
+    def test_config_fields(self, command, preset, data):
+        """validate, rates and exact (n=1, one codebook seed) on a preset with one of its
+        network, aux or rates sections fuzzed: most fields valid, some of a wrong type,
+        shape or label, out of range, non-finite or missing."""
+        cfg = preset_config(preset)
+        cfg.update(n=[1], codebook_seeds=1)
+        section = data.draw(st.sampled_from(["network", "aux", "rates"]))
+        cfg[section] = data.draw(_mostly({"network": _network_section, "aux": _aux_section,
+                                          "rates": _rates_section}[section](cfg[section])))
+        with tempfile.TemporaryDirectory() as out:
+            argv = [command, "--config", write_config(Path(out), cfg), "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(argv)
+            assert code in (0, 2, 3, 4)
+            report = Path(out) / "report.json"
+            assert report.exists() == (code != 2)
+            if code != 2:
+                assert strict_json(report.read_text())["command"] == command
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(command=st.sampled_from(["region", "transfer", "fme"]),
            preset=st.sampled_from(["dsbs", "copy3"]), data=st.data())
@@ -616,3 +663,40 @@ def _fme_section(target):
                       "rows": _mostly(st.lists(_mostly(row), max_size=5)),
                       "eliminate": _mostly(st.lists(names, max_size=2, unique=True),
                                            st.lists(names, max_size=3))})
+
+
+def _network_section(network):
+    """The preset's network, with h or the target replaced: another length, a
+    reshaped, unnormalized, negative or non-finite table."""
+    target = np.asarray(network["target"])
+    tables = st.lists(_RATE, min_size=target.size, max_size=target.size).map(
+        lambda v: np.reshape(v, target.shape).tolist())
+    return _drop_one({"h": st.just(network["h"]) | st.integers(-1, 4) | _JUNK,
+                      "target": st.just(target.tolist()) | tables | st.just(target.ravel().tolist())
+                      | st.lists(st.lists(_RATE, max_size=3), max_size=3) | _JUNK})
+
+
+def _aux_definition(labels):
+    """One aux definition of any kind over the labels or an unknown one, with 2x2
+    channel weights, some out of range."""
+    label = st.sampled_from(labels + ["Q"])
+    row = st.lists(_mostly(st.floats(0, 1), _RATE), min_size=2, max_size=2)
+    weights = st.lists(row, min_size=2, max_size=2)
+    return _drop_one({"kind": _mostly(st.sampled_from(["constant", "copy", "channel"])),
+                      "source": _mostly(label), "given": _mostly(st.lists(label, min_size=1, max_size=2)),
+                      "weights": _mostly(weights), "size": _mostly(st.integers(1, 3), st.integers(-1, 4))})
+
+
+def _aux_section(aux):
+    """The preset's aux definitions, each kept or redrawn over the actions and the other
+    auxiliaries; in one draw of ten one definition is dropped."""
+    labels = [f"X{i}" for i in range(1, 4)] + sorted(aux)
+    return _drop_one({label: st.just(d) | _aux_definition(labels) for label, d in aux.items()})
+
+
+def _rates_section(rates):
+    """The preset's rates tables, each kept or redrawn with valid, out-of-line or
+    malformed keys and any rate."""
+    keys = st.sampled_from(["1", "2", "3", "1,2", "1,3", "2,3", "3,1", "1,4", "x", ""])
+    table = st.dictionaries(keys, _mostly(st.floats(0, 2), _RATE | _JUNK), max_size=3)
+    return _drop_one({name: st.just(values) | table for name, values in rates.items()})

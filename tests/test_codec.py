@@ -9,16 +9,14 @@ from coordline import codec
 from coordline.codebooks import (
     build_codebooks,
     k_plus,
-    m_plus,
 )
 from coordline.codec import (
     Scheme,
     _bits,
-    allied_generate,
     run_scheme,
 )
 from coordline.errors import ResourceCapError, UsageError
-from coordline.linestruct import aux_from_tags, copy_of, make_network
+from coordline.linestruct import aux_from_tags, channel_of, copy_of, make_network
 from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
 from test_exact_batched import ref_selection_table
@@ -123,36 +121,6 @@ class TestSelectFromPosterior:
         assert table.induced_array(3)[table.map_seed(1)] > 0
 
 
-class TestAlliedGenerate:
-    def test_constant_aux_marginals_approach_target(self):
-        net = indep_uniform_network(2)
-        spec = aux_from_tags(net)
-        cb = build_codebooks(spec, h2_rates(0.0, 0.0, lam2=1.0), n=2, seed=7)
-        run = allied_generate(cb, trials=400, seed=1)
-        counts = np.zeros(2)
-        for tr in run.traces:
-            for sym in tr.actions["X2"]:
-                counts[sym] += 1
-        freq = counts / counts.sum()
-        assert np.abs(freq - 0.5).max() < 0.08
-
-    def test_singleton_b_book_gives_k_zero(self):
-        spec = dsbs_spec()
-        cb = build_codebooks(spec, h2_rates(0.5, 0.82), n=2, seed=3)
-        run = allied_generate(cb, trials=5, seed=2)
-        for tr in run.traces:
-            assert tr.indices[k_plus(1)] == 0
-
-    def test_x2_equals_c_codeword(self):
-        spec = dsbs_spec()
-        cb = build_codebooks(spec, h2_rates(0.5, 0.82, lam2=0.5), n=3, seed=4)
-        run = allied_generate(cb, trials=10, seed=9)
-        for tr in run.traces:
-            assignment = dict(tr.indices)
-            word = cb.c_codeword(2, assignment)
-            assert list(map(int, word)) == tr.actions["X2"]
-
-
 class TestRunScheme:
     def test_zero_trials(self):
         spec = dsbs_spec()
@@ -229,11 +197,33 @@ class TestRunScheme:
             hits += list(map(int, word)) == tr.x1
         assert hits / 40 > 0.6
 
-    @pytest.mark.parametrize("x1", [[-1, 0, 1], [0, 2, 1]])
-    def test_x1_override_out_of_range_is_usage_error(self, x1):
-        cb = build_codebooks(dsbs_spec(), h2_rates(0.6, 0.9, 0.4), n=3, seed=5)
-        with pytest.raises(UsageError, match=r"x1_override symbols must lie in \[0, 2\)"):
-            run_scheme(cb, Mode.FUNCTIONAL, trials=2, seed=1, x1_override=x1)
+    def test_constant_aux_marginals_approach_target(self):
+        net = indep_uniform_network(2)
+        spec = aux_from_tags(net)
+        cb = build_codebooks(spec, h2_rates(0.0, 0.0, lam2=1.0), n=2, seed=7)
+        run = run_scheme(cb, Mode.UNRESTRICTED, trials=400, seed=1)
+        counts = np.zeros(2)
+        for tr in run.traces:
+            for sym in tr.actions["X2"]:
+                counts[sym] += 1
+        freq = counts / counts.sum()
+        assert np.abs(freq - 0.5).max() < 0.08
+
+    def test_singleton_b_book_gives_k_zero(self):
+        spec = dsbs_spec()
+        cb = build_codebooks(spec, h2_rates(0.5, 0.82), n=2, seed=3)
+        run = run_scheme(cb, Mode.UNRESTRICTED, trials=5, seed=2)
+        for tr in run.traces:
+            assert tr.indices[k_plus(1)] == 0
+
+    def test_x2_equals_c_codeword(self):
+        spec = dsbs_spec()
+        cb = build_codebooks(spec, h2_rates(0.5, 0.82, lam2=0.5), n=3, seed=4)
+        run = run_scheme(cb, Mode.UNRESTRICTED, trials=10, seed=9)
+        for tr in run.traces:
+            assignment = dict(tr.indices)
+            word = cb.c_codeword(2, assignment)
+            assert list(map(int, word)) == tr.actions["X2"]
 
     def test_requires_c_equals_action(self):
         net = dsbs_network()
@@ -244,47 +234,13 @@ class TestRunScheme:
         with pytest.raises(UsageError, match="C2"):
             run_scheme(cb, Mode.FUNCTIONAL, trials=1, seed=0)
 
-
-class TestInversionConsistency:
-    """A scheme run given the allied run's X1 blocks and node-1 indices, one per
-    trial, replays its downstream indices and actions trace for trace."""
-
-    def _replayed(self, cb, trials, seed):
-        allied = allied_generate(cb, trials=trials, seed=seed)
-        replay = {m_plus((1, j)): allied.indices[m_plus((1, j))] for j in range(2, cb.h + 1)}
-        rerun = run_scheme(cb, Mode.UNRESTRICTED, trials=trials, seed=seed,
-                           x1_override=allied.actions[:, 0], node1_replay=replay)
-        return allied, rerun
-
-    def test_allied_and_replayed_scheme_agree(self):
-        spec = dsbs_spec()
-        cb = build_codebooks(spec, h2_rates(0.7, 0.9, 0.6), n=3, seed=21)
-        allied, rerun = self._replayed(cb, 300, 2)
-        assert np.array_equal(rerun.actions, allied.actions)
-        for tr, tr2 in zip(allied.traces, rerun.traces):
-            assert tr2.actions == tr.actions
-            assert tr2.indices == tr.indices
-            assert tr2.selectors.keys() == tr.selectors.keys()
-
-    def test_allied_and_replayed_scheme_agree_h3(self):
-        spec, rates = markov3_spec_and_rates()
-        cb = build_codebooks(spec, rates, n=2, seed=30)
-        allied, rerun = self._replayed(cb, 300, 7)
-        assert len(set(allied.indices[k_plus(2)].tolist())) > 1
-        for tr, tr2 in zip(allied.traces, rerun.traces):
-            assert tr2.actions == tr.actions
-            assert tr2.indices == tr.indices
-            assert [s.to_dict() for s in tr2.selectors.values()] == [
-                s.to_dict() for s in tr.selectors.values()]
-
-    def test_one_replay_value_broadcasts_to_every_trial(self):
-        spec = dsbs_spec()
-        cb = build_codebooks(spec, h2_rates(0.7, 0.9, 0.6), n=3, seed=21)
-        run = run_scheme(cb, Mode.UNRESTRICTED, trials=20, seed=4, x1_override=[1, 0, 1],
-                         node1_replay={m_plus((1, 2)): 1})
-        assert run.actions[:, 0].tolist() == [[1, 0, 1]] * 20
-        assert run.indices[m_plus((1, 2))].tolist() == [1] * 20
-        assert ("m1",) not in run.traces[0].selectors
+    def test_requires_copy_kernel_slices(self):
+        # C2 a noisy channel of X2: same alphabet, but X2 given C2 is not a copy
+        spec = aux_from_tags(dsbs_network(), a_tags={(1, 2): copy_of("X2")},
+                             c_tags={2: channel_of(["X2"], [[0.9, 0.1], [0.1, 0.9]], 2)})
+        cb = build_codebooks(spec, h2_rates(), n=2, seed=1)
+        with pytest.raises(UsageError, match="X2 = C2; found a non-copy kernel slice"):
+            run_scheme(cb, Mode.FUNCTIONAL, trials=1, seed=0)
 
 
 @functools.cache

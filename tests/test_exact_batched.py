@@ -1,8 +1,8 @@
 """The batched exact paths against per-assignment reference loops.
 
 Codebook draws, node-1 and K+ posteriors, the staircase selections of the
-exact walk, the walk itself, the allied joint, the CR independence score, the
-piecing check and the Monte Carlo histograms evaluate whole index grids at once.
+exact walk, the walk itself, the CR independence score, the piecing check and
+the Monte Carlo histograms evaluate whole index grids at once.
 Each must equal, bit for bit, the loop that visits one index assignment at a
 time; the loops below are that reference. Equality is asserted with
 np.array_equal or ==, never a tolerance, except for the piecing check: it sums
@@ -36,7 +36,7 @@ from coordline.codebooks import (
 )
 from coordline.codec import Scheme, _normalized
 from coordline.errors import UsageError
-from coordline.evalharness import _allied_joint, cr_independence, exact_induced, piecing_check
+from coordline.evalharness import cr_independence, exact_induced, piecing_check
 from coordline.linestruct import a_label, b_label, c_label, order_pairs, psi, x_label
 from coordline.presets import preset_config
 from coordline.probability import condition, marginalize, pmf_weights
@@ -142,23 +142,6 @@ def ref_block_vector(rows):
     for t in range(1, rows.shape[0]):
         v = np.outer(v, rows[t]).ravel()
     return v
-
-
-def ref_allied_joint(cb, block_sizes):
-    spec, h, n = cb.spec, cb.h, cb.n
-    a_axes = [a_label(p) for p in order_pairs(h)]
-    kernel = condition(marginalize(spec.joint, a_axes + list(spec.network.x_labels)), a_axes)
-    spaces = _pair_spaces(cb)
-    total = math.prod(size for _, size in spaces)
-    out = np.zeros(block_sizes)
-    for assignment in _assignments(spaces):
-        rows = kernel.weights[tuple(cb.a_codeword(p, assignment) for p in order_pairs(h))]
-        block = rows[0]
-        for t in range(1, n):
-            block = np.multiply.outer(block, rows[t])
-        perm = [t * h + a for a in range(h) for t in range(n)]
-        out += np.transpose(block, perm).reshape(block_sizes) / total
-    return out
 
 
 def ref_cr_independence(cb):
@@ -432,8 +415,6 @@ class TestBitIdentity:
 
     def test_evaluators(self, case):
         _, _, cb = _setup(*case)
-        sizes = _block_sizes(cb)
-        assert np.array_equal(_allied_joint(cb, sizes), ref_allied_joint(cb, sizes))
         assert cr_independence(cb) == ref_cr_independence(cb)
         assert abs(piecing_check(cb) - ref_piecing_check(cb)) <= PIECING_ATOL
 
@@ -466,15 +447,13 @@ class TestChunkBoundaries:
         monkeypatch.setattr(evalharness, "_grid_chunks", spy)
         return log
 
-    @pytest.mark.parametrize("evaluator", ["allied", "cr", "piecing"])
+    @pytest.mark.parametrize("evaluator", ["cr", "piecing"])
     # 1, 80 and 18 pair assignments: copy3 ends on a partial chunk of 2
     @pytest.mark.parametrize("case", [("markov3", None, 2), ("copy3", None, 2), ("dsbs", None, 3)],
                              ids=_ids)
     def test_chunk_sizes(self, case, evaluator, chunk_log, monkeypatch):
         _, _, cb = _setup(*case)
-        sizes = _block_sizes(cb)
-        run, ref = {"allied": (lambda: _allied_joint(cb, sizes), lambda: ref_allied_joint(cb, sizes)),
-                    "cr": (lambda: cr_independence(cb), lambda: ref_cr_independence(cb)),
+        run, ref = {"cr": (lambda: cr_independence(cb), lambda: ref_cr_independence(cb)),
                     "piecing": (lambda: piecing_check(cb), lambda: ref_piecing_check(cb))}[evaluator]
         want = ref()
 

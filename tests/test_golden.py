@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from coordline import codec
-from coordline.codec import _bits, allied_generate, run_scheme
+from coordline.codec import _bits, run_scheme
 from coordline.rates import Mode
 
 _spec = importlib.util.spec_from_file_location(
@@ -79,8 +79,7 @@ def _trace_violations(scheme, trace):
 
 class TestSchemeAudit:
     """The audit, computed once per run, equals a recount of every trace of each golden
-    scheme case and allied run; a node-1 seed range past its budget is flagged in every
-    trial."""
+    scheme case; a node-1 seed range past its budget is flagged in every trial."""
 
     @pytest.mark.parametrize("oversized_seed", [False, True])
     @pytest.mark.parametrize("preset,mode", regen.SCHEME_CASES)
@@ -89,7 +88,7 @@ class TestSchemeAudit:
             monkeypatch.setattr(codec, "node1_selector_rate", lambda spec, rates: 5.0)
         exp, cb = regen._codebook(preset)
         run = run_scheme(cb, Mode(mode), regen.TRIALS, exp.seed)
-        hop_bits, node_bits, _ = codec._audit(run.scheme, node1=True)
+        hop_bits, node_bits, _ = codec._audit(run.scheme)
         assert len(run.traces) == regen.TRIALS
         for trace in run.traces:
             hops, nodes, _ = _recount(run.scheme, trace)
@@ -98,13 +97,3 @@ class TestSchemeAudit:
         want = [v for trace in run.traces for v in _trace_violations(run.scheme, trace)]
         assert run.budget_violations == want
         assert bool(want) == oversized_seed
-
-    @pytest.mark.parametrize("preset", regen.ALLIED_PRESETS)
-    def test_allied_node_bits_equal_trace_recount(self, preset):
-        """An allied run draws node 1's m+ uniformly: no node-1 seed is charged."""
-        exp, cb = regen._codebook(preset)
-        run = allied_generate(cb, regen.TRIALS, exp.seed)
-        for trace in run.traces:
-            assert ("m1",) not in trace.selectors
-            assert _recount(run.scheme, trace)[1] == trace.node_bits
-        assert run.budget_violations == []

@@ -26,7 +26,7 @@ from coordline.codebooks import (
     m_minus,
     m_plus,
 )
-from coordline.codec import allied_generate, run_scheme
+from coordline.codec import run_scheme
 from coordline.linestruct import aux_from_tags, make_network
 from coordline.presets import preset_config
 from coordline.rates import CodebookRates
@@ -185,10 +185,10 @@ class TestTrialLoop:
         exp, cb = _dsbs(1)
         self._assert_prefix(lambda trials: run_scheme(cb, exp.mode, trials, exp.seed))
 
-    def test_allied_and_copy3_books(self):
+    def test_copy3_books(self):
         exp = Experiment(preset_config("copy3"))
         cb = build_codebooks(exp.spec, exp.rates, 2, 5)
-        self._assert_prefix(lambda trials: allied_generate(cb, trials, exp.seed))
+        self._assert_prefix(lambda trials: run_scheme(cb, exp.mode, trials, exp.seed))
 
     def test_seed_sequences_do_not_scale_with_trials(self, monkeypatch):
         exp, cb = _dsbs(2)
