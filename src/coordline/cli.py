@@ -113,12 +113,15 @@ def _parses_config(fn):
     return wrapper
 
 
-def _pair_key(s: str) -> tuple[int, int]:
+def _table_key(s: str, where: str, pair: bool) -> int | tuple[int, int]:
+    """A rates table key: 'i,j' in a pair table, 'i' in a node table."""
     try:
-        i, j = s.split(",")
-        return int(i), int(j)
-    except Exception as exc:
-        raise ConfigError(f"bad pair key {s!r}; expected 'i,j'") from exc
+        key = tuple(int(part) for part in str(s).split(","))
+    except ValueError:
+        key = ()
+    if len(key) != 1 + pair:
+        raise ConfigError(f"{where}: bad key {s!r}; expected {('i,j' if pair else 'i')!r}")
+    return key if pair else key[0]
 
 
 class Experiment:
@@ -161,16 +164,17 @@ class Experiment:
             _reject_unknown(r, {"mu_plus", "mu_minus", "kappa_plus", "kappa_minus", "lambda"},
                             "rates")
 
-            def table(key, index):
-                return {index(k): v for k, v in _section(r.get(key, {}), f"rates.{key}").items()}
+            def table(key, pair=False):
+                where = f"rates.{key}"
+                return {_table_key(k, where, pair): v for k, v in _section(r.get(key, {}), where).items()}
 
             self.rates = CodebookRates.for_network(
                 self.network.h,
-                mu_plus=table("mu_plus", _pair_key),
-                mu_minus=table("mu_minus", _pair_key),
-                kappa_plus=table("kappa_plus", int),
-                kappa_minus=table("kappa_minus", int),
-                lam=table("lambda", int),
+                mu_plus=table("mu_plus", pair=True),
+                mu_minus=table("mu_minus", pair=True),
+                kappa_plus=table("kappa_plus"),
+                kappa_minus=table("kappa_minus"),
+                lam=table("lambda"),
             )
 
         self.mode = Mode(cfg.get("mode", "functional"))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .codebooks import (Book, Codebook, Component, IndexSpace, _pair_components, build_codebooks, k_minus,
                         k_plus, l_of, m_minus, m_plus)
-from .codec import STREAM_VERSION, Scheme, walk
+from .codec import STREAM_VERSION, Scheme, run_scheme, walk
 from .errors import UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
@@ -183,7 +183,6 @@ class SimReport:
     tv_mean: float | None
     radius: float | None
     proxy: bool
-    exact_tv: float | None
     excluded_seeds: list[int]
     budget_violations: int
     note: str = ""
@@ -191,23 +190,20 @@ class SimReport:
     def to_dict(self):
         return {"n": self.n, "trials": self.trials, "codebook_seeds": self.codebook_seeds,
                 "tv_per_seed": self.tv_per_seed, "tv_mean": self.tv_mean,
-                "radius": self.radius, "proxy": self.proxy, "exact_tv": self.exact_tv,
+                "radius": self.radius, "proxy": self.proxy,
                 "excluded_seeds": self.excluded_seeds,
                 "budget_violations": self.budget_violations, "note": self.note,
                 "stream_version": STREAM_VERSION}
 
 
 def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: int,
-                       codebook_seeds: list[int], seed: int,
-                       with_exact: bool = False) -> SimReport:
+                       codebook_seeds: list[int], seed: int) -> SimReport:
     """Plug-in TV between the empirical block histogram and target^(x n),
     averaged over codebook seeds. Falls back to a per-letter proxy when the
     block histogram would not fit the cap; the report is labeled PROXY then.
-    Codebook builds and the exact check are held to the same cap.
+    Codebook builds are held to the same cap.
     tv_mean and radius are None when no codebook seed contributes a TV.
     """
-    from .codec import run_scheme
-
     if trials < 1:
         raise UsageError("Monte Carlo estimation needs trials >= 1")
     net = spec.network
@@ -219,7 +215,6 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         target = target_block_tensor(net, n)
 
     tvs, excluded, violations = [], [], 0
-    exact_val = None
     for cb_seed in codebook_seeds:
         cb = build_codebooks(spec, rates, n, cb_seed)
         run = run_scheme(cb, mode, trials, seed + cb_seed)
@@ -235,9 +230,6 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         counts = np.bincount(np.ravel_multi_index(tuple(digits.T), radix), minlength=target.size)
         hist = counts.reshape(target.shape) / counts.sum()
         tvs.append(float(np.abs(hist - target).sum()))
-    if with_exact and not proxy and codebook_seeds:
-        cb = build_codebooks(spec, rates, n, codebook_seeds[0])
-        exact_val = coordination_tv(exact_induced(cb, mode), net)
 
     mean = radius = None
     if tvs:
@@ -249,8 +241,7 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
         radius = float(per_cell.sum()) + (float(np.std(tvs)) / math.sqrt(len(tvs)) if len(tvs) > 1 else 0.0)
     return SimReport(n=n, trials=trials, codebook_seeds=list(codebook_seeds),
                      tv_per_seed=tvs, tv_mean=mean, radius=radius, proxy=proxy,
-                     exact_tv=exact_val, excluded_seeds=excluded,
-                     budget_violations=violations,
+                     excluded_seeds=excluded, budget_violations=violations,
                      note="PROXY: per-letter marginal TV" if proxy else "")
 
 

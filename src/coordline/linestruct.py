@@ -126,6 +126,8 @@ class NetworkSpec:
 
 
 def make_network(h: int, target_weights) -> NetworkSpec:
+    if h < 2:
+        raise UsageError("h must be >= 2")
     w = np.asarray(target_weights, dtype=np.float64)
     if w.ndim != h:
         raise UsageError(f"target tensor must have {h} axes")

@@ -6,7 +6,6 @@ import numpy as np
 from .linestruct import NetworkSpec, make_network
 
 MI_DSBS_QUARTER = 0.18872187554086717  # I(X1;X2) for DSBS(0.25)
-H_COND_DSBS_QUARTER = 0.8112781244591328  # H(X2|X1) = h2(0.25)
 
 
 def dsbs_network(p: float = 0.25) -> NetworkSpec:

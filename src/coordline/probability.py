@@ -96,7 +96,7 @@ def pmf_weights(weights, *, normalize: bool = False) -> np.ndarray:
         raise UsageError("probability mass must be finite")
     if abs(total - 1.0) > MASS_TOL:
         if not normalize:
-            raise UsageError(f"total mass {total!r} outside tolerance; pass normalize=True to renormalize")
+            raise UsageError(f"probability mass must sum to 1 within {MASS_TOL}, got total {total!r}")
         if total <= 0.0:
             raise UsageError("cannot normalize zero-mass tensor")
         w = w / total
@@ -291,9 +291,9 @@ class StaircaseTable:
     """Total maps f: [1..ell] -> support from cumulative cut points, one per table of a
     stack; a single table is a table with no leading axes.
 
-    support (..., M) and cuts (..., M + 1) are integer arrays. cuts = (N_0..N_M), N_i =
-    floor(p_i * ell) over the cumulative masses of `support` in order; seeds in
-    (N_{i-1}, N_i] map to support[i-1], leftover seeds (N_M, ell] to the last symbol.
+    support (..., M) and cuts (..., M - 1) are integer arrays: cuts = (N_1..N_{M-1}),
+    N_i = floor(p_i * ell) over the cumulative masses of `support` in order, and with
+    N_0 = 0 and N_M = ell implied, seeds in (N_{i-1}, N_i] map to support[i-1].
     `support_size` is each table's M (an int, or an array over the leading axes); a
     table is vacuous (bound >= 1) where it exceeds ell. `map_seed` and `induced_array`
     broadcast over a stack. The certificate is read on a single table (see `row`),
@@ -313,26 +313,24 @@ class StaircaseTable:
     def row(self, r) -> StaircaseTable:
         """Table r of the stack, cut to its support size: a table with no leading axes."""
         m = int(np.broadcast_to(self.support_size, self.support.shape[:-1])[r])
-        return StaircaseTable(support=self.support[r][:m], cuts=self.cuts[r][:m + 1], ell=self.ell,
+        return StaircaseTable(support=self.support[r][:m], cuts=self.cuts[r][:m - 1], ell=self.ell,
                               support_size=m, weights=self.weights[r])
 
     def map_seed(self, s: int | np.ndarray) -> int | np.ndarray:
-        """The symbol of seed s: support[i], i the count of cuts N_1..N_M below s, at
-        most M - 1. An array of seeds broadcasts against the tables of a stack."""
+        """The symbol of seed s: support[i], i the count of cuts below s. An array of
+        seeds broadcasts against the tables of a stack."""
         seeds = np.asarray(s)
         bad = (seeds < 1) | (seeds > self.ell)
         if bad.any():
             raise UsageError(f"seed {seeds[bad].ravel()[0]} outside [1, {self.ell}]")
-        pos = np.minimum((self.cuts[..., 1:] < seeds[..., None]).sum(axis=-1), self.cuts.shape[-1] - 2)
+        pos = (self.cuts < seeds[..., None]).sum(axis=-1)
         support = np.broadcast_to(self.support, pos.shape + self.support.shape[-1:])
         chosen = np.take_along_axis(support, pos[..., None], axis=-1)[..., 0]
         return int(chosen) if chosen.ndim == 0 else chosen
 
     def _widths(self) -> np.ndarray:
-        """Seeds per support symbol: the gaps of (N_0..N_{M-1}, ell), at least 0."""
-        edges = self.cuts[..., 1:].copy()
-        edges[..., -1] = self.ell
-        return np.maximum(edges - self.cuts[..., :-1], 0)
+        """Seeds per support symbol: the gaps of (0, cuts, ell)."""
+        return np.diff(self.cuts, prepend=0, append=self.ell)
 
     induced = functools.cached_property(
         lambda self: tuple(Fraction(k, self.ell) for k in self._widths().tolist()))
@@ -366,8 +364,8 @@ def _snapped(weights: np.ndarray) -> list[Fraction]:
 
 def _fraction_cuts(exact: Sequence[Fraction], support: Sequence[int], ell: int) -> list[int]:
     """The cuts in exact rationals, for a table with a cut too close to call in float."""
-    cuts, cum = [0], Fraction(0)
-    for b in support:
+    cuts, cum = [], Fraction(0)
+    for b in support[:-1]:
         cum += exact[b]
         cuts.append(math.floor(cum * ell))
     return cuts
@@ -385,11 +383,10 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     the leftover mass. The cuts are those of exact rational arithmetic on the
     snapped weights (see _snapped), so realized_l1 <= bound holds exactly, and
     <= M/ell when the support covers supp(q). They are computed float-first:
-    floor(cumsum * ell / total) in float64, with the last cut ell, decided in
-    integers, when the support holds every positive weight. A table with any
-    other scaled cumulative within ell * size * 2e-12 of an integer takes the
-    exact Fraction loop instead. ell < M is flagged vacuous (bound >= 1), not
-    fatal.
+    floor(cumsum * ell / total) in float64 over the first M - 1 support symbols.
+    A table with a scaled cumulative within ell * size * 2e-12 of an integer
+    takes the exact Fraction loop instead. ell < M is flagged vacuous
+    (bound >= 1), not fatal.
     """
     w = q.weights if isinstance(q, JointPmf) else q
     support = np.asarray(support_order, dtype=np.int64)
@@ -416,20 +413,15 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     # ell * (2 * size + 2) * 2**-53. Outside ell * size * 2e-12 of an integer,
     # the float floor is the exact floor.
     rows, picks = w.reshape(-1, size), support.reshape(-1, m)
-    picked = rows[np.arange(len(rows))[:, None], picks]
+    picked = rows[np.arange(len(rows))[:, None], picks[:, :-1]]
     scaled = np.cumsum(picked, axis=-1) * ell / rows.sum(axis=-1, keepdims=True)
-    near = np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12
-    full = (picked != 0).sum(axis=-1) == (rows != 0).sum(axis=-1)  # S_M = T
-    scaled[full, -1], near[full, -1] = 0.0, False
-    near = near.any(axis=-1)
-    cuts = np.zeros((len(rows), m + 1), dtype=np.int64)
-    cuts[:, 1:] = np.floor(np.where(near[:, None], 0.0, scaled))
-    cuts[full, -1] = ell  # in integers: float64 holds ell exactly only up to 2^53
+    near = (np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12).any(axis=-1)
+    cuts = np.floor(np.where(near[:, None], 0.0, scaled)).astype(np.int64)
     exact = {}  # equal rows of the stack share one Fraction loop
     for r in np.flatnonzero(near).tolist():
         key = (rows[r].tobytes(), picks[r].tobytes())
         if key not in exact:
             exact[key] = _fraction_cuts(_snapped(rows[r]), picks[r].tolist(), ell)
         cuts[r] = exact[key]
-    cuts = cuts.reshape(support.shape[:-1] + (m + 1,))
+    cuts = cuts.reshape(support.shape[:-1] + (m - 1,))
     return StaircaseTable(support=support, cuts=cuts, ell=ell, support_size=m, weights=w)

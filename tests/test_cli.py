@@ -419,6 +419,30 @@ class TestMalformedSections:
         assert capsys.readouterr().err == f"error: {missing}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command, section, value, message", [
+        ("validate", "network", {"h": -1}, "h must be >= 2"),
+        ("validate", "network", {"h": 0}, "h must be >= 2"),
+        ("validate", "network", {"h": 1}, "h must be >= 2"),
+        ("validate", "network", {"target": [[0.5, 0.2], [0.2, 0.5]]},
+         "probability mass must sum to 1 within 1e-09, got total 1.4"),
+        ("rates", "rates", {"kappa_plus": {"1,2": 0.5}}, "rates.kappa_plus: bad key '1,2'; expected 'i'"),
+        ("rates", "rates", {"kappa_minus": {"1,2": 0.5}}, "rates.kappa_minus: bad key '1,2'; expected 'i'"),
+        ("rates", "rates", {"lambda": {"1,2": 0.5}}, "rates.lambda: bad key '1,2'; expected 'i'"),
+        ("rates", "rates", {"mu_plus": {"x": 0.5}}, "rates.mu_plus: bad key 'x'; expected 'i,j'"),
+        ("rates", "rates", {"mu_minus": {"x": 0.5}}, "rates.mu_minus: bad key 'x'; expected 'i,j'"),
+    ], ids=["h-negative", "h-zero", "h-one", "target-unnormalized", "rates-kappa-plus-key",
+            "rates-kappa-minus-key", "rates-lambda-key", "rates-mu-plus-key", "rates-mu-minus-key"])
+    def test_bad_value_names_its_fault(self, tmp_path, capsys, command, section, value, message):
+        """h is checked before the target's axis count, a target's mass error names its
+        total (not a Python keyword the config cannot pass), and a bad rates key names
+        its table. The value is merged into the preset's section."""
+        cfg = preset_config("dsbs")
+        cfg[section] |= value
+        code = run_command([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestNonFiniteNumbers:
     """A NaN or infinite number from the config or a flag is a usage error (exit 2):

@@ -242,14 +242,6 @@ class TestExactMcMatchedRuns:
         rep = mc_coordination_tv(spec, rates, Mode.UNRESTRICTED, 1, 40_000, [5], seed=9)
         assert abs(rep.tv_per_seed[0] - exact_tv) <= 3 * rep.radius
 
-    def test_with_exact_field(self):
-        spec = dsbs_spec()
-        rates = h2_rates(0.44, 0.82)
-        rep = mc_coordination_tv(spec, rates, Mode.FUNCTIONAL, 1, 2000, [3], seed=2,
-                                 with_exact=True)
-        assert rep.exact_tv is not None
-        assert abs(rep.exact_tv - rep.tv_per_seed[0]) <= 5 * rep.radius
-
 
 class TestDeterministicConstructionZeroTv:
     def test_copy_target_exact_communication(self):

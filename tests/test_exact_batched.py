@@ -224,19 +224,17 @@ def ref_block_decode(idx, size, n):
 
 
 def ref_staircase_cuts(weights, support, ell):
-    """One table's cuts: floor(cumsum * ell / total) in float64, the last cut ell when
-    the support holds every positive weight, and the rational cuts of the snapped
-    weights when any other scaled cumulative is within ell * size * 2e-12 of an integer."""
-    scaled = np.cumsum(weights[support]) * ell / weights.sum()
+    """One table's interior cuts N_1..N_{M-1}: floor(cumsum * ell / total) in float64,
+    or the rational cuts of the snapped weights when any scaled cumulative is within
+    ell * size * 2e-12 of an integer."""
+    scaled = np.cumsum(weights[support[:-1]]) * ell / weights.sum()
     near = np.abs(scaled - np.rint(scaled)) <= ell * len(weights) * 2e-12
-    if np.count_nonzero(weights[support]) == np.count_nonzero(weights):
-        scaled[-1], near[-1] = ell, False
     if not near.any():
-        return [0] + np.floor(scaled).astype(np.int64).tolist()
+        return np.floor(scaled).astype(np.int64).tolist()
     snapped = [Fraction(float(w)).limit_denominator(10 ** 12) for w in weights]
     total = sum(snapped)
-    cuts, cum = [0], Fraction(0)
-    for b in support:
+    cuts, cum = [], Fraction(0)
+    for b in support[:-1]:
         cum += snapped[b] / total
         cuts.append(math.floor(cum * ell))
     return cuts
@@ -257,8 +255,7 @@ def ref_selection_table(posterior, ell):
         if cert < best_cert - 1e-15:
             best_cert, best_m = cert, m
     support = order[:best_m].tolist()
-    cuts = ref_staircase_cuts(pmf_weights(posterior, normalize=True), support, ell)
-    edges = cuts[:-1] + [ell]
+    edges = [0] + ref_staircase_cuts(pmf_weights(posterior, normalize=True), support, ell) + [ell]
     induced = np.zeros(count)
     for b, lo, hi in zip(support, edges, edges[1:]):
         induced[b] = max(hi - lo, 0) / ell

@@ -210,14 +210,14 @@ class TestStaircase:
     def test_exact_divisor(self):
         q = pmf_from_table(["X"], [0.5, 0.3, 0.2])
         t = staircase_map(q, [0, 1, 2], 10)
-        assert t.cuts.tolist() == [0, 5, 8, 10]
+        assert t.cuts.tolist() == [5, 8]
         assert t.realized_l1 == 0
         assert [float(f) for f in t.induced] == [0.5, 0.3, 0.2]
 
     def test_thirds(self):
         q = pmf_from_table(["X"], [1 / 3, 1 / 3, 1 / 3])
         t = staircase_map(q, [0, 1, 2], 10)
-        assert t.cuts.tolist() == [0, 3, 6, 10]
+        assert t.cuts.tolist() == [3, 6]
         assert [float(f) for f in t.induced] == [0.3, 0.3, 0.4]
         assert float(t.realized_l1) == pytest.approx(2 / 15)
         assert t.realized_l1 <= Fraction(3, 10)
@@ -231,23 +231,25 @@ class TestStaircase:
     def test_leftover_seeds_go_to_last_symbol(self):
         q = pmf_from_table(["X"], [0.26, 0.74])
         t = staircase_map(q, [0, 1], 4)
-        # cuts: floor(0.26*4)=1, floor(1*4)=4
+        # one cut, floor(0.26*4)=1; the last symbol takes every seed above it
         assert t.map_seed(1) == 0
         assert all(t.map_seed(s) == 1 for s in (2, 3, 4))
 
-    def test_ell_outside_int64_is_usage_error(self):
-        q = pmf_from_table(["X"], [0.5, 0.5])
-        assert staircase_map(q, [0, 1], 2 ** 63 - 1).cuts[-1] == 2 ** 63 - 1
+    def test_ell_range_above_float_precision(self):
+        """ell up to 2^63 - 1, beyond what float64 holds exactly: the implied last cut
+        ell gives the last symbol every seed up to ell, and the widths sum to ell."""
+        half = pmf_from_table(["X"], [0.5, 0.5])
+        for ell in (2 ** 53 + 1, 2 ** 60 + 1, 2 ** 63 - 1):
+            point = staircase_map(np.array([1.0]), [0], ell)
+            assert point.cuts.tolist() == [] and point.induced == (Fraction(1),)
+            assert point.map_seed(ell) == 0
+            t = staircase_map(half, [0, 1], ell)
+            assert t.cuts.tolist() == [ell // 2]
+            assert t.map_seed(ell) == 1 and t.map_seed(ell // 2) == 0
+            assert sum(t._widths().tolist()) == ell
         for ell in (0, 2 ** 63):
             with pytest.raises(UsageError, match="ell must lie in"):
-                staircase_map(q, [0, 1], ell)
-
-    @pytest.mark.parametrize("ell", [2 ** 53 + 1, 2 ** 60 + 1, 2 ** 63 - 1])
-    def test_full_support_last_cut_is_ell_above_float_precision(self, ell):
-        """A full support's last cut is ell exactly, which float64 cannot hold above 2^53."""
-        table = staircase_map(np.array([1.0]), [0], ell)
-        assert table.cuts.tolist() == [0, ell]
-        assert table.induced == (Fraction(1),)
+                staircase_map(half, [0, 1], ell)
 
     def test_vacuous_flag(self):
         q = pmf_from_table(["X"], [0.25] * 4)
@@ -288,12 +290,13 @@ def fraction_staircase(q, support, ell):
     exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in q.weights]
     total = sum(exact)
     exact = [w / total for w in exact]
-    cuts, cum = [0], Fraction(0)
+    cuts, cum = [], Fraction(0)
     for b in support:
         cum += exact[b]
         cuts.append(math.floor(cum * ell))
+    cuts.pop()  # N_M: the last symbol takes every seed above N_{M-1}
     m = len(support)
-    edges = cuts[:-1] + [ell]
+    edges = [0] + cuts + [ell]
     induced = tuple(Fraction(max(hi - lo, 0), ell) for lo, hi in zip(edges, edges[1:]))
     by_symbol = dict(zip(support, induced))
     epsilon = 1 - cum
@@ -368,15 +371,15 @@ class TestStaircaseAgainstFractions:
 
 
 @st.composite
-def staircase_stacks(draw):
+def staircase_stacks(draw, max_ell=5000):
     """(weight rows, support rows, ell) sharing size, support length and ell: rows of
     random, dyadic, near-zero and point-mass weights, so under a power-of-two ell only
     some rows have a cut on an integer and take the Fraction loop; ell may fall below
     the support length, and a stack may be empty."""
     size = draw(st.integers(1, 12))
     m = draw(st.integers(1, size))
-    ell = draw(st.one_of(st.integers(1, m), st.integers(1, 5000),
-                         st.integers(0, 12).map(lambda k: 2 ** k)))
+    ell = draw(st.one_of(st.integers(1, m), st.integers(1, max_ell),
+                         st.integers(0, max_ell.bit_length() - 1).map(lambda k: 2 ** k)))
     rows, supports = [], []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["random", "dyadic", "tiny", "point"]))
@@ -409,12 +412,24 @@ class TestStackedStaircase:
         weights, supports, ell = case
         stack = staircase_map(weights, supports, ell)
         size = weights.shape[-1]
-        assert stack.cuts.shape == supports.shape[:-1] + (supports.shape[-1] + 1,)
+        assert stack.cuts.shape == supports.shape[:-1] + (supports.shape[-1] - 1,)
         assert stack.induced_array(size).shape == weights.shape
         for r, (row, support) in enumerate(zip(weights, supports)):
             one = staircase_map(row, support.tolist(), ell)
             assert_same_table(stack.row(r), one)
             assert np.array_equal(stack.induced_array(size)[r], one.induced_array(size))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=staircase_stacks(max_ell=64))
+    def test_seed_histogram_equals_induced(self, case):
+        """map_seed and the induced law read the cuts by one rule: over seeds 1..ell,
+        each row's count of seeds per symbol is ell times its induced law."""
+        weights, supports, ell = case
+        stack = staircase_map(weights, supports, ell)
+        size = weights.shape[-1]
+        symbols = stack.map_seed(np.repeat(np.arange(1, ell + 1)[:, None], len(weights), axis=1))
+        for r, induced in enumerate(stack.induced_array(size)):
+            assert np.array_equal(np.bincount(symbols[:, r], minlength=size) / ell, induced)
 
     def test_only_rows_near_an_integer_take_fractions(self, monkeypatch):
         import coordline.probability as probability
@@ -423,11 +438,11 @@ class TestStackedStaircase:
         original = probability._fraction_cuts
         monkeypatch.setattr(probability, "_fraction_cuts",
                             lambda exact, support, ell: seen.append(support) or original(exact, support, ell))
-        # ell 8: the dyadic row's cuts 4 and 6 are integers, the other row's 2.4 and 4.8 are not
+        # ell 8: the dyadic row's cut 4 is an integer, the other rows' 2.4 is not
         weights = np.array([[0.3, 0.3, 0.4], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]])
         stack = staircase_map(weights, np.array([[0, 1], [0, 1], [1, 0]]), 8)
         assert seen == [[0, 1]]
-        assert stack.cuts.tolist() == [[0, 2, 4], [0, 4, 6], [0, 2, 4]]
+        assert stack.cuts.tolist() == [[2], [4], [2]]
 
     def test_mismatched_stack_is_a_usage_error(self):
         with pytest.raises(UsageError, match="single-axis"):
