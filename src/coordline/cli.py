@@ -228,7 +228,8 @@ def _finite_margin(value, where: str) -> float:
 def _point_from(d: dict) -> RatePoint:
     _reject_unknown(d, {"Rc", "R", "rho"}, "point")
     rc, r, rho = (_required(d, key, "point") for key in ("Rc", "R", "rho"))
-    return RatePoint(float(rc), tuple(float(v) for v in r), tuple(float(v) for v in rho))
+    return RatePoint(float(rc), tuple(float(v) for v in _list(r, "point.R")),
+                     tuple(float(v) for v in _list(rho, "point.rho")))
 
 
 @_parses_config

@@ -235,16 +235,11 @@ class Scheme:
 
     def selection(self, posteriors: np.ndarray, ell: int) -> StaircaseTable:
         """The staircase tables of a stack (R, M) of normalized posteriors as one stacked
-        table. Row r's support is all M candidates by descending mass, and its M - 1 cuts
-        are the cuts N_1..N_{m-1} of its support size m (see _support_sizes), padded with
-        ell: the induced laws and seed maps of the size-m tables. Rows of one support
-        size share one staircase_map call."""
+        table, from one staircase_map call: row r's support is all M candidates by descending
+        mass, and its cuts N_1..N_{m-1} for its support size m (see _support_sizes), padded
+        with ell, give the induced law and seed map of the size-m table."""
         order, best_m = _support_sizes(posteriors, ell)
-        cuts = np.full((len(posteriors), posteriors.shape[-1] - 1), ell, dtype=np.int64)
-        for m in np.flatnonzero(np.bincount(best_m)).tolist():
-            rows = np.flatnonzero(best_m == m)
-            cuts[rows, :m - 1] = staircase_map(posteriors[rows], order[rows, :m], ell).cuts
-        return StaircaseTable(support=order, cuts=cuts, ell=ell, support_size=best_m, weights=posteriors)
+        return staircase_map(posteriors, order, ell, best_m)
 
 
 def _per_candidate(assignment) -> dict:

@@ -7,6 +7,7 @@ divergences are in bits, with the 0*log(0) = 0 convention.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,7 +123,9 @@ class ConditionalKernel:
         g_shape = tuple(a.size for _, a in given_axes)
         o_shape = tuple(a.size for _, a in output_axes)
         if w.shape != g_shape + o_shape:
-            raise UsageError("kernel weight shape mismatch")
+            axes = [lbl for lbl, _ in given_axes + output_axes]
+            raise UsageError(f"{', '.join(axes[len(given_axes):])}: kernel weights have shape {w.shape}, "
+                             f"expected {g_shape + o_shape} over ({', '.join(axes)})")
         sums = w.reshape(g_shape + (-1,)).sum(axis=-1) if o_shape else w
         if not np.allclose(sums, 1.0, atol=1e-7):
             raise UsageError("conditional slices must each sum to 1")
@@ -341,7 +344,12 @@ class StaircaseTable:
         np.put_along_axis(out, self.support, self._widths() / self.ell, axis=-1)
         return out
 
-    _exact = functools.cached_property(lambda self: _snapped(self.weights))
+    @functools.cached_property
+    def _exact(self) -> list[Fraction]:
+        exact = _snapped(self.weights)
+        total = sum(exact)
+        return [w / total for w in exact]
+
     epsilon = functools.cached_property(lambda self: 1 - sum(self._exact[b] for b in self.support.tolist()))
     bound = functools.cached_property(lambda self: 2 * self.epsilon + Fraction(self.support_size, self.ell))
 
@@ -351,42 +359,37 @@ class StaircaseTable:
         return sum(abs(w - by_symbol.get(b, 0)) for b, w in enumerate(self._exact))
 
 
-def _snapped(weights: np.ndarray) -> list[Fraction]:
-    """Float weights snapped to nearby small rationals, so decimal inputs (0.3,
-    1/3 written as 0.333...) cut where intended, then normalized; every exact
-    staircase quantity derives from these, so realized_l1 <= bound is exact."""
-    exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in weights]
-    total = sum(exact)
-    if total <= 0:
-        raise UsageError("zero-mass pmf")
-    return [w / total for w in exact]
+def _snapped(values) -> list[Fraction]:
+    """Float weights snapped to nearby small rationals, so decimal inputs (0.3, 1/3 written
+    as 0.333...) cut where intended; the cuts and the certificate both derive from these."""
+    return [Fraction(float(v)).limit_denominator(10 ** 12) for v in values]
 
 
-def _fraction_cuts(exact: Sequence[Fraction], support: Sequence[int], ell: int) -> list[int]:
-    """The cuts in exact rationals, for a table with a cut too close to call in float."""
-    cuts, cum = [], Fraction(0)
-    for b in support[:-1]:
-        cum += exact[b]
-        cuts.append(math.floor(cum * ell))
-    return cuts
+def _fraction_cuts(snapped: Sequence[Fraction], support: Sequence[int], ell: int) -> list[int]:
+    """The exact cuts of a table with a cut too close to call in float: ell * S_k // T, S_k and
+    T the support prefix sums and total of the snapped weights on the lcm of their denominators."""
+    denominator = math.lcm(*(w.denominator for w in snapped))
+    ints = [w.numerator * (denominator // w.denominator) for w in snapped]
+    total = sum(ints)
+    return [ell * s // total for s in itertools.accumulate(ints[b] for b in support[:-1])]
 
 
 def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.ndarray,
-                  ell: int) -> StaircaseTable:
+                  ell: int, support_size: np.ndarray | None = None) -> StaircaseTable:
     """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
 
     q is the pmf, or its weights as a 1-D pmf_weights array: one table, with no leading axes.
     Weight rows (..., size), each summing to 1 within MASS_TOL, and support orders (..., M)
-    give a stack of tables in one pass.
+    give a stack of tables in one pass; support_size (ints over the leading axes, None for
+    M) keeps each table's first m symbols, its cuts N_1..N_{m-1} padded with ell.
 
-    The support_order must list distinct symbols; its q-mass defines epsilon as
-    the leftover mass. The cuts are those of exact rational arithmetic on the
-    snapped weights (see _snapped), so realized_l1 <= bound holds exactly, and
-    <= M/ell when the support covers supp(q). They are computed float-first:
-    floor(cumsum * ell / total) in float64 over the first M - 1 support symbols.
-    A table with a scaled cumulative within ell * size * 2e-12 of an integer
-    takes the exact Fraction loop instead. ell < M is flagged vacuous
-    (bound >= 1), not fatal.
+    The support_order must list distinct symbols; its q-mass defines epsilon as the
+    leftover mass. The cuts are those of exact rational arithmetic on the snapped weights
+    (see _snapped), so realized_l1 <= bound holds exactly, and <= M/ell when the support
+    covers supp(q). They are float-first, floor(cumsum * ell / total); a table with an
+    interior scaled cumulative within ell * size * 2e-12 of an integer takes the integer
+    loop of _fraction_cuts instead, each distinct weight of those tables snapped once.
+    ell < M is flagged vacuous (bound >= 1), not fatal.
     """
     w = q.weights if isinstance(q, JointPmf) else q
     support = np.asarray(support_order, dtype=np.int64)
@@ -397,11 +400,13 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     size, m = w.shape[-1], support.shape[-1]
     if m == 0:
         raise UsageError("support_order must be nonempty")
-    ordered = np.sort(support, axis=-1)
-    if np.any(ordered[..., 1:] == ordered[..., :-1]):
+    if np.any(np.diff(np.sort(support, axis=-1), axis=-1) == 0):
         raise UsageError("support_order has repeated symbols")
     if support.size and (support.min() < 0 or support.max() >= size):
         raise UsageError("support symbol out of range")
+    sizes = m if support_size is None else support_size
+    if np.any((sizes < 1) | (sizes > m)):
+        raise UsageError(f"support sizes must lie in [1, {m}]")
     ell = int(ell)
 
     # Tolerance: limit_denominator(10**12) returns the closest rational with
@@ -411,17 +416,17 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     # <= ell * size * 1e-12 of the real-valued float one (the weights sum to 1
     # within MASS_TOL); the float64 sums, product and quotient add under
     # ell * (2 * size + 2) * 2**-53. Outside ell * size * 2e-12 of an integer,
-    # the float floor is the exact floor.
+    # the float floor is the exact floor. Positions from m - 1 on are set to ell.
     rows, picks = w.reshape(-1, size), support.reshape(-1, m)
+    interior = np.arange(m - 1) < np.reshape(sizes, (-1, 1)) - 1
     picked = rows[np.arange(len(rows))[:, None], picks[:, :-1]]
     scaled = np.cumsum(picked, axis=-1) * ell / rows.sum(axis=-1, keepdims=True)
-    near = (np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12).any(axis=-1)
-    cuts = np.floor(np.where(near[:, None], 0.0, scaled)).astype(np.int64)
-    exact = {}  # equal rows of the stack share one Fraction loop
-    for r in np.flatnonzero(near).tolist():
-        key = (rows[r].tobytes(), picks[r].tobytes())
-        if key not in exact:
-            exact[key] = _fraction_cuts(_snapped(rows[r]), picks[r].tolist(), ell)
-        cuts[r] = exact[key]
-    cuts = cuts.reshape(support.shape[:-1] + (m - 1,))
-    return StaircaseTable(support=support, cuts=cuts, ell=ell, support_size=m, weights=w)
+    near = ((np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12) & interior).any(axis=-1)
+    cuts = np.floor(np.where(near[:, None] | ~interior, 0.0, scaled)).astype(np.int64)
+    values = sorted(set(rows[near].ravel().tolist()))  # np.unique would import numpy.ma, 1.5 MB of RSS
+    snaps = dict(zip(values, _snapped(values)))
+    exact = functools.cache(lambda row, pick: _fraction_cuts([snaps[v] for v in row], list(pick), ell))
+    for r in np.flatnonzero(near).tolist():  # equal rows of the stack share one integer loop
+        cuts[r] = exact(tuple(rows[r].tolist()), tuple(picks[r].tolist()))
+    cuts = np.where(interior, cuts, ell).reshape(support.shape[:-1] + (m - 1,))
+    return StaircaseTable(support=support, cuts=cuts, ell=ell, support_size=sizes, weights=w)

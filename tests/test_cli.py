@@ -443,6 +443,34 @@ class TestMalformedSections:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command, point, message", [
+        ("region", {"Rc": 1.0, "R": 5, "rho": [0.0, 0.0]}, "point.R must be a JSON list, got int"),
+        ("region", {"Rc": 1.0, "R": [0.2], "rho": 0}, "point.rho must be a JSON list, got int"),
+        ("transfer", {"Rc": 0.0, "R": 0.3, "rho": [0.1, 0.5]}, "point.R must be a JSON list, got float"),
+        ("transfer", {"Rc": 0.0, "R": [0.3], "rho": 1}, "point.rho must be a JSON list, got int"),
+    ], ids=["region-point-R", "region-point-rho", "transfer-point-R", "transfer-point-rho"])
+    def test_point_field_of_another_type_names_it(self, tmp_path, capsys, command, point, message):
+        """A region or transfer point's R and rho are lists; a number is named, not iterated."""
+        cfg = preset_config("dsbs")
+        cfg["region"] = {"theorem": "large-cr", "points": [point]}
+        cfg["transfer"] = {"lemma": 1, "mode_family": "functional-AD", "node": 2, "delta": 0.5, "point": point}
+        code = run_command([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("weights, shape", [([0.5, 0.5], "(2,)"), ([[0.5, 0.5, 0.0]] * 2, "(2, 3)")],
+                             ids=["flat", "wide"])
+    def test_misshapen_channel_weights_name_the_shapes(self, tmp_path, capsys, weights, shape):
+        """A channel's weights are indexed by its given axes, then its own: the message names
+        the aux label, the shape given and the one expected."""
+        cfg = preset_config("dsbs")
+        cfg["aux"]["C2"] = {"kind": "channel", "given": ["X2"], "weights": weights, "size": 2}
+        code = run_command(["validate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: C2: kernel weights have shape {shape}, expected (2, 2) over (X2, C2)\n"
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestNonFiniteNumbers:
     """A NaN or infinite number from the config or a flag is a usage error (exit 2):

@@ -449,3 +449,95 @@ class TestStackedStaircase:
             staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1]]), 4)
         with pytest.raises(UsageError, match="repeated"):
             staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1], [2, 2]]), 4)
+
+
+@st.composite
+def sized_stacks(draw):
+    """(weight rows, support rows, ell, support sizes): a staircase_stacks case with one
+    size in [1, M] per row; its point-mass and zero-weight rows put trailing zero mass
+    in some supports."""
+    weights, supports, ell = draw(staircase_stacks())
+    m = supports.shape[-1]
+    sizes = draw(st.lists(st.integers(1, m), min_size=len(weights), max_size=len(weights)))
+    return weights, supports, ell, np.array(sizes, dtype=np.int64)
+
+
+# two primes under 10**12: k / p snaps back to k / p for k up to about 7,000, so a row
+# mixing them has snapped denominators whose lcm is past 2**64
+PRIMES = (999_999_999_989, 999_999_999_959)
+
+
+class TestSupportSizes:
+    """staircase_map with per-row support sizes: the tables of each row's first m symbols."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sized_stacks())
+    @example(case=(np.array([[0.7, 0.3, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0]]),
+                   np.array([[0, 1, 2, 3], [2, 0, 1, 3]]), 8, np.array([2, 3])))
+    def test_equals_one_call_per_row(self, case):
+        weights, supports, ell, sizes = case
+        stack = staircase_map(weights, supports, ell, sizes)
+        size, m = weights.shape[-1], supports.shape[-1]
+        assert stack.cuts.shape == supports.shape[:-1] + (m - 1,)
+        for r, (row, support, k) in enumerate(zip(weights, supports, sizes.tolist())):
+            one = staircase_map(row, support[:k].tolist(), ell)
+            assert stack.cuts[r].tolist() == one.cuts.tolist() + [ell] * (m - k)
+            assert_same_table(stack.row(r), one)
+            assert np.array_equal(stack.induced_array(size)[r], one.induced_array(size))
+
+    def test_trailing_zero_mass_takes_no_exact_loop(self, monkeypatch):
+        """Past the support size the full-order cumulative reaches ell exactly; those
+        positions are not tested, so the rows keep their float cuts."""
+        import coordline.probability as probability
+
+        seen = []
+        original = probability._fraction_cuts
+        monkeypatch.setattr(probability, "_fraction_cuts",
+                            lambda exact, support, ell: seen.append(support) or original(exact, support, ell))
+        weights = np.array([[0.7, 0.3, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0]])
+        supports = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+        stack = staircase_map(weights, supports, 8, np.array([2, 2]))
+        assert seen == []
+        assert stack.cuts.tolist() == [[5, 8, 8], [5, 8, 8]]
+        staircase_map(weights, supports, 8)  # all four symbols: cuts at exactly 8
+        assert len(seen) == 2
+
+    def test_sizes_out_of_range_are_a_usage_error(self):
+        for sizes in ([0, 2], [1, 4]):
+            with pytest.raises(UsageError, match="support sizes"):
+                staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1, 2], [2, 1, 0]]), 4, np.array(sizes))
+
+
+class TestIntegerCuts:
+    """The exact cut loop works in integers on one denominator per row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.integers(1, 5000), min_size=1, max_size=5),
+           ell=st.sampled_from([7, 2 ** 53 + 1, 2 ** 63 - 1]), data=st.data())
+    def test_equals_all_fraction_reference(self, ks, ell, data):
+        from test_exact_batched import ref_staircase_cuts
+
+        import coordline.probability as probability
+
+        weights = [k / PRIMES[i % 2] for i, k in enumerate(ks)]
+        weights = np.array(weights + [1.0 - sum(weights)])
+        support = data.draw(st.permutations(range(len(weights))))
+        snapped = probability._snapped(weights)
+        assert {w.denominator for w in snapped[:len(ks)]} == set(PRIMES[:len(ks)])
+        want = ref_staircase_cuts(weights, np.array(support), ell)
+        assert probability._fraction_cuts(snapped, support, ell) == want
+        assert staircase_map(weights, support, ell).cuts.tolist() == want
+
+    def test_each_distinct_weight_is_snapped_once(self, monkeypatch):
+        import coordline.probability as probability
+
+        calls = []
+        original = probability._snapped
+        monkeypatch.setattr(probability, "_snapped",
+                            lambda values: calls.append(list(values)) or original(values))
+        # ell 8: every dyadic row has a cut on an integer; the 0.3 rows do not
+        weights = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.3, 0.3, 0.4],
+                            [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]])
+        stack = staircase_map(weights, np.array([[0, 1, 2], [1, 0, 2], [0, 1, 2], [2, 1, 0], [2, 1, 0]]), 8)
+        assert calls == [[0.25, 0.5]]
+        assert stack.cuts.tolist() == [[4, 6], [4, 6], [2, 4], [4, 6], [2, 4]]
