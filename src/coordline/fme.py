@@ -3,11 +3,14 @@
 Systems are conjunctions of inequalities a.x >= b. Float inputs are
 rationalized with a denominator cap of 10^9 so projection is free of
 cancellation artifacts; elimination runs on primitive integer coefficient
-rows with Fraction right-hand sides. Membership evaluation accepts a float
-tolerance.
+rows whose right-hand sides are integer numerator and denominator pairs, and
+only the projection is returned as Fraction rows. Membership evaluation
+accepts a float tolerance.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,37 +83,26 @@ class LinearSystem:
 
 
 def _primitive(coeffs, rhs):
-    """The row as (P, R, s): P the primitive integer direction (gcd 1), R the
-    rhs of P.x >= R and s the positive scale with coeffs = s * P. An all-zero
-    row keeps its rhs as R and has no scale."""
+    """The row as (P, n, d, s): P the primitive integer direction (gcd 1), P.x >= n / d
+    with d > 0, and s = (g, den) with coeffs = g / den * P; an all-zero row has s None."""
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = math.gcd(*ints)
     if g == 0:
-        return tuple(ints), rhs, None
-    scale = Fraction(g, den)
-    return tuple(x // g for x in ints), rhs / scale, scale
-
-
-def _lead(coeffs) -> int:
-    return abs(next(c for c in coeffs if c))
-
-
-def _scale(row) -> Fraction:
-    """s of a (P, R, s) row: its input scale, or 1/|first coefficient of P|
-    once pruned, the scale of the normalized rational row."""
-    return row[2] if row[2] is not None else Fraction(1, _lead(row[0]))
+        return tuple(ints), rhs.numerator, rhs.denominator, None
+    return tuple(x // g for x in ints), rhs.numerator * den, rhs.denominator * g, (g, den)
 
 
 def fme_project(system: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     """Project the solution set onto the variables not listed in `eliminate`.
 
-    Sound and complete for the given inequalities; rows redundant under
-    pairwise domination are pruned after every elimination step. Rows are
-    combined and deduplicated as primitive integer directions with exact
-    rational right-hand sides. The result holds the rows 0 >= rhs > 0 in the
-    order they were generated, then the others sorted, each normalized to a
-    first nonzero coefficient of +-1.
+    Sound and complete for the given inequalities. Rows are primitive integer
+    directions (divided by their gcd) whose right-hand sides are integer numerator
+    and denominator pairs, combined by cross-multiplying. Each step prunes only
+    repeated directions, keeping the largest right-hand side, and the rows 0 >= rhs
+    with rhs <= 0; no other redundant row is removed. The result holds the rows
+    0 >= rhs > 0 in the order they were generated, then the others sorted, each
+    normalized to a first nonzero coefficient of +-1, as exact rationals.
     """
     eliminate = list(eliminate)
     for i, v in enumerate(eliminate):
@@ -125,57 +117,52 @@ def fme_project(system: LinearSystem, eliminate: Sequence[str]) -> LinearSystem:
     for var in eliminate:
         k = variables.index(var)
         zero, pos, neg = [], [], []
-        for row in rows:
-            c = row[0][k]
-            (zero if c == 0 else pos if c > 0 else neg).append(row)
+        for p, n, d, s in rows:  # as (|P_k|, P without k, n, d, s)
+            (zero if p[k] == 0 else pos if p[k] > 0 else neg).append((abs(p[k]), p[:k] + p[k + 1:], n, d, s))
         needed = len(zero) + len(pos) * len(neg)
         if needed > ROW_CAP:
             raise ResourceCapError(f"eliminating {var!r} would generate {needed} rows, "
                                    f"above the row cap of {ROW_CAP}")
-        new_rows = [(coeffs[:k] + coeffs[k + 1:], rhs, None) for coeffs, rhs, _ in zero]
-        for prow in pos:
-            pc, pr = prow[0], prow[1]
-            for nrow in neg:
-                nc, nr = nrow[0], nrow[1]
-                a, b = pc[k], -nc[k]
-                combo = [b * x + a * y for x, y in zip(pc, nc)]
-                del combo[k]
-                new_rows.append((tuple(combo), b * pr + a * nr, (prow, nrow)))
+        best, infeasible = {}, [(p, n, d, None) for _, p, n, d, s in zero if not s and n > 0]
+        for _, p, n, d, s in zero:  # p is still primitive without its zero at k
+            kept = best.get(p)
+            if s and (kept is None or n * kept[1] > kept[0] * d):
+                best[p] = n, d
+        for a, pc, pn, pd, ps in pos:
+            for b, nc, nn, nd, ns in neg:
+                combo = tuple([b * x + a * y for x, y in zip(pc, nc)])
+                num, den = b * pn * nd + a * nn * pd, pd * nd
+                g = math.gcd(*combo)
+                if g == 0:
+                    if num > 0:  # the rhs the normalized rational parents would have combined
+                        rhs = Fraction(num, den) * Fraction(*ps) * Fraction(*ns)
+                        infeasible.append((combo, rhs.numerator, rhs.denominator, None))
+                    continue
+                if g > 1:
+                    combo, den = tuple([x // g for x in combo]), den * g
+                kept = best.get(combo)
+                if kept is None or num * kept[1] > kept[0] * den:
+                    best[combo] = num, den
         variables.pop(k)
-        rows = _prune(new_rows)
+        rows = infeasible + _sorted_rows(best)
     return LinearSystem(tuple(variables), _rational_rows(rows))
 
 
-def _prune(new_rows):
-    """(P, R, s) rows from (coefficients, rhs, parent rows or None): each
-    direction reduced to its primitive P with the largest R, after the rows
-    0 >= rhs > 0, whose rhs is scaled as the normalized rational parents
-    would have combined it."""
-    best: dict[tuple, Fraction] = {}
-    infeasible = []
-    for coeffs, rhs, parents in new_rows:
-        g = math.gcd(*coeffs)
-        if g == 0:
-            if rhs > 0:
-                if parents:
-                    rhs *= _scale(parents[0]) * _scale(parents[1])
-                infeasible.append((coeffs, rhs, None))
-            continue
-        if g > 1:
-            coeffs, rhs = tuple(x // g for x in coeffs), rhs / g
-        if coeffs not in best or rhs > best[coeffs]:
-            best[coeffs] = rhs
-    # sorted as the normalized rationals P / |lead| are, over a common denominator
-    leads = {p: _lead(p) for p in best}
+def _sorted_rows(best):
+    """(P, n, d, (1, |lead|)) rows from {P: (n, d)}, each rhs reduced by its gcd, sorted
+    as the normalized rationals P / |lead| are, over a common denominator."""
+    leads = {p: abs(next(filter(None, p))) for p in best}
     common = math.lcm(*leads.values())
-    order = sorted(best, key=lambda p: tuple(c * (common // leads[p]) for c in p))
-    return infeasible + [(p, best[p], None) for p in order]
+    out = []
+    for p in sorted(best, key=lambda p: tuple(map((common // leads[p]).__mul__, p))):
+        g = math.gcd(*best[p])
+        out.append((p, best[p][0] // g, best[p][1] // g, (1, leads[p])))
+    return out
 
 
 def _rational_rows(rows):
-    """The (P, R, s) rows as normalized Fraction rows; an all-zero row keeps its rhs."""
-    out = []
-    for coeffs, rhs, _ in rows:
-        lead = _lead(coeffs) if any(coeffs) else 1
-        out.append((tuple(Fraction(c, lead) for c in coeffs), rhs / lead))
-    return tuple(out)
+    """The (P, n, d, s) rows as Fraction rows P / |lead| >= n / (d |lead|), with one
+    Fraction built per distinct (coefficient, lead); an all-zero row keeps its rhs."""
+    fraction = functools.cache(Fraction)
+    return tuple((tuple(map(fraction, p, itertools.repeat(s[1] if s else 1))),
+                  Fraction(n, d * s[1] if s else d)) for p, n, d, s in rows)

@@ -194,20 +194,21 @@ def product_extend(p: JointPmf, n: int) -> JointPmf:
     return JointPmf(axes, big, normalize=True)
 
 
-def marginalize(p: JointPmf, keep: Sequence[str]) -> JointPmf:
-    """Sum out all axes not in `keep`; result axes follow the order of `keep`."""
-    keep = list(keep)
+def _summed(p: JointPmf, keep: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+    """p's weights with every axis not in `keep` summed out and the rest transposed to the
+    order of `keep` (a view), and the kept axes' positions in p."""
     pos = [p.axis_pos(lbl) for lbl in keep]
     if len(set(pos)) != len(pos):
         raise UsageError("repeated labels in keep")
     drop = tuple(i for i in range(len(p.axes)) if i not in pos)
     w = p.weights.sum(axis=drop) if drop else p.weights
-    # w now has the kept axes in original order; permute to `keep` order.
-    kept_in_order = [i for i in range(len(p.axes)) if i not in drop]
-    perm = [kept_in_order.index(i) for i in pos]
-    w = np.transpose(w, perm)
-    axes = [p.axes[i] for i in pos]
-    return JointPmf(axes, w, normalize=True)
+    return np.transpose(w, [sorted(pos).index(i) for i in pos]), pos
+
+
+def marginalize(p: JointPmf, keep: Sequence[str]) -> JointPmf:
+    """Sum out all axes not in `keep`; result axes follow the order of `keep`."""
+    w, pos = _summed(p, keep)
+    return JointPmf([p.axes[i] for i in pos], w, normalize=True)
 
 
 def condition(p: JointPmf, given: Sequence[str]) -> ConditionalKernel:
@@ -238,8 +239,10 @@ def _entropy_of(p: JointPmf, labels: Sequence[str]) -> float:
         return 0.0
     key = tuple(labels)
     memo = p._entropies
-    if key not in memo:
-        w = marginalize(p, key).weights.ravel()
+    if key not in memo:  # marginalize(p, key)'s weights in C order, with no JointPmf built
+        w = _summed(p, key)[0]
+        total = float(w.sum())
+        w = (w / total if abs(total - 1.0) > MASS_TOL else w).ravel()
         w = w[w > 0.0]
         memo[key] = float(-(w * np.log2(w)).sum())
     return memo[key]
@@ -379,9 +382,10 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
 
     q is the pmf, or its weights as a 1-D pmf_weights array: one table, with no leading axes.
-    Weight rows (..., size), each summing to 1 within MASS_TOL, and support orders (..., M)
-    give a stack of tables in one pass; support_size (ints over the leading axes, None for
-    M) keeps each table's first m symbols, its cuts N_1..N_{m-1} padded with ell.
+    Weight rows (..., size), each summing to 1 within MASS_TOL (else a UsageError), and
+    support orders (..., M) give a stack of tables in one pass; support_size (ints over the
+    leading axes, None for M) keeps each table's first m symbols, its cuts N_1..N_{m-1}
+    padded with ell.
 
     The support_order must list distinct symbols; its q-mass defines epsilon as the
     leftover mass. The cuts are those of exact rational arithmetic on the snapped weights
@@ -419,8 +423,12 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     # the float floor is the exact floor. Positions from m - 1 on are set to ell.
     rows, picks = w.reshape(-1, size), support.reshape(-1, m)
     interior = np.arange(m - 1) < np.reshape(sizes, (-1, 1)) - 1
+    totals = rows.sum(axis=-1, keepdims=True)
+    if not np.abs(totals - 1.0).max(initial=0.0) <= MASS_TOL:  # a NaN total fails too
+        off = totals[~(np.abs(totals - 1.0) <= MASS_TOL)]
+        raise UsageError(f"staircase weight rows must sum to 1 within {MASS_TOL}, got total {float(off[0])!r}")
     picked = rows[np.arange(len(rows))[:, None], picks[:, :-1]]
-    scaled = np.cumsum(picked, axis=-1) * ell / rows.sum(axis=-1, keepdims=True)
+    scaled = np.cumsum(picked, axis=-1) * ell / totals
     near = ((np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12) & interior).any(axis=-1)
     cuts = np.floor(np.where(near[:, None] | ~interior, 0.0, scaled)).astype(np.int64)
     values = sorted(set(rows[near].ravel().tolist()))  # np.unique would import numpy.ma, 1.5 MB of RSS

@@ -1,4 +1,7 @@
+import json
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,3 +279,168 @@ class TestIntegerRowsMatchRationalRows:
         got = fme_project(system, lifted[::-1])
         assert got == ref_fme_project(system, lifted[::-1])
         assert all(isinstance(c, Fraction) for row, rhs in got.rows for c in row + (rhs,))
+
+
+# -- the Fraction elimination the integer rows replaced, kept as a reference ----
+
+
+def fraction_primitive(coeffs, rhs):
+    """The row as (P, R, s): P the primitive integer direction (gcd 1), R the
+    rhs of P.x >= R and s the positive scale with coeffs = s * P. An all-zero
+    row keeps its rhs as R and has no scale."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    if g == 0:
+        return tuple(ints), rhs, None
+    scale = Fraction(g, den)
+    return tuple(x // g for x in ints), rhs / scale, scale
+
+
+def fraction_lead(coeffs) -> int:
+    return abs(next(c for c in coeffs if c))
+
+
+def fraction_scale(row) -> Fraction:
+    """s of a (P, R, s) row: its input scale, or 1/|first coefficient of P|
+    once pruned, the scale of the normalized rational row."""
+    return row[2] if row[2] is not None else Fraction(1, fraction_lead(row[0]))
+
+
+def fraction_fme_project(system, eliminate):
+    """Fourier-Motzkin on primitive integer directions with Fraction right-hand
+    sides, one Fraction per combined rhs and per output coefficient."""
+    eliminate = list(eliminate)
+    for i, v in enumerate(eliminate):
+        if v not in system.variables:
+            raise UsageError(f"unknown variable {v!r}")
+        if v in eliminate[:i]:
+            raise UsageError(f"variable {v!r} eliminated twice")
+    if not eliminate:
+        return LinearSystem(system.variables, tuple((tuple(c), r) for c, r in system.rows))
+    variables = list(system.variables)
+    rows = [fraction_primitive(c, r) for c, r in system.rows]
+    for var in eliminate:
+        k = variables.index(var)
+        zero, pos, neg = [], [], []
+        for row in rows:
+            c = row[0][k]
+            (zero if c == 0 else pos if c > 0 else neg).append(row)
+        needed = len(zero) + len(pos) * len(neg)
+        if needed > fme.ROW_CAP:
+            raise ResourceCapError(f"eliminating {var!r} would generate {needed} rows, "
+                                   f"above the row cap of {fme.ROW_CAP}")
+        new_rows = [(coeffs[:k] + coeffs[k + 1:], rhs, None) for coeffs, rhs, _ in zero]
+        for prow in pos:
+            pc, pr = prow[0], prow[1]
+            for nrow in neg:
+                nc, nr = nrow[0], nrow[1]
+                a, b = pc[k], -nc[k]
+                combo = [b * x + a * y for x, y in zip(pc, nc)]
+                del combo[k]
+                new_rows.append((tuple(combo), b * pr + a * nr, (prow, nrow)))
+        variables.pop(k)
+        rows = fraction_prune(new_rows)
+    return LinearSystem(tuple(variables), fraction_rational_rows(rows))
+
+
+def fraction_prune(new_rows):
+    """(P, R, s) rows from (coefficients, rhs, parent rows or None): each
+    direction reduced to its primitive P with the largest R, after the rows
+    0 >= rhs > 0, whose rhs is scaled as the normalized rational parents
+    would have combined it."""
+    best = {}
+    infeasible = []
+    for coeffs, rhs, parents in new_rows:
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if rhs > 0:
+                if parents:
+                    rhs *= fraction_scale(parents[0]) * fraction_scale(parents[1])
+                infeasible.append((coeffs, rhs, None))
+            continue
+        if g > 1:
+            coeffs, rhs = tuple(x // g for x in coeffs), rhs / g
+        if coeffs not in best or rhs > best[coeffs]:
+            best[coeffs] = rhs
+    leads = {p: fraction_lead(p) for p in best}
+    common = math.lcm(*leads.values())
+    order = sorted(best, key=lambda p: tuple(c * (common // leads[p]) for c in p))
+    return infeasible + [(p, best[p], None) for p in order]
+
+
+def fraction_rational_rows(rows):
+    """The (P, R, s) rows as normalized Fraction rows; an all-zero row keeps its rhs."""
+    out = []
+    for coeffs, rhs, _ in rows:
+        lead = fraction_lead(coeffs) if any(coeffs) else 1
+        out.append((tuple(Fraction(c, lead) for c in coeffs), rhs / lead))
+    return tuple(out)
+
+
+# integer, dyadic and 1/3-style float coefficients
+INTEGER_ROW_COEFFS = [0, 0, 0, 1, -1, 2, -2, 3, -5, 0.5, -0.25, 1.5, -0.125, 1 / 3, -2 / 3, 0.1]
+
+
+@st.composite
+def integer_row_cases(draw):
+    """(system, eliminate, row cap): 2-5 variables; rows that are random, positive
+    multiples of earlier rows (repeated directions), their negations shifted so that
+    the pair combines into 0 >= r > 0, or all zero with a positive or nonpositive rhs;
+    any elimination order, often of every variable, and sometimes a row cap low
+    enough to stop a step."""
+    nv = draw(st.integers(2, 5))
+    variables = [f"v{i}" for i in range(nv)]
+    rhs = st.sampled_from([0, 1, -1, 2, 0.5, -0.25, 1 / 3, -0.7])
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["random", "random", "random", "repeat", "clash", "zero"]))
+        if kind in ("repeat", "clash") and rows:
+            coeffs, b = draw(st.sampled_from(rows))
+            factor = draw(st.sampled_from([1, 2, 3, 0.5, 1 / 3]))
+            if kind == "repeat":
+                rows.append(([factor * c for c in coeffs], draw(rhs)))
+            else:  # -factor * coeffs >= -factor * b + gap, with gap > 0 making 0 >= r > 0
+                rows.append(([-factor * c for c in coeffs], -factor * b + draw(st.sampled_from([0.5, 1, 1 / 3]))))
+        elif kind == "zero":
+            rows.append(([0] * nv, draw(rhs)))
+        else:
+            rows.append(([draw(st.sampled_from(INTEGER_ROW_COEFFS)) for _ in variables], draw(rhs)))
+    order = draw(st.permutations(variables))
+    eliminate = order[:draw(st.sampled_from([nv, nv, 1, max(nv - 1, 1), 2]))]
+    cap = draw(st.sampled_from([fme.ROW_CAP] * 4 + [2, 5, 12]))
+    return LinearSystem.build(variables, rows), eliminate, cap
+
+
+def assert_same_projection(got, want):
+    """Variables, rows in order and exact types, and the JSON the fme report writes."""
+    assert got.variables == want.variables
+    assert got.rows == want.rows
+    assert [[type(c) for c in coeffs + (rhs,)] for coeffs, rhs in got.rows] == \
+        [[type(c) for c in coeffs + (rhs,)] for coeffs, rhs in want.rows]
+    assert json.dumps(got.to_dict(), indent=2) == json.dumps(want.to_dict(), indent=2)
+
+
+class TestIntegerRowsMatchFractionLoop:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=integer_row_cases())
+    @example(case=(LinearSystem.build(["x", "y"], [({"x": 1, "y": 2}, 1), ({"x": -2, "y": -4}, -1)]),
+                   ["x", "y"], fme.ROW_CAP))
+    @example(case=(LinearSystem.build(["x", "y"], [({}, 1), ({}, -1), ({}, 0), ({"x": 1}, 1)]),
+                   ["y"], fme.ROW_CAP))
+    def test_equals_fraction_loop(self, case):
+        system, eliminate, cap = case
+        with mock.patch.object(fme, "ROW_CAP", cap):
+            got, want = outcome(fme_project, system, eliminate), outcome(fraction_fme_project, system, eliminate)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_projection(got, want)
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(crossovers=st.tuples(*[st.floats(0.01, 0.49).map(lambda p: round(p, 6))] * 2))
+    def test_h3_lifted_system_row_for_row(self, crossovers):
+        system, lifted = lifted_system(crossovers)
+        got = fme_project(system, lifted[::-1])
+        assert (len(system.rows), len(got.rows)) == (25, 1253)
+        assert_same_projection(got, fraction_fme_project(system, lifted[::-1]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 from coordline.errors import ResourceCapError, UsageError
 from coordline.probability import (
+    MASS_TOL,
+    _entropy_of,
+    _summed,
     condition,
     divergences,
     info_measure,
@@ -176,6 +180,53 @@ class TestInfoMeasure:
             assert info_measure(p, ["A"], ["B"], ["C"]) >= 0.0
 
 
+def marginal_entropy(p, labels):
+    """H of the labels as computed through a marginal JointPmf: its C-order cells."""
+    w = marginalize(p, labels).weights.ravel()
+    w = w[w > 0.0]
+    return float(-(w * np.log2(w)).sum())
+
+
+def joint_just_inside_mass_tol(seed, sizes):
+    """A random joint scaled so that its total is off 1 by just under MASS_TOL."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
+    w = w * ((1 + MASS_TOL) / w.sum())
+    while abs(float(w.sum()) - 1.0) > MASS_TOL:
+        w = np.nextafter(w, 0.0)
+    return pmf_from_table([f"A{i}" for i in range(len(sizes))], w)
+
+
+class TestEntropyOfJointWeights:
+    """_entropy_of reads the joint's weights with no marginal JointPmf; it must equal
+    the entropy of marginalize(p, labels) bit for bit, not approximately."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=5), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 0.6))
+    def test_every_label_subset_in_shuffled_order(self, sizes, seed, zeros):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(math.prod(sizes))) * (rng.random(math.prod(sizes)) >= zeros)
+        if not w.any():
+            w[0] = 1.0
+        labels = [f"A{i}" for i in range(len(sizes))]
+        p = pmf_from_table(labels, w.reshape(sizes), normalize=True)
+        for r in range(1, len(labels) + 1):
+            for subset in itertools.combinations(labels, r):
+                shuffled = [subset[i] for i in rng.permutation(r)]
+                assert _entropy_of(p, shuffled) == marginal_entropy(p, shuffled), shuffled
+
+    def test_joint_off_by_just_under_mass_tol(self):
+        p = joint_just_inside_mass_tol(9, (3, 2, 4, 2))
+        assert 0.99 * MASS_TOL < float(p.weights.sum()) - 1.0 <= MASS_TOL
+        renormalized = 0
+        for r in range(1, 5):
+            for order in itertools.permutations(p.labels, r):
+                renormalized += abs(float(_summed(p, order)[0].sum()) - 1.0) > MASS_TOL
+                assert _entropy_of(p, order) == marginal_entropy(p, order), order
+        assert renormalized > 0  # some marginals' totals fall outside MASS_TOL and are divided out
+
+
 class TestDivergences:
     def test_equal_zero(self):
         p = dsbs()
@@ -250,6 +301,22 @@ class TestStaircase:
         for ell in (0, 2 ** 63):
             with pytest.raises(UsageError, match="ell must lie in"):
                 staircase_map(half, [0, 1], ell)
+
+    @pytest.mark.parametrize("weights, support, total", [
+        (np.zeros((1, 3)), [[0, 1, 2]], "0.0"),
+        ([[0.2, 0.2]], [[0, 1]], "0.4"),
+        ([[0.5, 0.5], [0.5, 0.5 + 2 * MASS_TOL]], [[0, 1], [1, 0]], "1.000000002"),
+        ([[0.5, np.nan]], [[0, 1]], "nan"),
+    ], ids=["zero-row", "unnormalized-row", "second-row-off", "nan-row"])
+    def test_rows_off_unit_mass_are_usage_errors(self, weights, support, total):
+        """Checked before any divide: a zero row raises no RuntimeWarning (the suite
+        turns warnings into errors) and gets no int64-min cuts."""
+        with pytest.raises(UsageError, match=rf"must sum to 1 within 1e-09, got total {total}"):
+            staircase_map(np.asarray(weights, dtype=float), np.array(support), 8)
+
+    def test_row_just_inside_mass_tol_is_cut(self):
+        table = staircase_map(np.array([[0.5, 0.5 + 0.9 * MASS_TOL]]), np.array([[0, 1]]), 8)
+        assert table.cuts.tolist() == [[3]]
 
     def test_vacuous_flag(self):
         q = pmf_from_table(["X"], [0.25] * 4)

@@ -113,13 +113,13 @@ class TestEntropyMemo:
     def test_thm1_marginalizes_each_label_tuple_once(self, monkeypatch):
         spec = self.spec()
         calls = []
-        marginalize = probability.marginalize
+        summed = probability._summed  # the sum-out that marginalize and _entropy_of share
 
         def counted(p, keep):
             calls.append(tuple(keep))
-            return marginalize(p, keep)
+            return summed(p, keep)
 
-        monkeypatch.setattr(probability, "marginalize", counted)
+        monkeypatch.setattr(probability, "_summed", counted)
         thm1_check(CodebookRates.for_network(5), spec)
         assert 0 < len(calls) <= 126
         assert len(set(calls)) == len(calls)
