@@ -1,9 +1,9 @@
 """Configuration-driven command line front end.
 
 Subcommands: validate, rates, region, transfer, simulate, exact, fme. Every
-command writes report.json (and series.csv where applicable) to the output
-directory and prints the report to stdout. Exit codes: 0 success, 2 usage or
-config error, 3 failed check, 4 resource cap exceeded.
+command writes report.json, one line of compact key-sorted JSON, and series.csv
+for sweeps to the output directory, and prints the report. Exit codes: 0 success,
+2 usage, config or --out write error, 3 failed check, 4 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -363,26 +364,20 @@ COMMANDS = {"validate": _cmd_validate, "rates": _cmd_rates, "region": _cmd_regio
 
 
 def _emit(payload: dict, ok: bool, out_dir: str, command: str) -> None:
-    payload = dict(payload)
-    payload["command"] = command
-    payload["passed"] = ok
-    payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    payload = {**payload, "command": command, "passed": ok,
+               "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",", ":"))
     (out / "report.json").write_text(text + "\n")
-    series = None
-    if command == "simulate" and "simulate" in payload:
-        series = [(row["n"], row["tv_mean"], row["radius"]) for row in payload["simulate"]["series"]]
-    elif command == "exact" and "exact" in payload:
-        series = [(row["n"], row["tv_mean"], "") for row in payload["exact"]["series"]]
-    if series is not None:
+    if command in ("simulate", "exact") and command in payload:  # not on an error report
         with (out / "series.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "tv_mean", "radius"])
-            for row in series:
-                w.writerow(row)
-    print(text)
+            csv.writer(fh).writerows([("n", "tv_mean", "radius")] + [
+                (row["n"], row["tv_mean"], row.get("radius", "")) for row in payload[command]["series"]])
+    try:
+        print(text)
+    except BrokenPipeError:  # stdout's reader is gone: keep the shutdown flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,19 +407,21 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        cfg = _load_config(args)
-        payload, ok = COMMANDS[args.command](Experiment(cfg))
+        payload, ok = COMMANDS[args.command](Experiment(_load_config(args)))
+        code = 0 if ok else 3
     except PreconditionError as exc:
-        _emit({"error": str(exc), "broken": exc.broken}, False, args.out, args.command)
-        return 3
+        payload, code = {"error": str(exc), "broken": exc.broken}, 3
     except ResourceCapError as exc:
-        _emit({"error": str(exc)}, False, args.out, args.command)
-        return 4
+        payload, code = {"error": str(exc)}, 4
     except (ConfigError, UsageError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, ok, args.out, args.command)
-    return 0 if ok else 3
+    try:
+        _emit(payload, code == 0, args.out, args.command)
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main() -> None:

@@ -75,10 +75,15 @@ class LinearSystem:
         return True
 
     def to_dict(self):
+        memo = {}
+
+        def text(c):  # str of each coefficient object once: the rows share Fraction objects
+            return memo.get(id(c)) or memo.setdefault(id(c), str(c))
+
         return {
             "variables": list(self.variables),
-            "rows": [{"coeffs": {v: str(c) for v, c in zip(self.variables, coeffs) if c != 0},
-                      "rhs": str(rhs)} for coeffs, rhs in self.rows],
+            "rows": [{"coeffs": {v: text(c) for v, c in zip(self.variables, coeffs) if c},
+                      "rhs": text(rhs)} for coeffs, rhs in self.rows],
         }
 
 

@@ -84,13 +84,20 @@ def cli_report(command: str, preset: str, mode: str | None = None) -> dict:
     return _run_cli(command, cfg)
 
 
+def report_text(report) -> str:
+    """report as report.json holds it: one line of compact, key-sorted strict JSON."""
+    return json.dumps(report, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
+
+
 def _run_cli(command: str, cfg: dict) -> dict:
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "cfg.json"
         path.write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(io.StringIO()):
             code = run_command([command, "--config", str(path), "--out", out])
-        report = json.loads((Path(out) / "report.json").read_text())
+        text = (Path(out) / "report.json").read_text()
+    report = json.loads(text)
+    assert text == report_text(report), f"{command} wrote report.json in another form"
     report.pop("generated_at", None)
     return {"exit_code": code, "report": report}
 

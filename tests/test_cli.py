@@ -2,6 +2,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -27,12 +31,6 @@ def read_report(out_dir):
     return json.loads((Path(out_dir) / "report.json").read_text())
 
 
-def strip_timestamp(report):
-    report = dict(report)
-    report.pop("generated_at", None)
-    return report
-
-
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -40,11 +38,14 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 
 def strict_json(text):
-    """json.loads that rejects NaN and Infinity, which strict JSON has no spelling for."""
+    """json.loads that rejects NaN and Infinity, which strict JSON has no spelling for,
+    and any text other than the one line of compact, key-sorted JSON the CLI writes."""
     def reject(constant):
         raise ValueError(f"report holds {constant}")
 
-    return json.loads(text, parse_constant=reject)
+    report = json.loads(text, parse_constant=reject)
+    assert text == regen.report_text(report)
+    return report
 
 
 class TestValidate:
@@ -174,9 +175,9 @@ class TestDeterminism:
             code = run_command(["exact", "--preset", "indep-uniform", "--n", "1,2",
                                 "--seed", "5", "--out", str(out)])
             assert code == 0
-        r1 = strip_timestamp(read_report(out1))
-        r2 = strip_timestamp(read_report(out2))
-        assert r1 == r2
+        texts = [re.subn(r'"generated_at":"[^"]*"', '"generated_at":""', (out / "report.json").read_text())
+                 for out in (out1, out2)]
+        assert texts[0] == texts[1] and texts[0][1] == 1
         assert (out1 / "series.csv").read_text() == (out2 / "series.csv").read_text()
 
     def test_report_reparses(self, tmp_path, capsys):
@@ -310,6 +311,41 @@ class TestContractExitCodes:
                             "--out", str(tmp_path)])
         assert code == 2
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("argv, cap", [(["validate", "--preset", "dsbs"], None),
+                                           (["exact", "--preset", "dsbs", "--n", "4"], "64")])
+    def test_unwritable_out_exits_2(self, tmp_path, monkeypatch, capsys, argv, cap, below):
+        """--out naming a file, or a path below one, on a passing run and on a capped one."""
+        if cap:
+            monkeypatch.setenv("COORDLINE_CAP", cap)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if below else blocker
+        code = run_command(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: cannot write report to {out}: ")
+        assert captured.out == "" and blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize("command, preset, want", [("rates", "markov3", 0),
+                                                       ("rates", "dsbs-control", 3),
+                                                       ("validate", "dsbs", 0)])
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, command, preset, want):
+        """stdout is a pipe whose reader is gone before the report is printed: no
+        traceback, and report.json and the command's own exit code stand."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("COORDLINE_CAP", None)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "coordline.cli", command, "--preset", preset,
+                                   "--out", str(tmp_path)],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (want, b"")
+        assert strict_json((tmp_path / "report.json").read_text())["command"] == command
 
     def test_no_codebook_seeds_reports_null(self, tmp_path, capsys):
         cfg = preset_config("dsbs")

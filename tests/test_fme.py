@@ -444,3 +444,15 @@ class TestIntegerRowsMatchFractionLoop:
         got = fme_project(system, lifted[::-1])
         assert (len(system.rows), len(got.rows)) == (25, 1253)
         assert_same_projection(got, fraction_fme_project(system, lifted[::-1]))
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(crossovers=st.tuples(*[st.floats(0.01, 0.49).map(lambda p: round(p, 6))] * 2))
+    def test_h3_lifted_to_dict_formats_each_coefficient(self, crossovers):
+        """to_dict, which formats each shared Fraction object once, writes str() of
+        every nonzero coefficient and of every right-hand side."""
+        system, lifted = lifted_system(crossovers)
+        got = fme_project(system, lifted[::-1])
+        assert got.to_dict() == {
+            "variables": list(got.variables),
+            "rows": [{"coeffs": {v: str(c) for v, c in zip(got.variables, coeffs) if c != 0},
+                      "rhs": str(rhs)} for coeffs, rhs in got.rows]}
