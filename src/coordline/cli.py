@@ -140,7 +140,7 @@ class Experiment:
         self.network = make_network(_integer(_required(net_cfg, "h", "network"), "network.h"),
                                     np.asarray(_required(net_cfg, "target", "network"), dtype=float))
 
-        self.spec: AuxSpec | None = None
+        self.aux_joint: JointPmf | None = None
         if "aux" in cfg:
             defs = {}
             for label, d in _section(cfg["aux"], "aux").items():
@@ -156,8 +156,7 @@ class Experiment:
                                                for key in ("given", "weights", "size")))
                 else:
                     raise ConfigError(f"{where}: unknown kind {kind!r}")
-            joint = build_aux_joint(self.network, defs)
-            self.spec = AuxSpec.from_joint(self.network, joint)
+            self.aux_joint = build_aux_joint(self.network, defs)
 
         self.rates: CodebookRates | None = None
         if "rates" in cfg:
@@ -192,6 +191,11 @@ class Experiment:
         self.transfer = cfg.get("transfer", {})
         self.fme = cfg.get("fme", {})
 
+    @functools.cached_property
+    def spec(self) -> AuxSpec | None:
+        """The aux joint's factored kernels, derived on first read; None without an aux section."""
+        return None if self.aux_joint is None else AuxSpec.from_joint(self.network, self.aux_joint)
+
 
 def _load_config(args) -> dict:
     if args.preset and args.config:
@@ -199,7 +203,11 @@ def _load_config(args) -> dict:
     if args.preset:
         cfg = preset_config(args.preset)
     elif args.config:
-        cfg = json.loads(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        cfg = json.loads(text)
     else:
         raise ConfigError("a --config file or --preset name is required")
     if args.seed is not None:
@@ -413,7 +421,7 @@ def run_command(argv: list[str]) -> int:
         payload, code = {"error": str(exc), "broken": exc.broken}, 3
     except ResourceCapError as exc:
         payload, code = {"error": str(exc)}, 4
-    except (ConfigError, UsageError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, UsageError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

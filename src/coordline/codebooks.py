@@ -34,7 +34,7 @@ from .linestruct import (
     phi_bar,
     psi,
 )
-from .probability import condition, marginalize
+from .probability import condition
 from .rates import CodebookRates
 
 
@@ -408,7 +408,7 @@ def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int) -> C
     for i in range(1, h):
         given_pairs = phi_bar(h, (i, i + 1))
         given_labels = [a_label(q) for q in sorted(given_pairs)]
-        kernel = condition(marginalize(joint, given_labels + [b_label(i)]), given_labels)
+        kernel = condition(joint, given_labels, [b_label(i)])
         books_b[i] = _draw_book(seed, ("B", i), *layout_b[i], kernel, n,
                                 lambda asg, pairs=given_pairs: a_letters(pairs, asg))
 

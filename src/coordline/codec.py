@@ -164,8 +164,7 @@ class Scheme:
         self.k_kernels = {}
         for i in range(1, h):
             giv = a_all + [b_label(i)]
-            marg = marginalize(joint, giv + [x_label(i)])
-            self.k_kernels[i] = condition(marg, giv)
+            self.k_kernels[i] = condition(joint, giv, [x_label(i)])
 
         self.m1_space = IndexSpace([(m_plus((1, j)), cb.sizes[m_plus((1, j))])
                                     for j in range(2, h + 1)])

@@ -258,7 +258,7 @@ def cr_independence(cb: Codebook) -> float:
     x1_axis = x_label(1)
     psi1_pairs = sorted(psi(h, 1))
     a_psi1 = [a_label(q) for q in psi1_pairs]
-    kernel = condition(marginalize(spec.joint, a_psi1 + [x1_axis]), a_psi1)
+    kernel = condition(spec.joint, a_psi1, [x1_axis])
     s1 = spec.network.alphabets[0].size ** n
 
     minus = IndexSpace([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)])
@@ -312,12 +312,11 @@ def piecing_check(cb: Codebook) -> float:
     total_m = math.prod(size for _, size in spaces)
     check_exact_sizes(cb, "piecing enumeration cells")
 
-    x1_kernel = condition(marginalize(spec.joint, a_axes + [x_label(1)]), a_axes)
+    x1_kernel = condition(spec.joint, a_axes, [x_label(1)])
     pair_kernels = {}
     for j in range(2, h + 1):
         giv = a_axes + [b_label(j - 1), c_label(j)]
-        pair_kernels[j] = condition(
-            marginalize(spec.joint, giv + [x_label(j - 1), x_label(j)]), giv)
+        pair_kernels[j] = condition(spec.joint, giv, [x_label(j - 1), x_label(j)])
 
     # per hop j, every (k+, k-, l) the ratio averages over, flat and in order
     hops = {j: IndexSpace([(c, cb.sizes[c]) for c in (k_plus(j - 1), k_minus(j - 1), l_of(j))])

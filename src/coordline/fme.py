@@ -167,7 +167,13 @@ def _sorted_rows(best):
 
 def _rational_rows(rows):
     """The (P, n, d, s) rows as Fraction rows P / |lead| >= n / (d |lead|), with one
-    Fraction built per distinct (coefficient, lead); an all-zero row keeps its rhs."""
-    fraction = functools.cache(Fraction)
+    Fraction object per distinct value, coefficient or rhs; an all-zero row keeps its rhs."""
+    values = {}
+
+    @functools.cache
+    def fraction(n, d):  # d > 0; keyed by the reduced pair, not by the costlier Fraction hash
+        g = math.gcd(n, d)
+        return values.setdefault((n // g, d // g), Fraction(n, d))
+
     return tuple((tuple(map(fraction, p, itertools.repeat(s[1] if s else 1))),
-                  Fraction(n, d * s[1] if s else d)) for p, n, d, s in rows)
+                  fraction(n, d * s[1] if s else d)) for p, n, d, s in rows)

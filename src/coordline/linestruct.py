@@ -208,21 +208,19 @@ class AuxSpec:
             if joint.alphabet(x_label(i)).size != network.alphabets[i - 1].size:
                 raise UsageError(f"joint X{i} alphabet does not match network")
 
-        def ker(out_labels: list[str], given_labels: list[str]) -> ConditionalKernel:
-            sub = marginalize(joint, given_labels + out_labels)
-            return condition(sub, given_labels)
-
         a_kernels, b_kernels, c_kernels, x_kernels = {}, {}, {}, {}
         for p in order_pairs(h):
-            a_kernels[p] = ker([a_label(p)], [a_label(q) for q in sorted(phi(h, p))])
+            a_kernels[p] = condition(joint, [a_label(q) for q in sorted(phi(h, p))], [a_label(p)])
         for i in range(1, h):
-            b_kernels[i] = ker([b_label(i)], [x_label(i)] + [a_label(q) for q in sorted(phi_bar(h, (i, i + 1)))])
+            b_kernels[i] = condition(joint, [x_label(i)] + [a_label(q) for q in sorted(phi_bar(h, (i, i + 1)))],
+                                     [b_label(i)])
         for i in range(2, h + 1):
-            c_kernels[i] = ker([c_label(i)], [a_label(q) for q in sorted(psi(h, i))] + [b_label(i - 1)])
-        x_kernels[1] = ker([x_label(1)], [a_label(q) for q in sorted(psi(h, 1))])
+            c_kernels[i] = condition(joint, [a_label(q) for q in sorted(psi(h, i))] + [b_label(i - 1)],
+                                     [c_label(i)])
+        x_kernels[1] = condition(joint, [a_label(q) for q in sorted(psi(h, 1))], [x_label(1)])
         for i in range(2, h + 1):
-            x_kernels[i] = ker([x_label(i)],
-                               [a_label(q) for q in sorted(psi(h, i))] + [b_label(i - 1), c_label(i)])
+            x_kernels[i] = condition(joint, [a_label(q) for q in sorted(psi(h, i))] + [b_label(i - 1), c_label(i)],
+                                     [x_label(i)])
         assembled = _assemble(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels)
         declared = marginalize(joint, cls.axis_order(h))
         return cls(network, aux_alphabets, a_kernels, b_kernels, c_kernels, x_kernels,

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import UsageError, check_cap
 
 MASS_TOL = 1e-9
+KERNEL_TOL = 1e-7 + 1e-5
+"""How far each given-slice of a kernel may sum from 1: the bound of np.allclose(sums, 1,
+atol=1e-7), whose default rtol adds 1e-5, so that exactly the same kernels are accepted."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class ConditionalKernel:
             raise UsageError(f"{', '.join(axes[len(given_axes):])}: kernel weights have shape {w.shape}, "
                              f"expected {g_shape + o_shape} over ({', '.join(axes)})")
         sums = w.reshape(g_shape + (-1,)).sum(axis=-1) if o_shape else w
-        if not np.allclose(sums, 1.0, atol=1e-7):
+        if not (np.abs(sums - 1.0) <= KERNEL_TOL).all():  # NaN and inf fail too
             raise UsageError("conditional slices must each sum to 1")
         deg = np.asarray(degenerate, dtype=bool)
         if deg.shape != g_shape:
@@ -211,27 +214,24 @@ def marginalize(p: JointPmf, keep: Sequence[str]) -> JointPmf:
     return JointPmf([p.axes[i] for i in pos], w, normalize=True)
 
 
-def condition(p: JointPmf, given: Sequence[str]) -> ConditionalKernel:
-    """Kernel p(outputs | given). Zero-mass conditions become flagged uniform slices."""
-    given = list(given)
-    g_pos = [p.axis_pos(lbl) for lbl in given]
-    if len(set(g_pos)) != len(g_pos):
-        raise UsageError("repeated labels in given")
-    if len(g_pos) >= len(p.axes):
-        raise UsageError("given must be a strict subset of the axes")
-    o_pos = [i for i in range(len(p.axes)) if i not in g_pos]
-    w = np.transpose(p.weights, g_pos + o_pos)
-    g_shape = w.shape[: len(g_pos)]
-    o_shape = w.shape[len(g_pos):]
-    flat = w.reshape(g_shape + (-1,))
+def condition(p: JointPmf, given: Sequence[str], output: Sequence[str]) -> ConditionalKernel:
+    """Kernel p(output | given), read from p's weights with no marginal JointPmf built:
+    bit for bit the kernel of marginalize(p, given + output) given `given`. Zero-mass
+    conditions become flagged uniform slices. `given` may be empty; `output` may not."""
+    given, output = list(given), list(output)
+    if not output:
+        raise UsageError(f"condition needs a nonempty output, got given {given}")
+    w, pos = _summed(p, given + output)  # a label repeated in or across the lists is a UsageError
+    total = float(w.sum())  # as in pmf_weights: renormalized, then C order, so slices sum alike
+    w = np.ascontiguousarray(w / total if abs(total - 1.0) > MASS_TOL else w)
+    flat = w.reshape(w.shape[:len(given)] + (-1,))
     mass = flat.sum(axis=-1)
     degenerate = mass <= 0.0
-    safe = np.where(degenerate, 1.0, mass)
-    out = flat / safe[..., None]
+    out = flat / np.where(degenerate, 1.0, mass)[..., None]
     if degenerate.any():
         out = np.where(degenerate[..., None], 1.0 / flat.shape[-1], out)
-    out = out.reshape(g_shape + o_shape)
-    return ConditionalKernel([p.axes[i] for i in g_pos], [p.axes[i] for i in o_pos], out, degenerate)
+    axes = [p.axes[i] for i in pos]
+    return ConditionalKernel(axes[:len(given)], axes[len(given):], out.reshape(w.shape), degenerate)
 
 
 def _entropy_of(p: JointPmf, labels: Sequence[str]) -> float:

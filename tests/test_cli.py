@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import coordline.cli as cli
 from coordline.cli import Experiment, run_command
 from coordline.codebooks import build_codebooks
+from coordline.linestruct import AuxSpec
 from coordline.presets import preset_config
 from coordline.rates import Mode
 
@@ -328,6 +329,21 @@ class TestContractExitCodes:
         assert captured.err.startswith(f"error: cannot write report to {out}: ")
         assert captured.out == "" and blocker.read_text() == "kept"
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        """A --config that is a directory, or a file that is not UTF-8, is a config error
+        naming the path; no report is written."""
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x7b")
+        out = tmp_path / "out"
+        code = run_command(["validate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, preset, want", [("rates", "markov3", 0),
                                                        ("rates", "dsbs-control", 3),
                                                        ("validate", "dsbs", 0)])
@@ -506,6 +522,51 @@ class TestMalformedSections:
         assert code == 2
         assert capsys.readouterr().err == f"error: C2: kernel weights have shape {shape}, expected (2, 2) over (X2, C2)\n"
         assert not (tmp_path / "report.json").exists()
+
+
+class TestKernelsDerivedOnFirstRead:
+    """Experiment keeps the aux joint and derives the AuxSpec kernels when a command
+    first reads exp.spec: region never does, validate and rates do once, and every aux
+    config error still exits 2 before any command runs. The config is the golden h=5
+    BSC chain, the shape of the analytic benchmark requests."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        calls = []
+        from_joint = AuxSpec.from_joint.__func__
+
+        def spy(cls, network, joint):
+            calls.append(network.h)
+            return from_joint(cls, network, joint)
+
+        monkeypatch.setattr(AuxSpec, "from_joint", classmethod(spy))
+        return calls
+
+    @pytest.mark.parametrize("theorem", ["large-cr", "zero-local"])
+    def test_region_never_derives_kernels(self, tmp_path, capsys, derived, theorem):
+        code = run_command(["region", "--config", write_config(tmp_path, regen.bsc_config(theorem)),
+                            "--out", str(tmp_path)])
+        points = read_report(tmp_path)["region"]["points"]
+        assert (code, [p["report"]["passed"] for p in points]) == (3, [False, True, False, False])
+        assert derived == []
+
+    @pytest.mark.parametrize("command", ["validate", "rates"])
+    def test_validate_and_rates_derive_once(self, tmp_path, capsys, derived, command):
+        code = run_command([command, "--config", write_config(tmp_path, regen.bsc_config()),
+                            "--out", str(tmp_path)])
+        assert (code, read_report(tmp_path)["command"]) == (0, command)
+        assert derived == [5]
+
+    @pytest.mark.parametrize("aux, message", [
+        ({"kind": "copy", "source": "Q9"}, "C2: copy source 'Q9' not yet defined"),
+        ({"kind": "channel", "given": ["X2"], "weights": [0.5, 0.5], "size": 2},
+         "C2: kernel weights have shape (2,), expected (2, 2) over (X2, C2)")], ids=["copy", "channel"])
+    def test_region_aux_config_errors_exit_2(self, tmp_path, capsys, derived, aux, message):
+        cfg = regen.bsc_config("large-cr")
+        cfg["aux"]["C2"] = aux
+        code = run_command(["region", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists() and derived == []
 
 
 class TestNonFiniteNumbers:

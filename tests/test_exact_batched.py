@@ -39,9 +39,10 @@ from coordline.errors import UsageError
 from coordline.evalharness import cr_independence, exact_induced, piecing_check
 from coordline.linestruct import a_label, b_label, c_label, order_pairs, psi, x_label
 from coordline.presets import preset_config
-from coordline.probability import condition, marginalize, pmf_weights
+from coordline.probability import pmf_weights
 from coordline.rates import Mode
 from test_codebooks import same_books
+from test_probability import marginal_condition
 
 SEED = 3
 PIECING_ATOL = 1e-12  # absolute; the largest difference seen on CASES is 6.9e-16
@@ -148,7 +149,7 @@ def ref_cr_independence(cb):
     spec, h, n = cb.spec, cb.h, cb.n
     psi1_pairs = sorted(psi(h, 1))
     a_psi1 = [a_label(q) for q in psi1_pairs]
-    kernel = condition(marginalize(spec.joint, a_psi1 + [x_label(1)]), a_psi1)
+    kernel = marginal_condition(spec.joint, a_psi1, [x_label(1)])
     s1 = spec.network.alphabets[0].size ** n
     minus_spaces = [(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
     plus_spaces = [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h)]
@@ -173,11 +174,11 @@ def ref_piecing_check(cb):
     a_axes = [a_label(p) for p in order_pairs(h)]
     spaces = _pair_spaces(cb)
     total_m = math.prod(size for _, size in spaces)
-    x1_kernel = condition(marginalize(spec.joint, a_axes + [x_label(1)]), a_axes)
+    x1_kernel = marginal_condition(spec.joint, a_axes, [x_label(1)])
     pair_kernels = {}
     for j in range(2, h + 1):
         giv = a_axes + [b_label(j - 1), c_label(j)]
-        pair_kernels[j] = condition(marginalize(spec.joint, giv + [x_label(j - 1), x_label(j)]), giv)
+        pair_kernels[j] = marginal_condition(spec.joint, giv, [x_label(j - 1), x_label(j)])
     pieced = np.zeros(tuple(block_sizes))
     for assignment in _assignments(spaces):
         a_letters = [cb.a_codeword(p, assignment) for p in order_pairs(h)]

@@ -447,6 +447,17 @@ class TestIntegerRowsMatchFractionLoop:
 
     @settings(derandomize=True, max_examples=4, deadline=None)
     @given(crossovers=st.tuples(*[st.floats(0.01, 0.49).map(lambda p: round(p, 6))] * 2))
+    @example(crossovers=(0.11, 0.23))
+    def test_h3_lifted_rows_share_one_fraction_per_value(self, crossovers):
+        """Coefficients and right-hand sides of equal value are one Fraction object, so
+        to_dict formats each value once."""
+        system, lifted = lifted_system(crossovers)
+        got = fme_project(system, lifted[::-1])
+        values = [c for coeffs, rhs in got.rows for c in coeffs + (rhs,)]
+        assert len({id(c) for c in values}) == len(set(values))
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(crossovers=st.tuples(*[st.floats(0.01, 0.49).map(lambda p: round(p, 6))] * 2))
     def test_h3_lifted_to_dict_formats_each_coefficient(self, crossovers):
         """to_dict, which formats each shared Fraction object once, writes str() of
         every nonzero coefficient and of every right-hand side."""

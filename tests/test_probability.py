@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from coordline.errors import ResourceCapError, UsageError
 from coordline.probability import (
+    KERNEL_TOL,
     MASS_TOL,
+    Alphabet,
+    ConditionalKernel,
     _entropy_of,
     _summed,
     condition,
@@ -123,26 +126,139 @@ class TestMarginalize:
 class TestCondition:
     def test_copy_joint_identity(self):
         w = np.array([[0.5, 0.0], [0.0, 0.5]])
-        k = condition(pmf_from_table(["X1", "X2"], w), ["X1"])
+        k = condition(pmf_from_table(["X1", "X2"], w), ["X1"], ["X2"])
         assert np.allclose(k.weights, np.eye(2))
         assert not k.degenerate.any()
 
     def test_independent_slices_equal_marginal(self):
         p = pmf_from_table(["A", "B"], np.outer([0.3, 0.7], [0.6, 0.4]))
-        k = condition(p, ["A"])
+        k = condition(p, ["A"], ["B"])
         assert np.allclose(k.weights[0], [0.6, 0.4])
         assert np.allclose(k.weights[1], [0.6, 0.4])
 
     def test_dsbs_rows(self):
-        k = condition(dsbs(), ["X1"])
+        k = condition(dsbs(), ["X1"], ["X2"])
         assert np.allclose(k.weights, [[0.75, 0.25], [0.25, 0.75]])
 
     def test_zero_mass_condition_flagged_uniform(self):
         w = np.array([[0.5, 0.5], [0.0, 0.0]])
-        k = condition(pmf_from_table(["A", "B"], w, normalize=True), ["A"])
+        k = condition(pmf_from_table(["A", "B"], w, normalize=True), ["A"], ["B"])
         assert k.degenerate[1]
         assert np.allclose(k.weights[1], [0.5, 0.5])
         assert not k.degenerate[0]
+
+
+def reference_condition(p, given):
+    """Kernel p(the other axes | given): condition as it read a marginal JointPmf before
+    it took output labels, kept as the reference for the one-pass condition."""
+    given = list(given)
+    g_pos = [p.axis_pos(lbl) for lbl in given]
+    if len(set(g_pos)) != len(g_pos):
+        raise UsageError("repeated labels in given")
+    if len(g_pos) >= len(p.axes):
+        raise UsageError("given must be a strict subset of the axes")
+    o_pos = [i for i in range(len(p.axes)) if i not in g_pos]
+    w = np.transpose(p.weights, g_pos + o_pos)
+    g_shape = w.shape[: len(g_pos)]
+    o_shape = w.shape[len(g_pos):]
+    flat = w.reshape(g_shape + (-1,))
+    mass = flat.sum(axis=-1)
+    degenerate = mass <= 0.0
+    safe = np.where(degenerate, 1.0, mass)
+    out = flat / safe[..., None]
+    if degenerate.any():
+        out = np.where(degenerate[..., None], 1.0 / flat.shape[-1], out)
+    out = out.reshape(g_shape + o_shape)
+    return ConditionalKernel([p.axes[i] for i in g_pos], [p.axes[i] for i in o_pos], out, degenerate)
+
+
+def marginal_condition(p, given, output):
+    """Kernel p(output | given) through the marginal JointPmf on given + output."""
+    return reference_condition(marginalize(p, list(given) + list(output)), given)
+
+
+def assert_same_kernel(got, want):
+    assert got.given_axes == want.given_axes and got.output_axes == want.output_axes
+    assert np.array_equal(got.weights, want.weights) and got.weights.tobytes() == want.weights.tobytes()
+    assert np.array_equal(got.degenerate, want.degenerate)
+
+
+def splits(labels, rng):
+    """Every (given, output) pair of disjoint label lists with a nonempty output, each
+    list in a shuffled order."""
+    for roles in itertools.product((0, 1, 2), repeat=len(labels)):
+        if 1 in roles:
+            given = [lbl for lbl, r in zip(labels, roles) if r == 0]
+            output = [lbl for lbl, r in zip(labels, roles) if r == 1]
+            yield list(rng.permutation(given)), list(rng.permutation(output))
+
+
+class TestConditionMatchesMarginalReference:
+    """condition(p, given, output) reads p's weights with no marginal JointPmf; it must
+    equal the kernel of marginalize(p, given + output) bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=5), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 0.8), off=st.booleans())
+    def test_every_split_in_shuffled_order(self, sizes, seed, zeros, off):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(math.prod(sizes))) * (rng.random(math.prod(sizes)) >= zeros)
+        if not w.any():
+            w[0] = 1.0
+        w = w.reshape(sizes) / w.sum()
+        labels = [f"A{i}" for i in range(len(sizes))]
+        p = pmf_from_table(labels, just_inside_mass_tol(w) if off else w)
+        for given_labels, output in splits(labels, rng):
+            assert_same_kernel(condition(p, given_labels, output), marginal_condition(p, given_labels, output))
+
+    def test_zero_mass_conditions_are_flagged_alike(self):
+        w = np.zeros((3, 2, 2))
+        w[0] = [[0.2, 0.1], [0.0, 0.3]]
+        w[2, 1] = [0.4, 0.0]
+        p = pmf_from_table(["A", "B", "C"], w)
+        degenerate = 0
+        for given_labels, output in splits(p.labels, np.random.default_rng(3)):
+            got = condition(p, given_labels, output)
+            assert_same_kernel(got, marginal_condition(p, given_labels, output))
+            degenerate += int(got.degenerate.sum())
+        assert degenerate > 0
+
+    def test_joint_off_by_just_under_mass_tol(self):
+        p = joint_just_inside_mass_tol(11, (3, 2, 4, 2))
+        renormalized = 0
+        for given_labels, output in splits(p.labels, np.random.default_rng(5)):
+            renormalized += abs(float(_summed(p, given_labels + output)[0].sum()) - 1.0) > MASS_TOL
+            assert_same_kernel(condition(p, given_labels, output), marginal_condition(p, given_labels, output))
+        assert renormalized > 0  # some marginals' totals fall outside MASS_TOL and are divided out
+
+    @pytest.mark.parametrize("given_labels, output", [(["X1"], []), ([], []), (["X1", "X1"], ["X2"]),
+                                                      ([], ["X2", "X2"]), (["X1"], ["X1"]),
+                                                      (["X1"], ["Z"])])
+    def test_bad_label_lists_are_usage_errors(self, given_labels, output):
+        with pytest.raises(UsageError):
+            condition(dsbs(), given_labels, output)
+
+
+class TestKernelTolerance:
+    """A kernel's given-slices must each sum to 1 within KERNEL_TOL, 1.01e-5: the bound
+    np.allclose(atol=1e-7) applied with its default rtol."""
+
+    @staticmethod
+    def kernel(off):
+        w = np.array([[0.5, 0.5 + off], [0.25, 0.75]])
+        return ConditionalKernel([("A", Alphabet("A", 2))], [("B", Alphabet("B", 2))], w, np.zeros(2, dtype=bool))
+
+    def test_tolerance_value(self):
+        assert KERNEL_TOL == 1e-7 + 1e-5
+
+    @pytest.mark.parametrize("off", [1e-5, -1e-5, 0.0])
+    def test_slices_within_tolerance_are_accepted(self, off):
+        assert self.kernel(off).weights[0, 1] == 0.5 + off
+
+    @pytest.mark.parametrize("off", [1.02e-5, -1.02e-5, math.nan, math.inf, -math.inf])
+    def test_slices_outside_tolerance_are_rejected(self, off):
+        with pytest.raises(UsageError, match="conditional slices must each sum to 1"):
+            self.kernel(off)
 
 
 class TestInfoMeasure:
@@ -187,13 +303,18 @@ def marginal_entropy(p, labels):
     return float(-(w * np.log2(w)).sum())
 
 
-def joint_just_inside_mass_tol(seed, sizes):
-    """A random joint scaled so that its total is off 1 by just under MASS_TOL."""
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
+def just_inside_mass_tol(w):
+    """w scaled so that its total is off 1 by just under MASS_TOL."""
     w = w * ((1 + MASS_TOL) / w.sum())
     while abs(float(w.sum()) - 1.0) > MASS_TOL:
         w = np.nextafter(w, 0.0)
+    return w
+
+
+def joint_just_inside_mass_tol(seed, sizes):
+    """A random joint scaled so that its total is off 1 by just under MASS_TOL."""
+    rng = np.random.default_rng(seed)
+    w = just_inside_mass_tol(rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes))
     return pmf_from_table([f"A{i}" for i in range(len(sizes))], w)
 
 
