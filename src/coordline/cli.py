@@ -186,7 +186,7 @@ class Experiment:
         cb = cfg.get("codebook_seeds", 10)
         self.codebook_seeds = (list(range(_integer(cb, "codebook_seeds"))) if isinstance(cb, (int, float))
                                else [_integer(v, "codebook_seeds") for v in _list(cb, "codebook_seeds")])
-        self.margin = _finite_margin(cfg.get("margin", 1e-6), "margin")
+        self.margin = _finite_margin(cfg.get("margin", 1e-6), "margin", nonnegative=True)
         self.region = cfg.get("region", {})
         self.transfer = cfg.get("transfer", {})
         self.fme = cfg.get("fme", {})
@@ -226,10 +226,10 @@ def _load_config(args) -> dict:
 
 
 @_parses_config
-def _finite_margin(value, where: str) -> float:
+def _finite_margin(value, where: str, nonnegative: bool = False) -> float:
     margin = float(value)
-    if not math.isfinite(margin):
-        raise ConfigError(f"{where} must be finite, got {margin}")
+    if not math.isfinite(margin) or (nonnegative and margin < 0):
+        raise ConfigError(f"{where} must be finite{' and nonnegative' if nonnegative else ''}, got {margin}")
     return margin
 
 

@@ -278,10 +278,12 @@ def _require_c_equals_action(spec: AuxSpec) -> None:
 
 def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's candidates by descending mass (ties by index) and support size: the shortest top-mass
-    prefix minimizing 2*eps + m/ell, where a longer one must beat the best so far by 1e-15."""
-    count = posteriors.shape[-1]
+    prefix minimizing 2*eps + m/ell, where a longer one must beat the best so far by 1e-15. Only
+    m <= 2*ell + 1 is scanned: cert_m - cert_1 = (m - 1)/ell - 2*(c_m - c_1) for the cumsum c, so an
+    m >= 2*ell + 2 wins only if the row's mass outside its top candidate exceeds 1 + 1/(2*ell)."""
+    count = min(posteriors.shape[-1], 2 * ell + 1)
     order = np.argsort(-posteriors, axis=-1, kind="stable")
-    mass = posteriors[np.arange(len(posteriors))[:, None], order]
+    mass = posteriors[np.arange(len(posteriors))[:, None], order[:, :count]]
     certs = 2.0 * (1.0 - np.cumsum(mass, axis=-1)) + np.array([m / ell for m in range(1, count + 1)])
     certs[np.arange(1, count + 1) > (mass > 0).sum(axis=-1, keepdims=True)] = np.inf  # past positive mass
     best_m, best = np.ones(len(posteriors), dtype=np.int64), certs[:, 0]

@@ -71,8 +71,9 @@ class ExactInduced:
 
 GRID_CELLS = 1 << 15
 """Cells one chunk of an index grid may span: its assignments, at least one, times
-the cells each needs (block cells, or piecing's key ids). At 2^15 (256 KB), exact
-on copy3 n=4 and dsbs n=6 runs a third faster than at 2^14."""
+the cells each needs (block cells, piecing's key ids, or the exact walk's most cells
+per root, see _root_cells). At 2^15 (256 KB), exact on copy3 n=4 and dsbs n=6 runs
+a third faster than at 2^14."""
 
 
 def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
@@ -106,7 +107,6 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     that order."""
     scheme = Scheme(cb, mode)
     n = cb.n
-    h = cb.h
     net = cb.spec.network
     check_exact_sizes(cb, "exact enumeration paths")
 
@@ -130,10 +130,7 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
         paths["p"] = paths["p"] / size
         return paths
 
-    fan_out = scheme.m1_space.size * math.prod(
-        cb.sizes[l_of(i + 1)] * (cb.sizes[k_plus(i)] if i in scheme.k_spaces else 1) for i in range(1, h))
-    for paths in _grid_chunks([(("x1",), block_sizes[0])] + scheme.cr_spaces,
-                              fan_out * (len(cb.sizes) + n + h)):
+    for paths in _grid_chunks([(("x1",), block_sizes[0])] + scheme.cr_spaces, _root_cells(scheme)):
         paths["X1"] = np.stack(np.unravel_index(paths.pop(("x1",)), (sizes[0],) * n), axis=-1)
         paths["p"] = np.full(len(paths["X1"]), cr_weight)
         paths = walk(scheme, paths, select, uniform)
@@ -143,6 +140,22 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     q1 = _block_product(np.tile(x1_marg.weights, (1, n, 1)))[0]
     return ExactInduced(conditional=cond, x1_marginal=q1, block_sizes=block_sizes, n=n,
                         mode=scheme.mode.value, degenerate_paths=degenerate)
+
+
+def _root_cells(scheme: Scheme) -> int:
+    """The most cells one root's stacks take: its paths after the last step, (components +
+    n + h) cells each, or a posterior stack, candidates x n letters per path for each gather
+    that varies with the candidate (node 1's psi(1) A-words, hop i's B-word, the kernel).
+    A staircase over ell seeds gives mass to at most ell of its candidates."""
+    cb, n = scheme.cb, scheme.n
+    cells = scheme.m1_space.size * n * (len(psi(scheme.h, 1)) + 1)
+    reach = min(scheme.m1_space.size, scheme.ell1)
+    for i in range(1, scheme.h):
+        if i in scheme.k_spaces:
+            cells = max(cells, reach * scheme.k_spaces[i].size * n * 2)
+            reach *= min(scheme.k_spaces[i].size, scheme.ell_k[i])
+        reach *= cb.sizes[l_of(i + 1)]
+    return max(cells, reach * (len(cb.sizes) + n + scheme.h))
 
 
 def _repeat(paths: dict, counts) -> dict:

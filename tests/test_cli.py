@@ -569,6 +569,37 @@ class TestKernelsDerivedOnFirstRead:
         assert not (tmp_path / "report.json").exists() and derived == []
 
 
+class TestMarginSign:
+    """The top-level margin is nonnegative: a negative one exits 2, and 0 checks the
+    strict inequalities non-strictly. region.margin may be negative (its inequalities
+    are closed)."""
+
+    @pytest.mark.parametrize("preset", ["dsbs-control", "copy3"])
+    def test_negative_margin_flag(self, tmp_path, capsys, preset):
+        """A negative margin would pass strict checks that fail: dsbs-control fails
+        Theorem 1 at the default margin and at 0, copy3 fails Theorem 2 at the default."""
+        code = run_command(["rates", "--preset", preset, "--margin=-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: margin must be finite and nonnegative, got -1.0\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_margin_in_config(self, tmp_path, capsys):
+        cfg = preset_config("dsbs-control")
+        cfg["margin"] = -1e-9
+        code = run_command(["rates", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: margin must be finite and nonnegative, got -1e-09\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--margin=0"], ["--margin=-0.0"]],
+                             ids=["default", "zero", "minus-zero"])
+    def test_zero_margin_checks_non_strictly(self, tmp_path, flags):
+        """A margin of 0 is allowed: dsbs-control fails its checks with it, as with the default."""
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_command(["rates", "--preset", "dsbs-control", *flags, "--out", str(tmp_path)])
+        assert code == 3
+        assert (tmp_path / "report.json").exists()
+
+
 class TestNonFiniteNumbers:
     """A NaN or infinite number from the config or a flag is a usage error (exit 2):
     never a traceback, a report with a non-JSON float, or an answer computed from it."""

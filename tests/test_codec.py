@@ -19,7 +19,7 @@ from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, channel_of, copy_of, make_network
 from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
-from test_exact_batched import ref_selection_table
+from test_exact_batched import ref_selection_table, ref_support_sizes
 from test_probability import fraction_staircase
 
 
@@ -342,3 +342,92 @@ class TestSupportSizeTieRule:
         assert sizes[1] == 3
         induced = _dsbs_scheme().selection(stack, self.ELL).induced_array(4)
         assert np.array_equal(induced[1], ref_selection_table(self.POSTERIOR, self.ELL)[1])
+
+
+def _weights(draw, size):
+    """size random weights, some zero and some tied."""
+    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return [draw(st.sampled_from(values)) for _ in range(size)]
+
+
+@st.composite
+def wide_posterior_stacks(draw):
+    """(posteriors (R, M), ell) with M up to 50 and ell in [1, 60]: _normalized rows of
+    random weights with zeros and ties, point masses and all-zero (degenerate, so
+    uniform) rows; ell often falls below the support size, which makes the table vacuous."""
+    size = draw(st.integers(1, 50))
+    ell = draw(st.integers(1, 60))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "point", "zero"]))
+        rows.append(_weights(draw, size) if kind == "random" else [0.0] * size)
+        if kind == "point":
+            rows[-1][draw(st.integers(0, size - 1))] = 1.0
+    posteriors, _ = codec._normalized(np.array(rows, dtype=np.float64))
+    return posteriors, ell
+
+
+@st.composite
+def scan_cut_stacks(draw):
+    """(rows (R, M), ell) with ell < M/2 and M up to 50, each row's mass outside its top
+    candidate at most 1 + 1/(2*ell), in shuffled positions:
+    - "random": _normalized weights with zeros and ties;
+    - "above": a _normalized row with some entries a few ulps up, so its cumsum can end above 1;
+    - "near-tie": k <= 2*ell masses a few ulps off 1/(2*ell), the rest of the mass on one
+      candidate, so consecutive certificates differ by less than 1e-15;
+    - "zero": all zeros, not normalized;
+    - "edge": 2*ell + 1 masses q in (1/(2*ell), 1/(2*ell) + 1/(4*ell**2)], whose best
+      support size is 2*ell + 1."""
+    size = draw(st.integers(3, 50))
+    ell = draw(st.integers(1, (size - 1) // 2))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "above", "near-tie", "zero", "edge"]))
+        row = np.zeros(size)
+        if kind in ("random", "above"):
+            row = codec._normalized(np.array(_weights(draw, size)))[0]
+            for _ in range(draw(st.integers(0, 3)) if kind == "above" else 0):
+                b = draw(st.integers(0, size - 1))
+                row[b] = row[b] + draw(st.integers(1, 4)) * np.spacing(row[b])
+        elif kind == "near-tie":
+            k = draw(st.integers(1, min(2 * ell, size - 1)))
+            row[:k] = [1 / (2 * ell) + draw(st.integers(-4, 4)) * np.spacing(1 / (2 * ell)) for _ in range(k)]
+            row[k] = max(1.0 - row[:k].sum(), 0.0)
+        elif kind == "edge":
+            row[:2 * ell + 1] = 1 / (2 * ell) + draw(st.floats(0.01, 1.0)) / (4 * ell ** 2)
+        rows.append(row[draw(st.permutations(range(size)))])
+    return np.array(rows), ell
+
+
+class TestSupportScanCut:
+    """_support_sizes scans support sizes up to 2*ell + 1; a selection over ell seeds
+    gives mass to at most ell candidates, which bounds the exact walk's fan-out."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=scan_cut_stacks())
+    # four masses 1/4 + 4 ulps end their cumsum 8.9e-16 above 1, so m = 2*ell wins
+    @example(case=(np.array([[0.25 + 4 * np.spacing(0.25)] * 4 + [0.0] * 3]), 2))
+    @example(case=(np.array([[0.0] * 5, [0.2] * 5, [1 / 4 + 1 / 32] * 5]), 2))
+    def test_matches_full_scan(self, case):
+        rows, ell = case
+        order, best_m = codec._support_sizes(rows, ell)
+        want_order, want_m = ref_support_sizes(rows, ell)
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(best_m, want_m)
+
+    def test_examples_reach_the_cut(self):
+        """The examples select 2*ell and 2*ell + 1 candidates, past any cut below 2*ell + 1."""
+        _, sizes = ref_support_sizes(np.array([[0.25 + 4 * np.spacing(0.25)] * 4 + [0.0] * 3]), 2)
+        assert sizes.tolist() == [4]
+        _, sizes = ref_support_sizes(np.array([[1 / 4 + 1 / 32] * 5]), 2)
+        assert sizes.tolist() == [5]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=wide_posterior_stacks())
+    @example(case=(np.full((1, 50), 1 / 50), 1))
+    @example(case=(np.full((1, 50), 1 / 50), 49))
+    def test_selection_reaches_at_most_ell_candidates(self, case):
+        posteriors, ell = case
+        size = posteriors.shape[-1]
+        induced = _dsbs_scheme().selection(posteriors, ell).induced_array(size)
+        assert (np.count_nonzero(induced, axis=1) <= min(size, ell)).all()

@@ -241,6 +241,22 @@ def ref_staircase_cuts(weights, support, ell):
     return cuts
 
 
+def ref_support_sizes(posteriors, ell):
+    """codec._support_sizes scanning every support size m = 1..M: each row's candidates
+    by descending mass (ties by index) and the shortest top-mass prefix minimizing
+    2*eps + m/ell, where a longer one must beat the best so far by 1e-15."""
+    count = posteriors.shape[-1]
+    order = np.argsort(-posteriors, axis=-1, kind="stable")
+    mass = posteriors[np.arange(len(posteriors))[:, None], order]
+    certs = 2.0 * (1.0 - np.cumsum(mass, axis=-1)) + np.array([m / ell for m in range(1, count + 1)])
+    certs[np.arange(1, count + 1) > (mass > 0).sum(axis=-1, keepdims=True)] = np.inf  # past positive mass
+    best_m, best = np.ones(len(posteriors), dtype=np.int64), certs[:, 0]
+    for m, cert in enumerate(certs.T[1:], 2):
+        better = cert < best - 1e-15
+        best, best_m[better] = np.where(better, cert, best), m
+    return order, best_m
+
+
 def ref_selection_table(posterior, ell):
     """One posterior's staircase selection, one support size at a time: the support
     (the candidates by descending mass, ties by index, cut to the first prefix whose
@@ -430,20 +446,22 @@ def test_exact_induced_matches_reference_posteriors(case, monkeypatch):
     assert got.degenerate_paths == want.degenerate_paths
 
 
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """Per _grid_chunks call: (cells per assignment, assignments per chunk)."""
+    log = []
+    original = evalharness._grid_chunks
+
+    def spy(spaces, cells):
+        log.append((cells, [len(next(iter(c.values()))) for c in original(spaces, cells)]))
+        return original(spaces, cells)
+
+    monkeypatch.setattr(evalharness, "_grid_chunks", spy)
+    return log
+
+
 class TestChunkBoundaries:
     """Chunks of 1 and 3 assignments, with a partial last chunk, give the same values."""
-
-    @pytest.fixture
-    def chunk_log(self, monkeypatch):
-        log = []
-        original = evalharness._grid_chunks
-
-        def spy(spaces, cells):
-            log.append((cells, [len(next(iter(c.values()))) for c in original(spaces, cells)]))
-            return original(spaces, cells)
-
-        monkeypatch.setattr(evalharness, "_grid_chunks", spy)
-        return log
 
     @pytest.mark.parametrize("evaluator", ["cr", "piecing"])
     # 1, 80 and 18 pair assignments: copy3 ends on a partial chunk of 2
@@ -560,28 +578,97 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 2),
                                       ("dsbs", None, 3)], ids=_ids)
     def test_exact_walk_chunk_sizes(self, case, chunk_log, monkeypatch):
+        """Chunks of 1 and 3 roots, the default budget and one chunk of every root give
+        the reference law."""
         _, mode, cb = _setup(*case)
         want = ref_exact_conditional(cb, mode)
+        _assert_exact_matches(exact_induced(cb, mode), want)
         monkeypatch.setattr(evalharness, "GRID_CELLS", 1)
         _assert_exact_matches(exact_induced(cb, mode), want)
-        (cells, chunks), = chunk_log
+        cells, chunks = chunk_log[-1]
         assert set(chunks) == {1}
         total = len(chunks)
         monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
         _assert_exact_matches(exact_induced(cb, mode), want)
         assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 1 << 20)
+        _assert_exact_matches(exact_induced(cb, mode), want)
+        assert chunk_log[-1][1] == [total]
+
+
+class TestWalkBudget:
+    """Each exact_induced chunk stays within GRID_CELLS: its paths after the last step,
+    and its largest posterior stack (rows x candidates x n letters). A selection over
+    ell seeds reaches at most ell candidates, so a root's fan-out is sized by
+    min(candidates, ell) per selection."""
+
+    @pytest.fixture
+    def walk_log(self, monkeypatch):
+        """Per chunk: (rows after its last step, largest posterior stack in cells)."""
+        log = []
+
+        def spy(scheme, paths, select, uniform):
+            stacks = [0]
+
+            def recording(paths, key, ell, space, posteriors):
+                stacks.append(posteriors[0].size * scheme.n)
+                return select(paths, key, ell, space, posteriors)
+
+            out = codec.walk(scheme, paths, recording, uniform)
+            log.append((len(out["p"]), max(stacks)))
+            return out
+
+        monkeypatch.setattr(evalharness, "walk", spy)
+        return log
+
+    # the preset x mode pairs of the exact golden fixtures, at the benchmark's n for
+    # dsbs (6) and copy3 (4); chunk counts where pinned
+    @pytest.mark.parametrize("case, chunks", [pytest.param(case, chunks, id=_ids(case)) for case, chunks in [
+        (("dsbs", None, 2), None), (("dsbs", None, 6), 16), (("dsbs-control", None, 3), None),
+        (("indep-uniform", None, 3), None), (("copy3", None, 2), None),
+        (("copy3", None, 4), 9),  # 14 when every root branched on all 44 m1 candidates
+        (("markov3", None, 2), None), (("markov3", None, 4), 16),
+        (("markov3", "action-dependent", 3), None)]])
+    def test_chunks_within_budget(self, case, chunks, walk_log):
+        _, mode, cb = _setup(*case)
+        exact_induced(cb, mode)
+        assert all(rows <= evalharness.GRID_CELLS and stack <= evalharness.GRID_CELLS
+                   for rows, stack in walk_log)
+        assert chunks is None or len(walk_log) == chunks
+
+    def test_k_plus_fan_out_below_its_range(self, walk_log, chunk_log, monkeypatch):
+        """markov3 at n=3 with k+ seed ranges of 2 below its 22 candidates: the law is
+        the reference's at the default budget and at chunks of 3 roots, and a root is
+        sized by 2 k+ branches per hop, not 22."""
+        _, mode, cb = _setup("markov3", None, 3)
+        full = evalharness._root_cells(Scheme(cb, mode))
+        monkeypatch.setattr(codec, "hop_selector_rate", lambda spec, rates, i: 1 / 3 - codec.SEED_MARGIN)
+        scheme = Scheme(cb, mode)
+        assert all(scheme.ell_k[i] == 2 < space.size for i, space in scheme.k_spaces.items())
+        want = ref_exact_conditional(cb, mode)
+        _assert_exact_matches(exact_induced(cb, mode), want)
+        (cells, chunks), = chunk_log
+        assert cells == evalharness._root_cells(scheme) < full
+        total = sum(chunks)
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
+        walk_log.clear()
+        _assert_exact_matches(exact_induced(cb, mode), want)
+        assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
+        assert all(rows <= evalharness.GRID_CELLS and stack <= evalharness.GRID_CELLS
+                   for rows, stack in walk_log)
 
 
 class TestMemory:
     """Chunked grids keep the working set near the cell budget: an unchunked
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
-    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 1.37
+    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 1.67
     budgets (its window of 1,408 keys and 16 distinct tuples) and exact_induced
-    1.08; the walk's stacked posteriors and selections fill no cache. A budget
+    1.48 (62 roots a chunk, each sized by its 44-candidate node-1 posterior
+    stack); the walk's stacked posteriors and selections fill no cache. A budget
     grows with GRID_CELLS, so REQUEST_BYTES bounds a whole exact request in
-    bytes: its measured peaks are 0.77 MiB on copy3 at n=4 and 0.63 MiB on dsbs
-    at n=6, 23% and 37% below the bound; at GRID_CELLS 2^16 they are 0.77 and
-    1.28 MiB, the second above it."""
+    bytes: its measured peaks are 0.76 MiB on copy3 at n=4, 0.64 MiB on dsbs
+    at n=6 and 0.95 MiB on markov3 at n=4, 24%, 36% and 5% below the bound; at
+    GRID_CELLS 2^16 they are 0.79, 1.30 and 0.95 MiB, the second above it."""
 
     BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
     REQUEST_BYTES = 1 << 20  # 1 MiB
@@ -606,9 +693,10 @@ class TestMemory:
         _, mode, cb = copy3
         assert self._peak(lambda: exact_induced(cb, mode)) < self.BOUND * evalharness.GRID_CELLS * 8
 
-    @pytest.mark.parametrize("preset, n", [("copy3", 4), ("dsbs", 6)])
+    @pytest.mark.parametrize("preset, n", [("copy3", 4), ("dsbs", 6), ("markov3", 4)])
     def test_exact_request(self, tmp_path, preset, n):
-        """One exact request: codebook build, walk, CR independence and piecing."""
+        """One exact request: codebook build, walk, CR independence and piecing. markov3
+        runs unrestricted, the one preset mode that selects K+."""
         cfg = preset_config(preset)
         cfg.update(n=[n], codebook_seeds=[SEED])
         path = tmp_path / "cfg.json"
