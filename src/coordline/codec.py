@@ -1,13 +1,13 @@
 """The action-generation and strong-coordination schemes over a realized codebook.
 
-One walk (walk) runs the scheme on a stack of rows: node 1 selects m1 from its
-posterior given its action block, then each hop i selects K_i+ when the mode's
-schedule does, draws node i+1's local index l and reads node i+1's action as
-its C-codeword. Every selection goes through the same exact posterior
-(Scheme.node1_posterior, Scheme.k_posterior) and stacked staircase table
-(Scheme.selection). Exact evaluation (evalharness.exact_induced) branches
-each row on every outcome with mass; Monte Carlo (run_scheme) runs trials as
-rows and draws one outcome per row.
+Monte Carlo runs the scheme as one walk (walk) over a block of trials: node 1
+selects m1 from its posterior given its action block, then each hop i selects
+K_i+ when the mode's schedule does, draws node i+1's local index l and reads
+node i+1's action as its C-codeword. Every selection goes through an exact
+posterior (Scheme.node1_posterior, Scheme.k_posterior) and one stacked
+staircase table (Scheme.selection). Exact evaluation (evalharness.exact_induced)
+builds the same posteriors and tables for every root and hop state at once,
+and contracts their integer seed widths instead of walking.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
 selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
@@ -142,21 +142,13 @@ class Scheme:
     """Precomputed tables, selector layout and metering for one (codebook, mode) pair."""
 
     def __init__(self, cb: Codebook, mode: Mode):
-        spec = cb.spec
-        rates = cb.rates
-        mode = Mode(mode)
+        spec, rates, mode = cb.spec, cb.rates, Mode(mode)
         check_mode_restrictions(spec, rates, mode)
         _require_c_equals_action(spec)
-        self.cb = cb
-        self.spec = spec
-        self.rates = rates
-        self.mode = mode
-        schedule = mode.schedule
-        self.schedule = schedule
-        self.n = cb.n
-        h = spec.h
-        self.h = h
-        joint = spec.joint
+        self.cb, self.spec, self.rates, self.mode = cb, spec, rates, mode
+        self.schedule = schedule = mode.schedule
+        self.n, self.h = cb.n, spec.h
+        h, joint = spec.h, spec.joint
 
         self.order = order_pairs(h)
         self.x1_kernel = spec.x_kernels[1]
@@ -297,52 +289,39 @@ def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.nda
 # Scheme execution
 
 
-def walk(scheme: Scheme, paths: dict, select, uniform) -> dict:
-    """The scheme on a stack of rows. paths maps "X1" to node 1's action blocks (R, n)
-    and each index component in scheme.cr_spaces to an integer array (R,); keys that
-    are not tuples are not indices. Node 1 selects m1; then per hop i, node i selects
-    K_i+ when the schedule does, l_{i+1} is drawn, and node i+1's action "X{i+1}" is
-    its C-codeword. select(paths, key, ell, space, (posteriors, degenerate flags)),
-    with key ("m1",) or ("k", i), and uniform(paths, component, size) each take one
-    step and return the paths after it."""
-    cb = scheme.cb
-    paths = select(paths, ("m1",), scheme.ell1, scheme.m1_space,
-                   scheme.node1_posterior(paths["X1"], _indices(paths)))
+def walk(scheme: Scheme, draw, rows: int) -> tuple[dict, dict]:
+    """The scheme on one block of rows Monte Carlo trials, each index drawn as an array on
+    its stream draw(*key). The paths hold node 1's action blocks "X1" (rows, n), drawn from
+    the target marginal, and every index component. Node 1 selects m1; then per hop i,
+    node i selects K_i+ when the schedule does, l_{i+1} is drawn, and node i+1's action
+    "X{i+1}" is its C-codeword. A selection with key ("m1",) or ("k", i) draws one seed
+    per row from draw("seed", *key) and maps it through the row's staircase cuts.
+    Returns the paths and, per selector key, (seeds, chosen candidates, degenerate flags)."""
+    cb, selected = scheme.cb, {}
+    paths = _uniform(draw, rows, scheme.cr_spaces)
+    paths["X1"] = _iid_blocks(draw("x1").random((rows, scheme.n)), scheme.x1_cum)
+
+    def select(key, ell, space, posteriors):
+        seeds = draw("seed", *key).integers(1, ell + 1, size=rows)
+        chosen = scheme.selection(posteriors[0], ell).map_seed(seeds)
+        selected[key] = (seeds, chosen, posteriors[1])
+        paths.update(space.unflatten(chosen))
+
+    select(("m1",), scheme.ell1, scheme.m1_space, scheme.node1_posterior(paths["X1"], _indices(paths)))
     for node in range(1, scheme.h):
-        x_block = paths[x_label(node)]
         if node in scheme.k_spaces:
-            paths = select(paths, ("k", node), scheme.ell_k[node], scheme.k_spaces[node],
-                           scheme.k_posterior(node, x_block, _indices(paths)))
+            select(("k", node), scheme.ell_k[node], scheme.k_spaces[node],
+                   scheme.k_posterior(node, paths[x_label(node)], _indices(paths)))
         else:
-            paths[k_plus(node)] = np.zeros(len(x_block), dtype=np.int64)
-        paths = uniform(paths, l_of(node + 1), cb.sizes[l_of(node + 1)])
+            paths[k_plus(node)] = np.zeros(rows, dtype=np.int64)
+        paths.update(_uniform(draw, rows, [(l_of(node + 1), cb.sizes[l_of(node + 1)])]))
         paths[x_label(node + 1)] = cb.c_codeword(node + 1, paths)
-    return paths
+    return paths, selected
 
 
 def _indices(paths: dict) -> dict:
     """The index components of paths."""
     return {c: v for c, v in paths.items() if isinstance(c, tuple)}
-
-
-class _Sampler:
-    """The Monte Carlo steps of the walk on one block of trials. A selector draws one
-    seed per row and maps it through the row's staircase cuts; a uniform index is drawn
-    as an array. draw(*key) is the generator of the block's stream for key."""
-
-    def __init__(self, scheme: Scheme, draw, rows: int):
-        self.scheme, self.draw, self.rows = scheme, draw, rows
-        self.selected = {}  # selector key -> (seeds, chosen candidates, degenerate flags)
-
-    def select(self, paths, key, ell, space, posteriors):
-        stack, degenerate = posteriors
-        seeds = self.draw("seed", *key).integers(1, ell + 1, size=self.rows)
-        chosen = self.scheme.selection(stack, ell).map_seed(seeds)
-        self.selected[key] = (seeds, chosen, degenerate)
-        return paths | space.unflatten(chosen)
-
-    def uniform(self, paths, comp, size):
-        return paths | _uniform(self.draw, self.rows, [(comp, size)])
 
 
 def _audit(scheme: Scheme) -> tuple[dict, dict, list]:
@@ -436,15 +415,10 @@ def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int) -> SchemeRun:
     scheme = Scheme(cb, mode)
     checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
         r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
-    parts, selected = [], []
-    for block in range(-(-trials // STREAM_BLOCK_ROWS)):
-        draw = functools.partial(_child_rng, seed, "mc", block)
-        rows = min(STREAM_BLOCK_ROWS, trials - block * STREAM_BLOCK_ROWS)
-        paths = _uniform(draw, rows, scheme.cr_spaces)
-        paths["X1"] = _iid_blocks(draw("x1").random((rows, scheme.n)), scheme.x1_cum)
-        sampler = _Sampler(scheme, draw, rows)
-        parts.append(walk(scheme, paths, sampler.select, sampler.uniform))
-        selected.append(sampler.selected)
+    runs = [walk(scheme, functools.partial(_child_rng, seed, "mc", block),
+                 min(STREAM_BLOCK_ROWS, trials - block * STREAM_BLOCK_ROWS))
+            for block in range(-(-trials // STREAM_BLOCK_ROWS))]
+    parts, selected = [p for p, _ in runs], [s for _, s in runs]
     paths = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]} if parts else {}
     selected = {key: tuple(np.concatenate(arrays) for arrays in zip(*(s[key] for s in selected)))
                 for key in (selected[0] if selected else ())}

@@ -1,11 +1,10 @@
 """Exact and Monte Carlo evaluation of the coordination criterion.
 
-The exact path enumerates every source block, every common-randomness value,
-every uniform index, and the closed-form staircase-selector distributions,
-producing the exact conditional law of the generated actions for one realized
-codebook. The Monte Carlo path histograms scheme runs. KL-style limits are
-monitored through their L1 surrogates, since finite-blocklength KL against a
-random codebook is infinite off support.
+The exact path contracts, for one realized codebook, the integer seed widths of
+node 1's and the relays' staircase selectors with the uniform indices into the
+exact conditional law of the generated actions. The Monte Carlo path histograms
+scheme runs. KL-style limits are monitored through their L1 surrogates, since
+finite-blocklength KL against a random codebook is infinite off support.
 """
 from __future__ import annotations
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .codebooks import (Book, Codebook, Component, IndexSpace, _pair_components, build_codebooks, k_minus,
                         k_plus, l_of, m_minus, m_plus)
-from .codec import STREAM_VERSION, Scheme, run_scheme, walk
-from .errors import UsageError, check_cap, resolve_cap
+from .codec import STREAM_VERSION, Scheme, _normalized, _per_candidate, run_scheme
+from .errors import ResourceCapError, UsageError, check_cap, resolve_cap
 from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
 from .rates import CodebookRates, Mode
@@ -55,7 +54,8 @@ def _block_order(n: int, dims: tuple[int, ...]) -> np.ndarray:
 
 @dataclass
 class ExactInduced:
-    """Exact conditional action law of one realized codebook under a mode."""
+    """Exact conditional action law of one realized codebook under a mode: each cell is
+    its exact rational probability rounded once to float64."""
 
     conditional: np.ndarray  # (S1, S2, ..., Sh); rows over x1 blocks sum to 1
     x1_marginal: np.ndarray  # target X1^n block probabilities
@@ -64,16 +64,11 @@ class ExactInduced:
     mode: str
     degenerate_paths: int = 0
 
-    def coordination_joint(self) -> np.ndarray:
-        shape = (len(self.x1_marginal),) + (1,) * (len(self.block_sizes) - 1)
-        return self.x1_marginal.reshape(shape) * self.conditional
-
 
 GRID_CELLS = 1 << 15
-"""Cells one chunk of an index grid may span: its assignments, at least one, times
-the cells each needs (block cells, piecing's key ids, or the exact walk's most cells
-per root, see _root_cells). At 2^15 (256 KB), exact on copy3 n=4 and dsbs n=6 runs
-a third faster than at 2^14."""
+"""Cells one chunk of an index grid may span: its assignments, at least one, times the
+cells each needs (block cells, piecing's key ids, or exact_induced's widest arrays per
+common-randomness value, see _shared_cells)."""
 
 
 def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
@@ -98,89 +93,114 @@ def check_exact_sizes(cb: Codebook, *names: str) -> None:
 
 
 def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
-    """Full enumeration of the scheme's conditional action law for one codebook.
+    """The scheme's exact conditional action law for one codebook.
 
-    Breadth-first over integer-array paths: codec.walk runs each chunk of (x1
-    block, shared indices) rows, branching every path on node 1's m1, then per
-    hop on k+ and l. Branching repeats each path in place, so paths keep the
-    order of a depth-first walk, and np.add.at sums their mass into the law in
-    that order."""
+    Given the shared indices g = (m+-, k-, m1) the scheme is Markov along the line, so
+    the law is the sum over g of node 1's factor A[g, x1], the seed widths its staircase
+    gives m1 at root (x1, cr), times per-hop factors F_i[g, x_i, x_{i+1}]: per k+, the
+    count of l whose C-word is x_{i+1}, weighted by the seed widths of k+ at x_i where
+    the schedule selects K+ (else k+ is 0 and the x_i axis has size 1). Each chunk of
+    common-randomness values cr, every m1 with each, builds its factors, and _contract
+    sums them over g. All are integer numerators over D = |CR| * ell1 * prod ell_k *
+    prod |L|, and each x1 row's numerators sum to D, so while D <= 2^53 every float64
+    sum is exact in any order: the law is the exact rational law rounded once per cell.
+    A degenerate posterior counts once per path of the scheme's tree (a root, then the
+    m1, k+ and l branches with mass) that meets it."""
     scheme = Scheme(cb, mode)
-    n = cb.n
-    net = cb.spec.network
+    h, net = cb.h, cb.spec.network
     check_exact_sizes(cb, "exact enumeration paths")
-
-    sizes = [a.size for a in net.alphabets]
-    block_sizes = tuple(s ** n for s in sizes)
-    cond = np.zeros(block_sizes)
+    ranges = [size for _, size in scheme.cr_spaces] + [cb.sizes[l_of(i)] for i in range(2, h + 1)]
+    denominator = math.prod(ranges + [scheme.ell1] + [scheme.ell_k[i] for i in scheme.k_spaces])
+    if denominator > 2 ** 53:
+        raise ResourceCapError(f"exact law denominator D = {denominator} is above 2^53, "
+                               "past which float64 numerators are no longer exact")
+    block_sizes = tuple(a.size ** cb.n for a in net.alphabets)
+    num = np.zeros((math.prod(block_sizes[:-2]), *block_sizes[-2:]))
+    m1 = scheme.m1_space.unflatten(np.arange(scheme.m1_space.size))
     degenerate = 0
-    cr_weight = 1.0
-    for _, s in scheme.cr_spaces:
-        cr_weight /= s
-
-    def select(paths, key, ell, space, posteriors):
-        nonlocal degenerate
-        paths, deg = _branch(scheme, paths, ell, space, posteriors)
-        degenerate += deg
-        return paths
-
-    def uniform(paths, comp, size):
-        values = np.tile(np.arange(size), len(paths["p"]))
-        paths = _repeat(paths, size) | {comp: values}
-        paths["p"] = paths["p"] / size
-        return paths
-
-    for paths in _grid_chunks([(("x1",), block_sizes[0])] + scheme.cr_spaces, _root_cells(scheme)):
-        paths["X1"] = np.stack(np.unravel_index(paths.pop(("x1",)), (sizes[0],) * n), axis=-1)
-        paths["p"] = np.full(len(paths["X1"]), cr_weight)
-        paths = walk(scheme, paths, select, uniform)
-        np.add.at(cond, tuple(np.ravel_multi_index(tuple(paths[x].T), (s,) * n)
-                              for x, s in zip(net.x_labels, sizes)), paths["p"])
-    x1_marg = marginalize(net.target, [x_label(1)])
-    q1 = _block_product(np.tile(x1_marg.weights, (1, n, 1)))[0]
-    return ExactInduced(conditional=cond, x1_marginal=q1, block_sizes=block_sizes, n=n,
-                        mode=scheme.mode.value, degenerate_paths=degenerate)
-
-
-def _root_cells(scheme: Scheme) -> int:
-    """The most cells one root's stacks take: its paths after the last step, (components +
-    n + h) cells each, or a posterior stack, candidates x n letters per path for each gather
-    that varies with the candidate (node 1's psi(1) A-words, hop i's B-word, the kernel).
-    A staircase over ell seeds gives mass to at most ell of its candidates."""
-    cb, n = scheme.cb, scheme.n
-    cells = scheme.m1_space.size * n * (len(psi(scheme.h, 1)) + 1)
-    reach = min(scheme.m1_space.size, scheme.ell1)
-    for i in range(1, scheme.h):
-        if i in scheme.k_spaces:
-            cells = max(cells, reach * scheme.k_spaces[i].size * n * 2)
-            reach *= min(scheme.k_spaces[i].size, scheme.ell_k[i])
-        reach *= cb.sizes[l_of(i + 1)]
-    return max(cells, reach * (len(cb.sizes) + n + scheme.h))
+    for cr in _grid_chunks(scheme.cr_spaces, _shared_cells(scheme)):
+        grid = {c: v[:, None] for c, v in cr.items()} | m1  # (cr, m1)
+        widths, flags = _selection_widths(scheme, scheme.x1_kernel.weights,
+                                          [cb.a_codeword(q, grid) for q in sorted(psi(h, 1))], scheme.ell1)
+        degenerate += int(np.count_nonzero(flags))
+        factors = [np.ascontiguousarray(widths.transpose(1, 0, 2), dtype=np.float64).reshape(1, block_sizes[0], -1)]
+        g = {c: np.repeat(v, scheme.m1_space.size) for c, v in cr.items()}
+        g |= {c: np.tile(v, len(widths)) for c, v in m1.items()}  # (cr, m1) rows, m1 fastest
+        paths = factors[0][0].T > 0  # (g, x_i): the paths of the tree that reach x_i
+        for i in range(1, h):
+            hits = reach = _hits(scheme, i, g)  # (g, k+, x_{i+1})
+            if i in scheme.k_spaces:
+                widths, flags = _selection_widths(
+                    scheme, scheme.k_kernels[i].weights, [cb.a_codeword(p, g)[:, None] for p in scheme.order]
+                    + [cb.b_codeword(i, _per_candidate(g) | {k_plus(i): np.arange(hits.shape[1])})],
+                    scheme.ell_k[i])
+                degenerate += int((paths * flags).sum())
+                reach, hits = (widths > 0).astype(np.int64) @ hits, widths @ hits
+            if i < max(scheme.k_spaces, default=0):  # paths are counted up to the last K+ hop
+                paths = (paths[:, :, None] * reach).sum(axis=1)
+            # node 1's factor is (1, x1, g), each hop's (x_i or 1, x_{i+1}, g)
+            factors.append(np.ascontiguousarray(hits.transpose(1, 2, 0), dtype=np.float64))
+        step = max(1, GRID_CELLS // math.prod(block_sizes[:-1]))
+        for start in range(0, factors[0].shape[-1], step):
+            num += _contract([f[..., start:start + step] for f in factors])
+    q1 = _block_product(np.tile(marginalize(net.target, [x_label(1)]).weights, (1, cb.n, 1)))[0]
+    return ExactInduced(conditional=(num / denominator).reshape(block_sizes), x1_marginal=q1,
+                        block_sizes=block_sizes, n=cb.n, mode=scheme.mode.value, degenerate_paths=degenerate)
 
 
-def _repeat(paths: dict, counts) -> dict:
-    """Each path repeated counts times (per path, or one int for all), its copies adjacent."""
-    return {key: np.repeat(v, counts, axis=0) for key, v in paths.items()}
+def _contract(factors: list[np.ndarray]) -> np.ndarray:
+    """The sum over rows g of node 1's factor (1, x1, g) times each hop's (x_i or 1,
+    x_{i+1}, g), as (x1..x_{h-2}, x_{h-1}, x_h): a prefix (x1..x_{i-1}, x_i, g) takes each
+    hop but the last by broadcasting, and the last sums g in one batched matmul."""
+    prefix = factors[0]
+    for factor in factors[1:-1]:
+        prefix = (prefix[:, :, None] * factor).reshape(-1, *factor.shape[1:])
+    return np.matmul(prefix.transpose(1, 0, 2), factors[-1].transpose(0, 2, 1)).transpose(1, 0, 2)
 
 
-def _branch(scheme: Scheme, paths: dict, ell: int, space: IndexSpace,
-            posteriors: tuple[np.ndarray, np.ndarray]) -> tuple[dict, int]:
-    """Each path branched on the candidates (flat in space) its staircase selector
-    gives mass, ascending, with that mass multiplied into its probability "p";
-    posteriors are the paths' stacked posteriors (R, M) and degenerate flags (R,).
-    Returns the paths and the number of degenerate posteriors."""
-    stack, degenerate = posteriors
-    induced = scheme.selection(stack, ell).induced_array(stack.shape[-1])
-    rows, values = np.nonzero(induced)
-    out = _repeat(paths, np.count_nonzero(induced, axis=1)) | space.unflatten(values)
-    out["p"] = out["p"] * induced[rows, values]
-    return out, int(np.count_nonzero(degenerate))
+def _selection_widths(scheme: Scheme, kernel: np.ndarray, letters, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer staircase widths (R, S, C) and degenerate flags (R, S) of the posteriors over
+    C candidates of each of a node's S action blocks, for rows R: kernel gives the node's
+    per-letter law at the codewords letters (R, C, n), broadcast. The posteriors are
+    Scheme.node1_posterior's and Scheme.k_posterior's, bit for bit."""
+    rows = kernel[tuple(letters)]  # (R, C, n, |X|)
+    shape = rows.shape
+    rows = _block_product(rows.reshape(-1, *shape[2:])).reshape(*shape[:2], -1)  # likelihoods (R, C, S)
+    posteriors, flags = _normalized(np.ascontiguousarray(rows.transpose(0, 2, 1)))
+    del rows  # the selection's own arrays are the stack's size several times over
+    table = scheme.selection(posteriors.reshape(-1, shape[1]), ell)
+    return table.induced_widths(shape[1]).reshape(posteriors.shape), flags
+
+
+def _hits(scheme: Scheme, i: int, g: dict) -> np.ndarray:
+    """Per row g and k+ (only 0 where hop i selects no K+), the count of the l_{i+1} whose
+    C-word is each block of node i+1, row-major over its letters: (g, k+, |X_{i+1}|^n)."""
+    cb, size = scheme.cb, scheme.spec.network.alphabets[i].size
+    count = scheme.k_spaces[i].size if i in scheme.k_spaces else 1
+    grid = {c: v[:, None, None] for c, v in g.items()} | {k_plus(i): np.arange(count)[:, None]}
+    words = cb.c_codeword(i + 1, grid | {l_of(i + 1): np.arange(cb.sizes[l_of(i + 1)])})  # (g, k+, l, n)
+    blocks = words @ size ** np.arange(cb.n - 1, -1, -1)  # (g, k+, l), row-major over the letters
+    keys = blocks + size ** cb.n * np.arange(blocks[..., 0].size).reshape(-1, count, 1)
+    return np.bincount(keys.ravel(), minlength=len(words) * count * size ** cb.n).reshape(len(words), count, -1)
+
+
+def _shared_cells(scheme: Scheme) -> int:
+    """The most cells one common-randomness value's factors take in exact_induced: its |M1|
+    rows g times the widest array per row: at hop i, per k+, the C-words, hits or a stack
+    over node i's blocks (node 1's or K+ posteriors; a selection holds up to about 6.5
+    arrays of its stack's size at once, so a stack counts seven times), and where K+ is
+    selected the factor over the blocks of nodes i and i+1. A gather of n letters is at
+    most a block."""
+    cb, blocks = scheme.cb, [a.size ** scheme.n for a in scheme.spec.network.alphabets]
+    counts = [scheme.k_spaces[i].size if i in scheme.k_spaces else 1 for i in range(1, scheme.h)]
+    return scheme.m1_space.size * max(max(k * max(cb.sizes[l_of(i + 1)] * cb.n, 7 * blocks[i - 1], blocks[i]),
+                                          blocks[i - 1] * blocks[i] * (k > 1)) for i, k in enumerate(counts, 1))
 
 
 def coordination_tv(exact: ExactInduced, network: NetworkSpec) -> float:
     """Exact L1 between the induced coordination law and target^(x n)."""
-    target = target_block_tensor(network, exact.n)
-    return float(np.abs(exact.coordination_joint() - target).sum())
+    joint = exact.x1_marginal.reshape((-1,) + (1,) * (len(exact.block_sizes) - 1)) * exact.conditional
+    return float(np.abs(joint - target_block_tensor(network, exact.n)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +285,7 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
 def cr_independence(cb: Codebook) -> float:
     """Average L1 between the uniform-index law of the first action given each
     shared-index value and its average: sum over m- of (1/|M-|) * || Q(.|m-) - Q(.) ||_1."""
-    spec = cb.spec
-    h = cb.h
-    n = cb.n
+    spec, h, n = cb.spec, cb.h, cb.n
     x1_axis = x_label(1)
     psi1_pairs = sorted(psi(h, 1))
     a_psi1 = [a_label(q) for q in psi1_pairs]
@@ -314,9 +332,7 @@ def piecing_check(cb: Codebook) -> float:
     (k+, k-, l). Each window of assignments sums its distinct keys once, weighted
     by their counts, in one einsum per sub-chunk: within 1e-12 of a one-at-a-time
     loop, not bit-identical."""
-    spec = cb.spec
-    h = cb.h
-    n = cb.n
+    spec, h, n = cb.spec, cb.h, cb.n
     net = spec.network
     block_sizes = [a.size ** n for a in net.alphabets]
     a_axes = [a_label(p) for p in order_pairs(h)]

@@ -301,7 +301,7 @@ class StaircaseTable:
     N_i = floor(p_i * ell) over the cumulative masses of `support` in order, and with
     N_0 = 0 and N_M = ell implied, seeds in (N_{i-1}, N_i] map to support[i-1].
     `support_size` is each table's M (an int, or an array over the leading axes); a
-    table is vacuous (bound >= 1) where it exceeds ell. `map_seed` and `induced_array`
+    table is vacuous (bound >= 1) where it exceeds ell. `map_seed` and `induced_widths`
     broadcast over a stack. The certificate is read on a single table (see `row`),
     computed on first read from the snapped rationals of `weights` and cached: `bound`
     is the certified L1 error 2*epsilon + M/ell (epsilon = mass outside the support),
@@ -335,16 +335,20 @@ class StaircaseTable:
         return int(chosen) if chosen.ndim == 0 else chosen
 
     def _widths(self) -> np.ndarray:
-        """Seeds per support symbol: the gaps of (0, cuts, ell)."""
-        return np.diff(self.cuts, prepend=0, append=self.ell)
+        """Seeds per support symbol: the gaps of (0, cuts, ell), in one array of the support's shape."""
+        widths = np.empty(self.support.shape, dtype=np.int64)
+        widths[..., :-1], widths[..., -1] = self.cuts, self.ell
+        widths[..., 1:] -= self.cuts
+        return widths
 
     induced = functools.cached_property(
         lambda self: tuple(Fraction(k, self.ell) for k in self._widths().tolist()))
 
-    def induced_array(self, size: int) -> np.ndarray:
-        """The induced law over symbols 0..size-1 (a row per table of a stack); k / ell in float64."""
-        out = np.zeros(self.support.shape[:-1] + (size,))
-        np.put_along_axis(out, self.support, self._widths() / self.ell, axis=-1)
+    def induced_widths(self, size: int) -> np.ndarray:
+        """The seeds of each symbol 0..size-1 (a row per table of a stack), int64: the
+        induced law times ell."""
+        out = np.zeros(self.support.shape[:-1] + (size,), dtype=np.int64)
+        np.put_along_axis(out, self.support, self._widths(), axis=-1)
         return out
 
     @functools.cached_property

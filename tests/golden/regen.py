@@ -3,7 +3,8 @@
 Run from the repository root with the package importable:
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite every fixture
-    PYTHONPATH=src python tests/golden/regen.py --check   # print the first path that differs
+    PYTHONPATH=src python tests/golden/regen.py --check   # print the first path that differs,
+                                                          # else each fixture's largest float drift
 
 A fixture pins behaviour that report.json alone does not show: hop bundle
 order, per-node bit metering, the audit and every selector outcome. Integers,
@@ -224,6 +225,19 @@ def first_difference(want, got, path: str = "$") -> str | None:
     return None if want == got else f"{path}: {want!r} != {got!r}"
 
 
+def largest_drift(want, got) -> float | None:
+    """The largest relative difference |got - want| / |want| over the floats of two
+    structures that first_difference matches (0 where want is 0); None without floats."""
+    if isinstance(want, dict):
+        want, got = list(want.values()), list(got.values())
+    if isinstance(want, list):
+        drifts = [d for d in map(largest_drift, want, got) if d is not None]
+        return max(drifts, default=None)
+    if isinstance(want, float):
+        return abs(got - want) / abs(want) if want else 0.0
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -236,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
             if diff:
                 print(f"{name}: {diff}")
                 return 1
+            drift = largest_drift(load(name), got)
+            if drift is not None:
+                print(f"{name}: largest relative float drift {drift:.3g}")
         else:
             fixture_path(name).write_text(json.dumps(got) + "\n")
     print("fixtures match" if args.check else f"wrote {len(cases())} fixtures to {GOLDEN_DIR}")

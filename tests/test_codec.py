@@ -93,13 +93,13 @@ class TestSelectFromPosterior:
         table = select_one([1.0], 5)
         for seed in range(1, 6):
             assert table.map_seed(seed) == 0
-            assert table.induced_array(1)[0] == pytest.approx(1.0)
+            assert table.induced_widths(1)[0] == 5
 
     def test_two_equiprobable_ell2(self):
         table = select_one([0.5, 0.5], 2)
         assert table.realized_l1 == pytest.approx(0.0)
         assert table.bound == pytest.approx(1.0)
-        assert np.allclose(table.induced_array(2), [0.5, 0.5])
+        assert table.induced_widths(2).tolist() == [1, 1]
 
     def test_certificate_never_understates_realized(self):
         rng = np.random.default_rng(3)
@@ -108,7 +108,7 @@ class TestSelectFromPosterior:
             post = rng.dirichlet(np.ones(size))
             ell = int(rng.integers(1, 64))
             table = select_one(post, ell)
-            induced = table.induced_array(size)
+            induced = table.induced_widths(size) / ell
             assert induced[table.map_seed(int(rng.integers(1, ell + 1)))] > 0
             assert table.realized_l1 <= table.bound + 1e-12
             assert np.abs(induced - post).sum() == pytest.approx(float(table.realized_l1), abs=1e-12)
@@ -118,7 +118,7 @@ class TestSelectFromPosterior:
         table = select_one(post, 4)
         # with ell=4 the best certificate keeps the top-2 prefix or all three;
         # either way the chosen index must be a positive-mass candidate
-        assert table.induced_array(3)[table.map_seed(1)] > 0
+        assert table.induced_widths(3)[table.map_seed(1)] > 0
 
 
 class TestRunScheme:
@@ -284,7 +284,7 @@ class TestStackedSelection:
     def test_equals_row_by_row(self, case):
         posteriors, ell = case
         table = _dsbs_scheme().selection(posteriors, ell)
-        induced = table.induced_array(posteriors.shape[-1])
+        induced = table.induced_widths(posteriors.shape[-1]) / ell
         seeds = np.arange(1, ell + 1)
         chosen = table.map_seed(np.broadcast_to(seeds[:, None], (ell, len(posteriors))))
         _, sizes = codec._support_sizes(posteriors, ell)
@@ -333,14 +333,14 @@ class TestSupportSizeTieRule:
         assert len(support) == 3
         table = _dsbs_scheme().selection(self.POSTERIOR[None], self.ELL)
         assert table.row(0).support_size == 3
-        assert np.array_equal(table.induced_array(4)[0], induced)
+        assert np.array_equal(table.induced_widths(4)[0] / self.ELL, induced)
 
     def test_inside_a_stack(self):
         stack = np.stack([np.full(4, 0.25), self.POSTERIOR, np.array([1.0, 0.0, 0.0, 0.0])])
         _, sizes = codec._support_sizes(stack, self.ELL)
         assert sizes.tolist() == [len(ref_selection_table(p, self.ELL)[0]) for p in stack]
         assert sizes[1] == 3
-        induced = _dsbs_scheme().selection(stack, self.ELL).induced_array(4)
+        induced = _dsbs_scheme().selection(stack, self.ELL).induced_widths(4) / self.ELL
         assert np.array_equal(induced[1], ref_selection_table(self.POSTERIOR, self.ELL)[1])
 
 
@@ -401,7 +401,7 @@ def scan_cut_stacks(draw):
 
 class TestSupportScanCut:
     """_support_sizes scans support sizes up to 2*ell + 1; a selection over ell seeds
-    gives mass to at most ell candidates, which bounds the exact walk's fan-out."""
+    gives mass to at most ell candidates."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=scan_cut_stacks())
@@ -429,5 +429,5 @@ class TestSupportScanCut:
     def test_selection_reaches_at_most_ell_candidates(self, case):
         posteriors, ell = case
         size = posteriors.shape[-1]
-        induced = _dsbs_scheme().selection(posteriors, ell).induced_array(size)
+        induced = _dsbs_scheme().selection(posteriors, ell).induced_widths(size)
         assert (np.count_nonzero(induced, axis=1) <= min(size, ell)).all()

@@ -81,7 +81,7 @@ class TestExactInduced:
         assert abs(rep.tv_per_seed[0] - exact_tv) <= 3 * rep.radius
 
     def test_walk_reads_no_certificate_and_rarely_needs_fractions(self, monkeypatch):
-        """The exact walk needs only the integer cuts: no table's certificate is
+        """exact_induced needs only the integer cuts: no table's certificate is
         read, and at most 5% of the tables (91 of 1,920 here) take the Fraction
         cut loop. A stacked staircase_map call counts one table per support row."""
         counts = {"tables": 0, "fraction_cuts": 0, "certificates": 0}

@@ -1,13 +1,14 @@
 """The batched exact paths against per-assignment reference loops.
 
-Codebook draws, node-1 and K+ posteriors, the staircase selections of the
-exact walk, the walk itself, the CR independence score, the piecing check and
-the Monte Carlo histograms evaluate whole index grids at once.
-Each must equal, bit for bit, the loop that visits one index assignment at a
-time; the loops below are that reference. Equality is asserted with
-np.array_equal or ==, never a tolerance, except for the piecing check: it sums
-each chunk's assignments in one einsum, in another float order than the loop,
-and must match it within PIECING_ATOL.
+Codebook draws, node-1 and K+ posteriors and their staircase selections, the
+exact law, the CR independence score, the piecing check and the Monte Carlo
+histograms evaluate whole index grids at once. Each must equal, bit for bit,
+the loop that visits one index assignment at a time; the loops below are that
+reference. The exact law's reference is the depth-first walk of the scheme's
+tree in exact rationals, and exact_induced must equal it rounded once per
+cell. Equality is asserted with np.array_equal or ==, never a tolerance,
+except for the piecing check: it sums each chunk's assignments in one einsum,
+in another float order than the loop, and must match it within PIECING_ATOL.
 """
 import contextlib
 import functools
@@ -17,9 +18,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from coordline import codebooks, codec, evalharness
 from coordline.cli import Experiment, run_command
@@ -35,12 +39,13 @@ from coordline.codebooks import (
     m_plus,
 )
 from coordline.codec import Scheme, _normalized
-from coordline.errors import UsageError
+from coordline.errors import ResourceCapError, UsageError
 from coordline.evalharness import cr_independence, exact_induced, piecing_check
-from coordline.linestruct import a_label, b_label, c_label, order_pairs, psi, x_label
-from coordline.presets import preset_config
+from coordline.linestruct import (CONSTANT, a_label, aux_from_tags, b_label, c_label, channel_of, copy_of,
+                                  make_network, order_pairs, psi, x_label)
+from coordline.presets import bsc_chain_network, preset_config
 from coordline.probability import pmf_weights
-from coordline.rates import Mode
+from coordline.rates import CodebookRates, Mode
 from test_codebooks import same_books
 from test_probability import marginal_condition
 
@@ -257,10 +262,10 @@ def ref_support_sizes(posteriors, ell):
     return order, best_m
 
 
-def ref_selection_table(posterior, ell):
+def ref_selection_widths(posterior, ell):
     """One posterior's staircase selection, one support size at a time: the support
     (the candidates by descending mass, ties by index, cut to the first prefix whose
-    certificate beats every shorter one by 1e-15) and the induced array."""
+    certificate beats every shorter one by 1e-15) and the seeds of each candidate."""
     count = len(posterior)
     order = np.lexsort((np.arange(count), -posterior))
     mass = posterior[order]
@@ -273,23 +278,30 @@ def ref_selection_table(posterior, ell):
             best_cert, best_m = cert, m
     support = order[:best_m].tolist()
     edges = [0] + ref_staircase_cuts(pmf_weights(posterior, normalize=True), support, ell) + [ell]
-    induced = np.zeros(count)
+    widths = np.zeros(count, dtype=np.int64)
     for b, lo, hi in zip(support, edges, edges[1:]):
-        induced[b] = max(hi - lo, 0) / ell
-    return support, induced
+        widths[b] = max(hi - lo, 0)
+    return support, widths
+
+
+def ref_selection_table(posterior, ell):
+    """ref_selection_widths with the induced law, widths / ell, in float64."""
+    support, widths = ref_selection_widths(posterior, ell)
+    return support, widths / ell
 
 
 def ref_selector_law(posterior, ell):
-    _, induced = ref_selection_table(posterior, ell)
-    return [(int(v), induced[v]) for v in np.nonzero(induced)[0]]
+    """The candidates with seeds, each with its exact probability widths / ell."""
+    _, widths = ref_selection_widths(posterior, ell)
+    return [(int(v), Fraction(int(widths[v]), ell)) for v in np.nonzero(widths)[0]]
 
 
 def ref_walk(scheme, node, x_prev, assignment, prob, cond, prefix):
-    """Recurse down the line from `node` (the hop node->node+1), adding the mass of
-    every reachable action tuple to cond; returns the degenerate posteriors met."""
+    """Recurse down the line from `node` (the hop node->node+1), adding the exact mass
+    of every reachable action tuple to cond; returns the degenerate posteriors met."""
     cb, h = scheme.cb, scheme.h
     degenerate = 0
-    k_options = [(0, 1.0)]
+    k_options = [(0, Fraction(1))]
     if scheme.schedule.selects_k and cb.sizes[k_plus(node)] > 1:
         posterior, deg = scheme.k_posterior(node, x_prev, assignment)
         degenerate += int(deg)
@@ -311,19 +323,19 @@ def ref_walk(scheme, node, x_prev, assignment, prob, cond, prefix):
 
 
 def ref_exact_conditional(cb, mode):
-    """exact_induced's (conditional, degenerate_paths) by the depth-first walk over
-    one dict assignment at a time, selecting through ref_selection_table."""
+    """exact_induced's (conditional, degenerate_paths) as exact rationals: the depth-first
+    walk over one dict assignment at a time, selecting through ref_selection_widths, with
+    each path's mass the Fraction product of 1/|CR|, the seed widths over ell and 1/|L|.
+    The conditional is an object array of Fractions, each x1 row summing to exactly 1."""
     scheme = Scheme(cb, mode)
     h, n = cb.h, cb.n
     sizes = [a.size for a in cb.spec.network.alphabets]
-    cond = np.zeros(tuple(s ** n for s in sizes))
+    cond = np.full(tuple(s ** n for s in sizes), Fraction(0), dtype=object)
     degenerate = 0
     cr_spaces = ([(m_minus(p), cb.sizes[m_minus(p)]) for p in order_pairs(h)]
                  + [(k_minus(i), cb.sizes[k_minus(i)]) for i in range(1, h)]
                  + [(m_plus(p), cb.sizes[m_plus(p)]) for p in order_pairs(h) if p[0] != 1])
-    cr_weight = 1.0
-    for _, size in cr_spaces:
-        cr_weight /= size
+    cr_weight = Fraction(1, math.prod(size for _, size in cr_spaces))
     for x1_flat in range(sizes[0] ** n):
         x1 = ref_block_decode(x1_flat, sizes[0], n)
         for assignment in _assignments(cr_spaces):
@@ -334,12 +346,14 @@ def ref_exact_conditional(cb, mode):
             for m1_flat, p_m1 in ref_selector_law(posterior, scheme.ell1):
                 assignment.update(scheme.m1_space.unflatten(m1_flat))
                 degenerate += ref_walk(scheme, 1, x1, assignment, cr_weight * p_m1, cond, [x1_flat])
+    assert all(sum(row.ravel()) == 1 for row in cond)
     return cond, degenerate
 
 
 def _assert_exact_matches(got, want):
+    """got's law is want's rationals rounded once per cell, and its degenerate count equal."""
     cond, degenerate = want
-    assert np.array_equal(got.conditional, cond)
+    assert np.array_equal(got.conditional, np.vectorize(float, otypes=[float])(cond))
     assert got.degenerate_paths == degenerate
 
 
@@ -427,23 +441,66 @@ class TestBitIdentity:
         _, mode, cb = _setup(*case)
         _assert_exact_matches(exact_induced(cb, mode), ref_exact_conditional(cb, mode))
 
+    def test_posterior_stacks(self, case, stack_log):
+        """The posteriors exact_induced selects from (node 1's over every root (cr, x1),
+        and where K+ is selected hop i's over every (g, x_i)) are Scheme.node1_posterior's
+        and Scheme.k_posterior's over the same rows, bit for bit, flags included."""
+        _, mode, cb = _setup(*case)
+        exact_induced(cb, mode)
+        scheme = Scheme(cb, mode)
+        _assert_stacks_match(scheme, stack_log, scheme.node1_posterior, scheme.k_posterior)
+
     def test_evaluators(self, case):
         _, _, cb = _setup(*case)
         assert cr_independence(cb) == ref_cr_independence(cb)
         assert abs(piecing_check(cb) - ref_piecing_check(cb)) <= PIECING_ATOL
 
 
+@pytest.fixture
+def stack_log(monkeypatch):
+    """Each (posteriors (rows, candidates), degenerate flags (rows,)) that exact_induced
+    normalizes, in call order."""
+    log = []
+    original = evalharness._normalized
+
+    def spy(weights):
+        posteriors, flags = original(weights)
+        log.append((posteriors.reshape(-1, weights.shape[-1]), flags.ravel()))
+        return posteriors, flags
+
+    monkeypatch.setattr(evalharness, "_normalized", spy)
+    return log
+
+
+def _assert_stacks_match(scheme, log, node1_posterior, k_posterior):
+    """log holds exact_induced's posterior stacks in call order, per chunk node 1's and
+    then one per K+ hop. Joined per selector, node 1's rows are the roots (cr, x1) and
+    hop i's the (g, x_i), g = (cr, m1), both lexicographic with the block fastest; they
+    must equal node1_posterior(blocks, assignment) and k_posterior(i, blocks, assignment)
+    on those rows."""
+    keys = [None] + sorted(scheme.k_spaces)
+    assert len(log) % len(keys) == 0
+    for j, key in enumerate(keys):
+        space = IndexSpace(scheme.cr_spaces + list(scheme.m1_space.components) * (key is not None))
+        blocks = np.array(list(iproduct(range(scheme.spec.network.alphabets[(key or 1) - 1].size),
+                                        repeat=scheme.n)))
+        rows = space.unflatten(np.repeat(np.arange(space.size), len(blocks)))
+        x = np.tile(blocks, (space.size, 1))
+        want, want_flags = node1_posterior(x, rows) if key is None else k_posterior(key, x, rows)
+        got = np.concatenate([stack for stack, _ in log[j::len(keys)]])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.concatenate([flags for _, flags in log[j::len(keys)]]), want_flags)
+
+
 @pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 3)],
                          ids=_ids)
-def test_exact_induced_matches_reference_posteriors(case, monkeypatch):
+def test_exact_induced_matches_reference_posteriors(case, stack_log):
+    """exact_induced's posterior stacks equal the one-candidate-at-a-time reference loops."""
     _, mode, cb = _setup(*case)
-    got = exact_induced(cb, mode)
-    monkeypatch.setattr(Scheme, "node1_posterior", per_row(ref_node1_posterior))
-    monkeypatch.setattr(Scheme, "k_posterior", per_row(ref_k_posterior))
-    want = exact_induced(cb, mode)
-    assert np.array_equal(got.conditional, want.conditional)
-    assert np.array_equal(got.x1_marginal, want.x1_marginal)
-    assert got.degenerate_paths == want.degenerate_paths
+    exact_induced(cb, mode)
+    scheme = Scheme(cb, mode)
+    _assert_stacks_match(scheme, stack_log, functools.partial(per_row(ref_node1_posterior), scheme),
+                         functools.partial(per_row(ref_k_posterior), scheme))
 
 
 @pytest.fixture
@@ -574,88 +631,213 @@ class TestChunkBoundaries:
         assert abs(got - ref_piecing_check(apart)) <= PIECING_ATOL
         assert abs(got - ref_piecing_check(merged)) > 0.1
 
-    # 4, 32 and 48 (x1 block, shared index) rows: markov3 and copy3 end on a partial chunk
+    # 1, 8, 6 and 32 common-randomness values: copy3 n=2 ends on a partial chunk at 3 values
     @pytest.mark.parametrize("case", [("markov3", "action-dependent", 2), ("copy3", None, 2),
-                                      ("dsbs", None, 3)], ids=_ids)
-    def test_exact_walk_chunk_sizes(self, case, chunk_log, monkeypatch):
-        """Chunks of 1 and 3 roots, the default budget and one chunk of every root give
-        the reference law."""
+                                      ("dsbs", None, 3), ("copy3", None, 4)], ids=_ids)
+    def test_exact_chunk_sizes(self, case, chunk_log, monkeypatch):
+        """Chunks of 1 and 3 common-randomness values, the default budget and one chunk
+        of them all give the same law byte for byte, the rational reference's: its
+        numerators are integers, so their float64 sums do not depend on the chunking."""
         _, mode, cb = _setup(*case)
-        want = ref_exact_conditional(cb, mode)
-        _assert_exact_matches(exact_induced(cb, mode), want)
-        monkeypatch.setattr(evalharness, "GRID_CELLS", 1)
-        _assert_exact_matches(exact_induced(cb, mode), want)
-        cells, chunks = chunk_log[-1]
-        assert set(chunks) == {1}
-        total = len(chunks)
-        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
-        _assert_exact_matches(exact_induced(cb, mode), want)
-        assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
-        monkeypatch.setattr(evalharness, "GRID_CELLS", 1 << 20)
-        _assert_exact_matches(exact_induced(cb, mode), want)
-        assert chunk_log[-1][1] == [total]
+        got = exact_induced(cb, mode)
+        _assert_exact_matches(got, ref_exact_conditional(cb, mode))
+        (cells, chunks), = chunk_log
+        total = sum(chunks)
+        for budget, sizes in [(1, [1] * total), (3 * cells, [3] * (total // 3) + [total % 3] * (total % 3 > 0)),
+                              (1 << 20, [total])]:
+            monkeypatch.setattr(evalharness, "GRID_CELLS", budget)
+            again = exact_induced(cb, mode)
+            assert again.conditional.tobytes() == got.conditional.tobytes()
+            assert again.degenerate_paths == got.degenerate_paths
+            assert chunk_log[-1][1] == sizes
 
 
-class TestWalkBudget:
-    """Each exact_induced chunk stays within GRID_CELLS: its paths after the last step,
-    and its largest posterior stack (rows x candidates x n letters). A selection over
-    ell seeds reaches at most ell candidates, so a root's fan-out is sized by
-    min(candidates, ell) per selection."""
+@pytest.fixture
+def array_log(monkeypatch):
+    """The cells of the largest array each chunk step of exact_induced takes, makes or
+    returns, as (step, cells) in call order. A selection ("stack") gathers its kernel rows
+    (rows, candidates, n, |X|) and makes posteriors and widths (rows, blocks, candidates);
+    a hop's "hits" looks up C-words (g, k+, l, n) and counts them (g, k+, blocks); a
+    "contract" sub-chunk reads the chunk's whole factors and makes a prefix per hop. The
+    law-sized result of a contraction is the output's size, not a chunk's, and is left out."""
+    log = []
+    select, hits, contract = evalharness._selection_widths, evalharness._hits, evalharness._contract
 
-    @pytest.fixture
-    def walk_log(self, monkeypatch):
-        """Per chunk: (rows after its last step, largest posterior stack in cells)."""
-        log = []
+    def select_spy(scheme, kernel, letters, ell):
+        widths, flags = select(scheme, kernel, letters, ell)
+        gather = math.prod(np.broadcast_shapes(*(np.shape(w) for w in letters))) * kernel.shape[-1]
+        log.append(("stack", max(gather, widths.size)))
+        return widths, flags
 
-        def spy(scheme, paths, select, uniform):
-            stacks = [0]
+    def hits_spy(scheme, i, g):
+        out = hits(scheme, i, g)
+        log.append(("hits", max(out.size, out.shape[0] * out.shape[1] * scheme.cb.sizes[l_of(i + 1)] * scheme.n)))
+        return out
 
-            def recording(paths, key, ell, space, posteriors):
-                stacks.append(posteriors[0].size * scheme.n)
-                return select(paths, key, ell, space, posteriors)
+    def contract_spy(factors):
+        cells, prefix = [f.size if f.base is None else f.base.size for f in factors], factors[0].size
+        for factor in factors[1:-1]:
+            prefix *= factor.shape[1]
+            cells.append(prefix)
+        log.append(("contract", max(cells)))
+        return contract(factors)
 
-            out = codec.walk(scheme, paths, recording, uniform)
-            log.append((len(out["p"]), max(stacks)))
-            return out
+    monkeypatch.setattr(evalharness, "_selection_widths", select_spy)
+    monkeypatch.setattr(evalharness, "_hits", hits_spy)
+    monkeypatch.setattr(evalharness, "_contract", contract_spy)
+    return log
 
-        monkeypatch.setattr(evalharness, "walk", spy)
-        return log
+
+class TestExactBudget:
+    """Each exact_induced chunk stays within GRID_CELLS: a chunk of common-randomness
+    values builds its factors, every m1 with each value (sized by _shared_cells), and
+    contracts them in sub-chunks of rows g whose prefix over x1..x_{h-1} fits."""
 
     # the preset x mode pairs of the exact golden fixtures, at the benchmark's n for
-    # dsbs (6) and copy3 (4); chunk counts where pinned
+    # dsbs (6) and copy3 (4); (chunks, sub-chunks) where pinned
     @pytest.mark.parametrize("case, chunks", [pytest.param(case, chunks, id=_ids(case)) for case, chunks in [
-        (("dsbs", None, 2), None), (("dsbs", None, 6), 16), (("dsbs-control", None, 3), None),
-        (("indep-uniform", None, 3), None), (("copy3", None, 2), None),
-        (("copy3", None, 4), 9),  # 14 when every root branched on all 44 m1 candidates
-        (("markov3", None, 2), None), (("markov3", None, 4), 16),
+        (("dsbs", None, 2), None),
+        (("dsbs", None, 6), (3, 3)),  # 30 values of 7 rows g, node 1's stacks 7 x 7 x 64 cells a value
+        (("dsbs-control", None, 3), None), (("indep-uniform", None, 3), None), (("copy3", None, 2), None),
+        (("copy3", None, 4), (6, 16)),  # 32 values of 44 rows g, 6 a chunk; 128 rows of 256 prefix cells
+        (("markov3", None, 2), None), (("markov3", None, 4), (1, 1)),
         (("markov3", "action-dependent", 3), None)]])
-    def test_chunks_within_budget(self, case, chunks, walk_log):
+    def test_chunks_within_budget(self, case, chunks, array_log, chunk_log, monkeypatch):
+        """At the default budget and at 3 common-randomness values' cells."""
         _, mode, cb = _setup(*case)
         exact_induced(cb, mode)
-        assert all(rows <= evalharness.GRID_CELLS and stack <= evalharness.GRID_CELLS
-                   for rows, stack in walk_log)
-        assert chunks is None or len(walk_log) == chunks
+        assert {step for step, _ in array_log} >= {"stack", "hits", "contract"}
+        assert max(cells for _, cells in array_log) <= evalharness.GRID_CELLS
+        (cells, windows), = chunk_log
+        assert chunks is None or (len(windows), sum(step == "contract" for step, _ in array_log)) == chunks
+        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
+        array_log.clear()
+        exact_induced(cb, mode)
+        assert max(cells for _, cells in array_log) <= evalharness.GRID_CELLS
 
-    def test_k_plus_fan_out_below_its_range(self, walk_log, chunk_log, monkeypatch):
-        """markov3 at n=3 with k+ seed ranges of 2 below its 22 candidates: the law is
-        the reference's at the default budget and at chunks of 3 roots, and a root is
-        sized by 2 k+ branches per hop, not 22."""
+    def test_k_plus_fan_out_below_its_range(self, array_log, chunk_log, monkeypatch):
+        """markov3 at n=3 with k+ seed ranges of 2 below its 22 candidates: the law is the
+        rational reference's at the default budget, at 3 chunks' cells and at GRID_CELLS
+        1, and every chunk stays within the budget where one row fits."""
         _, mode, cb = _setup("markov3", None, 3)
-        full = evalharness._root_cells(Scheme(cb, mode))
         monkeypatch.setattr(codec, "hop_selector_rate", lambda spec, rates, i: 1 / 3 - codec.SEED_MARGIN)
         scheme = Scheme(cb, mode)
         assert all(scheme.ell_k[i] == 2 < space.size for i, space in scheme.k_spaces.items())
         want = ref_exact_conditional(cb, mode)
         _assert_exact_matches(exact_induced(cb, mode), want)
-        (cells, chunks), = chunk_log
-        assert cells == evalharness._root_cells(scheme) < full
-        total = sum(chunks)
-        monkeypatch.setattr(evalharness, "GRID_CELLS", 3 * cells)
-        walk_log.clear()
-        _assert_exact_matches(exact_induced(cb, mode), want)
-        assert chunk_log[-1][1] == [3] * (total // 3) + [total % 3] * (total % 3 > 0)
-        assert all(rows <= evalharness.GRID_CELLS and stack <= evalharness.GRID_CELLS
-                   for rows, stack in walk_log)
+        assert max(cells for _, cells in array_log) <= evalharness.GRID_CELLS
+        for budget in (3 * chunk_log[0][0], 1):
+            monkeypatch.setattr(evalharness, "GRID_CELLS", budget)
+            _assert_exact_matches(exact_induced(cb, mode), want)
+
+
+class TestDenominator:
+    """exact_induced's numerators are exact in float64 while D <= 2^53; above it the
+    evaluation is refused as a cap error (exit 4) before any factor is built."""
+
+    @staticmethod
+    def _seed_ranges(monkeypatch, bits):
+        """markov3 n=3 with each k+ seed range 2^bits; returns the codebook, mode and D."""
+        _, mode, cb = _setup("markov3", None, 3)
+        monkeypatch.setattr(codec, "hop_selector_rate", lambda spec, rates, i: bits / 3 - codec.SEED_MARGIN)
+        scheme = Scheme(cb, mode)
+        assert [scheme.ell_k[i] for i in sorted(scheme.k_spaces)] == [2 ** bits] * 2
+        return cb, mode, scheme.ell1 * 2 ** (2 * bits) * cb.sizes[l_of(2)] * cb.sizes[l_of(3)]
+
+    def test_above_2_53_is_a_cap_error(self, monkeypatch):
+        cb, mode, denominator = self._seed_ranges(monkeypatch, 26)
+        assert denominator > 2 ** 53
+        with pytest.raises(ResourceCapError, match=rf"D = {denominator} is above 2\^53"):
+            exact_induced(cb, mode)
+
+    def test_exact_exits_4(self, tmp_path, monkeypatch):
+        cb, _, denominator = self._seed_ranges(monkeypatch, 26)
+        cfg = preset_config("markov3")
+        cfg.update(n=[3], codebook_seeds=[SEED])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["exact", "--config", str(path), "--out", str(tmp_path)]) == 4
+        error = json.loads((tmp_path / "report.json").read_text())["error"]
+        assert f"D = {denominator}" in error and "2^53" in error
+
+    def test_below_2_53_stays_exact(self, monkeypatch):
+        """Seed ranges of 2^23 put D near 2^50.8: the law is still the rational one."""
+        cb, mode, denominator = self._seed_ranges(monkeypatch, 23)
+        assert 2 ** 50 < denominator <= 2 ** 53
+        _assert_exact_matches(exact_induced(cb, mode), ref_exact_conditional(cb, mode))
+
+
+@st.composite
+def small_schemes(draw):
+    """A random small line scheme: h from 2 to 4 binary nodes, a target with zero cells
+    (their posteriors are degenerate), a mode, and for each A and B a constant, copy or
+    channel kernel of an action, as far as the mode allows, with rates at which the
+    rational reference walks at most a few thousand paths. low_ell puts every K+ seed
+    range at 2, below its candidates. Returns (spec, rates, mode, n, low_ell)."""
+    h, n = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    mode = draw(st.sampled_from(list(Mode)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    target = rng.integers(0, 4, size=(2,) * h).astype(float)
+    assume(target.sum() > 0)
+
+    def kernel(allowed):
+        kind = draw(st.sampled_from(["constant", "copy", "channel"] if allowed else ["constant"]))
+        source = x_label(draw(st.integers(1, h)))
+        return {"constant": CONSTANT, "copy": copy_of(source),
+                "channel": channel_of([source], rng.dirichlet(np.ones(2), size=2), 2)}[kind]
+
+    pairs = [p for p in order_pairs(h) if p[0] == 1 or mode.schedule.ships_crossing_pairs]
+    hops = range(1, h) if mode.schedule.selects_k else ()
+    spec = aux_from_tags(make_network(h, target / target.sum()), a_tags={p: kernel(p in pairs) for p in order_pairs(h)},
+                         b_tags={i: kernel(i in hops) for i in range(1, h)})
+    rate = st.sampled_from([0.0, 0.5, 1.0])
+    rates = CodebookRates.for_network(
+        h, mu_plus={p: draw(rate) for p in pairs}, mu_minus={p: draw(rate) for p in pairs},
+        kappa_plus={i: draw(st.sampled_from([0.0, 1.0, 1.5])) for i in hops},
+        kappa_minus={i: draw(rate) for i in hops}, lam={i: draw(rate) for i in range(2, h + 1)})
+    low_ell = bool(hops) and draw(st.booleans())
+    assume(2 ** (h * n) * math.prod(codebooks.component_sizes(spec, rates, n).values()) <= 1 << 14)
+    return spec, rates, mode, n, low_ell
+
+
+def _low_ell_chain():
+    """A 3-node BSC chain in unrestricted mode, B copying the next action, with low_ell."""
+    spec = aux_from_tags(bsc_chain_network(3, 0.25), b_tags={1: copy_of("X2"), 2: copy_of("X3")})
+    return (spec, CodebookRates.for_network(3, kappa_plus={1: 1.5, 2: 1.5}, lam={2: 0.5, 3: 0.5}),
+            Mode.UNRESTRICTED, 2, True)
+
+
+def _degenerate_relays():
+    """A 3-node chain, X1 = 0 with probability 0.8 and each hop keeping its symbol with
+    0.7, whose B_i copy X_i, in unrestricted mode at n=2 with 2 k+ candidates among 4
+    blocks: where no B-word is x_i a relay's K+ posterior is degenerate, and hop 2's
+    are met by several paths of unequal seed widths (8 degenerate paths in all)."""
+    flip = np.array([[0.7, 0.3], [0.3, 0.7]])
+    spec = aux_from_tags(make_network(3, np.einsum("a,ab,bc->abc", [0.8, 0.2], flip, flip)),
+                         b_tags={1: copy_of("X1"), 2: copy_of("X2")})
+    return (spec, CodebookRates.for_network(3, kappa_plus={1: 0.5, 2: 0.5}, lam={2: 0.5, 3: 0.5}),
+            Mode.UNRESTRICTED, 2, False)
+
+
+class TestRandomSchemes:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=small_schemes())
+    @example(case=_low_ell_chain())
+    @example(case=_degenerate_relays())
+    def test_equals_rational_reference(self, case):
+        """exact_induced is the rational reference's law rounded once per cell, with the
+        same degenerate-path count, at the default budget and at GRID_CELLS 1."""
+        spec, rates, mode, n, low_ell = case
+        cb = build_codebooks(spec, rates, n, SEED)
+        seed_rate = (lambda spec, rates, i: 1 / n - codec.SEED_MARGIN) if low_ell else codec.hop_selector_rate
+        with mock.patch.object(codec, "hop_selector_rate", seed_rate):
+            scheme = Scheme(cb, mode)
+            assert not low_ell or all(scheme.ell_k[i] == 2 for i in scheme.k_spaces)
+            got = exact_induced(cb, mode)
+            _assert_exact_matches(got, ref_exact_conditional(cb, mode))
+            with mock.patch.object(evalharness, "GRID_CELLS", 1):
+                assert exact_induced(cb, mode).conditional.tobytes() == got.conditional.tobytes()
 
 
 class TestMemory:
@@ -663,12 +845,13 @@ class TestMemory:
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
     take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 1.67
     budgets (its window of 1,408 keys and 16 distinct tuples) and exact_induced
-    1.48 (62 roots a chunk, each sized by its 44-candidate node-1 posterior
-    stack); the walk's stacked posteriors and selections fill no cache. A budget
-    grows with GRID_CELLS, so REQUEST_BYTES bounds a whole exact request in
-    bytes: its measured peaks are 0.76 MiB on copy3 at n=4, 0.64 MiB on dsbs
-    at n=6 and 0.95 MiB on markov3 at n=4, 24%, 36% and 5% below the bound; at
-    GRID_CELLS 2^16 they are 0.79, 1.30 and 0.95 MiB, the second above it."""
+    2.44 (chunks of 6 common-randomness values, 264 rows g, each value sized by
+    its node-1 selection counted seven times); the posterior stacks and
+    selections fill no cache. A budget grows with GRID_CELLS, so REQUEST_BYTES
+    bounds a whole exact request in bytes: its measured peaks are 0.78 MiB on
+    copy3 at n=4, 0.64 MiB on dsbs at n=6 and 0.50 MiB on markov3 at n=4, 22%,
+    36% and 50% below the bound; at GRID_CELLS 2^16 they are 1.24, 1.30 and
+    0.50 MiB, the first two above it."""
 
     BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
     REQUEST_BYTES = 1 << 20  # 1 MiB
@@ -695,7 +878,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("preset, n", [("copy3", 4), ("dsbs", 6), ("markov3", 4)])
     def test_exact_request(self, tmp_path, preset, n):
-        """One exact request: codebook build, walk, CR independence and piecing. markov3
+        """One exact request: codebook build, exact law, CR independence and piecing. markov3
         runs unrestricted, the one preset mode that selects K+."""
         cfg = preset_config(preset)
         cfg.update(n=[n], codebook_seeds=[SEED])

@@ -469,7 +469,7 @@ class TestStaircase:
         counts = np.zeros(5)
         for s in range(1, ell + 1):
             counts[t.map_seed(s)] += 1
-        assert np.allclose(counts / ell, t.induced_array(5))
+        assert np.array_equal(counts, t.induced_widths(5))
 
 
 def fraction_staircase(q, support, ell):
@@ -546,7 +546,7 @@ class TestStaircaseAgainstFractions:
         assert {key: getattr(t, key) for key in ref} == ref
         expected = np.zeros(len(weights))
         expected[support] = [float(f) for f in ref["induced"]]
-        assert np.array_equal(t.induced_array(len(weights)), expected)
+        assert np.array_equal(t.induced_widths(len(weights)) / t.ell, expected)
 
     @settings(max_examples=200, deadline=None)
     @given(case=staircase_cases())
@@ -601,11 +601,11 @@ class TestStackedStaircase:
         stack = staircase_map(weights, supports, ell)
         size = weights.shape[-1]
         assert stack.cuts.shape == supports.shape[:-1] + (supports.shape[-1] - 1,)
-        assert stack.induced_array(size).shape == weights.shape
+        assert stack.induced_widths(size).shape == weights.shape
         for r, (row, support) in enumerate(zip(weights, supports)):
             one = staircase_map(row, support.tolist(), ell)
             assert_same_table(stack.row(r), one)
-            assert np.array_equal(stack.induced_array(size)[r], one.induced_array(size))
+            assert np.array_equal(stack.induced_widths(size)[r], one.induced_widths(size))
 
     @settings(max_examples=200, deadline=None)
     @given(case=staircase_stacks(max_ell=64))
@@ -616,8 +616,8 @@ class TestStackedStaircase:
         stack = staircase_map(weights, supports, ell)
         size = weights.shape[-1]
         symbols = stack.map_seed(np.repeat(np.arange(1, ell + 1)[:, None], len(weights), axis=1))
-        for r, induced in enumerate(stack.induced_array(size)):
-            assert np.array_equal(np.bincount(symbols[:, r], minlength=size) / ell, induced)
+        for r, widths in enumerate(stack.induced_widths(size)):
+            assert np.array_equal(np.bincount(symbols[:, r], minlength=size), widths)
 
     def test_only_rows_near_an_integer_take_fractions(self, monkeypatch):
         import coordline.probability as probability
@@ -671,7 +671,7 @@ class TestSupportSizes:
             one = staircase_map(row, support[:k].tolist(), ell)
             assert stack.cuts[r].tolist() == one.cuts.tolist() + [ell] * (m - k)
             assert_same_table(stack.row(r), one)
-            assert np.array_equal(stack.induced_array(size)[r], one.induced_array(size))
+            assert np.array_equal(stack.induced_widths(size)[r], one.induced_widths(size))
 
     def test_trailing_zero_mass_takes_no_exact_loop(self, monkeypatch):
         """Past the support size the full-order cumulative reaches ell exactly; those
