@@ -12,6 +12,10 @@ conditional's quantile space evenly, which keeps desk-scale blocklengths in
 the regime the asymptotic analysis describes; in particular a uniform
 conditional with a matching codeword count enumerates the blocks exactly, so
 integer-rate local randomness is lossless.
+
+A fixed parent row, whose conditional leaves no choice (a copy or a constant
+kernel), decodes every quantile to one word, so it draws no stream. Streams
+are keyed by parent index alone, so free rows draw as if every row did.
 """
 from __future__ import annotations
 
@@ -151,10 +155,11 @@ def _iid_blocks(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Seeded streams. The stream (seed, *key) is PCG64 seeded by numpy's SeedSequence over
-# _entropy_words(seed, *key). A book's rows each draw from their own stream, computed
+# _entropy_words(seed, *key). A book's free rows each draw from their own stream, computed
 # for a block of rows at once as array arithmetic on numpy's constants (bit_generator.pyx,
-# pcg64.h, distributions.c), with no Generator. NEP 19 fixes bit generators' streams but
-# not Generator methods' algorithms, so tests/test_streams.py checks against numpy.
+# pcg64.h, distributions.c), with no Generator. Fixed rows draw none, since any stream
+# decodes to their one word. NEP 19 fixes bit generators' streams but not Generator
+# methods' algorithms, so tests/test_streams.py checks against numpy.
 
 _M32 = 0xFFFFFFFF
 _M128 = (1 << 128) - 1
@@ -426,18 +431,24 @@ def _draw_book(seed: int, key: tuple, parents: IndexSpace, slots: IndexSpace, ke
                n: int, given) -> Book:
     """One book: for each parent index p, slots.size codewords stratified-drawn from the
     kernel at the letters given(assignment of p) returns, on the stream (seed, *key, p).
-    The streams and given run on STREAM_BLOCK_ROWS parents at a time."""
+    The streams and given run on STREAM_BLOCK_ROWS parents at a time. A fixed parent draws
+    no stream: its cumulative rows hold only 0.0 and 1.0, so any quantile decodes to each
+    row's count of zeros."""
     n_out = kernel.weights.shape[-1]
     count = slots.size
     words = np.empty((parents.size, count, n), dtype=np.int64)
     for start in range(0, parents.size, STREAM_BLOCK_ROWS):
         block = np.arange(start, min(start + STREAM_BLOCK_ROWS, parents.size))
-        entropy = np.tile(_entropy_words(seed, *key, 0), (len(block), 1))
-        entropy[:, -1] = block  # the parent row is the stream key's last word
         letters = given(parents.unflatten(block))
         rows = kernel.weights[tuple(letters)] if letters else np.tile(kernel.weights, (n, 1))
-        words[block] = _stratified_blocks(
-            _stratified_quantiles(_seed_states(entropy), count),
-            np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
+        rows = np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out))
+        cum = _cum_rows(rows)
+        words[block] = (cum == 0.0).sum(axis=-1)[:, None, :]
+        free = ((cum != 0.0) & (cum != 1.0)).any(axis=(1, 2))
+        if free.any():
+            entropy = np.tile(_entropy_words(seed, *key, 0), (free.sum(), 1))
+            entropy[:, -1] = block[free]  # the parent row is the stream key's last word
+            words[block[free]] = _stratified_blocks(
+                _stratified_quantiles(_seed_states(entropy), count), rows[free])
     words.setflags(write=False)
     return Book(parents, slots, words)

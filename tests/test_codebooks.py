@@ -1,12 +1,24 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from coordline import codebooks
 from coordline.codebooks import (
+    STREAM_BLOCK_ROWS,
+    Book,
+    IndexSpace,
+    _entropy_words,
+    _seed_states,
+    _stratified_blocks,
+    _stratified_quantiles,
     build_codebooks,
     codeword_count,
+    component_sizes,
     k_minus,
     k_plus,
     l_of,
@@ -16,7 +28,7 @@ from coordline.codebooks import (
 from coordline.cli import Experiment
 from coordline.codec import run_scheme
 from coordline.errors import ResourceCapError, UsageError
-from coordline.linestruct import aux_from_tags, copy_of, make_network
+from coordline.linestruct import CONSTANT, aux_from_tags, channel_of, copy_of, make_network, x_label
 from coordline.presets import preset_config
 from coordline.rates import CodebookRates
 
@@ -53,6 +65,50 @@ def h3_chain_spec(p=0.25):
     net = make_network(3, w)
     return aux_from_tags(net, a_tags={(1, 2): copy_of("X2"), (1, 3): copy_of("X3"),
                                       (2, 3): copy_of("X3")})
+
+
+def wide_books(rate: float, n: int = 5, seed: int = 11):
+    """Books whose A and B are constant and C2 = X2 uniform, so C2's codewords are random
+    under every parent: at rate 1.0 its parents are every (m+, m-) pair, 32 * 32 = 1024,
+    and its draw crosses a stream block."""
+    spec = aux_from_tags(make_network(2, np.full((2, 2), 0.25)))
+    rates = CodebookRates.for_network(2, mu_plus={(1, 2): rate}, mu_minus={(1, 2): rate},
+                                      lam={2: 0.4})
+    return build_codebooks(spec, rates, n, seed)
+
+
+def every_row_draw_book(seed, key, parents, slots, kernel, n, given):
+    """_draw_book with no fixed rows: every parent row, whatever its law, decodes the
+    stratified quantiles of its own stream (seed, *key, row). Fixed rows' words must equal
+    what their streams decode to."""
+    n_out = kernel.weights.shape[-1]
+    count = slots.size
+    words = np.empty((parents.size, count, n), dtype=np.int64)
+    for start in range(0, parents.size, STREAM_BLOCK_ROWS):
+        block = np.arange(start, min(start + STREAM_BLOCK_ROWS, parents.size))
+        entropy = np.tile(_entropy_words(seed, *key, 0), (len(block), 1))
+        entropy[:, -1] = block
+        letters = given(parents.unflatten(block))
+        rows = kernel.weights[tuple(letters)] if letters else np.tile(kernel.weights, (n, 1))
+        words[block] = _stratified_blocks(
+            _stratified_quantiles(_seed_states(entropy), count),
+            np.broadcast_to(rows.reshape(-1, n, n_out), (len(block), n, n_out)))
+    words.setflags(write=False)
+    return Book(parents, slots, words)
+
+
+@pytest.fixture
+def drawn_rows(monkeypatch):
+    """The row count of every _seed_states pass build_codebooks makes, in order."""
+    passes = []
+    original = codebooks._seed_states
+
+    def spy(entropy):
+        passes.append(len(entropy))
+        return original(entropy)
+
+    monkeypatch.setattr(codebooks, "_seed_states", spy)
+    return passes
 
 
 class TestSizes:
@@ -208,3 +264,113 @@ class TestChainIndices:
         run = run_scheme(cb, exp.mode, 2, 0)
         assert all(0 <= t.indices[m_plus((1, 2))] < cb.sizes[m_plus((1, 2))] for t in run.traces)
 
+
+@st.composite
+def mixed_specs(draw):
+    """A random binary line of h = 2 or 3 nodes with zero cells in its target, whose A, B
+    and C kernels are each a constant, a copy or a channel of an action. A channel's rows
+    are one-hot, uniform or drawn, so the conditionals of one book are deterministic under
+    some parents and not under others, and its blocks interleave fixed and free rows.
+    Every component has 1, 2 or 4 indices. Returns (spec, rates, n)."""
+    h, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    target = rng.integers(0, 4, size=(2,) * h).astype(float)
+    assume(target.sum() > 0)
+    rows = {"one-hot-0": [1.0, 0.0], "one-hot-1": [0.0, 1.0], "uniform": [0.5, 0.5]}
+
+    def kernel():
+        kind = draw(st.sampled_from(["constant", "copy", "channel"]))
+        source = x_label(draw(st.integers(1, h)))
+        if kind != "channel":
+            return CONSTANT if kind == "constant" else copy_of(source)
+        picks = [draw(st.sampled_from([*rows, "drawn"])) for _ in range(2)]
+        return channel_of([source], [rows.get(p, rng.dirichlet(np.ones(2))) for p in picks], 2)
+
+    pairs = [(i, j) for i in range(1, h) for j in range(i + 1, h + 1)]
+    spec = aux_from_tags(make_network(h, target / target.sum()),
+                         a_tags={p: kernel() for p in pairs}, b_tags={i: kernel() for i in range(1, h)},
+                         c_tags={i: kernel() for i in range(2, h + 1)})
+    rate = st.sampled_from([0.0, 1 / n, 2 / n])
+    rates = CodebookRates.for_network(
+        h, mu_plus={p: draw(rate) for p in pairs}, mu_minus={p: draw(rate) for p in pairs},
+        kappa_plus={i: draw(rate) for i in range(1, h)}, kappa_minus={i: draw(rate) for i in range(1, h)},
+        lam={i: draw(rate) for i in range(2, h + 1)})
+    assume(math.prod(component_sizes(spec, rates, n).values()) <= 1 << 12)
+    return spec, rates, n
+
+
+def _interleaved_block():
+    """h=2, A1_2 a channel of X2 that is 1 only when X2 is: C2's 1,024 parents are fixed
+    where both letters of their A-word are 1 (about 1 in 16) and free elsewhere, across
+    two stream blocks."""
+    spec = aux_from_tags(make_network(2, np.full((2, 2), 0.25)),
+                         a_tags={(1, 2): channel_of(["X2"], [[1.0, 0.0], [0.5, 0.5]], 2)})
+    return spec, CodebookRates.for_network(2, mu_plus={(1, 2): 2.5}, mu_minus={(1, 2): 2.5},
+                                           lam={2: 0.5}), 2
+
+
+class TestFixedRows:
+    """A parent row whose per-letter cumulative rows hold only 0.0 and 1.0 decodes every
+    quantile to one word, so it draws no stream; every book still equals the one that
+    draws every row."""
+
+    NEXT_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+    @staticmethod
+    def _one_row_book(weights, letters=()):
+        """The book of one parent and 4 slots at n=2 under a kernel of the given weights:
+        every letter reads the row `weights` when letters is empty, else letter t reads
+        weights[letters[t]]."""
+        kernel = SimpleNamespace(weights=np.asarray(weights, dtype=float))
+        given = (lambda asg: [np.array([letters])]) if letters else (lambda asg: [])
+        return codebooks._draw_book(5, ("T",), IndexSpace([]), IndexSpace([(l_of(2), 4)]),
+                                    kernel, 2, given)
+
+    def _decode(self, letter_rows):
+        """The words _stratified_blocks decodes at quantiles 0 and just below 1."""
+        return _stratified_blocks(np.array([[0.0, self.NEXT_BELOW_ONE]]), np.asarray(letter_rows)[None])[0]
+
+    @pytest.mark.parametrize("row", [[0.0, 1 - 1e-7, 0.0], [1e-17, 1.0]])
+    def test_rows_with_an_interior_cumulative_entry_are_free(self, row, drawn_rows):
+        self._one_row_book(row)
+        assert drawn_rows == [1]
+        low, high = self._decode([row, row])
+        assert not np.array_equal(low, high)
+
+    @pytest.mark.parametrize("row, word", [([0.0, 1 - 1e-7], 1), ([1 + 2e-16, 0.0], 0),
+                                           ([1.0], 0), ([0.3], 0)])
+    def test_rows_of_only_0_and_1_cumulative_entries_are_fixed(self, row, word, drawn_rows):
+        book = self._one_row_book(row)
+        assert drawn_rows == []
+        assert np.all(book.words == word) and book.words.shape == (1, 4, 2)
+        assert np.all(self._decode([row, row]) == word)
+
+    def test_one_free_letter_frees_the_row(self, drawn_rows):
+        self._one_row_book([[1.0, 0.0], [0.0, 1.0]], letters=(0, 1))
+        assert drawn_rows == []
+        self._one_row_book([[1.0, 0.0], [0.5, 0.5]], letters=(0, 1))
+        assert drawn_rows == [1]
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(case=mixed_specs())
+    @example(case=_interleaved_block())
+    def test_books_equal_every_row_draws(self, case):
+        spec, rates, n = case
+        cb = build_codebooks(spec, rates, n, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codebooks, "_draw_book", every_row_draw_book)
+            assert same_books(cb, build_codebooks(spec, rates, n, 3))
+
+    def test_interleaved_block_draws_only_its_free_rows(self, drawn_rows):
+        cb = build_codebooks(*_interleaved_block()[:2], 2, 3)
+        a_row, *c2_blocks = drawn_rows  # A1_2's one parent, then C2's blocks; B is constant
+        assert cb.c[2].parents.size == 2 * STREAM_BLOCK_ROWS and a_row == 1
+        assert len(c2_blocks) == 2 and all(0 < rows < STREAM_BLOCK_ROWS for rows in c2_blocks)
+
+    @pytest.mark.parametrize("preset, n, drawn, rows", [("dsbs", 6, 1, 421), ("copy3", 4, 1, 2993),
+                                                        ("markov3", 4, 2, 49)])
+    def test_preset_books_stream_only_their_free_rows(self, preset, n, drawn, rows, drawn_rows):
+        exp = Experiment(preset_config(preset))
+        cb = build_codebooks(exp.spec, exp.rates, n, 3)
+        assert sum(book.parents.size for family in (cb.a, cb.b, cb.c) for book in family.values()) == rows
+        assert sum(drawn_rows) == drawn

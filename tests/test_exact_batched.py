@@ -46,7 +46,7 @@ from coordline.linestruct import (CONSTANT, a_label, aux_from_tags, b_label, c_l
 from coordline.presets import bsc_chain_network, preset_config
 from coordline.probability import pmf_weights
 from coordline.rates import CodebookRates, Mode
-from test_codebooks import same_books
+from test_codebooks import same_books, wide_books
 from test_probability import marginal_condition
 
 SEED = 3
@@ -890,7 +890,8 @@ class TestMemory:
             assert self._peak(lambda: run_command(argv)) < self.REQUEST_BYTES
 
     def test_draw_book_decodes_one_stream_block_at_a_time(self, monkeypatch):
-        exp = Experiment(preset_config("copy3"))
+        # C2 = X2 uniform under all 1,024 parents: every row is free, and the book crosses
+        # a block. A's and B's constant rows decode nothing
         seen = []
         original = codebooks._stratified_blocks
 
@@ -899,11 +900,10 @@ class TestMemory:
             return original(u, letter_probs)
 
         monkeypatch.setattr(codebooks, "_stratified_blocks", spy)
-        cb = build_codebooks(exp.spec, exp.rates, 4, SEED)
+        cb = wide_books(1.0)
         assert max(seen) <= STREAM_BLOCK_ROWS
-        assert sum(seen) == sum(book.parents.size for family in (cb.a, cb.b, cb.c)
-                                for book in family.values())
-        assert max(seen) == STREAM_BLOCK_ROWS  # copy3 at n=4 has books of more parents
+        assert sum(seen) == cb.c[2].parents.size == 1024
+        assert max(seen) == STREAM_BLOCK_ROWS
 
 
 class TestSearchRight:

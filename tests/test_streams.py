@@ -27,10 +27,8 @@ from coordline.codebooks import (
     m_plus,
 )
 from coordline.codec import run_scheme
-from coordline.linestruct import aux_from_tags, make_network
 from coordline.presets import preset_config
-from coordline.rates import CodebookRates
-from test_codebooks import same_books
+from test_codebooks import same_books, wide_books
 from test_exact_batched import ref_draw_book
 
 SEEDS = st.one_of(
@@ -209,16 +207,10 @@ class TestTrialLoop:
 
 
 class TestChainStreams:
-    """The line's nested books, level by level: each parent row of a book draws its
+    """The line's nested books, level by level: each free parent row of a book draws its
     codewords from the stream (seed, *key, row), however many parents the book has."""
 
-    @staticmethod
-    def _wide_books(rate: float, n: int = 5, seed: int = 11):
-        # A constant and C2 = X2 uniform, so C2's codewords are random under every parent
-        spec = aux_from_tags(make_network(2, np.full((2, 2), 0.25)))
-        rates = CodebookRates.for_network(2, mu_plus={(1, 2): rate}, mu_minus={(1, 2): rate},
-                                          lam={2: 0.4})
-        return build_codebooks(spec, rates, n, seed)
+    _wide_books = staticmethod(wide_books)
 
     def test_levels_match_per_prefix_streams(self, monkeypatch):
         # C2's parents are every (m+, m-) pair: 32 * 32 = 1024, so its draw crosses a block
@@ -231,7 +223,8 @@ class TestChainStreams:
         assert same_books(cb, build_codebooks(cb.spec, cb.rates, cb.n, cb.seed))
 
     def test_seed_sequences_do_not_scale_with_sizes(self, monkeypatch):
-        # no SeedSequence or Generator at any size: one _seed_states pass per block of a book
+        # no SeedSequence or Generator at any size: one _seed_states pass per block of a
+        # book's free rows. Here only C2's rows are free; A's and B's constant rows draw none
         built = []
 
         def forbidden(name):
@@ -253,9 +246,8 @@ class TestChainStreams:
         for rate in (0.4, 1.0):
             passes.clear()
             cb = self._wide_books(rate)
-            books = [book for level in (cb.a, cb.b, cb.c) for book in level.values()]
-            assert sorted(passes) == sorted(
-                min(STREAM_BLOCK_ROWS, book.parents.size - start) for book in books
-                for start in range(0, book.parents.size, STREAM_BLOCK_ROWS))
-        assert cb.c[2].parents.size == 1024 and max(passes) == STREAM_BLOCK_ROWS
+            size = cb.c[2].parents.size
+            assert passes == [min(STREAM_BLOCK_ROWS, size - start)
+                              for start in range(0, size, STREAM_BLOCK_ROWS)]
+        assert size == 1024 and passes == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS]
         assert built == []
