@@ -9,6 +9,7 @@ finite-blocklength KL against a random codebook is infinite off support.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -36,6 +37,8 @@ def _block_product(rows: np.ndarray) -> np.ndarray:
     Entry [b, x_1..x_k] multiplies rows[b, t, x_1[t], ..., x_k[t]] over the
     letters t in order; each block index is row-major over the letters."""
     batch, n, *dims = rows.shape
+    if not n:  # no letters: a ones block
+        return np.ones((batch,) + (1,) * len(dims))
     letters = rows.reshape(batch, n, -1)
     out = letters[:, 0]
     for t in range(1, n):
@@ -67,8 +70,9 @@ class ExactInduced:
 
 GRID_CELLS = 1 << 15
 """Cells one chunk of an index grid may span: its assignments, at least one, times the
-cells each needs (block cells, piecing's key ids, or exact_induced's widest arrays per
-common-randomness value, see _shared_cells)."""
+cells each needs: block cells; piecing's key ids, or per distinct tuple its x1 row, hop
+half-blocks and W blocks and _contract prefixes; or exact_induced's widest arrays per
+common-randomness value, see _shared_cells."""
 
 
 def _grid_chunks(spaces: Sequence[tuple[Component, int]], cells: int) -> Iterator[dict]:
@@ -330,14 +334,18 @@ def piecing_check(cb: Codebook) -> float:
     An assignment's summand reads only its codewords, so it is keyed by the dense
     ids of its A-words, then per hop j of its B_{j-1} and C_j words at every
     (k+, k-, l). Each window of assignments sums its distinct keys once, weighted
-    by their counts, in one einsum per sub-chunk: within 1e-12 of a one-at-a-time
-    loop, not bit-identical."""
+    by their counts, in sub-chunks. Hop j's factor sums its k = (k+, k-, l) rows'
+    block products, a sum of Kronecker products: with L and R the block products
+    over the first ceil(n/2) and the last floor(n/2) letters, W[(a,b), (c,d)] =
+    sum_k L[k,a,c] R[k,b,d] is one batched matmul over the sub-chunk, normalized
+    over x_j, and _contract sums the chained factors over the tuples: within 1e-12
+    of a one-at-a-time loop, not bit-identical."""
     spec, h, n = cb.spec, cb.h, cb.n
     net = spec.network
-    block_sizes = [a.size ** n for a in net.alphabets]
-    a_axes = [a_label(p) for p in order_pairs(h)]
+    block_sizes, order = [a.size ** n for a in net.alphabets], order_pairs(h)
+    a_axes = [a_label(p) for p in order]
 
-    spaces = _pair_components(order_pairs(h), cb.sizes)
+    spaces = _pair_components(order, cb.sizes)
     total_m = math.prod(size for _, size in spaces)
     check_exact_sizes(cb, "piecing enumeration cells")
 
@@ -347,18 +355,21 @@ def piecing_check(cb: Codebook) -> float:
         giv = a_axes + [b_label(j - 1), c_label(j)]
         pair_kernels[j] = condition(spec.joint, giv, [x_label(j - 1), x_label(j)])
 
-    # per hop j, every (k+, k-, l) the ratio averages over, flat and in order
+    # per hop j, every (k+, k-, l) the ratio sums over, flat and in order
     hops = {j: IndexSpace([(c, cb.sizes[c]) for c in (k_plus(j - 1), k_minus(j - 1), l_of(j))])
             for j in range(2, h + 1)}
-    a_books = [_word_ids(cb.a[p]) for p in order_pairs(h)]
+    a_books = [_word_ids(cb.a[p]) for p in order]
     hop_books = {j: (_word_ids(cb.b[j - 1]), _word_ids(cb.c[j])) for j in hops}
     spans = [1] * len(a_books) + [hop.size for hop in hops.values() for _ in range(2)]
-    cells = block_sizes[0] + sum(hop.size * block_sizes[j - 2] * block_sizes[j - 1]
-                                 for j, hop in hops.items())
+    edges = list(itertools.pairwise(itertools.accumulate(spans, initial=0)))  # each book's key columns
+    half = (n + 1) // 2
+    pair_sizes = {j: net.alphabets[j - 2].size * net.alphabets[j - 1].size for j in hops}
+    # per tuple: its x1 row, each hop's L and R over its k rows and W block, and the prefixes
+    cells = (block_sizes[0] + sum(math.prod(block_sizes[:i]) for i in range(2, h))
+             + sum(hop.size * (pair_sizes[j] ** half + pair_sizes[j] ** (n - half))
+                   + block_sizes[j - 2] * block_sizes[j - 1] for j, hop in hops.items()))
     step = max(1, GRID_CELLS // cells)
-    letters = "abcdefgh"
-    sub = ",".join(["z" + letters[0]] + ["z" + letters[j:j + 2] for j in range(h - 1)])
-    pieced = np.zeros(tuple(block_sizes))
+    pieced = np.zeros((math.prod(block_sizes[:-2]), *block_sizes[-2:]))
     for grid in _grid_chunks(spaces, sum(spans)):
         columns = [ids.lookup(grid)[:, None] for _, ids in a_books]
         for j, hop in hops.items():
@@ -368,19 +379,22 @@ def piecing_check(cb: Codebook) -> float:
         keys, inverse = _distinct_rows(np.hstack(columns))
         counts = np.bincount(inverse)
         for start in range(0, len(keys), step):
-            # each book's ids (span, sub-chunk), in key order
-            ids = iter(np.split(keys[start:start + step].T, np.cumsum(spans)[:-1]))
+            ids = (keys[start:start + step, a:b].T for a, b in edges)  # each book's (span, sub-chunk)
             a_letters = tuple(words[next(ids)[0]] for words, _ in a_books)
-            factors = [_block_product(x1_kernel.weights[a_letters]) * counts[start:start + step, None]]
-            for j, hop in hops.items():
-                b_c = tuple(words[next(ids)] for words, _ in hop_books[j])  # each (k, sub-chunk, n)
-                rows = pair_kernels[j].weights[a_letters + b_c]
-                w = _block_product(rows.reshape(-1, *rows.shape[2:])).reshape(
-                    rows.shape[:2] + (block_sizes[j - 2], block_sizes[j - 1])).sum(axis=0)
-                w /= hop.size  # the mean over k, in order
-                marg = w.sum(axis=2, keepdims=True)
+            x1 = _block_product(x1_kernel.weights[a_letters]) * counts[start:start + step, None]
+            factors = [x1.T[None]]  # node 1's (1, x1, z), each hop's (x_{j-1}, x_j, z)
+            for j in hops:
+                b_c = tuple(words[next(ids)] for words, _ in hop_books[j])  # each (k, z, n)
+                rows = pair_kernels[j].weights[a_letters + b_c]  # (k, z, n, |X_{j-1}|, |X_j|)
+                k, z, _, *dims = rows.shape
+                rows = rows.reshape(k * z, *rows.shape[2:])
+                left, right = (_block_product(part).reshape(k, z, -1) for part in (rows[:, :half], rows[:, half:]))
+                w = np.matmul(left.transpose(1, 2, 0), right.transpose(1, 0, 2))  # (z, (a,c), (b,d))
+                w = w.reshape(z, dims[0] ** half, dims[1] ** half, dims[0] ** (n - half), -1)
+                w = w.transpose(1, 3, 2, 4, 0).reshape(*block_sizes[j - 2:j], z)  # (x_{j-1}, x_j, z), a copy
+                marg = np.ones((1, w.shape[1])) @ w  # (x_{j-1}, 1, z), faster than a sum over axis 1
                 factors.append(np.divide(w, marg, out=w, where=marg > 0))  # a zero row stays zero
-            pieced += np.einsum(f"{sub}->{letters[:h]}", *factors, optimize=h > 2)
+            pieced += _contract(factors)
     pieced /= total_m
     target = target_block_tensor(net, n)
-    return float(np.abs(target - pieced).sum())
+    return float(np.abs(target - pieced.reshape(block_sizes)).sum())

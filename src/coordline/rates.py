@@ -178,40 +178,31 @@ class RegionReport:
 # Codebook-rate checkers
 
 
-def thm1_subsets(h: int) -> list[tuple[IndexPair, ...]]:
-    """All S subsets of the pair set that exclude (1, h): 2^(P-1) subsets of up to P
-    pairs, sized as 2^(P-1) * P cells against the cap before any is built."""
-    pairs = all_pairs(h)
-    check_cap("thm1 subset-pair cells", 2 ** (len(pairs) - 1) * len(pairs))
-    rest = [p for p in pairs if p != (1, h)]
-    out = []
-    for r in range(len(rest) + 1):
-        out.extend(tuple(sorted(c)) for c in itertools.combinations(rest, r))
-    return out
-
-
 def thm1_check(rates: CodebookRates, spec: AuxSpec, margin: float = DEFAULT_MARGIN) -> RegionReport:
     """A-codebook sum-rate constraints over every S not containing (1, h).
 
     For each S: sum of (mu+ + mu-) outside S must exceed I(X_1..X_h; A over the
     complement of J_S), and the mu+ sum alone must exceed I(X_1; same side).
     Constraints whose right-hand side is matched by a superset S' with a
-    smaller left-hand variable set are marked redundant.
+    smaller left-hand variable set are marked redundant. The 2^(P-1) subsets of
+    up to P pairs are sized as 2^(P-1) * P cells against the cap before any is
+    built; each is an integer mask whose bit b is the b-th pair other than (1, h).
     """
     h = spec.h
     pairs = all_pairs(h)
     x_axes = list(spec.network.x_labels)
-    subsets = thm1_subsets(h)
+    check_cap("thm1 subset-pair cells", 2 ** (len(pairs) - 1) * len(pairs))
     rest = [p for p in pairs if p != (1, h)]
+    bits = {p: 1 << b for b, p in enumerate(rest)}
+    subsets = [sum(1 << b for b in c) for r in range(len(rest) + 1)
+               for c in itertools.combinations(range(len(rest)), r)]
 
-    # the complement of J_S: the pairs whose phi_bar misses S; many S share one
-    covers = [(p, phi_bar(h, p)) for p in pairs]
+    # the complement of J_S: the pairs whose phi_bar cover misses S; many S share one
+    covers = [(p, sum(bits.get(q, 0) for q in phi_bar(h, p))) for p in pairs]
     by_comp: dict[tuple, tuple[float, float, bool]] = {}
-    rhs_joint: dict[tuple, float] = {}
-    rhs_x1: dict[tuple, float] = {}
-    trivial: set[tuple] = set()
+    rhs_joint, rhs_x1, trivial = [0.0] * len(subsets), [0.0] * len(subsets), set()
     for s in subsets:
-        comp = tuple(p for p, cover in covers if cover.isdisjoint(s))
+        comp = tuple(p for p, cover in covers if not cover & s)
         if comp not in by_comp:
             a_axes = [a_label(p) for p in comp]
             by_comp[comp] = (
@@ -225,22 +216,21 @@ def thm1_check(rates: CodebookRates, spec: AuxSpec, margin: float = DEFAULT_MARG
 
     # J_S grows with S, so the rhs never increases along supersets: a superset
     # with an equal rhs exists iff an immediate superset S + {p} has one
-    def redundant_in(rhs: dict) -> set:
+    def redundant_in(rhs: list) -> set:
         return {s for s in subsets
-                if any(abs(rhs[tuple(sorted(s + (p,)))] - rhs[s]) <= ZERO_TOL
-                       for p in rest if p not in s)}
+                if any(abs(rhs[s | bit] - rhs[s]) <= ZERO_TOL for bit in bits.values() if not s & bit)}
 
     red_joint = redundant_in(rhs_joint)
     red_x1 = redundant_in(rhs_x1)
 
     pair_names = {p: f"({p[0]},{p[1]})" for p in pairs}
     constraints = []
-    for s in subsets:  # each a sorted tuple, so its name lists the pairs in order
-        outside = [p for p in pairs if p not in s]
+    for s in subsets:
+        outside = [p for p in pairs if not s & bits.get(p, 0)]
         lhs_sum = sum(rates.mu_plus[p] + rates.mu_minus[p] for p in outside)
         lhs_plus = sum(rates.mu_plus[p] for p in outside)
         eff_margin = 0.0 if s in trivial else margin
-        set_name = "{" + ",".join(pair_names[p] for p in s) + "}"
+        set_name = "{" + ",".join(pair_names[p] for p, bit in bits.items() if s & bit) + "}"  # in pair order
         constraints.append(Constraint(
             name=f"sum-rate S={set_name}", lhs=lhs_sum,
             rhs=rhs_joint[s] + eff_margin, redundant=s in red_joint,

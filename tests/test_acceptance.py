@@ -38,8 +38,8 @@ from coordline.rates import (
     functional_lifted_system,
     markov_region_check,
     thm1_check,
-    thm1_subsets,
 )
+from test_rates import ref_thm1_subsets
 
 MI = MI_DSBS_QUARTER
 
@@ -149,7 +149,7 @@ def _sname(s):
 
 def _redundancy_bruteforce_agrees(rep, spec, h):
     rows = {c.name: c for c in rep.constraints}
-    subsets = thm1_subsets(h)
+    subsets = ref_thm1_subsets(h)
     for kind in ("sum-rate", "plus-rate"):
         rhs, varsets = {}, {}
         for s in subsets:

@@ -7,8 +7,9 @@ the loop that visits one index assignment at a time; the loops below are that
 reference. The exact law's reference is the depth-first walk of the scheme's
 tree in exact rationals, and exact_induced must equal it rounded once per
 cell. Equality is asserted with np.array_equal or ==, never a tolerance,
-except for the piecing check: it sums each chunk's assignments in one einsum,
-in another float order than the loop, and must match it within PIECING_ATOL.
+except for the piecing check: it builds each hop factor from half-block
+products in one batched matmul and sums a chunk's tuples with _contract, in
+another float order than the loop, and must match it within PIECING_ATOL.
 """
 import contextlib
 import functools
@@ -387,11 +388,16 @@ def _block_sizes(cb):
 
 
 def _piecing_cells(cb):
-    """The block cells piecing_check needs per distinct codeword tuple: its x1 row and,
-    per hop j, one |X_{j-1}|^n x |X_j|^n matrix for every (k+, k-, l)."""
-    sizes = _block_sizes(cb)
-    return sizes[0] + sum(cb.sizes[k_plus(j - 1)] * cb.sizes[k_minus(j - 1)] * cb.sizes[l_of(j)]
-                          * sizes[j - 2] * sizes[j - 1] for j in range(2, cb.h + 1))
+    """The cells piecing_check needs per distinct codeword tuple: its x1 row, _contract's
+    prefix over x1..x_i after each hop but the last, and per hop j, for every (k+, k-, l),
+    the block products L and R over the first ceil(n/2) and the last floor(n/2) letters,
+    and one |X_{j-1}|^n x |X_j|^n block W."""
+    sizes, half = _block_sizes(cb), (cb.n + 1) // 2
+    letters = [a.size for a in cb.spec.network.alphabets]
+    return sizes[0] + sum(math.prod(sizes[:i]) for i in range(2, cb.h)) + sum(
+        cb.sizes[k_plus(j - 1)] * cb.sizes[k_minus(j - 1)] * cb.sizes[l_of(j)]
+        * ((letters[j - 2] * letters[j - 1]) ** half + (letters[j - 2] * letters[j - 1]) ** (cb.n - half))
+        + sizes[j - 2] * sizes[j - 1] for j in range(2, cb.h + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +582,7 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("case", CASES, ids=_ids)
     def test_piecing_within_tolerance(self, case, chunk, chunk_log, x1_rows, monkeypatch):
         """piecing_check sums a window's distinct codeword tuples, weighted by their
-        counts, in one einsum per sub-chunk; at windows of 1 and 3 assignments, at
+        counts, with one _contract per sub-chunk; at windows of 1 and 3 assignments, at
         sub-chunks of 3 distinct tuples and at the default budget it stays within
         PIECING_ATOL of the per-assignment loop."""
         _, _, cb = _setup(*case)
@@ -840,18 +846,133 @@ class TestRandomSchemes:
                 assert exact_induced(cb, mode).conditional.tobytes() == got.conditional.tobytes()
 
 
+@st.composite
+def piecing_schemes(draw):
+    """A random small line code for the piecing check: h from 2 to 4 binary nodes, n from
+    1 to 3, a target with zero cells, a mode, each A a constant, copy or channel kernel of
+    an action as far as the mode allows, each B_i and C_j a constant, a copy or a channel
+    with zero cells of its own node's action (a copied B_{j-1} leaves hop j's x_{j-1} rows
+    without mass wherever no B-word matches them), and l rates that give every hop several
+    (k+, k-, l) rows. Returns (spec, rates, n)."""
+    h, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(list(Mode)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    target = rng.integers(0, 4, size=(2,) * h).astype(float)
+    assume(target.sum() > 0)
+
+    def kernel(sources, allowed=True):
+        kind = draw(st.sampled_from(["constant", "copy", "channel"] if allowed else ["constant"]))
+        source = x_label(draw(st.sampled_from(sources)))
+        rows = rng.random((2, 2)) * (rng.random((2, 2)) > 0.3)
+        rows[rows.sum(axis=1) == 0, 0] = 1.0
+        return {"constant": CONSTANT, "copy": copy_of(source),
+                "channel": channel_of([source], rows / rows.sum(axis=1, keepdims=True), 2)}[kind]
+
+    pairs = [p for p in order_pairs(h) if p[0] == 1 or mode.schedule.ships_crossing_pairs]
+    hops = range(1, h) if mode.schedule.selects_k else ()
+    spec = aux_from_tags(make_network(h, target / target.sum()),
+                         a_tags={p: kernel(range(1, h + 1), p in pairs) for p in order_pairs(h)},
+                         b_tags={i: kernel([i]) for i in range(1, h)}, c_tags={j: kernel([j]) for j in range(2, h + 1)})
+    rate = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]).map(lambda r: r / n)
+    rates = CodebookRates.for_network(
+        h, mu_plus={p: draw(rate) for p in pairs}, mu_minus={p: draw(rate) for p in pairs},
+        kappa_plus={i: draw(rate) for i in hops}, kappa_minus={i: draw(rate) for i in range(1, h)},
+        lam={j: draw(st.sampled_from([0.5, 1.0])) / n for j in range(2, h + 1)})
+    assume(4 ** n * math.prod(codebooks.component_sizes(spec, rates, n).values()) <= 1 << 12)
+    return spec, rates, n
+
+
+def _zero_row_chain(n):
+    """A 2-node chain at n letters whose B_1 copies X1 and whose C_2 is a channel of X2,
+    with two l and two k- per hop: every x1 block that no B-word matches is a zero row."""
+    spec = aux_from_tags(make_network(2, [[0.4, 0.1], [0.0, 0.5]]), a_tags={(1, 2): copy_of("X2")},
+                         b_tags={1: copy_of("X1")}, c_tags={2: channel_of(["X2"], [[0.9, 0.1], [0.0, 1.0]], 2)})
+    return spec, CodebookRates.for_network(2, mu_plus={(1, 2): 1 / n}, kappa_minus={1: 1 / n}, lam={2: 1 / n}), n
+
+
+class TestPiecingHalves:
+    """Hop j's factor is the sum over its (k+, k-, l) rows of Kronecker products, built as
+    half-block products L (first ceil(n/2) letters) and R (last floor(n/2), a ones block
+    at n = 1) summed over the rows in one batched matmul; _contract sums the chain."""
+
+    @pytest.fixture
+    def hop_letters(self, monkeypatch):
+        """The letters of each _block_product call on hop rows (batch, n, |X_{j-1}|, |X_j|)."""
+        log = []
+        original = evalharness._block_product
+
+        def spy(rows):
+            if rows.ndim == 4:
+                log.append(rows.shape[1])
+            return original(rows)
+
+        monkeypatch.setattr(evalharness, "_block_product", spy)
+        return log
+
+    @pytest.fixture
+    def zero_rows(self, monkeypatch):
+        """Per _contract call, the x_{j-1} rows of its hop factors that carry no mass."""
+        log = []
+        original = evalharness._contract
+
+        def spy(factors):
+            log.append(sum(int((f.sum(axis=1) == 0).sum()) for f in factors[1:]))
+            return original(factors)
+
+        monkeypatch.setattr(evalharness, "_contract", spy)
+        return log
+
+    @pytest.mark.parametrize("case", CASES, ids=_ids)
+    def test_hop_rows_span_half_the_letters(self, case, hop_letters):
+        """No hop builds a full n-letter block per row: each sub-chunk's hop calls are one
+        over the first ceil(n/2) letters and one over the last floor(n/2)."""
+        _, _, cb = _setup(*case)
+        piecing_check(cb)
+        half = (cb.n + 1) // 2
+        assert hop_letters and max(hop_letters) <= half
+        assert sorted(set(hop_letters)) == sorted({half, cb.n - half})
+        assert hop_letters.count(half) == hop_letters.count(cb.n - half) or half == cb.n - half
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_rows_stay_zero(self, n, zero_rows):
+        """x1 rows of hop 2 without mass stay zero through the normalization, at n = 1
+        (R a ones block), even n and odd n."""
+        spec, rates, n = _zero_row_chain(n)
+        cb = build_codebooks(spec, rates, n, SEED)
+        assert cb.sizes[l_of(2)] * cb.sizes[k_minus(1)] > 1
+        got = piecing_check(cb)
+        assert sum(zero_rows) > 0
+        assert np.isfinite(got) and abs(got - ref_piecing_check(cb)) <= PIECING_ATOL
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=piecing_schemes())
+    @example(case=_zero_row_chain(1))
+    @example(case=_zero_row_chain(3))
+    def test_matches_reference(self, case):
+        """piecing_check is within PIECING_ATOL of the per-assignment loop on random codes,
+        at the default budget and at sub-chunks of one distinct tuple."""
+        spec, rates, n = case
+        cb = build_codebooks(spec, rates, n, SEED)
+        want = ref_piecing_check(cb)
+        assert abs(piecing_check(cb) - want) <= PIECING_ATOL
+        with mock.patch.object(evalharness, "GRID_CELLS", 1):
+            assert abs(piecing_check(cb) - want) <= PIECING_ATOL
+
+
 class TestMemory:
     """Chunked grids keep the working set near the cell budget: an unchunked
     piecing batch on copy3 at n=4 (1,408 assignments x 4,096 cells) would
-    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 1.67
-    budgets (its window of 1,408 keys and 16 distinct tuples) and exact_induced
-    2.44 (chunks of 6 common-randomness values, 264 rows g, each value sized by
-    its node-1 selection counted seven times); the posterior stacks and
-    selections fill no cache. A budget grows with GRID_CELLS, so REQUEST_BYTES
-    bounds a whole exact request in bytes: its measured peaks are 0.78 MiB on
-    copy3 at n=4, 0.64 MiB on dsbs at n=6 and 0.50 MiB on markov3 at n=4, 22%,
-    36% and 50% below the bound; at GRID_CELLS 2^16 they are 1.24, 1.30 and
-    0.50 MiB, the first two above it."""
+    take about 46 MB. Measured peaks at GRID_CELLS 2^15: piecing_check 1.66
+    budgets (its window of 1,408 keys and 16 distinct tuples; 2.19 on dsbs at
+    n=6, whose sub-chunks of 7 tuples hold each 64 x 64 W block twice while it
+    is transposed, and 0.80 on markov3 at n=4) and exact_induced 2.43 (chunks
+    of 6 common-randomness values, 264 rows g, each value sized by its node-1
+    selection counted seven times); the posterior stacks and selections fill no
+    cache. A budget grows with GRID_CELLS, so REQUEST_BYTES bounds a whole exact
+    request in bytes: its measured peaks are 0.78 MiB on copy3 at n=4, 0.66 MiB
+    on dsbs at n=6 and 0.28 MiB on markov3 at n=4, 22%, 34% and 72% below the
+    bound; at GRID_CELLS 2^16 they are 1.23, 1.13 and 0.28 MiB, the first two
+    above it."""
 
     BOUND = 10  # multiples of GRID_CELLS float64 cells (GRID_CELLS * 8 bytes)
     REQUEST_BYTES = 1 << 20  # 1 MiB

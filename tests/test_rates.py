@@ -1,14 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordline import probability
-from coordline.errors import PreconditionError, UsageError
-from coordline.linestruct import aux_from_tags, copy_of, make_network, order_pairs
+from coordline.errors import PreconditionError, UsageError, check_cap
+from coordline.linestruct import (CONSTANT, a_label, all_pairs, aux_from_tags, channel_of, copy_of, make_network,
+                                  order_pairs, phi_bar, x_label)
 from coordline.probability import JointPmf, info_measure, pmf_from_table
 from coordline.rates import (
+    DEFAULT_MARGIN,
+    ZERO_TOL,
     CodebookRates,
+    Constraint,
     Mode,
     RatePoint,
+    RegionReport,
     deterministic_region_check,
     functional_region_check,
     large_cr_region_check,
@@ -16,7 +25,6 @@ from coordline.rates import (
     rate_transfer,
     resource_map,
     thm1_check,
-    thm1_subsets,
     thm2_check,
     zero_local_region_check,
 )
@@ -56,6 +64,110 @@ def bsc_chain_network(h, p):
 def rates_h2(mu_p, mu_m, lam2=0.0, kp=0.0, km=0.0):
     return CodebookRates.for_network(2, mu_plus={(1, 2): mu_p}, mu_minus={(1, 2): mu_m},
                                      kappa_plus={1: kp}, kappa_minus={1: km}, lam={2: lam2})
+
+
+# ---------------------------------------------------------------------------
+# Reference: thm1_check on tuples of pairs, the form the integer masks replace
+
+
+def ref_thm1_subsets(h):
+    """All S subsets of the pair set that exclude (1, h): 2^(P-1) subsets of up to P
+    pairs, sized as 2^(P-1) * P cells against the cap before any is built."""
+    pairs = all_pairs(h)
+    check_cap("thm1 subset-pair cells", 2 ** (len(pairs) - 1) * len(pairs))
+    rest = [p for p in pairs if p != (1, h)]
+    out = []
+    for r in range(len(rest) + 1):
+        out.extend(tuple(sorted(c)) for c in itertools.combinations(rest, r))
+    return out
+
+
+def ref_thm1_check(rates, spec, margin=DEFAULT_MARGIN):
+    """thm1_check over subsets held as sorted tuples of pairs, each S's complement of
+    J_S and each immediate superset found by set operations on the pairs."""
+    h = spec.h
+    pairs = all_pairs(h)
+    x_axes = list(spec.network.x_labels)
+    subsets = ref_thm1_subsets(h)
+    rest = [p for p in pairs if p != (1, h)]
+
+    # the complement of J_S: the pairs whose phi_bar misses S; many S share one
+    covers = [(p, phi_bar(h, p)) for p in pairs]
+    by_comp = {}
+    rhs_joint, rhs_x1, trivial = {}, {}, set()
+    for s in subsets:
+        comp = tuple(p for p, cover in covers if cover.isdisjoint(s))
+        if comp not in by_comp:
+            a_axes = [a_label(p) for p in comp]
+            by_comp[comp] = (
+                info_measure(spec.joint, x_axes, a_axes) if a_axes else 0.0,
+                info_measure(spec.joint, [x_label(1)], a_axes) if a_axes else 0.0,
+                # constant auxiliaries need no covering: the margin does not apply
+                all(spec.aux_alphabets[a].size == 1 for a in a_axes))
+        rhs_joint[s], rhs_x1[s], is_trivial = by_comp[comp]
+        if is_trivial:
+            trivial.add(s)
+
+    # J_S grows with S, so the rhs never increases along supersets: a superset
+    # with an equal rhs exists iff an immediate superset S + {p} has one
+    def redundant_in(rhs):
+        return {s for s in subsets
+                if any(abs(rhs[tuple(sorted(s + (p,)))] - rhs[s]) <= ZERO_TOL
+                       for p in rest if p not in s)}
+
+    red_joint = redundant_in(rhs_joint)
+    red_x1 = redundant_in(rhs_x1)
+
+    pair_names = {p: f"({p[0]},{p[1]})" for p in pairs}
+    constraints = []
+    for s in subsets:  # each a sorted tuple, so its name lists the pairs in order
+        outside = [p for p in pairs if p not in s]
+        lhs_sum = sum(rates.mu_plus[p] + rates.mu_minus[p] for p in outside)
+        lhs_plus = sum(rates.mu_plus[p] for p in outside)
+        eff_margin = 0.0 if s in trivial else margin
+        set_name = "{" + ",".join(pair_names[p] for p in s) + "}"
+        constraints.append(Constraint(
+            name=f"sum-rate S={set_name}", lhs=lhs_sum,
+            rhs=rhs_joint[s] + eff_margin, redundant=s in red_joint,
+            vacuous=s in trivial))
+        constraints.append(Constraint(
+            name=f"plus-rate S={set_name}", lhs=lhs_plus,
+            rhs=rhs_x1[s] + eff_margin, redundant=s in red_x1,
+            vacuous=s in trivial))
+    return RegionReport("thm1", True, tuple(constraints))
+
+
+
+@st.composite
+def thm1_cases(draw):
+    """A random network of h = 2..5 binary nodes, its target with zero cells, each A a
+    constant, copy or channel kernel of a drawn action, and random mu+ and mu-:
+    (rates, spec, margin)."""
+    h = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    target = rng.integers(0, 4, size=(2,) * h).astype(float)
+    target[(0,) * h] += 1.0
+
+    def kernel():
+        kind, source = draw(st.sampled_from(["constant", "copy", "channel"])), x_label(draw(st.integers(1, h)))
+        return {"constant": CONSTANT, "copy": copy_of(source),
+                "channel": channel_of([source], rng.dirichlet(np.ones(2), size=2), 2)}[kind]
+
+    spec = aux_from_tags(make_network(h, target / target.sum()), a_tags={p: kernel() for p in order_pairs(h)})
+    rate = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0)
+    rates = CodebookRates.for_network(h, mu_plus={p: draw(rate) for p in order_pairs(h)},
+                                      mu_minus={p: draw(rate) for p in order_pairs(h)})
+    return rates, spec, draw(st.sampled_from([0.0, DEFAULT_MARGIN]))
+
+
+class TestThm1Reference:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=thm1_cases())
+    def test_equals_tuple_reference(self, case):
+        """thm1_check on integer subset masks reports what the tuple-of-pairs reference
+        does, field for field: names, left-hand sums, right-hand sides and flags."""
+        rates, spec, margin = case
+        assert thm1_check(rates, spec, margin).to_dict() == ref_thm1_check(rates, spec, margin).to_dict()
 
 
 class TestThm1:
@@ -157,7 +269,7 @@ def _assert_redundancy_bruteforce(rep, spec, h):
     from coordline.linestruct import a_label, all_pairs, j_set
 
     rows = {c.name: c for c in rep.constraints}
-    subsets = thm1_subsets(h)
+    subsets = ref_thm1_subsets(h)
     for kind, axes_of in (("sum-rate", "joint"), ("plus-rate", "x1")):
         rhs = {}
         for s in subsets:
