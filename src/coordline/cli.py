@@ -388,7 +388,10 @@ def _emit(payload: dict, ok: bool, out_dir: str, command: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call: parse_args
+    reads it without changing it, and returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(prog="coordline",
                                      description="strong-coordination line-network toolkit")
     parser.add_argument("command", choices=list(COMMANDS))

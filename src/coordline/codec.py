@@ -5,9 +5,13 @@ selects m1 from its posterior given its action block, then each hop i selects
 K_i+ when the mode's schedule does, draws node i+1's local index l and reads
 node i+1's action as its C-codeword. Every selection goes through an exact
 posterior (Scheme.node1_posterior, Scheme.k_posterior) and one stacked
-staircase table (Scheme.selection). Exact evaluation (evalharness.exact_induced)
-builds the same posteriors and tables for every root and hop state at once,
-and contracts their integer seed widths instead of walking.
+staircase table (Scheme.selection), built once per distinct root state of the
+block: the selecting node's action block and the indices drawn before it, a
+superset of what its posterior reads. Seeds, l's and X1 are still drawn per
+trial, and each trial's seed maps through its root's row. Exact evaluation
+(evalharness.exact_induced) builds the same posteriors and tables for every
+root and hop state at once, and contracts their integer seed widths instead of
+walking.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
 selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
@@ -16,6 +20,7 @@ schedule (rates.ModeSchedule) names.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,29 +299,62 @@ def walk(scheme: Scheme, draw, rows: int) -> tuple[dict, dict]:
     its stream draw(*key). The paths hold node 1's action blocks "X1" (rows, n), drawn from
     the target marginal, and every index component. Node 1 selects m1; then per hop i,
     node i selects K_i+ when the schedule does, l_{i+1} is drawn, and node i+1's action
-    "X{i+1}" is its C-codeword. A selection with key ("m1",) or ("k", i) draws one seed
-    per row from draw("seed", *key) and maps it through the row's staircase cuts.
+    "X{i+1}" is its C-codeword. A selection with key ("m1",) or ("k", i) builds one
+    posterior and one staircase row per distinct root state of the block (the selecting
+    node's action block and every index drawn so far, see _root_keys), then draws one seed
+    per trial row from draw("seed", *key) and maps it through its root's cuts.
     Returns the paths and, per selector key, (seeds, chosen candidates, degenerate flags)."""
     cb, selected = scheme.cb, {}
     paths = _uniform(draw, rows, scheme.cr_spaces)
     paths["X1"] = _iid_blocks(draw("x1").random((rows, scheme.n)), scheme.x1_cum)
 
-    def select(key, ell, space, posteriors):
+    def select(key, node, ell, space, posterior):
+        block, indices = paths[x_label(node)], _indices(paths)
+        size = cb.spec.network.alphabets[node - 1].size
+        _, first, root = np.unique(_root_keys([(letters, size) for letters in block.T]
+                                              + [(v, cb.sizes[c]) for c, v in indices.items()]),
+                                   return_index=True, return_inverse=True)
+        posteriors, degenerate = posterior(block[first], {c: v[first] for c, v in indices.items()})
         seeds = draw("seed", *key).integers(1, ell + 1, size=rows)
-        chosen = scheme.selection(posteriors[0], ell).map_seed(seeds)
-        selected[key] = (seeds, chosen, posteriors[1])
+        chosen = scheme.selection(posteriors, ell).map_seed(seeds, root)
+        selected[key] = (seeds, chosen, degenerate[root])
         paths.update(space.unflatten(chosen))
 
-    select(("m1",), scheme.ell1, scheme.m1_space, scheme.node1_posterior(paths["X1"], _indices(paths)))
+    select(("m1",), 1, scheme.ell1, scheme.m1_space, scheme.node1_posterior)
     for node in range(1, scheme.h):
         if node in scheme.k_spaces:
-            select(("k", node), scheme.ell_k[node], scheme.k_spaces[node],
-                   scheme.k_posterior(node, paths[x_label(node)], _indices(paths)))
+            select(("k", node), node, scheme.ell_k[node], scheme.k_spaces[node],
+                   functools.partial(scheme.k_posterior, node))
         else:
             paths[k_plus(node)] = np.zeros(rows, dtype=np.int64)
         paths.update(_uniform(draw, rows, [(l_of(node + 1), cb.sizes[l_of(node + 1)])]))
         paths[x_label(node + 1)] = cb.c_codeword(node + 1, paths)
     return paths, selected
+
+
+KEY_SPAN = 2 ** 62
+"""The largest range a root key may span before _root_keys renumbers it."""
+
+
+def _root_keys(columns) -> np.ndarray:
+    """One int64 key per row, equal exactly where the rows agree on every column: the
+    (values, radix) columns, each value in [0, radix), read as the digits of one
+    mixed-radix number (np.ravel_multi_index). Before the digits' range would pass
+    KEY_SPAN, the digits so far are renumbered through np.unique's inverse into one (and
+    so is a column whose radix alone would pass it), which keeps their order, so the keys
+    sort as the rows do lexicographically."""
+    digits, radices = [np.zeros(len(columns[0][0]), dtype=np.int64)], [1]
+    for values, radix in columns:
+        radix = int(radix)
+        if math.prod(radices) * radix > KEY_SPAN:
+            unique, key = np.unique(np.ravel_multi_index(digits, radices), return_inverse=True)
+            digits, radices = [key], [len(unique)]
+            if len(unique) * radix > KEY_SPAN:
+                unique, values = np.unique(values, return_inverse=True)
+                radix = len(unique)
+        digits.append(values)
+        radices.append(radix)
+    return np.ravel_multi_index(digits, radices)
 
 
 def _indices(paths: dict) -> dict:

@@ -322,15 +322,17 @@ class StaircaseTable:
         return StaircaseTable(support=self.support[r][:m], cuts=self.cuts[r][:m - 1], ell=self.ell,
                               support_size=m, weights=self.weights[r])
 
-    def map_seed(self, s: int | np.ndarray) -> int | np.ndarray:
+    def map_seed(self, s: int | np.ndarray, tables: np.ndarray | None = None) -> int | np.ndarray:
         """The symbol of seed s: support[i], i the count of cuts below s. An array of
-        seeds broadcasts against the tables of a stack."""
+        seeds broadcasts against the tables of a stack, or with `tables` (integers into
+        the stack's leading axis, shaped as the seeds) maps seed r through table tables[r]."""
         seeds = np.asarray(s)
         bad = (seeds < 1) | (seeds > self.ell)
         if bad.any():
             raise UsageError(f"seed {seeds[bad].ravel()[0]} outside [1, {self.ell}]")
-        pos = (self.cuts < seeds[..., None]).sum(axis=-1)
-        support = np.broadcast_to(self.support, pos.shape + self.support.shape[-1:])
+        cuts, support = (self.cuts, self.support) if tables is None else (self.cuts[tables], self.support[tables])
+        pos = (cuts < seeds[..., None]).sum(axis=-1)
+        support = np.broadcast_to(support, pos.shape + support.shape[-1:])
         chosen = np.take_along_axis(support, pos[..., None], axis=-1)[..., 0]
         return int(chosen) if chosen.ndim == 0 else chosen
 

@@ -169,6 +169,36 @@ class TestFme:
         assert "eliminated twice" in capsys.readouterr().err
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_leak_between_calls(self, tmp_path, monkeypatch, capsys):
+        """The shared parser gives each call a fresh namespace: flags set on one call
+        read as their defaults on the next."""
+        seen = []
+        original = cli._load_config
+
+        def spy(args):
+            seen.append(dict(vars(args)))
+            return original(args)
+
+        monkeypatch.setattr(cli, "_load_config", spy)
+        flags = {"seed": 7, "n": "2", "trials": 9, "mode": "unrestricted", "margin": 0.5,
+                 "theorem": "markov", "threads": 2}
+        argv = [f"--{k}={v}" for k, v in flags.items()]
+        assert run_command(["validate", "--preset", "dsbs", *argv, "--out", str(tmp_path / "a")]) == 0
+        assert run_command(["validate", "--preset", "copy3", "--out", str(tmp_path / "b")]) == 0
+        first, second = seen
+        assert {k: first[k] for k in flags} == flags
+        assert second == {"command": "validate", "config": None, "preset": "copy3", "seed": None,
+                          "n": None, "trials": None, "mode": None, "margin": None, "theorem": None,
+                          "out": str(tmp_path / "b"), "threads": 1}
+        cli.build_parser.cache_clear()
+        assert run_command(["validate", "--preset", "copy3", "--out", str(tmp_path / "c")]) == 0
+        assert seen[2] == second | {"out": str(tmp_path / "c")}
+
+
 class TestDeterminism:
     def test_identical_runs_identical_reports(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1127,3 +1127,142 @@ class TestHistograms:
         assert rep.proxy == bool(cap)
         assert rep.tv_per_seed
         assert rep.tv_per_seed == self.ref_tvs(exp, n, 300, [1, 2], 5, rep.proxy)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: one selection per distinct root state of a block
+
+
+def ref_mc_walk(scheme, draw, rows):
+    """codec.walk with one posterior and one staircase row per trial row: every selection
+    builds its node's posterior on all rows of the block and maps each seed through its
+    own row's table."""
+    cb, selected = scheme.cb, {}
+    paths = codec._uniform(draw, rows, scheme.cr_spaces)
+    paths["X1"] = codec._iid_blocks(draw("x1").random((rows, scheme.n)), scheme.x1_cum)
+
+    def select(key, ell, space, posteriors):
+        seeds = draw("seed", *key).integers(1, ell + 1, size=rows)
+        chosen = scheme.selection(posteriors[0], ell).map_seed(seeds)
+        selected[key] = (seeds, chosen, posteriors[1])
+        paths.update(space.unflatten(chosen))
+
+    select(("m1",), scheme.ell1, scheme.m1_space, scheme.node1_posterior(paths["X1"], codec._indices(paths)))
+    for node in range(1, scheme.h):
+        if node in scheme.k_spaces:
+            select(("k", node), scheme.ell_k[node], scheme.k_spaces[node],
+                   scheme.k_posterior(node, paths[x_label(node)], codec._indices(paths)))
+        else:
+            paths[k_plus(node)] = np.zeros(rows, dtype=np.int64)
+        paths.update(codec._uniform(draw, rows, [(l_of(node + 1), cb.sizes[l_of(node + 1)])]))
+        paths[x_label(node + 1)] = cb.c_codeword(node + 1, paths)
+    return paths, selected
+
+
+def _assert_runs_equal(got, want):
+    """Equal actions, index arrays and per selector key (seeds, chosen, degenerate flags)."""
+    assert np.array_equal(got.actions, want.actions)
+    assert got.indices.keys() == want.indices.keys()
+    assert all(np.array_equal(got.indices[c], want.indices[c]) for c in want.indices)
+    assert got.selected.keys() == want.selected.keys()
+    for key, arrays in want.selected.items():
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got.selected[key], arrays)), key
+    assert got.degenerate_trials == want.degenerate_trials
+
+
+def _assert_matches_per_trial_walk(cb, mode, trials, seed):
+    got = codec.run_scheme(cb, mode, trials, seed)
+    with mock.patch.object(codec, "walk", ref_mc_walk):
+        want = codec.run_scheme(cb, mode, trials, seed)
+    _assert_runs_equal(got, want)
+    return got
+
+
+def _root_columns(scheme, run, key, rows):
+    """The columns a selection with this key may read, over the trial rows `rows`: the
+    selecting node's action letters and every index drawn before it, as an (R, C) array."""
+    node = 1 if key == ("m1",) else key[1]
+    comps = [c for c, _ in scheme.cr_spaces]
+    if node > 1:
+        comps += [c for c, _ in scheme.m1_space.components]
+        comps += [k_plus(j) for j in range(1, node)] + [l_of(j) for j in range(2, node + 1)]
+    return np.column_stack([run.actions[rows, node - 1]] + [run.indices[c][rows] for c in comps])
+
+
+MC_CASES = ([(preset, mode.value, 3) for preset in ("dsbs", "dsbs-control", "indep-uniform", "copy3")
+             for mode in Mode]
+            + [("markov3", mode, 3) for mode in ("action-dependent", "unrestricted")]
+            + [("dsbs", "functional", 4), ("markov3", "unrestricted", 4)])
+
+
+class TestMonteCarloRoots:
+    """codec.walk selects once per distinct root state of a block and gathers per trial;
+    the streams are drawn per trial row as before, so run_scheme equals the per-trial
+    reference walk bit for bit."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The row count of each Scheme.selection stack, in call order."""
+        log = []
+        original = Scheme.selection
+
+        def spy(scheme, posteriors, ell):
+            log.append(len(posteriors))
+            return original(scheme, posteriors, ell)
+
+        monkeypatch.setattr(Scheme, "selection", spy)
+        return log
+
+    @pytest.mark.parametrize("trials", [1, 511, 1100])
+    @pytest.mark.parametrize("case", MC_CASES, ids=_ids)
+    def test_matches_per_trial_walk(self, case, trials):
+        """Every preset in each mode it admits; 1,100 trials cross STREAM_BLOCK_ROWS."""
+        preset, mode, n = case
+        exp = Experiment(preset_config(preset))
+        cb = build_codebooks(exp.spec, exp.rates, n, SEED)
+        _assert_matches_per_trial_walk(cb, Mode(mode), trials, 7)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=small_schemes())
+    @example(case=_low_ell_chain())
+    @example(case=_degenerate_relays())
+    def test_random_schemes_match_per_trial_walk(self, case):
+        spec, rates, mode, n, low_ell = case
+        cb = build_codebooks(spec, rates, n, SEED)
+        seed_rate = (lambda spec, rates, i: 1 / n - codec.SEED_MARGIN) if low_ell else codec.hop_selector_rate
+        with mock.patch.object(codec, "hop_selector_rate", seed_rate):
+            _assert_matches_per_trial_walk(cb, mode, STREAM_BLOCK_ROWS + 9, 5)
+
+    @pytest.mark.parametrize("case", [("dsbs", "functional", 4), ("markov3", "unrestricted", 4),
+                                      ("copy3", "unrestricted", 3)], ids=_ids)
+    def test_one_stack_row_per_distinct_root(self, case, stacks):
+        """Each selection stack holds exactly its block's distinct root states (counted
+        with np.unique over the rows), in walk order: m1, then each selected K+ hop."""
+        preset, mode, n = case
+        exp = Experiment(preset_config(preset))
+        cb = build_codebooks(exp.spec, exp.rates, n, SEED)
+        trials = 2000
+        run = codec.run_scheme(cb, Mode(mode), trials, 11)
+        want = []
+        for start in range(0, trials, STREAM_BLOCK_ROWS):
+            rows = slice(start, min(start + STREAM_BLOCK_ROWS, trials))
+            for key in run.selected:
+                want.append(len(np.unique(_root_columns(run.scheme, run, key, rows), axis=0)))
+        assert stacks == want
+        if (preset, n) == ("dsbs", 4):
+            # 16 x1 blocks times 10 shared-index values
+            assert max(stacks) <= 160 < STREAM_BLOCK_ROWS
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_root_keys_group_as_rows_past_2_63(self, seed):
+        """Columns whose radix product exceeds 2^63 (one radix alone passes KEY_SPAN) group
+        rows exactly as np.unique(axis=0) does, in the same order."""
+        rng = np.random.default_rng(seed)
+        radices = [2, 2 ** 40, 3, 2 ** 63 - 1, 5, 2 ** 61 + 1, 7, 2 ** 62]
+        assert math.prod(radices) > 2 ** 63
+        # few distinct values per column, so rows repeat
+        columns = [rng.choice(rng.integers(0, radix, size=3), size=300) for radix in radices]
+        _, want = np.unique(np.column_stack(columns), axis=0, return_inverse=True)
+        _, got = np.unique(codec._root_keys(list(zip(columns, radices))), return_inverse=True)
+        assert 1 < got.max() + 1 < 300
+        assert np.array_equal(got, want.ravel())
