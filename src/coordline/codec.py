@@ -8,7 +8,9 @@ posterior (Scheme.node1_posterior, Scheme.k_posterior) and one stacked
 staircase table (Scheme.selection), built once per distinct root state of the
 block: the selecting node's action block and the indices drawn before it, a
 superset of what its posterior reads. Seeds, l's and X1 are still drawn per
-trial, and each trial's seed maps through its root's row. Exact evaluation
+trial, and each trial's seed maps through its root's row. run_scheme joins the
+blocks into a SchemeRun, which is the run as arrays; no per-trial object is
+built. Exact evaluation
 (evalharness.exact_induced) builds the same posteriors and tables for every
 root and hop state at once, and contracts their integer seed widths instead of
 walking.
@@ -68,71 +70,6 @@ one draw call per block and key on the stream (seed, "mc", block, *key)."""
 def _bits(size: int) -> int:
     """ceil(log2(size)) in exact integer arithmetic; 0 for a single value."""
     return (int(size) - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class SelectorOutcome:
-    """Result of one staircase posterior selection; ell, support size and certificate
-    are read from its table, a row of Scheme.selection."""
-
-    chosen: int
-    seed_value: int
-    degenerate: bool
-    table: StaircaseTable = field(repr=False)
-
-    ell = property(lambda self: self.table.ell)
-    support_size = property(lambda self: self.table.support_size)
-    bits = property(lambda self: _bits(self.table.ell))
-    epsilon = property(lambda self: float(self.table.epsilon))
-    bound = property(lambda self: float(self.table.bound))
-    realized_l1 = property(lambda self: float(self.table.realized_l1))
-
-    def to_dict(self):
-        return {"chosen": self.chosen, "ell": self.ell, "support_size": self.support_size,
-                "epsilon": self.epsilon, "bound": self.bound, "realized_l1": self.realized_l1,
-                "seed_value": self.seed_value, "bits": self.bits, "degenerate": self.degenerate}
-
-
-@dataclass(frozen=True)
-class HopMessage:
-    hop: int
-    entries: tuple[tuple[str, int, int], ...]  # (name, value, range)
-
-    @property
-    def bit_size(self) -> int:
-        return sum(_bits(size) for _, _, size in self.entries)
-
-    def to_dict(self):
-        return {"hop": self.hop, "bit_size": self.bit_size,
-                "entries": [{"name": n, "value": v, "range": s} for n, v, s in self.entries]}
-
-
-@dataclass
-class Trace:
-    """Replayable record of one trial."""
-
-    trial: int
-    seed: int
-    x1: list
-    actions: dict
-    indices: dict
-    messages: list
-    selectors: dict
-    node_bits: dict
-    degenerate_draws: int = 0
-
-    def to_dict(self):
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "x1": list(map(int, self.x1)),
-            "actions": {k: list(map(int, v)) for k, v in self.actions.items()},
-            "indices": {str(k): int(v) for k, v in self.indices.items()},
-            "messages": [m.to_dict() for m in self.messages],
-            "selectors": {str(k): s.to_dict() for k, s in self.selectors.items()},
-            "node_bits": self.node_bits,
-            "degenerate_draws": self.degenerate_draws,
-        }
 
 
 SEED_MARGIN = 0.5
@@ -388,9 +325,11 @@ def _audit(scheme: Scheme) -> tuple[dict, dict, list]:
 
 @dataclass
 class SchemeRun:
-    """A Monte Carlo run as arrays over its trials: actions (trials, h, n), each index
-    component's values, and per selector key its seeds, chosen candidates and
-    degenerate flags. traces builds one Trace per trial on first read."""
+    """A Monte Carlo run as arrays over its trials, its one representation: actions
+    (trials, h, n), each index component's values (indices), and per selector key its
+    seeds, chosen candidates and degenerate flags (selected). A hop's bundle is
+    Scheme.hop_entries read on these arrays. At zero trials walk never runs: actions is
+    (0, h, n), indices and selected are empty and no trial is degenerate or over budget."""
 
     mode: str
     n: int
@@ -398,51 +337,10 @@ class SchemeRun:
     checks_passed: bool
     budget_violations: list
     degenerate_trials: int
-    seed: int
     node_bits: dict
     actions: np.ndarray = field(repr=False)
     indices: dict = field(repr=False)
     selected: dict = field(repr=False)
-    scheme: Scheme = field(repr=False)
-
-    @functools.cached_property
-    def traces(self) -> list[Trace]:
-        """One Trace per trial; each selector outcome carries its trial's row of the
-        Scheme.selection table of the recomputed posteriors, for the certificate fields."""
-        scheme = self.scheme
-        outcomes = {}
-        for key, (seeds, chosen, degenerate) in self.selected.items():
-            if key == ("m1",):
-                ell, (posteriors, _) = scheme.ell1, scheme.node1_posterior(self.actions[:, 0], self.indices)
-            else:
-                ell, (posteriors, _) = scheme.ell_k[key[1]], scheme.k_posterior(
-                    key[1], self.actions[:, key[1] - 1], self.indices)
-            # trials with equal posteriors share one row, so its certificate is computed once
-            unique, inverse = np.unique(posteriors, axis=0, return_inverse=True)
-            rows = list(map(scheme.selection(unique, ell).row, range(len(unique))))
-            outcomes[key] = [SelectorOutcome(c, s, d, rows[u]) for c, s, d, u in zip(
-                chosen.tolist(), seeds.tolist(), degenerate.tolist(), inverse.ravel().tolist())]
-        traces = []
-        for t, actions in enumerate(self.actions.tolist()):
-            values = {c: int(v[t]) for c, v in self.indices.items()}
-            shipped = values | {key: int(s[t]) for key, (s, _, _) in self.selected.items()}
-            selectors = {key: outcome[t] for key, outcome in outcomes.items()}
-            traces.append(Trace(
-                trial=t, seed=self.seed, x1=actions[0],
-                actions={f"X{i}": block for i, block in enumerate(actions, 1)}, indices=values,
-                messages=[HopMessage(hop, tuple((name, shipped.get(key, 0), size)
-                                                for name, key, size in entries))
-                          for hop, entries in scheme.hop_entries.items()],
-                selectors=selectors, node_bits=dict(self.node_bits),
-                degenerate_draws=sum(o.degenerate for o in selectors.values())))
-        return traces
-
-    def to_dict(self):
-        return {"mode": self.mode, "n": self.n, "budgets": self.budgets,
-                "checks_passed": self.checks_passed,
-                "budget_violations": self.budget_violations,
-                "degenerate_trials": self.degenerate_trials,
-                "traces": [t.to_dict() for t in self.traces]}
 
 
 def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int) -> SchemeRun:
@@ -467,8 +365,8 @@ def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int) -> SchemeRun:
     return SchemeRun(mode=scheme.mode.value, n=scheme.n, budgets=scheme.budgets.to_dict(),
                      checks_passed=checks,
                      budget_violations=[{"trial": t} | v for t in range(trials) for v in over],
-                     degenerate_trials=int(np.sum(degenerate)), seed=seed, node_bits=node_bits,
-                     actions=actions, indices=_indices(paths), selected=selected, scheme=scheme)
+                     degenerate_trials=int(np.sum(degenerate)), node_bits=node_bits,
+                     actions=actions, indices=_indices(paths), selected=selected)
 
 
 def _uniform(draw, count: int, spaces) -> dict:

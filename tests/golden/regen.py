@@ -1,4 +1,4 @@
-"""Golden fixtures: scheme traces, exact induced laws and CLI reports.
+"""Golden fixtures: scheme runs, exact induced laws and CLI reports.
 
 Run from the repository root with the package importable:
 
@@ -7,11 +7,12 @@ Run from the repository root with the package importable:
                                                           # else each fixture's largest float drift
 
 A fixture pins behaviour that report.json alone does not show: hop bundle
-order, per-node bit metering, the audit and every selector outcome. Integers,
-strings, bools, list lengths and dict keys (in order) must match exactly;
-floats must match within FLOAT_RTOL relative, since log2 may differ in the
-last ulp between SIMD builds. A change that moves a stream or a numeric on purpose
-regenerates the fixtures and records the rerun in CHANGES.md.
+order, per-node bit metering, the audit and every selector's seeds, chosen
+candidates and degenerate flags. Integers, strings, bools, list lengths and
+dict keys (in order) must match exactly; floats must match within FLOAT_RTOL
+relative, since log2 may differ in the last ulp between SIMD builds. A change
+that moves a stream or a numeric on purpose regenerates the fixtures and
+records the rerun in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -55,8 +56,21 @@ def _codebook(preset: str):
 
 
 def scheme_run(preset: str, mode: str) -> dict:
+    """A run as its arrays: the run-level fields, each hop's bundle layout as (name,
+    range), the actions (trials, h, n), each index component's values and, per selector
+    key, the seeds, chosen candidates and degenerate flags."""
     exp, cb = _codebook(preset)
-    return run_scheme(cb, Mode(mode), TRIALS, exp.seed).to_dict()
+    run = run_scheme(cb, Mode(mode), TRIALS, exp.seed)
+    hops = Scheme(cb, Mode(mode)).hop_entries
+    return {"mode": run.mode, "n": run.n, "budgets": run.budgets, "checks_passed": run.checks_passed,
+            "budget_violations": run.budget_violations, "degenerate_trials": run.degenerate_trials,
+            "node_bits": run.node_bits,
+            "hops": {hop: [[name, size] for name, _, size in entries] for hop, entries in hops.items()},
+            "actions": run.actions.tolist(),
+            "indices": {str(c): v.tolist() for c, v in run.indices.items()},
+            "selected": {str(key): {"seeds": seeds.tolist(), "chosen": chosen.tolist(),
+                                    "degenerate": degenerate.tolist()}
+                         for key, (seeds, chosen, degenerate) in run.selected.items()}}
 
 
 def scheme_layout(preset: str, mode: str) -> dict:

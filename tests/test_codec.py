@@ -1,4 +1,6 @@
 import functools
+import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coordline import codec
+from coordline.cli import Experiment
 from coordline.codebooks import (
     build_codebooks,
     k_plus,
@@ -17,9 +20,10 @@ from coordline.codec import (
 )
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, channel_of, copy_of, make_network
+from coordline.presets import preset_config
 from coordline.probability import pmf_from_table
 from coordline.rates import CodebookRates, Mode
-from test_exact_batched import ref_selection_table, ref_support_sizes
+from test_exact_batched import _assert_runs_equal, ref_selection_table, ref_support_sizes
 from test_probability import fraction_staircase
 
 
@@ -126,50 +130,43 @@ class TestRunScheme:
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(), n=2, seed=0)
         run = run_scheme(cb, Mode.FUNCTIONAL, trials=0, seed=0)
-        assert run.traces == []
+        assert run.actions.shape == (0, 2, 2)
+        assert run.degenerate_trials == 0 and run.budget_violations == []
+        assert run.indices == {} and run.selected == {}
 
     def test_determinism(self):
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(0.6, 0.9, 0.4), n=3, seed=5)
         r1 = run_scheme(cb, Mode.FUNCTIONAL, trials=6, seed=11)
         r2 = run_scheme(cb, Mode.FUNCTIONAL, trials=6, seed=11)
-        assert [t.to_dict() for t in r1.traces] == [t.to_dict() for t in r2.traces]
+        _assert_runs_equal(r1, r2)
+        assert r1.node_bits == r2.node_bits
 
     def test_functional_bundle_contents(self):
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(0.6, 0.9, 0.4), n=3, seed=5)
-        run = run_scheme(cb, Mode.FUNCTIONAL, trials=3, seed=1)
-        for tr in run.traces:
-            (msg,) = tr.messages
-            names = [e[0] for e in msg.entries]
-            assert names == ["m+(1,2)"]
+        (entries,) = Scheme(cb, Mode.FUNCTIONAL).hop_entries.values()
+        assert [name for name, *_ in entries] == ["m+(1,2)"]
 
     def test_functional_no_kplus_selector(self):
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(0.6, 0.9, 0.4), n=3, seed=5)
         run = run_scheme(cb, Mode.FUNCTIONAL, trials=3, seed=1)
-        for tr in run.traces:
-            assert ("k", 1) not in tr.selectors
+        assert list(run.selected) == [("m1",)]
 
     def test_last_node_emits_no_message(self):
         spec, rates = markov3_spec_and_rates()
         cb = build_codebooks(spec, rates, n=2, seed=8)
         run = run_scheme(cb, Mode.UNRESTRICTED, trials=2, seed=3)
-        for tr in run.traces:
-            hops = [m.hop for m in tr.messages]
-            assert hops == [1, 2]
-            assert "X3" in tr.actions
+        assert list(Scheme(cb, Mode.UNRESTRICTED).hop_entries) == [1, 2]
+        assert run.actions.shape == (2, 3, 2)
 
     def test_markov_hop2_bundle_is_k_only(self):
         spec, rates = markov3_spec_and_rates()
         cb = build_codebooks(spec, rates, n=2, seed=8)
-        run = run_scheme(cb, Mode.UNRESTRICTED, trials=2, seed=3)
-        n = 2
-        for tr in run.traces:
-            hop2 = tr.messages[1]
-            names = [e[0] for e in hop2.entries if e[2] > 1]
-            assert names == ["k+(2)"]
-            assert hop2.bit_size == int(np.ceil(np.log2(cb.sizes[k_plus(2)])))
+        hop2 = Scheme(cb, Mode.UNRESTRICTED).hop_entries[2]
+        assert [name for name, _, size in hop2 if size > 1] == ["k+(2)"]
+        assert sum(_bits(size) for *_, size in hop2) == int(np.ceil(np.log2(cb.sizes[k_plus(2)])))
 
     def test_budget_conformance_functional_and_unrestricted(self):
         spec = dsbs_spec()
@@ -192,9 +189,9 @@ class TestRunScheme:
         cb = build_codebooks(spec, rates, n=4, seed=6)
         run = run_scheme(cb, Mode.FUNCTIONAL, trials=40, seed=13)
         hits = 0
-        for tr in run.traces:
-            word = cb.a_codeword((1, 2), dict(tr.indices))
-            hits += list(map(int, word)) == tr.x1
+        for t, x1 in enumerate(run.actions[:, 0].tolist()):
+            word = cb.a_codeword((1, 2), {c: int(v[t]) for c, v in run.indices.items()})
+            hits += word.tolist() == x1
         assert hits / 40 > 0.6
 
     def test_constant_aux_marginals_approach_target(self):
@@ -202,10 +199,7 @@ class TestRunScheme:
         spec = aux_from_tags(net)
         cb = build_codebooks(spec, h2_rates(0.0, 0.0, lam2=1.0), n=2, seed=7)
         run = run_scheme(cb, Mode.UNRESTRICTED, trials=400, seed=1)
-        counts = np.zeros(2)
-        for tr in run.traces:
-            for sym in tr.actions["X2"]:
-                counts[sym] += 1
+        counts = np.bincount(run.actions[:, 1].ravel(), minlength=2)
         freq = counts / counts.sum()
         assert np.abs(freq - 0.5).max() < 0.08
 
@@ -213,17 +207,30 @@ class TestRunScheme:
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(0.5, 0.82), n=2, seed=3)
         run = run_scheme(cb, Mode.UNRESTRICTED, trials=5, seed=2)
-        for tr in run.traces:
-            assert tr.indices[k_plus(1)] == 0
+        assert run.indices[k_plus(1)].tolist() == [0] * 5
 
     def test_x2_equals_c_codeword(self):
         spec = dsbs_spec()
         cb = build_codebooks(spec, h2_rates(0.5, 0.82, lam2=0.5), n=3, seed=4)
         run = run_scheme(cb, Mode.UNRESTRICTED, trials=10, seed=9)
-        for tr in run.traces:
-            assignment = dict(tr.indices)
-            word = cb.c_codeword(2, assignment)
-            assert list(map(int, word)) == tr.actions["X2"]
+        for t, x2 in enumerate(run.actions[:, 1].tolist()):
+            word = cb.c_codeword(2, {c: int(v[t]) for c, v in run.indices.items()})
+            assert word.tolist() == x2
+
+    def test_no_per_trial_objects(self):
+        """A run holds the same Python objects at 600 and at 32,000 trials: only its
+        arrays grow."""
+        exp = Experiment(preset_config("dsbs"))
+        cb = build_codebooks(exp.spec, exp.rates, n=4, seed=1)
+        held = []
+        for trials in (600, 32_000):
+            run = run_scheme(cb, exp.mode, trials, exp.seed)
+            assert all(isinstance(v, np.ndarray) for v in run.indices.values())
+            assert all(isinstance(a, np.ndarray) for arrays in run.selected.values() for a in arrays)
+            assert run.budget_violations == []
+            held.append(_reachable_objects(run))
+        assert held[0] == held[1]
+        assert held[0]["ndarray"] == 1 + len(run.indices) + 3 * len(run.selected)
 
     def test_requires_c_equals_action(self):
         net = dsbs_network()
@@ -241,6 +248,21 @@ class TestRunScheme:
         cb = build_codebooks(spec, h2_rates(), n=2, seed=1)
         with pytest.raises(UsageError, match="X2 = C2; found a non-copy kernel slice"):
             run_scheme(cb, Mode.FUNCTIONAL, trials=1, seed=0)
+
+
+def _reachable_objects(root) -> Counter:
+    """The objects reachable from root through gc.get_referents, counted by type name;
+    classes are not followed, and an array counts as one object (numpy arrays have no
+    referents, so their buffers are not counted)."""
+    seen, stack, counts = set(), [root], Counter()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        counts[type(obj).__name__] += 1
+        stack.extend(gc.get_referents(obj))
+    return counts
 
 
 @functools.cache

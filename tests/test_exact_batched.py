@@ -1086,7 +1086,7 @@ class TestArrayIndices:
 
 class TestHistograms:
     """mc_coordination_tv's block and per-letter (PROXY) histograms against a loop
-    that counts one trace at a time."""
+    that counts one trial's actions at a time."""
 
     @staticmethod
     def ref_tvs(exp, n, trials, cb_seeds, seed, proxy):
@@ -1100,17 +1100,15 @@ class TestHistograms:
                 continue
             if proxy:
                 hist = np.zeros(tuple(sizes))
-                for tr in run.traces:
-                    blocks = [tr.actions[x] for x in net.x_labels]
+                for blocks in run.actions.tolist():
                     for t in range(n):
                         hist[tuple(b[t] for b in blocks)] += 1.0
                 hist /= hist.sum()
                 target = net.target.weights
             else:
                 hist = np.zeros(tuple(s ** n for s in sizes))
-                for tr in run.traces:
-                    hist[tuple(ref_block_encode(tr.actions[x], s)
-                               for x, s in zip(net.x_labels, sizes))] += 1.0
+                for blocks in run.actions.tolist():
+                    hist[tuple(ref_block_encode(b, s) for b, s in zip(blocks, sizes))] += 1.0
                 hist /= trials
                 target = evalharness.target_block_tensor(net, n)
             tvs.append(float(np.abs(hist - target).sum()))
@@ -1119,7 +1117,7 @@ class TestHistograms:
     # under the caps, the codebooks fit and the block histogram does not
     @pytest.mark.parametrize("preset,n,cap", [("dsbs", 3, None), ("copy3", 2, None),
                                               ("dsbs-control", 4, "200"), ("markov3", 3, "300")])
-    def test_matches_per_trace_loop(self, preset, n, cap, monkeypatch):
+    def test_matches_per_trial_loop(self, preset, n, cap, monkeypatch):
         if cap:
             monkeypatch.setenv("COORDLINE_CAP", cap)
         exp = Experiment(preset_config(preset))
@@ -1243,11 +1241,12 @@ class TestMonteCarloRoots:
         cb = build_codebooks(exp.spec, exp.rates, n, SEED)
         trials = 2000
         run = codec.run_scheme(cb, Mode(mode), trials, 11)
+        scheme = codec.Scheme(cb, Mode(mode))
         want = []
         for start in range(0, trials, STREAM_BLOCK_ROWS):
             rows = slice(start, min(start + STREAM_BLOCK_ROWS, trials))
             for key in run.selected:
-                want.append(len(np.unique(_root_columns(run.scheme, run, key, rows), axis=0)))
+                want.append(len(np.unique(_root_columns(scheme, run, key, rows), axis=0)))
         assert stacks == want
         if (preset, n) == ("dsbs", 4):
             # 16 x1 blocks times 10 shared-index values

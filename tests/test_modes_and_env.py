@@ -10,7 +10,7 @@ import coordline
 from coordline import codec
 from coordline.cli import run_command
 from coordline.codebooks import build_codebooks
-from coordline.codec import run_scheme
+from coordline.codec import Scheme, run_scheme
 from coordline.errors import ResourceCapError, resolve_cap
 from coordline.evalharness import exact_induced
 from coordline.linestruct import aux_from_tags, copy_of
@@ -60,14 +60,14 @@ class TestActionDependentMode:
         cb = build_codebooks(spec, self.rates(), n=2, seed=4)
         run = run_scheme(cb, Mode.ACTION_DEPENDENT, trials=4, seed=9)
         assert run.budget_violations == []
-        for tr in run.traces:
-            hop1, hop2 = tr.messages
-            names1 = [e[0] for e in hop1.entries]
-            assert f"k+(1)" in names1
-            assert any(n.startswith("seed(k+2)") for n in names1)
-            names2 = [e[0] for e in hop2.entries]
-            assert "k+(2)" in names2
-            assert not any(n.startswith("seed") for n in names2)
+        assert ("k", 2) in run.selected  # hop 1 ships this selector's seeds
+        hop1, hop2 = Scheme(cb, Mode.ACTION_DEPENDENT).hop_entries.values()
+        names1 = [name for name, *_ in hop1]
+        assert "k+(1)" in names1
+        assert any(n.startswith("seed(k+2)") for n in names1)
+        names2 = [name for name, *_ in hop2]
+        assert "k+(2)" in names2
+        assert not any(n.startswith("seed") for n in names2)
 
     def test_exact_induced_runs_in_ad_mode(self):
         spec = markov3_spec()

@@ -169,15 +169,20 @@ def _dsbs(n: int, seed: int = 1):
 
 class TestTrialLoop:
     """Trials run in blocks of STREAM_BLOCK_ROWS, each block drawing once per key from
-    the stream (seed, "mc", block, *key): a run's traces are the first traces of a
-    longer run, across the block boundary."""
+    the stream (seed, "mc", block, *key): a run's arrays are the first rows of a
+    longer run's, across the block boundary."""
 
     TRIALS = STREAM_BLOCK_ROWS + 10
 
     def _assert_prefix(self, run):
-        short = [t.to_dict() for t in run(self.TRIALS).traces]
-        longer = [t.to_dict() for t in run(self.TRIALS + STREAM_BLOCK_ROWS + 40).traces]
-        assert short == longer[:self.TRIALS]
+        short, longer = run(self.TRIALS), run(self.TRIALS + STREAM_BLOCK_ROWS + 40)
+        assert np.array_equal(short.actions, longer.actions[:self.TRIALS])
+        assert short.indices.keys() == longer.indices.keys()
+        for comp, values in short.indices.items():
+            assert np.array_equal(values, longer.indices[comp][:self.TRIALS]), comp
+        assert short.selected.keys() == longer.selected.keys()
+        for key, arrays in short.selected.items():
+            assert all(np.array_equal(a, b[:self.TRIALS]) for a, b in zip(arrays, longer.selected[key])), key
 
     def test_run_scheme(self):
         exp, cb = _dsbs(1)
