@@ -83,9 +83,7 @@ class IndexSpace:
 
     def __init__(self, components: Sequence[tuple[Component, int]]):
         self.components = tuple((tuple(c), int(s)) for c, s in components)
-        self.size = 1
-        for _, s in self.components:
-            self.size *= s
+        self.size = math.prod(s for _, s in self.components)
 
     def flatten(self, assignment: Mapping[Component, int | np.ndarray]) -> int | np.ndarray:
         """The flat index of an assignment. Integer arrays as values give the
@@ -368,11 +366,7 @@ def component_sizes(spec: AuxSpec, rates: CodebookRates, n: int) -> dict[Compone
 
 
 def _pair_components(pairs: Sequence[IndexPair], sizes) -> list[tuple[Component, int]]:
-    out = []
-    for q in pairs:
-        out.append((m_plus(q), sizes[m_plus(q)]))
-        out.append((m_minus(q), sizes[m_minus(q)]))
-    return out
+    return [(c, sizes[c]) for q in pairs for c in (m_plus(q), m_minus(q))]
 
 
 def build_codebooks(spec: AuxSpec, rates: CodebookRates, n: int, seed: int) -> Codebook:

@@ -1,19 +1,18 @@
 """The action-generation and strong-coordination schemes over a realized codebook.
 
-Monte Carlo runs the scheme as one walk (walk) over a block of trials: node 1
+Monte Carlo runs the scheme as one walk (walk) over all of a run's trials: node 1
 selects m1 from its posterior given its action block, then each hop i selects
 K_i+ when the mode's schedule does, draws node i+1's local index l and reads
 node i+1's action as its C-codeword. Every selection goes through an exact
-posterior (Scheme.node1_posterior, Scheme.k_posterior) and one stacked
-staircase table (Scheme.selection), built once per distinct root state of the
-block: the selecting node's action block and the indices drawn before it, a
-superset of what its posterior reads. Seeds, l's and X1 are still drawn per
-trial, and each trial's seed maps through its root's row. run_scheme joins the
-blocks into a SchemeRun, which is the run as arrays; no per-trial object is
-built. Exact evaluation
-(evalharness.exact_induced) builds the same posteriors and tables for every
-root and hop state at once, and contracts their integer seed widths instead of
-walking.
+posterior (Scheme.node1_posterior, Scheme.k_posterior) and stacked staircase
+tables (Scheme.selection), built once per distinct root state of the run (the
+selecting node's action block and the indices drawn before it, a superset of
+what its posterior reads), STREAM_BLOCK_ROWS roots to a stack. Seeds, l's and
+X1 are still drawn per trial, and each trial's seed maps through its root's row.
+The walk's arrays make a SchemeRun, the run as arrays; no per-trial object is
+built. Exact evaluation (evalharness.exact_induced) builds the same posteriors
+and tables for every root and hop state at once, and contracts their integer
+seed widths instead of walking.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
 selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
@@ -95,10 +94,7 @@ class Scheme:
         self.order = order_pairs(h)
         self.x1_kernel = spec.x_kernels[1]
         a_all = [a_label(p) for p in self.order]
-        self.k_kernels = {}
-        for i in range(1, h):
-            giv = a_all + [b_label(i)]
-            self.k_kernels[i] = condition(joint, giv, [x_label(i)])
+        self.k_kernels = {i: condition(joint, a_all + [b_label(i)], [x_label(i)]) for i in range(1, h)}
 
         self.m1_space = IndexSpace([(m_plus((1, j)), cb.sizes[m_plus((1, j))])
                                     for j in range(2, h + 1)])
@@ -232,14 +228,15 @@ def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.nda
 
 
 def walk(scheme: Scheme, draw, rows: int) -> tuple[dict, dict]:
-    """The scheme on one block of rows Monte Carlo trials, each index drawn as an array on
-    its stream draw(*key). The paths hold node 1's action blocks "X1" (rows, n), drawn from
+    """The scheme on rows Monte Carlo trials at once, each index drawn as an array on its
+    stream draw(*key). The paths hold node 1's action blocks "X1" (rows, n), drawn from
     the target marginal, and every index component. Node 1 selects m1; then per hop i,
     node i selects K_i+ when the schedule does, l_{i+1} is drawn, and node i+1's action
     "X{i+1}" is its C-codeword. A selection with key ("m1",) or ("k", i) builds one
-    posterior and one staircase row per distinct root state of the block (the selecting
-    node's action block and every index drawn so far, see _root_keys), then draws one seed
-    per trial row from draw("seed", *key) and maps it through its root's cuts.
+    posterior and one staircase row per distinct root state of the rows (the selecting
+    node's action block and every index drawn so far, see _root_keys), STREAM_BLOCK_ROWS
+    roots to a stack, then draws one seed per row from draw("seed", *key) and maps it
+    through its root's cuts, the rows taken in root order stack by stack.
     Returns the paths and, per selector key, (seeds, chosen candidates, degenerate flags)."""
     cb, selected = scheme.cb, {}
     paths = _uniform(draw, rows, scheme.cr_spaces)
@@ -251,9 +248,15 @@ def walk(scheme: Scheme, draw, rows: int) -> tuple[dict, dict]:
         _, first, root = np.unique(_root_keys([(letters, size) for letters in block.T]
                                               + [(v, cb.sizes[c]) for c, v in indices.items()]),
                                    return_index=True, return_inverse=True)
-        posteriors, degenerate = posterior(block[first], {c: v[first] for c, v in indices.items()})
         seeds = draw("seed", *key).integers(1, ell + 1, size=rows)
-        chosen = scheme.selection(posteriors, ell).map_seed(seeds, root)
+        chosen, degenerate = np.empty(rows, dtype=np.int64), np.empty(len(first), dtype=bool)
+        order = np.argsort(root, kind="stable")
+        starts = range(0, len(first), STREAM_BLOCK_ROWS)
+        for start, trials in zip(starts, np.split(order, np.searchsorted(root[order], starts[1:]))):
+            roots = first[start:start + STREAM_BLOCK_ROWS]
+            posteriors, degenerate[start:start + len(roots)] = posterior(
+                block[roots], {c: v[roots] for c, v in indices.items()})
+            chosen[trials] = scheme.selection(posteriors, ell).map_seed(seeds[trials], root[trials] - start)
         selected[key] = (seeds, chosen, degenerate[root])
         paths.update(space.unflatten(chosen))
 
@@ -345,20 +348,13 @@ class SchemeRun:
 
 def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int) -> SchemeRun:
     """End-to-end coordination runs: sample X1 from the target marginal, draw the
-    shared and node-drawn indices, select node 1's m+ and relay down the line. Trials
-    are the rows of the walk, STREAM_BLOCK_ROWS at a time; in block b, draw(*key) is
-    the generator of the stream (seed, "mc", b, *key), one draw call per key."""
+    shared and node-drawn indices, select node 1's m+ and relay down the line. The
+    trials are the rows of one walk, whose draw(*key) is the key's _RunStreams."""
     scheme = Scheme(cb, mode)
     checks = thm1_check(cb.rates, cb.spec, 0.0).passed and all(
         r.passed for r in thm2_check_all(cb.rates, cb.spec, 0.0))
-    runs = [walk(scheme, functools.partial(_child_rng, seed, "mc", block),
-                 min(STREAM_BLOCK_ROWS, trials - block * STREAM_BLOCK_ROWS))
-            for block in range(-(-trials // STREAM_BLOCK_ROWS))]
-    parts, selected = [p for p, _ in runs], [s for _, s in runs]
-    paths = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]} if parts else {}
-    selected = {key: tuple(np.concatenate(arrays) for arrays in zip(*(s[key] for s in selected)))
-                for key in (selected[0] if selected else ())}
-    actions = (np.stack([paths[x_label(i)] for i in range(1, scheme.h + 1)], axis=1) if parts
+    paths, selected = walk(scheme, functools.partial(_RunStreams, seed, trials), trials) if trials else ({}, {})
+    actions = (np.stack([paths[x_label(i)] for i in range(1, scheme.h + 1)], axis=1) if trials
                else np.zeros((0, scheme.h, scheme.n), dtype=np.int64))
     degenerate = np.any([flags for *_, flags in selected.values()], axis=0)
     _, node_bits, over = _audit(scheme)
@@ -367,6 +363,22 @@ def run_scheme(cb: Codebook, mode: Mode, trials: int, seed: int) -> SchemeRun:
                      budget_violations=[{"trial": t} | v for t in range(trials) for v in over],
                      degenerate_trials=int(np.sum(degenerate)), node_bits=node_bits,
                      actions=actions, indices=_indices(paths), selected=selected)
+
+
+class _RunStreams:
+    """One key's Monte Carlo draws over a run: block b of STREAM_BLOCK_ROWS trials draws
+    its rows in one call on the stream (seed, "mc", b, *key), and integers and random
+    (Generator's arguments, sized for the whole run) join the blocks' draws."""
+
+    def __init__(self, seed: int, trials: int, *key):
+        self.blocks = [(_child_rng(seed, "mc", b, *key), min(STREAM_BLOCK_ROWS, trials - start))
+                       for b, start in enumerate(range(0, trials, STREAM_BLOCK_ROWS))]
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        return np.concatenate([rng.integers(low, high, size=rows) for rng, rows in self.blocks])
+
+    def random(self, shape: tuple) -> np.ndarray:
+        return np.concatenate([rng.random((rows, *shape[1:])) for rng, rows in self.blocks])
 
 
 def _uniform(draw, count: int, spaces) -> dict:

@@ -246,10 +246,7 @@ def mc_coordination_tv(spec, rates: CodebookRates, mode: Mode, n: int, trials: i
     net = spec.network
     sizes = [a.size for a in net.alphabets]
     proxy = math.prod(s ** n for s in sizes) > resolve_cap()
-    if proxy:
-        target = net.target.weights
-    else:
-        target = target_block_tensor(net, n)
+    target = net.target.weights if proxy else target_block_tensor(net, n)
 
     tvs, excluded, violations = [], [], 0
     for cb_seed in codebook_seeds:

@@ -2,7 +2,7 @@
 
 Run from the repository root with the package importable:
 
-    PYTHONPATH=src python tests/golden/regen.py           # rewrite every fixture
+    PYTHONPATH=src python tests/golden/regen.py           # rewrite the fixtures that differ
     PYTHONPATH=src python tests/golden/regen.py --check   # print the first path that differs,
                                                           # else each fixture's largest float drift
 
@@ -255,21 +255,24 @@ def largest_drift(want, got) -> float | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare against the stored fixtures instead of rewriting them")
+                        help="compare against the stored fixtures instead of rewriting those that differ")
     args = parser.parse_args(argv)
+    written = []
     for name in cases():
         got = build(name)
+        diff = first_difference(load(name), got) if fixture_path(name).exists() else "no stored fixture"
         if args.check:
-            diff = first_difference(load(name), got)
             if diff:
                 print(f"{name}: {diff}")
                 return 1
             drift = largest_drift(load(name), got)
             if drift is not None:
                 print(f"{name}: largest relative float drift {drift:.3g}")
-        else:
+        elif diff:
             fixture_path(name).write_text(json.dumps(got) + "\n")
-    print("fixtures match" if args.check else f"wrote {len(cases())} fixtures to {GOLDEN_DIR}")
+            written.append(name)
+            print(f"{name}: {diff}")
+    print("fixtures match" if args.check else f"wrote {len(written)} of {len(cases())} fixtures to {GOLDEN_DIR}")
     return 0
 
 

@@ -1128,7 +1128,7 @@ class TestHistograms:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo: one selection per distinct root state of a block
+# Monte Carlo: one selection per distinct root state of a run
 
 
 def ref_mc_walk(scheme, draw, rows):
@@ -1190,11 +1190,11 @@ def _root_columns(scheme, run, key, rows):
 MC_CASES = ([(preset, mode.value, 3) for preset in ("dsbs", "dsbs-control", "indep-uniform", "copy3")
              for mode in Mode]
             + [("markov3", mode, 3) for mode in ("action-dependent", "unrestricted")]
-            + [("dsbs", "functional", 4), ("markov3", "unrestricted", 4)])
+            + [("dsbs", "functional", 4), ("markov3", "unrestricted", 4), ("dsbs", "functional", 6)])
 
 
 class TestMonteCarloRoots:
-    """codec.walk selects once per distinct root state of a block and gathers per trial;
+    """codec.walk selects once per distinct root state of the run and gathers per trial;
     the streams are drawn per trial row as before, so run_scheme equals the per-trial
     reference walk bit for bit."""
 
@@ -1214,7 +1214,8 @@ class TestMonteCarloRoots:
     @pytest.mark.parametrize("trials", [1, 511, 1100])
     @pytest.mark.parametrize("case", MC_CASES, ids=_ids)
     def test_matches_per_trial_walk(self, case, trials):
-        """Every preset in each mode it admits; 1,100 trials cross STREAM_BLOCK_ROWS."""
+        """Every preset in each mode it admits; 1,100 trials cross STREAM_BLOCK_ROWS, and
+        dsbs at n=6 holds 850 distinct roots in them, more than one stack."""
         preset, mode, n = case
         exp = Experiment(preset_config(preset))
         cb = build_codebooks(exp.spec, exp.rates, n, SEED)
@@ -1231,11 +1232,12 @@ class TestMonteCarloRoots:
         with mock.patch.object(codec, "hop_selector_rate", seed_rate):
             _assert_matches_per_trial_walk(cb, mode, STREAM_BLOCK_ROWS + 9, 5)
 
-    @pytest.mark.parametrize("case", [("dsbs", "functional", 4), ("markov3", "unrestricted", 4),
-                                      ("copy3", "unrestricted", 3)], ids=_ids)
+    @pytest.mark.parametrize("case", [("dsbs", "functional", 4), ("dsbs", "functional", 6),
+                                      ("markov3", "unrestricted", 4), ("copy3", "unrestricted", 3)], ids=_ids)
     def test_one_stack_row_per_distinct_root(self, case, stacks):
-        """Each selection stack holds exactly its block's distinct root states (counted
-        with np.unique over the rows), in walk order: m1, then each selected K+ hop."""
+        """Each selector key's stacks hold exactly the run's distinct root states (counted
+        with np.unique over all trials), STREAM_BLOCK_ROWS to a stack, in walk order: m1,
+        then each selected K+ hop."""
         preset, mode, n = case
         exp = Experiment(preset_config(preset))
         cb = build_codebooks(exp.spec, exp.rates, n, SEED)
@@ -1243,14 +1245,29 @@ class TestMonteCarloRoots:
         run = codec.run_scheme(cb, Mode(mode), trials, 11)
         scheme = codec.Scheme(cb, Mode(mode))
         want = []
-        for start in range(0, trials, STREAM_BLOCK_ROWS):
-            rows = slice(start, min(start + STREAM_BLOCK_ROWS, trials))
-            for key in run.selected:
-                want.append(len(np.unique(_root_columns(scheme, run, key, rows), axis=0)))
+        for key in run.selected:
+            roots = len(np.unique(_root_columns(scheme, run, key, slice(None)), axis=0))
+            want += [min(STREAM_BLOCK_ROWS, roots - start) for start in range(0, roots, STREAM_BLOCK_ROWS)]
         assert stacks == want
         if (preset, n) == ("dsbs", 4):
-            # 16 x1 blocks times 10 shared-index values
-            assert max(stacks) <= 160 < STREAM_BLOCK_ROWS
+            assert stacks == [160]  # 16 x1 blocks times 10 shared-index values
+        if (preset, n) == ("dsbs", 6):
+            assert stacks == [512, 512, 223]  # 1,247 roots
+
+    def test_peak_memory(self):
+        """run_scheme on dsbs at n=4 over 32,000 trials peaks at 5.75 MiB under tracemalloc,
+        28% below BOUND; with a copy of every index and selector array per block of
+        STREAM_BLOCK_ROWS trials, it peaked at 9.62 MiB."""
+        BOUND = 8 << 20  # 8 MiB
+        exp = Experiment(preset_config("dsbs"))
+        cb = build_codebooks(exp.spec, exp.rates, 4, SEED)
+        codec.run_scheme(cb, exp.mode, 100, 1)  # first-call set-up is not the run's working set
+        tracemalloc.start()
+        try:
+            codec.run_scheme(cb, exp.mode, 32000, 1)
+            assert tracemalloc.get_traced_memory()[1] < BOUND
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_root_keys_group_as_rows_past_2_63(self, seed):

@@ -32,6 +32,24 @@ def test_every_fixture_file_has_a_case():
     assert stored == set(regen.cases())
 
 
+def test_write_mode_rewrites_only_differing_fixtures(tmp_path, monkeypatch, capsys):
+    """regen.py without --check writes a fixture only where first_difference reports a
+    difference or none is stored: a last-ulp float drift keeps the stored file."""
+    builders = {"same": {"a": [1.0]}, "drift": {"a": [1.0]}, "moved": {"a": [2.0]}, "new": {"a": [1]}}
+    stored = {"same": '{"a": [1.0]}\n', "drift": '{"a": [1.0000000000000002]}\n', "moved": '{"a": [1.0]}\n'}
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(regen, "cases", lambda: {name: lambda v=v: v for name, v in builders.items()})
+    for name, text in stored.items():
+        regen.fixture_path(name).write_text(text)
+    assert regen.main([]) == 0
+    assert {name: regen.fixture_path(name).read_text() for name in ("same", "drift")} == {
+        name: stored[name] for name in ("same", "drift")}
+    assert {name: regen.load(name) for name in ("moved", "new")} == {"moved": {"a": [2.0]}, "new": {"a": [1]}}
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:-1]] == ["moved", "new"]
+    assert out[-1] == f"wrote 2 of 4 fixtures to {tmp_path}"
+
+
 class TestFirstDifference:
     def test_float_within_tolerance(self):
         assert regen.first_difference({"a": [1.0]}, {"a": [1.0 + 1e-14]}) is None
