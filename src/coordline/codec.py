@@ -4,15 +4,15 @@ Monte Carlo runs the scheme as one walk (walk) over all of a run's trials: node 
 selects m1 from its posterior given its action block, then each hop i selects
 K_i+ when the mode's schedule does, draws node i+1's local index l and reads
 node i+1's action as its C-codeword. Every selection goes through an exact
-posterior (Scheme.node1_posterior, Scheme.k_posterior) and stacked staircase
-tables (Scheme.selection), built once per distinct root state of the run (the
-selecting node's action block and the indices drawn before it, a superset of
-what its posterior reads), STREAM_BLOCK_ROWS roots to a stack. Seeds, l's and
-X1 are still drawn per trial, and each trial's seed maps through its root's row.
-The walk's arrays make a SchemeRun, the run as arrays; no per-trial object is
-built. Exact evaluation (evalharness.exact_induced) builds the same posteriors
-and tables for every root and hop state at once, and contracts their integer
-seed widths instead of walking.
+posterior (Scheme.node1_posterior, Scheme.k_posterior): its integer likelihoods,
+products of the kernel numerators Scheme snaps once, which the stacked staircase
+tables (Scheme.selection) cut exactly. Both are built once per distinct root state
+of the run (the selecting node's action block and the indices drawn before it, a
+superset of what its posterior reads), STREAM_BLOCK_ROWS roots to a stack. Seeds,
+l's and X1 are still drawn per trial, and each trial's seed maps through its root's
+row. The walk's arrays make a SchemeRun, the run as arrays; no per-trial object is
+built. Exact evaluation (evalharness.exact_induced) builds the same posteriors and
+tables for every root and hop state at once, and contracts their seed widths.
 
 Randomness is metered: uniform draws cost ceil(log2 range) bits, posterior
 selections cost ceil(log2 ell) bits of seed, charged to the node the mode's
@@ -50,7 +50,7 @@ from .linestruct import (
     psi,
     x_label,
 )
-from .probability import StaircaseTable, condition, marginalize, staircase_map
+from .probability import StaircaseTable, condition, integer_kernel, integer_rows, marginalize, staircase_map
 from .rates import (
     Mode,
     check_mode_restrictions,
@@ -80,7 +80,8 @@ audit accounts for it explicitly."""
 
 
 class Scheme:
-    """Precomputed tables, selector layout and metering for one (codebook, mode) pair."""
+    """Precomputed tables, selector layout and metering for one (codebook, mode) pair. Its
+    likelihood kernels x1_kernel and k_kernels[i] are integer numerators (probability.integer_kernel)."""
 
     def __init__(self, cb: Codebook, mode: Mode):
         spec, rates, mode = cb.spec, cb.rates, Mode(mode)
@@ -92,10 +93,6 @@ class Scheme:
         h, joint = spec.h, spec.joint
 
         self.order = order_pairs(h)
-        self.x1_kernel = spec.x_kernels[1]
-        a_all = [a_label(p) for p in self.order]
-        self.k_kernels = {i: condition(joint, a_all + [b_label(i)], [x_label(i)]) for i in range(1, h)}
-
         self.m1_space = IndexSpace([(m_plus((1, j)), cb.sizes[m_plus((1, j))])
                                     for j in range(2, h + 1)])
         # the hops whose K+ is selected, each with its candidate space
@@ -108,6 +105,10 @@ class Scheme:
         self.ell1 = codeword_count(self.n, max(node1_selector_rate(spec, rates) + SEED_MARGIN, 0.0))
         self.ell_k = {i: codeword_count(self.n, max(hop_selector_rate(spec, rates, i) + SEED_MARGIN, 0.0))
                       for i in range(1, h)}
+        self.x1_kernel = integer_kernel(spec.x_kernels[1].weights, self.n, self.m1_space.size * self.ell1)
+        a_all = [a_label(p) for p in self.order]
+        self.k_kernels = {i: integer_kernel(condition(joint, a_all + [b_label(i)], [x_label(i)]).weights, self.n,
+                                            cb.sizes[k_plus(i)] * self.ell_k[i]) for i in range(1, h)}
 
         x1_marginal = marginalize(spec.network.target, [x_label(1)]).weights
         self.x1_cum = _cum_rows(np.tile(x1_marginal, (self.n, 1)))
@@ -143,32 +144,34 @@ class Scheme:
 
     # -- letter-level likelihoods ------------------------------------------
 
-    def x1_likelihood(self, x1: np.ndarray, assignment) -> float | np.ndarray:
-        """Likelihood of x1 at the assignment's psi(1) codewords, per grid point for arrays."""
+    def x1_likelihood(self, x1: np.ndarray, assignment) -> int | np.ndarray:
+        """Likelihood numerator of x1 at the assignment's psi(1) codewords, per grid point for arrays."""
         letters = [self.cb.a_codeword(q, assignment) for q in sorted(psi(self.h, 1))]
-        return _block_likelihood(self.x1_kernel.weights, letters, x1)
+        return _block_likelihood(self.x1_kernel, letters, x1)
 
     def node1_posterior(self, x1: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
-        """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-; blocks x1
-        (R, n) with integer-array assignments (R,) give (R, M) posteriors and R degenerate flags."""
-        return _normalized(self.x1_likelihood(
+        """Posterior over the flattened (m+_{1,2..h}) candidates given x1 and m-, as integer
+        likelihoods (_flagged); blocks x1 (R, n) with array assignments (R,) give (R, M) rows
+        and R degenerate flags."""
+        return _flagged(self.x1_likelihood(
             x1[..., None, :], _per_candidate(assignment) | self.m1_space.unflatten(
                 np.arange(self.m1_space.size))))
 
     def k_posterior(self, i: int, x_block: np.ndarray, assignment) -> tuple[np.ndarray, bool | np.ndarray]:
-        """Posterior over k_i+ given the node-i action block, all m+-, and k_i-; stacks as node1's."""
+        """Posterior over k_i+ given the node-i action block, all m+-, and k_i-; rows as node1's."""
         grid = _per_candidate(assignment)
         letters = [self.cb.a_codeword(p, grid) for p in self.order]
         letters.append(self.cb.b_codeword(i, grid | {k_plus(i): np.arange(self.cb.sizes[k_plus(i)])}))
-        return _normalized(_block_likelihood(self.k_kernels[i].weights, letters, x_block[..., None, :]))
+        return _flagged(_block_likelihood(self.k_kernels[i], letters, x_block[..., None, :]))
 
     def selection(self, posteriors: np.ndarray, ell: int) -> StaircaseTable:
-        """The staircase tables of a stack (R, M) of normalized posteriors as one stacked
-        table, from one staircase_map call: row r's support is all M candidates by descending
-        mass, and its cuts N_1..N_{m-1} for its support size m (see _support_sizes), padded
-        with ell, give the induced law and seed map of the size-m table."""
-        order, best_m = _support_sizes(posteriors, ell)
-        return staircase_map(posteriors, order, ell, best_m)
+        """The staircase tables of a stack (R, M) of posteriors, integer likelihood rows (or float
+        pmf rows, see probability.integer_rows), as one stacked table from one staircase_map
+        call: row r's support is all M candidates by descending mass, and its cuts for its
+        support size m (see _support_sizes), padded with ell, give the size-m table's law."""
+        rows = integer_rows(posteriors, ell)
+        order, best_m = _support_sizes(rows, ell)
+        return staircase_map(rows, order, ell, best_m)
 
 
 def _per_candidate(assignment) -> dict:
@@ -176,18 +179,16 @@ def _per_candidate(assignment) -> dict:
     return {c: v[..., None] if isinstance(v, np.ndarray) else v for c, v in assignment.items()}
 
 
-def _block_likelihood(kernel: np.ndarray, letters, block: np.ndarray) -> float | np.ndarray:
-    """Block probability: kernel[letters, block] multiplied over n, all (..., n) and broadcast."""
+def _block_likelihood(kernel: np.ndarray, letters, block: np.ndarray) -> int | np.ndarray:
+    """Block likelihood numerator: kernel[letters, block] multiplied over n, all (..., n) and broadcast."""
     return np.prod(kernel[tuple(letters) + (block,)], axis=-1)
 
 
-def _normalized(weights: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Each row of weights over its sum, or uniform and flagged degenerate where the
-    sum is zero; one flag per row of a stack, a bool for a single row."""
-    total = weights.sum(axis=-1, keepdims=True)
-    zero = total <= 0.0
-    posterior = np.where(zero, 1.0 / weights.shape[-1], weights / np.where(zero, 1.0, total))
-    return posterior, zero[..., 0] if zero.ndim > 1 else bool(zero[0])
+def _flagged(likelihoods: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Likelihood rows (a posterior's integer numerators) with each zero row made uniform, all
+    ones, and flagged degenerate; one flag per row of a stack, a bool for a single row."""
+    zero = likelihoods.sum(axis=-1, keepdims=True) == 0
+    return np.where(zero, 1, likelihoods), zero[..., 0] if zero.ndim > 1 else bool(zero[0])
 
 
 def _require_c_equals_action(spec: AuxSpec) -> None:
@@ -206,21 +207,17 @@ def _require_c_equals_action(spec: AuxSpec) -> None:
 # Posterior + staircase selection
 
 
-def _support_sizes(posteriors: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's candidates by descending mass (ties by index) and support size: the shortest top-mass
-    prefix minimizing 2*eps + m/ell, where a longer one must beat the best so far by 1e-15. Only
-    m <= 2*ell + 1 is scanned: cert_m - cert_1 = (m - 1)/ell - 2*(c_m - c_1) for the cumsum c, so an
-    m >= 2*ell + 2 wins only if the row's mass outside its top candidate exceeds 1 + 1/(2*ell)."""
-    count = min(posteriors.shape[-1], 2 * ell + 1)
-    order = np.argsort(-posteriors, axis=-1, kind="stable")
-    mass = posteriors[np.arange(len(posteriors))[:, None], order[:, :count]]
-    certs = 2.0 * (1.0 - np.cumsum(mass, axis=-1)) + np.array([m / ell for m in range(1, count + 1)])
-    certs[np.arange(1, count + 1) > (mass > 0).sum(axis=-1, keepdims=True)] = np.inf  # past positive mass
-    best_m, best = np.ones(len(posteriors), dtype=np.int64), certs[:, 0]
-    for m, cert in enumerate(certs.T[1:], 2):
-        better = cert < best - 1e-15
-        best, best_m[better] = np.where(better, cert, best), m
-    return order, best_m
+def _support_sizes(rows: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each integer row's candidates by descending mass (ties by index) and support size: the
+    shortest top-mass prefix minimizing cert_m = 2*eps_m + m/ell, compared exactly as cert_m * ell * T
+    = 2*ell*(T - S_m) + m*T (S_m the top m candidates' sum, T the row's total). Only m <= 2*ell is
+    scanned: cert_m - cert_1 = (m - 1)/ell - 2*(S_m - S_1)/T, and S_m - S_1 < T."""
+    count = min(rows.shape[-1], 2 * ell)
+    order = np.argsort(-rows, axis=-1, kind="stable")
+    mass = rows[np.arange(len(rows))[:, None], order[:, :count]]
+    total = rows.sum(axis=-1, keepdims=True)
+    certs = 2 * ell * (total - np.cumsum(mass, axis=-1)) + np.arange(1, count + 1) * total
+    return order, np.argmin(certs, axis=-1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ import numpy as np
 
 from .codebooks import (Book, Codebook, Component, IndexSpace, _pair_components, build_codebooks, k_minus,
                         k_plus, l_of, m_minus, m_plus)
-from .codec import STREAM_VERSION, Scheme, _normalized, _per_candidate, run_scheme
+from .codec import STREAM_VERSION, Scheme, _flagged, _per_candidate, run_scheme
 from .errors import ResourceCapError, UsageError, check_cap, resolve_cap
-from .linestruct import NetworkSpec, a_label, b_label, c_label, order_pairs, psi, x_label
+from .linestruct import NetworkSpec, a_label, order_pairs, psi, x_label
 from .probability import condition, marginalize, product_extend
 from .rates import CodebookRates, Mode
 
@@ -124,7 +124,7 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
     degenerate = 0
     for cr in _grid_chunks(scheme.cr_spaces, _shared_cells(scheme)):
         grid = {c: v[:, None] for c, v in cr.items()} | m1  # (cr, m1)
-        widths, flags = _selection_widths(scheme, scheme.x1_kernel.weights,
+        widths, flags = _selection_widths(scheme, scheme.x1_kernel,
                                           [cb.a_codeword(q, grid) for q in sorted(psi(h, 1))], scheme.ell1)
         degenerate += int(np.count_nonzero(flags))
         factors = [np.ascontiguousarray(widths.transpose(1, 0, 2), dtype=np.float64).reshape(1, block_sizes[0], -1)]
@@ -135,7 +135,7 @@ def exact_induced(cb: Codebook, mode: Mode) -> ExactInduced:
             hits = reach = _hits(scheme, i, g)  # (g, k+, x_{i+1})
             if i in scheme.k_spaces:
                 widths, flags = _selection_widths(
-                    scheme, scheme.k_kernels[i].weights, [cb.a_codeword(p, g)[:, None] for p in scheme.order]
+                    scheme, scheme.k_kernels[i], [cb.a_codeword(p, g)[:, None] for p in scheme.order]
                     + [cb.b_codeword(i, _per_candidate(g) | {k_plus(i): np.arange(hits.shape[1])})],
                     scheme.ell_k[i])
                 degenerate += int((paths * flags).sum())
@@ -164,16 +164,16 @@ def _contract(factors: list[np.ndarray]) -> np.ndarray:
 
 def _selection_widths(scheme: Scheme, kernel: np.ndarray, letters, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer staircase widths (R, S, C) and degenerate flags (R, S) of the posteriors over
-    C candidates of each of a node's S action blocks, for rows R: kernel gives the node's
-    per-letter law at the codewords letters (R, C, n), broadcast. The posteriors are
-    Scheme.node1_posterior's and Scheme.k_posterior's, bit for bit."""
+    C candidates of each of a node's S action blocks, for rows R: kernel (Scheme.x1_kernel or
+    Scheme.k_kernels[i]) holds the integer per-letter likelihoods at the codewords letters
+    (R, C, n), broadcast, so the rows are Scheme.node1_posterior's and Scheme.k_posterior's."""
     rows = kernel[tuple(letters)]  # (R, C, n, |X|)
     shape = rows.shape
     rows = _block_product(rows.reshape(-1, *shape[2:])).reshape(*shape[:2], -1)  # likelihoods (R, C, S)
-    posteriors, flags = _normalized(np.ascontiguousarray(rows.transpose(0, 2, 1)))
+    likelihoods, flags = _flagged(np.ascontiguousarray(rows.transpose(0, 2, 1)))
     del rows  # the selection's own arrays are the stack's size several times over
-    table = scheme.selection(posteriors.reshape(-1, shape[1]), ell)
-    return table.induced_widths(shape[1]).reshape(posteriors.shape), flags
+    table = scheme.selection(likelihoods.reshape(-1, shape[1]), ell)
+    return table.induced_widths(shape[1]).reshape(likelihoods.shape), flags
 
 
 def _hits(scheme: Scheme, i: int, g: dict) -> np.ndarray:
@@ -340,17 +340,12 @@ def piecing_check(cb: Codebook) -> float:
     spec, h, n = cb.spec, cb.h, cb.n
     net = spec.network
     block_sizes, order = [a.size ** n for a in net.alphabets], order_pairs(h)
-    a_axes = [a_label(p) for p in order]
 
     spaces = _pair_components(order, cb.sizes)
     total_m = math.prod(size for _, size in spaces)
     check_exact_sizes(cb, "piecing enumeration cells")
 
-    x1_kernel = condition(spec.joint, a_axes, [x_label(1)])
-    pair_kernels = {}
-    for j in range(2, h + 1):
-        giv = a_axes + [b_label(j - 1), c_label(j)]
-        pair_kernels[j] = condition(spec.joint, giv, [x_label(j - 1), x_label(j)])
+    x1_kernel, pair_kernels = spec.piecing_kernels
 
     # per hop j, every (k+, k-, l) the ratio sums over, flat and in order
     hops = {j: IndexSpace([(c, cb.sizes[c]) for c in (k_plus(j - 1), k_minus(j - 1), l_of(j))])

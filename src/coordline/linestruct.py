@@ -7,6 +7,7 @@ then X1, then per hop: B, C, X) together with the assembled full joint.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -186,6 +187,15 @@ class AuxSpec:
     @property
     def h(self) -> int:
         return self.network.h
+
+    @functools.cached_property
+    def piecing_kernels(self) -> tuple[ConditionalKernel, dict[int, ConditionalKernel]]:
+        """The kernels the piecing identity reads, built once per spec: Q(X1 | every A) and,
+        per hop j, Q(X_{j-1}, X_j | every A, B_{j-1}, C_j)."""
+        a_axes = [a_label(p) for p in order_pairs(self.h)]
+        return condition(self.joint, a_axes, [x_label(1)]), {
+            j: condition(self.joint, a_axes + [b_label(j - 1), c_label(j)], [x_label(j - 1), x_label(j)])
+            for j in range(2, self.h + 1)}
 
     @staticmethod
     def axis_order(h: int) -> list[str]:

@@ -7,7 +7,6 @@ divergences are in bits, with the 0*log(0) = 0 convention.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -289,7 +288,11 @@ def divergences(p: JointPmf, q: JointPmf) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Staircase quantization of a pmf by a uniform seed (exact rational certificate)
+# Staircase quantization of integer weights by a uniform seed (exact rational certificate)
+
+EXACT_SPAN = 2 ** 53
+"""The largest ell * T (T a row's integer total) a staircase cuts in int64; past it the same
+code runs on Python ints (dtype=object). Support-size certificates stay under 5 * ell * T."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,15 +300,15 @@ class StaircaseTable:
     """Total maps f: [1..ell] -> support from cumulative cut points, one per table of a
     stack; a single table is a table with no leading axes.
 
-    support (..., M) and cuts (..., M - 1) are integer arrays: cuts = (N_1..N_{M-1}),
-    N_i = floor(p_i * ell) over the cumulative masses of `support` in order, and with
-    N_0 = 0 and N_M = ell implied, seeds in (N_{i-1}, N_i] map to support[i-1].
-    `support_size` is each table's M (an int, or an array over the leading axes); a
-    table is vacuous (bound >= 1) where it exceeds ell. `map_seed` and `induced_widths`
-    broadcast over a stack. The certificate is read on a single table (see `row`),
-    computed on first read from the snapped rationals of `weights` and cached: `bound`
-    is the certified L1 error 2*epsilon + M/ell (epsilon = mass outside the support),
-    and `induced`, `epsilon`, `bound` and `realized_l1` are exact rationals.
+    weights (..., size) are the integer rows cut (see integer_rows); support (..., M) and
+    cuts (..., M - 1) are integer arrays: N_k = ell * S_k // T, S_k the first k support
+    weights' sum and T the row's total, and with N_0 = 0 and N_M = ell implied, seeds in
+    (N_{i-1}, N_i] map to support[i-1]. `support_size` is each table's M (an int, or an
+    array over the leading axes); a table is vacuous (bound >= 1) where it exceeds ell.
+    `map_seed` and `induced_widths` broadcast over a stack. The certificate is read on a
+    single table (see `row`) from the same integers, cached: `bound` is the certified L1
+    error 2*epsilon + M/ell (epsilon = mass outside the support); `induced`, `epsilon`,
+    `bound` and `realized_l1` are exact rationals.
     """
 
     support: np.ndarray
@@ -355,9 +358,8 @@ class StaircaseTable:
 
     @functools.cached_property
     def _exact(self) -> list[Fraction]:
-        exact = _snapped(self.weights)
-        total = sum(exact)
-        return [w / total for w in exact]
+        total = sum(self.weights.tolist())
+        return [Fraction(w, total) for w in self.weights.tolist()]
 
     epsilon = functools.cached_property(lambda self: 1 - sum(self._exact[b] for b in self.support.tolist()))
     bound = functools.cached_property(lambda self: 2 * self.epsilon + Fraction(self.support_size, self.ell))
@@ -368,40 +370,56 @@ class StaircaseTable:
         return sum(abs(w - by_symbol.get(b, 0)) for b, w in enumerate(self._exact))
 
 
-def _snapped(values) -> list[Fraction]:
-    """Float weights snapped to nearby small rationals, so decimal inputs (0.3, 1/3 written
-    as 0.333...) cut where intended; the cuts and the certificate both derive from these."""
-    return [Fraction(float(v)).limit_denominator(10 ** 12) for v in values]
+def snapped(weights) -> np.ndarray:
+    """Float weights as integer numerators (Python ints) over one denominator: each distinct
+    weight snapped once to the closest rational with denominator at most 10**12, so that
+    decimal inputs (0.3, 1/3 written as 0.333...) mean what they say, over the lcm of those."""
+    w = np.asarray(weights, dtype=np.float64)
+    fractions = {v: Fraction(v).limit_denominator(10 ** 12) for v in set(w.ravel().tolist())}
+    lcm = math.lcm(*(f.denominator for f in fractions.values()))
+    return np.vectorize(lambda v: fractions[v].numerator * (lcm // fractions[v].denominator), otypes=[object])(w)
 
 
-def _fraction_cuts(snapped: Sequence[Fraction], support: Sequence[int], ell: int) -> list[int]:
-    """The exact cuts of a table with a cut too close to call in float: ell * S_k // T, S_k and
-    T the support prefix sums and total of the snapped weights on the lcm of their denominators."""
-    denominator = math.lcm(*(w.denominator for w in snapped))
-    ints = [w.numerator * (denominator // w.denominator) for w in snapped]
-    total = sum(ints)
-    return [ell * s // total for s in itertools.accumulate(ints[b] for b in support[:-1])]
+def integer_kernel(weights: np.ndarray, n: int, span: int) -> np.ndarray:
+    """Kernel weights as integer numerators over one denominator (snapped) for n-entry likelihoods:
+    int64 while span (candidates times ell) times such a product is within EXACT_SPAN, else Python ints."""
+    numerators = snapped(weights)
+    return numerators.astype(np.int64 if span * int(numerators.max(initial=0)) ** n <= EXACT_SPAN else object)
+
+
+def integer_rows(weights: np.ndarray, ell: int) -> np.ndarray:
+    """Weight rows (..., size) as the integers a staircase over ell seeds cuts: integer rows
+    as given, float pmf rows (each summing to 1 within MASS_TOL) snapped row by row. Each
+    row needs nonnegative entries and a positive total. int64 while every ell * total <=
+    EXACT_SPAN, else Python ints."""
+    w = np.asarray(weights)
+    if w.dtype.kind == "f":
+        totals = w.sum(axis=-1)
+        off = totals[~(np.abs(totals - 1.0) <= MASS_TOL)]  # a NaN total is off too
+        if off.size:
+            raise UsageError(f"staircase weight rows must sum to 1 within {MASS_TOL}, got total {float(off.flat[0])!r}")
+        w = np.array([snapped(row) for row in w.reshape(-1, w.shape[-1])], dtype=object).reshape(w.shape)
+    totals = np.asarray(w.sum(axis=-1))
+    if np.any(w < 0) or not np.all(totals > 0):
+        raise UsageError("staircase integer weight rows must be nonnegative with a positive total")
+    return w.astype(np.int64 if ell * int(totals.max(initial=0)) <= EXACT_SPAN else object, copy=False)
 
 
 def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.ndarray,
                   ell: int, support_size: np.ndarray | None = None) -> StaircaseTable:
-    """Quantize a single-axis pmf into a function of a uniform seed on [1..ell].
+    """Quantize weights into a function of a uniform seed on [1..ell].
 
-    q is the pmf, or its weights as a 1-D pmf_weights array: one table, with no leading axes.
-    Weight rows (..., size), each summing to 1 within MASS_TOL (else a UsageError), and
-    support orders (..., M) give a stack of tables in one pass; support_size (ints over the
-    leading axes, None for M) keeps each table's first m symbols, its cuts N_1..N_{m-1}
-    padded with ell.
+    q is a single-axis pmf or weight rows (..., size), float pmf rows or integer rows (see
+    integer_rows): one table per row, a 1-D array one table with no leading axes. Support
+    orders (..., M) give a stack of tables in one pass; support_size (ints over the leading
+    axes, None for M) keeps each table's first m symbols, its cuts padded with ell.
 
-    The support_order must list distinct symbols; its q-mass defines epsilon as the
-    leftover mass. The cuts are those of exact rational arithmetic on the snapped weights
-    (see _snapped), so realized_l1 <= bound holds exactly, and <= M/ell when the support
-    covers supp(q). They are float-first, floor(cumsum * ell / total); a table with an
-    interior scaled cumulative within ell * size * 2e-12 of an integer takes the integer
-    loop of _fraction_cuts instead, each distinct weight of those tables snapped once.
-    ell < M is flagged vacuous (bound >= 1), not fatal.
+    The support_order must list distinct symbols; epsilon is the mass it leaves out. Each
+    cut is ell * S_k // T on the row's integers, the exact floor, so realized_l1 <= bound
+    holds exactly, and <= M/ell when the support covers the row's. ell < M is flagged
+    vacuous (bound >= 1), not fatal.
     """
-    w = q.weights if isinstance(q, JointPmf) else q
+    w = q.weights if isinstance(q, JointPmf) else np.asarray(q)
     support = np.asarray(support_order, dtype=np.int64)
     if w.ndim != support.ndim or w.shape[:-1] != support.shape[:-1]:
         raise UsageError("staircase_map expects a single-axis pmf")
@@ -418,29 +436,10 @@ def staircase_map(q: JointPmf | np.ndarray, support_order: Sequence[int] | np.nd
     if np.any((sizes < 1) | (sizes > m)):
         raise UsageError(f"support sizes must lie in [1, {m}]")
     ell = int(ell)
-
-    # Tolerance: limit_denominator(10**12) returns the closest rational with
-    # denominator <= 10**12, so it moves each weight by at most 1/(2*10**12) =
-    # 5e-13. The exact scaled cumulative ell * S_k / T (S_k the first k snapped
-    # support weights, T all of them) is then within ell * (k + size) * 5e-13
-    # <= ell * size * 1e-12 of the real-valued float one (the weights sum to 1
-    # within MASS_TOL); the float64 sums, product and quotient add under
-    # ell * (2 * size + 2) * 2**-53. Outside ell * size * 2e-12 of an integer,
-    # the float floor is the exact floor. Positions from m - 1 on are set to ell.
-    rows, picks = w.reshape(-1, size), support.reshape(-1, m)
-    interior = np.arange(m - 1) < np.reshape(sizes, (-1, 1)) - 1
-    totals = rows.sum(axis=-1, keepdims=True)
-    if not np.abs(totals - 1.0).max(initial=0.0) <= MASS_TOL:  # a NaN total fails too
-        off = totals[~(np.abs(totals - 1.0) <= MASS_TOL)]
-        raise UsageError(f"staircase weight rows must sum to 1 within {MASS_TOL}, got total {float(off[0])!r}")
+    weights = integer_rows(w, ell)
+    rows, picks = weights.reshape(-1, size), support.reshape(-1, m)
+    interior = np.arange(m - 1) < np.reshape(sizes, (-1, 1)) - 1  # positions from m - 1 on are ell
     picked = rows[np.arange(len(rows))[:, None], picks[:, :-1]]
-    scaled = np.cumsum(picked, axis=-1) * ell / totals
-    near = ((np.abs(scaled - np.rint(scaled)) <= ell * size * 2e-12) & interior).any(axis=-1)
-    cuts = np.floor(np.where(near[:, None] | ~interior, 0.0, scaled)).astype(np.int64)
-    values = sorted(set(rows[near].ravel().tolist()))  # np.unique would import numpy.ma, 1.5 MB of RSS
-    snaps = dict(zip(values, _snapped(values)))
-    exact = functools.cache(lambda row, pick: _fraction_cuts([snaps[v] for v in row], list(pick), ell))
-    for r in np.flatnonzero(near).tolist():  # equal rows of the stack share one integer loop
-        cuts[r] = exact(tuple(rows[r].tolist()), tuple(picks[r].tolist()))
-    cuts = np.where(interior, cuts, ell).reshape(support.shape[:-1] + (m - 1,))
-    return StaircaseTable(support=support, cuts=cuts, ell=ell, support_size=sizes, weights=w)
+    cuts = ell * np.cumsum(picked, axis=-1) // rows.sum(axis=-1, keepdims=True)
+    cuts = np.where(interior, cuts, ell).astype(np.int64).reshape(support.shape[:-1] + (m - 1,))
+    return StaircaseTable(support=support, cuts=cuts, ell=ell, support_size=sizes, weights=weights)

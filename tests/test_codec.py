@@ -21,7 +21,7 @@ from coordline.codec import (
 from coordline.errors import ResourceCapError, UsageError
 from coordline.linestruct import aux_from_tags, channel_of, copy_of, make_network
 from coordline.presets import preset_config
-from coordline.probability import pmf_from_table
+from coordline.probability import integer_rows
 from coordline.rates import CodebookRates, Mode
 from test_exact_batched import _assert_runs_equal, ref_selection_table, ref_support_sizes
 from test_probability import fraction_staircase
@@ -272,24 +272,23 @@ def _dsbs_scheme():
 
 @st.composite
 def posterior_stacks(draw):
-    """(posteriors (R, M), ell): _normalized rows of random, dyadic, point-mass and
-    all-zero (degenerate, so uniform) weights, so under a power-of-two ell only some
-    rows have a cut on an integer; ell may fall below the support size."""
+    """(posteriors (R, M), ell): integer rows of random, small (so some cuts land on
+    integers), point-mass and all-zero (degenerate, so uniform) likelihoods, through
+    codec._flagged; ell may fall below the support size."""
     size = draw(st.integers(1, 10))
     ell = draw(st.one_of(st.integers(1, size), st.integers(1, 300),
                          st.integers(0, 10).map(lambda k: 2 ** k)))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["random", "dyadic", "point", "zero"]))
-        if kind == "random":
-            rows.append(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
-        elif kind == "dyadic":
-            rows.append(draw(st.lists(st.integers(0, 8), min_size=size, max_size=size)))
+        kind = draw(st.sampled_from(["random", "small", "point", "zero"]))
+        if kind in ("random", "small"):
+            rows.append(draw(st.lists(st.integers(0, 3 ** 12 if kind == "random" else 8),
+                                      min_size=size, max_size=size)))
         else:
-            rows.append([0.0] * size)
+            rows.append([0] * size)
             if kind == "point":
-                rows[-1][draw(st.integers(0, size - 1))] = 0.5
-    posteriors, _ = codec._normalized(np.array(rows, dtype=np.float64).reshape(-1, size))
+                rows[-1][draw(st.integers(0, size - 1))] = 3
+    posteriors, _ = codec._flagged(np.array(rows, dtype=np.int64).reshape(-1, size))
     return posteriors, ell
 
 
@@ -299,10 +298,10 @@ class TestStackedSelection:
 
     @settings(max_examples=300, deadline=None)
     @given(case=posterior_stacks())
-    @example(case=(np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]), 8))
-    @example(case=(np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1]]), 2))
+    @example(case=(np.array([[2, 1, 1], [3, 3, 4], [1, 1, 0]]), 8))
+    @example(case=(np.array([[1, 1, 1, 1], [4, 3, 2, 1]]), 2))
     # equal rows share one table
-    @example(case=(np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]]), 5))
+    @example(case=(np.array([[4, 3, 2, 1], [1, 2, 3, 4], [4, 3, 2, 1]]), 5))
     def test_equals_row_by_row(self, case):
         posteriors, ell = case
         table = _dsbs_scheme().selection(posteriors, ell)
@@ -319,8 +318,8 @@ class TestStackedSelection:
 
     @settings(max_examples=200, deadline=None)
     @given(case=posterior_stacks())
-    @example(case=(np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]), 8))
-    @example(case=(np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.3, 0.2, 0.1]]), 2))
+    @example(case=(np.array([[2, 1, 1], [3, 3, 4], [1, 1, 0]]), 8))
+    @example(case=(np.array([[1, 1, 1, 1], [4, 3, 2, 1]]), 2))
     def test_rows_certify_as_fractions(self, case):
         """Each row of the table has the reference's support size and the certificate
         of the all-Fraction staircase on that support."""
@@ -329,52 +328,49 @@ class TestStackedSelection:
         for r, posterior in enumerate(posteriors):
             row = table.row(r)
             support, _ = ref_selection_table(posterior, ell)
-            ref = fraction_staircase(pmf_from_table(["X"], posterior), support, ell)
+            ref = fraction_staircase(posterior, support, ell)
             assert row.support_size == len(support) and row.support.tolist() == support
             assert (row.epsilon, row.bound, row.realized_l1) == (ref["epsilon"], ref["bound"], ref["realized_l1"])
             assert row.vacuous == ref["vacuous"]
 
+    def test_float_rows_are_snapped_at_entry(self):
+        """Float posteriors select as the integer rows they snap to."""
+        floats = np.array([[0.5, 0.25, 0.25], [0.3, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 3]])
+        ints = np.array([[2, 1, 1], [3, 3, 4], [1, 1, 1]])
+        for ell in (1, 3, 8, 10):
+            got, want = (_dsbs_scheme().selection(rows, ell) for rows in (floats, ints))
+            assert np.array_equal(got.induced_widths(3), want.induced_widths(3))
+            assert got.support_size.tolist() == want.support_size.tolist()
+
 
 class TestSupportSizeTieRule:
-    """The support-size rule is sequential: a longer prefix must beat the best
-    certificate so far by 1e-15. Certificates 1, 1 - 0.67e-15, 1 - 1.33e-15, 1 select
-    m=3; the first certificate within 1e-15 of the minimum would be m=2."""
+    """The support-size rule compares certificates exactly: a longer prefix wins only if
+    its certificate is smaller, by however little. On [5q, q + 1, q + 1, q - 2] over T =
+    8q with ell 4, the certificates are 1, 1 - 1/(4q), 1 - 1/(2q) and 1, so m = 3 wins
+    by under 1e-15 of a certificate for q = 10**15, a margin no float rule resolves; at
+    q = 10**14 the row is int64, at 10**15 ell * T passes 2**53 and it takes Python ints."""
 
-    POSTERIOR = np.array([0.625, 0.125 + 3e-16, 0.125 + 3e-16, 0.125 - 6e-16])
     ELL = 4
 
-    def test_certificates(self):
-        cum = np.cumsum(self.POSTERIOR).tolist()
-        certs = [2.0 * (1.0 - cum[m - 1]) + m / self.ELL for m in range(1, 5)]
-        assert certs[0] == certs[3] == 1.0
-        assert certs[1] >= certs[0] - 1e-15 and certs[2] < certs[0] - 1e-15
-        assert certs[2] >= certs[1] - 1e-15
-
-    def test_single_posterior(self):
-        support, induced = ref_selection_table(self.POSTERIOR, self.ELL)
-        assert len(support) == 3
-        table = _dsbs_scheme().selection(self.POSTERIOR[None], self.ELL)
+    @pytest.mark.parametrize("q", [10 ** 14, 10 ** 15])
+    def test_smallest_improvement_wins(self, q):
+        row = np.array([[5 * q, q + 1, q + 1, q - 2]])
+        _, sizes = codec._support_sizes(integer_rows(row, self.ELL), self.ELL)
+        assert sizes.tolist() == [3] == [len(ref_selection_table(row[0], self.ELL)[0])]
+        table = _dsbs_scheme().selection(row, self.ELL)
         assert table.row(0).support_size == 3
-        assert np.array_equal(table.induced_widths(4)[0] / self.ELL, induced)
+        assert np.array_equal(table.induced_widths(4)[0] / self.ELL, ref_selection_table(row[0], self.ELL)[1])
 
-    def test_inside_a_stack(self):
-        stack = np.stack([np.full(4, 0.25), self.POSTERIOR, np.array([1.0, 0.0, 0.0, 0.0])])
+    def test_exact_ties_keep_the_shortest(self):
+        """[5, 1, 1, 1] over ell 4 ties every certificate at exactly 1: m = 1."""
+        stack = np.array([[1, 1, 1, 1], [5, 1, 1, 1], [1, 0, 0, 0]])
         _, sizes = codec._support_sizes(stack, self.ELL)
-        assert sizes.tolist() == [len(ref_selection_table(p, self.ELL)[0]) for p in stack]
-        assert sizes[1] == 3
-        induced = _dsbs_scheme().selection(stack, self.ELL).induced_widths(4) / self.ELL
-        assert np.array_equal(induced[1], ref_selection_table(self.POSTERIOR, self.ELL)[1])
-
-
-def _weights(draw, size):
-    """size random weights, some zero and some tied."""
-    values = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4))
-    return [draw(st.sampled_from(values)) for _ in range(size)]
+        assert sizes.tolist() == [4, 1, 1] == [len(ref_selection_table(p, self.ELL)[0]) for p in stack]
 
 
 @st.composite
 def wide_posterior_stacks(draw):
-    """(posteriors (R, M), ell) with M up to 50 and ell in [1, 60]: _normalized rows of
+    """(posteriors (R, M), ell) with M up to 50 and ell in [1, 60]: integer rows of
     random weights with zeros and ties, point masses and all-zero (degenerate, so
     uniform) rows; ell often falls below the support size, which makes the table vacuous."""
     size = draw(st.integers(1, 50))
@@ -382,72 +378,72 @@ def wide_posterior_stacks(draw):
     rows = []
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(["random", "point", "zero"]))
-        rows.append(_weights(draw, size) if kind == "random" else [0.0] * size)
+        rows.append(_weights(draw, size) if kind == "random" else [0] * size)
         if kind == "point":
-            rows[-1][draw(st.integers(0, size - 1))] = 1.0
-    posteriors, _ = codec._normalized(np.array(rows, dtype=np.float64))
-    return posteriors, ell
+            rows[-1][draw(st.integers(0, size - 1))] = 1
+    return codec._flagged(np.array(rows, dtype=np.int64))[0], ell
+
+
+def _weights(draw, size):
+    """size random integer weights, some zero and some tied."""
+    values = draw(st.lists(st.sampled_from([0, 0, 4, 16]) | st.integers(0, 10 ** 6), min_size=1, max_size=4))
+    return [draw(st.sampled_from(values)) for _ in range(size)]
 
 
 @st.composite
 def scan_cut_stacks(draw):
-    """(rows (R, M), ell) with ell < M/2 and M up to 50, each row's mass outside its top
-    candidate at most 1 + 1/(2*ell), in shuffled positions:
-    - "random": _normalized weights with zeros and ties;
-    - "above": a _normalized row with some entries a few ulps up, so its cumsum can end above 1;
-    - "near-tie": k <= 2*ell masses a few ulps off 1/(2*ell), the rest of the mass on one
-      candidate, so consecutive certificates differ by less than 1e-15;
-    - "zero": all zeros, not normalized;
-    - "edge": 2*ell + 1 masses q in (1/(2*ell), 1/(2*ell) + 1/(4*ell**2)], whose best
-      support size is 2*ell + 1."""
+    """(rows (R, M), ell) with ell < M/2 and M up to 50, in shuffled positions:
+    - "random": integer weights with zeros and ties;
+    - "near-tie": k <= 2*ell weights within 4 of T/(2*ell), the rest on one candidate, so
+      consecutive certificates differ by a few parts in T;
+    - "wide": 2*ell - 1 equal weights and a little mass spread over the rest, whose best
+      support size is the largest any row can have."""
     size = draw(st.integers(3, 50))
     ell = draw(st.integers(1, (size - 1) // 2))
+    total = 2 * ell * draw(st.integers(10 ** 3, 10 ** 12))
     rows = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["random", "above", "near-tie", "zero", "edge"]))
-        row = np.zeros(size)
-        if kind in ("random", "above"):
-            row = codec._normalized(np.array(_weights(draw, size)))[0]
-            for _ in range(draw(st.integers(0, 3)) if kind == "above" else 0):
-                b = draw(st.integers(0, size - 1))
-                row[b] = row[b] + draw(st.integers(1, 4)) * np.spacing(row[b])
+        kind = draw(st.sampled_from(["random", "near-tie", "wide"]))
+        row = np.zeros(size, dtype=np.int64)
+        if kind == "random":
+            row[:] = _weights(draw, size)
         elif kind == "near-tie":
             k = draw(st.integers(1, min(2 * ell, size - 1)))
-            row[:k] = [1 / (2 * ell) + draw(st.integers(-4, 4)) * np.spacing(1 / (2 * ell)) for _ in range(k)]
-            row[k] = max(1.0 - row[:k].sum(), 0.0)
-        elif kind == "edge":
-            row[:2 * ell + 1] = 1 / (2 * ell) + draw(st.floats(0.01, 1.0)) / (4 * ell ** 2)
+            row[:k] = [total // (2 * ell) + draw(st.integers(-4, 4)) for _ in range(k)]
+            row[k] = max(total - row[:k].sum(), 0)
+        else:
+            row[:2 * ell - 1] = total // (2 * ell - 1)
+            row[2 * ell - 1:] = draw(st.integers(0, 3))
         rows.append(row[draw(st.permutations(range(size)))])
-    return np.array(rows), ell
+    return codec._flagged(np.array(rows))[0], ell
 
 
 class TestSupportScanCut:
-    """_support_sizes scans support sizes up to 2*ell + 1; a selection over ell seeds
-    gives mass to at most ell candidates."""
+    """_support_sizes scans support sizes up to 2*ell; a selection over ell seeds gives
+    mass to at most ell candidates."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=scan_cut_stacks())
-    # four masses 1/4 + 4 ulps end their cumsum 8.9e-16 above 1, so m = 2*ell wins
-    @example(case=(np.array([[0.25 + 4 * np.spacing(0.25)] * 4 + [0.0] * 3]), 2))
-    @example(case=(np.array([[0.0] * 5, [0.2] * 5, [1 / 4 + 1 / 32] * 5]), 2))
+    @example(case=(np.array([[1, 1, 1, 0, 0]]), 2))  # 2*ell - 1 candidates win
+    @example(case=(np.array([[0, 0, 0, 0, 0], [1] * 5, [5] * 5]), 2))
     def test_matches_full_scan(self, case):
         rows, ell = case
+        rows = codec._flagged(rows)[0]
         order, best_m = codec._support_sizes(rows, ell)
         want_order, want_m = ref_support_sizes(rows, ell)
         assert np.array_equal(order, want_order)
         assert np.array_equal(best_m, want_m)
 
     def test_examples_reach_the_cut(self):
-        """The examples select 2*ell and 2*ell + 1 candidates, past any cut below 2*ell + 1."""
-        _, sizes = ref_support_sizes(np.array([[0.25 + 4 * np.spacing(0.25)] * 4 + [0.0] * 3]), 2)
-        assert sizes.tolist() == [4]
-        _, sizes = ref_support_sizes(np.array([[1 / 4 + 1 / 32] * 5]), 2)
-        assert sizes.tolist() == [5]
+        """Three equal weights over ell 2 select 2*ell - 1 = 3 candidates: a row's mass
+        outside its top candidate is below 1, so no m >= 2*ell beats m = 1."""
+        _, sizes = ref_support_sizes(np.array([[1, 1, 1, 0, 0]]), 2)
+        assert sizes.tolist() == [3]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=wide_posterior_stacks())
-    @example(case=(np.full((1, 50), 1 / 50), 1))
-    @example(case=(np.full((1, 50), 1 / 50), 49))
+    @example(case=(np.ones((1, 50), dtype=np.int64), 1))
+    @example(case=(np.ones((1, 50), dtype=np.int64), 49))
     def test_selection_reaches_at_most_ell_candidates(self, case):
         posteriors, ell = case
         size = posteriors.shape[-1]

@@ -80,11 +80,12 @@ class TestExactInduced:
                                  codebook_seeds=[7], seed=1)
         assert abs(rep.tv_per_seed[0] - exact_tv) <= 3 * rep.radius
 
-    def test_walk_reads_no_certificate_and_rarely_needs_fractions(self, monkeypatch):
-        """exact_induced needs only the integer cuts: no table's certificate is
-        read, and at most 5% of the tables (91 of 1,920 here) take the Fraction
-        cut loop. A stacked staircase_map call counts one table per support row."""
-        counts = {"tables": 0, "fraction_cuts": 0, "certificates": 0}
+    def test_walk_reads_no_certificate_and_snaps_only_kernels(self, monkeypatch):
+        """exact_induced needs only the integer cuts: no table's certificate is read, and
+        no posterior is snapped. Only the likelihood kernels are, once per Scheme (node
+        1's and the one hop's on dsbs). A stacked staircase_map call counts one table per
+        support row."""
+        counts = {"tables": 0, "kernels": 0, "snaps": 0, "certificates": 0}
 
         def counted(key, fn, tables=lambda *args: 1):
             def wrapper(*args):
@@ -94,8 +95,8 @@ class TestExactInduced:
 
         monkeypatch.setattr(codec, "staircase_map", counted(
             "tables", codec.staircase_map, lambda q, support, *_: len(support)))
-        monkeypatch.setattr(probability, "_fraction_cuts",
-                            counted("fraction_cuts", probability._fraction_cuts))
+        monkeypatch.setattr(codec, "integer_kernel", counted("kernels", codec.integer_kernel))
+        monkeypatch.setattr(probability, "snapped", counted("snaps", probability.snapped))
         for name in ("epsilon", "bound", "realized_l1"):
             monkeypatch.setattr(probability.StaircaseTable, name,
                                 property(counted("certificates", lambda table: 0)))
@@ -103,7 +104,7 @@ class TestExactInduced:
         exact_induced(build_codebooks(exp.spec, exp.rates, 6, 3), exp.mode)
         assert counts["certificates"] == 0
         assert counts["tables"] > 1000
-        assert counts["fraction_cuts"] <= 0.05 * counts["tables"]
+        assert counts["kernels"] == counts["snaps"] == 2
 
 
 class TestCoordinationTv:

@@ -14,6 +14,7 @@ another float order than the loop, and must match it within PIECING_ATOL.
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -39,16 +40,15 @@ from coordline.codebooks import (
     m_minus,
     m_plus,
 )
-from coordline.codec import Scheme, _normalized
+from coordline.codec import Scheme
 from coordline.errors import ResourceCapError, UsageError
 from coordline.evalharness import cr_independence, exact_induced, piecing_check
 from coordline.linestruct import (CONSTANT, a_label, aux_from_tags, b_label, c_label, channel_of, copy_of,
                                   make_network, order_pairs, psi, x_label)
 from coordline.presets import bsc_chain_network, preset_config
-from coordline.probability import pmf_weights
 from coordline.rates import CodebookRates, Mode
 from test_codebooks import same_books, wide_books
-from test_probability import marginal_condition
+from test_probability import exact_row, fraction_staircase, marginal_condition
 
 SEED = 3
 PIECING_ATOL = 1e-12  # absolute; the largest difference seen on CASES is 6.9e-16
@@ -119,29 +119,54 @@ def ref_draw_book(seed, key, parents, slots, kernel, n, given):
     return Book(parents, slots, words)
 
 
+def ref_integer_kernel(weights):
+    """A float kernel as Python-int numerators over one denominator: each entry's closest
+    rational with denominator at most 10**12, times the lcm of those denominators."""
+    fractions = [Fraction(float(w)).limit_denominator(10 ** 12) for w in weights.ravel()]
+    denominator = math.lcm(*(f.denominator for f in fractions))
+    return np.array([int(f * denominator) for f in fractions], dtype=object).reshape(weights.shape)
+
+
 def ref_block_likelihood(rows, block):
-    return float(np.prod(rows[np.arange(len(block)), block]))
+    return math.prod(int(rows[t, x]) for t, x in enumerate(block))
+
+
+def ref_flagged(likelihoods):
+    """A likelihood row, or all ones and flagged degenerate where it is all zero."""
+    zero = sum(likelihoods) == 0
+    return (np.ones(len(likelihoods), dtype=object) if zero else likelihoods), zero
+
+
+@functools.lru_cache(maxsize=4)
+def ref_kernels(scheme):
+    """A Scheme's likelihood kernels as the reference builds them: node 1's, and every hop's
+    K+ kernel read from the joint through the marginal pmf."""
+    a_all = [a_label(p) for p in scheme.order]
+    return ref_integer_kernel(scheme.spec.x_kernels[1].weights), {
+        i: ref_integer_kernel(marginal_condition(scheme.spec.joint, a_all + [b_label(i)], [x_label(i)]).weights)
+        for i in range(1, scheme.h)}
 
 
 def ref_node1_posterior(scheme, x1, assignment):
-    out = np.empty(scheme.m1_space.size)
+    kernel = ref_kernels(scheme)[0]
+    out = np.empty(scheme.m1_space.size, dtype=object)
     probe = dict(assignment)
     for flat in range(scheme.m1_space.size):
         probe.update(scheme.m1_space.unflatten(flat))
         letters = [scheme.cb.a_codeword(q, probe) for q in sorted(psi(scheme.h, 1))]
-        out[flat] = ref_block_likelihood(scheme.x1_kernel.weights[tuple(letters)], x1)
-    return _normalized(out)
+        out[flat] = ref_block_likelihood(kernel[tuple(letters)], x1)
+    return ref_flagged(out)
 
 
 def ref_k_posterior(scheme, i, x_block, assignment):
-    out = np.empty(scheme.cb.sizes[k_plus(i)])
+    kernel = ref_kernels(scheme)[1][i]
+    out = np.empty(scheme.cb.sizes[k_plus(i)], dtype=object)
     a_letters = tuple(scheme.cb.a_codeword(p, assignment) for p in scheme.order)
     probe = dict(assignment)
     for v in range(len(out)):
         probe[k_plus(i)] = v
-        rows = scheme.k_kernels[i].weights[a_letters + (scheme.cb.b_codeword(i, probe),)]
-        out[v] = ref_block_likelihood(rows, x_block)
-    return _normalized(out)
+        out[v] = ref_block_likelihood(kernel[a_letters + (scheme.cb.b_codeword(i, probe),)], x_block)
+    return ref_flagged(out)
 
 
 def ref_block_vector(rows):
@@ -231,57 +256,36 @@ def ref_block_decode(idx, size, n):
 
 
 def ref_staircase_cuts(weights, support, ell):
-    """One table's interior cuts N_1..N_{M-1}: floor(cumsum * ell / total) in float64,
-    or the rational cuts of the snapped weights when any scaled cumulative is within
-    ell * size * 2e-12 of an integer."""
-    scaled = np.cumsum(weights[support[:-1]]) * ell / weights.sum()
-    near = np.abs(scaled - np.rint(scaled)) <= ell * len(weights) * 2e-12
-    if not near.any():
-        return np.floor(scaled).astype(np.int64).tolist()
-    snapped = [Fraction(float(w)).limit_denominator(10 ** 12) for w in weights]
-    total = sum(snapped)
-    cuts, cum = [], Fraction(0)
-    for b in support[:-1]:
-        cum += snapped[b] / total
-        cuts.append(math.floor(cum * ell))
-    return cuts
+    """One table's interior cuts N_1..N_{M-1}: floor(ell * S_k / T) in exact rationals."""
+    exact = exact_row(weights)
+    return [math.floor(ell * cum) for cum in itertools.accumulate(exact[b] for b in support[:-1])]
 
 
-def ref_support_sizes(posteriors, ell):
-    """codec._support_sizes scanning every support size m = 1..M: each row's candidates
-    by descending mass (ties by index) and the shortest top-mass prefix minimizing
-    2*eps + m/ell, where a longer one must beat the best so far by 1e-15."""
-    count = posteriors.shape[-1]
-    order = np.argsort(-posteriors, axis=-1, kind="stable")
-    mass = posteriors[np.arange(len(posteriors))[:, None], order]
-    certs = 2.0 * (1.0 - np.cumsum(mass, axis=-1)) + np.array([m / ell for m in range(1, count + 1)])
-    certs[np.arange(1, count + 1) > (mass > 0).sum(axis=-1, keepdims=True)] = np.inf  # past positive mass
-    best_m, best = np.ones(len(posteriors), dtype=np.int64), certs[:, 0]
-    for m, cert in enumerate(certs.T[1:], 2):
-        better = cert < best - 1e-15
-        best, best_m[better] = np.where(better, cert, best), m
-    return order, best_m
+def ref_support_sizes(rows, ell):
+    """codec._support_sizes one row at a time in exact rationals, scanning every support
+    size m = 1..M: each row's candidates by descending mass (ties by index) and the
+    shortest top-mass prefix minimizing 2*eps + m/ell."""
+    orders, sizes = [], []
+    for row in rows:
+        exact = exact_row(row)
+        order = sorted(range(len(exact)), key=lambda b: (-exact[b], b))
+        cum = list(itertools.accumulate(exact[b] for b in order))
+        certs = [2 * (1 - c) + Fraction(m, ell) for m, c in enumerate(cum, 1)]
+        orders.append(order)
+        sizes.append(certs.index(min(certs)) + 1)
+    return np.array(orders, dtype=np.int64).reshape(len(orders), -1), np.array(sizes, dtype=np.int64)
 
 
 def ref_selection_widths(posterior, ell):
     """One posterior's staircase selection, one support size at a time: the support
-    (the candidates by descending mass, ties by index, cut to the first prefix whose
-    certificate beats every shorter one by 1e-15) and the seeds of each candidate."""
-    count = len(posterior)
-    order = np.lexsort((np.arange(count), -posterior))
-    mass = posterior[order]
-    cum = np.cumsum(mass).tolist()
-    positive = int((mass > 0).sum())
-    best_m, best_cert = 1, float("inf")
-    for m in range(1, max(positive, 1) + 1):
-        cert = 2.0 * (1.0 - cum[m - 1]) + m / ell
-        if cert < best_cert - 1e-15:
-            best_cert, best_m = cert, m
-    support = order[:best_m].tolist()
-    edges = [0] + ref_staircase_cuts(pmf_weights(posterior, normalize=True), support, ell) + [ell]
-    widths = np.zeros(count, dtype=np.int64)
+    (the candidates by descending mass, ties by index, cut to the shortest prefix with
+    the least certificate) and the seeds of each candidate."""
+    order, sizes = ref_support_sizes([posterior], ell)
+    support = order[0, :sizes[0]].tolist()
+    edges = [0] + ref_staircase_cuts(posterior, support, ell) + [ell]
+    widths = np.zeros(len(posterior), dtype=np.int64)
     for b, lo, hi in zip(support, edges, edges[1:]):
-        widths[b] = max(hi - lo, 0)
+        widths[b] = hi - lo
     return support, widths
 
 
@@ -464,17 +468,17 @@ class TestBitIdentity:
 
 @pytest.fixture
 def stack_log(monkeypatch):
-    """Each (posteriors (rows, candidates), degenerate flags (rows,)) that exact_induced
-    normalizes, in call order."""
+    """Each (integer posterior rows (rows, candidates), degenerate flags (rows,)) that
+    exact_induced flags, in call order."""
     log = []
-    original = evalharness._normalized
+    original = evalharness._flagged
 
-    def spy(weights):
-        posteriors, flags = original(weights)
-        log.append((posteriors.reshape(-1, weights.shape[-1]), flags.ravel()))
-        return posteriors, flags
+    def spy(likelihoods):
+        rows, flags = original(likelihoods)
+        log.append((rows.reshape(-1, likelihoods.shape[-1]), flags.ravel()))
+        return rows, flags
 
-    monkeypatch.setattr(evalharness, "_normalized", spy)
+    monkeypatch.setattr(evalharness, "_flagged", spy)
     return log
 
 
@@ -1282,3 +1286,48 @@ class TestMonteCarloRoots:
         _, got = np.unique(codec._root_keys(list(zip(columns, radices))), return_inverse=True)
         assert 1 < got.max() + 1 < 300
         assert np.array_equal(got, want.ravel())
+
+
+@pytest.mark.parametrize("preset, mode, crossover, n", [
+    ("dsbs", None, 0.2500001, 2),
+    ("markov3", "action-dependent", 0.2500001, 2),
+    ("dsbs", None, 0.25 + 2 ** -20, 4),
+], ids=["dsbs", "markov3-action-dependent", "dsbs-dyadic-n4"])
+class TestPythonIntPath:
+    """A crossover of 0.2500001 snaps the kernels it enters to numerators near 10**22, so
+    their likelihood rows pass EXACT_SPAN and run on Python ints (markov3's node-1 kernel,
+    over constant A, stays int64). One of 1/4 + 2**-20 gives numerators below 2**20 whose
+    4-letter products pass int64. Each selection row that exact_induced and a Monte Carlo
+    run make has the widths, support and certificate of the all-Fraction reference."""
+
+    def _selections(self, preset, mode, crossover, n, monkeypatch):
+        cfg = preset_config(preset)
+        cfg["network"]["target"] = bsc_chain_network(cfg["network"]["h"], crossover).target.weights.tolist()
+        exp = Experiment(cfg)
+        mode = Mode(mode) if mode else exp.mode
+        cb = build_codebooks(exp.spec, exp.rates, n, SEED)
+        log, original = [], Scheme.selection
+
+        def spy(scheme, rows, ell):
+            table = original(scheme, rows, ell)
+            log.append((rows, ell, table))
+            return table
+
+        monkeypatch.setattr(Scheme, "selection", spy)
+        scheme = Scheme(cb, mode)
+        exact_induced(cb, mode)
+        codec.run_scheme(cb, mode, 50, 1)
+        return log, scheme
+
+    def test_rows_equal_fraction_reference(self, preset, mode, crossover, n, monkeypatch):
+        log, scheme = self._selections(preset, mode, crossover, n, monkeypatch)
+        assert {ell for _, ell, _ in log} == {scheme.ell1} | {scheme.ell_k[i] for i in scheme.k_spaces}
+        assert {rows.dtype for rows, *_ in log} >= {np.dtype(object)}
+        for rows, ell, table in log:
+            widths = table.induced_widths(rows.shape[-1])
+            for r, row in enumerate(rows):
+                support, want = ref_selection_widths(row, ell)
+                assert widths[r].tolist() == want.tolist()
+                one, ref = table.row(r), fraction_staircase(row, support, ell)
+                assert one.support.tolist() == support
+                assert (one.epsilon, one.bound, one.realized_l1) == (ref["epsilon"], ref["bound"], ref["realized_l1"])

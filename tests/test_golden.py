@@ -11,7 +11,6 @@ import pytest
 
 from coordline import codec
 from coordline.codec import Scheme, _bits, run_scheme
-from coordline.probability import pmf_from_table
 from coordline.rates import Mode
 from test_exact_batched import ref_selection_table
 from test_probability import fraction_staircase
@@ -159,7 +158,7 @@ class TestSchemeCertificates:
             for r, posterior in enumerate(unique):
                 row = table.row(r)
                 support, _ = ref_selection_table(posterior, ell)
-                ref = fraction_staircase(pmf_from_table(["X"], posterior), support, ell)
+                ref = fraction_staircase(posterior, support, ell)
                 assert row.support_size == len(support), key
                 assert (row.epsilon, row.bound, row.realized_l1) == (ref["epsilon"], ref["bound"], ref["realized_l1"])
                 assert row.realized_l1 <= row.bound

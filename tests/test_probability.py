@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coordline import codec
 from coordline.errors import ResourceCapError, UsageError
 from coordline.probability import (
     KERNEL_TOL,
@@ -22,6 +23,7 @@ from coordline.probability import (
     pmf_from_table,
     pmf_weights,
     product_extend,
+    snapped,
     staircase_map,
 )
 
@@ -472,12 +474,21 @@ class TestStaircase:
         assert np.array_equal(counts, t.induced_widths(5))
 
 
-def fraction_staircase(q, support, ell):
-    """The all-Fraction staircase the float-first table must reproduce exactly:
-    snap, normalize, cut, induce and certify in rationals."""
-    exact = [Fraction(float(w)).limit_denominator(10 ** 12) for w in q.weights]
-    total = sum(exact)
-    exact = [w / total for w in exact]
+def exact_row(weights):
+    """A weight row as exact rationals summing to 1: an integer row over its total, a float
+    row with each weight first snapped to its closest rational with denominator at most
+    10**12 (Fraction.limit_denominator)."""
+    row = np.asarray(weights)
+    values = ([Fraction(float(w)).limit_denominator(10 ** 12) for w in row] if row.dtype.kind == "f"
+              else [Fraction(int(w)) for w in row])
+    total = sum(values)
+    return [v / total for v in values]
+
+
+def fraction_staircase(weights, support, ell):
+    """The all-Fraction staircase the integer table must reproduce exactly: the row's
+    exact rationals (exact_row), cut, induced and certified in rationals."""
+    exact = exact_row(weights)
     cuts, cum = [], Fraction(0)
     for b in support:
         cum += exact[b]
@@ -495,10 +506,11 @@ def fraction_staircase(q, support, ell):
 
 
 def assert_same_table(got, want):
-    """Two tables agree in every field, each array with its dtype and shape."""
+    """Two tables agree in every field, each array with its dtype and shape; the integer
+    weights by value, as a stack holds them on Python ints once any row needs them."""
     for name in ("support", "cuts", "weights"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (a.dtype == b.dtype or name == "weights") and a.shape == b.shape and np.array_equal(a, b), name
     assert (got.ell, got.support_size, got.vacuous) == (want.ell, want.support_size, want.vacuous)
 
 
@@ -541,7 +553,7 @@ class TestStaircaseAgainstFractions:
         weights, support, ell = case
         q = pmf_from_table(["X"], weights, normalize=True)
         t = staircase_map(q, support, ell)
-        ref = fraction_staircase(q, support, ell)
+        ref = fraction_staircase(q.weights, support, ell)
         assert tuple(t.cuts.tolist()) == ref.pop("cuts")
         assert {key: getattr(t, key) for key in ref} == ref
         expected = np.zeros(len(weights))
@@ -562,8 +574,8 @@ class TestStaircaseAgainstFractions:
 def staircase_stacks(draw, max_ell=5000):
     """(weight rows, support rows, ell) sharing size, support length and ell: rows of
     random, dyadic, near-zero and point-mass weights, so under a power-of-two ell only
-    some rows have a cut on an integer and take the Fraction loop; ell may fall below
-    the support length, and a stack may be empty."""
+    some rows have a cut on an integer; ell may fall below the support length, and a
+    stack may be empty."""
     size = draw(st.integers(1, 12))
     m = draw(st.integers(1, size))
     ell = draw(st.one_of(st.integers(1, m), st.integers(1, max_ell),
@@ -619,19 +631,6 @@ class TestStackedStaircase:
         for r, widths in enumerate(stack.induced_widths(size)):
             assert np.array_equal(np.bincount(symbols[:, r], minlength=size), widths)
 
-    def test_only_rows_near_an_integer_take_fractions(self, monkeypatch):
-        import coordline.probability as probability
-
-        seen = []
-        original = probability._fraction_cuts
-        monkeypatch.setattr(probability, "_fraction_cuts",
-                            lambda exact, support, ell: seen.append(support) or original(exact, support, ell))
-        # ell 8: the dyadic row's cut 4 is an integer, the other rows' 2.4 is not
-        weights = np.array([[0.3, 0.3, 0.4], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]])
-        stack = staircase_map(weights, np.array([[0, 1], [0, 1], [1, 0]]), 8)
-        assert seen == [[0, 1]]
-        assert stack.cuts.tolist() == [[2], [4], [2]]
-
     def test_mismatched_stack_is_a_usage_error(self):
         with pytest.raises(UsageError, match="single-axis"):
             staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1]]), 4)
@@ -673,22 +672,13 @@ class TestSupportSizes:
             assert_same_table(stack.row(r), one)
             assert np.array_equal(stack.induced_widths(size)[r], one.induced_widths(size))
 
-    def test_trailing_zero_mass_takes_no_exact_loop(self, monkeypatch):
-        """Past the support size the full-order cumulative reaches ell exactly; those
-        positions are not tested, so the rows keep their float cuts."""
-        import coordline.probability as probability
-
-        seen = []
-        original = probability._fraction_cuts
-        monkeypatch.setattr(probability, "_fraction_cuts",
-                            lambda exact, support, ell: seen.append(support) or original(exact, support, ell))
+    def test_trailing_zero_mass_cuts_at_ell(self):
+        """Past the support size every position is ell, as is a full-order cut whose
+        cumulative reaches the whole mass."""
         weights = np.array([[0.7, 0.3, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0]])
         supports = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
-        stack = staircase_map(weights, supports, 8, np.array([2, 2]))
-        assert seen == []
-        assert stack.cuts.tolist() == [[5, 8, 8], [5, 8, 8]]
-        staircase_map(weights, supports, 8)  # all four symbols: cuts at exactly 8
-        assert len(seen) == 2
+        assert staircase_map(weights, supports, 8, np.array([2, 2])).cuts.tolist() == [[5, 8, 8], [5, 8, 8]]
+        assert staircase_map(weights, supports, 8).cuts.tolist() == [[5, 8, 8], [5, 8, 8]]
 
     def test_sizes_out_of_range_are_a_usage_error(self):
         for sizes in ([0, 2], [1, 4]):
@@ -696,36 +686,94 @@ class TestSupportSizes:
                 staircase_map(np.full((2, 3), 1 / 3), np.array([[0, 1, 2], [2, 1, 0]]), 4, np.array(sizes))
 
 
-class TestIntegerCuts:
-    """The exact cut loop works in integers on one denominator per row."""
+class TestFloatRowsSnapped:
+    """Float pmf rows are snapped at entry, one denominator per row, and cut as integers."""
 
     @settings(max_examples=200, deadline=None)
     @given(ks=st.lists(st.integers(1, 5000), min_size=1, max_size=5),
            ell=st.sampled_from([7, 2 ** 53 + 1, 2 ** 63 - 1]), data=st.data())
     def test_equals_all_fraction_reference(self, ks, ell, data):
-        from test_exact_batched import ref_staircase_cuts
-
-        import coordline.probability as probability
-
+        """Weights k / p snap back to k / p, so the row's denominator is past 2**64 and its
+        cuts (ell up to 2**63 - 1) take Python ints."""
         weights = [k / PRIMES[i % 2] for i, k in enumerate(ks)]
         weights = np.array(weights + [1.0 - sum(weights)])
         support = data.draw(st.permutations(range(len(weights))))
-        snapped = probability._snapped(weights)
-        assert {w.denominator for w in snapped[:len(ks)]} == set(PRIMES[:len(ks)])
-        want = ref_staircase_cuts(weights, np.array(support), ell)
-        assert probability._fraction_cuts(snapped, support, ell) == want
-        assert staircase_map(weights, support, ell).cuts.tolist() == want
+        denominators = {Fraction(w).limit_denominator(10 ** 12).denominator for w in weights[:len(ks)]}
+        assert denominators == set(PRIMES[:len(ks)])
+        table = staircase_map(weights, support, ell)
+        assert table.weights.dtype == object
+        assert tuple(table.cuts.tolist()) == fraction_staircase(weights, support, ell)["cuts"]
 
-    def test_each_distinct_weight_is_snapped_once(self, monkeypatch):
-        import coordline.probability as probability
+    def test_snapped_is_one_denominator(self):
+        numerators = snapped(np.array([[0.3, 0.7], [1 / 3, 2 / 3]]))
+        assert numerators.dtype == object and numerators.tolist() == [[9, 21], [10, 20]]
+        assert staircase_map(np.array([0.1] * 10), list(range(10)), 3).weights.tolist() == [1] * 10
 
-        calls = []
-        original = probability._snapped
-        monkeypatch.setattr(probability, "_snapped",
-                            lambda values: calls.append(list(values)) or original(values))
-        # ell 8: every dyadic row has a cut on an integer; the 0.3 rows do not
-        weights = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.3, 0.3, 0.4],
-                            [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]])
-        stack = staircase_map(weights, np.array([[0, 1, 2], [1, 0, 2], [0, 1, 2], [2, 1, 0], [2, 1, 0]]), 8)
-        assert calls == [[0.25, 0.5]]
-        assert stack.cuts.tolist() == [[4, 6], [4, 6], [2, 4], [4, 6], [2, 4]]
+
+@st.composite
+def integer_stacks(draw):
+    """(integer rows (R, size), support rows (R, M), ell): rows whose every cut lands
+    exactly on an integer (seed widths scaled up, as dsbs posteriors give), rows with
+    zeros, all-zero rows made uniform by codec._flagged, random rows and rows past 2**53;
+    ell may fall below the support length, and a stack may be empty."""
+    size = draw(st.integers(1, 10))
+    m = draw(st.integers(1, size))
+    ell = draw(st.one_of(st.integers(1, m), st.integers(1, 4096), st.sampled_from([2 ** 40, 2 ** 62 + 1])))
+    rows, supports = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["exact", "zeros", "all-zero", "random", "big"]))
+        if kind == "exact":
+            marks = sorted(draw(st.lists(st.integers(0, ell), min_size=size - 1, max_size=size - 1)))
+            scale = draw(st.integers(1, 3 ** 10))
+            row = [(hi - lo) * scale for lo, hi in zip([0] + marks, marks + [ell])]
+        elif kind == "big":
+            row = draw(st.lists(st.integers(0, 2 ** 80), min_size=size, max_size=size))
+        else:
+            row = draw(st.lists(st.integers(0, 3 ** 12 if kind == "random" else 2), min_size=size, max_size=size))
+            if kind == "all-zero":
+                row = [0] * size
+        rows.append(row)
+        supports.append(draw(st.permutations(range(size)))[:m])
+    rows = np.array(rows, dtype=object).reshape(-1, size)
+    rows = codec._flagged(rows)[0] if len(rows) else rows
+    if all(r.sum() <= 2 ** 62 for r in rows) and draw(st.booleans()):
+        rows = rows.astype(np.int64)
+    return rows, np.array(supports, dtype=np.int64).reshape(-1, m), ell
+
+
+class TestIntegerCuts:
+    """Cuts are ell * S_k // T on the integer rows: the exact floor, with no tolerance."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=integer_stacks())
+    @example(case=(np.array([[3, 1], [1, 3]]), np.array([[0, 1], [1, 0]]), 4))  # dsbs n=1: cuts 3 exactly
+    @example(case=(np.array([[0, 0, 0]]), np.array([[0, 1, 2]]), 2))
+    def test_equal_fraction_floor_row_by_row(self, case):
+        rows, supports, ell = case
+        if len(rows) and not (rows.sum(axis=-1) > 0).all():
+            with pytest.raises(UsageError, match="positive total"):
+                staircase_map(rows, supports, ell)
+            return
+        stack = staircase_map(rows, supports, ell)
+        for r, (row, support) in enumerate(zip(rows, supports)):
+            total = sum(row.tolist())
+            want = [math.floor(Fraction(ell * cum, total))
+                    for cum in itertools.accumulate(int(row[b]) for b in support[:-1])]
+            assert stack.cuts[r].tolist() == want
+            one = staircase_map(row, support, ell)
+            assert_same_table(stack.row(r), one)
+            ref = fraction_staircase(row, support.tolist(), ell)
+            assert (one.epsilon, one.bound, one.realized_l1) == (ref["epsilon"], ref["bound"], ref["realized_l1"])
+        assert_same_table(staircase_map(rows.astype(object), supports, ell), stack)
+
+    def test_python_ints_past_exact_span(self):
+        """ell * T past 2**53 runs the same cuts on Python ints."""
+        rows = np.array([[3, 1], [1, 3]])
+        assert staircase_map(rows, np.array([[0, 1], [1, 0]]), 4).weights.dtype == np.int64
+        big = staircase_map(rows, np.array([[0, 1], [1, 0]]), 2 ** 52 + 1)
+        assert big.weights.dtype == object and big.cuts.tolist() == [[3 * (2 ** 52 + 1) // 4]] * 2
+
+    @pytest.mark.parametrize("rows", [[[1, -1, 2]], [[0, 0]]], ids=["negative", "zero"])
+    def test_bad_integer_rows_are_usage_errors(self, rows):
+        with pytest.raises(UsageError, match="staircase"):
+            staircase_map(np.array(rows), np.array([[0, 1]]), 4)
